@@ -98,7 +98,6 @@ pub fn heavy_connectivity_matching(
             batching: BatchingStrategy::BlockCyclic,
             budget: cfg_c.budget,
             forced_batches: None,
-            merge_schedule: Default::default(),
             overlap: Default::default(),
             exchange: Default::default(),
             backend: Default::default(),

@@ -142,7 +142,6 @@ fn batch_config(params: &MclParams) -> BatchConfig {
         batching: BatchingStrategy::BlockCyclic,
         budget: params.budget,
         forced_batches: None,
-        merge_schedule: Default::default(),
         overlap: params.overlap,
         exchange: params.exchange,
         backend: params.backend,

@@ -37,7 +37,7 @@ fn bench_dcsc(c: &mut Criterion) {
             da.csc_storage_bytes()
         );
         group.bench_with_input(BenchmarkId::new("csc", n), &(&a, &b), |bch, (a, b)| {
-            bch.iter(|| spgemm_hash_unsorted::<PlusTimesU64>(a, b).unwrap());
+            bch.iter(|| spgemm_hash_unsorted::<PlusTimesU64>(a, b, &mut []).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("dcsc", n), &(&da, &db), |bch, (da, db)| {
             bch.iter(|| spgemm_hash_dcsc::<PlusTimesU64>(da, db).unwrap());

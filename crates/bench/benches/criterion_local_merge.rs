@@ -20,13 +20,13 @@ fn bench_merges(c: &mut Criterion) {
     for k in [4usize, 16] {
         let ps = parts(k);
         group.bench_with_input(BenchmarkId::new("hash-unsorted", k), &ps, |b, ps| {
-            b.iter(|| merge_hash_unsorted::<PlusTimesF64>(ps).unwrap());
+            b.iter(|| merge_hash_unsorted::<PlusTimesF64>(ps, &mut []).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("hash-sorted", k), &ps, |b, ps| {
-            b.iter(|| merge_hash_sorted::<PlusTimesF64>(ps).unwrap());
+            b.iter(|| merge_hash_sorted::<PlusTimesF64>(ps, &mut []).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("heap", k), &ps, |b, ps| {
-            b.iter(|| merge_heap::<PlusTimesF64>(ps).unwrap());
+            b.iter(|| merge_heap::<PlusTimesF64>(ps, &mut []).unwrap());
         });
     }
     group.finish();

@@ -25,10 +25,10 @@ fn bench_kernels(c: &mut Criterion) {
     group.sample_size(10);
     for (name, a, b) in pairs() {
         group.bench_with_input(BenchmarkId::new("unsorted-hash", name), &(&a, &b), |bch, (a, b)| {
-            bch.iter(|| spgemm_hash_unsorted::<PlusTimesF64>(a, b).unwrap());
+            bch.iter(|| spgemm_hash_unsorted::<PlusTimesF64>(a, b, &mut []).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("hybrid-sorted", name), &(&a, &b), |bch, (a, b)| {
-            bch.iter(|| spgemm_hybrid::<PlusTimesF64>(a, b).unwrap());
+            bch.iter(|| spgemm_hybrid::<PlusTimesF64>(a, b, &mut []).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("heap", name), &(&a, &b), |bch, (a, b)| {
             bch.iter(|| spgemm_heap::<PlusTimesF64>(a, b).unwrap());

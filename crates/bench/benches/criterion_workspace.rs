@@ -6,20 +6,17 @@
 //! `alloc`/`realloc` the process performs is one event. One "batched
 //! multiply" below is what a rank runs per batch of BatchedSUMMA3D —
 //! `√p` stage multiplies, one Merge-Layer, one (sorted) Merge-Fiber — and
-//! the benchmark compares the allocating entry points (a fresh workspace
-//! per call, the pre-PR behaviour) against one warm workspace reused
+//! the benchmark compares throwaway scratch (`&mut []`: a fresh workspace
+//! per call, the pre-workspace behaviour) against one warm workspace reused
 //! across all calls and batches. The workspace path only pays the
 //! unavoidable exact-size output copies; all scratch is reused.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spgemm_sparse::gen::rmat;
-use spgemm_sparse::merge::{
-    merge_hash_sorted, merge_hash_sorted_with_workspace, merge_hash_unsorted,
-    merge_hash_unsorted_with_workspace,
-};
+use spgemm_sparse::merge::{merge_hash_sorted, merge_hash_unsorted};
 use spgemm_sparse::ops::{col_block, row_block};
 use spgemm_sparse::semiring::PlusTimesF64;
-use spgemm_sparse::spgemm::{spgemm_hash_unsorted, spgemm_hash_unsorted_with_workspace};
+use spgemm_sparse::spgemm::spgemm_hash_unsorted;
 use spgemm_sparse::{CscMatrix, SpGemmWorkspace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,30 +61,20 @@ fn stage_operands(a: &CscMatrix<f64>, stages: usize) -> Vec<(CscMatrix<f64>, Csc
         .collect()
 }
 
-/// One batched multiply through the allocating entry points (fresh
-/// workspace inside every call — the pre-workspace behaviour).
-fn batch_allocating(stages: &[(CscMatrix<f64>, CscMatrix<f64>)]) -> CscMatrix<f64> {
-    let partials: Vec<_> = stages
-        .iter()
-        .map(|(l, r)| spgemm_hash_unsorted::<PlusTimesF64>(l, r).unwrap().0)
-        .collect();
-    let (layer, _) = merge_hash_unsorted::<PlusTimesF64>(&partials).unwrap();
-    let (fiber, _) = merge_hash_sorted::<PlusTimesF64>(std::slice::from_ref(&layer)).unwrap();
-    fiber
-}
-
-/// The same batched multiply against one caller-owned workspace.
-fn batch_with_workspace(
+/// One batched multiply on `scratch`: `&mut []` gives every call a
+/// throwaway workspace (the pre-workspace behaviour), one long-lived arena
+/// is what a rank's `LocalKernels` holds.
+fn batch(
     stages: &[(CscMatrix<f64>, CscMatrix<f64>)],
-    ws: &mut SpGemmWorkspace<f64>,
+    scratch: &mut [SpGemmWorkspace<f64>],
 ) -> CscMatrix<f64> {
     let partials: Vec<_> = stages
         .iter()
-        .map(|(l, r)| spgemm_hash_unsorted_with_workspace::<PlusTimesF64>(l, r, ws).unwrap().0)
+        .map(|(l, r)| spgemm_hash_unsorted::<PlusTimesF64>(l, r, scratch).unwrap().0)
         .collect();
-    let (layer, _) = merge_hash_unsorted_with_workspace::<PlusTimesF64>(&partials, ws).unwrap();
-    let (fiber, _) =
-        merge_hash_sorted_with_workspace::<PlusTimesF64>(std::slice::from_ref(&layer), ws).unwrap();
+    let (layer, ..) = merge_hash_unsorted::<PlusTimesF64>(&partials, scratch).unwrap();
+    let (fiber, ..) =
+        merge_hash_sorted::<PlusTimesF64>(std::slice::from_ref(&layer), scratch).unwrap();
     fiber
 }
 
@@ -103,18 +90,18 @@ fn report_alloc_counts(stages: &[(CscMatrix<f64>, CscMatrix<f64>)]) {
 
     let before = alloc_events();
     for _ in 0..BATCHES {
-        black_box(batch_allocating(stages));
+        black_box(batch(stages, &mut []));
     }
     let allocating = alloc_events() - before;
 
-    let mut ws = SpGemmWorkspace::<f64>::new();
+    let mut ws = [SpGemmWorkspace::<f64>::new()];
     // Warm-up batch: grows the arenas to steady-state capacity. Not
     // counted — per-rank workspaces in the distributed run warm up once
     // and serve hundreds of stage multiplies (Fig. 4 sweeps b up to 64).
-    black_box(batch_with_workspace(stages, &mut ws));
+    black_box(batch(stages, &mut ws));
     let before = alloc_events();
     for _ in 0..BATCHES {
-        black_box(batch_with_workspace(stages, &mut ws));
+        black_box(batch(stages, &mut ws));
     }
     let reused = alloc_events() - before;
 
@@ -163,12 +150,12 @@ fn bench_workspace(c: &mut Criterion) {
     let mut group = c.benchmark_group("workspace_batch");
     group.sample_size(10);
     group.bench_function("fresh-workspace-per-call", |b| {
-        b.iter(|| batch_allocating(&stages));
+        b.iter(|| batch(&stages, &mut []));
     });
-    let mut ws = SpGemmWorkspace::<f64>::new();
-    batch_with_workspace(&stages, &mut ws); // warm
+    let mut ws = [SpGemmWorkspace::<f64>::new()];
+    batch(&stages, &mut ws); // warm
     group.bench_function("reused-workspace", |b| {
-        b.iter(|| batch_with_workspace(&stages, &mut ws));
+        b.iter(|| batch(&stages, &mut ws));
     });
     group.finish();
 }

@@ -1,13 +1,13 @@
 //! Fig. 12 companion: real thread-scaling of the local kernels.
 //!
 //! The paper runs 16 OpenMP threads per MPI process (Sec. V-A); the Native
-//! backend reproduces that level of parallelism with the column-range
-//! parallel wrappers in `spgemm_sparse::par`. This bench sweeps the thread
-//! count on a Friendster-like power-law squaring and reports measured
-//! wall-clock speedup vs one thread for the unsorted-hash and heap
-//! kernels, plus the hash merge — the three paths the distributed pipeline
-//! drives. Output includes a speedup-vs-threads CSV
-//! (`fig12_threads.csv`).
+//! backend reproduces that level of parallelism by handing each kernel one
+//! scratch arena per thread (`spgemm_sparse::par`). This bench sweeps the
+//! arena count on a Friendster-like power-law squaring and reports measured
+//! wall-clock speedup vs one thread for the unsorted-hash and hybrid
+//! kernels, plus the hash merge — the paths the distributed pipeline
+//! drives under `KernelStrategy::New` / `Previous`. Output includes a
+//! speedup-vs-threads CSV (`fig12_threads.csv`).
 //!
 //! Absolute speedups depend on the host: on a ≥8-core machine the hash
 //! kernel reaches >3x at 8 threads; on fewer cores the curve flattens at
@@ -16,9 +16,10 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use spgemm_bench::{workloads, write_csv};
+use spgemm_sparse::merge::merge_hash_unsorted;
 use spgemm_sparse::ops::{block_range, col_block, row_block};
-use spgemm_sparse::par::{par_merge_hash_unsorted, par_spgemm_hash_unsorted, par_spgemm_heap};
 use spgemm_sparse::semiring::PlusTimesF64;
+use spgemm_sparse::spgemm::{spgemm_hash_unsorted, spgemm_hybrid};
 use spgemm_sparse::{CscMatrix, SpGemmWorkspace};
 use std::time::Instant;
 
@@ -38,7 +39,7 @@ fn stage_partials(a: &CscMatrix<f64>) -> Vec<CscMatrix<f64>> {
         .map(|s| {
             let r = block_range(a.ncols(), 4, s);
             let (left, right) = (col_block(a, r.clone()), row_block(a, r));
-            par_spgemm_hash_unsorted::<PlusTimesF64>(&left, &right, &mut arenas(1))
+            spgemm_hash_unsorted::<PlusTimesF64>(&left, &right, &mut [])
                 .unwrap()
                 .0
         })
@@ -53,15 +54,15 @@ fn bench_thread_sweep(c: &mut Criterion) {
     for nthreads in THREADS {
         group.bench_with_input(BenchmarkId::new("hash", nthreads), &nthreads, |b, &n| {
             let mut ws = arenas(n);
-            b.iter(|| par_spgemm_hash_unsorted::<PlusTimesF64>(&a, &a, &mut ws).unwrap());
+            b.iter(|| spgemm_hash_unsorted::<PlusTimesF64>(&a, &a, &mut ws).unwrap());
         });
-        group.bench_with_input(BenchmarkId::new("heap", nthreads), &nthreads, |b, &n| {
+        group.bench_with_input(BenchmarkId::new("hybrid", nthreads), &nthreads, |b, &n| {
             let mut ws = arenas(n);
-            b.iter(|| par_spgemm_heap::<PlusTimesF64>(&a, &a, &mut ws).unwrap());
+            b.iter(|| spgemm_hybrid::<PlusTimesF64>(&a, &a, &mut ws).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("merge-hash", nthreads), &nthreads, |b, &n| {
             let mut ws = arenas(n);
-            b.iter(|| par_merge_hash_unsorted::<PlusTimesF64>(&parts, &mut ws).unwrap());
+            b.iter(|| merge_hash_unsorted::<PlusTimesF64>(&parts, &mut ws).unwrap());
         });
     }
     group.finish();
@@ -94,19 +95,19 @@ fn speedup_csv() {
         (
             "hash",
             Box::new(|n| {
-                par_spgemm_hash_unsorted::<PlusTimesF64>(&a, &a, &mut arenas(n)).unwrap();
+                spgemm_hash_unsorted::<PlusTimesF64>(&a, &a, &mut arenas(n)).unwrap();
             }),
         ),
         (
-            "heap",
+            "hybrid",
             Box::new(|n| {
-                par_spgemm_heap::<PlusTimesF64>(&a, &a, &mut arenas(n)).unwrap();
+                spgemm_hybrid::<PlusTimesF64>(&a, &a, &mut arenas(n)).unwrap();
             }),
         ),
         (
             "merge-hash",
             Box::new(|n| {
-                par_merge_hash_unsorted::<PlusTimesF64>(&parts, &mut arenas(n)).unwrap();
+                merge_hash_unsorted::<PlusTimesF64>(&parts, &mut arenas(n)).unwrap();
             }),
         ),
     ];

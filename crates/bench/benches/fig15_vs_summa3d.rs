@@ -12,7 +12,7 @@
 //! measured below alongside the modeled numbers.
 
 use spgemm_bench::{measure_f64, workloads, write_csv};
-use spgemm_core::{BackendKind, KernelStrategy, RunConfig};
+use spgemm_core::{BackendKind, KernelStrategy, LocalKernels, RunConfig};
 use spgemm_simgrid::{KernelCounters, StepReport};
 use spgemm_sparse::semiring::PlusTimesF64;
 use std::time::Instant;
@@ -106,14 +106,15 @@ fn main() {
         .collect();
     let mut timings = Vec::new();
     for kernels in [KernelStrategy::Previous, KernelStrategy::New] {
+        let mut engine = LocalKernels::new(kernels);
         let t0 = Instant::now();
         let partials: Vec<_> = stages
             .iter()
-            .map(|(l, r)| kernels.local_multiply::<PlusTimesF64>(l, r).unwrap().0)
+            .map(|(l, r)| engine.local_multiply::<PlusTimesF64>(l, r).unwrap().0)
             .collect();
         let multiply = t0.elapsed();
         let t0 = Instant::now();
-        let (_merged, _) = kernels.merge_layer::<PlusTimesF64>(&partials).unwrap();
+        let (_merged, _) = engine.merge_layer::<PlusTimesF64>(&partials).unwrap();
         let merge = t0.elapsed();
         println!(
             "  {:<28} multiply {multiply:>10.2?}  merge {merge:>10.2?}  total {:>10.2?}",

@@ -11,7 +11,7 @@
 //! and measures *real* time for both kernel generations (no cost model).
 
 use spgemm_bench::{workloads, write_csv};
-use spgemm_core::KernelStrategy;
+use spgemm_core::{KernelStrategy, LocalKernels};
 use spgemm_sparse::ops::{block_range, col_block, row_block};
 use spgemm_sparse::semiring::PlusTimesF64;
 use spgemm_sparse::CscMatrix;
@@ -27,6 +27,7 @@ struct Times {
 /// slices; each slice's multiply cut into `stages` stage-partials.
 fn run_generation(a: &CscMatrix<f64>, l: usize, stages: usize, strat: KernelStrategy) -> Times {
     let n = a.ncols();
+    let mut kernels = LocalKernels::new(strat);
     let mut lm = 0.0;
     let mut merge_layer = 0.0;
     let mut layer_pieces: Vec<CscMatrix<f64>> = Vec::with_capacity(l);
@@ -40,21 +41,21 @@ fn run_generation(a: &CscMatrix<f64>, l: usize, stages: usize, strat: KernelStra
             let a_piece = col_block(a, abs.clone());
             let b_piece = row_block(a, abs);
             let t = Instant::now();
-            let (c, _) = strat
+            let (c, _) = kernels
                 .local_multiply::<PlusTimesF64>(&a_piece, &b_piece)
                 .expect("local multiply");
             lm += t.elapsed().as_secs_f64();
             partials.push(c);
         }
         let t = Instant::now();
-        let (merged, _) = strat
+        let (merged, _) = kernels
             .merge_layer::<PlusTimesF64>(&partials)
             .expect("merge layer");
         merge_layer += t.elapsed().as_secs_f64();
         layer_pieces.push(merged);
     }
     let t = Instant::now();
-    let (_final, _) = strat
+    let (_final, _) = kernels
         .merge_fiber::<PlusTimesF64>(&layer_pieces)
         .expect("merge fiber");
     let merge_fiber = t.elapsed().as_secs_f64();

@@ -1,24 +1,27 @@
 //! Execution backends: modeled-clock simulation vs real multithreaded
 //! kernels.
 //!
-//! Every compute step in the distributed pipeline funnels through a
-//! [`Backend`], which decides what "running a local kernel" means:
+//! Every compute step in the distributed pipeline is charged to its rank's
+//! clock through [`BackendKind::charge`], which decides what "running a
+//! local kernel" costs:
 //!
-//! * [`SimgridBackend`] — the paper-reproduction default. Kernels run
-//!   serially and the rank's clock advances by *modeled* seconds
+//! * [`BackendKind::Simgrid`] — the paper-reproduction default. Kernels
+//!   run on one arena and the rank's clock advances by *modeled* seconds
 //!   (`work_units · secs_per_work_unit / thread_scale`, the α–β machine
 //!   model of `spgemm-simgrid`).
-//! * [`NativeBackend`] — kernels run genuinely multithreaded (the
-//!   column-range parallel wrappers in `spgemm_sparse::par`, one
-//!   [`SpGemmWorkspace`](spgemm_sparse::SpGemmWorkspace) arena per
-//!   thread) and the rank's clock advances by the *measured* wall-clock
-//!   seconds of the call.
+//! * [`BackendKind::Native`] — kernels run genuinely multithreaded (one
+//!   [`SpGemmWorkspace`](spgemm_sparse::SpGemmWorkspace) arena per thread,
+//!   see `spgemm_sparse::par`) and the rank's clock advances by the
+//!   *measured* wall-clock seconds of the call.
 //!
-//! Both paths report through the same `StepReport`/`StepBreakdown`
-//! machinery, so a measured Native run and a modeled Simgrid run of the
-//! same configuration produce directly comparable tables — that is the
+//! Both report through the same `StepReport`/`StepBreakdown` machinery, so
+//! a measured Native run and a modeled Simgrid run of the same
+//! configuration produce directly comparable tables — that is the
 //! measured-vs-modeled contract the planner's calibrator exploits to fit
 //! a [`MachineProfile`](crate::planner::MachineProfile) from a real run.
+//! Output correctness is backend-independent: the kernels are bit-identical
+//! for any thread count, so switching backends changes only the reported
+//! times (and real runtime).
 //!
 //! Communication is always modeled: the virtual cluster's collectives have
 //! no physical counterpart in-process. Only the compute columns
@@ -38,7 +41,7 @@ pub enum BackendKind {
     /// Multithreaded kernels, measured wall-clock times.
     Native {
         /// Kernel threads per simulated rank. `1` still measures real
-        /// time but runs the serial kernel path.
+        /// time but runs the kernels inline on one arena.
         threads: usize,
     },
 }
@@ -83,71 +86,15 @@ impl BackendKind {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 
-    /// Materialize the backend implementation.
-    pub fn to_backend(self) -> Box<dyn Backend> {
-        match self {
-            BackendKind::Simgrid => Box::new(SimgridBackend),
-            BackendKind::Native { threads } => Box::new(NativeBackend {
-                threads: threads.max(1),
-            }),
-        }
-    }
-}
-
-/// How a completed kernel invocation is charged to the rank's clock.
-///
-/// Implementations receive both the kernel's [`WorkStats`] and the
-/// measured elapsed seconds of the call and pick which enters the step
-/// breakdown. Output correctness is backend-independent: the kernels are
-/// bit-identical serial vs parallel, so switching backends changes only
-/// the reported times (and real runtime).
-pub trait Backend: std::fmt::Debug + Send {
-    /// The configuration value this backend was built from.
-    fn kind(&self) -> BackendKind;
-
-    /// Kernel threads per rank.
-    fn threads(&self) -> usize {
-        self.kind().threads()
-    }
-
     /// Charge one finished kernel invocation to `rank`'s clock under
-    /// `step`.
-    fn charge(&self, rank: &mut Rank, step: Step, stats: &WorkStats, measured_secs: f64);
-}
-
-/// Modeled-clock backend: charges `stats.work_units` through the machine
-/// model; the measured duration is ignored.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimgridBackend;
-
-impl Backend for SimgridBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Simgrid
-    }
-
-    fn charge(&self, rank: &mut Rank, step: Step, stats: &WorkStats, _measured_secs: f64) {
-        rank.compute(step, stats.work_units);
-    }
-}
-
-/// Real-parallelism backend: charges the measured wall-clock seconds of
-/// the (multithreaded) kernel call; the modeled work units are ignored
-/// for timing but still accumulate in the kernel totals.
-#[derive(Debug, Clone, Copy)]
-pub struct NativeBackend {
-    /// Kernel threads per rank.
-    pub threads: usize,
-}
-
-impl Backend for NativeBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Native {
-            threads: self.threads,
+    /// `step`: the modeled cost of `stats.work_units` under `Simgrid`, the
+    /// `measured_secs` of the call under `Native` (whose work units still
+    /// accumulate in the kernel totals).
+    pub fn charge(self, rank: &mut Rank, step: Step, stats: &WorkStats, measured_secs: f64) {
+        match self {
+            BackendKind::Simgrid => rank.compute(step, stats.work_units),
+            BackendKind::Native { .. } => rank.compute_measured(step, measured_secs),
         }
-    }
-
-    fn charge(&self, rank: &mut Rank, step: Step, _stats: &WorkStats, measured_secs: f64) {
-        rank.compute_measured(step, measured_secs);
     }
 }
 
@@ -170,13 +117,6 @@ mod tests {
     fn default_kind_without_env_is_simgrid() {
         if std::env::var("SPGEMM_BACKEND").is_err() {
             assert_eq!(BackendKind::default_kind(), BackendKind::Simgrid);
-        }
-    }
-
-    #[test]
-    fn to_backend_round_trips_kind() {
-        for kind in [BackendKind::Simgrid, BackendKind::Native { threads: 3 }] {
-            assert_eq!(kind.to_backend().kind(), kind);
         }
     }
 }

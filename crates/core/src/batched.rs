@@ -16,7 +16,7 @@ use crate::exchange::{ExchangeMode, ExchangePlan};
 use crate::family15::AlgorithmFamily;
 use crate::kernels::{KernelStrategy, LocalKernels};
 use crate::memory::{MemTracker, MemoryBudget};
-use crate::summa2d::{MergeSchedule, NextStage, OverlapMode, StagePending};
+use crate::summa2d::{NextStage, OverlapMode, StagePending};
 use crate::summa3d::summa3d_batch;
 use crate::symbolic::{symbolic3d_with_weights, SymbolicOutcome};
 use crate::{CoreError, Result};
@@ -58,8 +58,6 @@ pub struct BatchConfig {
     /// Override the batch count (skips the symbolic step), used by the
     /// paper's l/b sweeps (Fig. 4).
     pub forced_batches: Option<usize>,
-    /// When Merge-Layer runs (Sec. III-A ablation).
-    pub merge_schedule: MergeSchedule,
     /// Blocking (paper-faithful, default) or overlapped (double-buffered
     /// pipeline over nonblocking collectives) communication.
     pub overlap: OverlapMode,
@@ -83,7 +81,6 @@ impl Default for BatchConfig {
             batching: BatchingStrategy::BlockCyclic,
             budget: MemoryBudget::unlimited(),
             forced_batches: None,
-            merge_schedule: MergeSchedule::AfterAllStages,
             overlap: OverlapMode::Blocking,
             exchange: ExchangeMode::DenseBcast,
             backend: BackendKind::Simgrid,
@@ -407,7 +404,6 @@ pub fn batched_summa3d_with<S: Semiring>(
             &global_cols,
             &piece_offsets,
             kernels,
-            cfg.merge_schedule,
             r,
             &mut mem,
             plan,

@@ -35,10 +35,10 @@
 //! `transpose_to_bstyle` precedent. The InnerABC reduction is a team
 //! allgather charged under [`Step::CReduce`] plus a deterministic
 //! member-index-order local fold (charged as merge compute through the
-//! [`Backend`]) — `simgrid`'s allreduce requires `Copy` payloads, which
+//! [`BackendKind`]) — `simgrid`'s allreduce requires `Copy` payloads, which
 //! dense stripes are not.
 
-use crate::backend::Backend;
+use crate::backend::BackendKind;
 use crate::memory::R_BYTES_PER_NNZ;
 use crate::model::{validate_grid, validate_repl};
 use crate::{CoreError, Result};
@@ -289,7 +289,7 @@ pub fn spmm_15d<S: Semiring>(
     family: AlgorithmFamily,
     a: Option<Arc<CscMatrix<S::T>>>,
     b: Option<Arc<DenseBlock<S::T>>>,
-    backend: &dyn Backend,
+    backend: BackendKind,
     discard: bool,
 ) -> Result<Spmm15PerRank<S::T>> {
     let p = rank.world_size();

@@ -9,8 +9,8 @@ use crate::backend::BackendKind;
 use crate::batched::{batched_summa3d, BatchConfig, BatchingStrategy};
 use crate::exchange::ExchangeMode;
 use crate::family15::{spmm_15d, AlgorithmFamily};
-use crate::summa2d::{MergeSchedule, OverlapMode};
-use crate::dist::{gather_pieces, scatter, transpose_to_bstyle, DistKind};
+use crate::summa2d::OverlapMode;
+use crate::dist::{gather_pieces, scatter, transpose_to_bstyle, DistKind, DistMatrix};
 use crate::kernels::KernelStrategy;
 use crate::memory::MemoryBudget;
 use crate::model::validate_grid;
@@ -18,7 +18,8 @@ use crate::planner::{self, PlanReport, PlannerConfig};
 use crate::symbolic::SymbolicOutcome;
 use crate::{CoreError, Result};
 use spgemm_simgrid::{
-    max_breakdown, run_ranks_checked, run_ranks_seeded, CheckMode, Grid3D, Machine, StepBreakdown,
+    max_breakdown, run_ranks_checked, run_ranks_seeded, CheckMode, Grid3D, Machine, Rank,
+    StepBreakdown,
 };
 use spgemm_sparse::par::RangeBalance;
 use spgemm_sparse::{CscMatrix, DenseBlock, Semiring, WorkStats};
@@ -59,9 +60,6 @@ pub struct RunConfig {
     /// Record per-rank step timelines for Chrome-trace export
     /// (`RunOutput::traces`).
     pub trace: bool,
-    /// When Merge-Layer runs (Sec. III-A ablation; the paper merges after
-    /// all stages).
-    pub merge_schedule: MergeSchedule,
     /// Blocking (paper-faithful) or overlapped (pipelined nonblocking
     /// broadcasts) communication.
     pub overlap: OverlapMode,
@@ -110,7 +108,6 @@ impl RunConfig {
             forced_batches: None,
             discard_output: false,
             trace: false,
-            merge_schedule: MergeSchedule::AfterAllStages,
             overlap: OverlapMode::Blocking,
             exchange: ExchangeMode::DenseBcast,
             check: CheckMode::default_mode(),
@@ -134,7 +131,7 @@ impl RunConfig {
 /// `Fixed(l)` is validated against `p` (rejecting the degenerate grids
 /// `Grid3D::new` would otherwise panic on); `Auto` runs the planner on
 /// the operands and returns the winner plus the full ranked report.
-fn resolve_layers<T: Copy, U: Copy>(
+fn resolve_layers<T: Copy + Send + Sync, U: Copy + Sync>(
     cfg: &RunConfig,
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
@@ -282,9 +279,31 @@ pub fn run_spgemm<S: Semiring>(
         });
     }
     let (layers, plan) = resolve_layers(cfg, a, b)?;
-    let a_arc = Arc::new(a.clone());
     let b_arc = Arc::new(b.clone());
-    let (m, n) = (a.nrows(), b.ncols());
+    run_batched::<S>(cfg, layers, plan, a, b.ncols(), move |rank, grid, _da| {
+        scatter(
+            rank,
+            grid,
+            DistKind::BStyle,
+            (rank.rank() == 0).then(|| Arc::clone(&b_arc)),
+        )
+    })
+}
+
+/// The per-rank choreography [`run_spgemm`] and [`run_spgemm_aat`] share:
+/// scatter `a` from the simulated root per Fig. 1, obtain the rank's `B̃`
+/// through `b_tilde` (scattered from a global `B`, or transposed on the
+/// grid from `Ã`), run BatchedSUMMA3D, gather the `m × n` product.
+fn run_batched<S: Semiring>(
+    cfg: &RunConfig,
+    layers: usize,
+    plan: Option<PlanReport>,
+    a: &CscMatrix<S::T>,
+    n: usize,
+    b_tilde: impl Fn(&mut Rank, &Grid3D, &DistMatrix<S::T>) -> DistMatrix<S::T> + Send + Sync,
+) -> Result<RunOutput<S::T>> {
+    let a_arc = Arc::new(a.clone());
+    let m = a.nrows();
     let cfg_copy = *cfg;
 
     let results: Vec<Result<PerRank<S::T>>> = run_cluster(cfg, move |rank| {
@@ -298,18 +317,12 @@ pub fn run_spgemm<S: Semiring>(
             DistKind::AStyle,
             (rank.rank() == 0).then(|| Arc::clone(&a_arc)),
         );
-        let db = scatter(
-            rank,
-            &grid,
-            DistKind::BStyle,
-            (rank.rank() == 0).then(|| Arc::clone(&b_arc)),
-        );
+        let db = b_tilde(rank, &grid, &da);
         let bcfg = BatchConfig {
             kernels: cfg_copy.kernels,
             batching: cfg_copy.batching,
             budget: cfg_copy.budget,
             forced_batches: cfg_copy.forced_batches,
-            merge_schedule: cfg_copy.merge_schedule,
             overlap: cfg_copy.overlap,
             exchange: cfg_copy.exchange,
             backend: cfg_copy.backend,
@@ -432,13 +445,12 @@ pub fn run_spmm<S: Semiring>(
         if cfg_copy.trace {
             rank.clock_mut().enable_tracing();
         }
-        let backend = cfg_copy.backend.to_backend();
         let out = spmm_15d::<S>(
             rank,
             cfg_copy.algorithm,
             (rank.rank() == 0).then(|| Arc::clone(&a_arc)),
             (rank.rank() == 0).then(|| Arc::clone(&b_arc)),
-            &*backend,
+            cfg_copy.backend,
             cfg_copy.discard_output,
         )?;
         Ok(SpmmPerRank {
@@ -469,16 +481,11 @@ pub fn run_spmm<S: Semiring>(
     }
     if !cfg.budget.is_unlimited() {
         let per_proc = cfg.budget.per_process(cfg.p);
-        if let Some((rank_id, &peak)) =
-            per_rank.iter().enumerate().map(|(i, _)| (i, &peaks[i])).max_by_key(|&(_, &pk)| pk)
-        {
-            if peak > per_proc {
-                let _ = rank_id;
-                return Err(CoreError::InputsExceedMemory {
-                    needed_bytes: peak,
-                    budget_bytes: per_proc,
-                });
-            }
+        if let Some(&peak) = peaks.iter().max().filter(|&&peak| peak > per_proc) {
+            return Err(CoreError::InputsExceedMemory {
+                needed_bytes: peak,
+                budget_bytes: per_proc,
+            });
         }
     }
     let max = max_breakdown(&per_rank);
@@ -511,59 +518,7 @@ pub fn run_spgemm_aat<S: Semiring>(
             resolve_layers(cfg, a, &at)?
         }
     };
-    let a_arc = Arc::new(a.clone());
-    let (m, n) = (a.nrows(), a.nrows());
-    let cfg_copy = *cfg;
-
-    let results: Vec<Result<PerRank<S::T>>> = run_cluster(cfg, move |rank| {
-        if cfg_copy.trace {
-            rank.clock_mut().enable_tracing();
-        }
-        let grid = Grid3D::new(rank, layers);
-        let da = scatter(
-            rank,
-            &grid,
-            DistKind::AStyle,
-            (rank.rank() == 0).then(|| Arc::clone(&a_arc)),
-        );
-        let db = transpose_to_bstyle(rank, &grid, &da);
-        let bcfg = BatchConfig {
-            kernels: cfg_copy.kernels,
-            batching: cfg_copy.batching,
-            budget: cfg_copy.budget,
-            forced_batches: cfg_copy.forced_batches,
-            merge_schedule: cfg_copy.merge_schedule,
-            overlap: cfg_copy.overlap,
-            exchange: cfg_copy.exchange,
-            backend: cfg_copy.backend,
-            algorithm: cfg_copy.algorithm,
-        };
-        let discard = cfg_copy.discard_output;
-        let result = batched_summa3d::<S>(rank, &grid, &da, &db, &bcfg, |_rank, out| {
-            if discard {
-                None
-            } else {
-                Some(out.piece)
-            }
-        })?;
-        let c = if discard {
-            None
-        } else {
-            gather_pieces(rank, &grid.world, result.pieces, m, n)
-        };
-        Ok(PerRank {
-            breakdown: *rank.clock().breakdown(),
-            peak: result.peak_bytes,
-            nbatches: result.nbatches,
-            symbolic: result.symbolic,
-            c,
-            events: rank.clock().events().map(|e| e.to_vec()),
-            kernel_stats: result.kernel_stats,
-            load_balance: result.load_balance,
-        })
-    });
-
-    collect_outputs(cfg, layers, plan, results)
+    run_batched::<S>(cfg, layers, plan, a, a.nrows(), transpose_to_bstyle)
 }
 
 /// Multiply with **row-wise batching**: batches select rows of `C` (and

@@ -56,7 +56,7 @@ pub use audit::{
     AuditConfig, AuditEvent, AuditFault, AuditReport, AuditViolation, AuditViolationKind,
     BatchSpec, Schedule, TraceProgram, WorkloadShape,
 };
-pub use backend::{Backend, BackendKind, NativeBackend, SimgridBackend};
+pub use backend::BackendKind;
 pub use batched::{batched_summa3d, BatchDisposition, BatchOutput, BatchedResult};
 pub use dist::{transpose_to_bstyle, CPiece, DistKind, DistMatrix};
 pub use exchange::{ExchangeMode, ExchangePlan, FetchCacheStats};
@@ -72,7 +72,7 @@ pub use serve::{
     JobReport, JobServer, JobSpec, LoadgenConfig, LoadgenReport, ServerConfig, ServerStats,
 };
 pub use session::{IterSession, SessionIterStats};
-pub use summa2d::{MergeSchedule, OverlapMode};
+pub use summa2d::OverlapMode;
 pub use symbolic::{symbolic3d, SymbolicOutcome};
 
 /// Errors from the distributed layer.

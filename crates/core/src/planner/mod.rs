@@ -125,7 +125,7 @@ impl PlannerConfig {
 ///
 /// Structure-only and value-type-agnostic (like the probe): `A` and `B`
 /// may hold different scalar types.
-pub fn plan<T: Copy, U: Copy>(
+pub fn plan<T: Copy + Send + Sync, U: Copy + Sync>(
     p: usize,
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,

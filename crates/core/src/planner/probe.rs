@@ -130,7 +130,7 @@ fn sample_indices(n: usize, k: usize, seed: u64) -> Vec<usize> {
 ///
 /// Structure-only and value-type-agnostic: `A` and `B` may hold different
 /// scalar types, exactly like [`symbolic_col_counts`].
-pub fn probe<T: Copy, U: Copy>(
+pub fn probe<T: Copy + Send + Sync, U: Copy + Sync>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
     cfg: &ProbeConfig,
@@ -173,7 +173,8 @@ pub fn probe<T: Copy, U: Copy>(
         sample_indices(n, target, cfg.seed)
     };
     let b_sample = extract_cols(b, &cols);
-    let (counts, stats) = symbolic_col_counts(a, &b_sample).map_err(CoreError::Sparse)?;
+    let (counts, stats, _) =
+        symbolic_col_counts(a, &b_sample, &mut []).map_err(CoreError::Sparse)?;
 
     let mut col_flops = Vec::with_capacity(cols.len());
     let mut col_bnnz = Vec::with_capacity(cols.len());

@@ -65,21 +65,6 @@ impl<T> std::fmt::Debug for NextStage<T> {
     }
 }
 
-/// When Merge-Layer runs relative to the SUMMA stages (Sec. III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergeSchedule {
-    /// The paper's choice: keep every stage's partial and merge once after
-    /// all stages — cheapest merge work (each element is merged once) at
-    /// the cost of holding all unmerged partials simultaneously.
-    #[default]
-    AfterAllStages,
-    /// Merge each stage's partial into a running accumulator as it is
-    /// produced — lower peak memory (at most two partials resident), but
-    /// accumulated elements are re-merged at every subsequent stage, which
-    /// "is computationally more expensive in the worst case" \[34\].
-    Incremental,
-}
-
 /// One layer's SUMMA2D: returns the merged layer product `D̃⁽ᵏ⁾`
 /// (rows: `A`'s row block `i`; columns: the batch's local columns).
 ///
@@ -100,13 +85,12 @@ pub fn summa2d_layer<S: Semiring>(
     a_shared: &Arc<CscMatrix<S::T>>,
     b_batch: &Arc<CscMatrix<S::T>>,
     kernels: &mut LocalKernels<S::T>,
-    schedule: MergeSchedule,
     r: usize,
     mem: &mut MemTracker,
     plan: &mut ExchangePlan,
 ) -> Result<CscMatrix<S::T>> {
     let stages = grid.pr;
-    let mut acc = StageAccumulator::new(schedule, stages);
+    let mut acc = StageAccumulator::new(stages);
 
     for s in 0..stages {
         // Stage exchange: A along the process row (root: column s), B
@@ -153,11 +137,13 @@ pub fn summa2d_layer<S: Semiring>(
         );
 
         // Local-Multiply, executed and clock-charged by the backend.
-        let (partial, _stats) = kernels.run_local_multiply::<S>(rank, &a_recv, &b_recv)?;
-        acc.push::<S>(rank, kernels, partial, r, mem)?;
+        let (partial, _stats) = kernels.charged(rank, Step::LocalMultiply, |k| {
+            k.local_multiply::<S>(&a_recv, &b_recv)
+        })?;
+        acc.push(partial, r, mem);
     }
 
-    acc.finish::<S>(rank, kernels, a.local.nrows(), b_batch.ncols(), r, mem)
+    acc.merge::<S>(rank, kernels, r, mem)
 }
 
 /// Pipelined twin of [`summa2d_layer`] ([`OverlapMode::Overlapped`]).
@@ -177,7 +163,6 @@ pub fn summa2d_layer_pipelined<S: Semiring>(
     a_shared: &Arc<CscMatrix<S::T>>,
     b_batch: &Arc<CscMatrix<S::T>>,
     kernels: &mut LocalKernels<S::T>,
-    schedule: MergeSchedule,
     r: usize,
     mem: &mut MemTracker,
     plan: &mut ExchangePlan,
@@ -187,7 +172,7 @@ pub fn summa2d_layer_pipelined<S: Semiring>(
     let stages = grid.pr;
     let a_bytes = a.local.modeled_bytes(r);
     let b_bytes = b_batch.modeled_bytes(r);
-    let mut acc = StageAccumulator::new(schedule, stages);
+    let mut acc = StageAccumulator::new(stages);
 
     let mut pending = Some(carry.unwrap_or_else(|| {
         plan.post_stage(rank, grid, 0, a_shared, a_bytes, b_batch, b_bytes)
@@ -241,94 +226,57 @@ pub fn summa2d_layer_pipelined<S: Semiring>(
             grid.j
         );
 
-        let (partial, _stats) = kernels.run_local_multiply::<S>(rank, &a_recv, &b_recv)?;
-        acc.push::<S>(rank, kernels, partial, r, mem)?;
+        let (partial, _stats) = kernels.charged(rank, Step::LocalMultiply, |k| {
+            k.local_multiply::<S>(&a_recv, &b_recv)
+        })?;
+        acc.push(partial, r, mem);
     }
 
-    let merged = acc.finish::<S>(rank, kernels, a.local.nrows(), b_batch.ncols(), r, mem)?;
+    let merged = acc.merge::<S>(rank, kernels, r, mem)?;
     Ok((merged, next_carry))
 }
 
-/// Per-stage partial-product accumulation shared by the blocking and
-/// pipelined layers (the [`MergeSchedule`] bookkeeping of Sec. III-A).
+/// The per-stage partial products of one layer, shared by the blocking
+/// and pipelined layers. The paper merges once after all stages
+/// (Sec. III-A): merging incrementally is costlier in the worst case.
 struct StageAccumulator<T: Copy> {
-    schedule: MergeSchedule,
     partials: Vec<CscMatrix<T>>,
-    partial_bytes: usize,
-    running: Option<CscMatrix<T>>,
+    bytes: usize,
 }
 
 impl<T: Copy> StageAccumulator<T> {
-    fn new(schedule: MergeSchedule, stages: usize) -> Self {
+    fn new(stages: usize) -> Self {
         StageAccumulator {
-            schedule,
             partials: Vec::with_capacity(stages),
-            partial_bytes: 0,
-            running: None,
+            bytes: 0,
         }
     }
 
-    fn push<S: Semiring<T = T>>(
-        &mut self,
-        rank: &mut Rank,
-        kernels: &mut LocalKernels<T>,
-        partial: CscMatrix<T>,
-        r: usize,
-        mem: &mut MemTracker,
-    ) -> Result<()> {
-        match self.schedule {
-            MergeSchedule::AfterAllStages => {
-                // Store the stage's partial for one merge at the end
-                // (merging incrementally is costlier in the worst case;
-                // the paper merges once after all stages — Sec. III-A).
-                self.partial_bytes += partial.modeled_bytes(r);
-                mem.alloc(partial.modeled_bytes(r));
-                self.partials.push(partial);
-            }
-            MergeSchedule::Incremental => {
-                mem.alloc(partial.modeled_bytes(r));
-                match self.running.take() {
-                    None => self.running = Some(partial),
-                    Some(acc) => {
-                        let in_bytes = acc.modeled_bytes(r) + partial.modeled_bytes(r);
-                        let (merged, _mstats) =
-                            kernels.run_merge_layer::<S>(rank, &[acc, partial])?;
-                        mem.free(in_bytes);
-                        mem.alloc(merged.modeled_bytes(r));
-                        self.running = Some(merged);
-                    }
-                }
-            }
-        }
-        Ok(())
+    /// Keep one stage's partial for the merge at the end.
+    fn push(&mut self, partial: CscMatrix<T>, r: usize, mem: &mut MemTracker) {
+        self.bytes += partial.modeled_bytes(r);
+        mem.alloc(partial.modeled_bytes(r));
+        self.partials.push(partial);
     }
 
-    fn finish<S: Semiring<T = T>>(
+    /// Merge-Layer: combine the per-stage partials. Footprint model
+    /// follows Alg. 3's accounting: the budgeted high-water mark is the
+    /// *unmerged* residency (inputs + stage partials); merging is modeled
+    /// as streaming (inputs released column-by-column as they are
+    /// consumed), so the merged output replaces rather than stacks on the
+    /// partials.
+    fn merge<S: Semiring<T = T>>(
         self,
         rank: &mut Rank,
         kernels: &mut LocalKernels<T>,
-        nrows: usize,
-        ncols: usize,
         r: usize,
         mem: &mut MemTracker,
     ) -> Result<CscMatrix<T>> {
-        match self.schedule {
-            MergeSchedule::AfterAllStages => {
-                // Merge-Layer: combine the per-stage partials. Footprint model
-                // follows Alg. 3's accounting: the budgeted high-water mark is
-                // the *unmerged* residency (inputs + stage partials); merging
-                // is modeled as streaming (inputs released column-by-column as
-                // they are consumed), so the merged output replaces rather
-                // than stacks on the partials.
-                let (merged, _stats) = kernels.run_merge_layer::<S>(rank, &self.partials)?;
-                mem.free(self.partial_bytes);
-                mem.alloc(merged.modeled_bytes(r));
-                Ok(merged)
-            }
-            MergeSchedule::Incremental => Ok(self
-                .running
-                .unwrap_or_else(|| CscMatrix::zero(nrows, ncols))),
-        }
+        let (merged, _stats) =
+            kernels.charged(rank, Step::MergeLayer, |k| k.merge_layer::<S>(&self.partials))?;
+        mem.free(self.bytes);
+        mem.alloc(merged.modeled_bytes(r));
+        Ok(merged)
     }
 }
 
@@ -348,19 +296,6 @@ mod tests {
         a_global: CscMatrix<S::T>,
         b_global: CscMatrix<S::T>,
         strategy: KernelStrategy,
-    ) -> CscMatrix<S::T>
-    where
-        S::T: Send + Sync,
-    {
-        run_summa2d_sched::<S>(p, a_global, b_global, strategy, MergeSchedule::AfterAllStages)
-    }
-
-    fn run_summa2d_sched<S: Semiring>(
-        p: usize,
-        a_global: CscMatrix<S::T>,
-        b_global: CscMatrix<S::T>,
-        strategy: KernelStrategy,
-        schedule: MergeSchedule,
     ) -> CscMatrix<S::T>
     where
         S::T: Send + Sync,
@@ -387,8 +322,7 @@ mod tests {
             let mut kernels = LocalKernels::new(strategy);
             let mut plan = ExchangePlan::default();
             let mut d = summa2d_layer::<S>(
-                rank, &grid, &a, &a_shared, &b_shared, &mut kernels, schedule, 24, &mut mem,
-                &mut plan,
+                rank, &grid, &a, &a_shared, &b_shared, &mut kernels, 24, &mut mem, &mut plan,
             )
             .expect("summa2d failed");
             d.sort_columns();
@@ -439,81 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_merge_schedule_is_correct() {
-        let a = er_random::<PlusTimesU64>(48, 48, 5, 61).map(|_| 1u64);
-        let b = er_random::<PlusTimesU64>(48, 48, 5, 62).map(|_| 1u64);
-        let (reference, _) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
-        for strat in [KernelStrategy::New, KernelStrategy::Previous] {
-            let c = run_summa2d_sched::<PlusTimesU64>(
-                9,
-                a.clone(),
-                b.clone(),
-                strat,
-                MergeSchedule::Incremental,
-            );
-            assert!(c.eq_modulo_order(&reference), "strategy={}", strat.name());
-        }
-    }
-
-    #[test]
-    fn incremental_merge_trades_memory_for_work() {
-        // The Sec. III-A trade-off: incremental merging holds at most two
-        // partials (lower peak) but re-merges accumulated elements every
-        // stage (more Merge-Layer work).
-        let a = er_random::<PlusTimesF64>(96, 96, 8, 63);
-        let run = |schedule: MergeSchedule| {
-            let a = a.clone();
-            let results = run_ranks(16, Machine::knl(), move |rank| {
-                let grid = Grid3D::new(rank, 1);
-                let da = scatter(
-                    rank,
-                    &grid,
-                    DistKind::AStyle,
-                    (rank.rank() == 0).then(|| Arc::new(a.clone())),
-                );
-                let db = scatter(
-                    rank,
-                    &grid,
-                    DistKind::BStyle,
-                    (rank.rank() == 0).then(|| Arc::new(a.clone())),
-                );
-                let a_shared = Arc::new(da.local.clone());
-                #[allow(clippy::redundant_clone)] // `db` is used again below
-                let b_shared = Arc::new(db.local.clone());
-                let mut mem = MemTracker::new();
-                let mut kernels = LocalKernels::new(KernelStrategy::New);
-                summa2d_layer::<PlusTimesF64>(
-                    rank,
-                    &grid,
-                    &da,
-                    &a_shared,
-                    &b_shared,
-                    &mut kernels,
-                    schedule,
-                    24,
-                    &mut mem,
-                    &mut ExchangePlan::default(),
-                )
-                .unwrap();
-                (mem.peak(), rank.clock().breakdown().secs_of(Step::MergeLayer))
-            });
-            let peak = results.iter().map(|&(p, _)| p).max().unwrap();
-            let merge: f64 = results.iter().map(|&(_, m)| m).fold(0.0, f64::max);
-            (peak, merge)
-        };
-        let (peak_all, merge_all) = run(MergeSchedule::AfterAllStages);
-        let (peak_inc, merge_inc) = run(MergeSchedule::Incremental);
-        assert!(
-            peak_inc < peak_all,
-            "incremental should lower the peak: {peak_inc} vs {peak_all}"
-        );
-        assert!(
-            merge_inc > merge_all,
-            "incremental should cost more merge work: {merge_inc} vs {merge_all}"
-        );
-    }
-
-    #[test]
     fn summa2d_clock_accounts_all_steps() {
         let a = er_random::<PlusTimesF64>(32, 32, 4, 7);
         let b = er_random::<PlusTimesF64>(32, 32, 4, 8);
@@ -543,7 +402,6 @@ mod tests {
                 &a_shared,
                 &b_shared,
                 &mut kernels,
-                MergeSchedule::AfterAllStages,
                 24,
                 &mut mem,
                 &mut ExchangePlan::default(),

@@ -11,9 +11,7 @@ use crate::dist::{CPiece, DistMatrix};
 use crate::exchange::ExchangePlan;
 use crate::kernels::{KernelStrategy, LocalKernels};
 use crate::memory::MemTracker;
-use crate::summa2d::{
-    summa2d_layer, summa2d_layer_pipelined, MergeSchedule, NextStage, OverlapMode, StageCarry,
-};
+use crate::summa2d::{summa2d_layer, summa2d_layer_pipelined, NextStage, OverlapMode, StageCarry};
 use crate::Result;
 use spgemm_simgrid::{Grid3D, PendingOp, Rank, Step};
 use spgemm_sparse::ops::{block_range, col_block};
@@ -51,7 +49,6 @@ pub fn summa3d_batch<S: Semiring>(
     batch_global_cols: &[u32],
     piece_offsets: &[usize],
     kernels: &mut LocalKernels<S::T>,
-    schedule: MergeSchedule,
     r: usize,
     mem: &mut MemTracker,
     plan: &mut ExchangePlan,
@@ -72,13 +69,11 @@ pub fn summa3d_batch<S: Semiring>(
     let (d, next_carry) = match overlap {
         OverlapMode::Blocking => {
             debug_assert!(carry.is_none() && next.is_none(), "blocking mode never pipelines");
-            let d = summa2d_layer::<S>(
-                rank, grid, a, a_shared, b_batch, kernels, schedule, r, mem, plan,
-            )?;
+            let d = summa2d_layer::<S>(rank, grid, a, a_shared, b_batch, kernels, r, mem, plan)?;
             (d, None)
         }
         OverlapMode::Overlapped => summa2d_layer_pipelined::<S>(
-            rank, grid, a, a_shared, b_batch, kernels, schedule, r, mem, plan, carry, next,
+            rank, grid, a, a_shared, b_batch, kernels, r, mem, plan, carry, next,
         )?,
     };
 
@@ -136,7 +131,8 @@ pub fn summa3d_batch<S: Semiring>(
             );
         }
     }
-    let (merged, _stats) = kernels.run_merge_fiber::<S>(rank, &pieces)?;
+    let (merged, _stats) =
+        kernels.charged(rank, Step::MergeFiber, |k| k.merge_fiber::<S>(&pieces))?;
     mem.free(recv_bytes);
     mem.alloc(merged.modeled_bytes(r));
     spgemm_sparse::debug_validate!(
@@ -189,7 +185,6 @@ pub fn summa3d<S: Semiring>(
         &gcols,
         &offsets,
         &mut kernels,
-        MergeSchedule::AfterAllStages,
         r,
         mem,
         &mut plan,

@@ -117,7 +117,9 @@ pub fn symbolic3d_with_weights<S: Semiring>(
             r,
             (Step::SymbolicComm, Step::SymbolicComm),
         )?;
-        let (counts, stats) = kernels.run_symbolic_col_counts(rank, &*a_recv, &*b_recv)?;
+        let (counts, stats) = kernels.charged(rank, Step::SymbolicComp, |k| {
+            k.symbolic_col_counts(&a_recv, &b_recv)
+        })?;
         my_unmerged += stats.nnz_out;
         my_flops += stats.flops;
         for (acc, c) in my_col_unmerged.iter_mut().zip(counts.iter()) {

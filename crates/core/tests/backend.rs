@@ -1,6 +1,6 @@
 //! Native backend conformance: real threads, same bits.
 //!
-//! The Backend abstraction's contract is that switching `Simgrid` →
+//! The backend contract is that switching `Simgrid` →
 //! `Native { threads }` changes *execution* (kernels run multithreaded,
 //! compute steps are charged measured wall-clock seconds) but never the
 //! *result*: the gathered product is bit-identical (`==` on the CSC, not
@@ -11,7 +11,7 @@
 
 use spgemm_core::planner::{calibrate, CalibrationInput};
 use spgemm_core::{
-    run_spgemm, run_spgemm_aat, BackendKind, KernelStrategy, MergeSchedule, OverlapMode, RunConfig,
+    run_spgemm, run_spgemm_aat, BackendKind, KernelStrategy, OverlapMode, RunConfig,
 };
 use spgemm_simgrid::{CheckMode, Step};
 use spgemm_sparse::gen::{er_random, rmat};
@@ -70,28 +70,41 @@ fn native_eight_threads_bit_identical_to_simgrid() {
     }
 }
 
-/// Every thread count (including 1 and more-threads-than-columns) and the
-/// incremental merge schedule reproduce the Simgrid bits on A·Aᵀ.
+/// Every thread count (including 1 and more-threads-than-columns)
+/// reproduces the Simgrid bits on A·Aᵀ.
 #[test]
-fn native_thread_sweep_and_merge_schedules_match() {
+fn native_thread_sweep_matches() {
     let a = rmat::<PlusTimesF64>(6, 4, None, false, 414); // 64², skewed
+    let mut cfg = RunConfig::new(16, 4);
+    cfg.overlap = OverlapMode::Overlapped;
+    cfg.check = CheckMode::Check;
+    cfg.backend = BackendKind::Simgrid;
+    let sim = run_spgemm_aat::<PlusTimesF64>(&cfg, &a).unwrap();
     for threads in [1usize, 2, 3, 8, 128] {
-        for sched in [MergeSchedule::AfterAllStages, MergeSchedule::Incremental] {
-            let mut cfg = RunConfig::new(16, 4);
-            cfg.merge_schedule = sched;
-            cfg.overlap = OverlapMode::Overlapped;
-            cfg.check = CheckMode::Check;
-            cfg.backend = BackendKind::Simgrid;
-            let sim = run_spgemm_aat::<PlusTimesF64>(&cfg, &a).unwrap();
-            cfg.backend = BackendKind::Native { threads };
-            let nat = run_spgemm_aat::<PlusTimesF64>(&cfg, &a).unwrap();
-            assert_eq!(
-                sim.c.as_ref().unwrap(),
-                nat.c.as_ref().unwrap(),
-                "A·Aᵀ differs at {threads} threads, {sched:?}"
-            );
-        }
+        cfg.backend = BackendKind::Native { threads };
+        let nat = run_spgemm_aat::<PlusTimesF64>(&cfg, &a).unwrap();
+        assert_eq!(
+            sim.c.as_ref().unwrap(),
+            nat.c.as_ref().unwrap(),
+            "A·Aᵀ differs at {threads} threads"
+        );
     }
+}
+
+/// One arena per rank — `Simgrid`, or `Native` at one thread — runs every
+/// kernel as a single range: no balance is recorded, and the exact-integer
+/// kernel meters agree between the two clocks.
+#[test]
+fn one_thread_backends_record_no_balance_and_equal_meters() {
+    let a = er_random::<PlusTimesF64>(96, 96, 6, 417);
+    let sim = run::<PlusTimesF64>(&a, &a, 16, 4, BackendKind::Simgrid, KernelStrategy::New);
+    let one = BackendKind::Native { threads: 1 };
+    let nat = run::<PlusTimesF64>(&a, &a, 16, 4, one, KernelStrategy::New);
+    for out in [&sim, &nat] {
+        assert_eq!(out.load_balance, Default::default());
+    }
+    assert_eq!(sim.kernel_stats.flops, nat.kernel_stats.flops);
+    assert_eq!(sim.kernel_stats.nnz_out, nat.kernel_stats.nnz_out);
 }
 
 /// Multithreaded Native runs record per-thread load balance (imbalance

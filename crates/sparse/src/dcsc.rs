@@ -17,7 +17,7 @@ use crate::csc::CscMatrix;
 use crate::semiring::Semiring;
 use crate::spgemm::accum::HashAccum;
 use crate::spgemm::{WorkStats, C_DRAIN, C_HASH_FLOP};
-use crate::{Result, SparseError};
+use crate::{check_mul_dims, Result};
 
 /// A sparse matrix storing pointers only for its non-empty columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,12 +195,7 @@ pub fn spgemm_hash_dcsc<S: Semiring>(
     a: &DcscMatrix<S::T>,
     b: &DcscMatrix<S::T>,
 ) -> Result<(DcscMatrix<S::T>, WorkStats)> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.ncols(), a.ncols()),
-            found: (b.nrows(), b.ncols()),
-        });
-    }
+    check_mul_dims(a.ncols(), (b.nrows(), b.ncols()))?;
     let mut jc = Vec::new();
     let mut colptr = vec![0usize];
     let mut rowidx = Vec::new();

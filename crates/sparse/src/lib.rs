@@ -14,9 +14,9 @@
 //!   paper's **unsorted-hash** kernel, plus symbolic (nnz-count) variants.
 //! * [`merge`] — k-way merge kernels used by Merge-Layer / Merge-Fiber:
 //!   the previous heap merge and this paper's **unsorted-hash merge**.
-//! * [`par`] — multithreaded wrappers over the multiply/merge/symbolic
-//!   kernels: flop-balanced output-column ranges, one thread and one
-//!   workspace arena per range, bit-identical output to serial.
+//! * [`par`] — the column-range dispatch behind every scratch-taking
+//!   kernel: flop-balanced output-column ranges, one thread and one
+//!   workspace arena per range, bit-identical output for any arena count.
 //! * [`ops`] — transpose, column split/concat (block and block-cyclic),
 //!   pruning, elementwise operations.
 //! * [`gen`] — deterministic generators standing in for the paper's test
@@ -87,3 +87,30 @@ impl std::error::Error for SparseError {}
 
 /// Convenient result alias.
 pub type Result<T> = std::result::Result<T, SparseError>;
+
+/// The inner-dimension check of every `a · b` kernel: `b` must have
+/// `a_ncols` rows. `b_shape` is `(b.nrows(), b.ncols())`.
+pub(crate) fn check_mul_dims(a_ncols: usize, b_shape: (usize, usize)) -> Result<()> {
+    if a_ncols != b_shape.0 {
+        return Err(SparseError::DimensionMismatch {
+            expected: (a_ncols, b_shape.1),
+            found: b_shape,
+        });
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn inner_dimension_mismatch_names_the_shape_b_should_have() {
+        // 5x7 · 3x9: B needs 7 rows and keeps its own 9 columns.
+        let a = CscMatrix::<f64>::zero(5, 7);
+        let b = CscMatrix::<f64>::zero(3, 9);
+        let err = spgemm::spgemm_spa::<PlusTimesF64>(&a, &b).unwrap_err();
+        assert_eq!(err.to_string(), "dimension mismatch: expected 7x9, found 3x9");
+        assert!(check_mul_dims(7, (7, 9)).is_ok());
+    }
+}

@@ -6,6 +6,7 @@
 //! variant is requested (final Merge-Fiber only).
 
 use crate::csc::CscMatrix;
+use crate::par::{self, RangeBalance, Ranged};
 use crate::semiring::Semiring;
 use crate::spgemm::accum::HashAccum;
 use crate::spgemm::workspace::SpGemmWorkspace;
@@ -15,39 +16,31 @@ use crate::Result;
 use super::common_shape;
 
 /// Merge (⊕-sum) same-shaped matrices; unsorted output columns.
-pub fn merge_hash_unsorted<S: Semiring>(parts: &[CscMatrix<S::T>]) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    merge_hash_impl::<S>(parts, false, &mut SpGemmWorkspace::new())
+/// `scratch.len()` is the thread count (see [`crate::par`]).
+pub fn merge_hash_unsorted<S: Semiring>(
+    parts: &[CscMatrix<S::T>],
+    scratch: &mut [SpGemmWorkspace<S::T>],
+) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
+    par::merge::<S, _>(parts, scratch, |parts, ws| merge_hash_cols::<S>(parts, false, ws))
 }
 
 /// Merge (⊕-sum) same-shaped matrices; sorted output columns.
 ///
 /// Used for the final Merge-Fiber, after which the application sees a
-/// conventionally sorted matrix.
-pub fn merge_hash_sorted<S: Semiring>(parts: &[CscMatrix<S::T>]) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    merge_hash_impl::<S>(parts, true, &mut SpGemmWorkspace::new())
-}
-
-/// [`merge_hash_unsorted`] against caller-owned reusable scratch.
-pub fn merge_hash_unsorted_with_workspace<S: Semiring>(
+/// conventionally sorted matrix. `scratch.len()` is the thread count.
+pub fn merge_hash_sorted<S: Semiring>(
     parts: &[CscMatrix<S::T>],
-    ws: &mut SpGemmWorkspace<S::T>,
-) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    merge_hash_impl::<S>(parts, false, ws)
+    scratch: &mut [SpGemmWorkspace<S::T>],
+) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
+    par::merge::<S, _>(parts, scratch, |parts, ws| merge_hash_cols::<S>(parts, true, ws))
 }
 
-/// [`merge_hash_sorted`] against caller-owned reusable scratch.
-pub fn merge_hash_sorted_with_workspace<S: Semiring>(
-    parts: &[CscMatrix<S::T>],
-    ws: &mut SpGemmWorkspace<S::T>,
-) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    merge_hash_impl::<S>(parts, true, ws)
-}
-
-fn merge_hash_impl<S: Semiring>(
+/// The merge over one column range of `parts`, on one arena.
+fn merge_hash_cols<S: Semiring>(
     parts: &[CscMatrix<S::T>],
     sort: bool,
     ws: &mut SpGemmWorkspace<S::T>,
-) -> Result<(CscMatrix<S::T>, WorkStats)> {
+) -> Ranged<CscMatrix<S::T>> {
     let (nrows, ncols) = common_shape(parts)?;
     // Single input needing no sort: merging is the identity. The clone
     // bypasses the arenas, so no workspace traffic to meter. (A single
@@ -137,14 +130,14 @@ mod tests {
     #[test]
     fn matches_triple_sum_oracle() {
         let parts = parts_u64();
-        let (merged, _) = merge_hash_unsorted::<PlusTimesU64>(&parts).unwrap();
+        let (merged, _, _) = merge_hash_unsorted::<PlusTimesU64>(&parts, &mut []).unwrap();
         assert!(merged.eq_modulo_order(&oracle(&parts)));
     }
 
     #[test]
     fn sorted_variant_is_sorted_and_equal() {
         let parts = parts_u64();
-        let (merged, _) = merge_hash_sorted::<PlusTimesU64>(&parts).unwrap();
+        let (merged, _, _) = merge_hash_sorted::<PlusTimesU64>(&parts, &mut []).unwrap();
         assert!(merged.is_sorted());
         assert!(merged.check_sorted());
         assert!(merged.eq_modulo_order(&oracle(&parts)));
@@ -153,7 +146,8 @@ mod tests {
     #[test]
     fn single_part_identity() {
         let p = er_random::<PlusTimesF64>(20, 20, 4, 9);
-        let (merged, stats) = merge_hash_unsorted::<PlusTimesF64>(std::slice::from_ref(&p)).unwrap();
+        let (merged, stats, _) =
+            merge_hash_unsorted::<PlusTimesF64>(std::slice::from_ref(&p), &mut []).unwrap();
         assert!(merged.eq_modulo_order(&p));
         assert_eq!(stats.nnz_out, p.nnz() as u64);
     }
@@ -161,13 +155,13 @@ mod tests {
     #[test]
     fn empty_input_list_is_error() {
         let parts: Vec<CscMatrix<f64>> = vec![];
-        assert!(merge_hash_unsorted::<PlusTimesF64>(&parts).is_err());
+        assert!(merge_hash_unsorted::<PlusTimesF64>(&parts, &mut []).is_err());
     }
 
     #[test]
     fn shape_mismatch_is_error() {
         let parts = vec![CscMatrix::<f64>::zero(2, 2), CscMatrix::<f64>::zero(3, 2)];
-        assert!(merge_hash_unsorted::<PlusTimesF64>(&parts).is_err());
+        assert!(merge_hash_unsorted::<PlusTimesF64>(&parts, &mut []).is_err());
     }
 
     #[test]
@@ -178,7 +172,7 @@ mod tests {
         t2.push(0, 0, 2.5);
         t2.push(1, 0, 1.0);
         let parts = vec![t1.to_csc(), t2.to_csc()];
-        let (m, _) = merge_hash_sorted::<PlusTimesF64>(&parts).unwrap();
+        let (m, _, _) = merge_hash_sorted::<PlusTimesF64>(&parts, &mut []).unwrap();
         assert_eq!(m.col(0), (&[0u32, 1][..], &[4.0, 1.0][..]));
     }
 
@@ -188,7 +182,7 @@ mod tests {
             CscMatrix::from_parts(3, 1, vec![0, 3], vec![2, 0, 1], vec![1.0, 2.0, 3.0]).unwrap();
         assert!(!unsorted.is_sorted());
         let parts = vec![unsorted.clone(), unsorted];
-        let (m, _) = merge_hash_sorted::<PlusTimesF64>(&parts).unwrap();
+        let (m, _, _) = merge_hash_sorted::<PlusTimesF64>(&parts, &mut []).unwrap();
         assert_eq!(m.col(0), (&[0u32, 1, 2][..], &[4.0, 6.0, 2.0][..]));
     }
 }

@@ -6,6 +6,7 @@
 //! magnitude improvement (Table VII); we keep it as the measured baseline.
 
 use crate::csc::CscMatrix;
+use crate::par::{self, RangeBalance, Ranged};
 use crate::semiring::Semiring;
 use crate::spgemm::workspace::SpGemmWorkspace;
 use crate::spgemm::{lg, WorkStats, C_MERGE_HEAP};
@@ -15,18 +16,20 @@ use std::cmp::Reverse;
 use super::common_shape;
 
 /// Merge (⊕-sum) same-shaped *sorted* matrices; sorted output.
-/// Convenience wrapper over [`merge_heap_with_workspace`] with a
-/// throwaway workspace.
-pub fn merge_heap<S: Semiring>(parts: &[CscMatrix<S::T>]) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    merge_heap_with_workspace::<S>(parts, &mut SpGemmWorkspace::new())
+/// `scratch.len()` is the thread count (see [`crate::par`]); each arena
+/// lends its heap, cursors and output arenas.
+pub fn merge_heap<S: Semiring>(
+    parts: &[CscMatrix<S::T>],
+    scratch: &mut [SpGemmWorkspace<S::T>],
+) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
+    par::merge::<S, _>(parts, scratch, merge_heap_cols::<S>)
 }
 
-/// [`merge_heap`] against caller-owned reusable scratch (heap, cursors,
-/// and output arenas). Bit-identical output.
-pub fn merge_heap_with_workspace<S: Semiring>(
+/// The merge over one column range of `parts`, on one arena.
+fn merge_heap_cols<S: Semiring>(
     parts: &[CscMatrix<S::T>],
     ws: &mut SpGemmWorkspace<S::T>,
-) -> Result<(CscMatrix<S::T>, WorkStats)> {
+) -> Ranged<CscMatrix<S::T>> {
     let (nrows, ncols) = common_shape(parts)?;
     if parts.iter().any(|p| !p.is_sorted()) {
         return Err(SparseError::InvalidStructure(
@@ -100,8 +103,8 @@ mod tests {
         let parts: Vec<_> = (0..5)
             .map(|s| er_random::<PlusTimesU64>(40, 25, 3, 200 + s).map(|_| 1u64))
             .collect();
-        let (a, _) = merge_heap::<PlusTimesU64>(&parts).unwrap();
-        let (b, _) = merge_hash_sorted::<PlusTimesU64>(&parts).unwrap();
+        let (a, _, _) = merge_heap::<PlusTimesU64>(&parts, &mut []).unwrap();
+        let (b, _, _) = merge_hash_sorted::<PlusTimesU64>(&parts, &mut []).unwrap();
         assert!(a.eq_modulo_order(&b));
         assert!(a.is_sorted());
     }
@@ -111,7 +114,7 @@ mod tests {
         let unsorted =
             CscMatrix::from_parts(3, 1, vec![0, 2], vec![2, 0], vec![1.0, 2.0]).unwrap();
         let parts = vec![unsorted];
-        assert!(merge_heap::<PlusTimesF64>(&parts).is_err());
+        assert!(merge_heap::<PlusTimesF64>(&parts, &mut []).is_err());
     }
 
     #[test]
@@ -119,8 +122,8 @@ mod tests {
         let parts: Vec<_> = (0..16)
             .map(|s| er_random::<PlusTimesF64>(100, 50, 4, 300 + s))
             .collect();
-        let (_, s_heap) = merge_heap::<PlusTimesF64>(&parts).unwrap();
-        let (_, s_hash) = merge_hash_sorted::<PlusTimesF64>(&parts).unwrap();
+        let (_, s_heap, _) = merge_heap::<PlusTimesF64>(&parts, &mut []).unwrap();
+        let (_, s_hash, _) = merge_hash_sorted::<PlusTimesF64>(&parts, &mut []).unwrap();
         assert!(
             s_heap.work_units > s_hash.work_units,
             "heap {} vs hash {}",
@@ -134,7 +137,7 @@ mod tests {
         // part1 has rows {0}, part2 has rows {1}: no accumulation needed.
         let p1 = CscMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 0], vec![1.0, 2.0]).unwrap();
         let p2 = CscMatrix::from_parts(2, 2, vec![0, 1, 2], vec![1, 1], vec![3.0, 4.0]).unwrap();
-        let (m, stats) = merge_heap::<PlusTimesF64>(&[p1, p2]).unwrap();
+        let (m, stats, _) = merge_heap::<PlusTimesF64>(&[p1, p2], &mut []).unwrap();
         assert_eq!(m.nnz(), 4);
         assert_eq!(stats.nnz_out, 4);
         assert_eq!(m.col(0), (&[0u32, 1][..], &[1.0, 3.0][..]));

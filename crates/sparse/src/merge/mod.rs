@@ -17,11 +17,8 @@
 pub mod hash_merge;
 pub mod heap_merge;
 
-pub use hash_merge::{
-    merge_hash_sorted, merge_hash_sorted_with_workspace, merge_hash_unsorted,
-    merge_hash_unsorted_with_workspace,
-};
-pub use heap_merge::{merge_heap, merge_heap_with_workspace};
+pub use hash_merge::{merge_hash_sorted, merge_hash_unsorted};
+pub use heap_merge::merge_heap;
 
 use crate::csc::CscMatrix;
 use crate::{Result, SparseError};

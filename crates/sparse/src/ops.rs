@@ -172,7 +172,7 @@ pub fn elementwise_add<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
 ) -> Result<CscMatrix<S::T>> {
-    crate::merge::merge_hash_sorted::<S>(&[a.clone(), b.clone()]).map(|(m, _)| m)
+    crate::merge::merge_hash_sorted::<S>(&[a.clone(), b.clone()], &mut []).map(|(m, ..)| m)
 }
 
 /// Hadamard (elementwise ⊗) product restricted to coordinates present in

@@ -1,18 +1,23 @@
-//! Column-range parallel wrappers over the serial local kernels.
+//! Column-range dispatch: how one kernel call spreads over its scratch
+//! arenas.
 //!
 //! The paper runs 16 OpenMP threads per MPI process; every local kernel in
 //! this crate is embarrassingly parallel over *output columns* (Azad et al.,
-//! "Exploiting Multiple Levels of Parallelism in SpGEMM"). This module
-//! exploits that: it splits the output column space into contiguous ranges
-//! balanced by a **flop estimate** (not column count), runs the existing
-//! serial `_with_workspace` kernel on each range in its own thread with its
-//! own [`SpGemmWorkspace`] arena, and concatenates the per-range outputs.
+//! "Exploiting Multiple Levels of Parallelism in SpGEMM"). Each kernel
+//! therefore has one entry point taking `scratch: &mut [SpGemmWorkspace]`,
+//! and the slice length *is* the thread count:
+//!
+//! * `&mut []` — run inline on a throwaway arena (tests, one-off calls);
+//! * one arena — run inline on the caller's arena, nothing else computed;
+//! * `n > 1` arenas — split the output column space into at most `n`
+//!   contiguous ranges balanced by a **flop estimate** (not column count),
+//!   run the kernel on each range in its own thread with its own arena,
+//!   and concatenate the per-range outputs.
 //!
 //! ## Bit-identity
 //!
-//! The parallel entry points produce output bit-identical to their serial
-//! counterparts for any thread count, because every kernel here is
-//! per-output-column independent:
+//! The output is bit-identical for any arena count, because every kernel
+//! here is per-output-column independent:
 //!
 //! * column `j` of the result depends only on `B(:,j)` (and all of `A`),
 //!   which [`col_block`] extraction preserves exactly;
@@ -21,27 +26,21 @@
 //!   is fed in — never on table capacity or on what previous columns did;
 //! * the `sorted` flag every kernel computes is a per-column conjunction,
 //!   so AND-ing the per-range flags (what [`col_concat`] does) reproduces
-//!   the serial flag.
+//!   the one-range flag.
 //!
 //! Only the *metering* differs: `WorkStats::allocs`/`peak_scratch_bytes`/
 //! `memcpy_bytes` depend on per-thread arena warmth, and the f64
-//! `work_units` sum may differ in the last ulp from the serial
+//! `work_units` sum may differ in the last ulp from the one-range
 //! left-to-right sum. `flops` and `nnz_out` are exact integers and match
-//! the serial run exactly.
+//! exactly. A one-range call reports a default [`RangeBalance`]: there is
+//! no balance to speak of.
 
 use crate::csc::CscMatrix;
-use crate::merge::{
-    merge_hash_sorted_with_workspace, merge_hash_unsorted_with_workspace,
-    merge_heap_with_workspace,
-};
 use crate::ops::{col_block, col_concat};
 use crate::semiring::Semiring;
 use crate::spgemm::workspace::SpGemmWorkspace;
-use crate::spgemm::{
-    spgemm_hash_unsorted_with_workspace, spgemm_heap, spgemm_hybrid_with_workspace,
-    symbolic_col_counts_with_workspace, WorkStats,
-};
-use crate::{Result, SparseError};
+use crate::spgemm::WorkStats;
+use crate::{check_mul_dims, Result};
 use std::ops::Range;
 
 /// Split `0..weights.len()` into at most `nparts` contiguous, non-empty
@@ -155,53 +154,49 @@ impl RangeBalance {
     }
 }
 
-fn check_mul_dims<T: Copy, U: Copy>(a: &CscMatrix<T>, b: &CscMatrix<U>) -> Result<()> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.ncols(), a.ncols()),
-            found: (b.nrows(), b.ncols()),
-        });
-    }
-    Ok(())
+/// What one column range of a kernel call returns: its output and work.
+pub(crate) type Ranged<R> = Result<(R, WorkStats)>;
+
+/// The one-range call: `run` inline on the caller's first arena, or on a
+/// throwaway one when `scratch` is empty.
+fn run_inline<R, W: Copy>(
+    scratch: &mut [SpGemmWorkspace<W>],
+    run: impl FnOnce(&mut SpGemmWorkspace<W>) -> Ranged<R>,
+) -> Result<(R, WorkStats, RangeBalance)> {
+    let mut throwaway = SpGemmWorkspace::new();
+    let (out, stats) = run(scratch.first_mut().unwrap_or(&mut throwaway))?;
+    Ok((out, stats, RangeBalance::default()))
 }
 
-/// Run `run` over each range on its own thread, each with its own
-/// workspace, and fold the results in range order. `ranges.len()` must not
-/// exceed `workspaces.len()` (the splitter guarantees this when called
-/// with `nparts = workspaces.len()`); a single range runs inline on the
-/// calling thread.
+/// Split `0..weights.len()` over the arenas and run `run` on each range in
+/// its own thread with its own arena, folding the results in range order.
+/// The splitter may find a single range enough; that one runs inline.
 fn run_ranges<R, W, F>(
-    ranges: &[Range<usize>],
-    workspaces: &mut [SpGemmWorkspace<W>],
+    weights: &[u64],
+    scratch: &mut [SpGemmWorkspace<W>],
     run: F,
 ) -> Result<(Vec<R>, WorkStats, RangeBalance)>
 where
     R: Send,
     W: Copy + Send,
-    F: Fn(Range<usize>, &mut SpGemmWorkspace<W>) -> Result<(R, WorkStats)> + Sync,
+    F: Fn(Range<usize>, &mut SpGemmWorkspace<W>) -> Ranged<R> + Sync,
 {
-    let mut slots: Vec<Option<Result<(R, WorkStats)>>> = Vec::new();
-    slots.resize_with(ranges.len(), || None);
-    if ranges.len() <= 1 {
-        let mut fallback = SpGemmWorkspace::new();
-        let ws = workspaces.first_mut().unwrap_or(&mut fallback);
-        if let Some(slot) = slots.first_mut() {
-            *slot = Some(run(ranges[0].clone(), ws));
-        }
-    } else {
-        debug_assert!(ranges.len() <= workspaces.len());
-        std::thread::scope(|scope| {
-            for ((range, ws), slot) in
-                ranges.iter().cloned().zip(workspaces.iter_mut()).zip(slots.iter_mut())
-            {
-                let run = &run;
-                scope.spawn(move || *slot = Some(run(range, ws)));
-            }
-        });
+    let ranges = split_cols_by_weight(weights, scratch.len());
+    if let [whole] = ranges.as_slice() {
+        let (out, stats, bal) = run_inline(scratch, |ws| run(whole.clone(), ws))?;
+        return Ok((vec![out], stats, bal));
     }
-    let mut outs = Vec::with_capacity(ranges.len());
+    let mut slots: Vec<Option<Ranged<R>>> = Vec::new();
+    slots.resize_with(ranges.len(), || None);
+    std::thread::scope(|scope| {
+        for ((range, ws), slot) in ranges.into_iter().zip(scratch.iter_mut()).zip(&mut slots) {
+            let run = &run;
+            scope.spawn(move || *slot = Some(run(range, ws)));
+        }
+    });
+    let mut outs = Vec::with_capacity(slots.len());
     let mut stats = WorkStats::default();
-    let mut per_range = Vec::with_capacity(ranges.len());
+    let mut per_range = Vec::with_capacity(slots.len());
     for slot in slots {
         let (r, s) = slot.expect("every spawned range writes its slot")?;
         per_range.push(s.work_units);
@@ -211,161 +206,53 @@ where
     Ok((outs, stats, RangeBalance::from_work(&per_range)))
 }
 
-/// Dispatch a multiply-shaped kernel over flop-balanced column ranges of
-/// `b`, concatenating the per-range outputs.
-fn par_multiply<S, F>(
-    a: &CscMatrix<S::T>,
-    b: &CscMatrix<S::T>,
-    workspaces: &mut [SpGemmWorkspace<S::T>],
+/// Dispatch a multiply-shaped `kernel` (`a · b` on one arena) over
+/// flop-balanced column ranges of `b`; `stitch` joins the per-range outputs
+/// in column order.
+pub(crate) fn multiply<T, U, R, F>(
+    a: &CscMatrix<T>,
+    b: &CscMatrix<U>,
+    scratch: &mut [SpGemmWorkspace<T>],
     kernel: F,
-) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)>
+    stitch: impl FnOnce(Vec<R>) -> Result<R>,
+) -> Result<(R, WorkStats, RangeBalance)>
 where
-    S: Semiring,
-    F: Fn(&CscMatrix<S::T>, &CscMatrix<S::T>, &mut SpGemmWorkspace<S::T>) -> Result<(CscMatrix<S::T>, WorkStats)>
-        + Sync,
+    T: Copy + Send + Sync,
+    U: Copy + Sync,
+    R: Send,
+    F: Fn(&CscMatrix<T>, &CscMatrix<U>, &mut SpGemmWorkspace<T>) -> Ranged<R> + Sync,
 {
-    check_mul_dims(a, b)?;
-    if workspaces.len() <= 1 || b.ncols() <= 1 {
-        let mut fallback = SpGemmWorkspace::new();
-        let ws = workspaces.first_mut().unwrap_or(&mut fallback);
-        let (c, stats) = kernel(a, b, ws)?;
-        return Ok((c, stats, RangeBalance::from_work(&[stats.work_units])));
+    check_mul_dims(a.ncols(), (b.nrows(), b.ncols()))?;
+    if scratch.len() <= 1 || b.ncols() <= 1 {
+        return run_inline(scratch, |ws| kernel(a, b, ws));
     }
-    let weights = multiply_col_flops(a, b);
-    let ranges = split_cols_by_weight(&weights, workspaces.len());
-    let (parts, stats, bal) = run_ranges(&ranges, workspaces, |range, ws| {
-        let sub = col_block(b, range);
-        kernel(a, &sub, ws)
+    let (parts, stats, bal) = run_ranges(&multiply_col_flops(a, b), scratch, |range, ws| {
+        kernel(a, &col_block(b, range), ws)
     })?;
-    Ok((col_concat(&parts)?, stats, bal))
+    Ok((stitch(parts)?, stats, bal))
 }
 
-/// Parallel [`spgemm_hash_unsorted_with_workspace`]: this paper's sort-free
-/// kernel over flop-balanced column ranges. Bit-identical to serial.
-pub fn par_spgemm_hash_unsorted<S: Semiring>(
-    a: &CscMatrix<S::T>,
-    b: &CscMatrix<S::T>,
-    workspaces: &mut [SpGemmWorkspace<S::T>],
-) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_multiply::<S, _>(a, b, workspaces, |a, b, ws| {
-        spgemm_hash_unsorted_with_workspace::<S>(a, b, ws)
-    })
-}
-
-/// Parallel [`spgemm_hybrid_with_workspace`] (previous-generation sorted
-/// kernel). Requires sorted `a`, like the serial path.
-pub fn par_spgemm_hybrid<S: Semiring>(
-    a: &CscMatrix<S::T>,
-    b: &CscMatrix<S::T>,
-    workspaces: &mut [SpGemmWorkspace<S::T>],
-) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_multiply::<S, _>(a, b, workspaces, |a, b, ws| {
-        spgemm_hybrid_with_workspace::<S>(a, b, ws)
-    })
-}
-
-/// Parallel [`spgemm_heap`]. The heap kernel has no workspace variant
-/// (it owns no reusable arenas), so the workspaces only determine the
-/// thread count here.
-pub fn par_spgemm_heap<S: Semiring>(
-    a: &CscMatrix<S::T>,
-    b: &CscMatrix<S::T>,
-    workspaces: &mut [SpGemmWorkspace<S::T>],
-) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_multiply::<S, _>(a, b, workspaces, |a, b, _ws| spgemm_heap::<S>(a, b))
-}
-
-/// Dispatch a merge-shaped kernel over weight-balanced column ranges of
+/// Dispatch a merge-shaped `kernel` over weight-balanced column ranges of
 /// same-shaped `parts`.
-fn par_merge<S, F>(
+pub(crate) fn merge<S, F>(
     parts: &[CscMatrix<S::T>],
-    workspaces: &mut [SpGemmWorkspace<S::T>],
+    scratch: &mut [SpGemmWorkspace<S::T>],
     kernel: F,
 ) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)>
 where
     S: Semiring,
-    F: Fn(&[CscMatrix<S::T>], &mut SpGemmWorkspace<S::T>) -> Result<(CscMatrix<S::T>, WorkStats)>
-        + Sync,
+    F: Fn(&[CscMatrix<S::T>], &mut SpGemmWorkspace<S::T>) -> Ranged<CscMatrix<S::T>> + Sync,
 {
     let (_, ncols) = crate::merge::common_shape(parts)?;
-    if workspaces.len() <= 1 || ncols <= 1 {
-        let mut fallback = SpGemmWorkspace::new();
-        let ws = workspaces.first_mut().unwrap_or(&mut fallback);
-        let (c, stats) = kernel(parts, ws)?;
-        return Ok((c, stats, RangeBalance::from_work(&[stats.work_units])));
+    if scratch.len() <= 1 || ncols <= 1 {
+        return run_inline(scratch, |ws| kernel(parts, ws));
     }
-    let weights = merge_col_weights(parts);
-    let ranges = split_cols_by_weight(&weights, workspaces.len());
-    let (outs, stats, bal) = run_ranges(&ranges, workspaces, |range, ws| {
+    let (outs, stats, bal) = run_ranges(&merge_col_weights(parts), scratch, |range, ws| {
         let subs: Vec<CscMatrix<S::T>> =
             parts.iter().map(|p| col_block(p, range.clone())).collect();
         kernel(&subs, ws)
     })?;
     Ok((col_concat(&outs)?, stats, bal))
-}
-
-/// Parallel [`merge_hash_unsorted_with_workspace`].
-pub fn par_merge_hash_unsorted<S: Semiring>(
-    parts: &[CscMatrix<S::T>],
-    workspaces: &mut [SpGemmWorkspace<S::T>],
-) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_merge::<S, _>(parts, workspaces, |parts, ws| {
-        merge_hash_unsorted_with_workspace::<S>(parts, ws)
-    })
-}
-
-/// Parallel [`merge_hash_sorted_with_workspace`].
-pub fn par_merge_hash_sorted<S: Semiring>(
-    parts: &[CscMatrix<S::T>],
-    workspaces: &mut [SpGemmWorkspace<S::T>],
-) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_merge::<S, _>(parts, workspaces, |parts, ws| {
-        merge_hash_sorted_with_workspace::<S>(parts, ws)
-    })
-}
-
-/// Parallel [`merge_heap_with_workspace`]. Requires sorted inputs, like
-/// the serial path.
-pub fn par_merge_heap<S: Semiring>(
-    parts: &[CscMatrix<S::T>],
-    workspaces: &mut [SpGemmWorkspace<S::T>],
-) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
-    par_merge::<S, _>(parts, workspaces, |parts, ws| {
-        merge_heap_with_workspace::<S>(parts, ws)
-    })
-}
-
-/// Parallel [`symbolic_col_counts_with_workspace`]: per-column nnz counts
-/// of `a · b` over flop-balanced column ranges. Counts are exact integers,
-/// identical to serial.
-pub fn par_symbolic_col_counts<T, U, W>(
-    a: &CscMatrix<T>,
-    b: &CscMatrix<U>,
-    workspaces: &mut [SpGemmWorkspace<W>],
-) -> Result<(Vec<u64>, WorkStats, RangeBalance)>
-where
-    T: Copy + Sync,
-    U: Copy + Sync,
-    W: Copy + Send,
-{
-    check_mul_dims(a, b)?;
-    if workspaces.len() <= 1 || b.ncols() <= 1 {
-        let mut fallback = SpGemmWorkspace::new();
-        let ws = workspaces.first_mut().unwrap_or(&mut fallback);
-        let (counts, stats) = symbolic_col_counts_with_workspace(a, b, ws)?;
-        return Ok((counts, stats, RangeBalance::from_work(&[stats.work_units])));
-    }
-    let weights = multiply_col_flops(a, b);
-    let ranges = split_cols_by_weight(&weights, workspaces.len());
-    let (chunks, stats, bal) = run_ranges(&ranges, workspaces, |range, ws| {
-        let sub = col_block(b, range);
-        symbolic_col_counts_with_workspace(a, &sub, ws)
-    })?;
-    let mut counts = Vec::with_capacity(b.ncols());
-    for chunk in chunks {
-        counts.extend_from_slice(&chunk);
-    }
-    Ok((counts, stats, bal))
 }
 
 #[cfg(test)]

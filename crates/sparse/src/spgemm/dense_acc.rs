@@ -9,19 +9,14 @@
 use super::{WorkStats, C_DRAIN, C_HASH_FLOP};
 use crate::csc::CscMatrix;
 use crate::semiring::Semiring;
-use crate::{Result, SparseError};
+use crate::{check_mul_dims, Result};
 
 /// Multiply `a · b` with a dense accumulator. Output columns sorted.
 pub fn spgemm_spa<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
 ) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.ncols(), a.ncols()),
-            found: (b.nrows(), b.ncols()),
-        });
-    }
+    check_mul_dims(a.ncols(), (b.nrows(), b.ncols()))?;
     let m = a.nrows();
     let n_out = b.ncols();
     let mut dense: Vec<S::T> = vec![S::zero(); m];

@@ -10,7 +10,7 @@
 use super::{lg, WorkStats, C_SORT};
 use crate::csc::CscMatrix;
 use crate::semiring::Semiring;
-use crate::{Result, SparseError};
+use crate::{check_mul_dims, Result};
 
 /// Multiply `a · b` by expand–sort–compress. Sorted output columns; works
 /// with unsorted inputs.
@@ -18,12 +18,7 @@ pub fn spgemm_esc<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
 ) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.ncols(), a.ncols()),
-            found: (b.nrows(), b.ncols()),
-        });
-    }
+    check_mul_dims(a.ncols(), (b.nrows(), b.ncols()))?;
     let n_out = b.ncols();
     let mut colptr = vec![0usize; n_out + 1];
     let mut rowidx: Vec<u32> = Vec::new();
@@ -103,7 +98,7 @@ mod tests {
         let a = er_random::<PlusTimesF64>(120, 120, 10, 203);
         let b = er_random::<PlusTimesF64>(120, 120, 10, 204);
         let (_, esc) = spgemm_esc::<PlusTimesF64>(&a, &b).unwrap();
-        let (_, hash) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b).unwrap();
+        let (_, hash, _) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b, &mut []).unwrap();
         assert!(esc.work_units > hash.work_units);
     }
 

@@ -9,39 +9,33 @@ use super::accum::HashAccum;
 use super::workspace::SpGemmWorkspace;
 use super::{WorkStats, C_DRAIN, C_HASH_FLOP};
 use crate::csc::CscMatrix;
+use crate::ops::col_concat;
+use crate::par::{self, RangeBalance, Ranged};
 use crate::semiring::Semiring;
-use crate::{Result, SparseError};
+use crate::Result;
 
 /// Multiply `a · b` with hash accumulation; unsorted output columns.
 ///
-/// Works with sorted or unsorted inputs. Returns the product and the work
-/// performed (`flops` = scalar multiplications). Convenience wrapper over
-/// [`spgemm_hash_unsorted_with_workspace`] with a throwaway workspace; hot
-/// paths (one multiply per SUMMA stage per batch) should hold a long-lived
-/// [`SpGemmWorkspace`] instead.
+/// Works with sorted or unsorted inputs. Returns the product, the work
+/// performed (`flops` = scalar multiplications) and the per-thread
+/// balance. `scratch.len()` is the thread count (see [`crate::par`]): hot
+/// paths (one multiply per SUMMA stage per batch) hold long-lived arenas,
+/// which after warm-up perform only the exact-size output copies; `&mut []`
+/// runs on throwaway scratch.
 pub fn spgemm_hash_unsorted<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
-) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    spgemm_hash_unsorted_with_workspace::<S>(a, b, &mut SpGemmWorkspace::new())
+    scratch: &mut [SpGemmWorkspace<S::T>],
+) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
+    par::multiply(a, b, scratch, hash_cols::<S>, |parts| col_concat(&parts))
 }
 
-/// [`spgemm_hash_unsorted`] against caller-owned reusable scratch.
-///
-/// Bit-identical output to the plain entry point (it is the same code);
-/// with a warmed-up workspace the call performs only the exact-size output
-/// copies instead of re-growing every buffer from empty.
-pub fn spgemm_hash_unsorted_with_workspace<S: Semiring>(
+/// The kernel over one column range of `b`, on one arena.
+fn hash_cols<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
     ws: &mut SpGemmWorkspace<S::T>,
-) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.ncols(), a.ncols()),
-            found: (b.nrows(), b.ncols()),
-        });
-    }
+) -> Ranged<CscMatrix<S::T>> {
     let n_out = b.ncols();
     let allocs_before = ws.total_allocs();
     // Arena upper bound: the flop count Σ_j Σ_{i∈B(:,j)} nnz(A(:,i)) also
@@ -118,7 +112,8 @@ mod tests {
 
     #[test]
     fn small_product_matches_manual() {
-        let (c, stats) = spgemm_hash_unsorted::<PlusTimesF64>(&small_a(), &small_b()).unwrap();
+        let (c, stats, _) =
+            spgemm_hash_unsorted::<PlusTimesF64>(&small_a(), &small_b(), &mut []).unwrap();
         // C = [[17,14],[15,0]]
         let c = c.sorted_copy();
         assert_eq!(c.col(0), (&[0u32, 1][..], &[17.0, 15.0][..]));
@@ -131,14 +126,14 @@ mod tests {
     fn dimension_mismatch_rejected() {
         let a = CscMatrix::<f64>::zero(2, 3);
         let b = CscMatrix::<f64>::zero(2, 2);
-        assert!(spgemm_hash_unsorted::<PlusTimesF64>(&a, &b).is_err());
+        assert!(spgemm_hash_unsorted::<PlusTimesF64>(&a, &b, &mut []).is_err());
     }
 
     #[test]
     fn empty_inputs_give_empty_output() {
         let a = CscMatrix::<f64>::zero(4, 4);
         let b = CscMatrix::<f64>::zero(4, 4);
-        let (c, stats) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b).unwrap();
+        let (c, stats, _) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b, &mut []).unwrap();
         assert_eq!(c.nnz(), 0);
         assert_eq!(stats.flops, 0);
     }
@@ -147,7 +142,7 @@ mod tests {
     fn matches_spa_oracle_on_random_u64() {
         let a = er_random::<PlusTimesU64>(40, 40, 5, 42).map(|_| 1u64);
         let b = er_random::<PlusTimesU64>(40, 40, 5, 43).map(|_| 1u64);
-        let (c_hash, _) = spgemm_hash_unsorted::<PlusTimesU64>(&a, &b).unwrap();
+        let (c_hash, _, _) = spgemm_hash_unsorted::<PlusTimesU64>(&a, &b, &mut []).unwrap();
         let (c_spa, _) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
         assert!(c_hash.eq_modulo_order(&c_spa));
     }
@@ -159,7 +154,7 @@ mod tests {
         assert!(!a.is_sorted());
         let b = CscMatrix::identity(2);
         let b = CscMatrix::from_parts(2, 2, b.colptr().to_vec(), b.rowidx().to_vec(), b.vals().to_vec()).unwrap();
-        let (c, _) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b).unwrap();
+        let (c, _, _) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b, &mut []).unwrap();
         assert!(c.eq_modulo_order(&a));
     }
 
@@ -170,7 +165,7 @@ mod tests {
         t.push(1, 0, true);
         t.push(2, 1, true);
         let a = t.to_csc();
-        let (c, _) = spgemm_hash_unsorted::<BoolOrAnd>(&a, &a).unwrap();
+        let (c, _, _) = spgemm_hash_unsorted::<BoolOrAnd>(&a, &a, &mut []).unwrap();
         let c = c.sorted_copy();
         assert_eq!(c.col(0), (&[2u32][..], &[true][..]));
     }
@@ -179,7 +174,7 @@ mod tests {
     fn flops_counts_scalar_multiplies() {
         let a = er_random::<PlusTimesF64>(30, 30, 4, 7);
         let b = er_random::<PlusTimesF64>(30, 30, 4, 8);
-        let (_, stats) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b).unwrap();
+        let (_, stats, _) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b, &mut []).unwrap();
         // flops = sum over b entries of nnz(A(:, i))
         let mut expect = 0u64;
         for (i, _j, _v) in b.iter() {

@@ -8,7 +8,7 @@
 use super::{lg, WorkStats, C_HEAP_FLOP};
 use crate::csc::CscMatrix;
 use crate::semiring::Semiring;
-use crate::{Result, SparseError};
+use crate::{check_mul_dims, Result, SparseError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -20,12 +20,7 @@ pub fn spgemm_heap<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
 ) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.ncols(), a.ncols()),
-            found: (b.nrows(), b.ncols()),
-        });
-    }
+    check_mul_dims(a.ncols(), (b.nrows(), b.ncols()))?;
     if !a.is_sorted() {
         return Err(SparseError::InvalidStructure(
             "heap SpGEMM requires sorted columns in A".into(),
@@ -115,7 +110,7 @@ mod tests {
         let a = er_random::<PlusTimesU64>(60, 60, 5, 11).map(|_| 2u64);
         let b = er_random::<PlusTimesU64>(60, 60, 5, 12).map(|_| 3u64);
         let (c_heap, s_heap) = spgemm_heap::<PlusTimesU64>(&a, &b).unwrap();
-        let (c_hash, s_hash) = spgemm_hash_unsorted::<PlusTimesU64>(&a, &b).unwrap();
+        let (c_hash, s_hash, _) = spgemm_hash_unsorted::<PlusTimesU64>(&a, &b, &mut []).unwrap();
         assert!(c_heap.eq_modulo_order(&c_hash));
         assert_eq!(s_heap.flops, s_hash.flops);
         assert_eq!(s_heap.nnz_out, s_hash.nnz_out);
@@ -153,7 +148,7 @@ mod tests {
         let a = er_random::<PlusTimesF64>(100, 100, 8, 3);
         let b = er_random::<PlusTimesF64>(100, 100, 8, 4);
         let (_, s_heap) = spgemm_heap::<PlusTimesF64>(&a, &b).unwrap();
-        let (_, s_hash) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b).unwrap();
+        let (_, s_hash, _) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b, &mut []).unwrap();
         assert!(
             s_heap.work_units > s_hash.work_units,
             "heap {} should exceed hash {}",

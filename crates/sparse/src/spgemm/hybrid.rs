@@ -12,6 +12,8 @@ use super::accum::HashAccum;
 use super::workspace::SpGemmWorkspace;
 use super::{lg, WorkStats, C_HASH_FLOP, C_HEAP_FLOP, C_SORT};
 use crate::csc::CscMatrix;
+use crate::ops::col_concat;
+use crate::par::{self, RangeBalance, Ranged};
 use crate::semiring::Semiring;
 use crate::{Result, SparseError};
 use std::cmp::Reverse;
@@ -24,28 +26,22 @@ const HEAP_STREAMS_MAX: usize = 4;
 ///
 /// Requires sorted `a` (the heap path consumes sorted columns, matching the
 /// prior-work pipeline where every intermediate was kept sorted).
-/// Convenience wrapper over [`spgemm_hybrid_with_workspace`] with a
-/// throwaway workspace.
+/// `scratch.len()` is the thread count (see [`crate::par`]); each arena
+/// lends its hash table, merge heap, cursors and output arenas.
 pub fn spgemm_hybrid<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
-) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    spgemm_hybrid_with_workspace::<S>(a, b, &mut SpGemmWorkspace::new())
+    scratch: &mut [SpGemmWorkspace<S::T>],
+) -> Result<(CscMatrix<S::T>, WorkStats, RangeBalance)> {
+    par::multiply(a, b, scratch, hybrid_cols::<S>, |parts| col_concat(&parts))
 }
 
-/// [`spgemm_hybrid`] against caller-owned reusable scratch (hash table,
-/// merge heap, cursors, and output arenas). Bit-identical output.
-pub fn spgemm_hybrid_with_workspace<S: Semiring>(
+/// The kernel over one column range of `b`, on one arena.
+fn hybrid_cols<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
     ws: &mut SpGemmWorkspace<S::T>,
-) -> Result<(CscMatrix<S::T>, WorkStats)> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.ncols(), a.ncols()),
-            found: (b.nrows(), b.ncols()),
-        });
-    }
+) -> Ranged<CscMatrix<S::T>> {
     if !a.is_sorted() {
         return Err(SparseError::InvalidStructure(
             "hybrid SpGEMM requires sorted columns in A".into(),
@@ -146,9 +142,9 @@ mod tests {
     fn matches_spa_and_hash_kernels() {
         let a = er_random::<PlusTimesU64>(80, 80, 7, 21).map(|_| 1u64);
         let b = er_random::<PlusTimesU64>(80, 80, 7, 22).map(|_| 1u64);
-        let (c_hy, _) = spgemm_hybrid::<PlusTimesU64>(&a, &b).unwrap();
+        let (c_hy, _, _) = spgemm_hybrid::<PlusTimesU64>(&a, &b, &mut []).unwrap();
         let (c_spa, _) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
-        let (c_hash, _) = spgemm_hash_unsorted::<PlusTimesU64>(&a, &b).unwrap();
+        let (c_hash, _, _) = spgemm_hash_unsorted::<PlusTimesU64>(&a, &b, &mut []).unwrap();
         assert!(c_hy.eq_modulo_order(&c_spa));
         assert!(c_hy.eq_modulo_order(&c_hash));
         assert!(c_hy.is_sorted());
@@ -160,8 +156,8 @@ mod tests {
         let a = er_random::<PlusTimesF64>(60, 60, 3, 31);
         let b_sparse = er_random::<PlusTimesF64>(60, 30, 1, 32); // heap path
         let b_dense = er_random::<PlusTimesF64>(60, 30, 12, 33); // hash path
-        let (c1, _) = spgemm_hybrid::<PlusTimesF64>(&a, &b_sparse).unwrap();
-        let (c2, _) = spgemm_hybrid::<PlusTimesF64>(&a, &b_dense).unwrap();
+        let (c1, _, _) = spgemm_hybrid::<PlusTimesF64>(&a, &b_sparse, &mut []).unwrap();
+        let (c2, _, _) = spgemm_hybrid::<PlusTimesF64>(&a, &b_dense, &mut []).unwrap();
         let (o1, _) = spgemm_spa::<PlusTimesF64>(&a, &b_sparse).unwrap();
         let (o2, _) = spgemm_spa::<PlusTimesF64>(&a, &b_dense).unwrap();
         assert!(c1.approx_eq(&o1, 1e-12));
@@ -173,8 +169,8 @@ mod tests {
         // The extra sort makes hybrid cost more work units on hash-path columns.
         let a = er_random::<PlusTimesF64>(120, 120, 10, 41);
         let b = er_random::<PlusTimesF64>(120, 120, 10, 42);
-        let (_, s_hy) = spgemm_hybrid::<PlusTimesF64>(&a, &b).unwrap();
-        let (_, s_hash) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b).unwrap();
+        let (_, s_hy, _) = spgemm_hybrid::<PlusTimesF64>(&a, &b, &mut []).unwrap();
+        let (_, s_hash, _) = spgemm_hash_unsorted::<PlusTimesF64>(&a, &b, &mut []).unwrap();
         assert!(s_hy.work_units > s_hash.work_units);
     }
 
@@ -182,6 +178,6 @@ mod tests {
     fn rejects_unsorted_a() {
         let a = CscMatrix::from_parts(3, 1, vec![0, 2], vec![2, 0], vec![1.0, 2.0]).unwrap();
         let b = CscMatrix::<f64>::zero(1, 2);
-        assert!(spgemm_hybrid::<PlusTimesF64>(&a, &b).is_err());
+        assert!(spgemm_hybrid::<PlusTimesF64>(&a, &b, &mut []).is_err());
     }
 }

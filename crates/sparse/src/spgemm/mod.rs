@@ -34,10 +34,10 @@ pub mod workspace;
 
 pub use dense_acc::spgemm_spa;
 pub use esc::spgemm_esc;
-pub use hash::{spgemm_hash_unsorted, spgemm_hash_unsorted_with_workspace};
+pub use hash::spgemm_hash_unsorted;
 pub use heap::spgemm_heap;
-pub use hybrid::{spgemm_hybrid, spgemm_hybrid_with_workspace};
-pub use symbolic::{symbolic_col_counts, symbolic_col_counts_with_workspace, symbolic_nnz};
+pub use hybrid::spgemm_hybrid;
+pub use symbolic::{symbolic_col_counts, symbolic_nnz};
 pub use workspace::SpGemmWorkspace;
 
 /// Work performed by a local kernel, in both physical and modeled units.

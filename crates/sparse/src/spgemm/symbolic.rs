@@ -7,38 +7,35 @@
 use super::workspace::SpGemmWorkspace;
 use super::{WorkStats, C_DRAIN, C_HASH_FLOP};
 use crate::csc::CscMatrix;
-use crate::{Result, SparseError};
+use crate::par::{self, RangeBalance, Ranged};
+use crate::Result;
 
 /// Per-column output nnz of `a · b`, plus flop count.
 ///
-/// Returns `(col_counts, stats)` where `col_counts[j] = nnz((A·B)(:,j))`.
-/// `stats.nnz_out` is the total; `stats.flops` the multiplication count the
-/// numeric kernel would perform. Convenience wrapper over
-/// [`symbolic_col_counts_with_workspace`] with a throwaway workspace.
-pub fn symbolic_col_counts<T: Copy, U: Copy>(
+/// Returns `(col_counts, stats, balance)` where
+/// `col_counts[j] = nnz((A·B)(:,j))`. `stats.nnz_out` is the total;
+/// `stats.flops` the multiplication count the numeric kernel would
+/// perform. `scratch.len()` is the thread count (see [`crate::par`]). Only
+/// each arena's structure-only accumulator is used, so the per-rank arenas
+/// that serve the numeric kernels on `a` serve the symbolic sweep too.
+pub fn symbolic_col_counts<T, U>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
-) -> Result<(Vec<u64>, WorkStats)> {
-    symbolic_col_counts_with_workspace(a, b, &mut SpGemmWorkspace::<()>::new())
+    scratch: &mut [SpGemmWorkspace<T>],
+) -> Result<(Vec<u64>, WorkStats, RangeBalance)>
+where
+    T: Copy + Send + Sync,
+    U: Copy + Sync,
+{
+    par::multiply(a, b, scratch, count_cols, |chunks| Ok(chunks.concat()))
 }
 
-/// [`symbolic_col_counts`] against caller-owned reusable scratch.
-///
-/// Only the workspace's structure-only accumulator is used, so the
-/// workspace's value type `W` is independent of the operand types — the
-/// same per-rank workspace that serves the numeric kernels serves the
-/// symbolic sweep.
-pub fn symbolic_col_counts_with_workspace<T: Copy, U: Copy, W: Copy>(
+/// The sweep over one column range of `b`, on one arena.
+fn count_cols<T: Copy, U: Copy>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
-    ws: &mut SpGemmWorkspace<W>,
-) -> Result<(Vec<u64>, WorkStats)> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            expected: (a.ncols(), a.ncols()),
-            found: (b.nrows(), b.ncols()),
-        });
-    }
+    ws: &mut SpGemmWorkspace<T>,
+) -> Ranged<Vec<u64>> {
     crate::debug_validate!(*a, crate::Sortedness::Unsorted, "symbolic sweep input A");
     crate::debug_validate!(*b, crate::Sortedness::Unsorted, "symbolic sweep input B");
     let n_out = b.ncols();
@@ -78,9 +75,13 @@ pub fn symbolic_col_counts_with_workspace<T: Copy, U: Copy, W: Copy>(
     Ok((counts, stats))
 }
 
-/// Total `nnz(A·B)` (convenience wrapper over [`symbolic_col_counts`]).
-pub fn symbolic_nnz<T: Copy, U: Copy>(a: &CscMatrix<T>, b: &CscMatrix<U>) -> Result<(u64, WorkStats)> {
-    let (_, stats) = symbolic_col_counts(a, b)?;
+/// Total `nnz(A·B)`: [`symbolic_col_counts`] on throwaway scratch, summed.
+pub fn symbolic_nnz<T, U>(a: &CscMatrix<T>, b: &CscMatrix<U>) -> Result<(u64, WorkStats)>
+where
+    T: Copy + Send + Sync,
+    U: Copy + Sync,
+{
+    let (_, stats, _) = symbolic_col_counts(a, b, &mut [])?;
     Ok((stats.nnz_out, stats))
 }
 
@@ -95,7 +96,7 @@ mod tests {
     fn counts_match_numeric_kernel() {
         let a = er_random::<PlusTimesF64>(70, 70, 6, 51);
         let b = er_random::<PlusTimesF64>(70, 70, 6, 52);
-        let (counts, stats) = symbolic_col_counts(&a, &b).unwrap();
+        let (counts, stats, _) = symbolic_col_counts(&a, &b, &mut []).unwrap();
         let (c, num_stats) = spgemm_spa::<PlusTimesF64>(&a, &b).unwrap();
         for (j, &count) in counts.iter().enumerate() {
             assert_eq!(count as usize, c.col_nnz(j), "column {j}");

@@ -11,9 +11,9 @@
 //! [`SpGemmWorkspace`] owns every piece of reusable state — the numeric
 //! and symbolic [`HashAccum`]s, the k-way-merge heap and cursors, and
 //! output arenas for `colptr`/`rowidx`/`vals` — with monotonically growing
-//! capacity. The `_with_workspace` kernel entry points build their result
-//! in the arenas (preallocated to the kernel's own upper bound: the
-//! per-column `ub`/`total_in` sums) and finish with one exact-size copy
+//! capacity. The kernels build their result in the arenas (preallocated
+//! to the kernel's own upper bound: the per-column `ub`/`total_in` sums)
+//! and finish with one exact-size copy
 //! per buffer, so a warmed-up workspace performs a small constant number
 //! of allocations per kernel call instead of `O(log nnz)` growth events
 //! per vector plus a table reallocation per column-size regime.
@@ -29,7 +29,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem::size_of;
 
-/// Long-lived scratch shared by all `_with_workspace` kernels.
+/// Long-lived scratch shared by all scratch-taking kernels.
 ///
 /// One instance per rank (or per thread) is intended to live across every
 /// SUMMA stage, merge, and batch of a multiplication — and across

@@ -163,9 +163,10 @@ mod tests {
         let mut ws = SubsetWorkspace::new();
         let need = needed_rows(&b, &mut ws);
         let a_fetched = scatter_cols_padded(&extract_cols_compact(&a, &need), &need, a.ncols());
-        let (dense, _) = crate::spgemm::spgemm_hash_unsorted::<PlusTimesF64>(&a, &b).unwrap();
-        let (sparse, _) =
-            crate::spgemm::spgemm_hash_unsorted::<PlusTimesF64>(&a_fetched, &b).unwrap();
+        let (dense, _, _) =
+            crate::spgemm::spgemm_hash_unsorted::<PlusTimesF64>(&a, &b, &mut []).unwrap();
+        let (sparse, _, _) =
+            crate::spgemm::spgemm_hash_unsorted::<PlusTimesF64>(&a_fetched, &b, &mut []).unwrap();
         assert!(dense.eq_modulo_order(&sparse));
     }
 }

@@ -428,7 +428,7 @@ mod tests {
     #[test]
     fn unsorted_kernel_output_passes_unsorted_contract_only() {
         let m = small_sorted();
-        let (c, _) = spgemm_hash_unsorted::<PlusTimesU64>(&m, &m).unwrap();
+        let (c, _, _) = spgemm_hash_unsorted::<PlusTimesU64>(&m, &m, &mut []).unwrap();
         c.validate(Sortedness::Unsorted).unwrap();
         if !c.is_sorted() {
             let e = c.validate(Sortedness::Sorted).unwrap_err();

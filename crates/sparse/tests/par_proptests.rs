@@ -1,77 +1,73 @@
-//! Bit-identity of the parallel kernel wrappers (`spgemm_sparse::par`).
+//! Conformance of the scratch-taking kernel entry points: the arena count
+//! never changes the answer.
 //!
-//! The Native backend's correctness contract is that every parallel entry
-//! point produces output **bit-identical** to its serial counterpart for
-//! any thread count — same `colptr`, `rowidx`, `vals` and `sorted` flag
-//! (full `PartialEq` on `CscMatrix`), and the exact-integer meters
-//! (`flops`, `nnz_out`) match too. Only arena-warmth meters (allocs, peak
-//! scratch, memcpy) may differ, so those are deliberately not compared.
+//! Every kernel takes `scratch: &mut [SpGemmWorkspace]` whose length is
+//! the thread count. The contract is that an empty slice (throwaway
+//! scratch), one arena (inline on the caller's arena) and many arenas
+//! (column ranges on threads) produce **bit-identical** output — same
+//! `colptr`, `rowidx`, `vals` and `sorted` flag (full `PartialEq` on
+//! `CscMatrix`) — and the exact-integer meters (`flops`, `nnz_out`) match
+//! too. Only arena-warmth meters (allocs, peak scratch, memcpy) may differ,
+//! so those are deliberately not compared. The arenas of one count are
+//! reused across the kernels of a check, so stale state would show.
 
 use proptest::prelude::*;
 use spgemm_sparse::gen::er_random;
 use spgemm_sparse::merge::{merge_hash_sorted, merge_hash_unsorted, merge_heap};
-use spgemm_sparse::par::{
-    par_merge_hash_sorted, par_merge_hash_unsorted, par_merge_heap, par_spgemm_hash_unsorted,
-    par_spgemm_heap, par_spgemm_hybrid, par_symbolic_col_counts, split_cols_by_weight,
-};
+use spgemm_sparse::par::{split_cols_by_weight, RangeBalance};
 use spgemm_sparse::semiring::{BoolOrAnd, MinPlusF64, PlusTimesF64, PlusTimesU64};
-use spgemm_sparse::spgemm::{
-    spgemm_hash_unsorted, spgemm_heap, spgemm_hybrid, symbolic_col_counts,
-};
+use spgemm_sparse::spgemm::{spgemm_hash_unsorted, spgemm_hybrid, symbolic_col_counts};
 use spgemm_sparse::{CscMatrix, Semiring, SpGemmWorkspace, Triples};
 
-/// The thread counts every comparison sweeps (1 exercises the inline
-/// fallback path; 3 gives uneven ranges; 8 exceeds small matrices'
-/// column counts).
-const THREADS: [usize; 4] = [1, 2, 3, 8];
+/// The arena counts every comparison sweeps against the empty slice (1 is
+/// the inline path on a caller-owned arena; 3 gives uneven ranges; 8
+/// exceeds small matrices' column counts).
+const ARENAS: [usize; 5] = [0, 1, 2, 3, 8];
 
 fn arenas<T: Copy>(n: usize) -> Vec<SpGemmWorkspace<T>> {
     (0..n).map(|_| SpGemmWorkspace::new()).collect()
 }
 
-/// Multiply kernels: parallel output equals serial bit-for-bit at every
-/// thread count. `a` and `b` must be sorted (hybrid/heap require it; the
-/// hash kernel doesn't care).
+/// Multiply and symbolic kernels: every arena count equals the empty
+/// slice bit-for-bit. `a` must be sorted (hybrid requires it; the hash
+/// kernel doesn't care).
 fn check_multiply<S: Semiring>(a: &CscMatrix<S::T>, b: &CscMatrix<S::T>) {
-    let (hash, hash_stats) = spgemm_hash_unsorted::<S>(a, b).unwrap();
-    let (hybrid, hybrid_stats) = spgemm_hybrid::<S>(a, b).unwrap();
-    let (heap, heap_stats) = spgemm_heap::<S>(a, b).unwrap();
-    let (counts, sym_stats) = symbolic_col_counts(a, b).unwrap();
-    for nthreads in THREADS {
-        let mut ws = arenas::<S::T>(nthreads);
-        let (c, stats, _) = par_spgemm_hash_unsorted::<S>(a, b, &mut ws).unwrap();
-        assert_eq!(c, hash, "hash kernel diverged at {nthreads} threads");
+    let (hash, hash_stats, _) = spgemm_hash_unsorted::<S>(a, b, &mut []).unwrap();
+    let (hybrid, hybrid_stats, _) = spgemm_hybrid::<S>(a, b, &mut []).unwrap();
+    let (counts, sym_stats, _) = symbolic_col_counts(a, b, &mut []).unwrap();
+    for n in ARENAS {
+        let mut ws = arenas::<S::T>(n);
+        let (c, stats, bal) = spgemm_hash_unsorted::<S>(a, b, &mut ws).unwrap();
+        assert_eq!(c, hash, "hash kernel diverged at {n} arenas");
         assert_eq!((stats.flops, stats.nnz_out), (hash_stats.flops, hash_stats.nnz_out));
+        if n <= 1 {
+            assert_eq!(bal, RangeBalance::default(), "one range records no balance");
+        }
 
-        let (c, stats, _) = par_spgemm_hybrid::<S>(a, b, &mut ws).unwrap();
-        assert_eq!(c, hybrid, "hybrid kernel diverged at {nthreads} threads");
+        let (c, stats, _) = spgemm_hybrid::<S>(a, b, &mut ws).unwrap();
+        assert_eq!(c, hybrid, "hybrid kernel diverged at {n} arenas");
         assert_eq!((stats.flops, stats.nnz_out), (hybrid_stats.flops, hybrid_stats.nnz_out));
 
-        let (c, stats, _) = par_spgemm_heap::<S>(a, b, &mut ws).unwrap();
-        assert_eq!(c, heap, "heap kernel diverged at {nthreads} threads");
-        assert_eq!((stats.flops, stats.nnz_out), (heap_stats.flops, heap_stats.nnz_out));
-
-        let (pc, stats, _) = par_symbolic_col_counts(a, b, &mut ws).unwrap();
-        assert_eq!(pc, counts, "symbolic counts diverged at {nthreads} threads");
-        assert_eq!(stats.nnz_out, sym_stats.nnz_out);
-        assert_eq!(stats.flops, sym_stats.flops);
+        let (pc, stats, _) = symbolic_col_counts(a, b, &mut ws).unwrap();
+        assert_eq!(pc, counts, "symbolic counts diverged at {n} arenas");
+        assert_eq!((stats.flops, stats.nnz_out), (sym_stats.flops, sym_stats.nnz_out));
     }
 }
 
-/// Merge kernels: parallel equals serial at every thread count. Parts
-/// must be sorted (heap merge requires it).
+/// Merge kernels: every arena count equals the empty slice. Parts must be
+/// sorted (heap merge requires it).
 fn check_merge<S: Semiring>(parts: &[CscMatrix<S::T>]) {
-    let (unsorted, _) = merge_hash_unsorted::<S>(parts).unwrap();
-    let (sorted, _) = merge_hash_sorted::<S>(parts).unwrap();
-    let (heap, _) = merge_heap::<S>(parts).unwrap();
-    for nthreads in THREADS {
-        let mut ws = arenas::<S::T>(nthreads);
-        let (c, _, _) = par_merge_hash_unsorted::<S>(parts, &mut ws).unwrap();
-        assert_eq!(c, unsorted, "hash merge diverged at {nthreads} threads");
-        let (c, _, _) = par_merge_hash_sorted::<S>(parts, &mut ws).unwrap();
-        assert_eq!(c, sorted, "sorted hash merge diverged at {nthreads} threads");
-        let (c, _, _) = par_merge_heap::<S>(parts, &mut ws).unwrap();
-        assert_eq!(c, heap, "heap merge diverged at {nthreads} threads");
+    let (unsorted, ..) = merge_hash_unsorted::<S>(parts, &mut []).unwrap();
+    let (sorted, ..) = merge_hash_sorted::<S>(parts, &mut []).unwrap();
+    let (heap, ..) = merge_heap::<S>(parts, &mut []).unwrap();
+    for n in ARENAS {
+        let mut ws = arenas::<S::T>(n);
+        let (c, ..) = merge_hash_unsorted::<S>(parts, &mut ws).unwrap();
+        assert_eq!(c, unsorted, "hash merge diverged at {n} arenas");
+        let (c, ..) = merge_hash_sorted::<S>(parts, &mut ws).unwrap();
+        assert_eq!(c, sorted, "sorted hash merge diverged at {n} arenas");
+        let (c, ..) = merge_heap::<S>(parts, &mut ws).unwrap();
+        assert_eq!(c, heap, "heap merge diverged at {n} arenas");
     }
 }
 
@@ -94,15 +90,15 @@ fn arb_square(maxdim: usize, maxnnz: usize) -> impl Strategy<Value = CscMatrix<u
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random squarings: all parallel multiply kernels bit-match serial.
+    /// Random squarings: every multiply kernel is arena-count invariant.
     #[test]
-    fn parallel_multiply_matches_serial(m in arb_square(24, 90)) {
+    fn multiply_is_arena_count_invariant(m in arb_square(24, 90)) {
         check_multiply::<PlusTimesU64>(&m, &m);
     }
 
-    /// Random part stacks: all parallel merge kernels bit-match serial.
+    /// Random part stacks: every merge kernel is arena-count invariant.
     #[test]
-    fn parallel_merge_matches_serial(m in arb_square(20, 60), seed in 0u64..500) {
+    fn merge_is_arena_count_invariant(m in arb_square(20, 60), seed in 0u64..500) {
         let mut b = er_random::<PlusTimesU64>(m.nrows(), m.ncols(), 3, seed);
         b.sort_columns();
         let parts = [m.clone(), b, m];
@@ -129,6 +125,7 @@ fn all_semirings_bit_identical() {
 
     let au = er_random::<PlusTimesU64>(n, n, 5, 13);
     check_multiply::<PlusTimesU64>(&au, &au);
+    check_merge::<PlusTimesU64>(&[au, er_random::<PlusTimesU64>(n, n, 4, 14)]);
 }
 
 /// Degenerate splitter input: B made almost entirely of empty columns.
@@ -197,7 +194,7 @@ fn all_nnz_in_one_thread_range_matches() {
 /// bounds, and never emits an empty range.
 #[test]
 fn splitter_degenerate_weights() {
-    for nparts in THREADS {
+    for nparts in ARENAS {
         for weights in [
             vec![],
             vec![0u64; 1],

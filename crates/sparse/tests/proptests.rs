@@ -55,7 +55,7 @@ proptest! {
         let d = DcscMatrix::from_csc(&m);
         prop_assert!(d.to_csc().eq_modulo_order(&m));
         if m.nrows() == m.ncols() {
-            let (csc, _) = spgemm_hash_unsorted::<PlusTimesU64>(&m, &m).unwrap();
+            let (csc, _, _) = spgemm_hash_unsorted::<PlusTimesU64>(&m, &m, &mut []).unwrap();
             let (dcsc, _) = spgemm_sparse::dcsc::spgemm_hash_dcsc::<PlusTimesU64>(&d, &d).unwrap();
             prop_assert!(dcsc.to_csc().eq_modulo_order(&csc));
         }
@@ -167,7 +167,7 @@ proptest! {
     fn float_kernels_agree_within_tolerance(m in arb_matrix(20, 60)) {
         if m.nrows() == m.ncols() {
             let f = m.map(|v| v as f64 * 0.37);
-            let (h, _) = spgemm_hash_unsorted::<PlusTimesF64>(&f, &f).unwrap();
+            let (h, _, _) = spgemm_hash_unsorted::<PlusTimesF64>(&f, &f, &mut []).unwrap();
             let (s, _) = spgemm_spa::<PlusTimesF64>(&f, &f).unwrap();
             prop_assert!(h.approx_eq(&s, 1e-9));
         }

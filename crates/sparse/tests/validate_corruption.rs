@@ -46,7 +46,7 @@ proptest! {
     #[test]
     fn unsorted_kernel_output_validates(m in arb_matrix(20, 60)) {
         if m.nrows() == m.ncols() {
-            let (c, _) = spgemm_hash_unsorted::<PlusTimesU64>(&m, &m).unwrap();
+            let (c, _, _) = spgemm_hash_unsorted::<PlusTimesU64>(&m, &m, &mut []).unwrap();
             prop_assert!(c.validate(Sortedness::Unsorted).is_ok());
         }
     }

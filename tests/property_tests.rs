@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn kernels_agree((a, b) in arb_pair(24, 80)) {
         let (oracle, ostats) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
-        let (hash, hstats) = spgemm_hash_unsorted::<PlusTimesU64>(&a, &b).unwrap();
+        let (hash, hstats, _) = spgemm_hash_unsorted::<PlusTimesU64>(&a, &b, &mut []).unwrap();
         prop_assert!(hash.eq_modulo_order(&oracle));
         prop_assert_eq!(hstats.flops, ostats.flops);
         let (heap, _) = spgemm_heap::<PlusTimesU64>(&a, &b).unwrap();
@@ -65,7 +65,7 @@ proptest! {
     /// Symbolic counts exactly predict numeric structure.
     #[test]
     fn symbolic_matches_numeric((a, b) in arb_pair(24, 80)) {
-        let (counts, _) = symbolic_col_counts(&a, &b).unwrap();
+        let (counts, _, _) = symbolic_col_counts(&a, &b, &mut []).unwrap();
         let (c, _) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
         for (j, &count) in counts.iter().enumerate() {
             prop_assert_eq!(count as usize, c.col_nnz(j));
@@ -128,10 +128,10 @@ proptest! {
             }
         }
         let oracle = all.to_csc_dedup::<PlusTimesU64>();
-        let (hash, _) = merge_hash_sorted::<PlusTimesU64>(&parts).unwrap();
+        let (hash, _, _) = merge_hash_sorted::<PlusTimesU64>(&parts, &mut []).unwrap();
         prop_assert!(hash.eq_modulo_order(&oracle));
         let sorted_parts: Vec<_> = parts.iter().map(|p| p.sorted_copy()).collect();
-        let (heap, _) = merge_heap::<PlusTimesU64>(&sorted_parts).unwrap();
+        let (heap, _, _) = merge_heap::<PlusTimesU64>(&sorted_parts, &mut []).unwrap();
         prop_assert!(heap.eq_modulo_order(&oracle));
     }
 }
