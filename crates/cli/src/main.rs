@@ -94,6 +94,29 @@ use spgemm_sparse::CscMatrix;
 use std::path::Path;
 use std::process::ExitCode;
 
+/// Write to stdout through the one lock all command output takes. A reader
+/// that went away (`spgemm … | head`) is not a failure of this program:
+/// exit quietly with status 0 instead of panicking like `println!`.
+fn emit(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(text) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 fn main() -> ExitCode {
     let argv = std::env::args().skip(1);
     match Args::parse(argv).and_then(|args| run(&args)) {
@@ -227,7 +250,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
         other => return Err(format!("unknown matrix kind: {other}")),
     };
     write_matrix_market_file(&m, Path::new(&out)).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {}x{} matrix with {} nonzeros to {out}", m.nrows(), m.ncols(), m.nnz());
+    outln!("wrote {}x{} matrix with {} nonzeros to {out}", m.nrows(), m.ncols(), m.nnz());
     Ok(())
 }
 
@@ -255,14 +278,14 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     };
     let (nnz_c, stats) = symbolic_nnz(&a, &b).map_err(|e| e.to_string())?;
     // A Table V-style row.
-    println!("rows: {}", a.nrows());
-    println!("columns: {}", a.ncols());
-    println!("nnz(A): {}", a.nnz());
-    println!("nnz(B): {}", b.nnz());
-    println!("nnz(C): {nnz_c}");
-    println!("flops: {}", stats.flops);
-    println!("compression factor: {:.3}", stats.flops as f64 / nnz_c.max(1) as f64);
-    println!(
+    outln!("rows: {}", a.nrows());
+    outln!("columns: {}", a.ncols());
+    outln!("nnz(A): {}", a.nnz());
+    outln!("nnz(B): {}", b.nnz());
+    outln!("nnz(C): {nnz_c}");
+    outln!("flops: {}", stats.flops);
+    outln!("compression factor: {:.3}", stats.flops as f64 / nnz_c.max(1) as f64);
+    outln!(
         "memory at r=24 B/nnz: inputs {:.2} MB, unmerged output up to {:.2} MB",
         ((a.nnz() + b.nnz()) * 24) as f64 / 1e6,
         (stats.flops * 24) as f64 / 1e6
@@ -360,7 +383,7 @@ fn cmd_multiply(args: &Args) -> Result<(), String> {
             cfg.overlap = winner.overlap;
             cfg.exchange = winner.exchange;
             if !json {
-                println!("auto algorithm choice ({}):\n{}", winner.label(), report.to_table());
+                outln!("auto algorithm choice ({}):\n{}", winner.label(), report.to_table());
             }
         }
     }
@@ -368,20 +391,20 @@ fn cmd_multiply(args: &Args) -> Result<(), String> {
     let layers = out.layers;
     if let Some(plan) = &out.plan {
         if !json {
-            println!("auto layer choice:\n{}", plan.to_table());
+            outln!("auto layer choice:\n{}", plan.to_table());
         }
     }
     if let (Some(path), Some(traces)) = (args.opt("trace"), &out.traces) {
         let trace_json = spgemm_simgrid::chrome_trace_json(traces);
         std::fs::write(path, trace_json).map_err(|e| e.to_string())?;
         if !json {
-            println!("wrote Chrome trace to {path}");
+            outln!("wrote Chrome trace to {path}");
         }
     }
     let c = out.c.as_ref().expect("product gathered");
     if !json {
         if cfg.algorithm.is_15d() {
-            println!(
+            outln!(
                 "C: {}x{} with {} nonzeros, computed by {} on {} processes",
                 c.nrows(),
                 c.ncols(),
@@ -390,7 +413,7 @@ fn cmd_multiply(args: &Args) -> Result<(), String> {
                 p
             );
         } else {
-            println!(
+            outln!(
                 "C: {}x{} with {} nonzeros, computed in {} batch(es) on a {}x{}x{} grid",
                 c.nrows(),
                 c.ncols(),
@@ -402,7 +425,7 @@ fn cmd_multiply(args: &Args) -> Result<(), String> {
             );
         }
         if let Some(sym) = &out.symbolic {
-            println!(
+            outln!(
                 "symbolic: b={} (Eq.2 bound {:?}), flops {}, max unmerged/process {}",
                 sym.batches, sym.eq2_lower_bound, sym.flops, sym.max_unmerged_nnz
             );
@@ -410,14 +433,14 @@ fn cmd_multiply(args: &Args) -> Result<(), String> {
         let mut report = StepReport::new();
         report.push(format!("p={p} l={layers} b={}", out.nbatches), out.max);
         if let BackendKind::Native { threads } = cfg.backend {
-            println!(
+            outln!(
                 "\nbackend: native ({threads} kernel thread(s)/process, per-thread load \
                  imbalance {:.2}); kernel seconds below are measured, communication modeled:\n{}",
                 out.load_balance.imbalance(),
                 report.to_table()
             );
         } else {
-            println!("\nmodeled per-step seconds (max over processes):\n{}", report.to_table());
+            outln!("\nmodeled per-step seconds (max over processes):\n{}", report.to_table());
         }
     }
     let mut verified = None;
@@ -426,19 +449,19 @@ fn cmd_multiply(args: &Args) -> Result<(), String> {
         if c.approx_eq(&reference, 1e-9) {
             verified = Some(true);
             if !json {
-                println!("verification against serial reference: OK");
+                outln!("verification against serial reference: OK");
             }
         } else {
             return Err("verification FAILED: distributed product differs from serial".into());
         }
     }
     if json {
-        println!("{}", multiply_json(&cfg, &out, p, verified));
+        outln!("{}", multiply_json(&cfg, &out, p, verified));
     }
     if let Some(path) = args.opt("out") {
         write_matrix_market_file(c, Path::new(path)).map_err(|e| e.to_string())?;
         if !json {
-            println!("wrote product to {path}");
+            outln!("wrote product to {path}");
         }
     }
     if let Some(path) = args.opt("calibrate-out") {
@@ -457,7 +480,7 @@ fn cmd_multiply(args: &Args) -> Result<(), String> {
             .save(Path::new(path))
             .map_err(|e| e.to_string())?;
         if !json {
-            println!(
+            outln!(
                 "wrote calibrated machine profile to {path} (alpha {:.3e}, beta {:.3e}, \
                  secs/work-unit {:.3e})",
                 profile.alpha, profile.beta, profile.secs_per_work_unit
@@ -570,7 +593,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
         Some(AlgorithmArg::Fixed(fam)) => pcfg.families = vec![fam],
     }
     let report = planner::plan(p, &a, &b, &pcfg).map_err(|e| e.to_string())?;
-    print!("{}", report.to_table());
+    out!("{}", report.to_table());
     Ok(())
 }
 
@@ -619,9 +642,9 @@ fn cmd_mcl(args: &Args) -> Result<(), String> {
         params.perturb = Some(s.parse().map_err(|_| "bad --perturb-seed")?);
     }
     let result = markov_cluster(&a, &params).map_err(|e| e.to_string())?;
-    println!("iter  batches  chaos      SpGEMM(s)       nnz   bytes(MB)  hit/miss  inval");
+    outln!("iter  batches  chaos      SpGEMM(s)       nnz   bytes(MB)  hit/miss  inval");
     for (i, it) in result.per_iter.iter().enumerate() {
-        println!(
+        outln!(
             "{:>4}  {:>7}  {:<9.4} {:.5} {:>9} {:>11.3} {:>4}/{:<4} {:>6}",
             i + 1,
             it.nbatches,
@@ -635,7 +658,7 @@ fn cmd_mcl(args: &Args) -> Result<(), String> {
         );
     }
     let k = spgemm_apps::components::num_clusters(&result.labels);
-    println!("{} clusters after {} iterations", k, result.iterations);
+    outln!("{} clusters after {} iterations", k, result.iterations);
     if let Some(path) = args.opt("out") {
         let body: String = result
             .labels
@@ -644,7 +667,7 @@ fn cmd_mcl(args: &Args) -> Result<(), String> {
             .map(|(v, c)| format!("{v} {c}\n"))
             .collect();
         std::fs::write(path, body).map_err(|e| e.to_string())?;
-        println!("wrote labels to {path}");
+        outln!("wrote labels to {path}");
     }
     Ok(())
 }
@@ -731,9 +754,9 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
     };
 
     if args.flag("json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
-        println!(
+        outln!(
             "audited {} configuration(s): {} ok, {} infeasible, {} events extracted \
              (payload-free)",
             report.results.len(),
@@ -745,19 +768,19 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
             for r in &report.results {
                 match &r.outcome {
                     ConfigOutcome::Ok { nbatches, events } => {
-                        println!("{}: clean ({events} events, b={nbatches})", r.label);
+                        outln!("{}: clean ({events} events, b={nbatches})", r.label);
                     }
                     ConfigOutcome::Infeasible(reason) => {
-                        println!("{}: infeasible ({reason})", r.label);
+                        outln!("{}: infeasible ({reason})", r.label);
                     }
                     ConfigOutcome::Violated(_) => {}
                 }
             }
         }
         for (label, vs) in report.violations() {
-            println!("\n{label}:");
+            outln!("\n{label}:");
             for v in vs {
-                println!("{v}");
+                outln!("{v}");
             }
         }
     }
@@ -808,7 +831,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
     }
 
-    println!(
+    outln!(
         "serve: global budget {:.1} MB, {} worker(s), plan cache {} entries, shrink {}",
         budget_mb,
         cfg.max_concurrency,
@@ -868,7 +891,7 @@ fn serve_loadgen(
             spec.priority = Priority::High;
             specs.push(spec);
         }
-        println!("loadgen: registered shape {name} at p=4 and p=16");
+        outln!("loadgen: registered shape {name} at p=4 and p=16");
     }
 
     let cfg = LoadgenConfig {
@@ -876,13 +899,13 @@ fn serve_loadgen(
         arrival,
         seed,
     };
-    println!("loadgen: submitting {jobs} jobs ({arrival:?}, seed {seed})");
+    outln!("loadgen: submitting {jobs} jobs ({arrival:?}, seed {seed})");
     let report = run_loadgen(server, &specs, &cfg);
-    println!("{}", report.to_table());
+    outln!("{}", report.to_table());
     if let Some(path) = args.opt("csv") {
         let body = format!("{}\n{}\n", LoadgenReport::csv_header(), report.csv_row());
         std::fs::write(path, body).map_err(|e| e.to_string())?;
-        println!("wrote loadgen CSV to {path}");
+        outln!("wrote loadgen CSV to {path}");
     }
     Ok(())
 }
@@ -892,7 +915,7 @@ fn serve_stdin(server: spgemm_core::JobServer) -> Result<(), String> {
     use spgemm_core::serve::OperandId;
     use std::io::BufRead;
 
-    println!("commands: reg FILE | mul A B P [BUDGET_MB] | stats | quit");
+    outln!("commands: reg FILE | mul A B P [BUDGET_MB] | stats | quit");
     let mut handles: Vec<OperandId> = Vec::new();
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
@@ -902,7 +925,7 @@ fn serve_stdin(server: spgemm_core::JobServer) -> Result<(), String> {
             [] => Ok(()),
             ["quit"] | ["exit"] => break,
             ["reg", path] => load(path).map(|m| {
-                println!("operand {}: {}x{} with {} nonzeros", handles.len(), m.nrows(), m.ncols(), m.nnz());
+                outln!("operand {}: {}x{} with {} nonzeros", handles.len(), m.nrows(), m.ncols(), m.nnz());
                 handles.push(server.register(m));
             }),
             ["mul", rest @ ..] if (3..=4).contains(&rest.len()) => {
@@ -910,7 +933,7 @@ fn serve_stdin(server: spgemm_core::JobServer) -> Result<(), String> {
             }
             ["stats"] => {
                 let s = server.stats();
-                println!(
+                outln!(
                     "submitted {} | completed {} | rejected {} | queued now {} | running {}\n\
                      reserved {} of {} bytes (peak {}) | plan cache {:.0}% hit",
                     s.submitted,
@@ -928,11 +951,11 @@ fn serve_stdin(server: spgemm_core::JobServer) -> Result<(), String> {
             _ => Err(format!("unrecognized command: {line}")),
         };
         if let Err(e) = result {
-            println!("error: {e}");
+            outln!("error: {e}");
         }
     }
     let s = server.shutdown();
-    println!(
+    outln!(
         "server drained: {} submitted, {} completed, {} rejected",
         s.submitted, s.completed, s.rejected
     );
@@ -981,7 +1004,7 @@ fn serve_one(
                 Some(spgemm_core::serve::PlanSource::Cached) => "cached",
                 None => "unplanned",
             };
-            println!(
+            outln!(
                 "job {} done: nnz(C) {} in {} batch(es) on {} layer(s){}, \
                  modeled {:.5}s, queued {:.4}s, plan {plan}",
                 report.id,
@@ -993,7 +1016,7 @@ fn serve_one(
                 report.queue_secs
             );
         }
-        JobOutcome::Rejected(reason) => println!("job {} rejected: {reason}", report.id),
+        JobOutcome::Rejected(reason) => outln!("job {} rejected: {reason}", report.id),
     }
     Ok(())
 }
@@ -1003,7 +1026,7 @@ fn cmd_triangles(args: &Args) -> Result<(), String> {
     let adj = a.map(|_| 1u64);
     let cfg = TriangleConfig::new(args.get_or("procs", 16usize)?, args.get_or("layers", 1usize)?);
     let (count, breakdown) = count_triangles(&adj, &cfg).map_err(|e| e.to_string())?;
-    println!("{count} triangles (modeled SpGEMM time {:.5}s)", breakdown.total());
+    outln!("{count} triangles (modeled SpGEMM time {:.5}s)", breakdown.total());
     Ok(())
 }
 
@@ -1016,14 +1039,14 @@ fn cmd_overlap(args: &Args) -> Result<(), String> {
         args.get_or("layers", 1usize)?,
     );
     let (pairs, breakdown) = find_overlaps(&m, &cfg).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{} candidate pairs with >= {} shared k-mers (modeled SpGEMM time {:.5}s)",
         pairs.len(),
         cfg.min_shared,
         breakdown.total()
     );
     for p in pairs.iter().take(args.get_or("show", 10usize)?) {
-        println!("  {} ~ {} ({} shared)", p.i, p.j, p.shared);
+        outln!("  {} ~ {} ({} shared)", p.i, p.j, p.shared);
     }
     Ok(())
 }

@@ -1,28 +1,22 @@
 //! Schedule auditor: payload-free symbolic extraction and exhaustive
 //! verification of the communication schedule.
 //!
-//! Every collective, nonblocking post/wait, and fetch-protocol message the
-//! algorithms issue is **content-independent**: broadcasts run for every
-//! stage whether or not the operand is empty, a batch with zero local
-//! columns still executes the full stage schedule, and the sparse-fetch
-//! protocol exchanges one request and one reply per (requester, round)
-//! regardless of cache state ([`crate::exchange::FetchReq::Unchanged`] and
-//! [`crate::exchange::FetchRep::CacheValid`] change payload *kinds*, never
-//! the message pattern). The schedule is therefore a pure function of the
-//! configuration — `(p, l, batches, exchange mode, overlap mode, iteration
-//! count, symbolic sweep or not)` — and can be extracted **without
-//! constructing matrices or moving bytes**.
+//! Every collective, nonblocking post/wait, and point-to-point message
+//! the algorithms issue is **content-independent**: empty operands are
+//! still broadcast, a batch with zero local columns still runs every
+//! stage, and the fetch cache changes payload *kinds*
+//! ([`crate::exchange::FetchReq::Unchanged`]), never the message pattern.
+//! The schedule is therefore a pure function of the configuration and can
+//! be extracted **without constructing matrices or moving bytes**.
 //!
-//! This module does exactly that. A `SymRank`-style executor walks the
-//! same control flow as [`crate::summa2d`], [`crate::summa3d`],
-//! [`crate::batched`], [`crate::exchange`] and [`crate::session`], through
-//! the pure seams those modules expose
+//! [`crate::schedule`] writes that function down once, as the op programs
+//! the drivers execute. [`AuditConfig::extract`] is their second reader:
+//! it resolves a configuration to its program (same Alg. 3 arithmetic,
+//! [`crate::symbolic::alg3_batch_count`]) and lowers every op through the
+//! wire table into a typed [`AuditEvent`] trace per rank, taking each
+//! rank's communicators from the seams the drivers build theirs from
 //! ([`spgemm_simgrid::grid::Grid3D::for_rank_id`],
-//! [`spgemm_simgrid::Comm::for_rank`],
-//! [`crate::exchange::fetch_req_tag`],
-//! [`crate::symbolic::alg3_batch_count`],
-//! [`crate::batched::batch_local_cols`]), and records a typed
-//! [`AuditEvent`] trace per rank instead of executing anything.
+//! [`crate::family15::cola_ring`] and its InnerABC siblings).
 //!
 //! On top of the traces, [`verify`] checks four property classes:
 //!
@@ -48,11 +42,12 @@
 //! [`AuditFault`] injects schedule bugs (a skipped wait, a wrong fetch
 //! tag, …) to prove the verifier actually catches them.
 
-use crate::exchange::{fetch_rep_tag, fetch_req_tag, ExchangeMode};
+use crate::exchange::ExchangeMode;
 use crate::family15::{
-    cola_ring, iabc_subring, iabc_team, shift_tag, AlgorithmFamily, COLOR_RING15, COLOR_TEAM15,
+    cola_ring, iabc_subring, iabc_team, AlgorithmFamily, COLOR_RING15, COLOR_TEAM15,
 };
 use crate::memory::R_BYTES_PER_NNZ;
+use crate::schedule::{self, Link, Op, Wire};
 use crate::summa2d::OverlapMode;
 use crate::symbolic::alg3_batch_count;
 use crate::CoreError;
@@ -180,445 +175,6 @@ impl Schedule {
     }
 }
 
-/// The program whose schedule is being extracted, in resolved form: batch
-/// count and symbolic-sweep choice already decided. [`AuditConfig`]
-/// resolves a planner-level configuration down to this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceProgram {
-    /// World size.
-    pub p: usize,
-    /// Layer count (must form square layers).
-    pub l: usize,
-    /// Stage-operand movement mode.
-    pub exchange: ExchangeMode,
-    /// Blocking or pipelined stage communication.
-    pub overlap: OverlapMode,
-    /// Multiplication count (session iterations; 1 = a single multiply).
-    pub iterations: usize,
-    /// Batches per multiplication.
-    pub nbatches: usize,
-    /// Whether the symbolic sweep (Alg. 3) runs before each
-    /// multiplication's batches (it does whenever the batch count is not
-    /// forced, and for Balanced batching).
-    pub run_symbolic: bool,
-    /// Include the two initial scatter broadcasts
-    /// ([`crate::dist::scatter`] for A-style and B-style) that a session
-    /// or harness run performs.
-    pub scatter: bool,
-    /// Model the iteration session's `refresh_b` fiber all-to-all after
-    /// each multiplication (sessions do this when `l > 1`; a one-shot
-    /// multiply does not).
-    pub session: bool,
-    /// Modeled per-rank `nnz(Ã)` / `nnz(B̃)` / per-batch unmerged output,
-    /// used only to annotate events with byte counts.
-    pub modeled_nnz: (u64, u64, u64),
-}
-
-/// The symbolic executor state for one rank: the per-communicator
-/// sequence counters and fetch-round counter the runtime would hold, plus
-/// the recorded trace.
-struct SymRank {
-    grid: Grid3D,
-    op_seq: HashMap<u64, u64>,
-    fetch_seq: u64,
-    events: Vec<AuditEvent>,
-}
-
-/// A posted-but-not-waited stage, mirroring `StagePending`: the `(comm,
-/// seq)` keys of the A and B posts plus the stage index (the fetch root).
-#[derive(Clone, Copy)]
-struct SymPending {
-    a: Option<(u64, u64)>,
-    b: (u64, u64),
-    s: usize,
-}
-
-impl SymRank {
-    fn new(g: usize, p: usize, l: usize) -> SymRank {
-        SymRank {
-            grid: Grid3D::for_rank_id(g, p, l),
-            op_seq: HashMap::new(),
-            fetch_seq: 0,
-            events: Vec::new(),
-        }
-    }
-
-    /// Mirror of `Rank::next_seq`: one counter per communicator, first
-    /// draw is 1.
-    fn next_seq(&mut self, comm: &Comm) -> u64 {
-        let seq = self.op_seq.entry(comm.id()).or_insert(0);
-        *seq += 1;
-        *seq
-    }
-
-    fn collective(&mut self, comm: &Comm, op: OpKind, root: Option<usize>, bytes: u64) {
-        let seq = self.next_seq(comm);
-        self.events.push(AuditEvent::Collective {
-            comm: comm.id(),
-            op,
-            root,
-            seq,
-            bytes,
-        });
-    }
-
-    fn post(&mut self, comm: &Comm, op: OpKind, root: Option<usize>) -> (u64, u64) {
-        let seq = self.next_seq(comm);
-        self.events.push(AuditEvent::Post {
-            comm: comm.id(),
-            op,
-            root,
-            seq,
-        });
-        (comm.id(), seq)
-    }
-
-    fn wait(&mut self, key: (u64, u64)) {
-        self.events.push(AuditEvent::Wait {
-            comm: key.0,
-            seq: key.1,
-        });
-    }
-
-    /// Mirror of `ExchangePlan::fetch_stage_a`'s message pattern: owner
-    /// (row member `s`) serves each other member in index order — receive
-    /// the request, send the reply; requesters send the request and block
-    /// on the reply. `q == 1` short-circuits with no sequence draw.
-    fn fetch_round(&mut self, s: usize) {
-        let row = self.grid.row.clone();
-        let q = row.size();
-        if q == 1 {
-            return;
-        }
-        let seq = self.fetch_seq;
-        self.fetch_seq += 1;
-        let req = fetch_req_tag(seq);
-        let rep = fetch_rep_tag(seq);
-        let me = row.my_index();
-        if me == s {
-            for i in (0..q).filter(|&i| i != s) {
-                self.events.push(AuditEvent::Recv {
-                    comm: row.id(),
-                    from: row.member(i),
-                    tag: req,
-                });
-                self.events.push(AuditEvent::Send {
-                    comm: row.id(),
-                    to: row.member(i),
-                    tag: rep,
-                });
-            }
-        } else {
-            self.events.push(AuditEvent::Send {
-                comm: row.id(),
-                to: row.member(s),
-                tag: req,
-            });
-            self.events.push(AuditEvent::Recv {
-                comm: row.id(),
-                from: row.member(s),
-                tag: rep,
-            });
-        }
-    }
-
-    /// Mirror of `ExchangePlan::exchange_stage` (blocking): dense mode
-    /// broadcasts Ã on the row then B̃ on the column; sparse mode
-    /// broadcasts B̃ on the column then runs the fetch round on the row.
-    fn exchange_stage(&mut self, s: usize, exchange: ExchangeMode, a_bytes: u64, b_bytes: u64) {
-        let row = self.grid.row.clone();
-        let col = self.grid.col.clone();
-        match exchange {
-            ExchangeMode::DenseBcast => {
-                self.collective(&row, OpKind::Bcast, Some(s), a_bytes);
-                self.collective(&col, OpKind::Bcast, Some(s), b_bytes);
-            }
-            ExchangeMode::SparseFetch => {
-                self.collective(&col, OpKind::Bcast, Some(s), b_bytes);
-                self.fetch_round(s);
-            }
-        }
-    }
-
-    /// Mirror of `ExchangePlan::post_stage`: dense mode posts `ibcast`s
-    /// for Ã (row) and B̃ (column); sparse mode posts only B̃'s.
-    fn post_stage(&mut self, s: usize, exchange: ExchangeMode) -> SymPending {
-        let row = self.grid.row.clone();
-        let col = self.grid.col.clone();
-        let a = match exchange {
-            ExchangeMode::DenseBcast => Some(self.post(&row, OpKind::IbcastPost, Some(s))),
-            ExchangeMode::SparseFetch => None,
-        };
-        let b = self.post(&col, OpKind::IbcastPost, Some(s));
-        SymPending { a, b, s }
-    }
-
-    /// Mirror of `ExchangePlan::wait_stage`: with an A post, wait A then
-    /// B; without, wait B then run the stage's fetch round.
-    fn wait_stage(&mut self, pending: SymPending) {
-        match pending.a {
-            Some(a) => {
-                self.wait(a);
-                self.wait(pending.b);
-            }
-            None => {
-                self.wait(pending.b);
-                self.fetch_round(pending.s);
-            }
-        }
-    }
-
-    /// Mirror of `summa2d_layer_pipelined`: wait the pending stage, post
-    /// the next — and on the last stage, post the *next batch's* stage 0
-    /// (the cross-batch carry).
-    fn layer_pipelined(
-        &mut self,
-        exchange: ExchangeMode,
-        carry: Option<SymPending>,
-        post_next_batch: bool,
-    ) -> Option<SymPending> {
-        let stages = self.grid.pr;
-        let mut pending =
-            Some(carry.unwrap_or_else(|| self.post_stage(0, exchange)));
-        let mut next_carry = None;
-        for s in 0..stages {
-            let posted = pending.take().expect("pipeline keeps one stage posted");
-            self.wait_stage(posted);
-            if s + 1 < stages {
-                pending = Some(self.post_stage(s + 1, exchange));
-            } else if post_next_batch {
-                next_carry = Some(self.post_stage(0, exchange));
-            }
-        }
-        next_carry
-    }
-}
-
-/// Extract the full schedule of `prog`: one trace per rank plus the
-/// communicator registry, by symbolically executing every rank's control
-/// flow. No matrices are constructed and no bytes move.
-pub fn trace_program(prog: &TraceProgram) -> Schedule {
-    let (a_nnz, b_nnz, batch_unmerged) = prog.modeled_nnz;
-    let r = R_BYTES_PER_NNZ as u64;
-    let a_bytes = r * a_nnz;
-    let b_bytes = r * b_nnz;
-    let b_piece_bytes = b_bytes.div_ceil(prog.nbatches as u64);
-    let fiber_bytes = r * batch_unmerged;
-
-    let mut comms: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut traces = Vec::with_capacity(prog.p);
-    for g in 0..prog.p {
-        let mut sym = SymRank::new(g, prog.p, prog.l);
-        for comm in [
-            &sym.grid.row,
-            &sym.grid.col,
-            &sym.grid.fiber,
-            &sym.grid.layer,
-            &sym.grid.world,
-        ] {
-            comms
-                .entry(comm.id())
-                .or_insert_with(|| comm.members().to_vec());
-        }
-        let world = sym.grid.world.clone();
-        let fiber = sym.grid.fiber.clone();
-        let stages = sym.grid.pr;
-
-        // Session construction: scatter A-style then B-style, each one
-        // world broadcast from global rank 0 (member index 0).
-        if prog.scatter {
-            sym.collective(&world, OpKind::Bcast, Some(0), a_bytes);
-            sym.collective(&world, OpKind::Bcast, Some(0), b_bytes);
-        }
-
-        for _iter in 0..prog.iterations {
-            // Alg. 3: a structure-only SUMMA2D sweep (always blocking),
-            // then the eight world reductions of `symbolic3d_with_weights`.
-            if prog.run_symbolic {
-                for s in 0..stages {
-                    sym.exchange_stage(s, prog.exchange, a_bytes, b_bytes);
-                }
-                for _ in 0..8 {
-                    sym.collective(&world, OpKind::Allreduce, None, 8);
-                }
-            }
-            // Alg. 4: one SUMMA3D per batch.
-            match prog.overlap {
-                OverlapMode::Blocking => {
-                    for _t in 0..prog.nbatches {
-                        for s in 0..stages {
-                            sym.exchange_stage(s, prog.exchange, a_bytes, b_piece_bytes);
-                        }
-                        sym.collective(&fiber, OpKind::Alltoallv, None, fiber_bytes);
-                    }
-                }
-                OverlapMode::Overlapped => {
-                    let mut carry: Option<SymPending> = None;
-                    for t in 0..prog.nbatches {
-                        let post_next = t + 1 < prog.nbatches;
-                        carry = sym.layer_pipelined(prog.exchange, carry.take(), post_next);
-                        let key = sym.post(&fiber, OpKind::IalltoallvPost, None);
-                        sym.wait(key);
-                    }
-                    debug_assert!(carry.is_none(), "last batch posts no follow-on stage");
-                }
-            }
-            // Session epilogue: refresh B̃ from the new Ã across layers.
-            if prog.session && prog.l > 1 {
-                sym.collective(&fiber, OpKind::Alltoallv, None, b_bytes);
-            }
-        }
-        traces.push(sym.events);
-    }
-
-    Schedule {
-        traces,
-        comms,
-        nbatches: prog.nbatches,
-        memory: None,
-    }
-}
-
-/// Symbolic executor for the gridless 1.5D families: the per-communicator
-/// sequence counters plus the recorded trace — [`SymRank`] minus the 2.5D
-/// grid, which 1.5D world sizes need not form (`p` only has to be
-/// divisible by `c`, not square).
-struct Sym15 {
-    op_seq: HashMap<u64, u64>,
-    events: Vec<AuditEvent>,
-}
-
-impl Sym15 {
-    fn next_seq(&mut self, comm: &Comm) -> u64 {
-        let seq = self.op_seq.entry(comm.id()).or_insert(0);
-        *seq += 1;
-        *seq
-    }
-
-    fn collective(&mut self, comm: &Comm, op: OpKind, root: Option<usize>, bytes: u64) {
-        let seq = self.next_seq(comm);
-        self.events.push(AuditEvent::Collective {
-            comm: comm.id(),
-            op,
-            root,
-            seq,
-            bytes,
-        });
-    }
-}
-
-/// Extract the schedule of a 1.5D family configuration: the exact
-/// communication pattern of [`crate::family15::spmm_15d`], which is as
-/// content-independent as the SUMMA schedules — every rank runs the full
-/// shift rotation whether or not its `A` block is empty.
-///
-/// Each session iteration is one full `spmm_15d` call (there is no 1.5D
-/// operand-caching session), so the scatter broadcasts and the root gather
-/// repeat per iteration. The shift tags `shift_tag(round)` are reused
-/// across iterations; that is collision-free because every shift send is
-/// matched by a blocking receive in the same round, so no envelope with
-/// that tag is still in flight at reuse time — a property the replay
-/// verifier re-proves here rather than assumes.
-pub fn trace_family15(cfg: &AuditConfig) -> crate::Result<Schedule> {
-    let fam = cfg.family;
-    fam.validate(cfg.p)?;
-    match cfg.batch {
-        BatchSpec::Forced(1) => {}
-        other => {
-            return Err(CoreError::Config(format!(
-                "{} admits only b=1 (the stationary dense stripes cannot batch), got {other}",
-                fam.label()
-            )))
-        }
-    }
-    let p = cfg.p;
-    let c = fam.repl_factor();
-    let t = p / c;
-    let rounds = match fam {
-        AlgorithmFamily::InnerAbc15 { .. } => t / c,
-        _ => t,
-    };
-
-    // Informational byte annotations (excluded from agreement checks):
-    // the scatter moves the globals, the reduce/gather move one dense `C`
-    // stripe (8 B/element, square `n × n` operands as the workload shapes
-    // model them). Point-to-point shift events carry no byte field.
-    let r = R_BYTES_PER_NNZ as u64;
-    let a_bytes = r * cfg.shape.nnz_a;
-    let b_bytes = 8 * cfg.shape.n * cfg.shape.n;
-    let stripe_bytes = 8 * cfg.shape.n * cfg.shape.n.div_ceil(t as u64);
-
-    let mut comms: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut traces = Vec::with_capacity(p);
-    for g in 0..p {
-        let world = Comm::for_rank((0..p).collect(), 0, g);
-        let (ring_members, team_members) = match fam {
-            AlgorithmFamily::InnerAbc15 { .. } => {
-                (iabc_subring(p, c, g), Some(iabc_team(p, c, g)))
-            }
-            _ => (cola_ring(p, c, g), None),
-        };
-        let ring = Comm::for_rank(ring_members, COLOR_RING15, g);
-        comms
-            .entry(world.id())
-            .or_insert_with(|| world.members().to_vec());
-        comms
-            .entry(ring.id())
-            .or_insert_with(|| ring.members().to_vec());
-
-        let mut sym = Sym15 {
-            op_seq: HashMap::new(),
-            events: Vec::new(),
-        };
-        let q = ring.size();
-        let pos = ring.my_index();
-        for _iter in 0..cfg.iterations {
-            // Scatter: root broadcasts the global operands.
-            sym.collective(&world, OpKind::Bcast, Some(0), a_bytes);
-            sym.collective(&world, OpKind::Bcast, Some(0), b_bytes);
-            // A-Shift rotation: `rounds − 1` ring shifts, send to the
-            // successor then block on the predecessor.
-            for round in 0..rounds {
-                if round + 1 < rounds {
-                    let succ = (pos + 1) % q;
-                    let pred = (pos + q - 1) % q;
-                    sym.events.push(AuditEvent::Send {
-                        comm: ring.id(),
-                        to: ring.member(succ),
-                        tag: shift_tag(round),
-                    });
-                    sym.events.push(AuditEvent::Recv {
-                        comm: ring.id(),
-                        from: ring.member(pred),
-                        tag: shift_tag(round),
-                    });
-                }
-            }
-            // C-Reduce (InnerABC, c > 1): the replication team combines
-            // its layer-partial stripes via allgather + local fold.
-            if let Some(members) = &team_members {
-                if c > 1 {
-                    let team = Comm::for_rank(members.clone(), COLOR_TEAM15, g);
-                    comms
-                        .entry(team.id())
-                        .or_insert_with(|| team.members().to_vec());
-                    sym.collective(&team, OpKind::Allgather, None, stripe_bytes);
-                }
-            }
-            // Gather the stationary stripes back to the root.
-            sym.collective(&world, OpKind::Gather, Some(0), stripe_bytes);
-        }
-        traces.push(sym.events);
-    }
-
-    Ok(Schedule {
-        traces,
-        comms,
-        nbatches: 1,
-        memory: None,
-    })
-}
-
 /// How a configuration chooses its batch count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchSpec {
@@ -740,20 +296,52 @@ impl AuditConfig {
         )
     }
 
-    /// Resolve the planner-level configuration to a concrete
-    /// [`TraceProgram`] plus the memory check, running the same Alg. 3
-    /// arithmetic a real run would. `Err` means the planner itself would
-    /// reject the configuration (inputs exceed memory / batching
-    /// infeasible) — not a schedule violation.
-    pub fn resolve(&self) -> crate::Result<(TraceProgram, Option<(u64, u64)>)> {
+    /// Resolve the configuration to the op program every rank runs, its
+    /// byte annotations, and the batch count and memory check of the
+    /// schedule-to-be, running the same Alg. 3 arithmetic a real run would.
+    /// `Err` means the planner itself would reject the configuration
+    /// (inputs exceed memory / batching infeasible / invalid replication)
+    /// — not a schedule violation.
+    fn resolve(&self) -> crate::Result<(Vec<Op>, Bytes, Schedule)> {
+        let schedule = |nbatches, memory| Schedule {
+            traces: Vec::with_capacity(self.p),
+            comms: HashMap::new(),
+            nbatches,
+            memory,
+        };
+        let r = R_BYTES_PER_NNZ as u64;
+        let p64 = self.p as u64;
+        if self.family.is_15d() {
+            self.family.validate(self.p)?;
+            if self.batch != BatchSpec::Forced(1) {
+                return Err(CoreError::Config(format!(
+                    "{} admits only b=1 (the stationary dense stripes cannot batch), got {}",
+                    self.family.label(),
+                    self.batch
+                )));
+            }
+            let t = self.p / self.family.repl_factor();
+            let (rounds, has_team) = self.family.rounds_and_team(self.p);
+            // The scatter moves the globals, the reduce and the gather one
+            // dense `C` stripe (8 B/element, square `n × n` operands as the
+            // workload shapes model them).
+            let n = self.shape.n;
+            let bytes = Bytes {
+                a: r * self.shape.nnz_a,
+                b: 8 * n * n,
+                b_piece: 0,
+                pieces: 0,
+                stripe: 8 * n * n.div_ceil(t as u64),
+            };
+            let ops = schedule::family15_session(rounds, has_team, self.iterations);
+            return Ok((ops, bytes, schedule(1, None)));
+        }
         let pr = spgemm_simgrid::grid::layer_side(self.p, self.l).ok_or_else(|| {
             CoreError::Config(format!(
                 "p={} l={} does not form square layers",
                 self.p, self.l
             ))
         })?;
-        let p64 = self.p as u64;
-        let r = R_BYTES_PER_NNZ as u64;
         let max_nnz_a = self.shape.nnz_a.div_ceil(p64);
         let max_nnz_b = self.shape.nnz_b.div_ceil(p64);
         let max_unmerged = self.shape.unmerged.div_ceil(p64);
@@ -761,7 +349,9 @@ impl AuditConfig {
         let max_col_unmerged = max_unmerged.div_ceil(ncols_local);
         let input_bytes = r * (max_nnz_a + max_nnz_b);
 
-        let (nbatches, run_symbolic, memory) = match self.batch {
+        // A forced count skips the symbolic sweep; a budget-derived one
+        // runs it before every multiplication.
+        let (nbatches, sweep, memory) = match self.batch {
             BatchSpec::Forced(n) => (n.max(1), false, None),
             BatchSpec::Budget { target } => {
                 let leftover = (r * max_unmerged).div_ceil(target.max(1) as u64).max(r);
@@ -779,35 +369,187 @@ impl AuditConfig {
                 (b, true, Some((modeled_peak, per_proc)))
             }
         };
-        let prog = TraceProgram {
-            p: self.p,
-            l: self.l,
-            exchange: self.exchange,
-            overlap: self.overlap,
-            iterations: self.iterations,
-            nbatches,
-            run_symbolic,
-            scatter: true,
-            session: true,
-            modeled_nnz: (
-                max_nnz_a,
-                max_nnz_b,
-                max_unmerged.div_ceil(nbatches as u64),
-            ),
+        let nb = nbatches as u64;
+        let bytes = Bytes {
+            a: r * max_nnz_a,
+            b: r * max_nnz_b,
+            b_piece: (r * max_nnz_b).div_ceil(nb),
+            pieces: r * max_unmerged.div_ceil(nb),
+            stripe: 0,
         };
-        Ok((prog, memory))
+        let ops = schedule::session(pr, self.l, sweep, nbatches, self.overlap, self.iterations);
+        Ok((ops, bytes, schedule(nbatches, memory)))
     }
 
-    /// Extract this configuration's schedule (resolving the batch count
-    /// first). `Err` means the planner would reject the configuration.
-    pub fn extract(&self) -> crate::Result<Schedule> {
-        if self.family.is_15d() {
-            return trace_family15(self);
+    /// Rank `g`'s communicator on every [`Link`] its family uses, through
+    /// the pure seams the drivers build theirs from.
+    fn links(&self, g: usize) -> [Option<Comm>; 6] {
+        let (p, c) = (self.p, self.family.repl_factor());
+        let comm = |members, color| Some(Comm::for_rank(members, color, g));
+        let mut links = [const { None }; 6];
+        links[Link::World as usize] = comm((0..p).collect(), 0);
+        match self.family {
+            AlgorithmFamily::ColA15 { .. } => {
+                links[Link::Ring as usize] = comm(cola_ring(p, c, g), COLOR_RING15);
+            }
+            AlgorithmFamily::InnerAbc15 { .. } => {
+                links[Link::Ring as usize] = comm(iabc_subring(p, c, g), COLOR_RING15);
+                if c > 1 {
+                    links[Link::Team as usize] = comm(iabc_team(p, c, g), COLOR_TEAM15);
+                }
+            }
+            _ => {
+                let grid = Grid3D::for_rank_id(g, p, self.l);
+                links[Link::Row as usize] = Some(grid.row);
+                links[Link::Col as usize] = Some(grid.col);
+                links[Link::Fiber as usize] = Some(grid.fiber);
+            }
         }
-        let (prog, memory) = self.resolve()?;
-        let mut sched = trace_program(&prog);
-        sched.memory = memory;
+        links
+    }
+
+    /// Extract this configuration's schedule: resolve it to its op
+    /// program, then lower that program once per rank. No matrices are
+    /// constructed and no bytes move. `Err` means the planner would reject
+    /// the configuration.
+    pub fn extract(&self) -> crate::Result<Schedule> {
+        let (ops, bytes, mut sched) = self.resolve()?;
+        for g in 0..self.p {
+            let mut low = Lowering {
+                links: self.links(g),
+                ..Lowering::default()
+            };
+            for comm in low.links.iter().flatten() {
+                sched
+                    .comms
+                    .entry(comm.id())
+                    .or_insert_with(|| comm.members().to_vec());
+            }
+            for &op in &ops {
+                low.lower(op, self.exchange, &bytes);
+            }
+            sched.traces.push(low.events);
+        }
         Ok(sched)
+    }
+}
+
+/// Modeled payload sizes of one configuration, used only to annotate
+/// collective events (excluded from agreement checks).
+#[derive(Clone, Copy)]
+struct Bytes {
+    a: u64,
+    b: u64,
+    b_piece: u64,
+    pieces: u64,
+    stripe: u64,
+}
+
+impl Bytes {
+    /// Payload of action `k` of `op`'s wire-table row, which runs on `link`.
+    fn of(&self, op: Op, link: Link, k: usize) -> u64 {
+        match (op, link) {
+            (Op::Scatter, _) => [self.a, self.b][k],
+            (Op::Stage { .. }, Link::Row) => self.a,
+            (Op::Stage { batch: Some(_), .. }, _) => self.b_piece,
+            (Op::Stage { .. } | Op::RefreshB, _) => self.b,
+            (Op::SymbolicReduce, _) => 8,
+            (Op::Fiber { .. }, _) => self.pieces,
+            _ => self.stripe,
+        }
+    }
+}
+
+/// The second reader of [`crate::schedule`]: one rank's communicators (by
+/// [`Link`]), the counters the runtime would hold — one collective sequence
+/// per communicator, one fetch-round counter — the post outstanding on
+/// each link, and the events recorded so far.
+#[derive(Default)]
+struct Lowering {
+    links: [Option<Comm>; 6],
+    seq: [u64; 6],
+    fetch_seq: u64,
+    posted: [Option<u64>; 6],
+    events: Vec<AuditEvent>,
+}
+
+/// One point-to-point leg on `comm` as the event its member records.
+fn p2p(comm: &Comm, m: schedule::Msg) -> AuditEvent {
+    let (peer, tag) = (comm.member(m.peer), m.tag);
+    match m.send {
+        true => AuditEvent::Send {
+            comm: comm.id(),
+            to: peer,
+            tag,
+        },
+        false => AuditEvent::Recv {
+            comm: comm.id(),
+            from: peer,
+            tag,
+        },
+    }
+}
+
+impl Lowering {
+    /// Record the events this rank contributes to `op`, action by action
+    /// of its wire-table row.
+    fn lower(&mut self, op: Op, exchange: ExchangeMode, bytes: &Bytes) {
+        let on = |link: Link| {
+            self.links[link as usize]
+                .as_ref()
+                .expect("a program only uses the links of its family")
+        };
+        for (k, &w) in schedule::wire(op, exchange).iter().enumerate() {
+            match w {
+                Wire::Enter(kind, link) => {
+                    let comm = on(link).id();
+                    self.seq[link as usize] += 1;
+                    let (seq, root) = (self.seq[link as usize], schedule::root(op, kind));
+                    self.events.push(if kind.is_post() {
+                        self.posted[link as usize] = Some(seq);
+                        AuditEvent::Post {
+                            comm,
+                            op: kind,
+                            root,
+                            seq,
+                        }
+                    } else {
+                        let bytes = bytes.of(op, link, k);
+                        AuditEvent::Collective {
+                            comm,
+                            op: kind,
+                            root,
+                            seq,
+                            bytes,
+                        }
+                    });
+                }
+                Wire::Wait(link) => {
+                    let seq = self.posted[link as usize].take();
+                    self.events.push(AuditEvent::Wait {
+                        comm: on(link).id(),
+                        seq: seq.expect("generators post before they wait"),
+                    });
+                }
+                Wire::Fetch => {
+                    let Op::Stage { s, .. } = op else {
+                        unreachable!("only stages fetch")
+                    };
+                    let row = on(Link::Row);
+                    let legs = schedule::fetch_round(row.size(), row.my_index(), s, self.fetch_seq);
+                    self.events.extend(legs.flatten().map(|m| p2p(row, m)));
+                    self.fetch_seq += 1;
+                }
+                Wire::Shift => {
+                    let Op::Shift { round } = op else {
+                        unreachable!("only shift ops rotate the ring")
+                    };
+                    let ring = on(Link::Ring);
+                    let legs = schedule::ring_shift(ring.size(), ring.my_index(), round);
+                    self.events.extend(legs.map(|m| p2p(ring, m)));
+                }
+            }
+        }
     }
 }
 

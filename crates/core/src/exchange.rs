@@ -39,7 +39,7 @@
 //! the same exchanges in the same order (SPMD), so the counters agree
 //! without coordination.
 
-use crate::Result;
+use crate::schedule::{self, Link, Msg, Op, Phase, Wire};
 use spgemm_simgrid::{Grid3D, PendingBcast, PendingOp, Rank, Step};
 use spgemm_sparse::subset::{
     extract_cols_compact, needed_rows, scatter_cols_padded, SubsetWorkspace,
@@ -226,7 +226,7 @@ struct FetchCache {
     /// `(stage, batch)` → cached padded tile
     /// (`HashMap<(usize, usize), TileEntry<T>>` behind `Any`).
     tiles: Option<Box<dyn Any + Send>>,
-    /// Current batch context set by [`ExchangePlan::begin_batch`]; `None`
+    /// Batch of the stage op whose fetch round is running; `None`
     /// (e.g. during the symbolic sweep) bypasses caching.
     cur_batch: Option<usize>,
     stats: FetchCacheStats,
@@ -256,28 +256,11 @@ impl std::fmt::Debug for ExchangePlan {
     }
 }
 
-/// The posted-but-unwaited operand movement of one SUMMA stage.
-///
-/// Under [`ExchangeMode::DenseBcast`] both broadcasts are in flight; under
-/// [`ExchangeMode::SparseFetch`] only the `B̃` broadcast is posted — the
-/// `Ã` fetch *depends on* the received `B̃`'s structure, so it runs inside
-/// [`ExchangePlan::wait_stage`] (the fetch round is not hidden by the
-/// pipeline; the `B̃` leg still is).
-#[must_use = "posted stage exchanges must be waited or peers deadlock"]
-pub struct StagePending<T> {
-    a: Option<PendingBcast<CscMatrix<T>>>,
-    b: PendingBcast<CscMatrix<T>>,
-    s: usize,
-}
-
-impl<T> std::fmt::Debug for StagePending<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StagePending")
-            .field("a_posted", &self.a.is_some())
-            .field("stage", &self.s)
-            .finish_non_exhaustive()
-    }
-}
+/// The posted-but-unwaited broadcasts `[Ã, B̃]` of the one stage a
+/// pipelined program keeps in flight. Under [`ExchangeMode::SparseFetch`]
+/// only `B̃`'s is ever posted: the `Ã` fetch depends on the received `B̃`'s
+/// structure, so it runs at wait time and is not hidden by the pipeline.
+pub type StagePending<T> = [Option<PendingBcast<CscMatrix<T>>>; 2];
 
 impl ExchangePlan {
     /// A fresh plan for one rank of one run.
@@ -314,30 +297,6 @@ impl ExchangePlan {
         }
     }
 
-    /// Whether [`ExchangePlan::enable_cache`] was called.
-    #[must_use]
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Set the batch context: fetch rounds until the next context change
-    /// are keyed `(stage, batch)` in the cache. No-op when the cache is
-    /// disabled.
-    pub fn begin_batch(&mut self, batch: usize) {
-        if let Some(c) = self.cache.as_mut() {
-            c.cur_batch = Some(batch);
-        }
-    }
-
-    /// Clear the batch context: subsequent fetch rounds (e.g. the symbolic
-    /// sweep, whose structure-only operands are not worth caching) bypass
-    /// the cache entirely.
-    pub fn begin_uncached(&mut self) {
-        if let Some(c) = self.cache.as_mut() {
-            c.cur_batch = None;
-        }
-    }
-
     /// Advance the cache epoch and mark `dirty` local columns of this
     /// rank's resident `A` operand as changed. Call once per iteration on
     /// every rank — even with an empty dirty set — after the session
@@ -357,15 +316,6 @@ impl ExchangePlan {
     #[must_use]
     pub fn cache_stats(&self) -> FetchCacheStats {
         self.cache.as_ref().map(|c| c.stats).unwrap_or_default()
-    }
-
-    /// The batch the cache is currently keying fetches under, or `None`
-    /// when the cache is disabled or in the uncached (symbolic) context.
-    /// Kernels use this to assert the caller upheld the
-    /// [`ExchangePlan::begin_batch`] contract.
-    #[must_use]
-    pub fn batch_context(&self) -> Option<usize> {
-        self.cache.as_ref().and_then(|c| c.cur_batch)
     }
 
     /// The cache key for a fetch round of stage `s`, if caching applies.
@@ -391,94 +341,70 @@ impl ExchangePlan {
             .expect("one ExchangePlan fetch cache cannot serve two element types")
     }
 
-    /// Blocking stage exchange: deliver stage `s`'s `(Ã, B̃)` operands to
-    /// this rank. `steps` attributes the broadcast legs (numeric stages
-    /// use `(ABcast, BBcast)`; the symbolic sweep uses `SymbolicComm` for
-    /// both); fetch legs are always attributed to `FetchRequest` /
-    /// `FetchReply` so reports can separate them.
+    /// Execute one [`Op::Stage`]: walk its row of the wire table against
+    /// this rank's `Ã` (`a`) and the op's piece of `B̃` (`b`), keeping posted
+    /// broadcasts in `pending` until their wait. Returns the stage's
+    /// operands once both have landed — from a blocking or a wait phase.
+    /// `steps` attributes the `Ã`/`B̃` broadcast legs; fetch legs always
+    /// go to `FetchRequest`/`FetchReply`. Fetch rounds are cached under the
+    /// batch of the op that runs them (a wait, not the post it completes);
+    /// the symbolic sweep's (`batch: None`) bypass the cache. A wait phase
+    /// must be given the `a` its post was given.
     #[allow(clippy::too_many_arguments)] // SPMD plumbing: grid + operands + model
-    pub fn exchange_stage<T: Copy + Send + Sync + 'static>(
+    pub fn stage<T: Copy + Send + Sync + 'static>(
         &mut self,
         rank: &mut Rank,
         grid: &Grid3D,
-        s: usize,
-        a_shared: &Arc<CscMatrix<T>>,
-        a_bytes: usize,
-        b_batch: &Arc<CscMatrix<T>>,
-        b_bytes: usize,
+        op: Op,
+        a: &Arc<CscMatrix<T>>,
+        b: &Arc<CscMatrix<T>>,
         r: usize,
         steps: (Step, Step),
-    ) -> Result<OperandPair<T>> {
-        let (a_step, b_step) = steps;
-        match self.mode {
-            ExchangeMode::DenseBcast => {
-                // A-Broadcast along the process row: root is column s of
-                // the row; then B-Broadcast along the process column.
-                let a_payload = (grid.row.my_index() == s).then(|| Arc::clone(a_shared));
-                let a_recv = rank.bcast(&grid.row, s, a_payload, a_bytes, a_step);
-                let b_payload = (grid.col.my_index() == s).then(|| Arc::clone(b_batch));
-                let b_recv = rank.bcast(&grid.col, s, b_payload, b_bytes, b_step);
-                Ok((a_recv, b_recv))
-            }
-            ExchangeMode::SparseFetch => {
-                // B must land first: the needed-column set of Ã is derived
-                // from B̃'s row structure.
-                let b_payload = (grid.col.my_index() == s).then(|| Arc::clone(b_batch));
-                let b_recv = rank.bcast(&grid.col, s, b_payload, b_bytes, b_step);
-                let a_recv = self.fetch_stage_a(rank, grid, s, a_shared, &b_recv, r);
-                Ok((a_recv, b_recv))
+        pending: &mut StagePending<T>,
+    ) -> Option<OperandPair<T>> {
+        let Op::Stage { s, batch, phase } = op else {
+            unreachable!("{op:?} is not a stage op")
+        };
+        if let Some(c) = self.cache.as_mut().filter(|_| phase != Phase::Post) {
+            c.cur_batch = batch;
+        }
+        // `Ã` moves on the process row, `B̃` on the process column.
+        let side = |link| match link {
+            Link::Row => (0, &grid.row, a, steps.0),
+            Link::Col => (1, &grid.col, b, steps.1),
+            other => unreachable!("stage operands do not move on {other:?}"),
+        };
+        let mut landed = [None, None];
+        for &w in schedule::wire(op, self.mode) {
+            match w {
+                Wire::Enter(kind, link) => {
+                    let (i, comm, local, step) = side(link);
+                    let payload = (comm.my_index() == s).then(|| Arc::clone(local));
+                    let bytes = local.modeled_bytes(r);
+                    if kind.is_post() {
+                        pending[i] = Some(rank.ibcast(comm, s, payload, bytes, step));
+                    } else {
+                        landed[i] = Some(rank.bcast(comm, s, payload, bytes, step));
+                    }
+                }
+                Wire::Wait(link) => {
+                    let i = side(link).0;
+                    let posted = pending[i].take();
+                    landed[i] = Some(
+                        posted
+                            .expect("programs post a stage before waiting it")
+                            .wait(rank),
+                    );
+                }
+                Wire::Fetch => {
+                    let b_recv = landed[1].as_ref().expect("B̃ lands before the fetch round");
+                    landed[0] = Some(self.fetch_stage_a(rank, grid, s, a, b_recv, r));
+                }
+                Wire::Shift => unreachable!("stages do not shift"),
             }
         }
-    }
-
-    /// Post (without waiting) stage `s`'s operand movement — the pipelined
-    /// twin of [`ExchangePlan::exchange_stage`], paired with
-    /// [`ExchangePlan::wait_stage`].
-    #[allow(clippy::too_many_arguments)] // SPMD plumbing: grid + operands + model
-    pub fn post_stage<T: Send + Sync + 'static>(
-        &self,
-        rank: &mut Rank,
-        grid: &Grid3D,
-        s: usize,
-        a_shared: &Arc<CscMatrix<T>>,
-        a_bytes: usize,
-        b_batch: &Arc<CscMatrix<T>>,
-        b_bytes: usize,
-    ) -> StagePending<T> {
-        let a = matches!(self.mode, ExchangeMode::DenseBcast).then(|| {
-            let a_payload = (grid.row.my_index() == s).then(|| Arc::clone(a_shared));
-            rank.ibcast(&grid.row, s, a_payload, a_bytes, Step::ABcast)
-        });
-        let b_payload = (grid.col.my_index() == s).then(|| Arc::clone(b_batch));
-        let b = rank.ibcast(&grid.col, s, b_payload, b_bytes, Step::BBcast);
-        StagePending { a, b, s }
-    }
-
-    /// Complete a posted stage exchange. Under `SparseFetch` this is where
-    /// the fetch round runs (it needs the received `B̃`), against this
-    /// rank's `a_shared` — the same operand [`ExchangePlan::post_stage`]
-    /// was given, rebroadcast identically every batch.
-    pub fn wait_stage<T: Copy + Send + Sync + 'static>(
-        &mut self,
-        rank: &mut Rank,
-        grid: &Grid3D,
-        pending: StagePending<T>,
-        a_shared: &Arc<CscMatrix<T>>,
-        r: usize,
-    ) -> OperandPair<T> {
-        let StagePending { a, b, s } = pending;
-        match a {
-            Some(pa) => {
-                let a_recv = pa.wait(rank);
-                let b_recv = b.wait(rank);
-                (a_recv, b_recv)
-            }
-            None => {
-                let b_recv = b.wait(rank);
-                let a_recv = self.fetch_stage_a(rank, grid, s, a_shared, &b_recv, r);
-                (a_recv, b_recv)
-            }
-        }
+        let [a_recv, b_recv] = landed;
+        a_recv.zip(b_recv)
     }
 
     /// The point-to-point fetch round for stage `s`'s `Ã` operand along
@@ -502,116 +428,126 @@ impl ExchangePlan {
         r: usize,
     ) -> Arc<CscMatrix<T>> {
         let row = &grid.row;
-        let q = row.size();
-        if q == 1 {
-            return Arc::clone(a_shared);
-        }
+        let me = row.my_index();
         let seq = self.fetch_seq;
         self.fetch_seq += 1;
-        let req_tag = fetch_req_tag(seq);
-        let rep_tag = fetch_rep_tag(seq);
-        let me = row.my_index();
-
-        if me == s {
-            debug_assert_eq!(
-                a_shared.ncols(),
-                b_recv.nrows(),
-                "stage {s}: owner's A piece and B row slice must conform \
-                 (layer {}, row {}, col {})",
-                grid.k,
-                grid.i,
-                grid.j
-            );
-            for i in (0..q).filter(|&i| i != s) {
-                let req: FetchReq = rank.recv(row, i, req_tag);
-                let rep = self.serve_request(rank, a_shared, i, req, r);
-                rank.send(row, i, rep_tag, rep);
-            }
-            Arc::clone(a_shared)
-        } else {
-            let needed = needed_rows(b_recv, &mut self.ws);
-
-            // Zero-row fast path: nothing of Ã is needed. The messages
-            // still flow — the checker's send/recv pairing stays valid and
-            // SPMD rounds stay aligned — but they carry no payload and
-            // cost no modeled time: a real implementation with persistent
-            // comm-graph knowledge (SpComm3D-style setup, amortized by the
-            // session) would not exchange anything at all.
-            if needed.is_empty() {
-                rank.send(row, s, req_tag, FetchReq::Rows(Vec::new()));
-                rank.clock_mut().record_comm(Step::FetchRequest, 0, 1);
-                let rep: FetchRep<T> = rank.recv(row, s, rep_tag);
-                rank.clock_mut().record_comm(Step::FetchReply, 0, 1);
-                let FetchRep::Empty { nrows, ncols } = rep else {
-                    unreachable!("owner must answer an empty request with Empty")
-                };
-                if let Some(c) = self.cache.as_mut() {
-                    c.stats.empty_rounds += 1;
-                }
-                debug_assert_eq!(ncols as usize, b_recv.nrows());
-                return Arc::new(CscMatrix::zero(nrows as usize, ncols as usize));
-            }
-
-            let key = self.cache_key(s);
-            let cached_ok = key.is_some_and(|k| {
-                self.tiles_mut::<T>()
-                    .get(&k)
-                    .is_some_and(|e| e.needed == needed)
-            });
-            if cached_ok {
-                rank.send(row, s, req_tag, FetchReq::Unchanged);
-                charge(rank, Step::FetchRequest, 0);
+        debug_assert!(
+            me != s || a_shared.ncols() == b_recv.nrows(),
+            "stage {s}: owner's A piece and B row slice must conform \
+             (layer {}, row {}, col {})",
+            grid.k,
+            grid.i,
+            grid.j
+        );
+        let mut fetched = None;
+        for [req, rep] in schedule::fetch_round(row.size(), me, s, seq) {
+            if me == s {
+                let request: FetchReq = rank.recv(row, req.peer, req.tag);
+                let reply = self.serve_request(rank, a_shared, req.peer, request, r);
+                rank.send(row, rep.peer, rep.tag, reply);
             } else {
-                rank.send(row, s, req_tag, FetchReq::Rows(needed.clone()));
-                charge(rank, Step::FetchRequest, 4 * needed.len());
+                fetched = Some(self.request_a(rank, grid, s, [req, rep], b_recv, r));
             }
+        }
+        // The owner (and the lone member of a one-process row) uses its
+        // own piece directly.
+        fetched.unwrap_or_else(|| Arc::clone(a_shared))
+    }
 
-            let rep: FetchRep<T> = rank.recv(row, s, rep_tag);
-            match rep {
-                FetchRep::CacheValid => {
-                    charge(rank, Step::FetchReply, 0);
-                    let k = key.expect("CacheValid only answers Unchanged");
-                    let (tile, saved) = {
-                        let e = self.tiles_mut::<T>().get(&k).expect("hit requires a tile");
-                        (Arc::clone(&e.tile), e.rep_bytes)
-                    };
-                    let stats = &mut self.cache.as_mut().expect("cache").stats;
-                    stats.hits += 1;
-                    stats.bytes_saved += saved;
-                    debug_assert_eq!(tile.ncols(), b_recv.nrows());
-                    spgemm_sparse::debug_validate!(
-                        *tile,
-                        spgemm_sparse::Sortedness::Sorted,
-                        "replayed cached fetch tile (stage {s}, batch {})",
-                        k.1
+    /// Requester side of one fetch round: post the needed-column set over
+    /// the `req` leg, take the reply over `rep`, pad it to operand width.
+    fn request_a<T: Copy + Send + Sync + 'static>(
+        &mut self,
+        rank: &mut Rank,
+        grid: &Grid3D,
+        s: usize,
+        [req, rep]: [Msg; 2],
+        b_recv: &CscMatrix<T>,
+        r: usize,
+    ) -> Arc<CscMatrix<T>> {
+        let row = &grid.row;
+        let needed = needed_rows(b_recv, &mut self.ws);
+
+        // Zero-row fast path: nothing of Ã is needed. The messages
+        // still flow — the checker's send/recv pairing stays valid and
+        // SPMD rounds stay aligned — but they carry no payload and
+        // cost no modeled time: a real implementation with persistent
+        // comm-graph knowledge (SpComm3D-style setup, amortized by the
+        // session) would not exchange anything at all.
+        if needed.is_empty() {
+            rank.send(row, req.peer, req.tag, FetchReq::Rows(Vec::new()));
+            rank.clock_mut().record_comm(Step::FetchRequest, 0, 1);
+            let reply: FetchRep<T> = rank.recv(row, rep.peer, rep.tag);
+            rank.clock_mut().record_comm(Step::FetchReply, 0, 1);
+            let FetchRep::Empty { nrows, ncols } = reply else {
+                unreachable!("owner must answer an empty request with Empty")
+            };
+            if let Some(c) = self.cache.as_mut() {
+                c.stats.empty_rounds += 1;
+            }
+            debug_assert_eq!(ncols as usize, b_recv.nrows());
+            return Arc::new(CscMatrix::zero(nrows as usize, ncols as usize));
+        }
+
+        let key = self.cache_key(s);
+        let cached_ok = key.is_some_and(|k| {
+            self.tiles_mut::<T>()
+                .get(&k)
+                .is_some_and(|e| e.needed == needed)
+        });
+        if cached_ok {
+            rank.send(row, req.peer, req.tag, FetchReq::Unchanged);
+            charge(rank, Step::FetchRequest, 0);
+        } else {
+            rank.send(row, req.peer, req.tag, FetchReq::Rows(needed.clone()));
+            charge(rank, Step::FetchRequest, 4 * needed.len());
+        }
+
+        let reply: FetchRep<T> = rank.recv(row, rep.peer, rep.tag);
+        match reply {
+            FetchRep::CacheValid => {
+                charge(rank, Step::FetchReply, 0);
+                let k = key.expect("CacheValid only answers Unchanged");
+                let (tile, saved) = {
+                    let e = self.tiles_mut::<T>().get(&k).expect("hit requires a tile");
+                    (Arc::clone(&e.tile), e.rep_bytes)
+                };
+                let stats = &mut self.cache.as_mut().expect("cache").stats;
+                stats.hits += 1;
+                stats.bytes_saved += saved;
+                debug_assert_eq!(tile.ncols(), b_recv.nrows());
+                spgemm_sparse::debug_validate!(
+                    *tile,
+                    spgemm_sparse::Sortedness::Sorted,
+                    "replayed cached fetch tile (stage {s}, batch {})",
+                    k.1
+                );
+                tile
+            }
+            FetchRep::Tile(compact, owner_ncols) => {
+                let rep_bytes = compact.modeled_bytes(r);
+                charge(rank, Step::FetchReply, rep_bytes);
+                let a = Arc::new(scatter_cols_padded(&compact, &needed, owner_ncols as usize));
+                debug_assert_eq!(
+                    a.ncols(),
+                    b_recv.nrows(),
+                    "stage {s}: padded fetch operand must conform to B's row slice"
+                );
+                if let Some(k) = key {
+                    self.tiles_mut::<T>().insert(
+                        k,
+                        TileEntry {
+                            needed,
+                            tile: Arc::clone(&a),
+                            rep_bytes: rep_bytes as u64,
+                        },
                     );
-                    tile
+                    self.cache.as_mut().expect("cache").stats.misses += 1;
                 }
-                FetchRep::Tile(compact, owner_ncols) => {
-                    let rep_bytes = compact.modeled_bytes(r);
-                    charge(rank, Step::FetchReply, rep_bytes);
-                    let a = Arc::new(scatter_cols_padded(&compact, &needed, owner_ncols as usize));
-                    debug_assert_eq!(
-                        a.ncols(),
-                        b_recv.nrows(),
-                        "stage {s}: padded fetch operand must conform to B's row slice"
-                    );
-                    if let Some(k) = key {
-                        self.tiles_mut::<T>().insert(
-                            k,
-                            TileEntry {
-                                needed,
-                                tile: Arc::clone(&a),
-                                rep_bytes: rep_bytes as u64,
-                            },
-                        );
-                        self.cache.as_mut().expect("cache").stats.misses += 1;
-                    }
-                    a
-                }
-                FetchRep::Empty { .. } => {
-                    unreachable!("owner never answers a non-empty request with Empty")
-                }
+                a
+            }
+            FetchRep::Empty { .. } => {
+                unreachable!("owner never answers a non-empty request with Empty")
             }
         }
     }
@@ -713,6 +649,25 @@ mod tests {
     use spgemm_sparse::semiring::PlusTimesF64;
     use spgemm_sparse::ops::col_block;
 
+    /// Every stage of one blocking sweep, in order, its fetch rounds cached
+    /// under `batch`.
+    fn all_stages(
+        plan: &mut ExchangePlan,
+        rank: &mut Rank,
+        grid: &Grid3D,
+        batch: Option<usize>,
+        a: &Arc<CscMatrix<f64>>,
+        b: &Arc<CscMatrix<f64>>,
+    ) -> Vec<OperandPair<f64>> {
+        let steps = (Step::ABcast, Step::BBcast);
+        let phase = Phase::Blocking;
+        (0..grid.pr)
+            .map(|s| Op::Stage { s, batch, phase })
+            .map(|op| plan.stage(rank, grid, op, a, b, 24, steps, &mut Default::default()))
+            .map(|landed| landed.expect("a blocking stage delivers both operands"))
+            .collect()
+    }
+
     #[test]
     fn mode_names_and_parse_roundtrip() {
         for mode in ExchangeMode::ALL {
@@ -742,20 +697,8 @@ mod tests {
                 ));
                 let mut plan = ExchangePlan::new(mode);
                 let mut got = Vec::new();
-                for s in 0..grid.pr {
-                    let (a_recv, b_recv) = plan
-                        .exchange_stage(
-                            rank,
-                            &grid,
-                            s,
-                            &a_local,
-                            a_local.modeled_bytes(24),
-                            &b_local,
-                            b_local.modeled_bytes(24),
-                            24,
-                            (Step::ABcast, Step::BBcast),
-                        )
-                        .unwrap();
+                for (a_recv, b_recv) in all_stages(&mut plan, rank, &grid, None, &a_local, &b_local)
+                {
                     assert_eq!(a_recv.ncols(), b_recv.nrows());
                     // Compare only what a kernel would read: A's columns at
                     // B's occupied rows.
@@ -795,20 +738,8 @@ mod tests {
             // An all-zero B piece: every receiver derives an empty needed set.
             let b_local = Arc::new(CscMatrix::<f64>::zero(n, n));
             let mut plan = ExchangePlan::new(ExchangeMode::SparseFetch);
-            for s in 0..grid.pr {
-                let (a_recv, b_recv) = plan
-                    .exchange_stage(
-                        rank,
-                        &grid,
-                        s,
-                        &a_local,
-                        a_local.modeled_bytes(24),
-                        &b_local,
-                        0,
-                        24,
-                        (Step::ABcast, Step::BBcast),
-                    )
-                    .unwrap();
+            let landed = all_stages(&mut plan, rank, &grid, None, &a_local, &b_local);
+            for (s, (a_recv, b_recv)) in landed.iter().enumerate() {
                 assert_eq!(a_recv.ncols(), b_recv.nrows());
                 if grid.row.my_index() != s {
                     assert_eq!(a_recv.nnz(), 0, "receiver pads an all-zero operand");
@@ -839,30 +770,11 @@ mod tests {
             let grid = Grid3D::new(rank, 1);
             let a_local = Arc::new(er_random::<PlusTimesF64>(n, n, 4, 600 + grid.j as u64));
             let b_local = Arc::new(er_random::<PlusTimesF64>(n, n, 3, 700 + grid.i as u64));
-            let ab = a_local.modeled_bytes(24);
-            let bb = b_local.modeled_bytes(24);
             let mut plan = ExchangePlan::new(ExchangeMode::SparseFetch);
             plan.enable_cache();
-            plan.begin_batch(0);
             let run_iter = |plan: &mut ExchangePlan, rank: &mut Rank| {
-                let mut ops = Vec::new();
-                for s in 0..grid.pr {
-                    let (a, _) = plan
-                        .exchange_stage(
-                            rank,
-                            &grid,
-                            s,
-                            &a_local,
-                            ab,
-                            &b_local,
-                            bb,
-                            24,
-                            (Step::ABcast, Step::BBcast),
-                        )
-                        .unwrap();
-                    ops.push(a);
-                }
-                ops
+                let landed = all_stages(plan, rank, &grid, Some(0), &a_local, &b_local);
+                landed.into_iter().map(|(a, _)| a).collect::<Vec<_>>()
             };
             let it1 = run_iter(&mut plan, rank);
             let s1 = plan.cache_stats();
@@ -909,27 +821,10 @@ mod tests {
             let grid = Grid3D::new(rank, 1);
             let a_local = Arc::new(er_random::<PlusTimesF64>(n, n, 4, 600 + grid.j as u64));
             let b_local = Arc::new(er_random::<PlusTimesF64>(n, n, 3, 700 + grid.i as u64));
-            let ab = a_local.modeled_bytes(24);
-            let bb = b_local.modeled_bytes(24);
             let mut plan = ExchangePlan::new(ExchangeMode::SparseFetch);
             plan.enable_cache();
-            plan.begin_batch(0);
             let run_iter = |plan: &mut ExchangePlan, rank: &mut Rank| {
-                for s in 0..grid.pr {
-                    let _ = plan
-                        .exchange_stage(
-                            rank,
-                            &grid,
-                            s,
-                            &a_local,
-                            ab,
-                            &b_local,
-                            bb,
-                            24,
-                            (Step::ABcast, Step::BBcast),
-                        )
-                        .unwrap();
-                }
+                all_stages(plan, rank, &grid, Some(0), &a_local, &b_local);
             };
             run_iter(&mut plan, rank);
             // Corrupt every cached tile in place: same shape and needed
@@ -948,8 +843,9 @@ mod tests {
         });
     }
 
-    /// The pipelined post/wait pair matches the blocking exchange in both
-    /// modes and keeps the checker quiet (unique tags per round).
+    /// The post/wait phases of the pipelined program deliver the blocking
+    /// sweep's operands in both modes, leave nothing posted, and keep the
+    /// checker quiet (unique tags per round).
     #[test]
     fn pipelined_exchange_matches_blocking() {
         let n = 20usize;
@@ -960,44 +856,26 @@ mod tests {
                     Arc::new(er_random::<PlusTimesF64>(n, n, 3, 300 + grid.j as u64));
                 let b_local =
                     Arc::new(er_random::<PlusTimesF64>(n, n, 2, 400 + grid.i as u64));
-                let ab = a_local.modeled_bytes(24);
-                let bb = b_local.modeled_bytes(24);
-
-                let mut blocking = ExchangePlan::new(mode);
                 let mut pipelined = ExchangePlan::new(mode);
-                let mut out = Vec::new();
-                let mut pending = pipelined.post_stage(rank, &grid, 0, &a_local, ab, &b_local, bb);
-                for s in 0..grid.pr {
-                    let (pa, pb) = pipelined.wait_stage(rank, &grid, pending, &a_local, 24);
-                    pending = pipelined.post_stage(
-                        rank,
-                        &grid,
-                        (s + 1) % grid.pr,
-                        &a_local,
-                        ab,
-                        &b_local,
-                        bb,
-                    );
-                    let (ba, bbv) = blocking
-                        .exchange_stage(
-                            rank,
-                            &grid,
-                            s,
-                            &a_local,
-                            ab,
-                            &b_local,
-                            bb,
-                            24,
-                            (Step::ABcast, Step::BBcast),
-                        )
-                        .unwrap();
-                    out.push(
-                        pa.eq_modulo_order(&ba) && pb.eq_modulo_order(&bbv),
-                    );
-                }
-                // Drain the extra posted stage so no handle leaks.
-                let _ = pipelined.wait_stage(rank, &grid, pending, &a_local, 24);
-                out
+                let mut pending = StagePending::default();
+                let overlapped = crate::summa2d::OverlapMode::Overlapped;
+                let piped: Vec<_> = schedule::batches(1, grid.pr, overlapped)
+                    .into_iter()
+                    .filter(|op| matches!(op, Op::Stage { .. }))
+                    .filter_map(|op| {
+                        let steps = (Step::ABcast, Step::BBcast);
+                        pipelined.stage(rank, &grid, op, &a_local, &b_local, 24, steps, &mut pending)
+                    })
+                    .collect();
+                assert!(pending.iter().all(Option::is_none), "a posted stage leaked");
+                let mut blocking = ExchangePlan::new(mode);
+                let block = all_stages(&mut blocking, rank, &grid, Some(0), &a_local, &b_local);
+                assert_eq!(piped.len(), block.len());
+                piped
+                    .iter()
+                    .zip(&block)
+                    .map(|((pa, pb), (ba, bb))| pa.eq_modulo_order(ba) && pb.eq_modulo_order(bb))
+                    .collect::<Vec<_>>()
             });
             for (rk, stages) in results.iter().enumerate() {
                 assert!(

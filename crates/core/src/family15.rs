@@ -41,6 +41,7 @@
 use crate::backend::BackendKind;
 use crate::memory::R_BYTES_PER_NNZ;
 use crate::model::{validate_grid, validate_repl};
+use crate::schedule::{self, Op};
 use crate::{CoreError, Result};
 use spgemm_simgrid::{Comm, Rank, Step};
 use spgemm_sparse::ops::{block_range, col_block};
@@ -157,6 +158,17 @@ impl AlgorithmFamily {
                 }
                 Ok(())
             }
+        }
+    }
+
+    /// Shift rounds of one 1.5D SpMM on `p` ranks — the ring length, `p/c`
+    /// for ColA and `p/c²` for InnerABC — and whether a team reduction
+    /// follows them (InnerABC with `c > 1`): the arguments of
+    /// [`crate::schedule::family15`].
+    pub fn rounds_and_team(self, p: usize) -> (usize, bool) {
+        match self {
+            AlgorithmFamily::InnerAbc15 { c } => (p / (c * c), c > 1),
+            other => (p / other.repl_factor(), false),
         }
     }
 
@@ -317,20 +329,18 @@ pub fn spmm_15d<S: Semiring>(
     // Stationary layout: this rank's column stripe of B and C, the ring
     // it rotates A blocks around, its starting block, and (InnerABC) the
     // reduction team.
-    let (stripe, ring_members, pos0, block0, rounds) = match family {
+    let (stripe, ring_members, pos0, block0) = match family {
         AlgorithmFamily::ColA15 { .. } => (
             block_range(d, p, me),
             cola_ring(p, c, me),
             cola_ring_pos(c, me),
             cola_block_at(p, c, me, 0),
-            t,
         ),
         AlgorithmFamily::InnerAbc15 { .. } => (
             block_range(d, t, iabc_stripe(t, me)),
             iabc_subring(p, c, me),
             iabc_subring_pos(p, c, me),
             iabc_block_at(p, c, me, 0),
-            t / c,
         ),
         other => {
             return Err(CoreError::Config(format!(
@@ -350,96 +360,108 @@ pub fn spmm_15d<S: Semiring>(
     let mut peak_bytes = cur.modeled_bytes(R_BYTES_PER_NNZ) + dense_bytes;
     let mut kernel_stats = WorkStats::default();
 
-    for round in 0..rounds {
-        debug_assert_eq!(
-            cur_block,
-            match family {
-                AlgorithmFamily::ColA15 { .. } => cola_block_at(p, c, me, round),
-                _ => iabc_block_at(p, c, me, round),
-            },
-            "shift rotation disagrees with the pure layout seam"
-        );
-        let t0 = Instant::now();
-        let inner = block_range(n_inner, t, cur_block);
-        let stats = spmm_acc::<S>(&cur, &b_stripe, inner.start, &mut c_stripe)
-            .map_err(CoreError::Sparse)?;
-        backend.charge(rank, Step::LocalMultiply, &stats, t0.elapsed().as_secs_f64());
-        kernel_stats.merge(stats);
-
-        if round + 1 < rounds {
+    let (rounds, has_team) = family.rounds_and_team(p);
+    let mut gathered = None;
+    for op in schedule::family15(rounds, has_team) {
+        match op {
+            Op::Multiply => {
+                let t0 = Instant::now();
+                let inner = block_range(n_inner, t, cur_block);
+                let stats = spmm_acc::<S>(&cur, &b_stripe, inner.start, &mut c_stripe)
+                    .map_err(CoreError::Sparse)?;
+                backend.charge(
+                    rank,
+                    Step::LocalMultiply,
+                    &stats,
+                    t0.elapsed().as_secs_f64(),
+                );
+                kernel_stats.merge(stats);
+            }
             // A-Shift: rotate the block to the ring successor. `send`/
             // `recv` are free on the modeled clock, so charge one
             // α + β·bytes point-to-point message manually (the
             // `transpose_to_bstyle` precedent).
-            let succ = (pos0 + 1) % ring_len;
-            let pred = (pos0 + ring_len - 1) % ring_len;
-            rank.send(&ring, succ, shift_tag(round), (cur_block as u64, cur));
-            let (idx, mat) =
-                rank.recv::<(u64, CscMatrix<S::T>)>(&ring, pred, shift_tag(round));
-            let bytes = mat.nnz() * R_BYTES_PER_NNZ;
-            let cost = rank.machine().send_secs(bytes);
-            rank.clock_mut().advance(Step::AShift, cost);
-            rank.clock_mut().record_comm(Step::AShift, bytes as u64, 1);
-            cur = mat;
-            cur_block = idx as usize;
-            // Both the resident and the in-flight block count while the
-            // shift is un-acknowledged.
-            peak_bytes = peak_bytes
-                .max(2 * cur.modeled_bytes(R_BYTES_PER_NNZ) + dense_bytes);
-        }
-    }
-
-    // C-Reduce (InnerABC, c > 1): each stripe's replication team combines
-    // its layer-partial stripes. Allgather (the runtime's allreduce needs
-    // `Copy` payloads) + a deterministic member-index-order fold.
-    if matches!(family, AlgorithmFamily::InnerAbc15 { .. }) && c > 1 {
-        let team = Comm::for_rank(iabc_team(p, c, me), COLOR_TEAM15, me);
-        let bytes_each = c_stripe.modeled_bytes();
-        peak_bytes = peak_bytes.max(dense_bytes + c * bytes_each);
-        let parts: Vec<Vec<S::T>> =
-            rank.allgather(&team, c_stripe.into_data(), bytes_each, Step::CReduce);
-        let t0 = Instant::now();
-        let mut folded = Vec::new();
-        let mut fold_stats = WorkStats::default();
-        for part in parts {
-            if folded.is_empty() {
-                folded = part;
-            } else {
-                for (slot, v) in folded.iter_mut().zip(part) {
-                    *slot = S::add(*slot, v);
-                }
-                fold_stats.flops += stripe.len() as u64 * m as u64;
+            Op::Shift { round } => {
+                let [to, from] = schedule::ring_shift(ring_len, pos0, round);
+                rank.send(&ring, to.peer, to.tag, (cur_block as u64, cur));
+                let (idx, mat) = rank.recv::<(u64, CscMatrix<S::T>)>(&ring, from.peer, from.tag);
+                let bytes = mat.nnz() * R_BYTES_PER_NNZ;
+                let cost = rank.machine().send_secs(bytes);
+                rank.clock_mut().advance(Step::AShift, cost);
+                rank.clock_mut().record_comm(Step::AShift, bytes as u64, 1);
+                cur = mat;
+                cur_block = idx as usize;
+                debug_assert_eq!(
+                    cur_block,
+                    match family {
+                        AlgorithmFamily::ColA15 { .. } => cola_block_at(p, c, me, round + 1),
+                        _ => iabc_block_at(p, c, me, round + 1),
+                    },
+                    "shift rotation disagrees with the pure layout seam"
+                );
+                // Both the resident and the in-flight block count while the
+                // shift is un-acknowledged.
+                peak_bytes = peak_bytes.max(2 * cur.modeled_bytes(R_BYTES_PER_NNZ) + dense_bytes);
             }
-        }
-        fold_stats.work_units = fold_stats.flops as f64 * C_SPMM_FLOP;
-        backend.charge(rank, Step::MergeFiber, &fold_stats, t0.elapsed().as_secs_f64());
-        kernel_stats.merge(fold_stats);
-        c_stripe = DenseBlock::from_raw(m, stripe.len(), folded).map_err(CoreError::Sparse)?;
-    }
-
-    // Gather the stationary stripes back to the root (harness overhead,
-    // Step::Other, like `gather_pieces`). InnerABC stripes arrive once
-    // per layer; replicas are bit-identical after the reduction, so the
-    // root's writes are idempotent.
-    let gathered = if discard {
-        let _ = rank.gather_to_root(&world, 0, Vec::<(u64, Vec<S::T>)>::new(), 0, Step::Other);
-        None
-    } else {
-        let payload = vec![(stripe.start as u64, c_stripe.data().to_vec())];
-        rank.gather_to_root(&world, 0, payload, 0, Step::Other)
-            .map(|all| {
-                let mut out = DenseBlock::new_fill(m, d, S::zero());
-                for rank_stripes in all {
-                    for (start, data) in rank_stripes {
+            // C-Reduce: each stripe's replication team combines its
+            // layer-partial stripes. Allgather (the runtime's allreduce
+            // needs `Copy` payloads) + a deterministic member-index-order
+            // fold.
+            Op::TeamReduce => {
+                let team = Comm::for_rank(iabc_team(p, c, me), COLOR_TEAM15, me);
+                let bytes_each = c_stripe.modeled_bytes();
+                peak_bytes = peak_bytes.max(dense_bytes + c * bytes_each);
+                let parts: Vec<Vec<S::T>> =
+                    rank.allgather(&team, c_stripe.into_data(), bytes_each, Step::CReduce);
+                let t0 = Instant::now();
+                let mut folded = Vec::new();
+                let mut fold_stats = WorkStats::default();
+                for part in parts {
+                    if folded.is_empty() {
+                        folded = part;
+                    } else {
+                        for (slot, v) in folded.iter_mut().zip(part) {
+                            *slot = S::add(*slot, v);
+                        }
+                        fold_stats.flops += stripe.len() as u64 * m as u64;
+                    }
+                }
+                fold_stats.work_units = fold_stats.flops as f64 * C_SPMM_FLOP;
+                backend.charge(
+                    rank,
+                    Step::MergeFiber,
+                    &fold_stats,
+                    t0.elapsed().as_secs_f64(),
+                );
+                kernel_stats.merge(fold_stats);
+                c_stripe =
+                    DenseBlock::from_raw(m, stripe.len(), folded).map_err(CoreError::Sparse)?;
+            }
+            // Gather the stationary stripes back to the root (harness
+            // overhead, Step::Other, like `gather_pieces`). InnerABC stripes
+            // arrive once per layer; replicas are bit-identical after the
+            // reduction, so the root's writes are idempotent.
+            Op::Gather => {
+                let payload = if discard {
+                    Vec::new()
+                } else {
+                    vec![(stripe.start as u64, c_stripe.data().to_vec())]
+                };
+                let all = rank.gather_to_root(&world, 0, payload, 0, Step::Other);
+                gathered = all.filter(|_| !discard).map(|all| {
+                    let mut out = DenseBlock::new_fill(m, d, S::zero());
+                    for (start, data) in all.into_iter().flatten() {
                         let w = data.len().checked_div(m).unwrap_or(0);
                         for (jj, chunk) in data.chunks_exact(m.max(1)).enumerate().take(w) {
                             out.col_mut(start as usize + jj).copy_from_slice(chunk);
                         }
                     }
-                }
-                out
-            })
-    };
+                    out
+                });
+            }
+            other => unreachable!("{other:?} is not a 1.5D op"),
+        }
+    }
 
     Ok(Spmm15PerRank {
         gathered,

@@ -27,9 +27,11 @@
 //! nonzero budget model and runtime peak tracking), [`model`] (the
 //! analytic Table II/III cost evaluator), [`harness`] (one-call
 //! scatter→multiply→gather drivers used by tests, examples and benches),
-//! [`audit`] (payload-free symbolic extraction and exhaustive
-//! verification of the communication schedule across the planner's whole
-//! configuration grid), and [`serve`] (SpGEMM as a service: a resident
+//! [`schedule`] (the communication schedule of all of the above, written
+//! once as op programs the drivers execute), [`audit`] (the programs'
+//! second reader: payload-free lowering to per-rank events and exhaustive
+//! verification across the planner's whole configuration grid), and
+//! [`serve`] (SpGEMM as a service: a resident
 //! multi-tenant job server with admission control under a global memory
 //! budget and a sketch-keyed plan cache).
 
@@ -46,6 +48,7 @@ pub mod kernels;
 pub mod memory;
 pub mod model;
 pub mod planner;
+pub mod schedule;
 pub mod serve;
 pub mod session;
 pub mod summa2d;
@@ -54,7 +57,7 @@ pub mod symbolic;
 
 pub use audit::{
     AuditConfig, AuditEvent, AuditFault, AuditReport, AuditViolation, AuditViolationKind,
-    BatchSpec, Schedule, TraceProgram, WorkloadShape,
+    BatchSpec, Schedule, WorkloadShape,
 };
 pub use backend::BackendKind;
 pub use batched::{batched_summa3d, BatchDisposition, BatchOutput, BatchedResult};
@@ -73,7 +76,7 @@ pub use serve::{
 };
 pub use session::{IterSession, SessionIterStats};
 pub use summa2d::OverlapMode;
-pub use symbolic::{symbolic3d, SymbolicOutcome};
+pub use symbolic::SymbolicOutcome;
 
 /// Errors from the distributed layer.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,0 +1,378 @@
+//! The communication schedule of Alg. 1–4 and the 1.5D families, written
+//! once.
+//!
+//! Every collective, post/wait and point-to-point message the drivers issue
+//! is content-independent — a pure function of `(p, l, b, exchange,
+//! overlap, family, c, iters)`. This module holds that function as data: a
+//! small SPMD-identical [`Op`] vocabulary, generators that emit the op
+//! program of each driver, and [`wire`], the one table from a
+//! communication op and an [`ExchangeMode`] to its ordered wire actions.
+//!
+//! Two readers walk the same programs. The drivers ([`crate::batched`],
+//! [`crate::symbolic`], [`crate::family15`]) run one `for op in …` loop and
+//! execute each op against payloads; a session step is the batched program
+//! followed by its refresh of `B̃`. The auditor
+//! ([`crate::audit`]) lowers each op through [`wire`] into per-rank
+//! [`crate::audit::AuditEvent`]s. A new movement scheme is one more row of
+//! [`wire`]; a new pipelining order is one more branch of [`batches`].
+
+use crate::exchange::{fetch_rep_tag, fetch_req_tag, ExchangeMode};
+use crate::family15::shift_tag;
+use crate::summa2d::OverlapMode;
+use spgemm_simgrid::OpKind;
+
+/// How a stage's operand movement is issued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Issued and completed in place (Alg. 1 as published).
+    Blocking,
+    /// Posted nonblocking; completes at the matching [`Phase::Wait`].
+    Post,
+    /// Completes the stage's [`Phase::Post`].
+    Wait,
+}
+
+/// One step of a driver program. Every rank runs the same sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// Root scatters both global operands.
+    Scatter,
+    /// Move stage `s`'s `(Ã, B̃)` operands; `batch` names the batch whose
+    /// piece of `B̃` moves (`None`: the un-batched `B̃` of the symbolic
+    /// sweep).
+    Stage {
+        /// SUMMA stage, also the root of its broadcasts and fetch round.
+        s: usize,
+        /// Batch whose `B̃` piece moves.
+        batch: Option<usize>,
+        /// Blocking, or one half of a post/wait pair.
+        phase: Phase,
+    },
+    /// Alg. 3's world reductions of the symbolic counts.
+    SymbolicReduce,
+    /// AllToAll-Fiber of the ColSplit pieces (Alg. 2 line 5).
+    Fiber {
+        /// Blocking call, or nonblocking post waited at once.
+        overlap: OverlapMode,
+    },
+    /// A session's refresh of `B̃` from the new iterate along the fiber.
+    RefreshB,
+    /// 1.5D ring rotation of the `A` block after round `round`.
+    Shift {
+        /// Shift round (selects the tag).
+        round: usize,
+    },
+    /// InnerABC partial-`C` reduction across the replication team.
+    TeamReduce,
+    /// Gather of the stationary `C` stripes to the root.
+    Gather,
+    /// Local multiply of the operands the last stage delivered.
+    Multiply,
+    /// Local symbolic count of the operands the last stage delivered.
+    SymbolicCount,
+    /// Merge-Layer of the batch's stage partials.
+    MergeLayer,
+    /// Merge-Fiber of the pieces [`Op::Fiber`] received.
+    MergeFiber,
+    /// Hand batch `batch`'s piece of `C` to the application.
+    Deliver {
+        /// Batch index.
+        batch: usize,
+    },
+}
+
+/// Alg. 3: a blocking structure-only SUMMA2D sweep over the un-batched
+/// operands, then the world reductions.
+pub fn symbolic(stages: usize) -> Vec<Op> {
+    let mut ops = Vec::with_capacity(2 * stages + 1);
+    for s in 0..stages {
+        ops.push(Op::Stage {
+            s,
+            batch: None,
+            phase: Phase::Blocking,
+        });
+        ops.push(Op::SymbolicCount);
+    }
+    ops.push(Op::SymbolicReduce);
+    ops
+}
+
+/// Alg. 4 lines 4–6: one SUMMA3D per batch, `nb ≥ 1` batches.
+///
+/// Under [`OverlapMode::Overlapped`] stages are double-buffered: the
+/// following stage — after a batch's last stage, the *next batch's* stage 0
+/// — is posted before the current stage's multiply, so the multiply (and
+/// across batches the merge and fiber phases) hides it. One stage is in
+/// flight at any time.
+pub fn batches(nb: usize, stages: usize, overlap: OverlapMode) -> Vec<Op> {
+    let stage = |s, t, phase| Op::Stage {
+        s,
+        batch: Some(t),
+        phase,
+    };
+    let piped = overlap == OverlapMode::Overlapped;
+    let mut ops = Vec::new();
+    if piped {
+        ops.push(stage(0, 0, Phase::Post));
+    }
+    for t in 0..nb {
+        for s in 0..stages {
+            if !piped {
+                ops.push(stage(s, t, Phase::Blocking));
+            } else {
+                ops.push(stage(s, t, Phase::Wait));
+                if s + 1 < stages {
+                    ops.push(stage(s + 1, t, Phase::Post));
+                } else if t + 1 < nb {
+                    ops.push(stage(0, t + 1, Phase::Post));
+                }
+            }
+            ops.push(Op::Multiply);
+        }
+        ops.extend([
+            Op::MergeLayer,
+            Op::Fiber { overlap },
+            Op::MergeFiber,
+            Op::Deliver { batch: t },
+        ]);
+    }
+    ops
+}
+
+/// A whole session on a `stages × stages × l` grid: scatter, then `iters`
+/// multiplications of `nb` batches each, preceded by the symbolic sweep
+/// when `sweep` is set and followed by the refresh of `B̃` — which moves
+/// nothing on one layer, where A-style and B-style coincide.
+pub fn session(
+    stages: usize,
+    l: usize,
+    sweep: bool,
+    nb: usize,
+    overlap: OverlapMode,
+    iters: usize,
+) -> Vec<Op> {
+    let mut ops = vec![Op::Scatter];
+    for _ in 0..iters {
+        if sweep {
+            ops.extend(symbolic(stages));
+        }
+        ops.extend(batches(nb, stages, overlap));
+        if l > 1 {
+            ops.push(Op::RefreshB);
+        }
+    }
+    ops
+}
+
+/// One 1.5D SpMM after its scatter: `rounds` local multiplies with a ring
+/// shift between consecutive ones, the team reduction (InnerABC with
+/// `c > 1`), and the gather.
+pub fn family15(rounds: usize, has_team: bool) -> Vec<Op> {
+    let mut ops = Vec::with_capacity(2 * rounds + 2);
+    for round in 0..rounds {
+        ops.push(Op::Multiply);
+        if round + 1 < rounds {
+            ops.push(Op::Shift { round });
+        }
+    }
+    if has_team {
+        ops.push(Op::TeamReduce);
+    }
+    ops.push(Op::Gather);
+    ops
+}
+
+/// `iters` full 1.5D SpMM calls; there is no resident 1.5D session, so the
+/// scatter repeats with every call.
+pub fn family15_session(rounds: usize, has_team: bool, iters: usize) -> Vec<Op> {
+    let mut ops = Vec::new();
+    for _ in 0..iters {
+        ops.push(Op::Scatter);
+        ops.extend(family15(rounds, has_team));
+    }
+    ops
+}
+
+/// The communicator a wire action runs on, from the acting rank's view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Link {
+    /// All ranks.
+    World,
+    /// Process row of the rank's layer (`Ã` moves along it).
+    Row,
+    /// Process column of the rank's layer (`B̃` moves along it).
+    Col,
+    /// The rank's fiber across layers.
+    Fiber,
+    /// The rank's 1.5D shift ring.
+    Ring,
+    /// The rank's InnerABC replication team.
+    Team,
+}
+
+/// One wire action of a communication op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wire {
+    /// Enter a blocking collective, or register a nonblocking post
+    /// (`IbcastPost`, `IalltoallvPost`), on a link. `Ã` moves on
+    /// [`Link::Row`], `B̃` on [`Link::Col`].
+    Enter(OpKind, Link),
+    /// Complete the post outstanding on a link.
+    Wait(Link),
+    /// The fetch round for `Ã` on [`Link::Row`]: see [`fetch_round`].
+    Fetch,
+    /// One rotation of [`Link::Ring`]: see [`ring_shift`].
+    Shift,
+}
+
+const BCAST_A: Wire = Wire::Enter(OpKind::Bcast, Link::Row);
+const BCAST_B: Wire = Wire::Enter(OpKind::Bcast, Link::Col);
+const POST_A: Wire = Wire::Enter(OpKind::IbcastPost, Link::Row);
+const POST_B: Wire = Wire::Enter(OpKind::IbcastPost, Link::Col);
+const WAIT_A: Wire = Wire::Wait(Link::Row);
+const WAIT_B: Wire = Wire::Wait(Link::Col);
+const SCATTER: Wire = Wire::Enter(OpKind::Bcast, Link::World);
+const REDUCE: Wire = Wire::Enter(OpKind::Allreduce, Link::World);
+const ALLTOALL: Wire = Wire::Enter(OpKind::Alltoallv, Link::Fiber);
+
+/// The ordered wire actions of `op` under `exchange` (none for compute
+/// ops). Under [`ExchangeMode::SparseFetch`] `B̃` must land before the fetch
+/// round, whose request set is derived from it — so only `B̃`'s broadcast
+/// can be posted ahead and the fetch runs at wait time.
+pub fn wire(op: Op, exchange: ExchangeMode) -> &'static [Wire] {
+    use ExchangeMode::{DenseBcast, SparseFetch};
+    use Phase::{Blocking, Post, Wait};
+    match op {
+        // The global `A`, then the global `B`.
+        Op::Scatter => &[SCATTER, SCATTER],
+        Op::Stage { phase, .. } => match (phase, exchange) {
+            (Blocking, DenseBcast) => &[BCAST_A, BCAST_B],
+            (Blocking, SparseFetch) => &[BCAST_B, Wire::Fetch],
+            (Post, DenseBcast) => &[POST_A, POST_B],
+            (Post, SparseFetch) => &[POST_B],
+            (Wait, DenseBcast) => &[WAIT_A, WAIT_B],
+            (Wait, SparseFetch) => &[WAIT_B, Wire::Fetch],
+        },
+        // max and sum of the unmerged count, of nnz(Ã) and of nnz(B̃); the
+        // flop sum; the per-column maximum.
+        Op::SymbolicReduce => &[REDUCE; 8],
+        Op::Fiber {
+            overlap: OverlapMode::Blocking,
+        }
+        | Op::RefreshB => &[ALLTOALL],
+        Op::Fiber {
+            overlap: OverlapMode::Overlapped,
+        } => &[
+            Wire::Enter(OpKind::IalltoallvPost, Link::Fiber),
+            Wire::Wait(Link::Fiber),
+        ],
+        Op::Shift { .. } => &[Wire::Shift],
+        Op::TeamReduce => &[Wire::Enter(OpKind::Allgather, Link::Team)],
+        Op::Gather => &[Wire::Enter(OpKind::Gather, Link::World)],
+        Op::Multiply | Op::SymbolicCount | Op::MergeLayer | Op::MergeFiber | Op::Deliver { .. } => {
+            &[]
+        }
+    }
+}
+
+/// Root member index of collective `kind` as issued by `op`: the stage
+/// index for stage broadcasts, member 0 for scatter and gather, `None` for
+/// unrooted collectives.
+pub fn root(op: Op, kind: OpKind) -> Option<usize> {
+    let rooted = matches!(kind, OpKind::Bcast | OpKind::IbcastPost | OpKind::Gather);
+    rooted.then_some(match op {
+        Op::Stage { s, .. } => s,
+        _ => 0,
+    })
+}
+
+/// One leg of a point-to-point conversation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Msg {
+    /// Whether this member sends (else it blocks in a receive).
+    pub send: bool,
+    /// Peer member index within the communicator.
+    pub peer: usize,
+    /// Wire tag.
+    pub tag: u64,
+}
+
+/// Fetch round `seq` for the `Ã` of row member `owner`, as row member `me`
+/// of `q` conducts it: one `[request, reply]` leg pair per peer, in order.
+/// The owner serves every other member in index order (receive the
+/// request, send the reply); everyone else asks the owner and blocks on
+/// its reply. Every round draws a fresh `seq`, so no tag is reused while a
+/// message that carries it can be in flight.
+pub fn fetch_round(q: usize, me: usize, owner: usize, seq: u64) -> impl Iterator<Item = [Msg; 2]> {
+    let serve = me == owner;
+    let peers = if serve { 0..q } else { owner..owner + 1 };
+    peers.filter(move |&peer| peer != me).map(move |peer| {
+        [(!serve, fetch_req_tag(seq)), (serve, fetch_rep_tag(seq))].map(|(send, tag)| Msg {
+            send,
+            peer,
+            tag,
+        })
+    })
+}
+
+/// Ring rotation `round` at position `pos` of a `q`-ring: send to the
+/// successor, then block on the predecessor. `shift_tag(round)` recurs
+/// with every SpMM call; each send is matched within its round, so no two
+/// messages with one tag are in flight together.
+pub fn ring_shift(q: usize, pos: usize, round: usize) -> [Msg; 2] {
+    let tag = shift_tag(round);
+    [(true, (pos + 1) % q), (false, (pos + q - 1) % q)].map(|(send, peer)| Msg { send, peer, tag })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The pipelined program keeps exactly one stage in flight, waits every
+    /// stage it posts (same `s`, same batch) before that stage's multiply,
+    /// and carries the last post of a batch into the next batch.
+    #[test]
+    fn batches_post_every_stage_once_and_wait_it_before_its_multiply() {
+        for (nb, stages) in [(1, 1), (1, 3), (3, 2), (2, 4)] {
+            let blocking = batches(nb, stages, OverlapMode::Blocking);
+            let piped = batches(nb, stages, OverlapMode::Overlapped);
+            let stage_of = |op: &Op| match *op {
+                Op::Stage { s, batch, phase } => Some((s, batch.unwrap(), phase)),
+                _ => None,
+            };
+            let expected: Vec<_> = (0..nb)
+                .flat_map(|t| (0..stages).map(move |s| (s, t)))
+                .collect();
+            let of_phase = |ops: &[Op], want| -> Vec<_> {
+                let staged = ops.iter().filter_map(stage_of);
+                staged.filter(|x| x.2 == want).map(|x| (x.0, x.1)).collect()
+            };
+            assert_eq!(of_phase(&blocking, Phase::Blocking), expected);
+            assert_eq!(of_phase(&piped, Phase::Post), expected);
+            assert_eq!(of_phase(&piped, Phase::Wait), expected);
+            assert!(of_phase(&piped, Phase::Blocking).is_empty());
+            let mut in_flight = None;
+            let mut landed = false;
+            for op in &piped {
+                match (stage_of(op), op) {
+                    (Some((s, t, Phase::Post)), _) => {
+                        assert_eq!(in_flight.replace((s, t)), None, "two stages in flight");
+                    }
+                    (Some((s, t, _)), _) => {
+                        assert_eq!(in_flight.take(), Some((s, t)), "wait without its post");
+                        landed = true;
+                    }
+                    (None, Op::Multiply) => assert!(std::mem::take(&mut landed)),
+                    _ => {}
+                }
+            }
+            assert_eq!(in_flight, None, "the program ends with a stage posted");
+            // Apart from how operands move, both orders run the same steps.
+            let rest = |ops: &[Op]| -> Vec<Op> {
+                let moves = |op: &Op| matches!(op, Op::Stage { .. } | Op::Fiber { .. });
+                ops.iter().copied().filter(|op| !moves(op)).collect()
+            };
+            assert_eq!(rest(&blocking), rest(&piped));
+        }
+    }
+}

@@ -13,9 +13,10 @@
 //! matrices relative to the perfectly-balanced Eq. 2 bound.
 
 use crate::dist::DistMatrix;
-use crate::exchange::ExchangePlan;
-use crate::kernels::{KernelStrategy, LocalKernels};
+use crate::exchange::{ExchangePlan, StagePending};
+use crate::kernels::LocalKernels;
 use crate::memory::MemoryBudget;
+use crate::schedule::{self, Op};
 use crate::{CoreError, Result};
 use spgemm_simgrid::{Grid3D, Rank, Step};
 use spgemm_sparse::Semiring;
@@ -57,27 +58,13 @@ pub struct SymbolicOutcome {
     pub upper_bound: usize,
 }
 
-/// Run Symbolic3D and compute the batch count for `budget`.
+/// Run Symbolic3D and compute the batch count for `budget`; also returns
+/// this rank's per-local-column unmerged intermediate counts (the weights
+/// that drive [`crate::batched::BatchingStrategy::Balanced`] batching).
 ///
 /// Fails with [`CoreError::InputsExceedMemory`] when even `b → ∞` cannot
 /// fit (Alg. 3's denominator is non-positive), which is exactly the regime
 /// where the paper's premise `M > nnz(A) + nnz(B)` is violated.
-pub fn symbolic3d<S: Semiring>(
-    rank: &mut Rank,
-    grid: &Grid3D,
-    a: &DistMatrix<S::T>,
-    b: &DistMatrix<S::T>,
-    budget: &MemoryBudget,
-) -> Result<SymbolicOutcome> {
-    let mut kernels = LocalKernels::new(KernelStrategy::default());
-    let mut plan = ExchangePlan::default();
-    symbolic3d_with_weights::<S>(rank, grid, a, b, budget, &mut kernels, &mut plan)
-        .map(|(o, _)| o)
-}
-
-/// [`symbolic3d`] plus this rank's per-local-column unmerged intermediate
-/// counts (the weights that drive
-/// [`crate::batched::BatchingStrategy::Balanced`] batching).
 ///
 /// `kernels` supplies the reusable symbolic accumulator; passing the same
 /// engine later used for the numeric batches means the hash table warmed
@@ -94,10 +81,12 @@ pub fn symbolic3d_with_weights<S: Semiring>(
     kernels: &mut LocalKernels<S::T>,
     plan: &mut ExchangePlan,
 ) -> Result<(SymbolicOutcome, Vec<u64>)> {
-    let stages = grid.pr;
     let a_shared = Arc::new(a.local.clone());
     let b_shared = Arc::new(b.local.clone());
     let r = budget.r;
+    let world = &grid.world;
+    let max_u64: fn(u64, u64) -> u64 = |x, y| x.max(y);
+    let sum_u64: fn(u64, u64) -> u64 = |x, y| x + y;
 
     // Per-stage symbolic products, accumulated *unmerged* (Alg. 3 line 8),
     // plus the per-output-column accumulation that determines batching
@@ -105,42 +94,62 @@ pub fn symbolic3d_with_weights<S: Semiring>(
     let mut my_unmerged: u64 = 0;
     let mut my_flops: u64 = 0;
     let mut my_col_unmerged: Vec<u64> = vec![0; b.local.ncols()];
-    for s in 0..stages {
-        let (a_recv, b_recv) = plan.exchange_stage(
-            rank,
-            grid,
-            s,
-            &a_shared,
-            a.local.modeled_bytes(r),
-            &b_shared,
-            b.local.modeled_bytes(r),
-            r,
-            (Step::SymbolicComm, Step::SymbolicComm),
-        )?;
-        let (counts, stats) = kernels.charged(rank, Step::SymbolicComp, |k| {
-            k.symbolic_col_counts(&a_recv, &b_recv)
-        })?;
-        my_unmerged += stats.nnz_out;
-        my_flops += stats.flops;
-        for (acc, c) in my_col_unmerged.iter_mut().zip(counts.iter()) {
-            *acc += c;
+    let mut operands = None;
+    let mut reduced = [0u64; 8];
+    for op in schedule::symbolic(grid.pr) {
+        match op {
+            Op::Stage { .. } => {
+                let steps = (Step::SymbolicComm, Step::SymbolicComm);
+                let mut none_posted = StagePending::default();
+                operands = plan.stage(
+                    rank,
+                    grid,
+                    op,
+                    &a_shared,
+                    &b_shared,
+                    r,
+                    steps,
+                    &mut none_posted,
+                );
+            }
+            Op::SymbolicCount => {
+                let (a_recv, b_recv) = operands
+                    .take()
+                    .expect("a stage delivers before every count");
+                let (counts, stats) = kernels.charged(rank, Step::SymbolicComp, |k| {
+                    k.symbolic_col_counts(&a_recv, &b_recv)
+                })?;
+                my_unmerged += stats.nnz_out;
+                my_flops += stats.flops;
+                for (acc, c) in my_col_unmerged.iter_mut().zip(counts.iter()) {
+                    *acc += c;
+                }
+            }
+            // Global reductions (Alg. 3 lines 9–11) plus the sums needed for
+            // the Eq. 2 bound and the cost-model validation: one allreduce
+            // per action of the op's wire-table row.
+            Op::SymbolicReduce => {
+                let (nnz_a, nnz_b) = (a.local.nnz() as u64, b.local.nnz() as u64);
+                let mine = [
+                    (my_unmerged, max_u64),
+                    (my_unmerged, sum_u64),
+                    (nnz_a, max_u64),
+                    (nnz_b, max_u64),
+                    (nnz_a, sum_u64),
+                    (nnz_b, sum_u64),
+                    (my_flops, sum_u64),
+                    (my_col_unmerged.iter().copied().max().unwrap_or(0), max_u64),
+                ];
+                assert_eq!(schedule::wire(op, plan.mode()).len(), mine.len());
+                for (slot, (mine, f)) in reduced.iter_mut().zip(mine) {
+                    *slot = rank.allreduce(world, mine, f, 8, Step::SymbolicComm);
+                }
+            }
+            other => unreachable!("{other:?} is not a symbolic-sweep op"),
         }
     }
-    let my_max_col = my_col_unmerged.iter().copied().max().unwrap_or(0);
-
-    // Global reductions (Alg. 3 lines 9–11) plus the sums needed for the
-    // Eq. 2 bound and the cost-model validation.
-    let world = &grid.world;
-    let max_u64: fn(u64, u64) -> u64 = |x, y| x.max(y);
-    let sum_u64: fn(u64, u64) -> u64 = |x, y| x + y;
-    let max_unmerged = rank.allreduce(world, my_unmerged, max_u64, 8, Step::SymbolicComm);
-    let total_unmerged = rank.allreduce(world, my_unmerged, sum_u64, 8, Step::SymbolicComm);
-    let max_nnz_a = rank.allreduce(world, a.local.nnz() as u64, max_u64, 8, Step::SymbolicComm);
-    let max_nnz_b = rank.allreduce(world, b.local.nnz() as u64, max_u64, 8, Step::SymbolicComm);
-    let total_nnz_a = rank.allreduce(world, a.local.nnz() as u64, sum_u64, 8, Step::SymbolicComm);
-    let total_nnz_b = rank.allreduce(world, b.local.nnz() as u64, sum_u64, 8, Step::SymbolicComm);
-    let flops = rank.allreduce(world, my_flops, sum_u64, 8, Step::SymbolicComm);
-    let max_col_unmerged = rank.allreduce(world, my_max_col, max_u64, 8, Step::SymbolicComm);
+    let [max_unmerged, total_unmerged, max_nnz_a, max_nnz_b, total_nnz_a, total_nnz_b, flops, max_col_unmerged] =
+        reduced;
 
     // Alg. 3 line 12: b = r·maxnnzC / (M/p − r·(maxnnzA + maxnnzB)).
     let batches = alg3_batch_count(
@@ -216,7 +225,8 @@ pub fn alg3_batch_count(
 mod tests {
     use super::*;
     use crate::dist::{scatter, DistKind};
-    use spgemm_simgrid::{run_ranks, Machine};
+    use crate::kernels::KernelStrategy;
+    use spgemm_simgrid::{run_ranks, Machine, StepBreakdown};
     use spgemm_sparse::gen::er_random;
     use spgemm_sparse::semiring::PlusTimesF64;
     use spgemm_sparse::spgemm::symbolic_nnz;
@@ -228,8 +238,8 @@ mod tests {
         a: CscMatrix<f64>,
         b: CscMatrix<f64>,
         budget: MemoryBudget,
-    ) -> Vec<Result<SymbolicOutcome>> {
-        run_ranks(p, Machine::knl(), move |rank| {
+    ) -> (Vec<Result<SymbolicOutcome>>, Vec<StepBreakdown>) {
+        let per_rank = run_ranks(p, Machine::knl(), move |rank| {
             let grid = Grid3D::new(rank, l);
             let da = scatter(
                 rank,
@@ -243,15 +253,27 @@ mod tests {
                 DistKind::BStyle,
                 (rank.rank() == 0).then(|| Arc::new(b.clone())),
             );
-            symbolic3d::<PlusTimesF64>(rank, &grid, &da, &db, &budget)
-        })
+            let mut kernels = LocalKernels::new(KernelStrategy::default());
+            let mut plan = ExchangePlan::default();
+            let outcome = symbolic3d_with_weights::<PlusTimesF64>(
+                rank,
+                &grid,
+                &da,
+                &db,
+                &budget,
+                &mut kernels,
+                &mut plan,
+            );
+            (outcome.map(|(o, _)| o), *rank.clock().breakdown())
+        });
+        per_rank.into_iter().unzip()
     }
 
     #[test]
     fn all_ranks_agree_on_outcome() {
         let a = er_random::<PlusTimesF64>(48, 48, 6, 31);
         let b = er_random::<PlusTimesF64>(48, 48, 6, 32);
-        let outcomes = symbolic_on_grid(8, 2, a, b, MemoryBudget::new(24 * 100_000));
+        let (outcomes, _) = symbolic_on_grid(8, 2, a, b, MemoryBudget::new(24 * 100_000));
         let first = outcomes[0].clone().unwrap();
         for o in &outcomes {
             assert_eq!(o.clone().unwrap(), first);
@@ -265,7 +287,8 @@ mod tests {
         let b = er_random::<PlusTimesF64>(40, 40, 5, 34);
         let (_, serial) = symbolic_nnz(&a, &b).unwrap();
         for (p, l) in [(4, 1), (8, 2), (16, 4)] {
-            let outcomes = symbolic_on_grid(p, l, a.clone(), b.clone(), MemoryBudget::unlimited());
+            let (outcomes, _) =
+                symbolic_on_grid(p, l, a.clone(), b.clone(), MemoryBudget::unlimited());
             let o = outcomes[0].clone().unwrap();
             assert_eq!(o.flops, serial.flops, "p={p} l={l}: distributed flops must be exact");
         }
@@ -275,11 +298,18 @@ mod tests {
     fn tighter_budget_means_more_batches() {
         let a = er_random::<PlusTimesF64>(64, 64, 8, 35);
         let b = er_random::<PlusTimesF64>(64, 64, 8, 36);
-        let loose = symbolic_on_grid(4, 1, a.clone(), b.clone(), MemoryBudget::new(24 * 1_000_000))[0]
+        let loose = symbolic_on_grid(
+            4,
+            1,
+            a.clone(),
+            b.clone(),
+            MemoryBudget::new(24 * 1_000_000),
+        )
+        .0[0]
             .clone()
             .unwrap();
         let inputs = (a.nnz() + b.nnz()) * 24;
-        let tight = symbolic_on_grid(4, 1, a, b, MemoryBudget::new(inputs * 4 + 4096))[0]
+        let tight = symbolic_on_grid(4, 1, a, b, MemoryBudget::new(inputs * 4 + 4096)).0[0]
             .clone()
             .unwrap();
         assert!(tight.batches > loose.batches, "{} vs {}", tight.batches, loose.batches);
@@ -293,9 +323,10 @@ mod tests {
         let b = er_random::<PlusTimesF64>(60, 60, 7, 38);
         let inputs = (a.nnz() + b.nnz()) * 24;
         for (p, l) in [(4, 1), (16, 4)] {
-            let o = symbolic_on_grid(p, l, a.clone(), b.clone(), MemoryBudget::new(inputs * 3))[0]
-                .clone()
-                .unwrap();
+            let o = symbolic_on_grid(p, l, a.clone(), b.clone(), MemoryBudget::new(inputs * 3)).0
+                [0]
+            .clone()
+            .unwrap();
             let bound = o.eq2_lower_bound.expect("inputs fit");
             assert!(
                 o.batches >= bound,
@@ -309,34 +340,15 @@ mod tests {
     fn inputs_exceeding_memory_is_an_error() {
         let a = er_random::<PlusTimesF64>(32, 32, 6, 39);
         let b = er_random::<PlusTimesF64>(32, 32, 6, 40);
-        let res = symbolic_on_grid(4, 1, a, b, MemoryBudget::new(64));
-        assert!(matches!(
-            res[0],
-            Err(CoreError::InputsExceedMemory { .. })
-        ));
+        let (res, _) = symbolic_on_grid(4, 1, a, b, MemoryBudget::new(64));
+        assert!(matches!(res[0], Err(CoreError::InputsExceedMemory { .. })));
     }
 
     #[test]
     fn symbolic_step_records_comm_and_comp() {
         let a = er_random::<PlusTimesF64>(32, 32, 4, 41);
         let b = er_random::<PlusTimesF64>(32, 32, 4, 42);
-        let breakdowns = run_ranks(4, Machine::knl(), move |rank| {
-            let grid = Grid3D::new(rank, 1);
-            let da = scatter(
-                rank,
-                &grid,
-                DistKind::AStyle,
-                (rank.rank() == 0).then(|| Arc::new(a.clone())),
-            );
-            let db = scatter(
-                rank,
-                &grid,
-                DistKind::BStyle,
-                (rank.rank() == 0).then(|| Arc::new(b.clone())),
-            );
-            symbolic3d::<PlusTimesF64>(rank, &grid, &da, &db, &MemoryBudget::unlimited()).unwrap();
-            *rank.clock().breakdown()
-        });
+        let (_, breakdowns) = symbolic_on_grid(4, 1, a, b, MemoryBudget::unlimited());
         for bd in &breakdowns {
             assert!(bd.secs_of(Step::SymbolicComm) > 0.0);
             assert!(bd.secs_of(Step::SymbolicComp) > 0.0);

@@ -1,264 +1,194 @@
-//! Conformance tests for the schedule auditor: the symbolic traces of
-//! [`spgemm_core::audit::trace_program`] must match what the *real*
-//! runtime registers with the protocol checker, collective for collective.
+//! Conformance of the schedule's two readers: the event stream
+//! [`AuditConfig::extract`] lowers from the op programs must equal what the
+//! drivers, walking the same programs, register with the protocol checker —
+//! every collective, post, wait, send and receive, with communicator, root,
+//! sequence number, peer and tag, rank for rank and in program order. Only
+//! the auditor's byte annotations have no counterpart in the op log.
 //!
-//! The projection compared is `(comm, op, root, seq)` per rank in program
-//! order — exactly the signature the checker rendezvouses on. Waits are
-//! excluded (completions don't re-enter the checker) and so are the fetch
-//! protocol's point-to-point messages (the checker tracks them separately);
-//! those are covered by the auditor's replay verifier and the runtime's
-//! own tag-collision tests.
+//! The runs cross two iterations under `SparseFetch`, so they also hold the
+//! extracted fetch tags to the real ones across the iteration boundary.
 
-use spgemm_core::audit::{trace_program, AuditEvent, TraceProgram};
+use spgemm_core::audit::{AuditConfig, AuditEvent, BatchSpec, WorkloadShape};
 use spgemm_core::batched::BatchConfig;
-use spgemm_core::{CoreError, ExchangeMode, IterSession, MemoryBudget, OverlapMode};
-use spgemm_simgrid::{run_ranks_logged, Grid3D, LoggedOp, Machine, OpKind};
+use spgemm_core::family15::spmm_15d;
+use spgemm_core::{
+    AlgorithmFamily, BackendKind, CoreError, ExchangeMode, IterSession, MemoryBudget, OverlapMode,
+};
+use spgemm_simgrid::{run_ranks_logged, Grid3D, LoggedAction, LoggedOp, Machine};
 use spgemm_sparse::gen::er_random;
 use spgemm_sparse::semiring::PlusTimesF64;
-use spgemm_sparse::CscMatrix;
+use spgemm_sparse::DenseBlock;
 use std::sync::Arc;
 
-/// The agreement signature of one collective/post registration.
-type Sig = (u64, OpKind, Option<usize>, u64);
-
-/// Project a symbolic schedule onto per-rank signature sequences.
-fn symbolic_projection(prog: &TraceProgram) -> Vec<Vec<Sig>> {
-    trace_program(prog)
-        .traces
-        .iter()
-        .map(|trace| {
-            trace
-                .iter()
-                .filter_map(|e| match *e {
-                    AuditEvent::Collective {
-                        comm,
-                        op,
-                        root,
-                        seq,
-                        ..
-                    } => Some((comm, op, root, seq)),
-                    AuditEvent::Post {
-                        comm,
-                        op,
-                        root,
-                        seq,
-                    } => Some((comm, op, root, seq)),
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect()
+/// How a conformance row picks its batch count.
+#[derive(Debug, Clone, Copy)]
+enum Batching {
+    /// Forced count: no symbolic sweep.
+    Forced(usize),
+    /// A session's default: unlimited budget, so `b = 1` without a sweep.
+    Default,
+    /// Aggregate budget in bytes: the sweep runs and picks `b` from the data.
+    Budget(usize),
 }
 
-/// Project the checker's op log onto per-rank signature sequences (each
-/// rank's subsequence of the log is its program order).
-fn real_projection(p: usize, log: &[LoggedOp]) -> Vec<Vec<Sig>> {
-    let mut per: Vec<Vec<Sig>> = vec![Vec::new(); p];
-    for o in log {
-        per[o.rank].push((o.comm, o.kind, o.root, o.seq));
+/// One extracted event as the action the op log records for it.
+fn as_logged(e: &AuditEvent) -> (u64, LoggedAction) {
+    match *e {
+        AuditEvent::Collective {
+            comm,
+            op: kind,
+            root,
+            seq,
+            ..
+        } if !kind.is_post() => (comm, LoggedAction::Enter { kind, root, seq }),
+        AuditEvent::Post {
+            comm,
+            op: kind,
+            root,
+            seq,
+        } if kind.is_post() => (comm, LoggedAction::Enter { kind, root, seq }),
+        AuditEvent::Wait { comm, seq } => (comm, LoggedAction::Wait { seq }),
+        AuditEvent::Send { comm, to, tag } => (comm, LoggedAction::Send { to, tag }),
+        AuditEvent::Recv { comm, from, tag } => (comm, LoggedAction::Recv { from, tag }),
+        _ => panic!("{e} confuses a blocking collective with a post"),
     }
-    per
 }
 
-/// Drive a real [`IterSession`] for `iters` iterations under the checker's
-/// op log; returns the per-iteration batch counts (SPMD-agreed) and the
-/// log.
-#[allow(clippy::too_many_arguments)] // mirrors the audited config tuple
-fn run_real_session(
-    global: &CscMatrix<f64>,
-    p: usize,
-    l: usize,
+/// Run the real driver of `family` under the op log: `iters` steps of an
+/// [`IterSession`], or `iters` calls of the 1.5D driver `run_spmm` runs on
+/// every rank. Returns the batch count the run used and the log.
+fn run_real(
+    (p, l): (usize, usize),
     exchange: ExchangeMode,
     overlap: OverlapMode,
-    forced: Option<usize>,
-    budget: MemoryBudget,
+    batching: Batching,
     iters: usize,
-) -> (Vec<usize>, Vec<LoggedOp>) {
-    let g = Arc::new(global.clone());
+    family: AlgorithmFamily,
+) -> (usize, Vec<LoggedOp>) {
+    let a = Arc::new(er_random::<PlusTimesF64>(48, 48, 4, 79));
+    let b = Arc::new(DenseBlock::from_fn(48, 6, |i, j| ((i + 2 * j) % 5) as f64));
     let (results, log) = run_ranks_logged(p, Machine::knl_mini(), move |rank| {
+        let root = rank.rank() == 0;
+        if family.is_15d() {
+            for _ in 0..iters {
+                let (a, b) = (root.then(|| Arc::clone(&a)), root.then(|| Arc::clone(&b)));
+                spmm_15d::<PlusTimesF64>(rank, family, a, b, BackendKind::Simgrid, false)?;
+            }
+            return Ok(vec![1; iters]);
+        }
         let grid = Grid3D::new(rank, l);
         let cfg = BatchConfig {
             exchange,
             overlap,
-            forced_batches: forced,
-            budget,
+            forced_batches: match batching {
+                Batching::Forced(n) => Some(n),
+                _ => None,
+            },
+            budget: match batching {
+                Batching::Budget(bytes) => MemoryBudget::new(bytes),
+                _ => MemoryBudget::unlimited(),
+            },
             ..BatchConfig::default()
         };
-        let mut sess = IterSession::<PlusTimesF64>::new(
-            rank,
-            &grid,
-            (rank.rank() == 0).then(|| Arc::clone(&g)),
-            cfg,
-            true,
-        )?;
-        let mut nbatches = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let st = sess.step(rank, &grid, |_, out| Some(out.piece))?;
-            nbatches.push(st.nbatches);
-        }
-        Ok::<_, CoreError>(nbatches)
+        let global = root.then(|| Arc::clone(&a));
+        let mut sess = IterSession::<PlusTimesF64>::new(rank, &grid, global, cfg, true)?;
+        (0..iters)
+            .map(|_| Ok(sess.step(rank, &grid, |_, out| Some(out.piece))?.nbatches))
+            .collect::<Result<Vec<usize>, CoreError>>()
     });
     let per_rank: Vec<Vec<usize>> = results
         .into_iter()
-        .map(|r| r.expect("session run must succeed"))
+        .map(|r| r.expect("the real run must succeed"))
         .collect();
-    for (i, nb) in per_rank.iter().enumerate() {
-        assert_eq!(nb, &per_rank[0], "rank {i} disagrees on batch counts");
+    let nb = per_rank[0][0];
+    for counts in &per_rank {
+        assert!(
+            counts.iter().all(|&b| b == nb),
+            "batch counts differ: {per_rank:?}"
+        );
     }
-    (per_rank[0].clone(), log)
+    (nb, log)
 }
 
-/// Compare the two projections rank by rank, with a readable first-diff
-/// report.
-fn assert_conformant(label: &str, sym: &[Vec<Sig>], real: &[Vec<Sig>]) {
-    assert_eq!(sym.len(), real.len(), "{label}: rank count");
-    for (r, (s, g)) in sym.iter().zip(real.iter()).enumerate() {
-        if s != g {
-            let at = s
-                .iter()
-                .zip(g.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| s.len().min(g.len()));
-            panic!(
-                "{label}: rank {r} diverges at op {at}\n  symbolic ({} ops): {:?}\n  real     ({} ops): {:?}",
-                s.len(),
-                s.get(at),
-                g.len(),
-                g.get(at),
-            );
-        }
-    }
-}
-
-/// Forced batch counts (no symbolic sweep): the symbolic trace matches
-/// the real session across both exchange modes, both overlap modes, and
-/// multi-layer vs single-layer grids, over multiple iterations.
 #[test]
-fn symbolic_trace_matches_real_session_forced_batches() {
-    let m = er_random::<PlusTimesF64>(32, 32, 3, 77);
-    for (p, l) in [(4usize, 1usize), (16, 4)] {
-        for exchange in ExchangeMode::ALL {
-            for overlap in [OverlapMode::Blocking, OverlapMode::Overlapped] {
-                let forced = 2usize;
-                let iters = 2usize;
-                let (nbatches, log) = run_real_session(
-                    &m,
-                    p,
-                    l,
-                    exchange,
-                    overlap,
-                    Some(forced),
-                    MemoryBudget::unlimited(),
-                    iters,
-                );
-                assert!(nbatches.iter().all(|&b| b == forced));
-                let prog = TraceProgram {
-                    p,
-                    l,
-                    exchange,
-                    overlap,
-                    iterations: iters,
-                    nbatches: forced,
-                    run_symbolic: false,
-                    scatter: true,
-                    session: true,
-                    modeled_nnz: (0, 0, 0),
-                };
-                let label = format!("p={p} l={l} {exchange:?} {overlap:?} forced");
-                assert_conformant(
-                    &label,
-                    &symbolic_projection(&prog),
-                    &real_projection(p, &log),
+fn extracted_schedule_matches_the_real_run() {
+    use Batching::{Budget, Default, Forced};
+    use ExchangeMode::{DenseBcast, SparseFetch};
+    use OverlapMode::{Blocking, Overlapped};
+    let summa = AlgorithmFamily::Summa3dBatched;
+    let mut rows = Vec::new();
+    for exchange in ExchangeMode::ALL {
+        for overlap in [Blocking, Overlapped] {
+            // Forced counts on single- and multi-layer grids over two
+            // iterations; a budget tight enough to force batching (inputs
+            // need ~2.7 KB per process here) but feasible.
+            rows.push(((4, 1), exchange, overlap, Forced(2), 2, summa));
+            rows.push(((16, 4), exchange, overlap, Forced(2), 2, summa));
+            rows.push(((4, 1), exchange, overlap, Budget(13_000), 1, summa));
+        }
+        rows.push(((16, 4), exchange, Blocking, Default, 2, summa));
+    }
+    let spmm = |p, family| ((p, 1), DenseBcast, Blocking, Forced(1), 2, family);
+    rows.push(spmm(12, AlgorithmFamily::ColA15 { c: 1 }));
+    rows.push(spmm(12, AlgorithmFamily::ColA15 { c: 3 }));
+    rows.push(spmm(16, AlgorithmFamily::InnerAbc15 { c: 2 }));
+    assert!(rows.iter().any(|r| r.1 == SparseFetch && r.2 == Overlapped));
+
+    for ((p, l), exchange, overlap, batching, iters, family) in rows {
+        let label =
+            format!("p={p} l={l} {exchange:?} {overlap:?} {batching:?} x{iters} {family:?}");
+        let (nb, log) = run_real((p, l), exchange, overlap, batching, iters, family);
+        // The real batch count is data-dependent under a budget: read it
+        // back and size the modeled workload so Alg. 3 resolves to it —
+        // `nb·1000` unmerged nonzeros per process against a leftover of
+        // 1000, over columns enough that none is too heavy.
+        let batch = match batching {
+            Forced(n) => BatchSpec::Forced(n),
+            Default => BatchSpec::Forced(1),
+            Budget(_) => {
+                assert!(nb > 1, "{label}: the budget must force batching");
+                BatchSpec::Budget { target: nb }
+            }
+        };
+        let shape = WorkloadShape {
+            name: "conformance",
+            n: (4 * p * nb) as u64,
+            nnz_a: 0,
+            nnz_b: 0,
+            unmerged: (p * nb * 1000) as u64,
+        };
+        let cfg = AuditConfig {
+            shape,
+            p,
+            l,
+            batch,
+            exchange,
+            overlap,
+            iterations: iters,
+            family,
+        };
+        let sched = cfg.extract().expect("a configuration that ran is feasible");
+        assert_eq!(sched.nbatches, nb, "{label}: resolved batch count");
+
+        for (r, want) in sched.traces.iter().enumerate() {
+            let want: Vec<_> = want.iter().map(as_logged).collect();
+            let got: Vec<_> = log
+                .iter()
+                .filter(|o| o.rank == r)
+                .map(|o| (o.comm, o.action))
+                .collect();
+            if want != got {
+                let at = want.iter().zip(&got).position(|(a, b)| a != b);
+                let at = at.unwrap_or(want.len().min(got.len()));
+                panic!(
+                    "{label}: rank {r} diverges at event {at}\n  extracted ({} events): {:?}\n  \
+                     real      ({} events): {:?}",
+                    want.len(),
+                    want.get(at),
+                    got.len(),
+                    got.get(at),
                 );
             }
-        }
-    }
-}
-
-/// The session's default path (no forced count, unlimited budget,
-/// block-cyclic batching) skips the symbolic sweep and runs one batch —
-/// and the auditor's model of that path matches the real run.
-#[test]
-fn symbolic_trace_matches_real_session_default_path() {
-    let m = er_random::<PlusTimesF64>(24, 24, 3, 78);
-    for exchange in ExchangeMode::ALL {
-        let (p, l) = (16usize, 4usize);
-        let (nbatches, log) = run_real_session(
-            &m,
-            p,
-            l,
-            exchange,
-            OverlapMode::Blocking,
-            None,
-            MemoryBudget::unlimited(),
-            2,
-        );
-        assert!(nbatches.iter().all(|&b| b == 1), "default path is b=1");
-        let prog = TraceProgram {
-            p,
-            l,
-            exchange,
-            overlap: OverlapMode::Blocking,
-            iterations: 2,
-            nbatches: 1,
-            run_symbolic: false,
-            scatter: true,
-            session: true,
-            modeled_nnz: (0, 0, 0),
-        };
-        let label = format!("default path {exchange:?}");
-        assert_conformant(
-            &label,
-            &symbolic_projection(&prog),
-            &real_projection(p, &log),
-        );
-    }
-}
-
-/// Budget-driven batching: the real session runs the Alg. 3 symbolic
-/// sweep (stage exchange + eight world reductions) before the batches,
-/// and the auditor's `run_symbolic` model reproduces its schedule exactly.
-/// The real batch count is data-dependent, so it is read back from the
-/// run and fed to the trace program.
-#[test]
-fn symbolic_trace_matches_real_session_budget_path() {
-    let m = er_random::<PlusTimesF64>(48, 48, 4, 79);
-    for exchange in ExchangeMode::ALL {
-        for overlap in [OverlapMode::Blocking, OverlapMode::Overlapped] {
-            let (p, l) = (4usize, 1usize);
-            // Tight enough to force batching, loose enough to be feasible
-            // (inputs need ~2.7 KB per process on this workload).
-            let budget = MemoryBudget::new(13_000);
-            let (nbatches, log) = run_real_session(
-                &m,
-                p,
-                l,
-                exchange,
-                overlap,
-                None,
-                budget,
-                1,
-            );
-            let b = nbatches[0];
-            assert!(b > 1, "budget must force batching (got b={b})");
-            let prog = TraceProgram {
-                p,
-                l,
-                exchange,
-                overlap,
-                iterations: 1,
-                nbatches: b,
-                run_symbolic: true,
-                scatter: true,
-                session: true,
-                modeled_nnz: (0, 0, 0),
-            };
-            let label = format!("budget path {exchange:?} {overlap:?} (b={b})");
-            assert_conformant(
-                &label,
-                &symbolic_projection(&prog),
-                &real_projection(p, &log),
-            );
         }
     }
 }

@@ -125,6 +125,14 @@ pub enum OpKind {
     IalltoallvPost,
 }
 
+impl OpKind {
+    /// Whether this is a nonblocking post, completed by a later wait,
+    /// rather than a blocking collective.
+    pub fn is_post(self) -> bool {
+        matches!(self, OpKind::IbcastPost | OpKind::IalltoallvPost)
+    }
+}
+
 impl fmt::Display for OpKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -194,25 +202,54 @@ impl fmt::Display for ProtocolViolation {
 
 impl std::error::Error for ProtocolViolation {}
 
-/// One collective/post registration, as recorded by the op log (enabled by
-/// [`crate::runtime::run_ranks_logged`]): which rank entered which
-/// operation on which communicator, with the root it named and the
-/// per-communicator sequence number it drew. The global order is the order
-/// registrations reached the checker; each rank's subsequence is its
-/// deterministic program order. The schedule auditor's conformance tests
-/// compare symbolic traces against this.
+/// One communication action of one rank, as recorded by the op log
+/// (enabled by [`crate::runtime::run_ranks_logged`]). The global order is
+/// the order actions reached the checker; each rank's subsequence is its
+/// deterministic program order. The schedule auditor's conformance test
+/// compares extracted schedules against this, action for action.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoggedOp {
-    /// Global rank that registered.
+    /// Global rank that acted.
     pub rank: usize,
     /// Communicator id.
     pub comm: u64,
-    /// Which operation.
-    pub kind: OpKind,
-    /// Root member index, for rooted collectives.
-    pub root: Option<usize>,
-    /// Per-communicator sequence number.
-    pub seq: u64,
+    /// What the rank did on it.
+    pub action: LoggedAction,
+}
+
+/// The action of one [`LoggedOp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoggedAction {
+    /// Entered a blocking collective or registered a nonblocking post
+    /// (`kind` tells which), naming `root` (member index) and drawing the
+    /// per-communicator sequence number `seq`.
+    Enter {
+        /// Which operation.
+        kind: OpKind,
+        /// Root member index, for rooted collectives.
+        root: Option<usize>,
+        /// Per-communicator sequence number.
+        seq: u64,
+    },
+    /// Waited on the nonblocking post that drew `seq`.
+    Wait {
+        /// Sequence number of the post being completed.
+        seq: u64,
+    },
+    /// Posted a user-level point-to-point send.
+    Send {
+        /// Destination global rank.
+        to: usize,
+        /// Message tag.
+        tag: u64,
+    },
+    /// Entered the matching blocking receive.
+    Recv {
+        /// Source global rank.
+        from: usize,
+        /// Message tag.
+        tag: u64,
+    },
 }
 
 /// One rank's registration at a rendezvous.
@@ -264,8 +301,9 @@ struct CheckState {
     /// Ranks blocked in a point-to-point receive with no matching send
     /// posted yet: receiver rank → `(comm_id, tag, src)`.
     p2p_blocked: HashMap<usize, (u64, u64, usize)>,
-    /// When `Some`, every collective/post registration is appended here
-    /// (the op log read back by [`crate::runtime::run_ranks_logged`]).
+    /// When `Some`, every collective/post registration, nonblocking wait and
+    /// point-to-point send/receive is appended here (the op log read back
+    /// by [`crate::runtime::run_ranks_logged`]).
     op_log: Option<Vec<LoggedOp>>,
 }
 
@@ -294,7 +332,7 @@ impl CheckShared {
         }
     }
 
-    /// Start recording every collective/post registration.
+    /// Start recording the op log.
     pub(crate) fn enable_logging(&self) {
         self.lock().op_log = Some(Vec::new());
     }
@@ -498,9 +536,7 @@ impl Rank {
             log.push(LoggedOp {
                 rank: me,
                 comm: comm.id(),
-                kind,
-                root,
-                seq,
+                action: LoggedAction::Enter { kind, root, seq },
             });
         }
         // Rendezvous registration and cross-rank agreement.
@@ -622,8 +658,31 @@ impl Rank {
             );
             panic!("{report}");
         }
+        if let Some(log) = st.op_log.as_mut() {
+            log.push(LoggedOp {
+                rank: me,
+                comm: comm.id(),
+                action: LoggedAction::Send { to: dst, tag },
+            });
+        }
         if st.p2p_blocked.get(&dst) == Some(&(comm.id(), tag, me)) {
             st.p2p_blocked.remove(&dst);
+        }
+    }
+
+    /// Record the completion of nonblocking post `seq` on `comm` in the op
+    /// log. Completions register nothing else with the checker (a dropped
+    /// handle is caught by its `HandleGuard`).
+    pub(crate) fn check_wait(&self, comm: &Comm, seq: u64) {
+        let Some(check) = self.world().check.as_ref() else {
+            return;
+        };
+        if let Some(log) = check.lock().op_log.as_mut() {
+            log.push(LoggedOp {
+                rank: self.rank(),
+                comm: comm.id(),
+                action: LoggedAction::Wait { seq },
+            });
         }
     }
 
@@ -642,6 +701,13 @@ impl Rank {
             let report = render(&st.violations);
             drop(st);
             panic!("{report}");
+        }
+        if let Some(log) = st.op_log.as_mut() {
+            log.push(LoggedOp {
+                rank: me,
+                comm: comm.id(),
+                action: LoggedAction::Recv { from: src, tag },
+            });
         }
         if st.p2p_inflight.contains(&(comm.id(), tag, src, me)) {
             return;

@@ -45,7 +45,7 @@ pub mod runtime;
 pub mod stats;
 pub mod trace;
 
-pub use check::{CheckMode, LoggedOp, OpKind, ProtocolViolation, ViolationKind};
+pub use check::{CheckMode, LoggedAction, LoggedOp, OpKind, ProtocolViolation, ViolationKind};
 pub use clock::{RankClock, Step, StepBreakdown};
 pub use comm::{comm_id, Comm, Rank};
 pub use cost::Machine;

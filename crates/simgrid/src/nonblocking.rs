@@ -241,6 +241,7 @@ impl<T: Send + Sync + 'static> PendingOp for PendingBcast<T> {
 
     fn wait(mut self, rank: &mut Rank) -> Arc<T> {
         self.guard.disarm();
+        rank.check_wait(&self.comm, self.seq);
         let q = self.comm.size();
         let me = self.comm.my_index();
         let (out, bytes) = if me == self.root {
@@ -262,6 +263,7 @@ impl<T: Send + 'static> PendingOp for PendingAlltoallv<T> {
 
     fn wait(mut self, rank: &mut Rank) -> Vec<T> {
         self.guard.disarm();
+        rank.check_wait(&self.comm, self.seq);
         let q = self.comm.size();
         let me = self.comm.my_index();
         let mut out: Vec<Option<T>> = (0..q).map(|_| None).collect();

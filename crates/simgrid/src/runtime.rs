@@ -103,9 +103,10 @@ where
 
 /// [`run_ranks`] with the protocol checker forced on and its op log
 /// enabled: returns each rank's result plus every collective/nonblocking
-/// registration the run made, in checker arrival order (each rank's
-/// subsequence is its program order). The schedule auditor's conformance
-/// tests compare symbolic schedules against this ground truth.
+/// registration, nonblocking wait and point-to-point send/receive the run
+/// made, in checker arrival order (each rank's subsequence is its program
+/// order). The schedule auditor's conformance test compares extracted
+/// schedules against this ground truth.
 pub fn run_ranks_logged<R, F>(p: usize, machine: Machine, f: F) -> (Vec<R>, Vec<LoggedOp>)
 where
     R: Send,
@@ -312,20 +313,52 @@ mod tests {
 
     #[test]
     fn op_log_records_per_rank_program_order() {
+        use crate::check::{LoggedAction, OpKind};
+        use crate::nonblocking::PendingOp;
         let (_, log) = run_ranks_logged(4, Machine::knl(), |rank| {
             let comm = rank.world_comm();
+            let (me, p) = (rank.rank(), rank.world_size());
             rank.barrier(&comm, crate::clock::Step::Other);
-            rank.barrier(&comm, crate::clock::Step::Other);
+            rank.send(&comm, (me + 1) % p, 7, me as u64);
+            let _: u64 = rank.recv(&comm, (me + p - 1) % p, 7);
+            let payload = (me == 1).then(|| Arc::new(5u8));
+            let pending = rank.ibcast(&comm, 1, payload, 1, crate::clock::Step::Other);
+            pending.wait(rank);
         });
-        // 4 ranks × 2 barriers, and each rank's subsequence has seq 1, 2.
-        assert_eq!(log.len(), 8);
+        // Every rank's subsequence is its whole program: collective, send,
+        // receive, post, wait — with peers, tags, roots and sequence numbers.
+        assert_eq!(log.len(), 4 * 5);
         for r in 0..4 {
-            let seqs: Vec<u64> = log.iter().filter(|o| o.rank == r).map(|o| o.seq).collect();
-            assert_eq!(seqs, vec![1, 2]);
+            let mine: Vec<LoggedAction> = log
+                .iter()
+                .filter(|o| o.rank == r)
+                .map(|o| o.action)
+                .collect();
+            assert_eq!(
+                mine,
+                vec![
+                    LoggedAction::Enter {
+                        kind: OpKind::Barrier,
+                        root: None,
+                        seq: 1
+                    },
+                    LoggedAction::Send {
+                        to: (r + 1) % 4,
+                        tag: 7
+                    },
+                    LoggedAction::Recv {
+                        from: (r + 3) % 4,
+                        tag: 7
+                    },
+                    LoggedAction::Enter {
+                        kind: OpKind::IbcastPost,
+                        root: Some(1),
+                        seq: 2
+                    },
+                    LoggedAction::Wait { seq: 2 },
+                ]
+            );
         }
-        assert!(log
-            .iter()
-            .all(|o| o.kind == crate::check::OpKind::Barrier && o.root.is_none()));
     }
 
     #[test]
