@@ -213,12 +213,10 @@ pub fn spgemm_hash_dcsc<S: Semiring>(
         if ub == 0 {
             continue;
         }
-        acc.reset(ub);
+        acc.reset(ub, a.nrows());
         for (&i, &bv) in b_rows.iter().zip(b_vals.iter()) {
             if let Some((a_rows, a_vals)) = a.col(i as usize) {
-                for (&r, &av) in a_rows.iter().zip(a_vals.iter()) {
-                    acc.accumulate::<S>(r, S::mul(av, bv));
-                }
+                acc.accumulate_col::<S>(a_rows, a_vals, |av| S::mul(av, bv));
             }
         }
         let before = rowidx.len();

@@ -60,24 +60,23 @@ fn merge_hash_cols<S: Semiring>(
         return Ok((only, stats));
     }
     let allocs_before = ws.total_allocs();
-    let total_nnz: usize = parts.iter().map(|p| p.nnz()).sum();
-    ws.prepare_output(ncols, total_nnz);
+    let col_in = |j: usize| parts.iter().map(|p| p.col_nnz(j)).sum::<usize>();
+    // A merged column holds at most its inputs' entries, and at most `nrows`.
+    ws.prepare_output(ncols, (0..ncols).map(|j| col_in(j).min(nrows)).sum());
     let mut stats = WorkStats::default();
     let acc = ws.accum.get_or_insert_with(|| HashAccum::new(S::zero()));
     ws.colptr.push(0);
 
     for j in 0..ncols {
-        let total_in: usize = parts.iter().map(|p| p.col_nnz(j)).sum();
+        let total_in = col_in(j);
         if total_in == 0 {
             ws.colptr.push(ws.rowidx.len());
             continue;
         }
-        acc.reset(total_in);
+        acc.reset(total_in, nrows);
         for p in parts {
             let (rows, vs) = p.col(j);
-            for (&r, &v) in rows.iter().zip(vs.iter()) {
-                acc.accumulate::<S>(r, v);
-            }
+            acc.accumulate_col::<S>(rows, vs, |v| v);
         }
         let before = ws.rowidx.len();
         if sort {

@@ -195,10 +195,8 @@ pub fn hadamard<S: Semiring>(a: &CscMatrix<S::T>, b: &CscMatrix<S::T>) -> Result
             colptr[j + 1] = rowidx.len();
             continue;
         }
-        acc.reset(b_rows.len());
-        for (&r, &v) in b_rows.iter().zip(b_vals.iter()) {
-            acc.accumulate::<S>(r, v);
-        }
+        acc.reset(b_rows.len(), b.nrows());
+        acc.accumulate_col::<S>(b_rows, b_vals, |v| v);
         // Probe a's entries against b's table.
         let (a_rows, a_vals) = a.col(j);
         let mut pairs: Vec<(u32, S::T)> = Vec::new();

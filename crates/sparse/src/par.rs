@@ -23,7 +23,8 @@
 //!   which [`col_block`] extraction preserves exactly;
 //! * [`HashAccum`](crate::spgemm::accum::HashAccum)'s insertion order and
 //!   per-key accumulation order depend only on the order the column's data
-//!   is fed in — never on table capacity or on what previous columns did;
+//!   is fed in — never on table capacity, on how the column is addressed,
+//!   or on what previous columns did;
 //! * the `sorted` flag every kernel computes is a per-column conjunction,
 //!   so AND-ing the per-range flags (what [`col_concat`] does) reproduces
 //!   the one-range flag.
@@ -85,11 +86,21 @@ pub fn split_cols_by_weight(weights: &[u64], nparts: usize) -> Vec<Range<usize>>
 /// counts: `est[j] = Σ_{i ∈ B(:,j)} nnz(A(:,i))`.
 pub fn multiply_col_flops<T: Copy, U: Copy>(a: &CscMatrix<T>, b: &CscMatrix<U>) -> Vec<u64> {
     (0..b.ncols())
-        .map(|j| {
-            let (rows, _) = b.col(j);
-            rows.iter().map(|&i| a.col_nnz(i as usize) as u64).sum()
-        })
+        .map(|j| col_flops(a, b.col(j).0) as u64)
         .collect()
+}
+
+/// Flops of the output column whose `B` column has rows `b_rows`.
+pub(crate) fn col_flops<T: Copy>(a: &CscMatrix<T>, b_rows: &[u32]) -> usize {
+    b_rows.iter().map(|&i| a.col_nnz(i as usize)).sum()
+}
+
+/// Output-arena bound of `a · b`: a column holds at most one entry per
+/// multiply before accumulation, and never more than `nrows(a)`.
+pub(crate) fn output_bound<T: Copy, U: Copy>(a: &CscMatrix<T>, b: &CscMatrix<U>) -> usize {
+    (0..b.ncols())
+        .map(|j| col_flops(a, b.col(j).0).min(a.nrows()))
+        .sum()
 }
 
 /// Work estimate per output column of a merge: total input entries landing

@@ -1,10 +1,15 @@
 //! Dense sparse-accumulator (SPA / Gustavson) SpGEMM.
 //!
 //! The classic MATLAB-style kernel \[21\]: a dense value array plus a stamp
-//! array of size `nrows(A)`. O(nrows) memory per thread makes it unsuitable
-//! for the paper's extreme-scale local blocks, but it is the simplest
-//! correct kernel, so the test suite uses it as the oracle for the heap,
-//! hybrid, and hash kernels.
+//! array of size `nrows(A)`, allocated whatever the operands look like.
+//! That unconditional O(nrows) per thread is what makes SPA unsuitable for
+//! the paper's hypersparse extreme-scale blocks. The paper-kernel does
+//! accumulate SPA-style — slot = row — but only in columns dense enough
+//! that its table holds `nrows` slots anyway (`2·flops ≥ nrows`, see
+//! [`super::accum`]), so its memory stays bounded by what hashing would
+//! have asked for. This kernel shares no code with that accumulator and is
+//! the simplest correct one, so the test suite uses it as the oracle for
+//! the heap, hybrid and hash kernels, the merges and the symbolic sweep.
 
 use super::{WorkStats, C_DRAIN, C_HASH_FLOP};
 use crate::csc::CscMatrix;

@@ -10,7 +10,7 @@ use super::workspace::SpGemmWorkspace;
 use super::{WorkStats, C_DRAIN, C_HASH_FLOP};
 use crate::csc::CscMatrix;
 use crate::ops::col_concat;
-use crate::par::{self, RangeBalance, Ranged};
+use crate::par::{self, col_flops, output_bound, RangeBalance, Ranged};
 use crate::semiring::Semiring;
 use crate::Result;
 
@@ -37,32 +37,23 @@ fn hash_cols<S: Semiring>(
     ws: &mut SpGemmWorkspace<S::T>,
 ) -> Ranged<CscMatrix<S::T>> {
     let n_out = b.ncols();
+    let nrows = a.nrows();
     let allocs_before = ws.total_allocs();
-    // Arena upper bound: the flop count Σ_j Σ_{i∈B(:,j)} nnz(A(:,i)) also
-    // bounds the output nnz (one entry per multiply before accumulation).
-    let mut total_ub = 0usize;
-    for &i in b.rowidx() {
-        total_ub += a.col_nnz(i as usize);
-    }
-    ws.prepare_output(n_out, total_ub);
+    ws.prepare_output(n_out, output_bound(a, b));
     let mut stats = WorkStats::default();
     let acc = ws.accum.get_or_insert_with(|| HashAccum::new(S::zero()));
     ws.colptr.push(0);
 
     for j in 0..n_out {
         let (b_rows, b_vals) = b.col(j);
-        // Upper bound on distinct output rows in this column.
-        let mut ub = 0usize;
-        for &i in b_rows {
-            ub += a.col_nnz(i as usize);
-        }
+        // The column's flop count: with `nrows`, the bound on its distinct
+        // output rows.
+        let ub = col_flops(a, b_rows);
         if ub > 0 {
-            acc.reset(ub);
+            acc.reset(ub, nrows);
             for (&i, &bv) in b_rows.iter().zip(b_vals.iter()) {
                 let (a_rows, a_vals) = a.col(i as usize);
-                for (&r, &av) in a_rows.iter().zip(a_vals.iter()) {
-                    acc.accumulate::<S>(r, S::mul(av, bv));
-                }
+                acc.accumulate_col::<S>(a_rows, a_vals, |av| S::mul(av, bv));
             }
             let before = ws.rowidx.len();
             acc.drain_into(&mut ws.rowidx, &mut ws.vals);
@@ -76,7 +67,7 @@ fn hash_cols<S: Semiring>(
     // Columns of length ≤ 1 are trivially sorted; keeps the flag honest for
     // degenerate outputs without scanning row indices.
     let sorted = ws.colptr.windows(2).all(|w| w[1] - w[0] <= 1);
-    let (c, copied) = ws.take_output(a.nrows(), n_out, sorted);
+    let (c, copied) = ws.take_output(nrows, n_out, sorted);
     stats.allocs = ws.total_allocs() - allocs_before;
     stats.peak_scratch_bytes = ws.peak_scratch_bytes();
     stats.memcpy_bytes = copied;

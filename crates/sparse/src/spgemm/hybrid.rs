@@ -13,7 +13,7 @@ use super::workspace::SpGemmWorkspace;
 use super::{lg, WorkStats, C_HASH_FLOP, C_HEAP_FLOP, C_SORT};
 use crate::csc::CscMatrix;
 use crate::ops::col_concat;
-use crate::par::{self, RangeBalance, Ranged};
+use crate::par::{self, col_flops, output_bound, RangeBalance, Ranged};
 use crate::semiring::Semiring;
 use crate::{Result, SparseError};
 use std::cmp::Reverse;
@@ -49,11 +49,7 @@ fn hybrid_cols<S: Semiring>(
     }
     let n_out = b.ncols();
     let allocs_before = ws.total_allocs();
-    let mut total_ub = 0usize;
-    for &i in b.rowidx() {
-        total_ub += a.col_nnz(i as usize);
-    }
-    ws.prepare_output(n_out, total_ub);
+    ws.prepare_output(n_out, output_bound(a, b));
     ws.ensure_streams(HEAP_STREAMS_MAX);
     let mut stats = WorkStats::default();
     let acc = ws.accum.get_or_insert_with(|| HashAccum::new(S::zero()));
@@ -66,10 +62,7 @@ fn hybrid_cols<S: Semiring>(
             ws.colptr.push(ws.rowidx.len());
             continue;
         }
-        let mut col_flops = 0u64;
-        for &i in b_rows {
-            col_flops += a.col_nnz(i as usize) as u64;
-        }
+        let flops = col_flops(a, b_rows) as u64;
         let col_start = ws.rowidx.len();
         if k <= HEAP_STREAMS_MAX {
             // Heap path: sorted output for free.
@@ -102,23 +95,21 @@ fn hybrid_cols<S: Semiring>(
                     ws.heap.push(Reverse((a_rows[pos + 1], s as u32)));
                 }
             }
-            stats.work_units += col_flops as f64 * lg(k) * C_HEAP_FLOP;
+            stats.work_units += flops as f64 * lg(k) * C_HEAP_FLOP;
         } else {
             // Hash path + explicit sort of the finished column.
-            acc.reset(col_flops as usize);
+            acc.reset(flops as usize, a.nrows());
             for (&i, &bv) in b_rows.iter().zip(b_vals.iter()) {
                 let (a_rows, a_vals) = a.col(i as usize);
-                for (&r, &av) in a_rows.iter().zip(a_vals.iter()) {
-                    acc.accumulate::<S>(r, S::mul(av, bv));
-                }
+                acc.accumulate_col::<S>(a_rows, a_vals, |av| S::mul(av, bv));
             }
             acc.drain_into_sorted(&mut ws.rowidx, &mut ws.vals);
             let produced = ws.rowidx.len() - col_start;
             stats.work_units +=
-                col_flops as f64 * C_HASH_FLOP + produced as f64 * lg(produced) * C_SORT;
+                flops as f64 * C_HASH_FLOP + produced as f64 * lg(produced) * C_SORT;
         }
         let produced = ws.rowidx.len() - col_start;
-        stats.flops += col_flops;
+        stats.flops += flops;
         stats.nnz_out += produced as u64;
         ws.colptr.push(ws.rowidx.len());
     }

@@ -9,9 +9,14 @@
 //!   chooses a heap or a hash accumulator depending on the column's
 //!   compression characteristics, then sorts the column.
 //! * [`hash::spgemm_hash_unsorted`] — **this paper's** sort-free kernel:
-//!   hash accumulation, no sorting of inputs required, unsorted output.
+//!   hash accumulation, no sorting of inputs required, unsorted output. Its
+//!   accumulator ([`accum::HashAccum`]) indexes the table by row — SPA-style
+//!   — for columns whose flop bound is at least half the block's rows, where
+//!   the table has that many slots anyway; the hybrid kernel's hash path,
+//!   the hash merges and the symbolic sweep share it.
 //! * [`dense_acc::spgemm_spa`] — a dense sparse-accumulator (Gustavson/SPA)
-//!   reference, used as an oracle in tests.
+//!   reference with an unconditional `nrows`-sized array: independent of
+//!   `accum`, used as the oracle in tests.
 //! * [`esc::spgemm_esc`] — expand–sort–compress, the GPU-style accumulator
 //!   of the related work the paper surveys \[23, 26, 28\].
 //! * [`symbolic`] — hash-based nnz counting (`LocalSymbolic` in Alg. 3).

@@ -7,7 +7,7 @@
 use super::workspace::SpGemmWorkspace;
 use super::{WorkStats, C_DRAIN, C_HASH_FLOP};
 use crate::csc::CscMatrix;
-use crate::par::{self, RangeBalance, Ranged};
+use crate::par::{self, col_flops, RangeBalance, Ranged};
 use crate::Result;
 
 /// Per-column output nnz of `a · b`, plus flop count.
@@ -46,19 +46,13 @@ fn count_cols<T: Copy, U: Copy>(
     #[allow(clippy::needless_range_loop)] // indexes both `b` and `counts`
     for j in 0..n_out {
         let (b_rows, _) = b.col(j);
-        let mut ub = 0usize;
-        for &i in b_rows {
-            ub += a.col_nnz(i as usize);
-        }
+        let ub = col_flops(a, b_rows);
         if ub == 0 {
             continue;
         }
-        acc.reset(ub);
+        acc.reset(ub, a.nrows());
         for &i in b_rows {
-            let (a_rows, _) = a.col(i as usize);
-            for &r in a_rows {
-                acc.insert_key(r);
-            }
+            acc.insert_keys(a.col(i as usize).0);
         }
         counts[j] = acc.len() as u64;
         stats.flops += ub as u64;

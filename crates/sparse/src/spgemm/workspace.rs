@@ -12,8 +12,8 @@
 //! and symbolic [`HashAccum`]s, the k-way-merge heap and cursors, and
 //! output arenas for `colptr`/`rowidx`/`vals` — with monotonically growing
 //! capacity. The kernels build their result in the arenas (preallocated
-//! to the kernel's own upper bound: the per-column `ub`/`total_in` sums)
-//! and finish with one exact-size copy
+//! to the kernel's own upper bound: the per-column `ub`/`total_in`, each
+//! capped at `nrows`, summed) and finish with one exact-size copy
 //! per buffer, so a warmed-up workspace performs a small constant number
 //! of allocations per kernel call instead of `O(log nnz)` growth events
 //! per vector plus a table reallocation per column-size regime.
