@@ -10,10 +10,8 @@
 //! one candidate (best partner per vertex column) and discarded; only the
 //! tiny candidate lists survive, never the full product.
 
-use spgemm_core::batched::{batched_summa3d, BatchConfig, BatchingStrategy};
-use spgemm_core::dist::{scatter, DistKind};
-use spgemm_core::{CoreError, KernelStrategy, MemoryBudget};
-use spgemm_simgrid::{max_breakdown, run_ranks, Grid3D, Machine, Step, StepBreakdown};
+use spgemm_core::{run_batched, BOperand, CoreError, RunConfig};
+use spgemm_simgrid::{Step, StepBreakdown};
 use spgemm_sparse::ops::transpose;
 use spgemm_sparse::semiring::PlusTimesU64;
 use spgemm_sparse::CscMatrix;
@@ -24,16 +22,10 @@ use std::sync::Arc;
 pub struct CoarsenConfig {
     /// Minimum shared hyperedges for a pair to be matchable.
     pub min_shared: u64,
-    /// Simulated processes.
-    pub p: usize,
-    /// Grid layers.
-    pub layers: usize,
-    /// Machine model.
-    pub machine: Machine,
-    /// Memory budget: drives how many batches the product needs.
-    pub budget: MemoryBudget,
-    /// Local kernels.
-    pub kernels: KernelStrategy,
+    /// The distributed-run configuration. Its budget drives how many
+    /// batches the product needs; `discard_output` is always on — the
+    /// product is reduced batch by batch and never kept.
+    pub run: RunConfig,
 }
 
 impl CoarsenConfig {
@@ -41,11 +33,7 @@ impl CoarsenConfig {
     pub fn new(min_shared: u64, p: usize, layers: usize) -> Self {
         CoarsenConfig {
             min_shared,
-            p,
-            layers,
-            machine: Machine::knl(),
-            budget: MemoryBudget::unlimited(),
-            kernels: KernelStrategy::New,
+            run: RunConfig::new(p, layers),
         }
     }
 }
@@ -74,37 +62,17 @@ pub fn heavy_connectivity_matching(
 ) -> Result<Matching, CoreError> {
     let nv = incidence.nrows();
     let pattern = incidence.map(|_| 1u64);
-    let at = transpose(&pattern);
-    let a_arc = Arc::new(pattern);
-    let at_arc = Arc::new(at);
-    let cfg_c = *cfg;
+    let at = BOperand::Global(Arc::new(transpose(&pattern)));
+    let run = RunConfig {
+        discard_output: true,
+        ..cfg.run
+    };
 
-    let results = run_ranks(cfg.p, cfg.machine, move |rank| {
-        let grid = Grid3D::new(rank, cfg_c.layers);
-        let da = scatter(
-            rank,
-            &grid,
-            DistKind::AStyle,
-            (rank.rank() == 0).then(|| Arc::clone(&a_arc)),
-        );
-        let db = scatter(
-            rank,
-            &grid,
-            DistKind::BStyle,
-            (rank.rank() == 0).then(|| Arc::clone(&at_arc)),
-        );
-        let bcfg = BatchConfig {
-            kernels: cfg_c.kernels,
-            batching: BatchingStrategy::BlockCyclic,
-            budget: cfg_c.budget,
-            forced_batches: None,
-            overlap: Default::default(),
-            exchange: Default::default(),
-            backend: Default::default(),
-            algorithm: Default::default(),
-        };
-        let mut candidates: Vec<Candidate> = Vec::new();
-        let result = batched_summa3d::<PlusTimesU64>(rank, &grid, &da, &db, &bcfg, |_r, out| {
+    let (out, gathered) = run_batched::<PlusTimesU64, Vec<Candidate>, _>(
+        &run,
+        &Arc::new(pattern),
+        &at,
+        |candidates, _rank, _grid, out| {
             // Reduce the batch to local per-column best candidates and
             // discard the piece — the full W never materializes.
             let piece = &out.piece;
@@ -114,34 +82,24 @@ pub fn heavy_connectivity_matching(
                 let mut best: Option<Candidate> = None;
                 for (&r, &w) in rows.iter().zip(vals.iter()) {
                     let u = r + piece.row_offset as u32;
-                    if u != v && w >= cfg_c.min_shared
-                        && best.is_none_or(|(_, _, bw)| w > bw) {
-                            best = Some((u.min(v), u.max(v), w));
-                        }
+                    if u != v && w >= cfg.min_shared && best.is_none_or(|(_, _, bw)| w > bw) {
+                        best = Some((u.min(v), u.max(v), w));
+                    }
                 }
                 candidates.extend(best);
             }
             None // discard the batch
-        })?;
-        let gathered = rank.gather_to_root(&grid.world, 0, candidates, 0, Step::Other);
-        Ok::<_, CoreError>((gathered, *rank.clock().breakdown(), result.nbatches))
-    });
-
-    let mut all_candidates: Vec<Candidate> = Vec::new();
-    let mut breakdowns = Vec::with_capacity(cfg.p);
-    let mut nbatches = 1;
-    for (i, r) in results.into_iter().enumerate() {
-        let (gathered, bd, nb) = r?;
-        breakdowns.push(bd);
-        nbatches = nb;
-        if i == 0 {
-            all_candidates = gathered
-                .expect("root gathers candidates")
-                .into_iter()
-                .flatten()
-                .collect();
-        }
-    }
+        },
+        |candidates, rank, grid| rank.gather_to_root(&grid.world, 0, candidates, 0, Step::Other),
+    )?;
+    let mut all_candidates: Vec<Candidate> = gathered
+        .into_iter()
+        .next()
+        .flatten()
+        .expect("root gathers candidates")
+        .into_iter()
+        .flatten()
+        .collect();
 
     // Greedy matching, heaviest connectivity first (ties by vertex id for
     // determinism).
@@ -159,8 +117,8 @@ pub fn heavy_connectivity_matching(
     Ok(Matching {
         mate,
         pairs,
-        nbatches,
-        breakdown: max_breakdown(&breakdowns),
+        nbatches: out.nbatches,
+        breakdown: out.max,
     })
 }
 
@@ -232,7 +190,7 @@ mod tests {
         let sym = probe_out.symbolic.unwrap();
         let per_proc =
             24 * (sym.max_nnz_a + sym.max_nnz_b) as usize + 24 * sym.max_unmerged_nnz as usize / 3;
-        cfg.budget = MemoryBudget::new(per_proc * p);
+        cfg.run.budget = spgemm_core::MemoryBudget::new(per_proc * p);
         let m = heavy_connectivity_matching(&inc, &cfg).unwrap();
         assert!(m.nbatches > 1, "tight budget should force batching (b={})", m.nbatches);
         assert_eq!(m.pairs, 16, "batched matching must still pair every twin");

@@ -20,7 +20,7 @@
 //!
 //! * The **session driver** (default, [`MclParams::session`]) keeps the
 //!   iterate resident in an [`IterSession`] for the whole run — one
-//!   `run_ranks` call, no per-iteration gather-to-root/re-scatter round
+//!   simulated world, no per-iteration gather-to-root/re-scatter round
 //!   trip, the symbolic sweep skipped when the budget is unlimited, and
 //!   (under [`ExchangeMode::SparseFetch`] with [`MclParams::cache`]) fetch
 //!   state memoized across iterations. Chaos is computed *distributed*,
@@ -33,16 +33,18 @@
 //!
 //! Both produce identical clusterings: the session's in-place assembly and
 //! fiber refresh reproduce the legacy gather + re-scatter exactly (see
-//! `iter_session.rs` property tests).
+//! `iter_session.rs` property tests). Neither spawns ranks, scatters or
+//! gathers itself: the legacy driver is [`run_batched`] with the pruning
+//! callback, the session driver enters through [`run_on_grid`], and both
+//! run under the one [`RunConfig`] that `MclParams` maps to.
 
 use crate::components::components_from_pattern;
-use spgemm_core::batched::{batched_summa3d, BatchConfig, BatchingStrategy};
-use spgemm_core::dist::{gather_pieces, scatter, CPiece, DistKind};
+use spgemm_core::dist::CPiece;
 use spgemm_core::{
-    BackendKind, CoreError, ExchangeMode, IterSession, KernelStrategy, MemoryBudget, OverlapMode,
-    SessionIterStats,
+    run_batched, run_on_grid, BOperand, BackendKind, CoreError, ExchangeMode, IterSession,
+    KernelStrategy, MemoryBudget, OverlapMode, RunConfig, SessionIterStats,
 };
-use spgemm_simgrid::{max_breakdown, run_ranks, Grid3D, Machine, Rank, Step, StepBreakdown};
+use spgemm_simgrid::{max_breakdown, Grid3D, Machine, Rank, Step, StepBreakdown};
 use spgemm_sparse::semiring::PlusTimesF64;
 use spgemm_sparse::{CscMatrix, Triples};
 use std::sync::Arc;
@@ -111,41 +113,22 @@ impl MclParams {
             perturb: None,
         }
     }
-}
 
-/// Spawn the virtual cluster honouring [`MclParams::perturb`]: an explicit
-/// seed wins; `None` falls back to the `SPGEMM_PERTURB_SEED` environment
-/// variable (inside [`run_ranks`]).
-fn run_cluster<R, F>(params: &MclParams, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut Rank) -> R + Send + Sync,
-{
-    match params.perturb {
-        Some(seed) => spgemm_simgrid::run_ranks_seeded(
-            params.p,
-            params.machine,
-            spgemm_simgrid::CheckMode::default_mode(),
-            Some(seed),
-            f,
-        ),
-        None => run_ranks(params.p, params.machine, f),
-    }
-}
-
-/// The batched-multiply configuration both drivers run under — every
-/// policy knob threads through from [`MclParams`], so `--overlap`,
-/// `--exchange` and `--backend` reach MCL like they reach plain SpGEMM.
-fn batch_config(params: &MclParams) -> BatchConfig {
-    BatchConfig {
-        kernels: params.kernels,
-        batching: BatchingStrategy::BlockCyclic,
-        budget: params.budget,
-        forced_batches: None,
-        overlap: params.overlap,
-        exchange: params.exchange,
-        backend: params.backend,
-        algorithm: Default::default(),
+    /// The run policy both drivers execute under: every policy field of
+    /// `MclParams` lands in the [`RunConfig`] the harness and the batched
+    /// pipeline read, so `--overlap`, `--exchange`, `--backend` and the
+    /// perturbation seed reach MCL exactly as they reach plain SpGEMM.
+    fn run_config(&self) -> RunConfig {
+        RunConfig {
+            machine: self.machine,
+            kernels: self.kernels,
+            budget: self.budget,
+            overlap: self.overlap,
+            exchange: self.exchange,
+            backend: self.backend,
+            perturb: self.perturb,
+            ..RunConfig::new(self.p, self.layers)
+        }
     }
 }
 
@@ -332,74 +315,6 @@ fn prune_batch_piece(
     (piece, batch_chaos)
 }
 
-/// One legacy expansion+inflation+pruning iteration on the virtual
-/// cluster: scatter the iterate, multiply-and-prune, gather it back.
-/// Returns the new (gathered) iterate and the iteration's measurements.
-///
-/// Takes the iterate as an `Arc` so the simulation threads share one copy
-/// instead of deep-cloning the whole matrix every iteration.
-fn mcl_iteration(
-    m: &Arc<CscMatrix<f64>>,
-    params: &MclParams,
-) -> Result<(CscMatrix<f64>, StepBreakdown, usize, u64), CoreError> {
-    let n = m.nrows();
-    let m_arc = Arc::clone(m);
-    let params = *params;
-    let results = run_cluster(&params, move |rank| {
-        let grid = Grid3D::new(rank, params.layers);
-        let da = scatter(
-            rank,
-            &grid,
-            DistKind::AStyle,
-            (rank.rank() == 0).then(|| Arc::clone(&m_arc)),
-        );
-        let db = scatter(
-            rank,
-            &grid,
-            DistKind::BStyle,
-            (rank.rank() == 0).then(|| Arc::clone(&m_arc)),
-        );
-        let cfg = batch_config(&params);
-        let grid_ref = &grid;
-        let result = batched_summa3d::<PlusTimesF64>(rank, &grid, &da, &db, &cfg, |rank, out| {
-            Some(prune_batch_piece(rank, grid_ref, out.piece, &params).0)
-        })?;
-        let nbatches = result.nbatches;
-        let gathered = gather_pieces(rank, &grid.world, result.pieces, n, n);
-        Ok::<_, CoreError>((gathered, *rank.clock().breakdown(), nbatches))
-    });
-
-    let mut new_m = None;
-    let mut breakdowns = Vec::with_capacity(params.p);
-    let mut modeled_bytes = 0u64;
-    let mut nbatches: Option<usize> = None;
-    for (i, r) in results.into_iter().enumerate() {
-        let (c, bd, nb) = r?;
-        modeled_bytes += bd.bytes_total();
-        breakdowns.push(bd);
-        // The symbolic batch count must be an SPMD-agreed value; taking
-        // any one rank's answer would silently mask a divergence.
-        match nbatches {
-            None => nbatches = Some(nb),
-            Some(prev) if prev != nb => {
-                return Err(CoreError::Config(format!(
-                    "ranks disagree on the batch count: rank 0 chose {prev}, rank {i} chose {nb}"
-                )))
-            }
-            Some(_) => {}
-        }
-        if i == 0 {
-            new_m = c;
-        }
-    }
-    Ok((
-        new_m.expect("root must gather the iterate"),
-        max_breakdown(&breakdowns),
-        nbatches.expect("at least one rank ran"),
-        modeled_bytes,
-    ))
-}
-
 /// Run Markov clustering on `adj` (symmetric similarity matrix) with the
 /// driver [`MclParams::session`] selects. Both drivers produce identical
 /// clusterings and per-iteration chaos values.
@@ -415,20 +330,29 @@ fn markov_cluster_legacy(
     adj: &CscMatrix<f64>,
     params: &MclParams,
 ) -> Result<MclResult, CoreError> {
+    let cfg = params.run_config();
+    // An `Arc` so the simulation threads share one copy of the iterate
+    // instead of deep-cloning the whole matrix every iteration.
     let mut m = Arc::new(mcl_init(adj));
     let mut per_iter = Vec::new();
-    let mut iterations = 0;
     for _ in 0..params.max_iters {
-        let (next, breakdown, nbatches, modeled_bytes) = mcl_iteration(&m, params)?;
-        m = Arc::new(next);
-        iterations += 1;
+        // One expansion+inflation+pruning iteration on a fresh virtual
+        // cluster: scatter the iterate, multiply-and-prune, gather it back.
+        let (out, _) = run_batched::<PlusTimesF64, (), ()>(
+            &cfg,
+            &m,
+            &BOperand::Global(Arc::clone(&m)),
+            |(), rank, grid, out| Some(prune_batch_piece(rank, grid, out.piece, params).0),
+            |(), _, _| (),
+        )?;
+        m = Arc::new(out.c.expect("root must gather the iterate"));
         let ch = chaos(&m);
         per_iter.push(IterStats {
-            breakdown,
-            nbatches,
+            breakdown: out.max,
+            nbatches: out.nbatches,
             chaos: ch,
             nnz: m.nnz(),
-            modeled_bytes,
+            modeled_bytes: out.per_rank.iter().map(StepBreakdown::bytes_total).sum(),
             fetch_hits: 0,
             fetch_misses: 0,
             invalidated_cols: 0,
@@ -440,12 +364,12 @@ fn markov_cluster_legacy(
     let labels = components_from_pattern(&m, params.prune_threshold);
     Ok(MclResult {
         labels,
-        iterations,
+        iterations: per_iter.len(),
         per_iter,
     })
 }
 
-/// The resident-iterate driver: one `run_ranks` call hosts the whole MCL
+/// The resident-iterate driver: one simulated world hosts the whole MCL
 /// loop inside an [`IterSession`]. Convergence is decided on every rank
 /// from the distributed chaos (one world all-reduce per iteration), so all
 /// ranks break in lock-step; the iterate is gathered to root exactly once,
@@ -454,25 +378,17 @@ fn markov_cluster_session(
     adj: &CscMatrix<f64>,
     params: &MclParams,
 ) -> Result<MclResult, CoreError> {
-    let m0 = mcl_init(adj);
-    let m_arc = Arc::new(m0);
-    let params = *params;
+    let m_arc = Arc::new(mcl_init(adj));
+    let cfg = params.run_config();
     type RankIters = Vec<(SessionIterStats, f64, u64)>;
-    let results = run_cluster(&params, move |rank| {
-        let grid = Grid3D::new(rank, params.layers);
-        let mut sess = IterSession::<PlusTimesF64>::new(
-            rank,
-            &grid,
-            (rank.rank() == 0).then(|| Arc::clone(&m_arc)),
-            batch_config(&params),
-            params.cache,
-        )?;
+    let world = run_on_grid(&cfg, |rank, grid| {
+        let global = (rank.rank() == 0).then(|| Arc::clone(&m_arc));
+        let mut sess = IterSession::<PlusTimesF64>::new(rank, grid, global, &cfg, params.cache)?;
         let mut iters: RankIters = Vec::new();
         for _ in 0..params.max_iters {
             let mut iter_chaos: f64 = 0.0;
-            let grid_ref = &grid;
-            let stats = sess.step(rank, &grid, |rank, out| {
-                let (piece, bc) = prune_batch_piece(rank, grid_ref, out.piece, &params);
+            let stats = sess.step(rank, grid, |rank, out| {
+                let (piece, bc) = prune_batch_piece(rank, grid, out.piece, params);
                 iter_chaos = iter_chaos.max(bc);
                 Some(piece)
             })?;
@@ -486,25 +402,16 @@ fn markov_cluster_session(
                 break;
             }
         }
-        let gathered = sess.gather(rank, &grid);
-        Ok::<_, CoreError>((gathered, iters))
-    });
+        Ok((sess.gather(rank, grid), iters))
+    })?;
 
-    let mut final_m: Option<CscMatrix<f64>> = None;
-    let mut per_rank: Vec<RankIters> = Vec::with_capacity(params.p);
-    for (i, r) in results.into_iter().enumerate() {
-        let (g, iters) = r?;
-        if i == 0 {
-            final_m = g;
-        }
-        per_rank.push(iters);
-    }
+    let (gathered, per_rank): (Vec<_>, Vec<RankIters>) = world.ranks.into_iter().unzip();
     let iterations = per_rank[0].len();
     let mut per_iter = Vec::with_capacity(iterations);
     for t in 0..iterations {
         let mut bds = Vec::with_capacity(params.p);
         let (mut hits, mut misses, mut inval, mut bytes) = (0u64, 0u64, 0u64, 0u64);
-        let mut nbatches: Option<usize> = None;
+        let (first, ch, nnz) = per_rank[0][t];
         for (ri, rank_iters) in per_rank.iter().enumerate() {
             debug_assert_eq!(rank_iters.len(), iterations, "SPMD break divergence");
             let (s, _, _) = &rank_iters[t];
@@ -513,22 +420,18 @@ fn markov_cluster_session(
             misses += s.cache.misses;
             inval += s.cache.invalidated_cols;
             bytes += s.breakdown.bytes_total();
-            match nbatches {
-                None => nbatches = Some(s.nbatches),
-                Some(prev) if prev != s.nbatches => {
-                    return Err(CoreError::Config(format!(
-                        "ranks disagree on the batch count: rank 0 chose {prev}, \
-                         rank {ri} chose {}",
-                        s.nbatches
-                    )))
-                }
-                Some(_) => {}
+            // The symbolic batch count must be an SPMD-agreed value; taking
+            // any one rank's answer would silently mask a divergence.
+            if s.nbatches != first.nbatches {
+                return Err(CoreError::Config(format!(
+                    "ranks disagree on the batch count: rank 0 chose {}, rank {ri} chose {}",
+                    first.nbatches, s.nbatches
+                )));
             }
         }
-        let (_, ch, nnz) = per_rank[0][t];
         per_iter.push(IterStats {
             breakdown: max_breakdown(&bds),
-            nbatches: nbatches.expect("at least one rank ran"),
+            nbatches: first.nbatches,
             chaos: ch,
             nnz: nnz as usize,
             modeled_bytes: bytes,
@@ -537,7 +440,7 @@ fn markov_cluster_session(
             invalidated_cols: inval,
         });
     }
-    let m = final_m.expect("root gathers the final iterate");
+    let m = gathered.into_iter().next().flatten().expect("root gathers the final iterate");
     let labels = components_from_pattern(&m, params.prune_threshold);
     Ok(MclResult {
         labels,

@@ -89,7 +89,7 @@ fn table6(report: &StepReport) {
 /// placement. The metric below is the fraction of output nonzeros that
 /// land on their A-style owner rank.
 fn ablate_block_split(a: &CscMatrix<f64>, p: usize) {
-    use spgemm_core::batched::{batched_summa3d, BatchConfig};
+    use spgemm_core::batched::batched_summa3d;
     use spgemm_core::dist::{scatter, sub_block, DistKind};
     use spgemm_simgrid::{run_ranks, Grid3D};
     use spgemm_sparse::semiring::PlusTimesF64;
@@ -119,10 +119,10 @@ fn ablate_block_split(a: &CscMatrix<f64>, p: usize) {
             );
             // Balanced batching derives its weights from the symbolic
             // pass, so let it run (same batch count target via budget).
-            let cfg = BatchConfig {
+            let cfg = RunConfig {
                 batching: strat,
                 forced_batches: Some(8),
-                ..Default::default()
+                ..RunConfig::new(p, 4)
             };
             let result =
                 batched_summa3d::<PlusTimesF64>(rank, &grid, &da, &db, &cfg, |_r, out| {

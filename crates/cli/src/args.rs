@@ -77,6 +77,11 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Whether `--key` was given at all, with or without a value.
+    pub fn has(&self, key: &str) -> bool {
+        self.options.contains_key(key) || self.flag(key)
+    }
 }
 
 #[cfg(test)]

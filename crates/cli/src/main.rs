@@ -21,7 +21,7 @@
 //!                 [--select K] [--budget-mb M] [--kernels new|previous]
 //!                 [--exchange dense|sparse] [--backend simgrid|native]
 //!                 [--threads N] [--overlap] [--no-session] [--no-cache]
-//!                 [--machine NAME | --profile PROFILE.json]
+//!                 [--machine NAME | --profile PROFILE.json] [--perturb-seed S]
 //! spgemm triangles --input M.mtx --procs P [--layers L]
 //! spgemm overlap  --input M.mtx --procs P [--layers L] [--min-shared S]
 //! spgemm audit    [--sweep [--procs "4,16,64,256"]] [--json]
@@ -68,23 +68,24 @@
 //! simulation under seeded schedule perturbation (deterministic
 //! wakeup-order jitter at every communication point); results must be
 //! bit-identical under any seed.
+//!
+//! The run-policy flags are parsed once, into one `RunConfig` (`policy.rs`),
+//! for `multiply`, `plan`, `mcl` and `audit` alike; `mcl` rejects the ones
+//! `MclParams` cannot carry (`--check --batches --batching --trace --auto`).
 
 #![forbid(unsafe_code)]
 
 mod args;
+mod policy;
 
 use args::Args;
+use policy::{backend_from_args, machine_from_args, reject_flags, run_config_from_args};
 use spgemm_apps::mcl::{markov_cluster, MclParams};
 use spgemm_apps::overlap::{find_overlaps, OverlapConfig};
 use spgemm_apps::triangles::{count_triangles, TriangleConfig};
-use spgemm_core::batched::BatchingStrategy;
-use spgemm_core::planner::{self, CalibrationInput, MachineProfile, PlannerConfig, ProbeConfig};
-use spgemm_core::{
-    run_spgemm, AlgorithmFamily, BackendKind, ExchangeMode, KernelStrategy, LayerChoice,
-    MemoryBudget, OverlapMode, RunConfig,
-};
-use spgemm_simgrid::CheckMode;
-use spgemm_simgrid::{Machine, StepReport};
+use spgemm_core::planner::{self, CalibrationInput, PlannerConfig, ProbeConfig};
+use spgemm_core::{run_spgemm, AlgorithmFamily, BackendKind, LayerChoice, MemoryBudget, RunConfig};
+use spgemm_simgrid::{CheckMode, StepReport};
 use spgemm_sparse::gen::{clustered_similarity, er_random, kmer_matrix, rmat};
 use spgemm_sparse::io::{read_matrix_market_file, write_matrix_market_file};
 use spgemm_sparse::ops::transpose;
@@ -147,29 +148,6 @@ fn run(args: &Args) -> Result<(), String> {
     }
 }
 
-fn machine_by_name(name: &str) -> Result<Machine, String> {
-    match name {
-        "knl" => Ok(Machine::knl()),
-        "haswell" => Ok(Machine::haswell()),
-        "knl-mini" => Ok(Machine::knl_mini()),
-        "knl-ht" => Ok(Machine::knl_hyperthreaded()),
-        other => Err(format!("unknown machine preset: {other}")),
-    }
-}
-
-/// Resolve the cost-model machine: `--profile FILE` (calibrated
-/// constants) wins over `--machine NAME` (preset).
-fn machine_from_args(args: &Args) -> Result<Machine, String> {
-    if let Some(path) = args.opt("profile") {
-        let profile = MachineProfile::load(Path::new(path)).map_err(|e| e.to_string())?;
-        // Status line on stderr so `multiply --json` stays parseable.
-        eprintln!("loaded machine profile from {path} ({})", profile.source);
-        Ok(profile.to_machine())
-    } else {
-        machine_by_name(args.opt("machine").unwrap_or("knl"))
-    }
-}
-
 /// `--algorithm NAME [--repl-factor C]`, shared by multiply/plan/serve.
 enum AlgorithmArg {
     /// A concrete family, `--repl-factor` folded in for the 1.5D names.
@@ -204,14 +182,6 @@ fn algorithm_from_args(args: &Args) -> Result<Option<AlgorithmArg>, String> {
             }
             Ok(Some(AlgorithmArg::Fixed(fam)))
         }
-    }
-}
-
-fn kernels_by_name(name: &str) -> Result<KernelStrategy, String> {
-    match name {
-        "new" => Ok(KernelStrategy::New),
-        "previous" => Ok(KernelStrategy::Previous),
-        other => Err(format!("unknown kernel strategy: {other}")),
     }
 }
 
@@ -295,69 +265,8 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 
 fn cmd_multiply(args: &Args) -> Result<(), String> {
     let (a, b) = operands(args, "a")?;
-    let p = args.get_or("procs", 16usize)?;
-    let mut cfg = RunConfig::new(p, args.get_or("layers", 1usize)?);
-    if args.flag("auto") {
-        cfg.layers = LayerChoice::Auto;
-    }
-    cfg.machine = machine_from_args(args)?;
-    cfg.kernels = kernels_by_name(args.opt("kernels").unwrap_or("new"))?;
-    if let Some(x) = args.opt("exchange") {
-        cfg.exchange = ExchangeMode::parse(x)?;
-    }
-    match args.opt("backend") {
-        Some("native") => {
-            cfg.backend = BackendKind::Native {
-                threads: match args.opt("threads") {
-                    Some(t) => t.parse().map_err(|_| "bad --threads")?,
-                    None => BackendKind::available_threads(),
-                },
-            };
-        }
-        Some("simgrid") => {
-            cfg.backend = BackendKind::Simgrid;
-            if args.opt("threads").is_some() {
-                return Err("--threads requires --backend native".into());
-            }
-        }
-        None => {
-            // cfg.backend already honours SPGEMM_BACKEND via default_kind.
-            if let Some(t) = args.opt("threads") {
-                if matches!(cfg.backend, BackendKind::Native { .. }) {
-                    cfg.backend = BackendKind::Native {
-                        threads: t.parse().map_err(|_| "bad --threads")?,
-                    };
-                } else {
-                    return Err("--threads requires --backend native".into());
-                }
-            }
-        }
-        Some(other) => return Err(format!("unknown backend: {other}")),
-    }
-    cfg.batching = match args.opt("batching").unwrap_or("cyclic") {
-        "cyclic" => BatchingStrategy::BlockCyclic,
-        "block" => BatchingStrategy::Block,
-        "balanced" => BatchingStrategy::Balanced,
-        other => return Err(format!("unknown batching strategy: {other}")),
-    };
-    if let Some(b) = args.opt("batches") {
-        cfg.forced_batches = Some(b.parse().map_err(|_| "bad --batches")?);
-    } else if let Some(mb) = args.opt("budget-mb") {
-        let mb: f64 = mb.parse().map_err(|_| "bad --budget-mb")?;
-        cfg.budget = MemoryBudget::new((mb * 1e6) as usize);
-    }
-    if args.flag("overlap") {
-        cfg.overlap = OverlapMode::Overlapped;
-    }
-    if args.flag("check") {
-        cfg.check = CheckMode::Check;
-    }
-    if let Some(s) = args.opt("perturb-seed") {
-        cfg.perturb = Some(s.parse().map_err(|_| "bad --perturb-seed")?);
-    }
-    if args.opt("trace").is_some() {
-        cfg.trace = true;
-    }
+    let mut cfg = run_config_from_args(args)?;
+    let p = cfg.p;
     let json = args.flag("json");
     match algorithm_from_args(args)? {
         None => {}
@@ -377,11 +286,7 @@ fn cmd_multiply(args: &Args) -> Result<(), String> {
                 .winner()
                 .ok_or("algorithm auto: no candidate is feasible under the budget")?
                 .candidate;
-            cfg.algorithm = winner.family;
-            cfg.layers = LayerChoice::Fixed(winner.layers);
-            cfg.kernels = winner.kernels;
-            cfg.overlap = winner.overlap;
-            cfg.exchange = winner.exchange;
+            cfg = cfg.with_candidate(&winner);
             if !json {
                 outln!("auto algorithm choice ({}):\n{}", winner.label(), report.to_table());
             }
@@ -566,16 +471,9 @@ fn multiply_json(
 
 fn cmd_plan(args: &Args) -> Result<(), String> {
     let (a, b) = operands(args, "a")?;
-    let p = args.get_or("procs", 16usize)?;
-    let machine = machine_from_args(args)?;
-    let budget = match args.opt("budget-mb") {
-        Some(mb) => {
-            let mb: f64 = mb.parse().map_err(|_| "bad --budget-mb")?;
-            MemoryBudget::new((mb * 1e6) as usize)
-        }
-        None => MemoryBudget::unlimited(),
-    };
-    let mut pcfg = PlannerConfig::new(machine, budget);
+    let run = run_config_from_args(args)?;
+    let p = run.p;
+    let mut pcfg = PlannerConfig::new(run.machine, run.budget);
     pcfg.iterations = args.get_or("iters", 1usize)?;
     pcfg.probe = ProbeConfig {
         sample_fraction: args.get_or("sample", 0.25f64)?,
@@ -599,47 +497,31 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
 
 fn cmd_mcl(args: &Args) -> Result<(), String> {
     let a = load(args.req("input")?)?;
-    let p = args.get_or("procs", 16usize)?;
-    let mut params = MclParams::new(p, args.get_or("layers", 1usize)?);
-    params.inflation = args.get_or("inflation", 2.0f64)?;
-    params.select = args.get_or("select", 64usize)?;
-    params.max_iters = args.get_or("max-iters", 30usize)?;
-    params.machine = machine_from_args(args)?;
-    params.kernels = kernels_by_name(args.opt("kernels").unwrap_or("new"))?;
-    if let Some(mb) = args.opt("budget-mb") {
-        let mb: f64 = mb.parse().map_err(|_| "bad --budget-mb")?;
-        params.budget = MemoryBudget::new((mb * 1e6) as usize);
-    }
-    if let Some(x) = args.opt("exchange") {
-        params.exchange = ExchangeMode::parse(x)?;
-    }
-    if args.flag("overlap") {
-        params.overlap = OverlapMode::Overlapped;
-    }
-    match args.opt("backend") {
-        Some("native") => {
-            params.backend = BackendKind::Native {
-                threads: match args.opt("threads") {
-                    Some(t) => t.parse().map_err(|_| "bad --threads")?,
-                    None => BackendKind::available_threads(),
-                },
-            };
-        }
-        Some("simgrid") | None => {
-            if args.opt("threads").is_some() {
-                return Err("--threads requires --backend native".into());
-            }
-        }
-        Some(other) => return Err(format!("unknown backend: {other}")),
-    }
+    // MCL takes the same policy flags as `multiply`, minus the ones
+    // `MclParams` has no field for.
+    reject_flags(args, &["check", "batches", "batching", "trace"])?;
+    let run = run_config_from_args(args)?;
+    let LayerChoice::Fixed(layers) = run.layers else {
+        return Err("mcl does not take --auto: give --layers L".into());
+    };
+    let mut params = MclParams {
+        inflation: args.get_or("inflation", 2.0f64)?,
+        select: args.get_or("select", 64usize)?,
+        max_iters: args.get_or("max-iters", 30usize)?,
+        machine: run.machine,
+        kernels: run.kernels,
+        budget: run.budget,
+        overlap: run.overlap,
+        exchange: run.exchange,
+        backend: run.backend,
+        perturb: run.perturb,
+        ..MclParams::new(run.p, layers)
+    };
     if args.flag("no-session") {
         params.session = false;
     }
     if args.flag("no-cache") {
         params.cache = false;
-    }
-    if let Some(s) = args.opt("perturb-seed") {
-        params.perturb = Some(s.parse().map_err(|_| "bad --perturb-seed")?);
     }
     let result = markov_cluster(&a, &params).map_err(|e| e.to_string())?;
     outln!("iter  batches  chaos      SpGEMM(s)       nnz   bytes(MB)  hit/miss  inval");
@@ -707,12 +589,16 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
                      fig4-isolates)"
                 )
             })?;
+        let run = run_config_from_args(args)?;
+        let LayerChoice::Fixed(layers) = run.layers else {
+            return Err("audit extracts one grid: give --layers L, not --auto".into());
+        };
         let batch = if let Some(t) = args.opt("auto-target") {
             BatchSpec::Budget {
                 target: t.parse().map_err(|_| "bad --auto-target")?,
             }
         } else {
-            BatchSpec::Forced(args.get_or("batches", 1usize)?)
+            BatchSpec::Forced(run.forced_batches.unwrap_or(1))
         };
         let family = match algorithm_from_args(args)? {
             None | Some(AlgorithmArg::Fixed(AlgorithmFamily::Summa3dBatched)) => {
@@ -733,18 +619,11 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
         };
         let cfg = AuditConfig {
             shape,
-            p: args.get_or("procs", 16usize)?,
-            l: args.get_or("layers", 1usize)?,
+            p: run.p,
+            l: layers,
             batch,
-            exchange: match args.opt("exchange") {
-                Some(x) => ExchangeMode::parse(x)?,
-                None => ExchangeMode::default(),
-            },
-            overlap: if args.flag("overlap") {
-                OverlapMode::Overlapped
-            } else {
-                OverlapMode::Blocking
-            },
+            exchange: run.exchange,
+            overlap: run.overlap,
             iterations: args.get_or("iters", 1usize)?,
             family,
         };
@@ -799,24 +678,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     cfg.max_concurrency = args.get_or("max-concurrency", 4usize)?;
     cfg.cache_capacity = args.get_or("cache-size", 64usize)?;
     cfg.machine = machine_from_args(args)?;
-    match args.opt("backend") {
-        Some("native") => {
-            cfg.backend = BackendKind::Native {
-                threads: match args.opt("threads") {
-                    Some(t) => t.parse().map_err(|_| "bad --threads")?,
-                    None => BackendKind::available_threads(),
-                },
-            };
-        }
-        Some("simgrid") => {
-            cfg.backend = BackendKind::Simgrid;
-            if args.opt("threads").is_some() {
-                return Err("--threads requires --backend native".into());
-            }
-        }
-        None => {}
-        Some(other) => return Err(format!("unknown backend: {other}")),
-    }
+    cfg.backend = backend_from_args(args, cfg.backend)?;
     if args.flag("no-shrink") {
         cfg.shrink = false;
     }

@@ -32,7 +32,7 @@ use spgemm_simgrid::{Rank, Step};
 use spgemm_sparse::WorkStats;
 
 /// Which backend executes local kernels — the plumbable configuration
-/// value carried by `RunConfig`/`BatchConfig`.
+/// value carried by `RunConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// Serial kernels, modeled clock (the default).

@@ -10,14 +10,13 @@
 //! persist, transform, or discard it before the next batch begins — the
 //! HipMCL/BELLA/hypergraph-coarsening usage pattern the paper targets.
 
-use crate::backend::BackendKind;
 use crate::dist::{CPiece, DistMatrix};
-use crate::exchange::{ExchangeMode, ExchangePlan, StagePending};
-use crate::family15::AlgorithmFamily;
-use crate::kernels::{KernelStrategy, LocalKernels};
-use crate::memory::{MemTracker, MemoryBudget};
+use crate::exchange::{ExchangePlan, StagePending};
+use crate::harness::RunConfig;
+use crate::kernels::LocalKernels;
+use crate::memory::MemTracker;
 use crate::schedule::{self, Op};
-use crate::summa2d::{OverlapMode, StageAccumulator};
+use crate::summa2d::StageAccumulator;
 use crate::summa3d::{fiber_exchange, merge_fiber};
 use crate::symbolic::{symbolic3d_with_weights, SymbolicOutcome};
 use crate::{CoreError, Result};
@@ -46,49 +45,6 @@ pub enum BatchingStrategy {
     /// assumption on skewed matrices while preserving the block-cyclic
     /// split's distribution conformance.
     Balanced,
-}
-
-/// Configuration of a batched multiplication.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchConfig {
-    /// Local kernel generation (Sec. IV-D).
-    pub kernels: KernelStrategy,
-    /// Batch partitioning scheme.
-    pub batching: BatchingStrategy,
-    /// Aggregate memory budget driving the symbolic batch count.
-    pub budget: MemoryBudget,
-    /// Override the batch count (skips the symbolic step), used by the
-    /// paper's l/b sweeps (Fig. 4).
-    pub forced_batches: Option<usize>,
-    /// Blocking (paper-faithful, default) or overlapped (double-buffered
-    /// pipeline over nonblocking collectives) communication.
-    pub overlap: OverlapMode,
-    /// How stage operands move (dense broadcast vs sparsity-aware fetch;
-    /// see [`crate::exchange`]).
-    pub exchange: ExchangeMode,
-    /// How local kernels execute and how their time enters the clock:
-    /// modeled (`Simgrid`, default) or real multithreaded with measured
-    /// wall-clock times (`Native`); see [`crate::backend`].
-    pub backend: BackendKind,
-    /// Algorithm family. The batched pipeline executes the SUMMA members
-    /// only; the 1.5D families ([`crate::family15`]) never batch and are
-    /// rejected here — route them through `run_spmm`/`run_spgemm`.
-    pub algorithm: AlgorithmFamily,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            kernels: KernelStrategy::New,
-            batching: BatchingStrategy::BlockCyclic,
-            budget: MemoryBudget::unlimited(),
-            forced_batches: None,
-            overlap: OverlapMode::Blocking,
-            exchange: ExchangeMode::DenseBcast,
-            backend: BackendKind::Simgrid,
-            algorithm: AlgorithmFamily::Summa3dBatched,
-        }
-    }
 }
 
 /// One batch's output as delivered to the application callback.
@@ -246,12 +202,17 @@ struct Staged<T> {
 /// Run BatchedSUMMA3D. `on_batch` receives every batch's piece and
 /// returns `Some(piece)` to keep (possibly transformed — e.g. pruned) or
 /// `None` to discard. The returned [`BatchedResult`] collects kept pieces.
+///
+/// Of the run policy this reads `kernels`, `batching`, `budget`,
+/// `forced_batches`, `overlap`, `exchange`, `backend` and `algorithm` (the
+/// 1.5D families never batch and are rejected — route them through
+/// `run_spmm`/`run_spgemm`); the grid and the cluster are the caller's.
 pub fn batched_summa3d<S: Semiring>(
     rank: &mut Rank,
     grid: &Grid3D,
     a: &DistMatrix<S::T>,
     b: &DistMatrix<S::T>,
-    cfg: &BatchConfig,
+    cfg: &RunConfig,
     on_batch: impl FnMut(&mut Rank, BatchOutput<S::T>) -> Option<CPiece<S::T>>,
 ) -> Result<BatchedResult<S::T>> {
     // One kernel engine for the whole run: the symbolic sweep warms its
@@ -279,7 +240,7 @@ pub fn batched_summa3d_with<S: Semiring>(
     a: &DistMatrix<S::T>,
     a_shared: &Arc<CscMatrix<S::T>>,
     b: &DistMatrix<S::T>,
-    cfg: &BatchConfig,
+    cfg: &RunConfig,
     kernels: &mut LocalKernels<S::T>,
     plan: &mut ExchangePlan,
     mut on_batch: impl FnMut(&mut Rank, BatchOutput<S::T>) -> Option<CPiece<S::T>>,
@@ -474,10 +435,6 @@ pub fn batched_summa3d_with<S: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{scatter, DistKind};
-    use spgemm_simgrid::{run_ranks, Machine};
-    use spgemm_sparse::gen::er_random;
-    use spgemm_sparse::semiring::PlusTimesF64;
 
     #[test]
     fn batch_local_cols_cover_for_all_strategies() {
@@ -593,32 +550,5 @@ mod tests {
             .collect();
         assert_eq!(sizes.iter().sum::<usize>(), 6);
         assert!(sizes.iter().all(|&s| s > 0), "no starved run: {sizes:?}");
-    }
-
-    #[test]
-    fn forced_zero_batches_is_config_error() {
-        // With and without the symbolic sweep in front of the batches.
-        for batching in [BatchingStrategy::BlockCyclic, BatchingStrategy::Balanced] {
-            let cfg = BatchConfig {
-                forced_batches: Some(0),
-                batching,
-                ..Default::default()
-            };
-            let global = Arc::new(er_random::<PlusTimesF64>(8, 8, 2, 1));
-            let results = run_ranks(4, Machine::knl(), move |rank| {
-                let grid = Grid3D::new(rank, 1);
-                let root = (rank.rank() == 0).then(|| Arc::clone(&global));
-                let a = scatter(rank, &grid, DistKind::AStyle, root.clone());
-                let b = scatter(rank, &grid, DistKind::BStyle, root);
-                batched_summa3d::<PlusTimesF64>(rank, &grid, &a, &b, &cfg, |_, o| Some(o.piece))
-                    .map(|out| out.nbatches)
-            });
-            for (rk, res) in results.iter().enumerate() {
-                assert!(
-                    matches!(res, Err(CoreError::Config(msg)) if msg.contains("≥ 1")),
-                    "{batching:?} rank {rk}: {res:?}"
-                );
-            }
-        }
     }
 }

@@ -367,33 +367,17 @@ mod tests {
 
     #[test]
     fn distributed_transpose_feeds_aat_multiply() {
-        use crate::batched::{batched_summa3d, BatchConfig};
-        use crate::kernels::KernelStrategy;
+        use crate::harness::{run_spgemm_aat, RunConfig};
         let global = er_random::<PlusTimesF64>(40, 60, 3, 78);
         let serial_at = spgemm_sparse::ops::transpose(&global);
         let (reference, _) =
             spgemm_sparse::spgemm::spgemm_spa::<PlusTimesF64>(&global, &serial_at).unwrap();
-        #[allow(clippy::redundant_clone)] // `global` is used again below
-        let g2 = global.clone();
-        let results = run_ranks(16, Machine::knl(), move |rank| {
-            let grid = Grid3D::new(rank, 4);
-            let payload = (rank.rank() == 0).then(|| Arc::new(g2.clone()));
-            let a = scatter(rank, &grid, DistKind::AStyle, payload);
-            let at = transpose_to_bstyle(rank, &grid, &a);
-            let cfg = BatchConfig {
-                kernels: KernelStrategy::New,
-                forced_batches: Some(3),
-                ..Default::default()
-            };
-            let result =
-                batched_summa3d::<PlusTimesF64>(rank, &grid, &a, &at, &cfg, |_r, out| {
-                    Some(out.piece)
-                })
-                .unwrap();
-            gather_pieces(rank, &grid.world, result.pieces, 40, 40)
-        });
-        let c = results[0].clone().expect("root gathers");
-        assert!(c.approx_eq(&reference, 1e-10));
+        let cfg = RunConfig {
+            forced_batches: Some(3),
+            ..RunConfig::new(16, 4)
+        };
+        let out = run_spgemm_aat::<PlusTimesF64>(&cfg, &global).unwrap();
+        assert!(out.c.expect("root gathers").approx_eq(&reference, 1e-10));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The pipeline grew up around one algorithm — batched 3D SUMMA — but the
 //! paper's method is one point in a family of communication-avoiding
 //! algorithms. [`AlgorithmFamily`] names the members this repo implements
-//! and is threaded through `RunConfig`/`BatchConfig`/planner/CLI exactly
-//! as `ExchangeMode` is:
+//! and is threaded through `RunConfig`/planner/CLI exactly as
+//! `ExchangeMode` is:
 //!
 //! * [`AlgorithmFamily::Summa2d`] — 3D SUMMA pinned to one layer (plain
 //!   2D sparse SUMMA); the conformance baseline for the new families.

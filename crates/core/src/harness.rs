@@ -1,25 +1,28 @@
 //! One-call drivers: spawn a virtual cluster, scatter, multiply, gather.
 //!
-//! Tests, examples and the bench harnesses all need the same choreography:
-//! distribute two global matrices per Fig. 1, run BatchedSUMMA3D, collect
-//! per-rank step breakdowns and (optionally) the assembled product. This
-//! module packages that as [`run_spgemm`].
+//! Tests, examples, the applications and the bench harnesses all need the
+//! same choreography: distribute two global matrices per Fig. 1, run
+//! BatchedSUMMA3D, collect per-rank step breakdowns and (optionally) the
+//! assembled product. It is written once, as nested seams: `run_world`
+//! (the only caller of a simgrid launcher), [`run_on_grid`] (a validated
+//! `Grid3D` per rank) and [`run_batched`] (scatter `Ã`, obtain `B̃`,
+//! multiply with a per-batch callback, gather); [`run_spgemm`] and
+//! [`run_spgemm_aat`] are `run_batched` with the keep-or-discard callback.
 
 use crate::backend::BackendKind;
-use crate::batched::{batched_summa3d, BatchConfig, BatchingStrategy};
+use crate::batched::{batched_summa3d, BatchOutput, BatchingStrategy};
+use crate::dist::{gather_pieces, scatter, transpose_to_bstyle, CPiece, DistKind};
 use crate::exchange::ExchangeMode;
 use crate::family15::{spmm_15d, AlgorithmFamily};
-use crate::summa2d::OverlapMode;
-use crate::dist::{gather_pieces, scatter, transpose_to_bstyle, DistKind, DistMatrix};
 use crate::kernels::KernelStrategy;
 use crate::memory::MemoryBudget;
 use crate::model::validate_grid;
-use crate::planner::{self, PlanReport, PlannerConfig};
+use crate::planner::{self, Candidate, PlanReport, PlannerConfig};
+use crate::summa2d::OverlapMode;
 use crate::symbolic::SymbolicOutcome;
 use crate::{CoreError, Result};
 use spgemm_simgrid::{
-    max_breakdown, run_ranks_checked, run_ranks_seeded, CheckMode, Grid3D, Machine, Rank,
-    StepBreakdown,
+    max_breakdown, run_ranks_seeded, CheckMode, Grid3D, Machine, Rank, StepBreakdown, TraceEvent,
 };
 use spgemm_sparse::par::RangeBalance;
 use spgemm_sparse::{CscMatrix, DenseBlock, Semiring, WorkStats};
@@ -36,7 +39,22 @@ pub enum LayerChoice {
     Auto,
 }
 
-/// Full configuration of a simulated distributed SpGEMM run.
+/// **The run policy**: the one value that says how a multiplication
+/// executes, from a CLI flag down to the rank threads. Every layer reads
+/// this struct instead of keeping a copy of some of its fields:
+///
+/// | reader | fields |
+/// |---|---|
+/// | `run_world` (the launcher) | `p`, `machine`, `check`, `perturb`, `job`, `trace` |
+/// | [`run_on_grid`] | `layers` (must be `Fixed` by then) |
+/// | [`run_batched`] | `layers` (`Auto` is planned here), `discard_output` |
+/// | [`batched_summa3d`] and [`crate::IterSession`] | `kernels`, `batching`, `budget`, `forced_batches`, `overlap`, `exchange`, `backend`, `algorithm` (SUMMA members only) |
+/// | [`run_spmm`] (1.5D) | `algorithm`, `backend`, `budget`, `discard_output` |
+/// | [`PlannerConfig::for_run`] | `machine`, `budget`, `kernels`, `overlap`, `exchange`, `algorithm`, `forced_batches` |
+///
+/// The planner's output travels back through [`RunConfig::with_candidate`].
+/// Applications embed a `RunConfig` (`BfsConfig::run`, `CoarsenConfig::run`,
+/// …) or, for `MclParams`, build one; serve builds one per admitted job.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
     /// Number of simulated processes.
@@ -78,14 +96,15 @@ pub struct RunConfig {
     /// Schedule-perturbation seed: when set, every rank injects
     /// deterministic seed-derived scheduler jitter at communication
     /// points, permuting thread wakeup order at rendezvous. Results must
-    /// be bit-identical under any seed. Defaults to the
-    /// `SPGEMM_PERTURB_SEED` environment variable (none if unset).
+    /// be bit-identical under any seed. `None` follows the
+    /// `SPGEMM_PERTURB_SEED` environment variable (unperturbed if unset).
     pub perturb: Option<u64>,
     /// Which algorithm family runs the multiply. The SUMMA families use
     /// the batched 3D pipeline (`Summa2d` pins `l = 1`); the 1.5D
     /// families ([`AlgorithmFamily::ColA15`] /
     /// [`AlgorithmFamily::InnerAbc15`]) run the sparse-dense SpMM drivers
-    /// of [`crate::family15`] (a sparse `B` is densified first).
+    /// of [`crate::family15`] (a sparse `B` is densified first) and are
+    /// rejected by the batched pipeline itself.
     pub algorithm: AlgorithmFamily,
     /// Job id label for multi-tenant packing ([`crate::serve`]): when set,
     /// the simulated rank threads are named `job-J-rank-I` and failure
@@ -124,18 +143,30 @@ impl RunConfig {
         cfg.layers = LayerChoice::Auto;
         cfg
     }
+
+    /// This policy running a planner winner: the five fields a
+    /// [`Candidate`] decides are taken from it, everything else is kept.
+    #[must_use]
+    pub fn with_candidate(mut self, c: &Candidate) -> Self {
+        self.algorithm = c.family;
+        self.layers = LayerChoice::Fixed(c.layers);
+        self.kernels = c.kernels;
+        self.overlap = c.overlap;
+        self.exchange = c.exchange;
+        self
+    }
 }
 
-/// Resolve [`RunConfig::layers`] to a concrete, validated layer count.
-///
-/// `Fixed(l)` is validated against `p` (rejecting the degenerate grids
-/// `Grid3D::new` would otherwise panic on); `Auto` runs the planner on
-/// the operands and returns the winner plus the full ranked report.
+/// Resolve [`RunConfig::layers`] to a concrete `Fixed` count: `Fixed(l)`
+/// is kept (validated when the grid is built), `Auto` runs the planner on
+/// the operands and returns the policy running its winner plus the full
+/// ranked report.
 fn resolve_layers<T: Copy + Send + Sync, U: Copy + Sync>(
     cfg: &RunConfig,
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
-) -> Result<(usize, Option<PlanReport>)> {
+) -> Result<(RunConfig, Option<PlanReport>)> {
+    let mut run = *cfg;
     if cfg.algorithm == AlgorithmFamily::Summa2d {
         // 2D SUMMA is the 3D pipeline pinned to one layer.
         if let LayerChoice::Fixed(l) = cfg.layers {
@@ -145,28 +176,21 @@ fn resolve_layers<T: Copy + Send + Sync, U: Copy + Sync>(
                 )));
             }
         }
-        validate_grid(cfg.p, 1)?;
-        return Ok((1, None));
+        run.layers = LayerChoice::Fixed(1);
+        return Ok((run, None));
     }
     match cfg.layers {
-        LayerChoice::Fixed(l) => {
-            validate_grid(cfg.p, l)?;
-            Ok((l, None))
-        }
+        LayerChoice::Fixed(_) => Ok((run, None)),
         LayerChoice::Auto => {
-            let pcfg = PlannerConfig::for_run(cfg);
-            let report = planner::plan(cfg.p, a, b, &pcfg)?;
-            let layers = report
-                .winner()
-                .map(|w| w.candidate.layers)
-                .ok_or_else(|| {
-                    CoreError::Config(format!(
-                        "auto layer choice: no feasible configuration for p={} under the \
-                         memory budget",
-                        cfg.p
-                    ))
-                })?;
-            Ok((layers, Some(report)))
+            let report = planner::plan(cfg.p, a, b, &PlannerConfig::for_run(cfg))?;
+            let winner = report.winner().ok_or_else(|| {
+                CoreError::Config(format!(
+                    "auto layer choice: no feasible configuration for p={} under the \
+                     memory budget",
+                    cfg.p
+                ))
+            })?;
+            Ok((run.with_candidate(&winner.candidate), Some(report)))
         }
     }
 }
@@ -181,7 +205,7 @@ pub struct RunOutput<T: Copy> {
     pub per_rank: Vec<StepBreakdown>,
     /// Critical-path (max over ranks) breakdown — what the paper plots.
     pub max: StepBreakdown,
-    /// Number of batches executed.
+    /// Number of batches executed (verified equal on every rank).
     pub nbatches: usize,
     /// The layer count actually used (resolved from [`LayerChoice`]).
     pub layers: usize,
@@ -194,7 +218,7 @@ pub struct RunOutput<T: Copy> {
     pub peak_bytes: Vec<usize>,
     /// Per-rank step timelines when `RunConfig::trace` was set; render
     /// with [`spgemm_simgrid::chrome_trace_json`].
-    pub traces: Option<Vec<Vec<spgemm_simgrid::TraceEvent>>>,
+    pub traces: Option<Vec<Vec<TraceEvent>>>,
     /// Kernel-side counters aggregated over all ranks: flops/nnz/allocs/
     /// memcpy bytes are summed, peak scratch bytes is the max over ranks
     /// (each rank owns one workspace).
@@ -205,32 +229,199 @@ pub struct RunOutput<T: Copy> {
     pub load_balance: RangeBalance,
 }
 
-/// Spawn the simulated cluster honouring [`RunConfig::perturb`]: an
-/// explicit seed wins; `None` falls back to [`run_ranks_checked`], whose
-/// default is the `SPGEMM_PERTURB_SEED` environment variable.
-fn run_cluster<R, F>(cfg: &RunConfig, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut spgemm_simgrid::Rank) -> R + Send + Sync,
-{
-    match (cfg.job, cfg.perturb) {
-        (Some(job), seed) => {
-            spgemm_simgrid::run_ranks_for_job(cfg.p, cfg.machine, cfg.check, seed, job, f)
-        }
-        (None, Some(seed)) => run_ranks_seeded(cfg.p, cfg.machine, cfg.check, Some(seed), f),
-        (None, None) => run_ranks_checked(cfg.p, cfg.machine, cfg.check, f),
-    }
+/// What one simulated world reports: every rank's body value plus the
+/// clock state the harness snapshots when the body returns.
+#[derive(Debug)]
+pub struct WorldRun<R> {
+    /// Each rank's body value, rank order.
+    pub ranks: Vec<R>,
+    /// Each rank's modeled step breakdown, rank order.
+    pub per_rank: Vec<StepBreakdown>,
+    /// Per-rank step timelines when [`RunConfig::trace`] was set.
+    pub traces: Option<Vec<Vec<TraceEvent>>>,
 }
 
-struct PerRank<T: Copy> {
-    breakdown: StepBreakdown,
-    peak: usize,
-    nbatches: usize,
-    symbolic: Option<SymbolicOutcome>,
-    c: Option<CscMatrix<T>>,
-    events: Option<Vec<spgemm_simgrid::TraceEvent>>,
-    kernel_stats: WorkStats,
-    load_balance: RangeBalance,
+/// Run `body` on every rank of a `cfg.p`-rank simulated cluster — the one
+/// place a [`RunConfig`] meets a simgrid launcher (whose seed rule applies:
+/// explicit [`RunConfig::perturb`], else `SPGEMM_PERTURB_SEED`). Callers
+/// validate `p` first. Tracing is enabled before `body` runs, the breakdown
+/// is snapshotted after it returns; the first rank error fails the run.
+fn run_world<R: Send>(
+    cfg: &RunConfig,
+    body: impl Fn(&mut Rank) -> Result<R> + Send + Sync,
+) -> Result<WorldRun<R>> {
+    let on_rank = |rank: &mut Rank| {
+        if cfg.trace {
+            rank.clock_mut().enable_tracing();
+        }
+        let value = body(rank)?;
+        let events = rank.clock().events().map(<[TraceEvent]>::to_vec);
+        Ok((value, *rank.clock().breakdown(), events))
+    };
+    let results: Vec<Result<_>> =
+        run_ranks_seeded(cfg.p, cfg.machine, cfg.check, cfg.perturb, cfg.job, on_rank);
+    let mut world = WorldRun {
+        ranks: Vec::with_capacity(cfg.p),
+        per_rank: Vec::with_capacity(cfg.p),
+        traces: cfg.trace.then(Vec::new),
+    };
+    for r in results {
+        let (value, breakdown, events) = r?;
+        world.ranks.push(value);
+        world.per_rank.push(breakdown);
+        if let (Some(ts), Some(ev)) = (world.traces.as_mut(), events) {
+            ts.push(ev);
+        }
+    }
+    Ok(world)
+}
+
+/// Run `body` on every rank of a validated 3D grid: `cfg.layers` must be
+/// [`LayerChoice::Fixed`] (planning `Auto` needs the operands —
+/// [`run_batched`] does it) and `(p, l)` must form a grid, so a degenerate
+/// pair is a [`CoreError::Config`] naming it rather than a panic in every
+/// rank thread. Iterative applications that keep their own resident state
+/// ([`crate::IterSession`]) enter here.
+pub fn run_on_grid<R: Send>(
+    cfg: &RunConfig,
+    body: impl Fn(&mut Rank, &Grid3D) -> Result<R> + Send + Sync,
+) -> Result<WorldRun<R>> {
+    let LayerChoice::Fixed(layers) = cfg.layers else {
+        return Err(CoreError::Config(
+            "LayerChoice::Auto is planned from the operands: enter through run_spgemm or \
+             run_batched"
+                .into(),
+        ));
+    };
+    validate_grid(cfg.p, layers)?;
+    run_world(cfg, |rank| {
+        let grid = Grid3D::new(rank, layers);
+        body(rank, &grid)
+    })
+}
+
+/// Where a batched run's B-style operand comes from.
+#[derive(Debug)]
+pub enum BOperand<T: Copy> {
+    /// A global matrix on the simulated root, scattered B-style.
+    Global(Arc<CscMatrix<T>>),
+    /// `Aᵀ`, formed **in place on the grid** from the scattered `Ã`
+    /// ([`transpose_to_bstyle`]) — the global transpose never exists.
+    TransposeOfA,
+}
+
+/// The choreography every batched driver shares, per rank: scatter `a`
+/// from the simulated root per Fig. 1, obtain `B̃` from `b`, run
+/// BatchedSUMMA3D under `cfg` handing each batch's piece to `on_batch`
+/// (return it — possibly transformed — to keep it, `None` to drop it),
+/// gather the kept pieces into the `m × n` product unless
+/// [`RunConfig::discard_output`], then let `finish` do the application's
+/// own closing communication. `St` is per-rank application state threaded
+/// through `on_batch` into `finish`; the second return value holds every
+/// rank's `finish` result. [`LayerChoice::Auto`] is planned here.
+pub fn run_batched<S: Semiring, St: Default, R: Send>(
+    cfg: &RunConfig,
+    a: &Arc<CscMatrix<S::T>>,
+    b: &BOperand<S::T>,
+    on_batch: impl Fn(&mut St, &mut Rank, &Grid3D, BatchOutput<S::T>) -> Option<CPiece<S::T>>
+        + Send
+        + Sync,
+    finish: impl Fn(St, &mut Rank, &Grid3D) -> R + Send + Sync,
+) -> Result<(RunOutput<S::T>, Vec<R>)> {
+    // The structure `Auto` layers are planned on, and the product's width.
+    let planned_t;
+    let (b_global, n): (&CscMatrix<S::T>, usize) = match b {
+        BOperand::Global(b) if a.ncols() != b.nrows() => {
+            return Err(CoreError::Config(format!(
+                "inner dimensions differ: A is {}x{}, B is {}x{}",
+                a.nrows(),
+                a.ncols(),
+                b.nrows(),
+                b.ncols()
+            )))
+        }
+        BOperand::Global(b) => (b, b.ncols()),
+        // Planning is the only time the global transpose is materialized;
+        // a fixed layer count never reads the operands.
+        BOperand::TransposeOfA if cfg.layers == LayerChoice::Auto => {
+            planned_t = spgemm_sparse::ops::transpose(a);
+            (&planned_t, a.nrows())
+        }
+        BOperand::TransposeOfA => (a, a.nrows()),
+    };
+    let (cfg, plan) = resolve_layers(cfg, a, b_global)?;
+    let LayerChoice::Fixed(layers) = cfg.layers else {
+        unreachable!("resolve_layers fixes the layer count")
+    };
+    let m = a.nrows();
+
+    let world = run_on_grid(&cfg, |rank, grid| {
+        let root = rank.rank() == 0;
+        let da = scatter(rank, grid, DistKind::AStyle, root.then(|| Arc::clone(a)));
+        let db = match b {
+            BOperand::Global(b) => {
+                scatter(rank, grid, DistKind::BStyle, root.then(|| Arc::clone(b)))
+            }
+            BOperand::TransposeOfA => transpose_to_bstyle(rank, grid, &da),
+        };
+        let mut state = St::default();
+        let mut result = batched_summa3d::<S>(rank, grid, &da, &db, &cfg, |rank, out| {
+            on_batch(&mut state, rank, grid, out)
+        })?;
+        let c = if cfg.discard_output {
+            None
+        } else {
+            gather_pieces(rank, &grid.world, std::mem::take(&mut result.pieces), m, n)
+        };
+        Ok((result, c, finish(state, rank, grid)))
+    })?;
+
+    let mut out = RunOutput {
+        c: None,
+        max: max_breakdown(&world.per_rank),
+        per_rank: world.per_rank,
+        nbatches: 0,
+        layers,
+        plan,
+        symbolic: None,
+        peak_bytes: Vec::with_capacity(cfg.p),
+        traces: world.traces,
+        kernel_stats: WorkStats::default(),
+        load_balance: RangeBalance::default(),
+    };
+    let mut finished = Vec::with_capacity(cfg.p);
+    for (i, (result, c, extra)) in world.ranks.into_iter().enumerate() {
+        if i == 0 {
+            out.nbatches = result.nbatches;
+            out.symbolic = result.symbolic;
+            out.c = c;
+        } else if result.nbatches != out.nbatches {
+            // The batch count must be an SPMD-agreed value; taking any one
+            // rank's answer would silently mask a divergence.
+            return Err(CoreError::Config(format!(
+                "ranks disagree on the batch count: rank 0 chose {}, rank {i} chose {}",
+                out.nbatches, result.nbatches
+            )));
+        }
+        out.peak_bytes.push(result.peak_bytes);
+        out.kernel_stats.merge(result.kernel_stats);
+        out.load_balance.merge(result.load_balance);
+        finished.push(extra);
+    }
+    Ok((out, finished))
+}
+
+/// A plain multiply: [`run_batched`] keeping every piece, or dropping
+/// every piece when the output is discarded.
+fn run_plain<S: Semiring>(
+    cfg: &RunConfig,
+    a: &CscMatrix<S::T>,
+    b: &BOperand<S::T>,
+) -> Result<RunOutput<S::T>> {
+    let keep = |(): &mut (), _: &mut Rank, _: &Grid3D, out: BatchOutput<S::T>| {
+        (!cfg.discard_output).then_some(out.piece)
+    };
+    Ok(run_batched::<S, (), ()>(cfg, &Arc::new(a.clone()), b, keep, |(), _, _| ())?.0)
 }
 
 /// Multiply `a · b` on a simulated `p`-rank cluster per `cfg`.
@@ -243,15 +434,6 @@ pub fn run_spgemm<S: Semiring>(
     a: &CscMatrix<S::T>,
     b: &CscMatrix<S::T>,
 ) -> Result<RunOutput<S::T>> {
-    if a.ncols() != b.nrows() {
-        return Err(CoreError::Config(format!(
-            "inner dimensions differ: A is {}x{}, B is {}x{}",
-            a.nrows(),
-            a.ncols(),
-            b.nrows(),
-            b.ncols()
-        )));
-    }
     if cfg.algorithm.is_15d() {
         // The 1.5D families are sparse-dense algorithms: an honestly
         // densified B (zero-filled, `d = ncols(B)` stripes) runs through
@@ -278,82 +460,7 @@ pub fn run_spgemm<S: Semiring>(
             load_balance: RangeBalance::default(),
         });
     }
-    let (layers, plan) = resolve_layers(cfg, a, b)?;
-    let b_arc = Arc::new(b.clone());
-    run_batched::<S>(cfg, layers, plan, a, b.ncols(), move |rank, grid, _da| {
-        scatter(
-            rank,
-            grid,
-            DistKind::BStyle,
-            (rank.rank() == 0).then(|| Arc::clone(&b_arc)),
-        )
-    })
-}
-
-/// The per-rank choreography [`run_spgemm`] and [`run_spgemm_aat`] share:
-/// scatter `a` from the simulated root per Fig. 1, obtain the rank's `B̃`
-/// through `b_tilde` (scattered from a global `B`, or transposed on the
-/// grid from `Ã`), run BatchedSUMMA3D, gather the `m × n` product.
-fn run_batched<S: Semiring>(
-    cfg: &RunConfig,
-    layers: usize,
-    plan: Option<PlanReport>,
-    a: &CscMatrix<S::T>,
-    n: usize,
-    b_tilde: impl Fn(&mut Rank, &Grid3D, &DistMatrix<S::T>) -> DistMatrix<S::T> + Send + Sync,
-) -> Result<RunOutput<S::T>> {
-    let a_arc = Arc::new(a.clone());
-    let m = a.nrows();
-    let cfg_copy = *cfg;
-
-    let results: Vec<Result<PerRank<S::T>>> = run_cluster(cfg, move |rank| {
-        if cfg_copy.trace {
-            rank.clock_mut().enable_tracing();
-        }
-        let grid = Grid3D::new(rank, layers);
-        let da = scatter(
-            rank,
-            &grid,
-            DistKind::AStyle,
-            (rank.rank() == 0).then(|| Arc::clone(&a_arc)),
-        );
-        let db = b_tilde(rank, &grid, &da);
-        let bcfg = BatchConfig {
-            kernels: cfg_copy.kernels,
-            batching: cfg_copy.batching,
-            budget: cfg_copy.budget,
-            forced_batches: cfg_copy.forced_batches,
-            overlap: cfg_copy.overlap,
-            exchange: cfg_copy.exchange,
-            backend: cfg_copy.backend,
-            algorithm: cfg_copy.algorithm,
-        };
-        let discard = cfg_copy.discard_output;
-        let result = batched_summa3d::<S>(rank, &grid, &da, &db, &bcfg, |_rank, out| {
-            if discard {
-                None
-            } else {
-                Some(out.piece)
-            }
-        })?;
-        let c = if discard {
-            None
-        } else {
-            gather_pieces(rank, &grid.world, result.pieces, m, n)
-        };
-        Ok(PerRank {
-            breakdown: *rank.clock().breakdown(),
-            peak: result.peak_bytes,
-            nbatches: result.nbatches,
-            symbolic: result.symbolic,
-            c,
-            events: rank.clock().events().map(|e| e.to_vec()),
-            kernel_stats: result.kernel_stats,
-            load_balance: result.load_balance,
-        })
-    });
-
-    collect_outputs(cfg, layers, plan, results)
+    run_plain::<S>(cfg, a, &BOperand::Global(Arc::new(b.clone())))
 }
 
 /// Everything a simulated sparse-dense (SpMM) run reports.
@@ -376,7 +483,7 @@ pub struct SpmmOutput<T: Copy> {
     /// directly pinned families.
     pub plan: Option<PlanReport>,
     /// Per-rank step timelines when `RunConfig::trace` was set.
-    pub traces: Option<Vec<Vec<spgemm_simgrid::TraceEvent>>>,
+    pub traces: Option<Vec<Vec<TraceEvent>>>,
 }
 
 /// Multiply sparse `a` by **dense** `b` on a simulated `p`-rank cluster.
@@ -431,52 +538,26 @@ pub fn run_spmm<S: Semiring>(
     cfg.algorithm.validate(cfg.p)?;
     let a_arc = Arc::new(a.clone());
     let b_arc = Arc::new(b.clone());
-    let cfg_copy = *cfg;
-
-    struct SpmmPerRank<T: Copy> {
-        breakdown: StepBreakdown,
-        peak: usize,
-        c: Option<DenseBlock<T>>,
-        kernel_stats: WorkStats,
-        events: Option<Vec<spgemm_simgrid::TraceEvent>>,
-    }
-
-    let results: Vec<Result<SpmmPerRank<S::T>>> = run_cluster(cfg, move |rank| {
-        if cfg_copy.trace {
-            rank.clock_mut().enable_tracing();
-        }
-        let out = spmm_15d::<S>(
+    let world = run_world(cfg, |rank| {
+        let root = rank.rank() == 0;
+        spmm_15d::<S>(
             rank,
-            cfg_copy.algorithm,
-            (rank.rank() == 0).then(|| Arc::clone(&a_arc)),
-            (rank.rank() == 0).then(|| Arc::clone(&b_arc)),
-            cfg_copy.backend,
-            cfg_copy.discard_output,
-        )?;
-        Ok(SpmmPerRank {
-            breakdown: *rank.clock().breakdown(),
-            peak: out.peak_bytes,
-            c: out.gathered,
-            kernel_stats: out.kernel_stats,
-            events: rank.clock().events().map(|e| e.to_vec()),
-        })
-    });
+            cfg.algorithm,
+            root.then(|| Arc::clone(&a_arc)),
+            root.then(|| Arc::clone(&b_arc)),
+            cfg.backend,
+            cfg.discard_output,
+        )
+    })?;
 
-    let mut per_rank = Vec::with_capacity(cfg.p);
     let mut peaks = Vec::with_capacity(cfg.p);
     let mut c = None;
     let mut kernel_stats = WorkStats::default();
-    let mut traces = cfg.trace.then(Vec::new);
-    for (i, r) in results.into_iter().enumerate() {
-        let r = r?;
-        per_rank.push(r.breakdown);
-        peaks.push(r.peak);
+    for (i, r) in world.ranks.into_iter().enumerate() {
+        peaks.push(r.peak_bytes);
         kernel_stats.merge(r.kernel_stats);
         if i == 0 {
-            c = r.c;
-        }
-        if let (Some(ts), Some(ev)) = (traces.as_mut(), r.events) {
-            ts.push(ev);
+            c = r.gathered;
         }
     }
     if !cfg.budget.is_unlimited() {
@@ -488,37 +569,28 @@ pub fn run_spmm<S: Semiring>(
             });
         }
     }
-    let max = max_breakdown(&per_rank);
     Ok(SpmmOutput {
         c,
-        per_rank,
-        max,
+        max: max_breakdown(&world.per_rank),
+        per_rank: world.per_rank,
         algorithm: cfg.algorithm,
         peak_bytes: peaks,
         kernel_stats,
         plan: None,
-        traces,
+        traces: world.traces,
     })
 }
 
 /// Compute `A·Aᵀ` on the simulated cluster: `A` is scattered once and
-/// transposed **in place on the grid** ([`transpose_to_bstyle`]) — the
-/// global transpose never exists, matching how `A·Aᵀ` pipelines (BELLA,
-/// Jaccard, hypergraph coarsening) run at scale.
+/// transposed **in place on the grid** ([`BOperand::TransposeOfA`]) — the
+/// global transpose never exists (unless [`LayerChoice::Auto`] has to plan
+/// on it), matching how `A·Aᵀ` pipelines (BELLA, Jaccard, hypergraph
+/// coarsening) run at scale.
 pub fn run_spgemm_aat<S: Semiring>(
     cfg: &RunConfig,
     a: &CscMatrix<S::T>,
 ) -> Result<RunOutput<S::T>> {
-    // Auto layers need the global Bᵀ structure for planning; a fixed
-    // layer count never materializes the transpose.
-    let (layers, plan) = match cfg.layers {
-        LayerChoice::Fixed(_) => resolve_layers(cfg, a, a)?,
-        LayerChoice::Auto => {
-            let at = spgemm_sparse::ops::transpose(a);
-            resolve_layers(cfg, a, &at)?
-        }
-    };
-    run_batched::<S>(cfg, layers, plan, a, a.nrows(), transpose_to_bstyle)
+    run_plain::<S>(cfg, a, &BOperand::TransposeOfA)
 }
 
 /// Multiply with **row-wise batching**: batches select rows of `C` (and
@@ -538,51 +610,6 @@ pub fn run_spgemm_row_batched<S: Semiring>(
     let mut out = run_spgemm::<S>(cfg, &bt, &at)?;
     out.c = out.c.map(|ct| spgemm_sparse::ops::transpose(&ct));
     Ok(out)
-}
-
-fn collect_outputs<T: Copy>(
-    cfg: &RunConfig,
-    layers: usize,
-    plan: Option<PlanReport>,
-    results: Vec<Result<PerRank<T>>>,
-) -> Result<RunOutput<T>> {
-    let mut per_rank = Vec::with_capacity(cfg.p);
-    let mut peaks = Vec::with_capacity(cfg.p);
-    let mut c = None;
-    let mut nbatches = 0;
-    let mut symbolic = None;
-    let mut traces = cfg.trace.then(Vec::new);
-    let mut kernel_stats = WorkStats::default();
-    let mut load_balance = RangeBalance::default();
-    for (i, r) in results.into_iter().enumerate() {
-        let r = r?;
-        per_rank.push(r.breakdown);
-        peaks.push(r.peak);
-        nbatches = r.nbatches;
-        kernel_stats.merge(r.kernel_stats);
-        load_balance.merge(r.load_balance);
-        if i == 0 {
-            symbolic = r.symbolic;
-            c = r.c;
-        }
-        if let (Some(ts), Some(ev)) = (traces.as_mut(), r.events) {
-            ts.push(ev);
-        }
-    }
-    let max = max_breakdown(&per_rank);
-    Ok(RunOutput {
-        c,
-        per_rank,
-        max,
-        nbatches,
-        layers,
-        plan,
-        symbolic,
-        peak_bytes: peaks,
-        traces,
-        kernel_stats,
-        load_balance,
-    })
 }
 
 #[cfg(test)]
@@ -737,12 +764,18 @@ mod tests {
     #[test]
     fn forced_zero_batches_rejected() {
         let a = er_random::<PlusTimesF64>(16, 16, 2, 59);
-        let mut cfg = RunConfig::new(4, 1);
-        cfg.forced_batches = Some(0);
-        assert!(matches!(
-            run_spgemm::<PlusTimesF64>(&cfg, &a, &a),
-            Err(CoreError::Config(_))
-        ));
+        // With and without the symbolic sweep in front of the batches.
+        for batching in [BatchingStrategy::BlockCyclic, BatchingStrategy::Balanced] {
+            let mut cfg = RunConfig::new(4, 1);
+            cfg.forced_batches = Some(0);
+            cfg.batching = batching;
+            let res = run_spgemm::<PlusTimesF64>(&cfg, &a, &a);
+            assert!(
+                matches!(&res, Err(CoreError::Config(msg)) if msg.contains("≥ 1")),
+                "{batching:?}: {:?}",
+                res.map(|out| out.nbatches)
+            );
+        }
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub use dist::{transpose_to_bstyle, CPiece, DistKind, DistMatrix};
 pub use exchange::{ExchangeMode, ExchangePlan, FetchCacheStats};
 pub use family15::AlgorithmFamily;
 pub use harness::{
-    run_spgemm, run_spgemm_aat, run_spgemm_row_batched, run_spmm, LayerChoice, RunConfig,
-    RunOutput, SpmmOutput,
+    run_batched, run_on_grid, run_spgemm, run_spgemm_aat, run_spgemm_row_batched, run_spmm,
+    BOperand, LayerChoice, RunConfig, RunOutput, SpmmOutput, WorldRun,
 };
 pub use kernels::{KernelStrategy, LocalKernels};
 pub use memory::{MemTracker, MemoryBudget, R_BYTES_PER_NNZ};

@@ -48,7 +48,7 @@ use crate::backend::BackendKind;
 use crate::family15::AlgorithmFamily;
 use crate::harness::{run_spgemm, RunConfig, RunOutput};
 use crate::planner::{self, Candidate, PlannerConfig, ProbeConfig, StructuralSketch};
-use spgemm_simgrid::{CheckMode, Machine, StepBreakdown};
+use spgemm_simgrid::{CheckMode, Machine};
 use spgemm_sparse::semiring::{MinPlusF64, PlusTimesF64};
 use spgemm_sparse::CscMatrix;
 use std::cmp::Reverse;
@@ -190,22 +190,11 @@ struct Submission {
     submitted: Instant,
 }
 
-/// What a worker hands back from a finished run (scheduler fills in the
-/// admission fields it alone knows).
-struct RunBits {
-    c: Option<CscMatrix<f64>>,
-    nnz_c: usize,
-    nbatches: usize,
-    layers: usize,
-    breakdown: StepBreakdown,
-    peak_bytes_per_proc: usize,
-}
-
 enum Msg {
     Submit(Box<Submission>),
     Done {
         id: JobId,
-        result: Result<Box<RunBits>, String>,
+        result: Result<Box<RunOutput<f64>>, String>,
         run_secs: f64,
     },
     Stats(Sender<ServerStats>),
@@ -214,17 +203,11 @@ enum Msg {
 
 struct WorkItem {
     id: JobId,
-    p: usize,
     semiring: JobSemiring,
-    keep_output: bool,
-    budget: crate::memory::MemoryBudget,
     a: Arc<CscMatrix<f64>>,
     b: Arc<CscMatrix<f64>>,
-    candidate: Candidate,
-    batches: usize,
-    machine: Machine,
-    backend: BackendKind,
-    check: CheckMode,
+    /// The whole run policy, built once in `Scheduler::dispatch`.
+    run: RunConfig,
 }
 
 /// A planned job waiting for budget.
@@ -397,19 +380,9 @@ fn worker_loop(work_rx: &Arc<Mutex<Receiver<WorkItem>>>, done_tx: &Sender<Msg>) 
         };
         let Ok(item) = item else { return };
         let start = Instant::now();
-        let result = execute(&item).map(|out| {
-            Box::new(RunBits {
-                nnz_c: out.c.as_ref().map_or(0, CscMatrix::nnz),
-                c: out.c,
-                nbatches: out.nbatches,
-                layers: out.layers,
-                breakdown: out.max,
-                peak_bytes_per_proc: out.peak_bytes.iter().copied().max().unwrap_or(0),
-            })
-        });
         let msg = Msg::Done {
             id: item.id,
-            result,
+            result: execute(&item).map(Box::new),
             run_secs: start.elapsed().as_secs_f64(),
         };
         if done_tx.send(msg).is_err() {
@@ -419,21 +392,9 @@ fn worker_loop(work_rx: &Arc<Mutex<Receiver<WorkItem>>>, done_tx: &Sender<Msg>) 
 }
 
 fn execute(item: &WorkItem) -> Result<RunOutput<f64>, String> {
-    let mut rc = RunConfig::new(item.p, item.candidate.layers);
-    rc.machine = item.machine;
-    rc.kernels = item.candidate.kernels;
-    rc.overlap = item.candidate.overlap;
-    rc.exchange = item.candidate.exchange;
-    rc.algorithm = item.candidate.family;
-    rc.budget = item.budget;
-    rc.forced_batches = Some(item.batches);
-    rc.discard_output = !item.keep_output;
-    rc.check = item.check;
-    rc.backend = item.backend;
-    rc.job = Some(item.id);
     match item.semiring {
-        JobSemiring::PlusTimes => run_spgemm::<PlusTimesF64>(&rc, &item.a, &item.b),
-        JobSemiring::MinPlus => run_spgemm::<MinPlusF64>(&rc, &item.a, &item.b),
+        JobSemiring::PlusTimes => run_spgemm::<PlusTimesF64>(&item.run, &item.a, &item.b),
+        JobSemiring::MinPlus => run_spgemm::<MinPlusF64>(&item.run, &item.a, &item.b),
     }
     .map_err(|e| e.to_string())
 }
@@ -711,24 +672,31 @@ impl Scheduler {
         self.running += 1;
         let item = WorkItem {
             id: pending.id,
-            p: pending.spec.p,
             semiring: pending.spec.semiring,
-            keep_output: pending.spec.keep_output,
-            budget: pending.spec.budget,
             a: pending.a,
             b: pending.b,
-            candidate: pending.candidate,
-            batches,
-            machine: self.cfg.machine,
-            backend: self.cfg.backend,
-            check: self.cfg.check,
+            run: RunConfig {
+                machine: self.cfg.machine,
+                budget: pending.spec.budget,
+                forced_batches: Some(batches),
+                discard_output: !pending.spec.keep_output,
+                check: self.cfg.check,
+                backend: self.cfg.backend,
+                job: Some(pending.id),
+                ..RunConfig::new(pending.spec.p, 1).with_candidate(&pending.candidate)
+            },
         };
         // Workers only exit after this sender drops, so this cannot fail
         // while the scheduler lives.
         let _ = self.work_tx.send(item);
     }
 
-    fn handle_done(&mut self, id: JobId, result: Result<Box<RunBits>, String>, run_secs: f64) {
+    fn handle_done(
+        &mut self,
+        id: JobId,
+        result: Result<Box<RunOutput<f64>>, String>,
+        run_secs: f64,
+    ) {
         self.running -= 1;
         self.admission.release(id);
         let Some(meta) = self.meta.remove(&id) else {
@@ -739,17 +707,17 @@ impl Scheduler {
             .admitted
             .map_or(0.0, |t| (t - meta.submitted).as_secs_f64());
         let outcome = match result {
-            Ok(bits) => {
+            Ok(out) => {
                 self.stats.completed += 1;
                 JobOutcome::Completed(Box::new(CompletedJob {
-                    c: bits.c,
-                    nnz_c: bits.nnz_c,
+                    nnz_c: out.c.as_ref().map_or(0, CscMatrix::nnz),
+                    c: out.c,
                     admit: meta.admit.unwrap_or(AdmitKind::AsPlanned),
                     reserved_bytes: meta.reserved,
-                    nbatches: bits.nbatches,
-                    layers: bits.layers,
-                    breakdown: bits.breakdown,
-                    peak_bytes_per_proc: bits.peak_bytes_per_proc,
+                    nbatches: out.nbatches,
+                    layers: out.layers,
+                    breakdown: out.max,
+                    peak_bytes_per_proc: out.peak_bytes.iter().copied().max().unwrap_or(0),
                 }))
             }
             Err(msg) => {

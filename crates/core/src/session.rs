@@ -42,9 +42,10 @@
 //! bit-equal to freshly fetched ones (property-tested in
 //! `core/tests/iter_session.rs`).
 
-use crate::batched::{batched_summa3d_with, BatchConfig, BatchOutput, BatchingStrategy};
+use crate::batched::{batched_summa3d_with, BatchOutput, BatchingStrategy};
 use crate::dist::{gather_pieces, scatter, CPiece, DistKind, DistMatrix};
 use crate::exchange::{ExchangePlan, FetchCacheStats};
+use crate::harness::RunConfig;
 use crate::kernels::LocalKernels;
 use crate::{CoreError, Result};
 use spgemm_simgrid::{Grid3D, Rank, Step, StepBreakdown};
@@ -75,7 +76,7 @@ pub struct SessionIterStats {
 /// iteration — see the module docs for the full contract.
 pub struct IterSession<S: Semiring> {
     // (manual Debug below: LocalKernels carries workspaces that are noise)
-    cfg: BatchConfig,
+    cfg: RunConfig,
     a: DistMatrix<S::T>,
     a_shared: Arc<CscMatrix<S::T>>,
     b: DistMatrix<S::T>,
@@ -98,13 +99,15 @@ impl<S: Semiring> IterSession<S> {
     /// Scatter the initial iterate (held by world rank 0 as `global`) and
     /// set up the per-rank resident state. `cache` turns on the
     /// cross-iteration fetch cache — meaningful under
-    /// [`crate::ExchangeMode::SparseFetch`], harmless otherwise. SPMD:
-    /// every rank must construct the session with the same arguments.
+    /// [`crate::ExchangeMode::SparseFetch`], harmless otherwise. `cfg` is
+    /// read like [`crate::batched_summa3d`] reads it (the grid and the
+    /// cluster are the caller's, see [`crate::harness::run_on_grid`]).
+    /// SPMD: every rank must construct the session with the same arguments.
     pub fn new(
         rank: &mut Rank,
         grid: &Grid3D,
         global: Option<Arc<CscMatrix<S::T>>>,
-        cfg: BatchConfig,
+        cfg: &RunConfig,
         cache: bool,
     ) -> Result<Self> {
         if cfg.batching == BatchingStrategy::Block {
@@ -130,7 +133,7 @@ impl<S: Semiring> IterSession<S> {
         }
         Ok(IterSession {
             kernels: LocalKernels::with_backend(cfg.kernels, cfg.backend),
-            cfg,
+            cfg: *cfg,
             a,
             a_shared,
             b,
@@ -421,12 +424,12 @@ mod tests {
                 let results = run_ranks(p, Machine::knl(), move |rank| {
                     let grid = Grid3D::new(rank, l);
                     let payload = (rank.rank() == 0).then(|| Arc::new(seed.clone()));
-                    let cfg = BatchConfig {
+                    let cfg = RunConfig {
                         exchange: mode,
-                        ..Default::default()
+                        ..RunConfig::new(p, l)
                     };
                     let mut sess =
-                        IterSession::<PlusTimesF64>::new(rank, &grid, payload, cfg, true)
+                        IterSession::<PlusTimesF64>::new(rank, &grid, payload, &cfg, true)
                             .unwrap();
                     for _ in 0..2 {
                         let stats = sess

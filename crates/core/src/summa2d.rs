@@ -137,7 +137,7 @@ mod tests {
         let (reference, _) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
         for p in [1usize, 4, 9, 16] {
             for strat in [KernelStrategy::New, KernelStrategy::Previous] {
-                let (c, _) = run_summa3d::<PlusTimesU64>(p, 1, a.clone(), b.clone(), strat);
+                let (c, _) = run_summa3d::<PlusTimesU64>(p, 1, &a, &b, strat);
                 assert!(
                     c.eq_modulo_order(&reference),
                     "p={p} strategy={}",
@@ -153,7 +153,7 @@ mod tests {
         let a = er_random::<PlusTimesU64>(37, 23, 4, 3).map(|_| 1u64);
         let b = er_random::<PlusTimesU64>(23, 31, 4, 4).map(|_| 1u64);
         let (reference, _) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
-        let (c, _) = run_summa3d::<PlusTimesU64>(9, 1, a, b, KernelStrategy::New);
+        let (c, _) = run_summa3d::<PlusTimesU64>(9, 1, &a, &b, KernelStrategy::New);
         assert!(c.eq_modulo_order(&reference));
     }
 
@@ -162,7 +162,7 @@ mod tests {
         let a = er_random::<PlusTimesF64>(40, 40, 4, 5);
         let b = er_random::<PlusTimesF64>(40, 40, 4, 6);
         let (reference, _) = spgemm_spa::<PlusTimesF64>(&a, &b).unwrap();
-        let (c, _) = run_summa3d::<PlusTimesF64>(4, 1, a, b, KernelStrategy::New);
+        let (c, _) = run_summa3d::<PlusTimesF64>(4, 1, &a, &b, KernelStrategy::New);
         assert!(c.approx_eq(&reference, 1e-12));
     }
 
@@ -170,7 +170,7 @@ mod tests {
     fn summa2d_clock_accounts_all_steps() {
         let a = er_random::<PlusTimesF64>(32, 32, 4, 7);
         let b = er_random::<PlusTimesF64>(32, 32, 4, 8);
-        let (_, breakdowns) = run_summa3d::<PlusTimesF64>(4, 1, a, b, KernelStrategy::New);
+        let (_, breakdowns) = run_summa3d::<PlusTimesF64>(4, 1, &a, &b, KernelStrategy::New);
         for b in &breakdowns {
             assert!(b.secs_of(Step::ABcast) > 0.0);
             assert!(b.secs_of(Step::BBcast) > 0.0);

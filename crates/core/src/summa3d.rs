@@ -128,14 +128,12 @@ pub(crate) fn merge_fiber<S: Semiring>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::batched::{batched_summa3d, BatchConfig};
-    use crate::dist::{gather_pieces, scatter, DistKind};
+    use crate::harness::{run_spgemm, RunConfig};
     use crate::kernels::KernelStrategy;
-    use spgemm_simgrid::{run_ranks, Machine, StepBreakdown};
+    use spgemm_simgrid::StepBreakdown;
     use spgemm_sparse::gen::er_random;
     use spgemm_sparse::semiring::{PlusTimesF64, PlusTimesU64};
     use spgemm_sparse::spgemm::spgemm_spa;
-    use std::sync::Arc;
 
     /// Alg. 2 as published: one un-batched SUMMA3D (with `l = 1`, Alg. 1).
     /// Returns the product gathered on rank 0 and every rank's step
@@ -143,38 +141,17 @@ pub(crate) mod tests {
     pub(crate) fn run_summa3d<S: Semiring>(
         p: usize,
         l: usize,
-        a_global: CscMatrix<S::T>,
-        b_global: CscMatrix<S::T>,
+        a_global: &CscMatrix<S::T>,
+        b_global: &CscMatrix<S::T>,
         strategy: KernelStrategy,
-    ) -> (CscMatrix<S::T>, Vec<StepBreakdown>)
-    where
-        S::T: Send + Sync,
-    {
-        let (m, n) = (a_global.nrows(), b_global.ncols());
-        let cfg = BatchConfig {
+    ) -> (CscMatrix<S::T>, Vec<StepBreakdown>) {
+        let cfg = RunConfig {
             kernels: strategy,
             forced_batches: Some(1),
-            ..Default::default()
+            ..RunConfig::new(p, l)
         };
-        let results = run_ranks(p, Machine::knl(), move |rank| {
-            let grid = Grid3D::new(rank, l);
-            let root = |g: &CscMatrix<S::T>| (rank.rank() == 0).then(|| Arc::new(g.clone()));
-            let (a_root, b_root) = (root(&a_global), root(&b_global));
-            let a = scatter(rank, &grid, DistKind::AStyle, a_root);
-            let b = scatter(rank, &grid, DistKind::BStyle, b_root);
-            let out = batched_summa3d::<S>(rank, &grid, &a, &b, &cfg, |_, o| Some(o.piece))
-                .expect("summa3d failed");
-            let breakdown = *rank.clock().breakdown();
-            (
-                gather_pieces(rank, &grid.world, out.pieces, m, n),
-                breakdown,
-            )
-        });
-        let (c, breakdowns): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-        (
-            c.into_iter().next().unwrap().expect("root gathers C"),
-            breakdowns,
-        )
+        let out = run_spgemm::<S>(&cfg, a_global, b_global).expect("summa3d failed");
+        (out.c.expect("root gathers C"), out.per_rank)
     }
 
     #[test]
@@ -184,7 +161,7 @@ pub(crate) mod tests {
         let (reference, _) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
         for (p, l) in [(4, 1), (4, 4), (8, 2), (16, 4), (16, 16), (12, 3)] {
             for strat in [KernelStrategy::New, KernelStrategy::Previous] {
-                let (c, _) = run_summa3d::<PlusTimesU64>(p, l, a.clone(), b.clone(), strat);
+                let (c, _) = run_summa3d::<PlusTimesU64>(p, l, &a, &b, strat);
                 assert!(
                     c.eq_modulo_order(&reference),
                     "p={p} l={l} strategy={}",
@@ -199,7 +176,7 @@ pub(crate) mod tests {
         let a = er_random::<PlusTimesU64>(41, 29, 3, 23).map(|_| 1u64);
         let b = er_random::<PlusTimesU64>(29, 35, 3, 24).map(|_| 1u64);
         let (reference, _) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
-        let (c, _) = run_summa3d::<PlusTimesU64>(8, 2, a, b, KernelStrategy::New);
+        let (c, _) = run_summa3d::<PlusTimesU64>(8, 2, &a, &b, KernelStrategy::New);
         assert!(c.eq_modulo_order(&reference));
     }
 
@@ -208,7 +185,7 @@ pub(crate) mod tests {
         let a = er_random::<PlusTimesF64>(36, 36, 4, 25);
         let b = er_random::<PlusTimesF64>(36, 36, 4, 26);
         let (reference, _) = spgemm_spa::<PlusTimesF64>(&a, &b).unwrap();
-        let (c, _) = run_summa3d::<PlusTimesF64>(16, 4, a, b, KernelStrategy::New);
+        let (c, _) = run_summa3d::<PlusTimesF64>(16, 4, &a, &b, KernelStrategy::New);
         assert!(c.approx_eq(&reference, 1e-12));
     }
 
@@ -221,7 +198,7 @@ pub(crate) mod tests {
         let mut abcast = Vec::new();
         for l in [1usize, 4, 16] {
             let (_, breakdowns) =
-                run_summa3d::<PlusTimesF64>(16, l, a.clone(), b.clone(), KernelStrategy::New);
+                run_summa3d::<PlusTimesF64>(16, l, &a, &b, KernelStrategy::New);
             let max = spgemm_simgrid::max_breakdown(&breakdowns);
             abcast.push(max.secs_of(Step::ABcast));
         }

@@ -9,10 +9,10 @@
 //! extracted fetch tags to the real ones across the iteration boundary.
 
 use spgemm_core::audit::{AuditConfig, AuditEvent, BatchSpec, WorkloadShape};
-use spgemm_core::batched::BatchConfig;
 use spgemm_core::family15::spmm_15d;
 use spgemm_core::{
     AlgorithmFamily, BackendKind, CoreError, ExchangeMode, IterSession, MemoryBudget, OverlapMode,
+    RunConfig,
 };
 use spgemm_simgrid::{run_ranks_logged, Grid3D, LoggedAction, LoggedOp, Machine};
 use spgemm_sparse::gen::er_random;
@@ -77,7 +77,7 @@ fn run_real(
             return Ok(vec![1; iters]);
         }
         let grid = Grid3D::new(rank, l);
-        let cfg = BatchConfig {
+        let cfg = RunConfig {
             exchange,
             overlap,
             forced_batches: match batching {
@@ -88,10 +88,10 @@ fn run_real(
                 Batching::Budget(bytes) => MemoryBudget::new(bytes),
                 _ => MemoryBudget::unlimited(),
             },
-            ..BatchConfig::default()
+            ..RunConfig::new(p, l)
         };
         let global = root.then(|| Arc::clone(&a));
-        let mut sess = IterSession::<PlusTimesF64>::new(rank, &grid, global, cfg, true)?;
+        let mut sess = IterSession::<PlusTimesF64>::new(rank, &grid, global, &cfg, true)?;
         (0..iters)
             .map(|_| Ok(sess.step(rank, &grid, |_, out| Some(out.piece))?.nbatches))
             .collect::<Result<Vec<usize>, CoreError>>()

@@ -139,7 +139,6 @@ fn mismatched_fetch_reply_tag_is_an_unmatched_recv() {
 /// checker stays silent.
 #[test]
 fn perturbed_cached_session_is_bit_identical_and_clean() {
-    use spgemm_core::batched::BatchConfig;
     use spgemm_core::{CoreError, IterSession};
     use spgemm_simgrid::{run_ranks_seeded, Grid3D, Machine};
     use std::sync::Arc;
@@ -147,17 +146,18 @@ fn perturbed_cached_session_is_bit_identical_and_clean() {
     let m0 = er_random::<PlusTimesF64>(32, 32, 3, 320);
     let run = |seed: Option<u64>| {
         let g = Arc::new(m0.clone());
-        let results = run_ranks_seeded(16, Machine::knl_mini(), CheckMode::Check, seed, move |rank| {
+        let (machine, check) = (Machine::knl_mini(), CheckMode::Check);
+        let results = run_ranks_seeded(16, machine, check, seed, None, move |rank| {
             let grid = Grid3D::new(rank, 4);
-            let cfg = BatchConfig {
+            let cfg = RunConfig {
                 exchange: ExchangeMode::SparseFetch,
-                ..BatchConfig::default()
+                ..RunConfig::new(16, 4)
             };
             let mut sess = IterSession::<PlusTimesF64>::new(
                 rank,
                 &grid,
                 (rank.rank() == 0).then(|| Arc::clone(&g)),
-                cfg,
+                &cfg,
                 true,
             )?;
             let mut cache_trail = Vec::new();

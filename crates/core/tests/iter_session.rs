@@ -11,8 +11,7 @@
 //! send/recv pairing of every round intact.
 
 use proptest::prelude::*;
-use spgemm_core::batched::BatchConfig;
-use spgemm_core::{CoreError, ExchangeMode, IterSession, SessionIterStats};
+use spgemm_core::{CoreError, ExchangeMode, IterSession, RunConfig, SessionIterStats};
 use spgemm_simgrid::{run_ranks, Grid3D, Machine};
 use spgemm_sparse::gen::{er_random, RandValue};
 use spgemm_sparse::semiring::{MinPlusF64, PlusTimesF64, PlusTimesU64, Semiring};
@@ -63,15 +62,15 @@ fn run_session_iters<S: Semiring>(
     let g = Arc::new(global.clone());
     let results = run_ranks(p, Machine::knl_mini(), move |rank| {
         let grid = Grid3D::new(rank, l);
-        let cfg = BatchConfig {
+        let cfg = RunConfig {
             exchange,
-            ..BatchConfig::default()
+            ..RunConfig::new(p, l)
         };
         let mut sess = IterSession::<S>::new(
             rank,
             &grid,
             (rank.rank() == 0).then(|| Arc::clone(&g)),
-            cfg,
+            &cfg,
             cache,
         )?;
         let mut gathered = Vec::with_capacity(iters);

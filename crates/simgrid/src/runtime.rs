@@ -52,45 +52,31 @@ where
     R: Send,
     F: Fn(&mut Rank) -> R + Send + Sync,
 {
-    run_ranks_inner(p, machine, mode, env_perturb_seed(), false, None, f).0
+    run_ranks_seeded(p, machine, mode, None, None, f)
 }
 
-/// [`run_ranks_checked`] with an explicit schedule-perturbation seed.
+/// [`run_ranks_checked`] with an explicit schedule-perturbation seed and an
+/// optional job label — the one launcher every other one is a default of.
 ///
-/// With `Some(seed)`, every rank injects deterministic seed-derived
-/// scheduler jitter at its communication points, permuting thread wakeup
-/// order at every rendezvous. Algorithm results must be bit-identical
-/// under any seed; runs that differ (or trip the checker only under some
-/// seeds) have an order-dependence bug the default schedule was hiding.
+/// With a seed, every rank injects deterministic seed-derived scheduler
+/// jitter at its communication points, permuting thread wakeup order at
+/// every rendezvous. Algorithm results must be bit-identical under any
+/// seed; runs that differ (or trip the checker only under some seeds) have
+/// an order-dependence bug the default schedule was hiding. The seed rule
+/// lives here and nowhere else: an explicit `Some(seed)` wins, `None` falls
+/// back to `SPGEMM_PERTURB_SEED`, and with neither the run is unperturbed.
+///
+/// `job` is for multi-tenant packing: when several simulated clusters run
+/// concurrently in one process (the serve subsystem schedules one world per
+/// admitted job), rank threads are named `job-J-rank-I` instead of `rank-I`
+/// and panic reports lead with the job id — so a stack dump or failure
+/// message of a packed server names *which* job's world misbehaved.
 pub fn run_ranks_seeded<R, F>(
     p: usize,
     machine: Machine,
     mode: CheckMode,
     seed: Option<u64>,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut Rank) -> R + Send + Sync,
-{
-    run_ranks_inner(p, machine, mode, seed, false, None, f).0
-}
-
-/// [`run_ranks_seeded`] with a job label for multi-tenant packing: when
-/// several simulated clusters run concurrently in one process (the serve
-/// subsystem schedules one `run_ranks` world per admitted job), rank
-/// threads are named `job-J-rank-I` instead of `rank-I` and panic reports
-/// lead with the job id — so a stack dump or failure message of a packed
-/// server names *which* job's world misbehaved.
-///
-/// A `None` seed falls back to `SPGEMM_PERTURB_SEED`, like
-/// [`run_ranks_checked`].
-pub fn run_ranks_for_job<R, F>(
-    p: usize,
-    machine: Machine,
-    mode: CheckMode,
-    seed: Option<u64>,
-    job: u64,
+    job: Option<u64>,
     f: F,
 ) -> Vec<R>
 where
@@ -98,7 +84,7 @@ where
     F: Fn(&mut Rank) -> R + Send + Sync,
 {
     let seed = seed.or_else(env_perturb_seed);
-    run_ranks_inner(p, machine, mode, seed, false, Some(job), f).0
+    run_ranks_inner(p, machine, mode, seed, false, job, f).0
 }
 
 /// [`run_ranks`] with the protocol checker forced on and its op log
@@ -303,10 +289,10 @@ mod tests {
             rank.barrier(&comm, crate::clock::Step::Other);
             from_prev
         };
-        let base = run_ranks_seeded(8, Machine::knl(), CheckMode::Check, None, program);
+        let base = run_ranks_seeded(8, Machine::knl(), CheckMode::Check, None, None, program);
         for seed in [1u64, 2, 3] {
             let perturbed =
-                run_ranks_seeded(8, Machine::knl(), CheckMode::Check, Some(seed), program);
+                run_ranks_seeded(8, Machine::knl(), CheckMode::Check, Some(seed), None, program);
             assert_eq!(perturbed, base, "seed {seed} changed results");
         }
     }

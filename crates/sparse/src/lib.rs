@@ -6,8 +6,6 @@
 //! * [`CscMatrix`] — compressed sparse column storage with tracked
 //!   column-sortedness (the paper's sort-free kernels deliberately produce
 //!   unsorted columns; see Sec. IV-D of the paper).
-//! * [`DcscMatrix`] — doubly compressed columns for the hypersparse local
-//!   blocks a 3D distribution produces at scale (CombBLAS practice).
 //! * [`Semiring`] — SpGEMM over arbitrary semirings (Sec. II-A).
 //! * [`spgemm`] — local multiplication kernels: the *previous-generation*
 //!   heap kernel \[13\] and hybrid sorted-hash kernel \[25\], and this
@@ -34,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 pub mod csc;
-pub mod dcsc;
 pub mod dense;
 pub mod gen;
 pub mod io;
@@ -48,7 +45,6 @@ pub mod triples;
 pub mod validate;
 
 pub use csc::CscMatrix;
-pub use dcsc::DcscMatrix;
 pub use dense::{spmm_acc, DenseBlock, Operand};
 pub use semiring::{BoolOrAnd, MaxMinF64, MinPlusF64, PlusTimesF64, PlusTimesI64, PlusTimesU64, Semiring};
 pub use spgemm::{SpGemmWorkspace, WorkStats};

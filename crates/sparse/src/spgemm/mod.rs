@@ -17,8 +17,6 @@
 //! * [`dense_acc::spgemm_spa`] — a dense sparse-accumulator (Gustavson/SPA)
 //!   reference with an unconditional `nrows`-sized array: independent of
 //!   `accum`, used as the oracle in tests.
-//! * [`esc::spgemm_esc`] — expand–sort–compress, the GPU-style accumulator
-//!   of the related work the paper surveys \[23, 26, 28\].
 //! * [`symbolic`] — hash-based nnz counting (`LocalSymbolic` in Alg. 3).
 //!
 //! Every kernel returns [`WorkStats`]: real flop counts plus abstract
@@ -30,7 +28,6 @@
 
 pub mod accum;
 pub mod dense_acc;
-pub mod esc;
 pub mod hash;
 pub mod heap;
 pub mod hybrid;
@@ -38,7 +35,6 @@ pub mod symbolic;
 pub mod workspace;
 
 pub use dense_acc::spgemm_spa;
-pub use esc::spgemm_esc;
 pub use hash::spgemm_hash_unsorted;
 pub use heap::spgemm_heap;
 pub use hybrid::spgemm_hybrid;

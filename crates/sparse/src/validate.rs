@@ -8,8 +8,7 @@
 //! therefore needs to be told which contract applies; [`Sortedness`] is
 //! that tag.
 //!
-//! [`Validate`] is implemented for [`CscMatrix`], [`DcscMatrix`] and
-//! [`Triples`]. Each check reports a precise [`Defect`] naming the column,
+//! [`Validate`] is implemented for [`CscMatrix`] and [`Triples`]. Each check reports a precise [`Defect`] naming the column,
 //! position and offending index instead of a bare assert, so a corrupted
 //! matrix at a kernel boundary produces an actionable diagnostic.
 //!
@@ -19,7 +18,6 @@
 //! builds.
 
 use crate::csc::CscMatrix;
-use crate::dcsc::DcscMatrix;
 use crate::triples::Triples;
 
 /// Which column-order contract a matrix is expected to satisfy.
@@ -72,12 +70,6 @@ pub enum Defect {
     /// The matrix's `sorted` flag disagrees with its data or with the
     /// expected contract (`claimed` is what the flag says).
     SortedFlagWrong { claimed: bool },
-    /// DCSC: a non-empty-column id is out of bounds.
-    JcOutOfBounds { k: usize, col: u32, ncols: usize },
-    /// DCSC: non-empty-column ids are not strictly ascending.
-    JcNotAscending { k: usize, prev: u32, next: u32 },
-    /// DCSC: a column listed as non-empty has no entries.
-    EmptyColumn { k: usize, col: u32 },
     /// Triples: a column index is `>= ncols`.
     ColOutOfBounds { pos: usize, col: u32, ncols: usize },
 }
@@ -133,19 +125,6 @@ impl std::fmt::Display for Defect {
                     write!(f, "sorted contract expected but the matrix is flagged unsorted")
                 }
             }
-            Defect::JcOutOfBounds { k, col, ncols } => write!(
-                f,
-                "jc[{k}] = {col} out of bounds (matrix has {ncols} columns)"
-            ),
-            Defect::JcNotAscending { k, prev, next } => write!(
-                f,
-                "jc not strictly ascending at {k}: jc[{}] = {prev}, jc[{k}] = {next}",
-                k - 1
-            ),
-            Defect::EmptyColumn { k, col } => write!(
-                f,
-                "jc[{k}] lists column {col} as non-empty but it has no entries"
-            ),
             Defect::ColOutOfBounds { pos, col, ncols } => write!(
                 f,
                 "column index out of bounds: triple {pos} has column {col} \
@@ -308,76 +287,6 @@ impl<T: Copy> Validate for CscMatrix<T> {
     }
 }
 
-impl<T: Copy> Validate for DcscMatrix<T> {
-    fn validate(&self, expected: Sortedness) -> Result<(), ValidationError> {
-        let (nrows, ncols) = (self.nrows(), self.ncols());
-        let jc = self.jc();
-        let cp = self.colptr();
-        let rowidx = self.rowidx();
-        let nnz = rowidx.len();
-        let err = |defect| ValidationError {
-            nrows,
-            ncols,
-            nnz,
-            defect,
-        };
-        if cp.len() != jc.len() + 1 {
-            return Err(err(Defect::ColptrLength {
-                len: cp.len(),
-                expected: jc.len() + 1,
-            }));
-        }
-        if cp[0] != 0 {
-            return Err(err(Defect::ColptrStart { first: cp[0] }));
-        }
-        for (k, &j) in jc.iter().enumerate() {
-            if (j as usize) >= ncols {
-                return Err(err(Defect::JcOutOfBounds { k, col: j, ncols }));
-            }
-            if k > 0 && jc[k - 1] >= j {
-                return Err(err(Defect::JcNotAscending {
-                    k,
-                    prev: jc[k - 1],
-                    next: j,
-                }));
-            }
-        }
-        for k in 0..jc.len() {
-            if cp[k] > cp[k + 1] {
-                return Err(err(Defect::ColptrNotMonotone {
-                    col: jc[k] as usize,
-                    prev: cp[k],
-                    next: cp[k + 1],
-                }));
-            }
-            if cp[k] == cp[k + 1] {
-                return Err(err(Defect::EmptyColumn { k, col: jc[k] }));
-            }
-        }
-        if cp[jc.len()] != nnz || self.vals().len() != nnz {
-            return Err(err(Defect::NnzInconsistent {
-                colptr_last: cp[jc.len()],
-                rowidx_len: nnz,
-                vals_len: self.vals().len(),
-            }));
-        }
-        let mut stamps = vec![0u32; nrows];
-        for k in 0..jc.len() {
-            check_column(
-                jc[k] as usize,
-                cp[k],
-                &rowidx[cp[k]..cp[k + 1]],
-                nrows,
-                expected,
-                false,
-                &mut stamps,
-            )
-            .map_err(err)?;
-        }
-        Ok(())
-    }
-}
-
 impl<T: Copy> Validate for Triples<T> {
     /// Triples carry no column order, so `expected` is ignored; bounds are
     /// the whole contract.
@@ -506,12 +415,6 @@ mod tests {
         );
         let e = m.validate(Sortedness::Unsorted).unwrap_err();
         assert!(matches!(e.defect, Defect::UnsortedColumn { col: 0, .. }));
-    }
-
-    #[test]
-    fn dcsc_roundtrip_validates() {
-        let d = DcscMatrix::from_csc(&small_sorted());
-        d.validate(Sortedness::Sorted).unwrap();
     }
 
     #[test]

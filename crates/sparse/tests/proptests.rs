@@ -6,9 +6,8 @@ use spgemm_sparse::ops::{
     row_split_blocks, transpose,
 };
 use spgemm_sparse::semiring::{PlusTimesF64, PlusTimesU64};
-use spgemm_sparse::spgemm::esc::spgemm_esc;
 use spgemm_sparse::spgemm::{spgemm_hash_unsorted, spgemm_spa};
-use spgemm_sparse::{CscMatrix, DcscMatrix, Triples};
+use spgemm_sparse::{CscMatrix, Triples};
 
 fn arb_matrix(maxdim: usize, maxnnz: usize) -> impl Strategy<Value = CscMatrix<u64>> {
     (1..=maxdim, 1..=maxdim).prop_flat_map(move |(nr, nc)| {
@@ -47,28 +46,6 @@ proptest! {
         let mut none = m.clone();
         none.retain(|_, _, _| false);
         prop_assert_eq!(none.nnz(), 0);
-    }
-
-    /// DCSC roundtrip is lossless and its SpGEMM matches the CSC kernel.
-    #[test]
-    fn dcsc_roundtrip_and_multiply(m in arb_matrix(25, 60)) {
-        let d = DcscMatrix::from_csc(&m);
-        prop_assert!(d.to_csc().eq_modulo_order(&m));
-        if m.nrows() == m.ncols() {
-            let (csc, _, _) = spgemm_hash_unsorted::<PlusTimesU64>(&m, &m, &mut []).unwrap();
-            let (dcsc, _) = spgemm_sparse::dcsc::spgemm_hash_dcsc::<PlusTimesU64>(&d, &d).unwrap();
-            prop_assert!(dcsc.to_csc().eq_modulo_order(&csc));
-        }
-    }
-
-    /// ESC agrees with the SPA oracle on arbitrary inputs.
-    #[test]
-    fn esc_matches_oracle(m in arb_matrix(20, 60)) {
-        if m.nrows() == m.ncols() {
-            let (oracle, _) = spgemm_spa::<PlusTimesU64>(&m, &m).unwrap();
-            let (esc, _) = spgemm_esc::<PlusTimesU64>(&m, &m).unwrap();
-            prop_assert!(esc.eq_modulo_order(&oracle));
-        }
     }
 
     /// Symmetric permutation preserves products up to relabeling:

@@ -54,7 +54,7 @@ fn main() {
 
     // Tight memory: the shared-hyperedge matrix must be formed in batches.
     let mut cfg = CoarsenConfig::new(3, 16, 4);
-    cfg.budget = MemoryBudget::new(inc.nnz() * 24 * 12);
+    cfg.run.budget = MemoryBudget::new(inc.nnz() * 24 * 12);
     let m = heavy_connectivity_matching(&inc, &cfg).expect("matching failed");
     println!(
         "matched {} pairs in {} batch(es); SpGEMM modeled time {:.5}s ({:.0}% comm)",

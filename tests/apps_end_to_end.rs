@@ -1,11 +1,12 @@
 //! End-to-end application tests over the distributed SpGEMM stack.
 
+use spgemm_apps::coarsen::{heavy_connectivity_matching, CoarsenConfig};
 use spgemm_apps::components::{num_clusters, same_partition};
 use spgemm_apps::jaccard::{jaccard_similarities, JaccardConfig};
 use spgemm_apps::mcl::{markov_cluster, MclParams};
 use spgemm_apps::overlap::{find_overlaps, OverlapConfig};
 use spgemm_apps::triangles::{count_triangles, count_triangles_serial, TriangleConfig};
-use spgemm_core::{KernelStrategy, MemoryBudget};
+use spgemm_core::{CoreError, KernelStrategy, MemoryBudget};
 use spgemm_sparse::gen::{clustered_similarity, kmer_matrix, rmat};
 use spgemm_sparse::semiring::PlusTimesU64;
 
@@ -91,5 +92,36 @@ fn mcl_iteration_stats_are_coherent() {
     for it in &result.per_iter {
         assert!(it.breakdown.total() > 0.0);
         assert!(it.nnz > 0);
+    }
+}
+
+/// Grids `Grid3D::new` cannot build: `l ∤ p` / non-square layers, no
+/// processes, no layers.
+const DEGENERATE_GRIDS: [(usize, usize, &str); 3] =
+    [(6, 4, "(p=6, l=4)"), (0, 1, "p=0"), (4, 0, "(p=4, l=0)")];
+
+#[test]
+fn mcl_on_a_degenerate_grid_is_a_config_error_naming_the_pair() {
+    let adj = clustered_similarity(3, 8, 5, 1, 107);
+    for (p, l, named) in DEGENERATE_GRIDS {
+        for session in [true, false] {
+            let mut params = MclParams::new(p, l);
+            params.session = session;
+            match markov_cluster(&adj, &params) {
+                Err(CoreError::Config(msg)) => assert!(msg.contains(named), "{msg}"),
+                other => panic!("p={p} l={l} session={session}: {:?}", other.map(|r| r.iterations)),
+            }
+        }
+    }
+}
+
+#[test]
+fn coarsening_on_a_degenerate_grid_is_a_config_error_naming_the_pair() {
+    let incidence = kmer_matrix(20, 60, 3, 108);
+    for (p, l, named) in DEGENERATE_GRIDS {
+        match heavy_connectivity_matching(&incidence, &CoarsenConfig::new(2, p, l)) {
+            Err(CoreError::Config(msg)) => assert!(msg.contains(named), "{msg}"),
+            other => panic!("p={p} l={l}: {:?}", other.map(|m| m.pairs)),
+        }
     }
 }
