@@ -16,7 +16,9 @@
 //!   of length `t` ([`cola_ring`]). Each rank performs `t` local
 //!   SpMM-accumulates; replication buys *latency* (`p/c − 1` shift rounds
 //!   instead of `p − 1`) while the per-rank `A` bandwidth stays ≈
-//!   `nnz(A)·(1 − c/p)`. No dense element ever moves.
+//!   `nnz(A)·(1 − c/p)`. No dense element ever moves — in the model, and
+//!   on the host either: every rank borrows the global `B` and reads its
+//!   stripe in place ([`spmm_15d`]).
 //! * [`AlgorithmFamily::InnerAbc15`] — 1.5D **InnerABC**: `B`/`C` are
 //!   column-striped across `t = p/c` stripes and *replicated* on `c`
 //!   layers; layer `ℓ` owns the `A` blocks `{k : k ≡ ℓ (mod c)}`, so each
@@ -36,7 +38,8 @@
 //! allgather charged under [`Step::CReduce`] plus a deterministic
 //! member-index-order local fold (charged as merge compute through the
 //! [`BackendKind`]) — `simgrid`'s allreduce requires `Copy` payloads, which
-//! dense stripes are not.
+//! dense stripes are not; they travel as `Arc`s, since an allgather clones
+//! its value once per peer.
 
 use crate::backend::BackendKind;
 use crate::memory::R_BYTES_PER_NNZ;
@@ -46,7 +49,7 @@ use crate::{CoreError, Result};
 use spgemm_simgrid::{Comm, Rank, Step};
 use spgemm_sparse::ops::{block_range, col_block};
 use spgemm_sparse::spgemm::C_SPMM_FLOP;
-use spgemm_sparse::{spmm_acc, CscMatrix, DenseBlock, Semiring, WorkStats};
+use spgemm_sparse::{CscMatrix, DenseBlock, Semiring, TiledStripe, WorkStats};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -293,14 +296,18 @@ pub struct Spmm15PerRank<T: Copy> {
 }
 
 /// Run one rank of the 1.5D SpMM `C = A·B` (`family` must be a 1.5D
-/// member). `a`/`b` are supplied on world rank 0 only and scattered
-/// internally (charged to [`Step::Other`] like `dist::scatter`); the
-/// product is gathered back to the root unless `discard` is set.
+/// member). Every rank borrows the same global `a` and `b` — rank threads
+/// are scoped, and on the host "stationary" means *not copied*: a rank reads
+/// its `B` stripe in place, as a column range of the column-major block.
+/// The scatter from the root that a real run would start with is modeled
+/// only: two zero-byte world broadcasts (one per operand) charged to
+/// [`Step::Other`] like `dist::scatter`. The product is gathered back to
+/// the root unless `discard` is set.
 pub fn spmm_15d<S: Semiring>(
     rank: &mut Rank,
     family: AlgorithmFamily,
-    a: Option<Arc<CscMatrix<S::T>>>,
-    b: Option<Arc<DenseBlock<S::T>>>,
+    a: &CscMatrix<S::T>,
+    b: &DenseBlock<S::T>,
     backend: BackendKind,
     discard: bool,
 ) -> Result<Spmm15PerRank<S::T>> {
@@ -309,10 +316,11 @@ pub fn spmm_15d<S: Semiring>(
     let c = family.repl_factor();
     let world = rank.world_comm();
 
-    // Scatter: root broadcasts the globals as Arcs (zero-copy in shared
-    // memory); every rank slices out its own pieces.
-    let a = rank.bcast(&world, 0, a, 0, Step::Other);
-    let b = rank.bcast(&world, 0, b, 0, Step::Other);
+    // The modeled scatter: one zero-byte broadcast per operand.
+    for _operand in 0..2 {
+        let token = (rank.rank() == 0).then(|| Arc::new(()));
+        rank.bcast(&world, 0, token, 0, Step::Other);
+    }
     if a.ncols() != b.nrows() {
         return Err(CoreError::Config(format!(
             "inner dimensions differ: A is {}x{}, B is {}x{}",
@@ -349,14 +357,14 @@ pub fn spmm_15d<S: Semiring>(
             )))
         }
     };
-    let b_stripe = b.col_slice(stripe.clone());
-    let mut c_stripe = DenseBlock::new_fill(m, stripe.len(), S::zero());
+    let mut c_stripe = TiledStripe::new_fill(m, stripe.len(), S::zero());
     let ring = Comm::for_rank(ring_members, COLOR_RING15, me);
     let ring_len = ring.size();
 
     let mut cur_block = block0;
-    let mut cur = col_block(&a, block_range(n_inner, t, cur_block));
-    let dense_bytes = b_stripe.modeled_bytes() + c_stripe.modeled_bytes();
+    let mut cur = col_block(a, block_range(n_inner, t, cur_block));
+    let b_stripe_bytes = n_inner * stripe.len() * std::mem::size_of::<S::T>();
+    let dense_bytes = b_stripe_bytes + c_stripe.modeled_bytes();
     let mut peak_bytes = cur.modeled_bytes(R_BYTES_PER_NNZ) + dense_bytes;
     let mut kernel_stats = WorkStats::default();
 
@@ -367,7 +375,8 @@ pub fn spmm_15d<S: Semiring>(
             Op::Multiply => {
                 let t0 = Instant::now();
                 let inner = block_range(n_inner, t, cur_block);
-                let stats = spmm_acc::<S>(&cur, &b_stripe, inner.start, &mut c_stripe)
+                let stats = c_stripe
+                    .accumulate::<S>(&cur, b, stripe.clone(), inner.start)
                     .map_err(CoreError::Sparse)?;
                 backend.charge(
                     rank,
@@ -405,28 +414,23 @@ pub fn spmm_15d<S: Semiring>(
             }
             // C-Reduce: each stripe's replication team combines its
             // layer-partial stripes. Allgather (the runtime's allreduce
-            // needs `Copy` payloads) + a deterministic member-index-order
-            // fold.
+            // needs `Copy` payloads; `Arc`s because it clones its value
+            // per peer) + a deterministic member-index-order fold into
+            // one new stripe.
             Op::TeamReduce => {
                 let team = Comm::for_rank(iabc_team(p, c, me), COLOR_TEAM15, me);
                 let bytes_each = c_stripe.modeled_bytes();
                 peak_bytes = peak_bytes.max(dense_bytes + c * bytes_each);
-                let parts: Vec<Vec<S::T>> =
-                    rank.allgather(&team, c_stripe.into_data(), bytes_each, Step::CReduce);
+                let parts: Vec<Arc<TiledStripe<S::T>>> =
+                    rank.allgather(&team, Arc::new(c_stripe), bytes_each, Step::CReduce);
                 let t0 = Instant::now();
-                let mut folded = Vec::new();
-                let mut fold_stats = WorkStats::default();
-                for part in parts {
-                    if folded.is_empty() {
-                        folded = part;
-                    } else {
-                        for (slot, v) in folded.iter_mut().zip(part) {
-                            *slot = S::add(*slot, v);
-                        }
-                        fold_stats.flops += stripe.len() as u64 * m as u64;
-                    }
-                }
-                fold_stats.work_units = fold_stats.flops as f64 * C_SPMM_FLOP;
+                c_stripe = TiledStripe::fold::<S>(&parts);
+                let flops = (parts.len() - 1) as u64 * stripe.len() as u64 * m as u64;
+                let fold_stats = WorkStats {
+                    flops,
+                    work_units: flops as f64 * C_SPMM_FLOP,
+                    ..WorkStats::default()
+                };
                 backend.charge(
                     rank,
                     Step::MergeFiber,
@@ -434,8 +438,6 @@ pub fn spmm_15d<S: Semiring>(
                     t0.elapsed().as_secs_f64(),
                 );
                 kernel_stats.merge(fold_stats);
-                c_stripe =
-                    DenseBlock::from_raw(m, stripe.len(), folded).map_err(CoreError::Sparse)?;
             }
             // Gather the stationary stripes back to the root (harness
             // overhead, Step::Other, like `gather_pieces`). InnerABC stripes
@@ -445,15 +447,14 @@ pub fn spmm_15d<S: Semiring>(
                 let payload = if discard {
                     Vec::new()
                 } else {
-                    vec![(stripe.start as u64, c_stripe.data().to_vec())]
+                    vec![(stripe.start, c_stripe.to_block())]
                 };
                 let all = rank.gather_to_root(&world, 0, payload, 0, Step::Other);
                 gathered = all.filter(|_| !discard).map(|all| {
                     let mut out = DenseBlock::new_fill(m, d, S::zero());
-                    for (start, data) in all.into_iter().flatten() {
-                        let w = data.len().checked_div(m).unwrap_or(0);
-                        for (jj, chunk) in data.chunks_exact(m.max(1)).enumerate().take(w) {
-                            out.col_mut(start as usize + jj).copy_from_slice(chunk);
+                    for (start, block) in all.into_iter().flatten() {
+                        for jj in 0..block.ncols() {
+                            out.col_mut(start + jj).copy_from_slice(block.col(jj));
                         }
                     }
                     out

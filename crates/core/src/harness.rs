@@ -536,18 +536,8 @@ pub fn run_spmm<S: Semiring>(
         });
     }
     cfg.algorithm.validate(cfg.p)?;
-    let a_arc = Arc::new(a.clone());
-    let b_arc = Arc::new(b.clone());
     let world = run_world(cfg, |rank| {
-        let root = rank.rank() == 0;
-        spmm_15d::<S>(
-            rank,
-            cfg.algorithm,
-            root.then(|| Arc::clone(&a_arc)),
-            root.then(|| Arc::clone(&b_arc)),
-            cfg.backend,
-            cfg.discard_output,
-        )
+        spmm_15d::<S>(rank, cfg.algorithm, a, b, cfg.backend, cfg.discard_output)
     })?;
 
     let mut peaks = Vec::with_capacity(cfg.p);

@@ -71,8 +71,7 @@ fn run_real(
         let root = rank.rank() == 0;
         if family.is_15d() {
             for _ in 0..iters {
-                let (a, b) = (root.then(|| Arc::clone(&a)), root.then(|| Arc::clone(&b)));
-                spmm_15d::<PlusTimesF64>(rank, family, a, b, BackendKind::Simgrid, false)?;
+                spmm_15d::<PlusTimesF64>(rank, family, &a, &b, BackendKind::Simgrid, false)?;
             }
             return Ok(vec![1; iters]);
         }

@@ -274,3 +274,97 @@ fn discard_output_returns_none_everywhere() {
     assert!(out.c.is_none());
     assert!(out.peak_bytes.iter().all(|&pk| pk > 0));
 }
+
+// ---------------------------------------------------------------------------
+// Golden rows: the bits a change to the dense kernel or the drivers' data
+// movement must leave alone.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over a stream of 64-bit words.
+fn fnv64(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `family keep|drop | C bits | critical-path total bits | bytes | messages |
+/// max peak | per-rank peaks | flops`.
+fn golden_table() -> String {
+    use spgemm_sparse::gen::rmat;
+    // Values whose sum depends on the order of the additions: 1.0 is lost
+    // beside ±1e16 unless the big terms cancel first.
+    let a = rmat::<PlusTimesF64>(10, 8, None, false, 2021).map(|v| {
+        if v < 0.5 {
+            1.0
+        } else if v < 0.75 {
+            1e16
+        } else {
+            -1e16
+        }
+    });
+    // ~10 % exact zeros and some -0.0, both of which the kernel must skip.
+    let b = DenseBlock::from_fn(1024, 40, |i, j| match (i * 31 + j * 17 + i * j) % 20 {
+        0 | 1 => 0.0,
+        2 => -0.0,
+        3..=10 => 1.0,
+        11..=15 => 1e16,
+        _ => -1e16,
+    });
+    let families = [
+        AlgorithmFamily::ColA15 { c: 1 },
+        AlgorithmFamily::ColA15 { c: 2 },
+        AlgorithmFamily::ColA15 { c: 4 },
+        AlgorithmFamily::InnerAbc15 { c: 2 },
+        AlgorithmFamily::InnerAbc15 { c: 4 },
+    ];
+    let mut rows = Vec::new();
+    for family in families {
+        for discard in [false, true] {
+            // The table is modeled, whatever SPGEMM_BACKEND says.
+            let mut cfg = cfg_for(16, family, BackendKind::Simgrid);
+            cfg.discard_output = discard;
+            let out = run_spmm::<PlusTimesF64>(&cfg, &a, &b).unwrap();
+            assert_eq!(out.c.is_none(), discard);
+            let c_bits = out.c.as_ref().map_or_else(
+                || "-".to_string(),
+                |c| format!("{:016x}", fnv64(c.data().iter().map(|v| v.to_bits()))),
+            );
+            rows.push(format!(
+                "{} {} | {c_bits} | {:016x} | {} | {} | {} | {:016x} | {}",
+                family.label(),
+                if discard { "drop" } else { "keep" },
+                out.max.total().to_bits(),
+                out.max.bytes_total(),
+                out.max.msgs.iter().sum::<u64>(),
+                out.peak_bytes.iter().max().unwrap(),
+                fnv64(out.peak_bytes.iter().map(|&p| p as u64)),
+                out.kernel_stats.flops,
+            ));
+        }
+    }
+    rows.join("\n")
+}
+
+/// What the build *before* the drivers borrowed their operands and
+/// accumulated into cache-line tiles printed.
+const GOLDEN: &str = "\
+cola(c=1) keep | c0a61032db1ad286 | 3f3aa8667a46ac4c | 161256 | 17 | 141456 | ee3f16c50a742182 | 238672\n\
+cola(c=1) drop | - | 3f3aa8667a46ac4c | 161256 | 17 | 141456 | ee3f16c50a742182 | 238672\n\
+cola(c=2) keep | c85b9d544b2f7252 | 3f30966633e70dc1 | 159216 | 9 | 177024 | 316669519f012aad | 238672\n\
+cola(c=2) drop | - | 3f30966633e70dc1 | 159216 | 9 | 177024 | 316669519f012aad | 238672\n\
+cola(c=4) keep | 20dac3f747df2b10 | 3f272d1c06343ae1 | 150840 | 5 | 224880 | 28744d46a0301695 | 238672\n\
+cola(c=4) drop | - | 3f272d1c06343ae1 | 150840 | 5 | 224880 | 28744d46a0301695 | 238672\n\
+innerabc(c=2) keep | b338f731f9e4897d | 3f2bbbaaf417a21a | 152824 | 6 | 209792 | 62947c646fbd9525 | 320592\n\
+innerabc(c=2) drop | - | 3f2bbbaaf417a21a | 152824 | 6 | 209792 | 62947c646fbd9525 | 320592\n\
+innerabc(c=4) keep | 1ceb660478f566dd | 3f27a4cef9444678 | 245760 | 3 | 491520 | a74e20ddd5783225 | 730192\n\
+innerabc(c=4) drop | - | 3f27a4cef9444678 | 245760 | 3 | 491520 | a74e20ddd5783225 | 730192";
+
+#[test]
+fn golden_rows_are_unchanged() {
+    let actual = golden_table();
+    assert_eq!(actual, GOLDEN, "the table is now:\n{actual}\n");
+}

@@ -136,6 +136,7 @@ impl Rank {
 
     /// Allgather: every member contributes one value; all receive the full
     /// vector in member-index order. `bytes_each` models each contribution.
+    /// Clones `value` once per peer — wrap large payloads in `Arc`.
     pub fn allgather<T: Send + Clone + 'static>(
         &mut self,
         comm: &Comm,

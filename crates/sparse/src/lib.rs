@@ -45,7 +45,7 @@ pub mod triples;
 pub mod validate;
 
 pub use csc::CscMatrix;
-pub use dense::{spmm_acc, DenseBlock, Operand};
+pub use dense::{spmm_acc, DenseBlock, Operand, TiledStripe};
 pub use semiring::{BoolOrAnd, MaxMinF64, MinPlusF64, PlusTimesF64, PlusTimesI64, PlusTimesU64, Semiring};
 pub use spgemm::{SpGemmWorkspace, WorkStats};
 pub use triples::Triples;

@@ -58,11 +58,6 @@ pub struct SpGemmWorkspace<T: Copy> {
     pub(crate) heap: BinaryHeap<Reverse<(u32, u32)>>,
     /// Per-stream cursors for the k-way merge paths.
     pub(crate) cursors: Vec<usize>,
-    /// Dense-operand arena: buffer leased out to
-    /// [`DenseBlock::with_workspace`](crate::dense::DenseBlock::with_workspace)
-    /// and returned via `into_workspace`, so per-round dense blocks in the
-    /// 1.5D drivers reuse one allocation.
-    dense: Vec<T>,
     /// Allocation events charged to this workspace (arena growth + output
     /// copies); accumulator-table growths are tracked by the accumulators
     /// themselves and folded in by [`Self::total_allocs`].
@@ -96,7 +91,6 @@ impl<T: Copy> SpGemmWorkspace<T> {
             vals: Vec::new(),
             heap: BinaryHeap::new(),
             cursors: Vec::new(),
-            dense: Vec::new(),
             allocs: 0,
             peak_scratch: 0,
         }
@@ -120,27 +114,7 @@ impl<T: Copy> SpGemmWorkspace<T> {
             + self.rowidx.capacity() * size_of::<u32>()
             + self.vals.capacity() * size_of::<T>()
             + self.heap.capacity() * size_of::<Reverse<(u32, u32)>>()
-            + self.cursors.capacity() * size_of::<usize>()
-            + self.dense.capacity() * size_of::<T>()) as u64
-    }
-
-    /// Lease the dense arena as a `len`-element buffer filled with `fill`.
-    /// Growth beyond the retained capacity is a counted allocation; reuse
-    /// is free. Hand the buffer back with [`Self::restore_dense`].
-    pub fn lease_dense(&mut self, len: usize, fill: T) -> Vec<T> {
-        let mut buf = std::mem::take(&mut self.dense);
-        Self::reserve_counting(&mut buf, len, &mut self.allocs);
-        buf.clear();
-        buf.resize(len, fill);
-        buf
-    }
-
-    /// Return a buffer (typically from [`Self::lease_dense`]) to the dense
-    /// arena. Keeps the larger of the incoming and retained capacities.
-    pub fn restore_dense(&mut self, buf: Vec<T>) {
-        if buf.capacity() > self.dense.capacity() {
-            self.dense = buf;
-        }
+            + self.cursors.capacity() * size_of::<usize>()) as u64
     }
 
     /// High-water mark of [`Self::scratch_bytes`] over the workspace's
