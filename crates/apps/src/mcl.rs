@@ -266,8 +266,9 @@ fn prune_batch_piece(
             scratch.extend_from_slice(&contrib[j]);
         }
         if scratch.len() > params.select {
-            scratch.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap());
-            *kth_j = scratch[params.select - 1];
+            let (_, kth_largest, _) =
+                scratch.select_nth_unstable_by(params.select - 1, |a, b| b.partial_cmp(a).unwrap());
+            *kth_j = *kth_largest;
         }
     }
 

@@ -47,7 +47,7 @@ use crate::family15::{
     cola_ring, iabc_subring, iabc_team, AlgorithmFamily, COLOR_RING15, COLOR_TEAM15,
 };
 use crate::memory::R_BYTES_PER_NNZ;
-use crate::schedule::{self, Link, Op, Wire};
+use crate::schedule::{self, payload_bytes, Link, Op, Payload, Wire};
 use crate::summa2d::OverlapMode;
 use crate::symbolic::alg3_batch_count;
 use crate::CoreError;
@@ -327,11 +327,9 @@ impl AuditConfig {
             // workload shapes model them).
             let n = self.shape.n;
             let bytes = Bytes {
-                a: r * self.shape.nnz_a,
-                b: 8 * n * n,
-                b_piece: 0,
-                pieces: 0,
+                scatter: [r * self.shape.nnz_a, 8 * n * n],
                 stripe: 8 * n * n.div_ceil(t as u64),
+                ..Bytes::default()
             };
             let ops = schedule::family15_session(rounds, has_team, self.iterations);
             return Ok((ops, bytes, schedule(1, None)));
@@ -371,9 +369,10 @@ impl AuditConfig {
         };
         let nb = nbatches as u64;
         let bytes = Bytes {
-            a: r * max_nnz_a,
-            b: r * max_nnz_b,
-            b_piece: (r * max_nnz_b).div_ceil(nb),
+            scatter: [r * max_nnz_a, r * max_nnz_b],
+            nnz_a: max_nnz_a,
+            nnz_b: max_nnz_b,
+            nnz_b_piece: max_nnz_b.div_ceil(nb),
             pieces: r * max_unmerged.div_ceil(nb),
             stripe: 0,
         };
@@ -435,12 +434,16 @@ impl AuditConfig {
 }
 
 /// Modeled payload sizes of one configuration, used only to annotate
-/// collective events (excluded from agreement checks).
-#[derive(Clone, Copy)]
+/// collective events (excluded from agreement checks): bytes of what the
+/// scatter, the fiber exchange and the 1.5D collectives move, nonzeros of
+/// what a stage or the refresh of `B̃` moves — [`payload_bytes`] sizes those,
+/// as it does for the run.
+#[derive(Clone, Copy, Default)]
 struct Bytes {
-    a: u64,
-    b: u64,
-    b_piece: u64,
+    scatter: [u64; 2],
+    nnz_a: u64,
+    nnz_b: u64,
+    nnz_b_piece: u64,
     pieces: u64,
     stripe: u64,
 }
@@ -448,11 +451,15 @@ struct Bytes {
 impl Bytes {
     /// Payload of action `k` of `op`'s wire-table row, which runs on `link`.
     fn of(&self, op: Op, link: Link, k: usize) -> u64 {
+        let operand = |nnz: u64| {
+            let payload = Payload::Operand { nnz: nnz as usize };
+            payload_bytes(op, payload, R_BYTES_PER_NNZ) as u64
+        };
         match (op, link) {
-            (Op::Scatter, _) => [self.a, self.b][k],
-            (Op::Stage { .. }, Link::Row) => self.a,
-            (Op::Stage { batch: Some(_), .. }, _) => self.b_piece,
-            (Op::Stage { .. } | Op::RefreshB, _) => self.b,
+            (Op::Scatter, _) => self.scatter[k],
+            (Op::Stage { .. }, Link::Row) => operand(self.nnz_a),
+            (Op::Stage { batch: Some(_), .. }, _) => operand(self.nnz_b_piece),
+            (Op::Stage { .. } | Op::RefreshB, _) => operand(self.nnz_b),
             (Op::SymbolicReduce, _) => 8,
             (Op::Fiber { .. }, _) => self.pieces,
             _ => self.stripe,

@@ -18,10 +18,16 @@
 //!   columns of the stage's `Ã` its local multiply will read, posts that
 //!   index set to the owner ([`Step::FetchRequest`]), and gets back a
 //!   compact column-subset slice ([`Step::FetchReply`]) that is padded to
-//!   full operand width. When the operands are hypersparse — the regime a
+//!   full operand width. The slice holds exactly the requested columns in
+//!   request order, so it spells no column id. When the operands are
+//!   hypersparse — the regime a
 //!   3D grid with `l ≥ 4` layers produces — most of `Ã`'s columns meet no
 //!   nonzero of `B̃`, and the fetched volume is a small fraction of the
 //!   dense broadcast.
+//!
+//! Every message is sized by [`schedule::payload_bytes`]. The symbolic
+//! sweep's stages (`batch: None`) move [`CscMatrix::pattern`]s — indices
+//! without values — through the same [`ExchangePlan::stage`].
 //!
 //! Both modes produce **bit-identical** numeric output: the padded fetch
 //! operand agrees with the broadcast operand on every column the local
@@ -39,7 +45,7 @@
 //! the same exchanges in the same order (SPMD), so the counters agree
 //! without coordination.
 
-use crate::schedule::{self, Link, Msg, Op, Phase, Wire};
+use crate::schedule::{self, payload_bytes, Link, Msg, Op, Payload, Phase, Wire};
 use spgemm_simgrid::{Grid3D, PendingBcast, PendingOp, Rank, Step};
 use spgemm_sparse::subset::{
     extract_cols_compact, needed_rows, scatter_cols_padded, SubsetWorkspace,
@@ -348,8 +354,9 @@ impl ExchangePlan {
     /// `steps` attributes the `Ã`/`B̃` broadcast legs; fetch legs always
     /// go to `FetchRequest`/`FetchReply`. Fetch rounds are cached under the
     /// batch of the op that runs them (a wait, not the post it completes);
-    /// the symbolic sweep's (`batch: None`) bypass the cache. A wait phase
-    /// must be given the `a` its post was given.
+    /// the symbolic sweep's (`batch: None`) bypass the cache, and are sized
+    /// as the patterns they must be given. A wait phase must be given the
+    /// `a` its post was given.
     #[allow(clippy::too_many_arguments)] // SPMD plumbing: grid + operands + model
     pub fn stage<T: Copy + Send + Sync + 'static>(
         &mut self,
@@ -365,6 +372,10 @@ impl ExchangePlan {
         let Op::Stage { s, batch, phase } = op else {
             unreachable!("{op:?} is not a stage op")
         };
+        debug_assert!(
+            batch.is_some() || std::mem::size_of::<T>() == 0,
+            "{op:?} is charged as a pattern and must carry one"
+        );
         if let Some(c) = self.cache.as_mut().filter(|_| phase != Phase::Post) {
             c.cur_batch = batch;
         }
@@ -380,7 +391,7 @@ impl ExchangePlan {
                 Wire::Enter(kind, link) => {
                     let (i, comm, local, step) = side(link);
                     let payload = (comm.my_index() == s).then(|| Arc::clone(local));
-                    let bytes = local.modeled_bytes(r);
+                    let bytes = payload_bytes(op, Payload::Operand { nnz: local.nnz() }, r);
                     if kind.is_post() {
                         pending[i] = Some(rank.ibcast(comm, s, payload, bytes, step));
                     } else {
@@ -398,7 +409,7 @@ impl ExchangePlan {
                 }
                 Wire::Fetch => {
                     let b_recv = landed[1].as_ref().expect("B̃ lands before the fetch round");
-                    landed[0] = Some(self.fetch_stage_a(rank, grid, s, a, b_recv, r));
+                    landed[0] = Some(self.fetch_stage_a(rank, grid, op, a, b_recv, r));
                 }
                 Wire::Shift => unreachable!("stages do not shift"),
             }
@@ -407,12 +418,12 @@ impl ExchangePlan {
         a_recv.zip(b_recv)
     }
 
-    /// The point-to-point fetch round for stage `s`'s `Ã` operand along
-    /// the process row (owner: member `s`).
+    /// The point-to-point fetch round for the `Ã` operand of stage op `op`
+    /// along the process row (owner: member `s`).
     ///
     /// Receivers post their needed-column index set and reassemble the
     /// compact reply to full operand width (empty untouched columns cost
-    /// nothing in the paper's `nnz·r` byte model). The owner serves the
+    /// nothing in the paper's per-nonzero byte model). The owner serves the
     /// requests of every other row member in member order and uses its own
     /// local piece directly. Modeled time follows the per-side convention
     /// of the transpose exchange: each message charges `α + β·bytes` to
@@ -422,11 +433,14 @@ impl ExchangePlan {
         &mut self,
         rank: &mut Rank,
         grid: &Grid3D,
-        s: usize,
+        op: Op,
         a_shared: &Arc<CscMatrix<T>>,
         b_recv: &CscMatrix<T>,
         r: usize,
     ) -> Arc<CscMatrix<T>> {
+        let Op::Stage { s, .. } = op else {
+            unreachable!("{op:?} is not a stage op")
+        };
         let row = &grid.row;
         let me = row.my_index();
         let seq = self.fetch_seq;
@@ -443,10 +457,10 @@ impl ExchangePlan {
         for [req, rep] in schedule::fetch_round(row.size(), me, s, seq) {
             if me == s {
                 let request: FetchReq = rank.recv(row, req.peer, req.tag);
-                let reply = self.serve_request(rank, a_shared, req.peer, request, r);
+                let reply = self.serve_request(rank, op, a_shared, req.peer, request, r);
                 rank.send(row, rep.peer, rep.tag, reply);
             } else {
-                fetched = Some(self.request_a(rank, grid, s, [req, rep], b_recv, r));
+                fetched = Some(self.request_a(rank, grid, op, [req, rep], b_recv, r));
             }
         }
         // The owner (and the lone member of a one-process row) uses its
@@ -460,11 +474,12 @@ impl ExchangePlan {
         &mut self,
         rank: &mut Rank,
         grid: &Grid3D,
-        s: usize,
+        op: Op,
         [req, rep]: [Msg; 2],
         b_recv: &CscMatrix<T>,
         r: usize,
     ) -> Arc<CscMatrix<T>> {
+        let s = req.peer; // the stage's owner
         let row = &grid.row;
         let needed = needed_rows(b_recv, &mut self.ws);
 
@@ -500,7 +515,7 @@ impl ExchangePlan {
             charge(rank, Step::FetchRequest, 0);
         } else {
             rank.send(row, req.peer, req.tag, FetchReq::Rows(needed.clone()));
-            charge(rank, Step::FetchRequest, 4 * needed.len());
+            charge(rank, Step::FetchRequest, request_bytes(op, &needed, r));
         }
 
         let reply: FetchRep<T> = rank.recv(row, rep.peer, rep.tag);
@@ -525,7 +540,7 @@ impl ExchangePlan {
                 tile
             }
             FetchRep::Tile(compact, owner_ncols) => {
-                let rep_bytes = compact.modeled_bytes(r);
+                let rep_bytes = reply_bytes(op, &compact, r);
                 charge(rank, Step::FetchReply, rep_bytes);
                 let a = Arc::new(scatter_cols_padded(&compact, &needed, owner_ncols as usize));
                 debug_assert_eq!(
@@ -559,6 +574,7 @@ impl ExchangePlan {
     fn serve_request<T: Copy + Send + Sync + 'static>(
         &mut self,
         rank: &mut Rank,
+        op: Op,
         a_shared: &Arc<CscMatrix<T>>,
         requester: usize,
         req: FetchReq,
@@ -578,10 +594,9 @@ impl ExchangePlan {
                 }
             }
             FetchReq::Rows(needed) => {
-                charge(rank, Step::FetchRequest, 4 * needed.len());
+                charge(rank, Step::FetchRequest, request_bytes(op, &needed, r));
                 let compact = extract_cols_compact(a_shared, &needed);
-                let rep_bytes = compact.modeled_bytes(r);
-                charge(rank, Step::FetchReply, rep_bytes);
+                charge(rank, Step::FetchReply, reply_bytes(op, &compact, r));
                 if let Some(c) = self.cache.as_mut() {
                     if let Some(batch) = c.cur_batch {
                         let epoch = c.epoch;
@@ -624,13 +639,24 @@ impl ExchangePlan {
                     let compact = extract_cols_compact(a_shared, &entry.needed);
                     let epoch = cache.epoch;
                     cache.owner_memo.get_mut(&key).expect("entry").served_epoch = epoch;
-                    let rep_bytes = compact.modeled_bytes(r);
-                    charge(rank, Step::FetchReply, rep_bytes);
+                    charge(rank, Step::FetchReply, reply_bytes(op, &compact, r));
                     FetchRep::Tile(compact, a_shared.ncols() as u64)
                 }
             }
         }
     }
+}
+
+/// Modeled bytes of the request naming the `needed` columns.
+fn request_bytes(op: Op, needed: &[u32], r: usize) -> usize {
+    payload_bytes(op, Payload::Request { cols: needed.len() }, r)
+}
+
+/// Modeled bytes of the reply `tile`, which has one column per requested
+/// column.
+fn reply_bytes<T: Copy>(op: Op, tile: &CscMatrix<T>, r: usize) -> usize {
+    let (nnz, cols) = (tile.nnz(), tile.ncols());
+    payload_bytes(op, Payload::Reply { nnz, cols }, r)
 }
 
 /// Charge one fetch message leg to this rank's clock: `α + β·bytes`
@@ -697,8 +723,8 @@ mod tests {
                 ));
                 let mut plan = ExchangePlan::new(mode);
                 let mut got = Vec::new();
-                for (a_recv, b_recv) in all_stages(&mut plan, rank, &grid, None, &a_local, &b_local)
-                {
+                let landed = all_stages(&mut plan, rank, &grid, Some(0), &a_local, &b_local);
+                for (a_recv, b_recv) in landed {
                     assert_eq!(a_recv.ncols(), b_recv.nrows());
                     // Compare only what a kernel would read: A's columns at
                     // B's occupied rows.
@@ -738,7 +764,7 @@ mod tests {
             // An all-zero B piece: every receiver derives an empty needed set.
             let b_local = Arc::new(CscMatrix::<f64>::zero(n, n));
             let mut plan = ExchangePlan::new(ExchangeMode::SparseFetch);
-            let landed = all_stages(&mut plan, rank, &grid, None, &a_local, &b_local);
+            let landed = all_stages(&mut plan, rank, &grid, Some(0), &a_local, &b_local);
             for (s, (a_recv, b_recv)) in landed.iter().enumerate() {
                 assert_eq!(a_recv.ncols(), b_recv.nrows());
                 if grid.row.my_index() != s {
@@ -756,6 +782,58 @@ mod tests {
             assert_eq!(*secs, 0.0, "rank {rk}: empty rounds must cost no modeled time");
             assert_eq!(*bytes, 0, "rank {rk}: empty rounds must move no modeled bytes");
             assert!(*msgs > 0, "rank {rk}: the send/recv pairing must still happen");
+        }
+    }
+
+    /// A reply is charged for what it carries: a row index and a value per
+    /// nonzero plus a count per requested column — a row index alone in the
+    /// symbolic sweep, whose tiles are patterns. Recomputed on the requester
+    /// from the tile and the needed set it received, stage by stage.
+    #[test]
+    fn reply_bytes_follow_the_tile_and_the_needed_set() {
+        fn recorded_vs_received<T: Copy + Send + Sync + 'static>(
+            batch: Option<usize>,
+            view: fn(&CscMatrix<f64>) -> CscMatrix<T>,
+        ) -> Vec<(u64, usize, usize)> {
+            let n = 24usize;
+            let per_rank = run_ranks(9, Machine::knl(), move |rank| {
+                let grid = Grid3D::new(rank, 1);
+                let a = er_random::<PlusTimesF64>(n, n, 3, 800 + grid.j as u64);
+                let b = er_random::<PlusTimesF64>(n, n, 2, 900 + grid.i as u64);
+                let (a, b) = (Arc::new(view(&a)), Arc::new(view(&b)));
+                let mut plan = ExchangePlan::new(ExchangeMode::SparseFetch);
+                let mut seen = Vec::new();
+                for s in 0..grid.pr {
+                    let op = Op::Stage {
+                        s,
+                        batch,
+                        phase: Phase::Blocking,
+                    };
+                    let steps = (Step::ABcast, Step::BBcast);
+                    let before = rank.clock().breakdown().bytes_of(Step::FetchReply);
+                    let (tile, b_recv) = plan
+                        .stage(rank, &grid, op, &a, &b, 24, steps, &mut Default::default())
+                        .expect("a blocking stage delivers both operands");
+                    let recorded = rank.clock().breakdown().bytes_of(Step::FetchReply) - before;
+                    let k = needed_rows(&b_recv, &mut SubsetWorkspace::new()).len();
+                    // The owner's clock holds the replies it served instead.
+                    if s != grid.row.my_index() {
+                        seen.push((recorded, tile.nnz(), k));
+                    }
+                }
+                seen
+            });
+            per_rank.into_iter().flatten().collect()
+        }
+        let numeric = recorded_vs_received::<f64>(Some(0), CscMatrix::clone);
+        let sweep = recorded_vs_received::<()>(None, CscMatrix::pattern);
+        assert_eq!(numeric.len(), 9 * 2, "two row peers per rank");
+        for (recorded, nnz, k) in numeric {
+            assert!(nnz > 0 && k > 0, "the test needs non-empty tiles");
+            assert_eq!(recorded, 8 * (2 * nnz + k) as u64, "nnz {nnz}, k {k}");
+        }
+        for (recorded, nnz, k) in sweep {
+            assert_eq!(recorded, 8 * (nnz + k) as u64, "nnz {nnz}, k {k}");
         }
     }
 

@@ -192,14 +192,15 @@ impl<T: Copy> LocalKernels<T> {
         Ok(self.record(out))
     }
 
-    /// `LocalSymbolic` (Alg. 3) on the arenas' structure-only accumulators.
-    pub fn symbolic_col_counts(
+    /// `LocalSymbolic` (Alg. 3) on the arenas' structure-only accumulators;
+    /// the operands' values are never read, so patterns serve.
+    pub fn symbolic_col_counts<U: Copy + Sync>(
         &mut self,
-        a: &CscMatrix<T>,
-        b: &CscMatrix<T>,
+        a: &CscMatrix<U>,
+        b: &CscMatrix<U>,
     ) -> spgemm_sparse::Result<(Vec<u64>, WorkStats)>
     where
-        T: Send + Sync,
+        T: Send,
     {
         let out = symbolic_col_counts(a, b, &mut self.scratch)?;
         Ok(self.record(out))

@@ -7,12 +7,25 @@
 //! directly comparable to `RunOutput::max.total()` and the planner's regret
 //! against an exhaustive sweep stays small.
 //!
+//! One deliberate exception: a fetch reply and both legs of the symbolic
+//! sweep are priced here at `r` bytes per nonzero, while the run charges
+//! [`crate::schedule::payload_bytes`] — `(r − w)·nnz + w·k` for a reply,
+//! `2w·nnz` for a pattern operand, `w·(nnz + k)` for a symbolic reply. The
+//! planner therefore *over*-predicts those steps (`planner.residual_frac` on
+//! `kmer-aat-membound`: 0.037 → ≈0.29), the safe direction for admission.
+//! Feeding it the cheaper sizes was tried and not kept: on `serve-mixed`
+//! (tiny budgeted jobs, seed 20210517) the plan choices flip to candidates
+//! whose *simulated* run is worse — every leg updated: `modeled_msgs`
+//! 69 → 82, `modeled_s` +8.7 %; the symbolic legs only: 69 → 77, +9.7 % —
+//! regret the byte accounting should not import. Closing the gap belongs
+//! with the batch-count estimate it interacts with (ROADMAP item 8).
+//!
 //! Three models compose:
 //!
 //! * **Placement** — exact per-process input nonzero counts under the
 //!   Fig. 1 distribution for each candidate `l` ([`GridShape`]), computed
-//!   by bucketing every nonzero with [`block_index`] (the inverse of
-//!   `block_range`).
+//!   by bucketing every nonzero through per-dimension block tables (the
+//!   `block_range` split, inverted once per row and column).
 //! * **Compression** — a balls-into-bins occupancy estimate
 //!   `occ(balls, bins) = bins·(1 − e^(−balls/bins))` turns each probed
 //!   column's flop count `fⱼ` and distinct-row count `dⱼ` into expected
@@ -31,6 +44,7 @@ use crate::kernels::KernelStrategy;
 use crate::memory::{MemoryBudget, R_BYTES_PER_NNZ};
 use crate::summa2d::OverlapMode;
 use spgemm_simgrid::Machine;
+use spgemm_sparse::ops::block_range;
 use spgemm_sparse::spgemm::{
     C_DRAIN, C_HASH_FLOP, C_HEAP_FLOP, C_MERGE_HASH, C_MERGE_HEAP, C_SORT, C_SPMM_FLOP,
 };
@@ -100,6 +114,21 @@ pub struct GridShape {
     pub sweep_nnz_b: u64,
 }
 
+/// `x → (block, sub-block)` of `0..n` cut into `pr` blocks, each cut into
+/// `l` sub-blocks — [`block_index`] twice, for every `x` at once: the
+/// ranges are walked, so the divisions are per block, not per element.
+fn two_level_blocks(n: usize, pr: usize, l: usize) -> Vec<(u32, u32)> {
+    let mut of = vec![(0, 0); n];
+    for jb in 0..pr {
+        let outer = block_range(n, pr, jb);
+        for k in 0..l {
+            let inner = block_range(outer.len(), l, k);
+            of[outer.start + inner.start..outer.start + inner.end].fill((jb as u32, k as u32));
+        }
+    }
+    of
+}
+
 /// Bucket every nonzero of `a` (A-style) and `b` (B-style) onto the
 /// `(√(p/l))² × l` grid and take the maxima the predictor needs.
 pub fn grid_shape<T: Copy, U: Copy>(
@@ -114,38 +143,31 @@ pub fn grid_shape<T: Copy, U: Copy>(
 
     // A-style: rows blocked by i over pr; columns sliced by (j, k).
     let (am, an) = (a.nrows(), a.ncols());
-    for j in 0..an {
-        let jb = block_index(an, pr, j);
-        let outer = spgemm_sparse::ops::block_range(an, pr, jb);
-        let k = if outer.is_empty() {
-            0
-        } else {
-            block_index(outer.len(), l, j - outer.start)
-        };
-        let (rows, _) = a.col(j);
-        for &r in rows {
-            let i = block_index(am, pr, r as usize);
-            a_proc[cell(i, jb, k)] += 1;
+    let row_block = two_level_blocks(am, pr, 1);
+    for (j, &(jb, k)) in two_level_blocks(an, pr, l).iter().enumerate() {
+        for &r in a.col(j).0 {
+            a_proc[cell(row_block[r as usize].0 as usize, jb as usize, k as usize)] += 1;
         }
     }
     // B-style: rows sliced by (i, k) over pr·l; columns blocked by j.
     let (bm, bn) = (b.nrows(), b.ncols());
-    for j in 0..bn {
-        let jb = block_index(bn, pr, j);
-        let (rows, _) = b.col(j);
-        for &r in rows {
-            let r = r as usize;
-            let ib = block_index(bm, pr, r);
-            let outer = spgemm_sparse::ops::block_range(bm, pr, ib);
-            let k = if outer.is_empty() {
-                0
-            } else {
-                block_index(outer.len(), l, r - outer.start)
-            };
-            b_proc[cell(ib, jb, k)] += 1;
+    let row_cell: Vec<usize> = two_level_blocks(bm, pr, l)
+        .iter()
+        .map(|&(ib, k)| cell(ib as usize, 0, k as usize))
+        .collect();
+    for (j, &(jb, _)) in two_level_blocks(bn, pr, 1).iter().enumerate() {
+        for &r in b.col(j).0 {
+            b_proc[row_cell[r as usize] + jb as usize] += 1;
         }
     }
 
+    shape_of_cells(&a_proc, &b_proc, pr, l, an)
+}
+
+/// The maxima [`grid_shape`] reports, from per-process nonzero counts
+/// indexed `(k·pr + i)·pr + j`.
+fn shape_of_cells(a_proc: &[u64], b_proc: &[u64], pr: usize, l: usize, inner: usize) -> GridShape {
+    let cell = |i: usize, j: usize, k: usize| (k * pr + i) * pr + j;
     let mut sweep_a = 0u64;
     let mut sweep_b = 0u64;
     for k in 0..l {
@@ -163,7 +185,7 @@ pub fn grid_shape<T: Copy, U: Copy>(
     GridShape {
         l,
         pr,
-        inner: an,
+        inner,
         max_nnz_a_proc: a_proc.iter().copied().max().unwrap_or(0),
         max_nnz_b_proc: b_proc.iter().copied().max().unwrap_or(0),
         sweep_nnz_a: sweep_a,
@@ -827,7 +849,6 @@ pub fn predict_family15(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spgemm_sparse::ops::block_range;
 
     #[test]
     fn block_index_inverts_block_range() {
@@ -855,6 +876,58 @@ mod tests {
         // Monotone in balls.
         assert!(occ(10.0, 20.0) < occ(20.0, 20.0));
         assert_eq!(occ(0.0, 10.0), 0.0);
+    }
+
+    /// [`grid_shape`]'s tables place every nonzero where [`block_index`],
+    /// asked per nonzero, places it — also when a dimension is smaller than
+    /// or not divisible by `pr` or `pr·l`.
+    #[test]
+    fn grid_shape_tables_equal_per_nonzero_placement() {
+        use spgemm_sparse::gen::{er_random, rmat};
+        use spgemm_sparse::semiring::PlusTimesF64;
+        let per_nonzero = |a: &CscMatrix<f64>, b: &CscMatrix<f64>, pr: usize, l: usize| {
+            let cell = |i: usize, j: usize, k: usize| (k * pr + i) * pr + j;
+            let two_level = |n: usize, x: usize| {
+                let jb = block_index(n, pr, x);
+                let outer = block_range(n, pr, jb);
+                (jb, block_index(outer.len(), l, x - outer.start))
+            };
+            let mut a_proc = vec![0u64; pr * pr * l];
+            let mut b_proc = vec![0u64; pr * pr * l];
+            for (r, j, _) in a.iter() {
+                let (jb, k) = two_level(a.ncols(), j);
+                a_proc[cell(block_index(a.nrows(), pr, r as usize), jb, k)] += 1;
+            }
+            for (r, j, _) in b.iter() {
+                let (ib, k) = two_level(b.nrows(), r as usize);
+                b_proc[cell(ib, block_index(b.ncols(), pr, j), k)] += 1;
+            }
+            shape_of_cells(&a_proc, &b_proc, pr, l, a.ncols())
+        };
+        let inputs = [
+            (
+                er_random::<PlusTimesF64>(50, 37, 5, 3),
+                er_random::<PlusTimesF64>(37, 61, 4, 4),
+            ),
+            (
+                er_random::<PlusTimesF64>(5, 7, 2, 5),
+                er_random::<PlusTimesF64>(7, 3, 2, 6),
+            ),
+            (
+                rmat::<PlusTimesF64>(7, 6, None, false, 7),
+                rmat::<PlusTimesF64>(7, 5, None, true, 8),
+            ),
+        ];
+        for (a, b) in &inputs {
+            for (pr, l) in [(2usize, 1usize), (2, 4), (4, 1), (4, 4), (3, 2)] {
+                let dims = (a.nrows(), a.ncols(), b.ncols());
+                assert_eq!(
+                    grid_shape(a, b, pr, l),
+                    per_nonzero(a, b, pr, l),
+                    "{dims:?} pr={pr} l={l}"
+                );
+            }
+        }
     }
 
     #[test]

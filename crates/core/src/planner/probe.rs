@@ -174,7 +174,7 @@ pub fn probe<T: Copy + Send + Sync, U: Copy + Sync>(
     };
     let b_sample = extract_cols(b, &cols);
     let (counts, stats, _) =
-        symbolic_col_counts(a, &b_sample, &mut []).map_err(CoreError::Sparse)?;
+        symbolic_col_counts::<_, _, ()>(a, &b_sample, &mut []).map_err(CoreError::Sparse)?;
 
     let mut col_flops = Vec::with_capacity(cols.len());
     let mut col_bnnz = Vec::with_capacity(cols.len());

@@ -275,6 +275,59 @@ pub fn wire(op: Op, exchange: ExchangeMode) -> &'static [Wire] {
     }
 }
 
+/// What one message of an [`Op::Stage`] carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Payload {
+    /// A whole local piece of `nnz` nonzeros, broadcast.
+    Operand {
+        /// Nonzeros of the piece.
+        nnz: usize,
+    },
+    /// The needed-column index set of a fetch round.
+    Request {
+        /// Columns asked for.
+        cols: usize,
+    },
+    /// The compact tile answering a [`Payload::Request`]: exactly its
+    /// `cols` columns, in request order, holding `nnz` nonzeros.
+    Reply {
+        /// Nonzeros of the tile.
+        nnz: usize,
+        /// Columns the request named.
+        cols: usize,
+    },
+}
+
+/// Modeled bytes of `payload` as `op` moves it — the one place a stage
+/// message is sized; [`crate::exchange`] charges it and [`crate::audit`]
+/// annotates with it. A message carries what its receiver lacks.
+///
+/// The paper's `r` bytes per nonzero are three words, a row index, a
+/// column index and a value (`r = 24`: 8 bytes each); an index word is
+/// `w = r / 3` and the value takes the rest.
+///
+/// | payload | numeric stage | symbolic sweep (`batch: None`) |
+/// |---|---|---|
+/// | `Operand` | `r·nnz` (Table II) | `2w·nnz`: the sweep reads no value |
+/// | `Reply` | `(r − w)·nnz + w·cols` | `w·nnz + w·cols` |
+/// | `Request` | `4·cols` | `4·cols` |
+///
+/// A reply spells no column id: the requester sent them, so a count per
+/// requested column delimits the tile. The request's 4-byte indices are
+/// its wire type's (`u32`), not a word of `r`. Ops other than
+/// [`Op::Stage`] move full operands.
+pub fn payload_bytes(op: Op, payload: Payload, r: usize) -> usize {
+    let w = r / 3;
+    let pattern = matches!(op, Op::Stage { batch: None, .. });
+    match payload {
+        Payload::Operand { nnz } if pattern => 2 * w * nnz,
+        Payload::Operand { nnz } => r * nnz,
+        Payload::Request { cols } => 4 * cols,
+        Payload::Reply { nnz, cols } if pattern => w * (nnz + cols),
+        Payload::Reply { nnz, cols } => (r - w) * nnz + w * cols,
+    }
+}
+
 /// Root member index of collective `kind` as issued by `op`: the stage
 /// index for stage broadcasts, member 0 for scatter and gather, `None` for
 /// unrooted collectives.
@@ -327,6 +380,60 @@ pub fn ring_shift(q: usize, pos: usize, round: usize) -> [Msg; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn payload_bytes_table() {
+        let stage = |batch| Op::Stage {
+            s: 1,
+            batch,
+            phase: Phase::Blocking,
+        };
+        let (numeric, sweep) = (stage(Some(3)), stage(None));
+        let operand = |nnz| Payload::Operand { nnz };
+        let reply = |nnz, cols| Payload::Reply { nnz, cols };
+        // (op, payload, bytes at r = 24, bytes at r = 20: w = 6, value 8)
+        let rows = [
+            (numeric, operand(10), 240, 200),
+            (sweep, operand(10), 160, 120),
+            (numeric, reply(10, 4), 192, 164),
+            (sweep, reply(10, 4), 112, 84),
+            (numeric, Payload::Request { cols: 4 }, 16, 16),
+            (sweep, Payload::Request { cols: 4 }, 16, 16),
+            // Nothing stored: the reply still delimits its columns.
+            (numeric, operand(0), 0, 0),
+            (sweep, operand(0), 0, 0),
+            (numeric, reply(0, 4), 32, 24),
+            (sweep, reply(0, 4), 32, 24),
+            // Nothing asked for.
+            (numeric, reply(0, 0), 0, 0),
+            (sweep, reply(0, 0), 0, 0),
+            (numeric, Payload::Request { cols: 0 }, 0, 0),
+            // Whatever else moves a sparse operand moves all of it.
+            (Op::RefreshB, operand(10), 240, 200),
+            (Op::Scatter, operand(10), 240, 200),
+        ];
+        for (op, payload, at24, at20) in rows {
+            assert_eq!(
+                payload_bytes(op, payload, 24),
+                at24,
+                "{op:?} {payload:?} r=24"
+            );
+            assert_eq!(
+                payload_bytes(op, payload, 20),
+                at20,
+                "{op:?} {payload:?} r=20"
+            );
+        }
+        // Post and wait halves size like the blocking stage they split.
+        for phase in [Phase::Post, Phase::Wait] {
+            let op = Op::Stage {
+                s: 0,
+                batch: None,
+                phase,
+            };
+            assert_eq!(payload_bytes(op, operand(10), 24), 160);
+        }
+    }
 
     /// The pipelined program keeps exactly one stage in flight, waits every
     /// stage it posts (same `s`, same batch) before that stage's multiply,

@@ -1,8 +1,9 @@
 //! Symbolic3D (Alg. 3): determine the number of batches `b`.
 //!
 //! A structure-only sweep with the same communication pattern as one full
-//! (un-batched) SUMMA2D per layer: broadcast `Ã` and `B̃` per stage, run
-//! `LocalSymbolic` to count how many nonzeros the numeric stage *would*
+//! (un-batched) SUMMA2D per layer: move the *patterns* of `Ã` and `B̃` per
+//! stage (indices without values — [`schedule::payload_bytes`] sizes them),
+//! run `LocalSymbolic` to count how many nonzeros the numeric stage *would*
 //! produce, and accumulate the per-process **unmerged** total (the sum
 //! over stages is exactly what must be resident before Merge-Layer — the
 //! memory high-water mark the batch count must control).
@@ -69,9 +70,8 @@ pub struct SymbolicOutcome {
 /// `kernels` supplies the reusable symbolic accumulator; passing the same
 /// engine later used for the numeric batches means the hash table warmed
 /// up here is already sized when the numeric sweep begins. `plan` decides
-/// how the structure-only stage operands move (the symbolic sweep follows
-/// the same exchange mode as the numeric stages it predicts, so its
-/// modeled communication matches what the numeric run will pay).
+/// how the structure-only stage operands move: the sweep walks the same
+/// wire-table rows as the numeric stages it predicts, carrying patterns.
 pub fn symbolic3d_with_weights<S: Semiring>(
     rank: &mut Rank,
     grid: &Grid3D,
@@ -81,8 +81,8 @@ pub fn symbolic3d_with_weights<S: Semiring>(
     kernels: &mut LocalKernels<S::T>,
     plan: &mut ExchangePlan,
 ) -> Result<(SymbolicOutcome, Vec<u64>)> {
-    let a_shared = Arc::new(a.local.clone());
-    let b_shared = Arc::new(b.local.clone());
+    let a_shared = Arc::new(a.local.pattern());
+    let b_shared = Arc::new(b.local.pattern());
     let r = budget.r;
     let world = &grid.world;
     let max_u64: fn(u64, u64) -> u64 = |x, y| x.max(y);

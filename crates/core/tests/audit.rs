@@ -235,3 +235,75 @@ fn injected_bugs_are_caught_and_named() {
         );
     }
 }
+
+/// The byte annotations describe what a run charges: on a `Budget` row the
+/// symbolic sweep's stages move patterns — two of the three words a numeric
+/// stage or the refresh of `B̃` moves per nonzero — and sizing a fetch reply
+/// differently adds or retags no fetch leg.
+#[test]
+fn symbolic_stage_annotations_are_pattern_sized() {
+    use spgemm_core::exchange::{fetch_rep_tag, fetch_req_tag};
+    use spgemm_simgrid::OpKind;
+    let shape = spgemm_core::audit::workload_shapes()[0];
+    let (p, l, pr) = (16, 4, 2);
+    let extract = |exchange| {
+        let cfg = AuditConfig {
+            shape,
+            p,
+            l,
+            batch: BatchSpec::Budget { target: 4 },
+            exchange,
+            overlap: OverlapMode::Blocking,
+            iterations: 1,
+            family: AlgorithmFamily::Summa3dBatched,
+        };
+        cfg.extract().expect("feasible")
+    };
+
+    let dense = extract(ExchangeMode::DenseBcast);
+    let nb = dense.nbatches;
+    assert!(nb > 1);
+    for trace in &dense.traces {
+        let annotated = |want: OpKind| {
+            let of_kind = move |e: &AuditEvent| match *e {
+                AuditEvent::Collective { op, bytes, .. } if op == want => Some(bytes),
+                _ => None,
+            };
+            trace.iter().filter_map(of_kind).collect::<Vec<u64>>()
+        };
+        // Scatter A, scatter B; the sweep's (Ã, B̃) per stage; each batch's.
+        let bcasts = annotated(OpKind::Bcast);
+        assert_eq!(bcasts.len(), 2 + 2 * pr * (1 + nb));
+        let (sweep, numeric) = bcasts[2..].split_at(2 * pr);
+        let (a_full, b_full) = (numeric[0], *annotated(OpKind::Alltoallv).last().unwrap());
+        assert_eq!(a_full, 24 * shape.nnz_a.div_ceil(p as u64));
+        assert_eq!(
+            b_full,
+            24 * shape.nnz_b.div_ceil(p as u64),
+            "RefreshB moves all of B̃"
+        );
+        for stage in sweep.chunks(2) {
+            assert_eq!([3 * stage[0], 3 * stage[1]], [2 * a_full, 2 * b_full]);
+        }
+        assert!(numeric.chunks(2).all(|stage| stage[0] == a_full));
+    }
+
+    // Every round — the sweep's pr, then each batch's — keeps its two legs
+    // per peer, tagged with the round's sequence number.
+    let sparse = extract(ExchangeMode::SparseFetch);
+    assert_eq!(sparse.nbatches, nb);
+    for trace in &sparse.traces {
+        let tags: Vec<u64> = trace
+            .iter()
+            .filter_map(|e| match *e {
+                AuditEvent::Send { tag, .. } | AuditEvent::Recv { tag, .. } => Some(tag),
+                _ => None,
+            })
+            .collect();
+        let rounds = (pr * (1 + nb)) as u64;
+        let want: Vec<u64> = (0..rounds)
+            .flat_map(|seq| [fetch_req_tag(seq), fetch_rep_tag(seq)])
+            .collect();
+        assert_eq!(tags, want, "pr = 2: one peer, so one leg pair per round");
+    }
+}

@@ -222,3 +222,68 @@ fn fetch_steps_carry_the_a_traffic() {
     // B moves identically in both modes.
     assert_eq!(dense.max.bytes_of(Step::BBcast), sparse.max.bytes_of(Step::BBcast));
 }
+
+/// What the memory-constrained path decides and delivers, pinned across a
+/// change of how stage payloads are sized and carried: `b` from a budgeted
+/// Symbolic3D sweep, the product's bits, the message count and the tracked
+/// peak. [`MEMBOUND_GOLDEN`] is what the build *before* the sweep moved
+/// patterns and fetch replies went column-implicit printed; only modeled
+/// bytes and seconds may differ from it. Wake-up order must not matter
+/// either (the perturbation lane re-runs this under three seeds).
+#[test]
+fn membound_kmer_aat_decisions_and_product_are_unchanged() {
+    use spgemm_core::{run_spgemm_aat, BackendKind, MemoryBudget};
+    use spgemm_sparse::gen::kmer_matrix;
+    use spgemm_sparse::ops::{col_concat, permute_rows, random_permutation};
+
+    // Reads × k-mers, windows plus uniform repeats, rows permuted; values
+    // whose sums depend on the order they are added in.
+    let nreads = 320;
+    let windows = kmer_matrix(nreads, nreads * 6, 6, 2024);
+    let repeats = er_random::<PlusTimesU64>(nreads, nreads * 4, 6, 2025).map(|_| 1u64);
+    let both = col_concat(&[windows, repeats]).unwrap();
+    let mut k = 0u64;
+    let a = permute_rows(&both, &random_permutation(nreads, 2026)).map(|_| {
+        k += 1;
+        0.1 + (k % 7) as f64 / 3.0
+    });
+    let fnv = |c: &CscMatrix<f64>| {
+        let words = (c.colptr().iter().map(|&x| x as u64))
+            .chain(c.rowidx().iter().map(|&x| u64::from(x)))
+            .chain(c.vals().iter().map(|v| v.to_bits()));
+        words.fold(0xCBF2_9CE4_8422_2325u64, |h, w| {
+            (h ^ w).wrapping_mul(0x100_0000_01B3)
+        })
+    };
+    let mut rows = Vec::new();
+    for (exchange, overlap) in [
+        (ExchangeMode::SparseFetch, OverlapMode::Blocking),
+        (ExchangeMode::SparseFetch, OverlapMode::Overlapped),
+        (ExchangeMode::DenseBcast, OverlapMode::Blocking),
+    ] {
+        let mut cfg = RunConfig::new(16, 4);
+        cfg.backend = BackendKind::Simgrid; // modeled peaks, whatever SPGEMM_BACKEND says
+        cfg.budget = MemoryBudget::new(2 * a.nnz() * 24 * 12 / 10);
+        cfg.exchange = exchange;
+        cfg.overlap = overlap;
+        cfg.check = CheckMode::Check;
+        let out = run_spgemm_aat::<PlusTimesF64>(&cfg, &a).unwrap();
+        assert!(out.nbatches > 1, "the budget must force batching");
+        rows.push(format!(
+            "{}/{overlap:?} | {} | {:016x} | {} | {}",
+            exchange.name(),
+            out.nbatches,
+            fnv(out.c.as_ref().unwrap()),
+            out.per_rank.iter().flat_map(|bd| bd.msgs).sum::<u64>(),
+            out.peak_bytes.iter().max().unwrap(),
+        ));
+    }
+    let actual = rows.join("\n");
+    assert_eq!(actual, MEMBOUND_GOLDEN, "the table is now:\n{actual}\n");
+}
+
+/// `mode | b | FNV-1a of C's colptr, rowidx, value bits | messages | max peak`.
+const MEMBOUND_GOLDEN: &str = "\
+sparse/Blocking | 11 | 8b5af2945ad49186 | 1472 | 120360\n\
+sparse/Overlapped | 11 | 8b5af2945ad49186 | 1472 | 120360\n\
+dense/Blocking | 11 | 8b5af2945ad49186 | 1088 | 120360";

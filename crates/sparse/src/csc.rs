@@ -288,6 +288,21 @@ impl<T: Copy> CscMatrix<T> {
         }
     }
 
+    /// The sparsity structure alone: the same column pointers and row
+    /// indices with unit values. Copies the indices only — a `Vec<()>` owns
+    /// no memory — which is all a structure-only pass (Symbolic3D) needs to
+    /// hold or move.
+    pub fn pattern(&self) -> CscMatrix<()> {
+        CscMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            colptr: self.colptr.clone(),
+            rowidx: self.rowidx.clone(),
+            vals: vec![(); self.rowidx.len()],
+            sorted: self.sorted,
+        }
+    }
+
     /// Retain only entries satisfying `keep(row, col, value)`, compacting in
     /// place. Preserves per-column entry order (and thus sortedness).
     pub fn retain(&mut self, mut keep: impl FnMut(u32, usize, T) -> bool) {
@@ -479,6 +494,19 @@ mod tests {
         let doubled = m.map(|v| v * 2.0);
         assert_eq!(doubled.col(2).1, &[4.0, 10.0]);
         assert_eq!(doubled.colptr(), m.colptr());
+    }
+
+    #[test]
+    fn pattern_keeps_indices_and_drops_values() {
+        let m = sample();
+        let p = m.pattern();
+        assert_eq!(
+            (p.nrows(), p.ncols(), p.nnz()),
+            (m.nrows(), m.ncols(), m.nnz())
+        );
+        assert_eq!((p.colptr(), p.rowidx()), (m.colptr(), m.rowidx()));
+        assert_eq!(p.is_sorted(), m.is_sorted());
+        assert_eq!(std::mem::size_of_val(p.vals()), 0);
     }
 
     #[test]

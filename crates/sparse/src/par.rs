@@ -220,18 +220,19 @@ where
 /// Dispatch a multiply-shaped `kernel` (`a · b` on one arena) over
 /// flop-balanced column ranges of `b`; `stitch` joins the per-range outputs
 /// in column order.
-pub(crate) fn multiply<T, U, R, F>(
+pub(crate) fn multiply<T, U, W, R, F>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
-    scratch: &mut [SpGemmWorkspace<T>],
+    scratch: &mut [SpGemmWorkspace<W>],
     kernel: F,
     stitch: impl FnOnce(Vec<R>) -> Result<R>,
 ) -> Result<(R, WorkStats, RangeBalance)>
 where
-    T: Copy + Send + Sync,
+    T: Copy + Sync,
     U: Copy + Sync,
+    W: Copy + Send,
     R: Send,
-    F: Fn(&CscMatrix<T>, &CscMatrix<U>, &mut SpGemmWorkspace<T>) -> Ranged<R> + Sync,
+    F: Fn(&CscMatrix<T>, &CscMatrix<U>, &mut SpGemmWorkspace<W>) -> Ranged<R> + Sync,
 {
     check_mul_dims(a.ncols(), (b.nrows(), b.ncols()))?;
     if scratch.len() <= 1 || b.ncols() <= 1 {

@@ -60,13 +60,17 @@ pub struct HashAccum<T> {
     vals: Vec<T>,
     /// Slots currently occupied, in insertion order (drain + reset list).
     occupied: Vec<u32>,
+    /// Sort scratch of [`Self::drain_into_sorted`]: `(key << 32) | slot`
+    /// per occupied slot of a hashed column.
+    packed: Vec<u64>,
     mask: usize,
     /// `Some(nrows)` while the current column is addressed directly.
     direct: Option<usize>,
     /// Linear-probe steps past the home slot since construction
     /// (collisions only: a key found or placed at its home slot costs none).
     probes: u64,
-    /// Heap allocations performed by table growth since construction.
+    /// Heap allocations performed by table and sort-scratch growth since
+    /// construction.
     grows: u64,
     fill: T,
 }
@@ -89,6 +93,7 @@ impl<T: Copy> HashAccum<T> {
             keys: Vec::new(),
             vals: Vec::new(),
             occupied: Vec::new(),
+            packed: Vec::new(),
             mask: 0,
             direct: None,
             probes: 0,
@@ -149,17 +154,20 @@ impl<T: Copy> HashAccum<T> {
         self.probes
     }
 
-    /// Heap allocations performed by table growth so far (two buffers per
-    /// growth event; never decreases — the table only grows).
+    /// Heap allocations performed by growth so far (two buffers per growth
+    /// of the table, one per growth of the sorted drain's scratch; never
+    /// decreases — capacity only grows).
     pub fn grows(&self) -> u64 {
         self.grows
     }
 
-    /// Bytes currently held by the table and its occupancy list.
+    /// Bytes currently held by the table, its occupancy list and the sorted
+    /// drain's scratch.
     pub fn footprint_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<u32>()
             + self.vals.capacity() * std::mem::size_of::<T>()
             + self.occupied.capacity() * std::mem::size_of::<u32>()
+            + self.packed.capacity() * std::mem::size_of::<u64>()
     }
 
     /// `table[rows[i]] ⊕= map(vals[i])` under semiring `S`, for a whole input
@@ -240,13 +248,11 @@ impl<T: Copy> HashAccum<T> {
 
     /// Append stored `(key, value)` pairs sorted ascending by key.
     ///
-    /// Allocation-free. A directly addressed column is already in key
-    /// order in the table: one scan of its `nrows` slots (no more than
-    /// twice the entries fed). A hashed column sorts the
-    /// occupancy list by key in place and drains in that order; reordering
-    /// `occupied` is safe — its insertion order only matters to
-    /// [`Self::drain_into`], and after a drain the next [`Self::reset`]
-    /// clears it regardless of order.
+    /// A directly addressed column is already in key order in the table:
+    /// one scan of its `nrows` slots (no more than twice the entries fed).
+    /// A hashed column packs each occupied slot with its key into one word
+    /// of a reused scratch and sorts the words — keys are distinct, so the
+    /// order is the key order, found without a table lookup per comparison.
     pub fn drain_into_sorted(&mut self, rows: &mut Vec<u32>, vals: &mut Vec<T>) {
         if let Some(nrows) = self.direct {
             for (&key, &val) in self.keys[..nrows].iter().zip(&self.vals[..nrows]) {
@@ -257,10 +263,19 @@ impl<T: Copy> HashAccum<T> {
             }
             return;
         }
+        if self.packed.capacity() < self.occupied.len() {
+            self.packed = Vec::with_capacity(self.occupied.len().next_power_of_two());
+            self.grows += 1;
+        }
+        self.packed.clear();
         let keys = &self.keys;
-        self.occupied
-            .sort_unstable_by_key(|&slot| keys[slot as usize]);
-        self.drain_into(rows, vals);
+        let pack = |&slot: &u32| (u64::from(keys[slot as usize]) << 32) | u64::from(slot);
+        self.packed.extend(self.occupied.iter().map(pack));
+        self.packed.sort_unstable();
+        for &word in &self.packed {
+            rows.push((word >> 32) as u32);
+            vals.push(self.vals[word as u32 as usize]);
+        }
     }
 }
 
@@ -531,8 +546,8 @@ mod tests {
 
     #[test]
     fn sorted_drain_after_reuse_stays_sorted() {
-        // Reordering `occupied` in a sorted drain must not corrupt later
-        // resets or drains on the same table.
+        // A sorted drain must not corrupt later resets or drains on the
+        // same table, and its scratch is allocated once.
         let mut acc = HashAccum::new(0u64);
         for round in 0..3u64 {
             acc.reset(5, NROWS);
@@ -543,6 +558,7 @@ mod tests {
             acc.drain_into_sorted(&mut r, &mut v);
             assert_eq!(r, vec![2, 5, 9, 14], "round {round}");
             assert_eq!(v, vec![2 * (round + 1), round + 1, round + 1, round + 1]);
+            assert_eq!(acc.grows(), 3, "keys, vals and the sort scratch, once");
         }
     }
 

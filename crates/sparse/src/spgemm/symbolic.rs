@@ -16,25 +16,29 @@ use crate::Result;
 /// `col_counts[j] = nnz((A·B)(:,j))`. `stats.nnz_out` is the total;
 /// `stats.flops` the multiplication count the numeric kernel would
 /// perform. `scratch.len()` is the thread count (see [`crate::par`]). Only
-/// each arena's structure-only accumulator is used, so the per-rank arenas
-/// that serve the numeric kernels on `a` serve the symbolic sweep too.
-pub fn symbolic_col_counts<T, U>(
+/// each arena's structure-only accumulator is used, so the arenas' value
+/// type `W` is free of the operands': the per-rank arenas that serve the
+/// numeric kernels serve a sweep over [`CscMatrix::pattern`]s too. A call
+/// on throwaway scratch names it: `symbolic_col_counts::<_, _, ()>(a, b,
+/// &mut [])`.
+pub fn symbolic_col_counts<T, U, W>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
-    scratch: &mut [SpGemmWorkspace<T>],
+    scratch: &mut [SpGemmWorkspace<W>],
 ) -> Result<(Vec<u64>, WorkStats, RangeBalance)>
 where
-    T: Copy + Send + Sync,
+    T: Copy + Sync,
     U: Copy + Sync,
+    W: Copy + Send,
 {
     par::multiply(a, b, scratch, count_cols, |chunks| Ok(chunks.concat()))
 }
 
 /// The sweep over one column range of `b`, on one arena.
-fn count_cols<T: Copy, U: Copy>(
+fn count_cols<T: Copy, U: Copy, W: Copy>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
-    ws: &mut SpGemmWorkspace<T>,
+    ws: &mut SpGemmWorkspace<W>,
 ) -> Ranged<Vec<u64>> {
     crate::debug_validate!(*a, crate::Sortedness::Unsorted, "symbolic sweep input A");
     crate::debug_validate!(*b, crate::Sortedness::Unsorted, "symbolic sweep input B");
@@ -72,10 +76,10 @@ fn count_cols<T: Copy, U: Copy>(
 /// Total `nnz(A·B)`: [`symbolic_col_counts`] on throwaway scratch, summed.
 pub fn symbolic_nnz<T, U>(a: &CscMatrix<T>, b: &CscMatrix<U>) -> Result<(u64, WorkStats)>
 where
-    T: Copy + Send + Sync,
+    T: Copy + Sync,
     U: Copy + Sync,
 {
-    let (_, stats, _) = symbolic_col_counts(a, b, &mut [])?;
+    let (_, stats, _) = symbolic_col_counts::<_, _, ()>(a, b, &mut [])?;
     Ok((stats.nnz_out, stats))
 }
 
@@ -90,7 +94,7 @@ mod tests {
     fn counts_match_numeric_kernel() {
         let a = er_random::<PlusTimesF64>(70, 70, 6, 51);
         let b = er_random::<PlusTimesF64>(70, 70, 6, 52);
-        let (counts, stats, _) = symbolic_col_counts(&a, &b, &mut []).unwrap();
+        let (counts, stats, _) = symbolic_col_counts::<_, _, ()>(&a, &b, &mut []).unwrap();
         let (c, num_stats) = spgemm_spa::<PlusTimesF64>(&a, &b).unwrap();
         for (j, &count) in counts.iter().enumerate() {
             assert_eq!(count as usize, c.col_nnz(j), "column {j}");

@@ -156,7 +156,8 @@ fn check<S: Semiring<T = f64>>(
     );
 
     let (counts, stats, _) = symbolic_col_counts(a, b, ws).unwrap();
-    let (table_counts, table_stats, _) = symbolic_col_counts(&tall_a, b, &mut []).unwrap();
+    let (table_counts, table_stats, _) =
+        symbolic_col_counts::<_, _, ()>(&tall_a, b, &mut []).unwrap();
     assert_eq!(counts, table_counts, "symbolic counts");
     assert_same_work(stats, table_stats, one_range, "symbolic sweep");
     let spa_counts: Vec<u64> = (0..oracle.ncols())

@@ -34,7 +34,7 @@ fn arenas<T: Copy>(n: usize) -> Vec<SpGemmWorkspace<T>> {
 fn check_multiply<S: Semiring>(a: &CscMatrix<S::T>, b: &CscMatrix<S::T>) {
     let (hash, hash_stats, _) = spgemm_hash_unsorted::<S>(a, b, &mut []).unwrap();
     let (hybrid, hybrid_stats, _) = spgemm_hybrid::<S>(a, b, &mut []).unwrap();
-    let (counts, sym_stats, _) = symbolic_col_counts(a, b, &mut []).unwrap();
+    let (counts, sym_stats, _) = symbolic_col_counts::<_, _, ()>(a, b, &mut []).unwrap();
     for n in ARENAS {
         let mut ws = arenas::<S::T>(n);
         let (c, stats, bal) = spgemm_hash_unsorted::<S>(a, b, &mut ws).unwrap();

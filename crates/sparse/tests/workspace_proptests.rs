@@ -48,7 +48,7 @@ fn round_trip<S: Semiring>(
     assert_bit_identical(&h_ws, &h_ref, "hybrid multiply");
 
     let (counts_ws, ..) = symbolic_col_counts(a, b, ws).unwrap();
-    let (counts_ref, ..) = symbolic_col_counts(a, b, &mut []).unwrap();
+    let (counts_ref, ..) = symbolic_col_counts::<_, _, ()>(a, b, &mut []).unwrap();
     assert_eq!(counts_ws, counts_ref, "symbolic counts");
 
     let parts = [c_ws.clone(), c_ws, c_ref];

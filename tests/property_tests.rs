@@ -65,7 +65,7 @@ proptest! {
     /// Symbolic counts exactly predict numeric structure.
     #[test]
     fn symbolic_matches_numeric((a, b) in arb_pair(24, 80)) {
-        let (counts, _, _) = symbolic_col_counts(&a, &b, &mut []).unwrap();
+        let (counts, _, _) = symbolic_col_counts::<_, _, ()>(&a, &b, &mut []).unwrap();
         let (c, _) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
         for (j, &count) in counts.iter().enumerate() {
             prop_assert_eq!(count as usize, c.col_nnz(j));
