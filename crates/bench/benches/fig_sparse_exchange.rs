@@ -3,8 +3,9 @@
 //! Not a paper figure — the companion experiment to the exchange layer
 //! (DESIGN.md §11). On hypersparse A·Aᵀ each receiver's needed-row set
 //! covers a small fraction of the stage owner's A block, so the
-//! point-to-point fetch (4-byte row indices out, column-subset slices
-//! back) moves far fewer modeled bytes than broadcasting whole blocks.
+//! point-to-point fetch (gap-coded varint column lists out, varint-indexed
+//! column-subset tiles back) moves far fewer modeled bytes than
+//! broadcasting whole blocks.
 //! The byte cut is largest at small `l` (big process rows keep the
 //! needed fraction tiny) and shrinks as stage blocks do, but should
 //! stay >=2x from l=4 up; the *time* win runs the other way (see

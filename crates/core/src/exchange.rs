@@ -17,17 +17,21 @@
 //!   then each receiver derives from `B̃`'s row structure exactly which
 //!   columns of the stage's `Ã` its local multiply will read, posts that
 //!   index set to the owner ([`Step::FetchRequest`]), and gets back a
-//!   compact column-subset slice ([`Step::FetchReply`]) that is padded to
-//!   full operand width. The slice holds exactly the requested columns in
-//!   request order, so it spells no column id. When the operands are
-//!   hypersparse — the regime a
+//!   column-subset tile ([`Step::FetchReply`]) that decodes to full
+//!   operand width. Both travel in their own wire format: the request as a
+//!   gap-coded varint list ([`ColRequest`]), the reply as varint-coded
+//!   counts and row gaps beside a plain value vector ([`ColTile`]). The
+//!   tile holds exactly the requested columns in request order, so it
+//!   spells no column id. When the operands are hypersparse — the regime a
 //!   3D grid with `l ≥ 4` layers produces — most of `Ã`'s columns meet no
 //!   nonzero of `B̃`, and the fetched volume is a small fraction of the
 //!   dense broadcast.
 //!
-//! Every message is sized by [`schedule::payload_bytes`]. The symbolic
-//! sweep's stages (`batch: None`) move [`CscMatrix::pattern`]s — indices
-//! without values — through the same [`ExchangePlan::stage`].
+//! Every message is sized by [`schedule::payload_bytes`]; a fetch leg is
+//! sized from its encoded index length, and the codec's CPU is charged to
+//! the leg's own step on both sides ([`C_CODEC`] per coded integer). The
+//! symbolic sweep's stages (`batch: None`) move [`CscMatrix::pattern`]s —
+//! indices without values — through the same [`ExchangePlan::stage`].
 //!
 //! Both modes produce **bit-identical** numeric output: the padded fetch
 //! operand agrees with the broadcast operand on every column the local
@@ -47,9 +51,8 @@
 
 use crate::schedule::{self, payload_bytes, Link, Msg, Op, Payload, Phase, Wire};
 use spgemm_simgrid::{Grid3D, PendingBcast, PendingOp, Rank, Step};
-use spgemm_sparse::subset::{
-    extract_cols_compact, needed_rows, scatter_cols_padded, SubsetWorkspace,
-};
+use spgemm_sparse::spgemm::C_CODEC;
+use spgemm_sparse::subset::{needed_rows, ColRequest, ColTile, SubsetWorkspace};
 use spgemm_sparse::CscMatrix;
 use std::any::Any;
 use std::collections::HashMap;
@@ -120,10 +123,10 @@ impl ExchangeMode {
 /// real fetch payloads on the wire.
 #[derive(Debug)]
 pub enum FetchReq {
-    /// Full needed-column index set: the cold path, and the path taken
-    /// whenever the receiver's structure changed or caching is off. An
-    /// empty set triggers the zero-row fast path on the owner.
-    Rows(Vec<u32>),
+    /// Full needed-column index set, encoded: the cold path, and the path
+    /// taken whenever the receiver's structure changed or caching is off.
+    /// An empty set triggers the zero-row fast path on the owner.
+    Cols(ColRequest),
     /// The receiver's needed set for this `(stage, batch)` key is
     /// identical to the one the owner last served; the owner decides from
     /// its column epochs whether the receiver's cached tile is still
@@ -133,33 +136,17 @@ pub enum FetchReq {
 
 /// Wire reply of one fetch round (stage owner → receiver). Public for the
 /// same protocol-negative tests as [`FetchReq`].
+#[derive(Debug)]
 pub enum FetchRep<T> {
-    /// Compact column-subset tile plus the owner's operand width.
-    Tile(CscMatrix<T>, u64),
+    /// The requested columns of the owner's operand, encoded; the tile
+    /// knows the operand's shape.
+    Tile(ColTile<T>),
     /// Zero-row fast path: the receiver needed nothing, so only the
     /// operand dimensions travel (the receiver pads an empty matrix).
     Empty { nrows: u64, ncols: u64 },
     /// Every column the receiver's cached tile covers is unchanged since
     /// it was served — reuse it as-is.
     CacheValid,
-}
-
-// Manual impl: the derive would demand `T: Debug` *and* `T: Copy` (the
-// bound `CscMatrix<T>: Debug` carries), which no caller needs.
-impl<T: Copy + std::fmt::Debug> std::fmt::Debug for FetchRep<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FetchRep::Tile(tile, width) => {
-                f.debug_tuple("Tile").field(tile).field(width).finish()
-            }
-            FetchRep::Empty { nrows, ncols } => f
-                .debug_struct("Empty")
-                .field("nrows", nrows)
-                .field("ncols", ncols)
-                .finish(),
-            FetchRep::CacheValid => f.write_str("CacheValid"),
-        }
-    }
 }
 
 /// Counters of the cross-iteration fetch cache (and the zero-row fast
@@ -490,7 +477,7 @@ impl ExchangePlan {
         // comm-graph knowledge (SpComm3D-style setup, amortized by the
         // session) would not exchange anything at all.
         if needed.is_empty() {
-            rank.send(row, req.peer, req.tag, FetchReq::Rows(Vec::new()));
+            rank.send(row, req.peer, req.tag, FetchReq::Cols(ColRequest::encode(&[])));
             rank.clock_mut().record_comm(Step::FetchRequest, 0, 1);
             let reply: FetchRep<T> = rank.recv(row, rep.peer, rep.tag);
             rank.clock_mut().record_comm(Step::FetchReply, 0, 1);
@@ -512,16 +499,17 @@ impl ExchangePlan {
         });
         if cached_ok {
             rank.send(row, req.peer, req.tag, FetchReq::Unchanged);
-            charge(rank, Step::FetchRequest, 0);
+            charge(rank, Step::FetchRequest, (0, 0));
         } else {
-            rank.send(row, req.peer, req.tag, FetchReq::Rows(needed.clone()));
-            charge(rank, Step::FetchRequest, request_bytes(op, &needed, r));
+            let request = ColRequest::encode(&needed);
+            charge(rank, Step::FetchRequest, request_leg(op, &request, needed.len(), r));
+            rank.send(row, req.peer, req.tag, FetchReq::Cols(request));
         }
 
         let reply: FetchRep<T> = rank.recv(row, rep.peer, rep.tag);
         match reply {
             FetchRep::CacheValid => {
-                charge(rank, Step::FetchReply, 0);
+                charge(rank, Step::FetchReply, (0, 0));
                 let k = key.expect("CacheValid only answers Unchanged");
                 let (tile, saved) = {
                     let e = self.tiles_mut::<T>().get(&k).expect("hit requires a tile");
@@ -539,10 +527,10 @@ impl ExchangePlan {
                 );
                 tile
             }
-            FetchRep::Tile(compact, owner_ncols) => {
-                let rep_bytes = reply_bytes(op, &compact, r);
-                charge(rank, Step::FetchReply, rep_bytes);
-                let a = Arc::new(scatter_cols_padded(&compact, &needed, owner_ncols as usize));
+            FetchRep::Tile(tile) => {
+                let leg = reply_leg(op, &tile, needed.len(), r);
+                charge(rank, Step::FetchReply, leg);
+                let a = Arc::new(tile.decode(&needed));
                 debug_assert_eq!(
                     a.ncols(),
                     b_recv.nrows(),
@@ -554,7 +542,7 @@ impl ExchangePlan {
                         TileEntry {
                             needed,
                             tile: Arc::clone(&a),
-                            rep_bytes: rep_bytes as u64,
+                            rep_bytes: leg.0 as u64,
                         },
                     );
                     self.cache.as_mut().expect("cache").stats.misses += 1;
@@ -581,22 +569,23 @@ impl ExchangePlan {
         r: usize,
     ) -> FetchRep<T> {
         match req {
-            FetchReq::Rows(needed) if needed.is_empty() => {
-                // Zero-row fast path: no extraction, no modeled time.
-                rank.clock_mut().record_comm(Step::FetchRequest, 0, 1);
-                rank.clock_mut().record_comm(Step::FetchReply, 0, 1);
-                if let Some(c) = self.cache.as_mut() {
-                    c.stats.empty_rounds += 1;
+            FetchReq::Cols(request) => {
+                let needed = request.decode();
+                if needed.is_empty() {
+                    // Zero-row fast path: no extraction, no modeled time.
+                    rank.clock_mut().record_comm(Step::FetchRequest, 0, 1);
+                    rank.clock_mut().record_comm(Step::FetchReply, 0, 1);
+                    if let Some(c) = self.cache.as_mut() {
+                        c.stats.empty_rounds += 1;
+                    }
+                    return FetchRep::Empty {
+                        nrows: a_shared.nrows() as u64,
+                        ncols: a_shared.ncols() as u64,
+                    };
                 }
-                FetchRep::Empty {
-                    nrows: a_shared.nrows() as u64,
-                    ncols: a_shared.ncols() as u64,
-                }
-            }
-            FetchReq::Rows(needed) => {
-                charge(rank, Step::FetchRequest, request_bytes(op, &needed, r));
-                let compact = extract_cols_compact(a_shared, &needed);
-                charge(rank, Step::FetchReply, reply_bytes(op, &compact, r));
+                charge(rank, Step::FetchRequest, request_leg(op, &request, needed.len(), r));
+                let tile = ColTile::encode(a_shared, &needed);
+                charge(rank, Step::FetchReply, reply_leg(op, &tile, needed.len(), r));
                 if let Some(c) = self.cache.as_mut() {
                     if let Some(batch) = c.cur_batch {
                         let epoch = c.epoch;
@@ -609,10 +598,10 @@ impl ExchangePlan {
                         );
                     }
                 }
-                FetchRep::Tile(compact, a_shared.ncols() as u64)
+                FetchRep::Tile(tile)
             }
             FetchReq::Unchanged => {
-                charge(rank, Step::FetchRequest, 0);
+                charge(rank, Step::FetchRequest, (0, 0));
                 let cache = self
                     .cache
                     .as_mut()
@@ -633,36 +622,40 @@ impl ExchangePlan {
                 });
                 if clean {
                     cache.stats.served_cached += 1;
-                    charge(rank, Step::FetchReply, 0);
+                    charge(rank, Step::FetchReply, (0, 0));
                     FetchRep::CacheValid
                 } else {
-                    let compact = extract_cols_compact(a_shared, &entry.needed);
+                    let tile = ColTile::encode(a_shared, &entry.needed);
+                    charge(rank, Step::FetchReply, reply_leg(op, &tile, entry.needed.len(), r));
                     let epoch = cache.epoch;
                     cache.owner_memo.get_mut(&key).expect("entry").served_epoch = epoch;
-                    charge(rank, Step::FetchReply, reply_bytes(op, &compact, r));
-                    FetchRep::Tile(compact, a_shared.ncols() as u64)
+                    FetchRep::Tile(tile)
                 }
             }
         }
     }
 }
 
-/// Modeled bytes of the request naming the `needed` columns.
-fn request_bytes(op: Op, needed: &[u32], r: usize) -> usize {
-    payload_bytes(op, Payload::Request { cols: needed.len() }, r)
+/// Modeled bytes and coded integers of `request`, which names `k` columns:
+/// the count and one gap per column.
+fn request_leg(op: Op, request: &ColRequest, k: usize, r: usize) -> (usize, usize) {
+    let index_bytes = request.index_bytes();
+    (payload_bytes(op, Payload::Request { index_bytes }, r), k + 1)
 }
 
-/// Modeled bytes of the reply `tile`, which has one column per requested
-/// column.
-fn reply_bytes<T: Copy>(op: Op, tile: &CscMatrix<T>, r: usize) -> usize {
-    let (nnz, cols) = (tile.nnz(), tile.ncols());
-    payload_bytes(op, Payload::Reply { nnz, cols }, r)
+/// Modeled bytes and coded integers of the reply `tile` to a request of `k`
+/// columns: a count per column and a row per nonzero.
+fn reply_leg<T: Copy>(op: Op, tile: &ColTile<T>, k: usize, r: usize) -> (usize, usize) {
+    let (nnz, index_bytes) = (tile.nnz(), tile.index_bytes());
+    (payload_bytes(op, Payload::Reply { nnz, index_bytes }, r), k + nnz)
 }
 
-/// Charge one fetch message leg to this rank's clock: `α + β·bytes`
-/// seconds plus the byte/message counters of `step`.
-fn charge(rank: &mut Rank, step: Step, bytes: usize) {
-    let cost = rank.machine().send_secs(bytes);
+/// Charge one side of a fetch message leg of `bytes` whose codec handles
+/// `coded` integers to this rank's clock: the encode or decode CPU plus
+/// `α + β·bytes` seconds, and the byte/message counters of `step`.
+fn charge(rank: &mut Rank, step: Step, (bytes, coded): (usize, usize)) {
+    let machine = rank.machine();
+    let cost = machine.compute_secs(coded as f64 * C_CODEC) + machine.send_secs(bytes);
     rank.clock_mut().advance(step, cost);
     rank.clock_mut().record_comm(step, bytes as u64, 1);
 }
@@ -730,7 +723,7 @@ mod tests {
                     // B's occupied rows.
                     let mut ws = spgemm_sparse::subset::SubsetWorkspace::new();
                     let need = spgemm_sparse::subset::needed_rows(&b_recv, &mut ws);
-                    let read = spgemm_sparse::subset::extract_cols_compact(&a_recv, &need);
+                    let read = ColTile::encode(&a_recv, &need).decode(&need);
                     got.push((read, b_recv.as_ref().clone()));
                 }
                 let fetch_bytes = rank.clock().breakdown().bytes_of(Step::FetchReply);
@@ -785,24 +778,49 @@ mod tests {
         }
     }
 
-    /// A reply is charged for what it carries: a row index and a value per
-    /// nonzero plus a count per requested column — a row index alone in the
-    /// symbolic sweep, whose tiles are patterns. Recomputed on the requester
-    /// from the tile and the needed set it received, stage by stage.
+    /// Bytes of the LEB128 varint of `x`, from its bit length.
+    fn varint_len(x: u64) -> u64 {
+        u64::from(64 - x.leading_zeros()).max(1).div_ceil(7)
+    }
+
+    /// Both fetch legs are charged for what their encodings carry,
+    /// recomputed on the requester from what it received, stage by stage: the
+    /// request from `needed` (its count, the first column, then
+    /// `c − prev − 1`), the reply as a value word per nonzero plus the
+    /// varints of a count per requested column and the row gaps inside each
+    /// (rows in full if the tile is unsorted) — the varints alone in the
+    /// symbolic sweep, whose tiles are patterns. Each side also pays the
+    /// codec's CPU for the integers it coded.
     #[test]
     fn reply_bytes_follow_the_tile_and_the_needed_set() {
+        type Leg = (u64, f64);
         fn recorded_vs_received<T: Copy + Send + Sync + 'static>(
             batch: Option<usize>,
             view: fn(&CscMatrix<f64>) -> CscMatrix<T>,
-        ) -> Vec<(u64, usize, usize)> {
+            sorted: bool,
+        ) -> Vec<[(Leg, Leg); 2]> {
             let n = 24usize;
             let per_rank = run_ranks(9, Machine::knl(), move |rank| {
                 let grid = Grid3D::new(rank, 1);
-                let a = er_random::<PlusTimesF64>(n, n, 3, 800 + grid.j as u64);
+                let mut a = er_random::<PlusTimesF64>(n, n, 3, 800 + grid.j as u64);
+                if !sorted {
+                    // Reverse every column: the tile must code rows in full.
+                    let (nrows, ncols, colptr, mut rowidx, mut vals, _) = a.into_parts();
+                    for w in colptr.windows(2) {
+                        rowidx[w[0]..w[1]].reverse();
+                        vals[w[0]..w[1]].reverse();
+                    }
+                    a = CscMatrix::from_parts(nrows, ncols, colptr, rowidx, vals).unwrap();
+                }
                 let b = er_random::<PlusTimesF64>(n, n, 2, 900 + grid.i as u64);
                 let (a, b) = (Arc::new(view(&a)), Arc::new(view(&b)));
                 let mut plan = ExchangePlan::new(ExchangeMode::SparseFetch);
                 let mut seen = Vec::new();
+                let legs = |rank: &Rank| {
+                    let bd = rank.clock().breakdown();
+                    [Step::FetchRequest, Step::FetchReply]
+                        .map(|st| (bd.bytes_of(st), bd.secs_of(st)))
+                };
                 for s in 0..grid.pr {
                     let op = Op::Stage {
                         s,
@@ -810,30 +828,77 @@ mod tests {
                         phase: Phase::Blocking,
                     };
                     let steps = (Step::ABcast, Step::BBcast);
-                    let before = rank.clock().breakdown().bytes_of(Step::FetchReply);
+                    let before = legs(rank);
                     let (tile, b_recv) = plan
                         .stage(rank, &grid, op, &a, &b, 24, steps, &mut Default::default())
                         .expect("a blocking stage delivers both operands");
-                    let recorded = rank.clock().breakdown().bytes_of(Step::FetchReply) - before;
-                    let k = needed_rows(&b_recv, &mut SubsetWorkspace::new()).len();
-                    // The owner's clock holds the replies it served instead.
-                    if s != grid.row.my_index() {
-                        seen.push((recorded, tile.nnz(), k));
+                    let after = legs(rank);
+                    let recorded =
+                        [0, 1].map(|i| (after[i].0 - before[i].0, after[i].1 - before[i].1));
+                    // The owner's clock holds the legs it served instead.
+                    if s == grid.row.my_index() {
+                        continue;
                     }
+                    assert_eq!(tile.is_sorted(), sorted);
+                    let needed = needed_rows(&b_recv, &mut SubsetWorkspace::new());
+                    let k = needed.len() as u64;
+                    let mut next = 0u64;
+                    let request: u64 = varint_len(k)
+                        + needed
+                            .iter()
+                            .map(|&c| {
+                                let gap = u64::from(c) - next;
+                                next = u64::from(c) + 1;
+                                varint_len(gap)
+                            })
+                            .sum::<u64>();
+                    let index: u64 = needed
+                        .iter()
+                        .map(|&c| {
+                            let rows = tile.col(c as usize).0;
+                            let mut prev = 0;
+                            let coded: u64 = rows
+                                .iter()
+                                .map(|&r| {
+                                    let x = if sorted { r - prev } else { r };
+                                    prev = r;
+                                    varint_len(u64::from(x))
+                                })
+                                .sum();
+                            varint_len(rows.len() as u64) + coded
+                        })
+                        .sum();
+                    let nnz = tile.nnz() as u64;
+                    let value_word = if batch.is_some() { 8 } else { 0 };
+                    let m = rank.machine();
+                    let secs = |bytes: u64, coded: u64| {
+                        m.send_secs(bytes as usize) + m.compute_secs(coded as f64 * C_CODEC)
+                    };
+                    let reply = value_word * nnz + index;
+                    assert!(k > 0 && nnz > 0, "the test needs non-empty tiles");
+                    seen.push([
+                        (recorded[0], (request, secs(request, k + 1))),
+                        (recorded[1], (reply, secs(reply, k + nnz))),
+                    ]);
                 }
                 seen
             });
             per_rank.into_iter().flatten().collect()
         }
-        let numeric = recorded_vs_received::<f64>(Some(0), CscMatrix::clone);
-        let sweep = recorded_vs_received::<()>(None, CscMatrix::pattern);
-        assert_eq!(numeric.len(), 9 * 2, "two row peers per rank");
-        for (recorded, nnz, k) in numeric {
-            assert!(nnz > 0 && k > 0, "the test needs non-empty tiles");
-            assert_eq!(recorded, 8 * (2 * nnz + k) as u64, "nnz {nnz}, k {k}");
-        }
-        for (recorded, nnz, k) in sweep {
-            assert_eq!(recorded, 8 * (nnz + k) as u64, "nnz {nnz}, k {k}");
+        for sorted in [true, false] {
+            let numeric = recorded_vs_received::<f64>(Some(0), CscMatrix::clone, sorted);
+            let sweep = recorded_vs_received::<()>(None, CscMatrix::pattern, sorted);
+            assert_eq!(numeric.len(), 9 * 2, "two row peers per rank");
+            for (what, legs) in [("numeric", numeric), ("sweep", sweep)] {
+                for [request, reply] in legs {
+                    for (leg, (got, want)) in [("request", request), ("reply", reply)] {
+                        let what = format!("{what} {leg}, sorted = {sorted}");
+                        assert_eq!(got.0, want.0, "{what}: bytes");
+                        let close = (got.1 - want.1).abs() <= 1e-12 * want.1;
+                        assert!(close, "{what}: {got:?} vs {want:?}");
+                    }
+                }
+            }
         }
     }
 

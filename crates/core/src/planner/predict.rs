@@ -7,18 +7,25 @@
 //! directly comparable to `RunOutput::max.total()` and the planner's regret
 //! against an exhaustive sweep stays small.
 //!
-//! One deliberate exception: a fetch reply and both legs of the symbolic
-//! sweep are priced here at `r` bytes per nonzero, while the run charges
-//! [`crate::schedule::payload_bytes`] — `(r − w)·nnz + w·k` for a reply,
-//! `2w·nnz` for a pattern operand, `w·(nnz + k)` for a symbolic reply. The
-//! planner therefore *over*-predicts those steps (`planner.residual_frac` on
-//! `kmer-aat-membound`: 0.037 → ≈0.29), the safe direction for admission.
-//! Feeding it the cheaper sizes was tried and not kept: on `serve-mixed`
-//! (tiny budgeted jobs, seed 20210517) the plan choices flip to candidates
-//! whose *simulated* run is worse — every leg updated: `modeled_msgs`
-//! 69 → 82, `modeled_s` +8.7 %; the symbolic legs only: 69 → 77, +9.7 % —
-//! regret the byte accounting should not import. Closing the gap belongs
-//! with the batch-count estimate it interacts with (ROADMAP item 8).
+//! One deliberate exception: a fetch reply, a fetch request and both legs
+//! of the symbolic sweep are priced here at `r` bytes per nonzero (4 per
+//! requested column), while the run charges
+//! [`crate::schedule::payload_bytes`] — for a pattern operand `2w·nnz`, and
+//! for the fetch legs what their wire format encodes: `(r − 2w)·nnz` plus
+//! the varint-coded counts and row gaps of a reply (the varints alone in
+//! the sweep), the gap-coded varint list of a request — plus the codec's
+//! CPU (`C_CODEC` per coded integer per side). The planner prices from a
+//! sketch and cannot know those varint lengths, which depend on the gaps
+//! between the rows it never sees. It therefore *over*-predicts those
+//! steps, the safe direction for admission: `planner.residual_frac` on
+//! `kmer-aat-membound` read 0.037 before the sweep moved patterns, ≈0.29
+//! after, and ≈0.65 since the fetch legs are encoded. Feeding it the
+//! cheaper sizes was tried and not kept: on `serve-mixed` (tiny budgeted
+//! jobs, seed 20210517) the plan choices flip to candidates whose
+//! *simulated* run is worse — every leg updated: `modeled_msgs` 69 → 82,
+//! `modeled_s` +8.7 %; the symbolic legs only: 69 → 77, +9.7 % — regret the
+//! byte accounting should not import. Closing the gap belongs with the
+//! batch-count estimate it interacts with (ROADMAP item 8).
 //!
 //! Three models compose:
 //!
@@ -531,7 +538,8 @@ pub fn predict_candidate(
 
     // Sparsity-aware fetch cost of one full A sweep. The critical path is
     // the stage owner, which serves its pr−1 row peers serially: one
-    // request round (4-byte row indices) plus replies carrying only the
+    // request round (priced at 4-byte row indices; the run codes them as
+    // varints, see the module docs) plus replies carrying only the
     // needed A columns. `b_piece` is the expected nnz of the B block a
     // receiver derives its needed set from; the occupancy of the stage's
     // inner-dimension slice gives the expected fraction of A columns

@@ -4,7 +4,7 @@
 //! The planner cannot afford a full Symbolic3D per candidate grid — that
 //! is a whole distributed structure pass with the communication pattern of
 //! an unbatched SUMMA sweep. Instead it runs serial `LocalSymbolic`
-//! ([`symbolic_col_counts`]) once, on a deterministic seeded sample of
+//! ([`symbolic_col_counts_fresh`]) once, on a deterministic seeded sample of
 //! `B`'s columns, and scales the per-column results up. Column-wise
 //! sampling is unbiased for the totals (`flops`, `nnz(C)` are sums of
 //! independent per-column quantities) and preserves exactly the per-column
@@ -12,7 +12,7 @@
 
 use crate::{CoreError, Result};
 use spgemm_sparse::ops::extract_cols;
-use spgemm_sparse::spgemm::symbolic_col_counts;
+use spgemm_sparse::spgemm::symbolic_col_counts_fresh;
 use spgemm_sparse::CscMatrix;
 
 /// How the probe samples.
@@ -129,7 +129,7 @@ fn sample_indices(n: usize, k: usize, seed: u64) -> Vec<usize> {
 /// Run the sampled symbolic probe on global operands.
 ///
 /// Structure-only and value-type-agnostic: `A` and `B` may hold different
-/// scalar types, exactly like [`symbolic_col_counts`].
+/// scalar types, exactly like [`symbolic_col_counts_fresh`].
 pub fn probe<T: Copy + Send + Sync, U: Copy + Sync>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
@@ -173,8 +173,7 @@ pub fn probe<T: Copy + Send + Sync, U: Copy + Sync>(
         sample_indices(n, target, cfg.seed)
     };
     let b_sample = extract_cols(b, &cols);
-    let (counts, stats, _) =
-        symbolic_col_counts::<_, _, ()>(a, &b_sample, &mut []).map_err(CoreError::Sparse)?;
+    let (counts, stats) = symbolic_col_counts_fresh(a, &b_sample).map_err(CoreError::Sparse)?;
 
     let mut col_flops = Vec::with_capacity(cols.len());
     let mut col_bnnz = Vec::with_capacity(cols.len());

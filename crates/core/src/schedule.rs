@@ -283,18 +283,20 @@ pub enum Payload {
         /// Nonzeros of the piece.
         nnz: usize,
     },
-    /// The needed-column index set of a fetch round.
+    /// The needed-column index set of a fetch round, gap-coded
+    /// (`spgemm_sparse::subset::ColRequest`).
     Request {
-        /// Columns asked for.
-        cols: usize,
+        /// Encoded length.
+        index_bytes: usize,
     },
-    /// The compact tile answering a [`Payload::Request`]: exactly its
-    /// `cols` columns, in request order, holding `nnz` nonzeros.
+    /// The tile answering a [`Payload::Request`]: exactly its columns, in
+    /// request order, holding `nnz` nonzeros
+    /// (`spgemm_sparse::subset::ColTile`).
     Reply {
         /// Nonzeros of the tile.
         nnz: usize,
-        /// Columns the request named.
-        cols: usize,
+        /// Length of the tile's varint-coded counts and rows.
+        index_bytes: usize,
     },
 }
 
@@ -309,22 +311,23 @@ pub enum Payload {
 /// | payload | numeric stage | symbolic sweep (`batch: None`) |
 /// |---|---|---|
 /// | `Operand` | `r·nnz` (Table II) | `2w·nnz`: the sweep reads no value |
-/// | `Reply` | `(r − w)·nnz + w·cols` | `w·nnz + w·cols` |
-/// | `Request` | `4·cols` | `4·cols` |
+/// | `Reply` | `(r − 2w)·nnz + index_bytes` | `index_bytes` |
+/// | `Request` | `index_bytes` | `index_bytes` |
 ///
-/// A reply spells no column id: the requester sent them, so a count per
-/// requested column delimits the tile. The request's 4-byte indices are
-/// its wire type's (`u32`), not a word of `r`. Ops other than
-/// [`Op::Stage`] move full operands.
+/// The fetch legs travel in their own wire format, so their indices cost
+/// what their encoding takes: a reply spells no column id (the requester
+/// sent them) and codes a count per column and the gaps between a column's
+/// rows as varints beside a value word per nonzero; a request is a
+/// gap-coded varint list. Ops other than [`Op::Stage`] move full operands.
 pub fn payload_bytes(op: Op, payload: Payload, r: usize) -> usize {
     let w = r / 3;
     let pattern = matches!(op, Op::Stage { batch: None, .. });
     match payload {
         Payload::Operand { nnz } if pattern => 2 * w * nnz,
         Payload::Operand { nnz } => r * nnz,
-        Payload::Request { cols } => 4 * cols,
-        Payload::Reply { nnz, cols } if pattern => w * (nnz + cols),
-        Payload::Reply { nnz, cols } => (r - w) * nnz + w * cols,
+        Payload::Request { index_bytes } => index_bytes,
+        Payload::Reply { index_bytes, .. } if pattern => index_bytes,
+        Payload::Reply { nnz, index_bytes } => (r - 2 * w) * nnz + index_bytes,
     }
 }
 
@@ -390,24 +393,25 @@ mod tests {
         };
         let (numeric, sweep) = (stage(Some(3)), stage(None));
         let operand = |nnz| Payload::Operand { nnz };
-        let reply = |nnz, cols| Payload::Reply { nnz, cols };
+        let reply = |nnz, index_bytes| Payload::Reply { nnz, index_bytes };
+        let request = |index_bytes| Payload::Request { index_bytes };
         // (op, payload, bytes at r = 24, bytes at r = 20: w = 6, value 8)
         let rows = [
             (numeric, operand(10), 240, 200),
             (sweep, operand(10), 160, 120),
-            (numeric, reply(10, 4), 192, 164),
-            (sweep, reply(10, 4), 112, 84),
-            (numeric, Payload::Request { cols: 4 }, 16, 16),
-            (sweep, Payload::Request { cols: 4 }, 16, 16),
+            (numeric, reply(10, 15), 95, 95),
+            (sweep, reply(10, 15), 15, 15),
+            (numeric, request(6), 6, 6),
+            (sweep, request(6), 6, 6),
             // Nothing stored: the reply still delimits its columns.
             (numeric, operand(0), 0, 0),
             (sweep, operand(0), 0, 0),
-            (numeric, reply(0, 4), 32, 24),
-            (sweep, reply(0, 4), 32, 24),
+            (numeric, reply(0, 4), 4, 4),
+            (sweep, reply(0, 4), 4, 4),
             // Nothing asked for.
             (numeric, reply(0, 0), 0, 0),
             (sweep, reply(0, 0), 0, 0),
-            (numeric, Payload::Request { cols: 0 }, 0, 0),
+            (numeric, request(0), 0, 0),
             // Whatever else moves a sparse operand moves all of it.
             (Op::RefreshB, operand(10), 240, 200),
             (Op::Scatter, operand(10), 240, 200),

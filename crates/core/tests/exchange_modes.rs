@@ -90,16 +90,18 @@ fn sparse_fetch_aat_matches_serial_reference() {
 /// A buggy peer that reposts a fetch request on an already-in-flight
 /// envelope — e.g. a requester whose fetch-round counter failed to
 /// advance, resending `Unchanged` on the same `(comm, tag, src, dst)` —
-/// is reported as a tag collision, with the real cache-state payload on
-/// the wire.
+/// is reported as a tag collision, with real payloads on the wire: an
+/// encoded request, then the cache-state control message.
 #[test]
 #[should_panic(expected = "TagCollision")]
 fn duplicate_fetch_request_tag_is_a_tag_collision() {
     use spgemm_core::exchange::{fetch_req_tag, FetchReq};
+    use spgemm_sparse::subset::ColRequest;
     spgemm_simgrid::run_ranks_checked(2, spgemm_simgrid::Machine::knl(), CheckMode::Check, |rank| {
         let comm = rank.world_comm();
         if rank.rank() == 0 {
-            rank.send(&comm, 1, fetch_req_tag(0), FetchReq::Rows(vec![1, 2, 3]));
+            let request = ColRequest::encode(&[1, 2, 3]);
+            rank.send(&comm, 1, fetch_req_tag(0), FetchReq::Cols(request));
             // Same round tag again — a desynced counter. The checker
             // rejects the second post at send time.
             rank.send(&comm, 1, fetch_req_tag(0), FetchReq::Unchanged);
@@ -223,11 +225,12 @@ fn fetch_steps_carry_the_a_traffic() {
     assert_eq!(dense.max.bytes_of(Step::BBcast), sparse.max.bytes_of(Step::BBcast));
 }
 
-/// What the memory-constrained path decides and delivers, pinned across a
-/// change of how stage payloads are sized and carried: `b` from a budgeted
+/// What the memory-constrained path decides and delivers, pinned across
+/// changes of how stage payloads are sized and carried: `b` from a budgeted
 /// Symbolic3D sweep, the product's bits, the message count and the tracked
 /// peak. [`MEMBOUND_GOLDEN`] is what the build *before* the sweep moved
-/// patterns and fetch replies went column-implicit printed; only modeled
+/// patterns and fetch replies went column-implicit printed, and again the
+/// build before the fetch legs got their own wire format; only modeled
 /// bytes and seconds may differ from it. Wake-up order must not matter
 /// either (the perturbation lane re-runs this under three seeds).
 #[test]

@@ -38,7 +38,7 @@ pub use dense_acc::spgemm_spa;
 pub use hash::spgemm_hash_unsorted;
 pub use heap::spgemm_heap;
 pub use hybrid::spgemm_hybrid;
-pub use symbolic::{symbolic_col_counts, symbolic_nnz};
+pub use symbolic::{symbolic_col_counts, symbolic_col_counts_fresh, symbolic_nnz};
 pub use workspace::SpGemmWorkspace;
 
 /// Work performed by a local kernel, in both physical and modeled units.
@@ -96,6 +96,21 @@ pub const C_DRAIN: f64 = 0.5;
 pub const C_HEAP_FLOP: f64 = 1.6;
 /// Per-element, per-log₂(length) cost of sorting a finished column.
 pub const C_SORT: f64 = 0.6;
+/// Per-integer cost of the fetch wire format's codec
+/// ([`crate::subset::ColRequest`], [`crate::subset::ColTile`]), charged once
+/// by the side that encodes and once by the side that decodes.
+///
+/// Measured, not fitted: `subset::tests::codec_cost` (an ignored host
+/// timing over one rank's nine reply tiles of the reads × k-mers `A·Aᵀ`,
+/// ≈12 700 coded integers each) reads 4.4–4.6 ns per coded integer per
+/// side (encode ≈ 5.0, decode ≈ 4.0, the decode including the full-width
+/// column pointer) on a 2-core Xeon. Against `sparse.multiply_ns_per_flop`
+/// = 12.4–16.3 ns of the tracked benchmark's `kmer-aat-membound`, the
+/// workload the codec serves, that is 0.27–0.37 hash flops. On the products
+/// of the tiles themselves the same test's hash kernel runs at 7.7–8.2
+/// ns/flop (ratio 0.57): one more instance of the per-flop spread a single
+/// `C_HASH_FLOP` stands for (ROADMAP item 10).
+pub const C_CODEC: f64 = 0.3;
 /// Per-input-element cost of hash merging (no multiplication, just ⊕).
 pub const C_MERGE_HASH: f64 = 0.8;
 /// Per-element, per-log₂(k) cost of heap merging `k` sorted matrices.

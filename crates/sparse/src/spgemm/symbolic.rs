@@ -18,9 +18,8 @@ use crate::Result;
 /// perform. `scratch.len()` is the thread count (see [`crate::par`]). Only
 /// each arena's structure-only accumulator is used, so the arenas' value
 /// type `W` is free of the operands': the per-rank arenas that serve the
-/// numeric kernels serve a sweep over [`CscMatrix::pattern`]s too. A call
-/// on throwaway scratch names it: `symbolic_col_counts::<_, _, ()>(a, b,
-/// &mut [])`.
+/// numeric kernels serve a sweep over [`CscMatrix::pattern`]s too. Callers
+/// that keep no arena use [`symbolic_col_counts_fresh`].
 pub fn symbolic_col_counts<T, U, W>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
@@ -73,13 +72,27 @@ fn count_cols<T: Copy, U: Copy, W: Copy>(
     Ok((counts, stats))
 }
 
-/// Total `nnz(A·B)`: [`symbolic_col_counts`] on throwaway scratch, summed.
+/// [`symbolic_col_counts`] inline, on a throwaway arena: `(col_counts,
+/// stats)` for a caller that keeps no workspace.
+pub fn symbolic_col_counts_fresh<T, U>(
+    a: &CscMatrix<T>,
+    b: &CscMatrix<U>,
+) -> Result<(Vec<u64>, WorkStats)>
+where
+    T: Copy + Sync,
+    U: Copy + Sync,
+{
+    let (counts, stats, _) = symbolic_col_counts::<_, _, ()>(a, b, &mut [])?;
+    Ok((counts, stats))
+}
+
+/// Total `nnz(A·B)`: [`symbolic_col_counts_fresh`], summed.
 pub fn symbolic_nnz<T, U>(a: &CscMatrix<T>, b: &CscMatrix<U>) -> Result<(u64, WorkStats)>
 where
     T: Copy + Sync,
     U: Copy + Sync,
 {
-    let (_, stats, _) = symbolic_col_counts::<_, _, ()>(a, b, &mut [])?;
+    let (_, stats) = symbolic_col_counts_fresh(a, b)?;
     Ok((stats.nnz_out, stats))
 }
 
@@ -94,7 +107,7 @@ mod tests {
     fn counts_match_numeric_kernel() {
         let a = er_random::<PlusTimesF64>(70, 70, 6, 51);
         let b = er_random::<PlusTimesF64>(70, 70, 6, 52);
-        let (counts, stats, _) = symbolic_col_counts::<_, _, ()>(&a, &b, &mut []).unwrap();
+        let (counts, stats) = symbolic_col_counts_fresh(&a, &b).unwrap();
         let (c, num_stats) = spgemm_spa::<PlusTimesF64>(&a, &b).unwrap();
         for (j, &count) in counts.iter().enumerate() {
             assert_eq!(count as usize, c.col_nnz(j), "column {j}");

@@ -27,7 +27,9 @@ use proptest::prelude::*;
 use spgemm_sparse::merge::{merge_hash_sorted, merge_hash_unsorted};
 use spgemm_sparse::ops::col_concat;
 use spgemm_sparse::semiring::{MinPlusF64, PlusTimesF64};
-use spgemm_sparse::spgemm::{spgemm_hash_unsorted, spgemm_hybrid, spgemm_spa, symbolic_col_counts};
+use spgemm_sparse::spgemm::{
+    spgemm_hash_unsorted, spgemm_hybrid, spgemm_spa, symbolic_col_counts, symbolic_col_counts_fresh,
+};
 use spgemm_sparse::{CscMatrix, Semiring, SpGemmWorkspace, WorkStats};
 
 /// Block heights: degenerate ones and both sides of a table-size boundary.
@@ -156,8 +158,7 @@ fn check<S: Semiring<T = f64>>(
     );
 
     let (counts, stats, _) = symbolic_col_counts(a, b, ws).unwrap();
-    let (table_counts, table_stats, _) =
-        symbolic_col_counts::<_, _, ()>(&tall_a, b, &mut []).unwrap();
+    let (table_counts, table_stats) = symbolic_col_counts_fresh(&tall_a, b).unwrap();
     assert_eq!(counts, table_counts, "symbolic counts");
     assert_same_work(stats, table_stats, one_range, "symbolic sweep");
     let spa_counts: Vec<u64> = (0..oracle.ncols())

@@ -16,7 +16,9 @@ use spgemm_sparse::gen::er_random;
 use spgemm_sparse::merge::{merge_hash_sorted, merge_hash_unsorted, merge_heap};
 use spgemm_sparse::par::{split_cols_by_weight, RangeBalance};
 use spgemm_sparse::semiring::{BoolOrAnd, MinPlusF64, PlusTimesF64, PlusTimesU64};
-use spgemm_sparse::spgemm::{spgemm_hash_unsorted, spgemm_hybrid, symbolic_col_counts};
+use spgemm_sparse::spgemm::{
+    spgemm_hash_unsorted, spgemm_hybrid, symbolic_col_counts, symbolic_col_counts_fresh,
+};
 use spgemm_sparse::{CscMatrix, Semiring, SpGemmWorkspace, Triples};
 
 /// The arena counts every comparison sweeps against the empty slice (1 is
@@ -34,7 +36,7 @@ fn arenas<T: Copy>(n: usize) -> Vec<SpGemmWorkspace<T>> {
 fn check_multiply<S: Semiring>(a: &CscMatrix<S::T>, b: &CscMatrix<S::T>) {
     let (hash, hash_stats, _) = spgemm_hash_unsorted::<S>(a, b, &mut []).unwrap();
     let (hybrid, hybrid_stats, _) = spgemm_hybrid::<S>(a, b, &mut []).unwrap();
-    let (counts, sym_stats, _) = symbolic_col_counts::<_, _, ()>(a, b, &mut []).unwrap();
+    let (counts, sym_stats) = symbolic_col_counts_fresh(a, b).unwrap();
     for n in ARENAS {
         let mut ws = arenas::<S::T>(n);
         let (c, stats, bal) = spgemm_hash_unsorted::<S>(a, b, &mut ws).unwrap();

@@ -13,7 +13,9 @@
 use proptest::prelude::*;
 use spgemm_sparse::merge::{merge_hash_sorted, merge_hash_unsorted, merge_heap};
 use spgemm_sparse::semiring::{MinPlusF64, PlusTimesF64, PlusTimesU64};
-use spgemm_sparse::spgemm::{spgemm_hash_unsorted, spgemm_hybrid, symbolic_col_counts};
+use spgemm_sparse::spgemm::{
+    spgemm_hash_unsorted, spgemm_hybrid, symbolic_col_counts, symbolic_col_counts_fresh,
+};
 use spgemm_sparse::{CscMatrix, Semiring, SpGemmWorkspace, Triples};
 
 /// Exact structural + bit equality (not `eq_modulo_order`).
@@ -48,7 +50,7 @@ fn round_trip<S: Semiring>(
     assert_bit_identical(&h_ws, &h_ref, "hybrid multiply");
 
     let (counts_ws, ..) = symbolic_col_counts(a, b, ws).unwrap();
-    let (counts_ref, ..) = symbolic_col_counts::<_, _, ()>(a, b, &mut []).unwrap();
+    let (counts_ref, _) = symbolic_col_counts_fresh(a, b).unwrap();
     assert_eq!(counts_ws, counts_ref, "symbolic counts");
 
     let parts = [c_ws.clone(), c_ws, c_ref];

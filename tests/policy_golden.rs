@@ -8,15 +8,18 @@
 //! a function of the schedule, not of the host, so the table also holds under
 //! `SPGEMM_PERTURB_SEED`.
 //!
-//! The table was last regenerated when the symbolic sweep began to move
-//! patterns and fetch replies stopped spelling column ids
-//! (`schedule::payload_bytes`). Every row runs a budgeted sweep, so every row
-//! moved, under this rule against the table printed before: only
-//! `total bits` and `bytes` differ, every `bytes` value is lower, and
-//! `messages | b | max peak` are character-identical. The
-//! `mcl-session sparse/*` rows also hold one `ExchangePlan` serving `()` in
-//! the sweep and `f64` in the batches with the fetch cache on: sweep rounds
-//! bypass the typed tile map, or the plan panics on its second element type.
+//! The table was last regenerated when the fetch legs got their own wire
+//! format (`subset::{ColRequest, ColTile}`, sized by their encoded index
+//! length in `schedule::payload_bytes`), under this rule against the table
+//! printed before: every `dense/*` row and `coarsen` are character-identical
+//! (they never fetch); in every `sparse/*` row only `total bits` and `bytes`
+//! differ, every `bytes` value is lower, and `messages | b | max peak` are
+//! character-identical. (The regeneration before it, when the symbolic sweep
+//! began to move patterns and fetch replies stopped spelling column ids,
+//! moved every row under the same rule.) The `mcl-session sparse/*` rows also
+//! hold one `ExchangePlan` serving `()` in the sweep and `f64` in the batches
+//! with the fetch cache on: sweep rounds bypass the typed tile map, or the
+//! plan panics on its second element type.
 
 use spgemm_apps::coarsen::{heavy_connectivity_matching, CoarsenConfig};
 use spgemm_apps::mcl::{markov_cluster, mcl_init, MclParams};
@@ -140,22 +143,22 @@ mcl-legacy dense/Overlapped iter 3 | 3f4e07c6845c0635 | 18280 | 30 | 2 | -\n\
 mcl-session dense/Overlapped iter 1 | 3f508ccbed350e12 | 35800 | 37 | 3 | -\n\
 mcl-session dense/Overlapped iter 2 | 3f4e0b5722288d5a | 19992 | 29 | 2 | -\n\
 mcl-session dense/Overlapped iter 3 | 3f4e07c6845c0632 | 19960 | 29 | 2 | -\n\
-spgemm sparse/Blocking | 3f5cea8d4888bd97 | 23768 | 51 | 5 | 20880\n\
-aat sparse/Blocking | 3f5d26d8ff1c3124 | 23768 | 50 | 5 | 20880\n\
-mcl-legacy sparse/Blocking iter 1 | 3f55afdcbee9f798 | 24612 | 46 | 3 | -\n\
-mcl-legacy sparse/Blocking iter 2 | 3f53e02a088ac2ba | 12872 | 36 | 2 | -\n\
-mcl-legacy sparse/Blocking iter 3 | 3f552e0b2a0bb328 | 12544 | 36 | 2 | -\n\
-mcl-session sparse/Blocking iter 1 | 3f55afdcbee9f798 | 25636 | 45 | 3 | -\n\
-mcl-session sparse/Blocking iter 2 | 3f53e02a088ac2ad | 14240 | 35 | 2 | -\n\
-mcl-session sparse/Blocking iter 3 | 3f552df5b07cd0f6 | 14204 | 35 | 2 | -\n\
-spgemm sparse/Overlapped | 3f5b9b8571979aed | 23768 | 51 | 5 | 20880\n\
-aat sparse/Overlapped | 3f5bdc1098ca23c7 | 23768 | 50 | 5 | 20880\n\
-mcl-legacy sparse/Overlapped iter 1 | 3f550ac586baaef9 | 24612 | 46 | 3 | -\n\
-mcl-legacy sparse/Overlapped iter 2 | 3f538b6f17856d8d | 12872 | 36 | 2 | -\n\
-mcl-legacy sparse/Overlapped iter 3 | 3f54d93fa9606d87 | 12544 | 36 | 2 | -\n\
-mcl-session sparse/Overlapped iter 1 | 3f55071ed54a1b7e | 25636 | 45 | 3 | -\n\
-mcl-session sparse/Overlapped iter 2 | 3f5388a8c75caa17 | 14240 | 35 | 2 | -\n\
-mcl-session sparse/Overlapped iter 3 | 3f54d64252ff84fc | 14204 | 35 | 2 | -\n\
+spgemm sparse/Blocking | 3f5ce14fb44f8484 | 21314 | 51 | 5 | 20880\n\
+aat sparse/Blocking | 3f5d1d61c0537912 | 21314 | 50 | 5 | 20880\n\
+mcl-legacy sparse/Blocking iter 1 | 3f55a56ace0edbad | 22124 | 46 | 3 | -\n\
+mcl-legacy sparse/Blocking iter 2 | 3f53def974309b68 | 12593 | 36 | 2 | -\n\
+mcl-legacy sparse/Blocking iter 3 | 3f552cd1d844aa53 | 12265 | 36 | 2 | -\n\
+mcl-session sparse/Blocking iter 1 | 3f55a56ace0edbad | 23148 | 45 | 3 | -\n\
+mcl-session sparse/Blocking iter 2 | 3f53def974309b5f | 13961 | 35 | 2 | -\n\
+mcl-session sparse/Blocking iter 3 | 3f552cc82c588cee | 13938 | 35 | 2 | -\n\
+spgemm sparse/Overlapped | 3f5b93d7fca8592b | 21314 | 51 | 5 | 20880\n\
+aat sparse/Overlapped | 3f5bd429794b6303 | 21314 | 50 | 5 | 20880\n\
+mcl-legacy sparse/Overlapped iter 1 | 3f55008d406f120b | 22124 | 46 | 3 | -\n\
+mcl-legacy sparse/Overlapped iter 2 | 3f538a21ade386bc | 12593 | 36 | 2 | -\n\
+mcl-legacy sparse/Overlapped iter 3 | 3f54d7e98251a530 | 12265 | 36 | 2 | -\n\
+mcl-session sparse/Overlapped iter 1 | 3f54fcace46eff92 | 23148 | 45 | 3 | -\n\
+mcl-session sparse/Overlapped iter 2 | 3f538778330282ca | 13961 | 35 | 2 | -\n\
+mcl-session sparse/Overlapped iter 3 | 3f54d514cedb40f4 | 13938 | 35 | 2 | -\n\
 coarsen dense/Blocking | 3f57f4723d32002c | 41864 | 39 | 5 | -";
 
 #[test]

@@ -7,7 +7,9 @@ use spgemm_sparse::ops::{
     col_concat, col_split_blocks, cyclic_batch_cols, extract_cols, transpose,
 };
 use spgemm_sparse::semiring::PlusTimesU64;
-use spgemm_sparse::spgemm::{spgemm_hash_unsorted, spgemm_heap, spgemm_spa, symbolic_col_counts};
+use spgemm_sparse::spgemm::{
+    spgemm_hash_unsorted, spgemm_heap, spgemm_spa, symbolic_col_counts_fresh,
+};
 use spgemm_sparse::{CscMatrix, Triples};
 
 /// Strategy: an arbitrary sparse u64 matrix with shape up to `maxdim` and
@@ -65,7 +67,7 @@ proptest! {
     /// Symbolic counts exactly predict numeric structure.
     #[test]
     fn symbolic_matches_numeric((a, b) in arb_pair(24, 80)) {
-        let (counts, _, _) = symbolic_col_counts::<_, _, ()>(&a, &b, &mut []).unwrap();
+        let (counts, _) = symbolic_col_counts_fresh(&a, &b).unwrap();
         let (c, _) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
         for (j, &count) in counts.iter().enumerate() {
             prop_assert_eq!(count as usize, c.col_nnz(j));
