@@ -8,12 +8,8 @@
 //! (Table VI): A-Bcast ↑ with b, ↓ with l; B-Bcast ↔ with b, ↓ with l;
 //! Local-Multiply ↔ with b, ↓ with l; AllToAll-/Merge-Fiber ↔ with b,
 //! ↑ with l.
-//!
-//! Also runs the paper's implicit ablation: block-cyclic vs plain block
-//! batch splitting (Sec. IV-B's Merge-Fiber load-balance argument).
 
 use spgemm_bench::{measure_f64, workloads, write_csv};
-use spgemm_core::batched::BatchingStrategy;
 use spgemm_core::planner::{self, PlannerConfig, ProbeConfig};
 use spgemm_core::{KernelStrategy, MemoryBudget, OverlapMode, RunConfig};
 use spgemm_simgrid::{Machine, Step, StepReport};
@@ -75,87 +71,6 @@ fn table6(report: &StepReport) {
         let l_dir = trend(find(1, 4).secs_of(s), find(16, 4).secs_of(s));
         println!("{:<22} {:>10} {:>10}", s.label(), b_dir, l_dir);
     }
-}
-
-/// Ablation of the block-cyclic batch split (Sec. IV-B).
-///
-/// The paper chooses blocks of `n/(b·l·√(p/l))` columns with a batch
-/// taking every `b`-th block so that ColSplit piece `k` of every batch
-/// consists of columns belonging to layer `k`'s sub-slice of `C`'s
-/// A-style distribution: after Merge-Fiber, each rank holds exactly the
-/// columns it would own as the owner of `C` — no redistribution before
-/// the next operation (e.g. HipMCL's next squaring), and the fiber merge
-/// load lands where the data lives. Plain block batching scrambles that
-/// placement. The metric below is the fraction of output nonzeros that
-/// land on their A-style owner rank.
-fn ablate_block_split(a: &CscMatrix<f64>, p: usize) {
-    use spgemm_core::batched::batched_summa3d;
-    use spgemm_core::dist::{scatter, sub_block, DistKind};
-    use spgemm_simgrid::{run_ranks, Grid3D};
-    use spgemm_sparse::semiring::PlusTimesF64;
-    use std::sync::Arc;
-
-    println!("\nAblation: block-cyclic (paper) vs plain block batching, p={p} l=4 b=8");
-    println!("metric: % of C nonzeros placed on their A-style owner rank after Merge-Fiber");
-    for (name, strat) in [
-        ("block-cyclic", BatchingStrategy::BlockCyclic),
-        ("plain-block", BatchingStrategy::Block),
-        ("balanced", BatchingStrategy::Balanced),
-    ] {
-        let a2 = a.clone();
-        let results = run_ranks(p, Machine::knl_mini(), move |rank| {
-            let grid = Grid3D::new(rank, 4);
-            let da = scatter(
-                rank,
-                &grid,
-                DistKind::AStyle,
-                (rank.rank() == 0).then(|| Arc::new(a2.clone())),
-            );
-            let db = scatter(
-                rank,
-                &grid,
-                DistKind::BStyle,
-                (rank.rank() == 0).then(|| Arc::new(a2.clone())),
-            );
-            // Balanced batching derives its weights from the symbolic
-            // pass, so let it run (same batch count target via budget).
-            let cfg = RunConfig {
-                batching: strat,
-                forced_batches: Some(8),
-                ..RunConfig::new(p, 4)
-            };
-            let result =
-                batched_summa3d::<PlusTimesF64>(rank, &grid, &da, &db, &cfg, |_r, out| {
-                    Some(out.piece)
-                })
-                .expect("batched run failed");
-            // This rank's owned column range under C's A-style distribution.
-            let own = sub_block(a2.ncols(), grid.pr, grid.j, grid.l, grid.k);
-            let mut owned = 0usize;
-            let mut total = 0usize;
-            for piece in &result.pieces {
-                for j in 0..piece.local.ncols() {
-                    let g = piece.global_cols[j] as usize;
-                    let nnz = piece.local.col_nnz(j);
-                    total += nnz;
-                    if own.contains(&g) {
-                        owned += nnz;
-                    }
-                }
-            }
-            (owned, total)
-        });
-        let owned: usize = results.iter().map(|&(o, _)| o).sum();
-        let total: usize = results.iter().map(|&(_, t)| t).sum();
-        println!(
-            "  {name:<13} {:>6.1}% conformant ({owned}/{total} nnz)",
-            100.0 * owned as f64 / total as f64
-        );
-    }
-    println!("Expected: ~100% for block-cyclic and balanced, far less for plain blocks —");
-    println!("the conformant layout is what lets HipMCL reuse the output as the next input.");
-    println!("(balanced is this repo's extension: symbolic per-column weights equalize");
-    println!(" per-batch intermediate volume while keeping the conformant placement.)");
 }
 
 /// Planner regret vs the exhaustive sweep: how much modeled makespan the
@@ -272,7 +187,6 @@ fn main() {
         }
     }
 
-    ablate_block_split(&friendster, 64);
     write_csv("fig4_layers_batches.csv", &all.to_csv());
     write_csv("fig4_planner_regret.csv", &regret_csv);
 }

@@ -90,34 +90,6 @@ pub fn metaclust20m_like(nreads: usize) -> CscMatrix<f64> {
     shuffled_reads(&col_concat(&[windows, repeats]).expect("concat"), 0x20A1)
 }
 
-/// Column-density gradient matrix: columns ramp linearly from ~2 to
-/// `max_deg` nonzeros. Used by the batching-strategy ablation — plain
-/// block batching assigns contiguous (hence similar-density) columns to a
-/// ColSplit piece, unbalancing AllToAll-/Merge-Fiber across the fiber,
-/// which is precisely the load-imbalance the paper's block-cyclic split
-/// (Sec. IV-B) is designed to avoid.
-pub fn gradient_like(n: usize, max_deg: usize) -> CscMatrix<f64> {
-    use spgemm_sparse::gen::er_random;
-    use spgemm_sparse::ops::{col_concat, extract_cols};
-    // Build per-column degrees by sampling from a dense ER pool.
-    let pool = er_random::<PlusTimesF64>(n, n, max_deg, 0x6EAD_1E47);
-    let mut cols = Vec::with_capacity(n);
-    for j in 0..n {
-        cols.push(extract_cols(&pool, &[j]));
-        let want = 2 + (max_deg.saturating_sub(2)) * j / n.max(1);
-        let keep: Vec<usize> = (0..want.min(pool.col_nnz(j))).collect();
-        let full = cols.pop().unwrap();
-        // Keep the first `want` entries of the column.
-        let (rows, vals) = full.col(0);
-        let mut t = spgemm_sparse::Triples::with_capacity(n, 1, keep.len());
-        for &k in &keep {
-            t.push(rows[k], 0, vals[k]);
-        }
-        cols.push(t.to_csc());
-    }
-    col_concat(&cols).expect("gradient concat")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,14 +124,6 @@ mod tests {
         let (nnz_c, _) = symbolic_nnz(&a, &at).unwrap();
         // nnz(A·Aᵀ) ≈ nnz(A): no batching needed, as in Table V.
         assert!((nnz_c as usize) < 3 * a.nnz());
-    }
-
-    #[test]
-    fn gradient_ramps_column_density() {
-        let g = gradient_like(400, 40);
-        let first_quarter: usize = (0..100).map(|j| g.col_nnz(j)).sum();
-        let last_quarter: usize = (300..400).map(|j| g.col_nnz(j)).sum();
-        assert!(last_quarter > 5 * first_quarter, "{first_quarter} vs {last_quarter}");
     }
 
     #[test]

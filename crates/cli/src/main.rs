@@ -11,8 +11,8 @@
 //!                 [--backend simgrid|native] [--threads N]
 //!                 [--machine knl|haswell|knl-mini|knl-ht]
 //!                 [--profile PROFILE.json] [--calibrate-out PROFILE.json]
-//!                 [--batching cyclic|block|balanced] [--overlap] [--check]
-//!                 [--trace T.json] [--out C.mtx] [--verify] [--json]
+//!                 [--overlap] [--check] [--trace T.json] [--out C.mtx]
+//!                 [--verify] [--json]
 //! spgemm plan     --a M.mtx [--b N.mtx | --square | --aat] --procs P
 //!                 [--budget-mb M] [--machine NAME | --profile PROFILE.json]
 //!                 [--algorithm NAME|auto | --auto] [--repl-factor C]
@@ -71,7 +71,7 @@
 //!
 //! The run-policy flags are parsed once, into one `RunConfig` (`policy.rs`),
 //! for `multiply`, `plan`, `mcl` and `audit` alike; `mcl` rejects the ones
-//! `MclParams` cannot carry (`--check --batches --batching --trace --auto`).
+//! `MclParams` cannot carry (`--check --batches --trace --auto`).
 
 #![forbid(unsafe_code)]
 
@@ -499,7 +499,7 @@ fn cmd_mcl(args: &Args) -> Result<(), String> {
     let a = load(args.req("input")?)?;
     // MCL takes the same policy flags as `multiply`, minus the ones
     // `MclParams` has no field for.
-    reject_flags(args, &["check", "batches", "batching", "trace"])?;
+    reject_flags(args, &["check", "batches", "trace"])?;
     let run = run_config_from_args(args)?;
     let LayerChoice::Fixed(layers) = run.layers else {
         return Err("mcl does not take --auto: give --layers L".into());

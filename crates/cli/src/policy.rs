@@ -1,11 +1,10 @@
 //! The run-policy flags, parsed once: `--procs --layers --auto --machine
 //! --profile --kernels --exchange --overlap --backend --threads --budget-mb
-//! --batches --batching --perturb-seed --check --trace` become one
+//! --batches --perturb-seed --check --trace` become one
 //! [`RunConfig`], and every subcommand that runs or describes a
 //! multiplication reads that value instead of the flags.
 
 use crate::args::Args;
-use spgemm_core::batched::BatchingStrategy;
 use spgemm_core::planner::MachineProfile;
 use spgemm_core::{
     BackendKind, ExchangeMode, KernelStrategy, LayerChoice, MemoryBudget, OverlapMode, RunConfig,
@@ -81,12 +80,6 @@ pub fn run_config_from_args(args: &Args) -> Result<RunConfig, String> {
         cfg.overlap = OverlapMode::Overlapped;
     }
     cfg.backend = backend_from_args(args, cfg.backend)?;
-    cfg.batching = match args.opt("batching").unwrap_or("cyclic") {
-        "cyclic" => BatchingStrategy::BlockCyclic,
-        "block" => BatchingStrategy::Block,
-        "balanced" => BatchingStrategy::Balanced,
-        other => return Err(format!("unknown batching strategy: {other}")),
-    };
     if let Some(b) = args.opt("batches") {
         cfg.forced_batches = Some(b.parse().map_err(|_| "bad --batches")?);
     } else if let Some(mb) = args.opt("budget-mb") {
@@ -153,12 +146,12 @@ mod tests {
     #[test]
     fn flags_land_in_the_run_config() {
         let line = "multiply --procs 64 --layers 4 --kernels previous --exchange sparse --overlap \
-                    --batching balanced --budget-mb 2 --perturb-seed 7 --check --trace t.json";
+                    --budget-mb 2 --perturb-seed 7 --check --trace t.json";
         let cfg = run_config_from_args(&parse(&line.split(' ').collect::<Vec<_>>())).unwrap();
         assert_eq!((cfg.p, cfg.layers), (64, LayerChoice::Fixed(4)));
         assert_eq!(cfg.kernels, KernelStrategy::Previous);
         assert_eq!((cfg.exchange, cfg.overlap), (ExchangeMode::SparseFetch, OverlapMode::Overlapped));
-        assert_eq!((cfg.batching, cfg.budget.total_bytes), (BatchingStrategy::Balanced, 2_000_000));
+        assert_eq!(cfg.budget.total_bytes, 2_000_000);
         assert_eq!((cfg.perturb, cfg.check, cfg.trace), (Some(7), CheckMode::Check, true));
         // A forced batch count wins over a budget; bad values are errors.
         let forced = parse(&["audit", "--batches", "3", "--budget-mb", "2"]);
@@ -170,8 +163,8 @@ mod tests {
 
     #[test]
     fn unsupported_policy_flags_are_rejected_by_name() {
-        let unsupported = ["check", "batches", "batching", "trace"];
-        for flags in [&["--check"][..], &["--batches", "4"], &["--batching", "block"], &["--trace", "t"]] {
+        let unsupported = ["check", "batches", "trace"];
+        for flags in [&["--check"][..], &["--batches", "4"], &["--trace", "t"]] {
             let err = reject_flags(&parse(&[&["mcl"], flags].concat()), &unsupported).unwrap_err();
             assert_eq!(err, format!("mcl does not take {}", flags[0]));
         }

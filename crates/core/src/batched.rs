@@ -2,13 +2,13 @@
 //!
 //! The batch count `b` comes from Symbolic3D (or a forced override for
 //! parameter sweeps). Each rank splits its local `B̃` column-wise into `b`
-//! batches — **block-cyclically** with `b·l` blocks of
-//! `n/(b·l·√(p/l))` columns, a batch taking every `b`-th block (Fig. 1(i));
-//! plain block splitting is available as an ablation of the paper's
-//! load-balance argument for Merge-Fiber. One SUMMA3D runs per batch, and
-//! the resulting `C` piece is handed to the application, which may prune,
-//! persist, transform, or discard it before the next batch begins — the
-//! HipMCL/BELLA/hypergraph-coarsening usage pattern the paper targets.
+//! batches by the paper's block-cyclic rule ([`batch_pieces`], Fig. 1(i)):
+//! `b·l` blocks, a batch taking every `b`-th block, so ColSplit piece `k`
+//! of a batch is one block destined for layer `k`. One SUMMA3D runs per
+//! batch, and the resulting `C` piece is handed to the application, which
+//! may prune, persist, transform, or discard it before the next batch
+//! begins — the HipMCL/BELLA/hypergraph-coarsening usage pattern the paper
+//! targets.
 
 use crate::dist::{CPiece, DistMatrix};
 use crate::exchange::{ExchangePlan, StagePending};
@@ -18,34 +18,14 @@ use crate::memory::MemTracker;
 use crate::schedule::{self, Op};
 use crate::summa2d::StageAccumulator;
 use crate::summa3d::{fiber_exchange, merge_fiber};
-use crate::symbolic::{symbolic3d_with_weights, SymbolicOutcome};
+use crate::symbolic::{symbolic3d, SymbolicOutcome};
 use crate::{CoreError, Result};
 use spgemm_simgrid::{Grid3D, Rank, Step};
-use spgemm_sparse::ops::{block_range, cyclic_batch_cols, extract_cols};
+use spgemm_sparse::ops::{batch_pieces, block_range, extract_cols};
 use spgemm_sparse::par::RangeBalance;
 use spgemm_sparse::{CscMatrix, Semiring, WorkStats};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// How batches partition the columns of `B` (and `C`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchingStrategy {
-    /// The paper's block-cyclic split: `b·l` blocks, batch `t` takes every
-    /// `b`-th block — keeps each ColSplit piece inside its layer's
-    /// sub-slice of `C`'s distribution.
-    #[default]
-    BlockCyclic,
-    /// Plain contiguous blocks (ablation baseline; scrambles the output
-    /// distribution — see the fig4 ablation).
-    Block,
-    /// **Extension beyond the paper**: weight-balanced batching. Uses the
-    /// symbolic pass's per-column unmerged counts to cut each layer
-    /// sub-slice into `b` runs of near-equal intermediate volume, so every
-    /// batch costs about the same memory — tightening Alg. 3's even-split
-    /// assumption on skewed matrices while preserving the block-cyclic
-    /// split's distribution conformance.
-    Balanced,
-}
 
 /// One batch's output as delivered to the application callback.
 #[derive(Debug)]
@@ -57,16 +37,6 @@ pub struct BatchOutput<T: Copy> {
     /// This rank's piece of the batch's columns of `C` (sorted columns,
     /// global coordinates attached).
     pub piece: CPiece<T>,
-}
-
-/// What the application decided to do with a batch (for reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchDisposition {
-    /// Piece retained (possibly transformed).
-    Kept,
-    /// Piece discarded after inspection (pruned away / persisted
-    /// externally) — the memory-constrained pattern.
-    Discarded,
 }
 
 /// Result of a batched multiplication on one rank.
@@ -93,101 +63,24 @@ pub struct BatchedResult<T: Copy> {
     pub load_balance: RangeBalance,
 }
 
-/// One batch's local column selection: the column indices plus the
-/// boundaries at which ColSplit cuts them into `l` fiber pieces
-/// (`piece_offsets.len() == l + 1`, indices into `cols`). Explicit
-/// boundaries let every strategy keep piece `k` inside layer `k`'s
-/// sub-slice of the output distribution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchCols {
-    /// Local column indices of `B̃` in this batch, ascending.
-    pub cols: Vec<usize>,
-    /// ColSplit boundaries into `cols` (length `l + 1`).
-    pub piece_offsets: Vec<usize>,
-}
-
-/// Local column selection of batch `t`. `weights` (per local column; the
-/// symbolic pass's unmerged counts) are required by
-/// [`BatchingStrategy::Balanced`] and ignored otherwise.
-pub fn batch_local_cols(
-    ncols_local: usize,
-    nbatches: usize,
-    l: usize,
-    batch: usize,
-    strategy: BatchingStrategy,
-    weights: Option<&[u64]>,
-) -> BatchCols {
-    match strategy {
-        BatchingStrategy::BlockCyclic => {
-            let cols = cyclic_batch_cols(ncols_local, nbatches, l, batch);
-            // Piece s is block `batch + s·nbatches` of the b·l blocks.
-            let mut piece_offsets = Vec::with_capacity(l + 1);
-            piece_offsets.push(0);
-            let mut acc = 0usize;
-            for s in 0..l {
-                acc += block_range(ncols_local, nbatches * l, batch + s * nbatches).len();
-                piece_offsets.push(acc);
-            }
-            debug_assert_eq!(acc, cols.len());
-            BatchCols { cols, piece_offsets }
-        }
-        BatchingStrategy::Block => {
-            let cols: Vec<usize> = block_range(ncols_local, nbatches, batch).collect();
-            let mut piece_offsets = Vec::with_capacity(l + 1);
-            piece_offsets.push(0);
-            for s in 0..l {
-                piece_offsets.push(block_range(cols.len(), l, s).end);
-            }
-            BatchCols { cols, piece_offsets }
-        }
-        BatchingStrategy::Balanced => {
-            let weights = weights.expect("Balanced batching needs per-column weights");
-            assert_eq!(weights.len(), ncols_local);
-            let mut cols = Vec::new();
-            let mut piece_offsets = Vec::with_capacity(l + 1);
-            piece_offsets.push(0);
-            for s in 0..l {
-                // Within layer sub-slice s, cut columns into `nbatches`
-                // contiguous runs of near-equal total weight and take run
-                // `batch`. Deterministic, identical on every rank that
-                // shares the weights. Each weight is scaled to
-                // `w·len + 1` (u128: no overflow): the `+1` epsilon makes
-                // zero- and constant-weight slices degrade to column-count
-                // balance instead of dumping every column into run 0, and
-                // the `len` scaling keeps real weight ratios dominant.
-                // The target is recomputed from the *remaining* weight
-                // after each run closes (ceil division), so early
-                // overshoot can never starve the last runs.
-                let slice = block_range(ncols_local, l, s);
-                let scaled: Vec<u128> = slice
-                    .clone()
-                    .map(|j| weights[j] as u128 * slice.len() as u128 + 1)
-                    .collect();
-                let mut remaining: u128 = scaled.iter().sum();
-                let mut runs_left = nbatches as u128;
-                let mut target = remaining.div_ceil(runs_left.max(1));
-                let mut run = 0usize; // current run id
-                let mut acc = 0u128;
-                for (w, j) in scaled.into_iter().zip(slice) {
-                    if run == batch {
-                        cols.push(j);
-                    }
-                    acc += w;
-                    remaining -= w;
-                    // Close the run when it reaches its share, keeping at
-                    // least one remaining run per remaining batch.
-                    if acc >= target && run + 1 < nbatches {
-                        run += 1;
-                        acc = 0;
-                        runs_left -= 1;
-                        target = remaining.div_ceil(runs_left);
-                    }
-                }
-                piece_offsets.push(cols.len());
-            }
-            BatchCols { cols, piece_offsets }
-        }
-    }
+/// Whether the block-cyclic split of an `n`-column `C` into `b` batches
+/// lands every batch piece where the A-style layout keeps it: for each
+/// process column `j`, piece `k` of every batch lies inside layer `k`'s
+/// sub-slice of `block_range(n, pr, j)`. Holds whenever `b·l` divides
+/// every local column count (and always at `l = 1`). Only then can the
+/// kept pieces be reassembled in place into an A-style matrix, which is
+/// what [`crate::IterSession`] does. Rank-independent: every rank of a
+/// `pr × pr × l` grid gets the same answer.
+pub(crate) fn split_is_conformal(n: usize, pr: usize, l: usize, b: usize) -> bool {
+    (0..pr).all(|j| {
+        let ncols = block_range(n, pr, j).len();
+        (0..b).all(|t| {
+            batch_pieces(ncols, b, l, t).enumerate().all(|(k, piece)| {
+                let slice = block_range(ncols, l, k);
+                piece.is_empty() || (slice.start <= piece.start && piece.end <= slice.end)
+            })
+        })
+    })
 }
 
 /// One batch's inputs: its index, the global ids of its columns, the
@@ -203,7 +96,7 @@ struct Staged<T> {
 /// returns `Some(piece)` to keep (possibly transformed — e.g. pruned) or
 /// `None` to discard. The returned [`BatchedResult`] collects kept pieces.
 ///
-/// Of the run policy this reads `kernels`, `batching`, `budget`,
+/// Of the run policy this reads `kernels`, `budget`,
 /// `forced_batches`, `overlap`, `exchange`, `backend` and `algorithm` (the
 /// 1.5D families never batch and are rejected — route them through
 /// `run_spmm`/`run_spgemm`); the grid and the cluster are the caller's.
@@ -268,38 +161,14 @@ pub fn batched_summa3d_with<S: Semiring>(
     if cfg.forced_batches == Some(0) {
         return Err(CoreError::Config("forced batch count must be ≥ 1".into()));
     }
-    let needs_weights = cfg.batching == BatchingStrategy::Balanced;
     // Alg. 4 line 2: the symbolic step determines b (unless forced).
-    // Balanced batching needs the symbolic per-column counts either way.
-    let (nbatches, symbolic, local_weights) = match (cfg.forced_batches, needs_weights) {
-        (Some(forced), false) => (forced, None, None),
-        (forced, _) => {
-            let (outcome, weights) =
-                symbolic3d_with_weights::<S>(rank, grid, a, b, &cfg.budget, kernels, plan)?;
-            let nb = forced.unwrap_or(outcome.batches);
-            let weights = needs_weights.then_some(weights);
-            (nb, Some(outcome), weights)
+    let (nbatches, symbolic) = match cfg.forced_batches {
+        Some(forced) => (forced, None),
+        None => {
+            let outcome = symbolic3d::<S>(rank, grid, a, b, &cfg.budget, kernels, plan)?;
+            (outcome.batches, Some(outcome))
         }
     };
-
-    // Balanced batching must agree across every rank that shares a column
-    // block of B (all i and k for this j): reduce the per-column counts
-    // over that group.
-    let weights = local_weights.map(|mine| {
-        let members: Vec<usize> = (0..grid.l)
-            .flat_map(|k| (0..grid.pr).map(move |i| (i, k)))
-            .map(|(i, k)| grid.rank_of(i, grid.j, k))
-            .collect();
-        let group = rank.comm(members, 0xBA1A);
-        let all = rank.allgather(&group, mine, b.local.ncols() * 8, Step::Other);
-        let mut total = vec![0u64; b.local.ncols()];
-        for contrib in &all {
-            for (t, &c) in total.iter_mut().zip(contrib.iter()) {
-                *t += c;
-            }
-        }
-        total
-    });
 
     let mut mem = MemTracker::new();
     mem.alloc(a.local.modeled_bytes(r) + b.local.modeled_bytes(r));
@@ -312,31 +181,25 @@ pub fn batched_summa3d_with<S: Semiring>(
     // SUMMA stage posts batch t+1's stage-0 broadcasts (extraction is local
     // bookkeeping and costs no modeled time).
     let stage = |t: usize| {
-        let batch_cols = batch_local_cols(
-            b.local.ncols(),
-            nbatches,
-            grid.l,
-            t,
-            cfg.batching,
-            weights.as_deref(),
-        );
-        let global_cols: Vec<u32> = batch_cols
-            .cols
-            .iter()
-            .map(|&c| (b_col_start + c) as u32)
-            .collect();
-        let b_piece = Arc::new(extract_cols(&b.local, &batch_cols.cols));
+        let mut cols = Vec::new();
+        let mut piece_offsets = vec![0];
+        for piece in batch_pieces(b.local.ncols(), nbatches, grid.l, t) {
+            cols.extend(piece);
+            piece_offsets.push(cols.len());
+        }
+        let global_cols: Vec<u32> = cols.iter().map(|&c| (b_col_start + c) as u32).collect();
+        let b_piece = Arc::new(extract_cols(&b.local, &cols));
         spgemm_sparse::debug_validate!(
             *b_piece,
             spgemm_sparse::Sortedness::Sorted,
             "batch {t} B-piece ({} of {} local columns)",
-            batch_cols.cols.len(),
+            cols.len(),
             b.local.ncols()
         );
         Staged {
             batch: t,
             global_cols,
-            piece_offsets: batch_cols.piece_offsets,
+            piece_offsets,
             b_piece,
         }
     };
@@ -435,120 +298,46 @@ pub fn batched_summa3d_with<S: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::sub_block;
 
+    /// The predicate against a column-by-column placement: every column
+    /// the split hands to layer `k` must be one the A-style layout gives to
+    /// layer `k`.
     #[test]
-    fn batch_local_cols_cover_for_all_strategies() {
-        // Synthetic skewed weights for the Balanced strategy.
-        for ncols in [10usize, 17, 64] {
-            let weights: Vec<u64> = (0..ncols as u64).map(|j| 1 + j * j % 37).collect();
-            for strat in [
-                BatchingStrategy::BlockCyclic,
-                BatchingStrategy::Block,
-                BatchingStrategy::Balanced,
-            ] {
-                for nb in [1usize, 3, 5] {
-                    let mut all = Vec::new();
-                    for t in 0..nb {
-                        let bc = batch_local_cols(ncols, nb, 4, t, strat, Some(&weights));
-                        assert_eq!(bc.piece_offsets.len(), 5, "{strat:?}");
-                        assert_eq!(*bc.piece_offsets.last().unwrap(), bc.cols.len());
-                        assert!(bc.piece_offsets.windows(2).all(|w| w[0] <= w[1]));
-                        all.extend(bc.cols);
+    fn conformal_predicate_matches_brute_force_placement() {
+        let placed_conformally = |n: usize, pr: usize, l: usize, b: usize| {
+            (0..pr).all(|j| {
+                let cols = block_range(n, pr, j);
+                (0..b).all(|t| {
+                    batch_pieces(cols.len(), b, l, t).enumerate().all(|(k, piece)| {
+                        piece.map(|c| cols.start + c).all(|gc| {
+                            let owner = (0..l).find(|&q| sub_block(n, pr, j, l, q).contains(&gc));
+                            owner == Some(k)
+                        })
+                    })
+                })
+            })
+        };
+        let mut refused = 0;
+        for ncols in 0..=50usize {
+            for l in 1..=4usize {
+                for b in 1..=13usize {
+                    let want = placed_conformally(ncols, 1, l, b);
+                    assert_eq!(split_is_conformal(ncols, 1, l, b), want, "ncols={ncols} l={l} b={b}");
+                    refused += usize::from(!want);
+                    if l == 1 || (ncols > 0 && ncols % (b * l) == 0) {
+                        assert!(want, "b·l | ncols is conformal: ncols={ncols} l={l} b={b}");
                     }
-                    all.sort_unstable();
-                    assert_eq!(all, (0..ncols).collect::<Vec<_>>(), "{strat:?} nb={nb}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn cyclic_batches_balance_colsplit_blocks() {
-        // Under block-cyclic batching, each batch's local columns form l
-        // equal-ish runs, one per layer — so ColSplit pieces are balanced.
-        let (ncols, nb, l) = (64usize, 4usize, 4usize);
-        for t in 0..nb {
-            let bc = batch_local_cols(ncols, nb, l, t, BatchingStrategy::BlockCyclic, None);
-            assert_eq!(bc.cols.len(), ncols / nb);
-            // Runs of consecutive indices: exactly l of them.
-            let runs = bc.cols.windows(2).filter(|w| w[1] != w[0] + 1).count() + 1;
-            assert_eq!(runs, l);
-            // Piece offsets land exactly at the run boundaries.
-            for s in 0..l {
-                let piece = &bc.cols[bc.piece_offsets[s]..bc.piece_offsets[s + 1]];
-                assert!(piece.windows(2).all(|w| w[1] == w[0] + 1), "piece {s} contiguous");
-            }
+        assert!(refused > 0, "the grid must include non-conformal splits");
+        // Process columns with different local widths: 97 = 49 + 48.
+        for b in 1..=12usize {
+            assert_eq!(split_is_conformal(97, 2, 4, b), placed_conformally(97, 2, 4, b), "b={b}");
         }
-    }
-
-    #[test]
-    fn balanced_batches_equalize_weight() {
-        // Strongly skewed weights: Balanced must flatten per-batch totals
-        // far below the spread the plain cyclic split leaves.
-        let ncols = 120usize;
-        let (nb, l) = (4usize, 2usize);
-        // A steep ramp: later columns are ~100x heavier than early ones.
-        let weights: Vec<u64> = (0..ncols as u64).map(|j| 1 + j * j).collect();
-        let spread = |strat: BatchingStrategy| {
-            let mut totals = Vec::new();
-            for t in 0..nb {
-                let bc = batch_local_cols(ncols, nb, l, t, strat, Some(&weights));
-                totals.push(bc.cols.iter().map(|&c| weights[c]).sum::<u64>());
-            }
-            let max = *totals.iter().max().unwrap() as f64;
-            let mean = totals.iter().sum::<u64>() as f64 / nb as f64;
-            max / mean
-        };
-        let balanced = spread(BatchingStrategy::Balanced);
-        let block = spread(BatchingStrategy::Block);
-        assert!(
-            balanced < 1.25,
-            "balanced spread should be near 1, got {balanced}"
-        );
-        assert!(
-            block > 2.0,
-            "plain blocks on a ramp should be badly imbalanced, got {block}"
-        );
-        assert!(balanced < block);
-    }
-
-    #[test]
-    fn balanced_zero_and_constant_weights_fall_back_to_column_balance() {
-        // Regression: a zero-weight slice once made `target = 0/nb + 1 = 1`
-        // unreachable, dumping every column into run 0 and leaving batches
-        // 1..nb empty from that slice.
-        let (ncols, nb, l) = (10usize, 3usize, 1usize);
-        for weights in [vec![0u64; ncols], vec![7u64; ncols]] {
-            let mut sizes = Vec::new();
-            let mut all = Vec::new();
-            for t in 0..nb {
-                let bc =
-                    batch_local_cols(ncols, nb, l, t, BatchingStrategy::Balanced, Some(&weights));
-                sizes.push(bc.cols.len());
-                all.extend(bc.cols);
-            }
-            all.sort_unstable();
-            assert_eq!(all, (0..ncols).collect::<Vec<_>>());
-            assert!(sizes.iter().all(|&s| s > 0), "every batch gets columns: {sizes:?}");
-            let min = *sizes.iter().min().unwrap();
-            let max = *sizes.iter().max().unwrap();
-            assert!(max - min <= 1, "column counts must balance: {sizes:?}");
-        }
-    }
-
-    #[test]
-    fn balanced_small_totals_do_not_starve_last_runs() {
-        // Regression: 6 unit-weight columns into 4 batches under the old
-        // `total/nb + 1` overshoot target landed as 2,2,2,0.
-        let weights = vec![1u64; 6];
-        let sizes: Vec<usize> = (0..4)
-            .map(|t| {
-                batch_local_cols(6, 4, 1, t, BatchingStrategy::Balanced, Some(&weights))
-                    .cols
-                    .len()
-            })
-            .collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 6);
-        assert!(sizes.iter().all(|&s| s > 0), "no starved run: {sizes:?}");
+        // The 96-column iterate at p = 16, l = 4: 48 local columns.
+        let ok: Vec<usize> = (1..=12).filter(|&b| split_is_conformal(96, 2, 4, b)).collect();
+        assert_eq!(ok, [1, 2, 3, 4, 6, 12]);
     }
 }

@@ -10,7 +10,7 @@
 //! [`run_spgemm_aat`] are `run_batched` with the keep-or-discard callback.
 
 use crate::backend::BackendKind;
-use crate::batched::{batched_summa3d, BatchOutput, BatchingStrategy};
+use crate::batched::{batched_summa3d, BatchOutput};
 use crate::dist::{gather_pieces, scatter, transpose_to_bstyle, CPiece, DistKind};
 use crate::exchange::ExchangeMode;
 use crate::family15::{spmm_15d, AlgorithmFamily};
@@ -48,7 +48,7 @@ pub enum LayerChoice {
 /// | `run_world` (the launcher) | `p`, `machine`, `check`, `perturb`, `job`, `trace` |
 /// | [`run_on_grid`] | `layers` (must be `Fixed` by then) |
 /// | [`run_batched`] | `layers` (`Auto` is planned here), `discard_output` |
-/// | [`batched_summa3d`] and [`crate::IterSession`] | `kernels`, `batching`, `budget`, `forced_batches`, `overlap`, `exchange`, `backend`, `algorithm` (SUMMA members only) |
+/// | [`batched_summa3d`] and [`crate::IterSession`] | `kernels`, `budget`, `forced_batches`, `overlap`, `exchange`, `backend`, `algorithm` (SUMMA members only) |
 /// | [`run_spmm`] (1.5D) | `algorithm`, `backend`, `budget`, `discard_output` |
 /// | [`PlannerConfig::for_run`] | `machine`, `budget`, `kernels`, `overlap`, `exchange`, `algorithm`, `forced_batches` |
 ///
@@ -65,8 +65,6 @@ pub struct RunConfig {
     pub machine: Machine,
     /// Local kernel generation.
     pub kernels: KernelStrategy,
-    /// Batch partitioning scheme.
-    pub batching: BatchingStrategy,
     /// Aggregate memory budget (drives the symbolic batch count).
     pub budget: MemoryBudget,
     /// Force a batch count, skipping the symbolic step (Fig. 4 sweeps).
@@ -114,15 +112,14 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Defaults: KNL cost model, new kernels, block-cyclic batching,
-    /// unlimited memory, symbolic batch count, keep output.
+    /// Defaults: KNL cost model, new kernels, unlimited memory, symbolic
+    /// batch count, keep output.
     pub fn new(p: usize, layers: usize) -> Self {
         RunConfig {
             p,
             layers: LayerChoice::Fixed(layers),
             machine: Machine::knl(),
             kernels: KernelStrategy::New,
-            batching: BatchingStrategy::BlockCyclic,
             budget: MemoryBudget::unlimited(),
             forced_batches: None,
             discard_output: false,
@@ -583,25 +580,6 @@ pub fn run_spgemm_aat<S: Semiring>(
     run_plain::<S>(cfg, a, &BOperand::TransposeOfA)
 }
 
-/// Multiply with **row-wise batching**: batches select rows of `C` (and
-/// of `A`) instead of columns. The paper (Sec. IV-B) notes column-wise
-/// batching is expensive when `nnz(A) ≫ nnz(B)` — `A` is rebroadcast per
-/// batch — "however, if inputs are square matrices, we can easily use
-/// row-by-row batching on B using the same algorithm". Implemented via
-/// the transpose identity `C = (Bᵀ·Aᵀ)ᵀ`: the heavy operand moves to the
-/// B slot, whose bandwidth cost is batch-count-independent (Table II).
-pub fn run_spgemm_row_batched<S: Semiring>(
-    cfg: &RunConfig,
-    a: &CscMatrix<S::T>,
-    b: &CscMatrix<S::T>,
-) -> Result<RunOutput<S::T>> {
-    let at = spgemm_sparse::ops::transpose(a);
-    let bt = spgemm_sparse::ops::transpose(b);
-    let mut out = run_spgemm::<S>(cfg, &bt, &at)?;
-    out.c = out.c.map(|ct| spgemm_sparse::ops::transpose(&ct));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,44 +612,22 @@ mod tests {
     }
 
     #[test]
-    fn row_batching_equals_column_batching() {
-        // The Sec. IV-B identity: row batches of C via (Bᵀ·Aᵀ)ᵀ.
-        let a = er_random::<PlusTimesU64>(40, 40, 8, 151).map(|_| 1u64); // heavy A
-        let b = er_random::<PlusTimesU64>(40, 40, 2, 152).map(|_| 1u64); // light B
-        let mut cfg = RunConfig::new(16, 4);
-        cfg.forced_batches = Some(4);
-        let col = run_spgemm::<PlusTimesU64>(&cfg, &a, &b).unwrap();
-        let row = run_spgemm_row_batched::<PlusTimesU64>(&cfg, &a, &b).unwrap();
-        assert!(row.c.unwrap().eq_modulo_order(&col.c.unwrap()));
-        // The point of row batching: the heavy operand (A) sits in the
-        // B slot, so its total broadcast volume is b-independent, while
-        // column batching rebroadcasts it every batch.
-        let rebroadcast_col = col.max.secs_of(Step::ABcast);
-        let rebroadcast_row = row.max.secs_of(Step::ABcast);
-        assert!(
-            rebroadcast_row < rebroadcast_col,
-            "row batching should stop rebroadcasting the heavy operand:              {rebroadcast_row} vs {rebroadcast_col}"
-        );
-    }
-
-    #[test]
     fn batched_equals_serial_across_configs() {
         let a = er_random::<PlusTimesU64>(60, 60, 5, 51).map(|_| 1u64);
         let b = er_random::<PlusTimesU64>(60, 60, 5, 52).map(|_| 1u64);
         let (reference, _) = spgemm_spa::<PlusTimesU64>(&a, &b).unwrap();
+        // At (16, 4) each rank holds 30 local columns: b = 2 and b = 5 cut
+        // them into 8 and 20 blocks, neither dividing 30.
         for (p, l) in [(4usize, 1usize), (8, 2), (16, 4)] {
             for nb in [1usize, 2, 5] {
-                for batching in [BatchingStrategy::BlockCyclic, BatchingStrategy::Block] {
-                    let mut cfg = RunConfig::new(p, l);
-                    cfg.forced_batches = Some(nb);
-                    cfg.batching = batching;
-                    let out = run_spgemm::<PlusTimesU64>(&cfg, &a, &b).unwrap();
-                    assert_eq!(out.nbatches, nb);
-                    assert!(
-                        out.c.as_ref().unwrap().eq_modulo_order(&reference),
-                        "p={p} l={l} b={nb} {batching:?}"
-                    );
-                }
+                let mut cfg = RunConfig::new(p, l);
+                cfg.forced_batches = Some(nb);
+                let out = run_spgemm::<PlusTimesU64>(&cfg, &a, &b).unwrap();
+                assert_eq!(out.nbatches, nb);
+                assert!(
+                    out.c.as_ref().unwrap().eq_modulo_order(&reference),
+                    "p={p} l={l} b={nb}"
+                );
             }
         }
     }
@@ -754,18 +710,14 @@ mod tests {
     #[test]
     fn forced_zero_batches_rejected() {
         let a = er_random::<PlusTimesF64>(16, 16, 2, 59);
-        // With and without the symbolic sweep in front of the batches.
-        for batching in [BatchingStrategy::BlockCyclic, BatchingStrategy::Balanced] {
-            let mut cfg = RunConfig::new(4, 1);
-            cfg.forced_batches = Some(0);
-            cfg.batching = batching;
-            let res = run_spgemm::<PlusTimesF64>(&cfg, &a, &a);
-            assert!(
-                matches!(&res, Err(CoreError::Config(msg)) if msg.contains("≥ 1")),
-                "{batching:?}: {:?}",
-                res.map(|out| out.nbatches)
-            );
-        }
+        let mut cfg = RunConfig::new(4, 1);
+        cfg.forced_batches = Some(0);
+        let res = run_spgemm::<PlusTimesF64>(&cfg, &a, &a);
+        assert!(
+            matches!(&res, Err(CoreError::Config(msg)) if msg.contains("≥ 1")),
+            "{:?}",
+            res.map(|out| out.nbatches)
+        );
     }
 
     #[test]

@@ -60,13 +60,13 @@ pub use audit::{
     BatchSpec, Schedule, WorkloadShape,
 };
 pub use backend::BackendKind;
-pub use batched::{batched_summa3d, BatchDisposition, BatchOutput, BatchedResult};
+pub use batched::{batched_summa3d, BatchOutput, BatchedResult};
 pub use dist::{transpose_to_bstyle, CPiece, DistKind, DistMatrix};
 pub use exchange::{ExchangeMode, ExchangePlan, FetchCacheStats};
 pub use family15::AlgorithmFamily;
 pub use harness::{
-    run_batched, run_on_grid, run_spgemm, run_spgemm_aat, run_spgemm_row_batched, run_spmm,
-    BOperand, LayerChoice, RunConfig, RunOutput, SpmmOutput, WorldRun,
+    run_batched, run_on_grid, run_spgemm, run_spgemm_aat, run_spmm, BOperand, LayerChoice,
+    RunConfig, RunOutput, SpmmOutput, WorldRun,
 };
 pub use kernels::{KernelStrategy, LocalKernels};
 pub use memory::{MemTracker, MemoryBudget, R_BYTES_PER_NNZ};

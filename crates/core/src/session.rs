@@ -13,10 +13,11 @@
 //! * The A-style iterate stays scattered. After each multiplication the
 //!   kept (pruned) batch pieces are assembled **in place** into the next
 //!   iterate's local piece — no gather-to-root round trip. This works
-//!   because [`BatchingStrategy::BlockCyclic`] (and `Balanced`) keep every
-//!   output piece inside its owner's A-style column sub-slice; plain
-//!   `Block` batching scrambles pieces across layers and is rejected at
-//!   session construction.
+//!   when the block-cyclic batch split keeps every output piece inside its
+//!   owner's A-style column sub-slice (`batched::split_is_conformal`),
+//!   which holds whenever `b·l` divides each rank's local column count.
+//!   For any other `b` every rank returns the same [`CoreError::Config`]
+//!   from [`IterSession::step`] after the multiply, before assembly.
 //! * The B-style operand is refreshed from the new iterate by a single
 //!   **fiber all-to-all**: rank `(i, j, k)` cuts its A-style piece
 //!   (rows `R_i`, cols `C_{j,k}`) row-wise into `l` slices and exchanges
@@ -42,7 +43,7 @@
 //! bit-equal to freshly fetched ones (property-tested in
 //! `core/tests/iter_session.rs`).
 
-use crate::batched::{batched_summa3d_with, BatchOutput, BatchingStrategy};
+use crate::batched::{batched_summa3d_with, split_is_conformal, BatchOutput};
 use crate::dist::{gather_pieces, scatter, CPiece, DistKind, DistMatrix};
 use crate::exchange::{ExchangePlan, FetchCacheStats};
 use crate::harness::RunConfig;
@@ -110,14 +111,6 @@ impl<S: Semiring> IterSession<S> {
         cfg: &RunConfig,
         cache: bool,
     ) -> Result<Self> {
-        if cfg.batching == BatchingStrategy::Block {
-            return Err(CoreError::Config(
-                "IterSession needs a distribution-conformal batching strategy \
-                 (BlockCyclic or Balanced); Block scrambles kept pieces across \
-                 layer sub-slices"
-                    .into(),
-            ));
-        }
         let a = scatter(rank, grid, DistKind::AStyle, global.clone());
         let b = scatter(rank, grid, DistKind::BStyle, global);
         if a.grows != a.gcols {
@@ -167,6 +160,8 @@ impl<S: Semiring> IterSession<S> {
     /// those columns empty in the next iterate), assemble the kept pieces
     /// into the next resident iterate, mark the changed columns dirty in
     /// the fetch cache, and refresh the B-style operand over the fiber.
+    /// A batch count whose split the A-style layout cannot reassemble is a
+    /// [`CoreError::Config`] on every rank.
     pub fn step(
         &mut self,
         rank: &mut Rank,
@@ -177,10 +172,7 @@ impl<S: Semiring> IterSession<S> {
         let cache0 = self.plan.cache_stats();
 
         let mut cfg = self.cfg;
-        if cfg.forced_batches.is_none()
-            && cfg.budget.is_unlimited()
-            && cfg.batching == BatchingStrategy::BlockCyclic
-        {
+        if cfg.forced_batches.is_none() && cfg.budget.is_unlimited() {
             // Alg. 3 under an unlimited budget always yields b = 1: skip
             // the symbolic sweep entirely — its cost is one-time session
             // setup, not a per-iteration tax.
@@ -198,6 +190,19 @@ impl<S: Semiring> IterSession<S> {
             on_batch,
         )?;
 
+        // Every rank evaluates the same global predicate, so a split the
+        // layout cannot reassemble fails the whole world at this one op
+        // instead of leaving peers blocked in the fiber refresh.
+        let (n, b) = (self.a.gcols, result.nbatches);
+        if !split_is_conformal(n, grid.pr, grid.l, b) {
+            return Err(CoreError::Config(format!(
+                "b={b} batches split the n={n} columns of the {pr}x{pr}x{l} grid off its \
+                 layer sub-slices, so the kept pieces cannot be assembled in place; \
+                 choose b with b·l dividing every local column count",
+                pr = grid.pr,
+                l = grid.l
+            )));
+        }
         let row_range = self.a.row_range(grid);
         let col_range = self.a.col_range(grid);
         let new_local = assemble_pieces(&result.pieces, &row_range, &col_range)?;
@@ -258,8 +263,8 @@ impl<S: Semiring> IterSession<S> {
 }
 
 /// Assemble kept batch pieces into one A-style local matrix. Pieces carry
-/// disjoint global columns inside `col_range` (guaranteed by the
-/// conformal batching strategies); columns no piece covers are empty —
+/// disjoint global columns inside `col_range` (guaranteed by a conformal
+/// split, checked before the call); columns no piece covers are empty —
 /// that is what "pruned away" means.
 fn assemble_pieces<T: Copy>(
     pieces: &[CPiece<T>],
@@ -435,8 +440,7 @@ mod tests {
                         let stats = sess
                             .step(rank, &grid, |_r, out| Some(out.piece))
                             .unwrap();
-                        // Unlimited budget on BlockCyclic: symbolic skipped,
-                        // single batch.
+                        // Unlimited budget: symbolic skipped, single batch.
                         assert_eq!(stats.nbatches, 1);
                     }
                     sess.gather(rank, &grid)

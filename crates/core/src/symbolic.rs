@@ -59,9 +59,7 @@ pub struct SymbolicOutcome {
     pub upper_bound: usize,
 }
 
-/// Run Symbolic3D and compute the batch count for `budget`; also returns
-/// this rank's per-local-column unmerged intermediate counts (the weights
-/// that drive [`crate::batched::BatchingStrategy::Balanced`] batching).
+/// Run Symbolic3D and compute the batch count for `budget`.
 ///
 /// Fails with [`CoreError::InputsExceedMemory`] when even `b → ∞` cannot
 /// fit (Alg. 3's denominator is non-positive), which is exactly the regime
@@ -72,7 +70,7 @@ pub struct SymbolicOutcome {
 /// up here is already sized when the numeric sweep begins. `plan` decides
 /// how the structure-only stage operands move: the sweep walks the same
 /// wire-table rows as the numeric stages it predicts, carrying patterns.
-pub fn symbolic3d_with_weights<S: Semiring>(
+pub fn symbolic3d<S: Semiring>(
     rank: &mut Rank,
     grid: &Grid3D,
     a: &DistMatrix<S::T>,
@@ -80,7 +78,7 @@ pub fn symbolic3d_with_weights<S: Semiring>(
     budget: &MemoryBudget,
     kernels: &mut LocalKernels<S::T>,
     plan: &mut ExchangePlan,
-) -> Result<(SymbolicOutcome, Vec<u64>)> {
+) -> Result<SymbolicOutcome> {
     let a_shared = Arc::new(a.local.pattern());
     let b_shared = Arc::new(b.local.pattern());
     let r = budget.r;
@@ -168,29 +166,26 @@ pub fn symbolic3d_with_weights<S: Semiring>(
         total_nnz_b as usize,
     );
 
-    Ok((
-        SymbolicOutcome {
-            batches,
-            max_unmerged_nnz: max_unmerged,
-            total_unmerged_nnz: total_unmerged,
-            max_nnz_a,
-            max_nnz_b,
-            total_nnz_a,
-            total_nnz_b,
-            flops,
-            eq2_lower_bound,
-            max_col_unmerged_nnz: max_col_unmerged,
-            upper_bound: b.gcols.max(1),
-        },
-        my_col_unmerged,
-    ))
+    Ok(SymbolicOutcome {
+        batches,
+        max_unmerged_nnz: max_unmerged,
+        total_unmerged_nnz: total_unmerged,
+        max_nnz_a,
+        max_nnz_b,
+        total_nnz_a,
+        total_nnz_b,
+        flops,
+        eq2_lower_bound,
+        max_col_unmerged_nnz: max_col_unmerged,
+        upper_bound: b.gcols.max(1),
+    })
 }
 
 /// Alg. 3 line 12 as a pure function of the reduced symbolic quantities:
 /// `b = ⌈r·maxnnzC / (M/p − r·(maxnnzA + maxnnzB))⌉`, clamped to
 /// `[1, upper_bound]` (one column per batch is the finest split).
 ///
-/// Extracted from [`symbolic3d_with_weights`] so the schedule auditor can
+/// Extracted from [`symbolic3d`] so the schedule auditor can
 /// reproduce the exact batch count a run would choose — including both
 /// failure modes — from modeled nonzero counts alone.
 pub fn alg3_batch_count(
@@ -255,7 +250,7 @@ mod tests {
             );
             let mut kernels = LocalKernels::new(KernelStrategy::default());
             let mut plan = ExchangePlan::default();
-            let outcome = symbolic3d_with_weights::<PlusTimesF64>(
+            let outcome = symbolic3d::<PlusTimesF64>(
                 rank,
                 &grid,
                 &da,
@@ -264,7 +259,7 @@ mod tests {
                 &mut kernels,
                 &mut plan,
             );
-            (outcome.map(|(o, _)| o), *rank.clock().breakdown())
+            (outcome, *rank.clock().breakdown())
         });
         per_rank.into_iter().unzip()
     }

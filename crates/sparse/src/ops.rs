@@ -29,20 +29,20 @@ pub fn block_range(n: usize, parts: usize, k: usize) -> Range<usize> {
     start..start + len
 }
 
-/// Column indices belonging to batch `batch` of `b` under the paper's
-/// block-cyclic batching (Sec. IV-B): the `ncols` local columns are cut into
-/// `b·l` blocks; batch `t` takes blocks `t, t+b, t+2b, …, t+(l−1)b` in
-/// ascending order. The union over batches is a disjoint cover of all
-/// columns.
-pub fn cyclic_batch_cols(ncols: usize, b: usize, l: usize, batch: usize) -> Vec<usize> {
-    assert!(batch < b, "batch index {batch} out of {b}");
-    let nblocks = b * l;
-    let mut cols = Vec::new();
-    for s in 0..l {
-        let blk = batch + s * b;
-        cols.extend(block_range(ncols, nblocks, blk));
-    }
-    cols
+/// The paper's block-cyclic batch split (Sec. IV-B, Fig. 1(i)), the only
+/// batching rule: the `ncols` local columns are cut into `b·l` blocks and
+/// batch `t` takes blocks `t, t+b, …, t+(l−1)b`. Yields batch `t`'s `l`
+/// column ranges in ascending order; range `k` is the batch's ColSplit
+/// piece for layer `k`. The union over batches is a disjoint cover of
+/// `0..ncols`.
+pub fn batch_pieces(
+    ncols: usize,
+    b: usize,
+    l: usize,
+    t: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    assert!(t < b, "batch index {t} out of {b}");
+    (0..l).map(move |k| block_range(ncols, b * l, t + k * b))
 }
 
 /// Transpose via counting sort. Output columns are sorted regardless of the
@@ -414,7 +414,7 @@ mod tests {
                 for l in [1usize, 2, 4] {
                     let mut all: Vec<usize> = Vec::new();
                     for t in 0..b {
-                        all.extend(cyclic_batch_cols(ncols, b, l, t));
+                        all.extend(batch_pieces(ncols, b, l, t).flatten());
                     }
                     all.sort_unstable();
                     assert_eq!(all, (0..ncols).collect::<Vec<_>>(), "ncols={ncols} b={b} l={l}");
@@ -424,10 +424,23 @@ mod tests {
     }
 
     #[test]
+    fn cyclic_batches_balance_colsplit_blocks() {
+        // Under block-cyclic batching, each batch's local columns form l
+        // equal-ish runs, one per layer — so ColSplit pieces are balanced.
+        let (ncols, nb, l) = (64usize, 4usize, 4usize);
+        for t in 0..nb {
+            let pieces: Vec<_> = batch_pieces(ncols, nb, l, t).collect();
+            assert_eq!(pieces.len(), l);
+            assert!(pieces.iter().all(|p| p.len() == ncols / (nb * l)));
+            assert!(pieces.windows(2).all(|w| w[0].end < w[1].start), "{pieces:?}");
+        }
+    }
+
+    #[test]
     fn cyclic_batch_interleaves_blocks() {
         // ncols=8, b=2, l=2 -> 4 blocks of 2; batch0 = blocks {0,2} = cols 0,1,4,5.
-        assert_eq!(cyclic_batch_cols(8, 2, 2, 0), vec![0, 1, 4, 5]);
-        assert_eq!(cyclic_batch_cols(8, 2, 2, 1), vec![2, 3, 6, 7]);
+        assert_eq!(batch_pieces(8, 2, 2, 0).collect::<Vec<_>>(), vec![0..2, 4..6]);
+        assert_eq!(batch_pieces(8, 2, 2, 1).collect::<Vec<_>>(), vec![2..4, 6..8]);
     }
 
     #[test]

@@ -48,8 +48,7 @@ use std::ops::Range;
 /// ranges with approximately equal total weight.
 ///
 /// Greedy prefix cut against a fair-share target recomputed from the
-/// remaining weight (the same scheme as the `Balanced` batch splitter in
-/// `spgemm-core`). Each column's weight is scaled by `n` and offset by 1 so
+/// remaining weight. Each column's weight is scaled by `n` and offset by 1 so
 /// zero-weight (empty) columns still spread across ranges instead of all
 /// landing in one. Guarantees: the ranges cover `0..n` in order, every
 /// range is non-empty (when `n > 0`), and at most `nparts` are returned —

@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the distributed algorithms against the
-//! serial reference, across grids, batch counts, kernel generations,
-//! batching strategies, and semirings.
+//! serial reference, across grids, batch counts, kernel generations, and
+//! semirings.
 
-use spgemm_core::batched::BatchingStrategy;
 use spgemm_core::{run_spgemm, KernelStrategy, MemoryBudget, RunConfig};
 use spgemm_sparse::gen::{clustered_similarity, er_random, kmer_matrix, rmat};
 use spgemm_sparse::ops::transpose;
@@ -96,62 +95,6 @@ fn boolean_semiring_distributed() {
     cfg.forced_batches = Some(2);
     let out = run_spgemm::<BoolOrAnd>(&cfg, &a, &a).unwrap();
     assert!(out.c.unwrap().eq_modulo_order(&reference));
-}
-
-#[test]
-fn all_batching_strategies_agree() {
-    let a = er_random::<PlusTimesU64>(48, 48, 5, 10).map(|_| 1u64);
-    let (reference, _) = spgemm_spa::<PlusTimesU64>(&a, &a).unwrap();
-    for strat in [
-        BatchingStrategy::BlockCyclic,
-        BatchingStrategy::Block,
-        BatchingStrategy::Balanced,
-    ] {
-        let mut cfg = RunConfig::new(16, 4);
-        cfg.batching = strat;
-        cfg.forced_batches = Some(5);
-        let out = run_spgemm::<PlusTimesU64>(&cfg, &a, &a).unwrap();
-        assert!(out.c.unwrap().eq_modulo_order(&reference), "{strat:?}");
-    }
-}
-
-/// The Balanced extension tightens the per-batch peak spread on matrices
-/// with skewed column work, at identical results.
-#[test]
-fn balanced_batching_flattens_peaks_on_skewed_matrices() {
-    // Column-gradient matrix: later columns are much denser.
-    use spgemm_sparse::Triples;
-    let n = 256usize;
-    let mut t = Triples::new(n, n);
-    let mut x = 9u64;
-    for j in 0..n {
-        let deg = 1 + j * 24 / n;
-        for d in 0..deg {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(17);
-            t.push(((x >> 33) as usize % n) as u32, j as u32, 1.0 + d as f64);
-        }
-    }
-    let a = t.to_csc_dedup::<PlusTimesF64>();
-    let (reference, _) = spgemm_spa::<PlusTimesF64>(&a, &a).unwrap();
-    let run = |strat: BatchingStrategy| {
-        let mut cfg = RunConfig::new(4, 1);
-        cfg.batching = strat;
-        cfg.forced_batches = Some(8);
-        run_spgemm::<PlusTimesF64>(&cfg, &a, &a).unwrap()
-    };
-    let bal = run(BatchingStrategy::Balanced);
-    assert!(bal.c.as_ref().unwrap().approx_eq(&reference, 1e-10));
-    let blk = run(BatchingStrategy::Block);
-    assert!(blk.c.as_ref().unwrap().approx_eq(&reference, 1e-10));
-    // Peak footprint under Balanced must not exceed the plain-block peak
-    // (gradient matrices concentrate whole batches of dense columns there).
-    let peak = |o: &spgemm_core::RunOutput<f64>| *o.peak_bytes.iter().max().unwrap();
-    assert!(
-        peak(&bal) <= peak(&blk),
-        "balanced peak {} should not exceed block peak {}",
-        peak(&bal),
-        peak(&blk)
-    );
 }
 
 #[test]

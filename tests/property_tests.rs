@@ -3,9 +3,7 @@
 use proptest::prelude::*;
 use spgemm_core::{run_spgemm, RunConfig};
 use spgemm_sparse::merge::{merge_hash_sorted, merge_heap};
-use spgemm_sparse::ops::{
-    col_concat, col_split_blocks, cyclic_batch_cols, extract_cols, transpose,
-};
+use spgemm_sparse::ops::{batch_pieces, col_concat, col_split_blocks, extract_cols, transpose};
 use spgemm_sparse::semiring::PlusTimesU64;
 use spgemm_sparse::spgemm::{
     spgemm_hash_unsorted, spgemm_heap, spgemm_spa, symbolic_col_counts_fresh,
@@ -95,7 +93,7 @@ proptest! {
         let mut seen = vec![false; m.ncols()];
         let mut total_nnz = 0usize;
         for t in 0..b {
-            let cols = cyclic_batch_cols(m.ncols(), b, l, t);
+            let cols: Vec<usize> = batch_pieces(m.ncols(), b, l, t).flatten().collect();
             for &c in &cols {
                 prop_assert!(!seen[c], "column {} in two batches", c);
                 seen[c] = true;
