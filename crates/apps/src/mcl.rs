@@ -531,6 +531,33 @@ mod tests {
         }
     }
 
+    /// The Fig. 3 shape under its budget on 16 layers: Symbolic3D picks
+    /// batch counts with `b·l` not dividing the 144 local columns, and the
+    /// resident session must still match the legacy driver bit for bit.
+    #[test]
+    fn budgeted_sixteen_layer_session_matches_legacy() {
+        let adj = clustered_similarity(12, 24, 14, 2, 0x150_1A7E5);
+        let mut sp = MclParams::new(64, 16);
+        sp.select = 24;
+        sp.max_iters = 10;
+        sp.chaos_threshold = 1e-4;
+        sp.budget = MemoryBudget::new(adj.nrows() * sp.select * 24 * 10);
+        let mut lp = sp;
+        lp.session = false;
+        let sess = markov_cluster(&adj, &sp).unwrap();
+        let legacy = markov_cluster(&adj, &lp).unwrap();
+        let batches: Vec<usize> = sess.per_iter.iter().map(|it| it.nbatches).collect();
+        // b = 2 leaves a remainder of 16 of the 144 local columns.
+        assert_eq!(batches[..3], [3, 2, 2], "{batches:?}");
+        assert_eq!(sess.labels, legacy.labels);
+        assert_eq!(sess.iterations, legacy.iterations);
+        for (a, b) in sess.per_iter.iter().zip(&legacy.per_iter) {
+            assert_eq!(a.chaos.to_bits(), b.chaos.to_bits());
+            assert_eq!(a.nnz, b.nnz);
+            assert_eq!(a.nbatches, b.nbatches);
+        }
+    }
+
     #[test]
     fn session_cache_warms_on_stable_iterate() {
         // A star graph collapses in a few iterations to the idempotent

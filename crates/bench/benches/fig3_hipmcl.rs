@@ -21,7 +21,7 @@ fn main() {
         adj.nnz()
     );
     let mut csv = String::from("layers,iter,batches,spgemm_s,chaos\n");
-    let mut totals = Vec::new();
+    let (mut totals, mut first_batches) = (Vec::new(), Vec::new());
     for layers in [1usize, 16] {
         let mut params = MclParams::new(p, layers);
         params.select = 24;
@@ -51,10 +51,18 @@ fn main() {
         }
         println!("total SpGEMM time: {total:.5}s\n");
         totals.push(total);
+        first_batches.push(result.per_iter[0].nbatches);
     }
     println!(
         "16-layer vs 1-layer overall speedup: {:.2}x (paper: 1.88x)",
         totals[0] / totals[1]
     );
     write_csv("fig3_hipmcl.csv", &csv);
+    // The paper's shape: 16 layers win overall while needing at least as
+    // many batches in the first (most expensive) iteration.
+    assert!(totals[1] < totals[0], "16 layers must win overall: {totals:?}");
+    assert!(
+        first_batches[1] >= first_batches[0],
+        "16 layers must need at least as many batches in iteration 1: {first_batches:?}"
+    );
 }

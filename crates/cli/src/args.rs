@@ -78,9 +78,16 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    /// Whether `--key` was given at all, with or without a value.
-    pub fn has(&self, key: &str) -> bool {
-        self.options.contains_key(key) || self.flag(key)
+    /// Fail on the first given `--key` (in name order) that is not in
+    /// `known`, naming it: the parser takes any key, and one the
+    /// subcommand never reads would otherwise be dropped silently.
+    pub fn only(&self, known: &[&str]) -> Result<(), String> {
+        let mut given: Vec<&str> = self.options.keys().chain(&self.flags).map(String::as_str).collect();
+        given.sort_unstable();
+        match given.into_iter().find(|key| !known.contains(key)) {
+            Some(key) => Err(format!("{} does not take --{key}", self.command)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -113,6 +120,15 @@ mod tests {
         assert!(parse(&["multiply", "stray"]).is_err());
         assert!(parse(&[]).is_err());
         assert!(parse(&["--procs", "4"]).is_err());
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_by_name() {
+        let a = parse(&["mcl", "--procs", "4", "--batching", "block", "--overlap"]).unwrap();
+        assert!(a.only(&["procs", "batching", "overlap"]).is_ok());
+        assert_eq!(a.only(&["procs", "overlap"]).unwrap_err(), "mcl does not take --batching");
+        // Flags count as keys too.
+        assert_eq!(a.only(&["procs", "batching"]).unwrap_err(), "mcl does not take --overlap");
     }
 
     #[test]

@@ -70,8 +70,9 @@
 //! bit-identical under any seed.
 //!
 //! The run-policy flags are parsed once, into one `RunConfig` (`policy.rs`),
-//! for `multiply`, `plan`, `mcl` and `audit` alike; `mcl` rejects the ones
-//! `MclParams` cannot carry (`--check --batches --trace --auto`).
+//! for `multiply`, `plan`, `mcl` and `audit` alike. Every subcommand rejects
+//! a `--key` it does not read, naming it (`mcl` does not take `--check
+//! --batches --trace --auto`, which `MclParams` cannot carry).
 
 #![forbid(unsafe_code)]
 
@@ -79,7 +80,7 @@ mod args;
 mod policy;
 
 use args::Args;
-use policy::{backend_from_args, machine_from_args, reject_flags, run_config_from_args};
+use policy::{backend_from_args, machine_from_args, run_config_from_args};
 use spgemm_apps::mcl::{markov_cluster, MclParams};
 use spgemm_apps::overlap::{find_overlaps, OverlapConfig};
 use spgemm_apps::triangles::{count_triangles, TriangleConfig};
@@ -133,19 +134,75 @@ fn main() -> ExitCode {
     }
 }
 
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand with every `--key` it reads; any other key is an error
+/// naming it, before the subcommand runs.
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    (
+        "gen",
+        cmd_gen,
+        &[
+            "kind", "out", "seed", "n", "degree", "scale", "edge-factor", "clusters",
+            "cluster-size", "intra", "inter", "reads", "kmers", "reads-per-kmer",
+        ],
+    ),
+    ("info", cmd_info, &["input", "b", "square", "aat"]),
+    (
+        "multiply",
+        cmd_multiply,
+        &[
+            "a", "b", "square", "aat", "procs", "layers", "auto", "batches", "budget-mb",
+            "algorithm", "repl-factor", "kernels", "exchange", "backend", "threads", "machine",
+            "profile", "calibrate-out", "overlap", "check", "trace", "out", "verify", "json",
+            "perturb-seed",
+        ],
+    ),
+    (
+        "plan",
+        cmd_plan,
+        &[
+            "a", "b", "square", "aat", "procs", "budget-mb", "machine", "profile", "algorithm",
+            "auto", "repl-factor", "sample", "seed", "iters",
+        ],
+    ),
+    (
+        "mcl",
+        cmd_mcl,
+        &[
+            "input", "procs", "layers", "inflation", "select", "max-iters", "budget-mb",
+            "kernels", "exchange", "backend", "threads", "overlap", "no-session", "no-cache",
+            "machine", "profile", "perturb-seed", "out",
+        ],
+    ),
+    ("triangles", cmd_triangles, &["input", "procs", "layers"]),
+    ("overlap", cmd_overlap, &["input", "procs", "layers", "min-shared", "show"]),
+    (
+        "audit",
+        cmd_audit,
+        &[
+            "sweep", "procs", "json", "inject", "shape", "layers", "batches", "auto-target",
+            "exchange", "overlap", "iters", "algorithm", "repl-factor",
+        ],
+    ),
+    (
+        "serve",
+        cmd_serve,
+        &[
+            "budget-mb", "max-concurrency", "cache-size", "algorithm", "repl-factor", "backend",
+            "threads", "machine", "profile", "no-shrink", "check", "loadgen", "jobs", "arrival",
+            "rate", "concurrency", "seed", "csv",
+        ],
+    ),
+];
+
 fn run(args: &Args) -> Result<(), String> {
-    match args.command.as_str() {
-        "gen" => cmd_gen(args),
-        "info" => cmd_info(args),
-        "multiply" => cmd_multiply(args),
-        "plan" => cmd_plan(args),
-        "mcl" => cmd_mcl(args),
-        "triangles" => cmd_triangles(args),
-        "overlap" => cmd_overlap(args),
-        "audit" => cmd_audit(args),
-        "serve" => cmd_serve(args),
-        other => Err(format!("unknown subcommand: {other}")),
-    }
+    let (_, cmd, keys) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == args.command)
+        .ok_or_else(|| format!("unknown subcommand: {}", args.command))?;
+    args.only(keys)?;
+    cmd(args)
 }
 
 /// `--algorithm NAME [--repl-factor C]`, shared by multiply/plan/serve.
@@ -498,8 +555,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
 fn cmd_mcl(args: &Args) -> Result<(), String> {
     let a = load(args.req("input")?)?;
     // MCL takes the same policy flags as `multiply`, minus the ones
-    // `MclParams` has no field for.
-    reject_flags(args, &["check", "batches", "trace"])?;
+    // `MclParams` has no field for (`COMMANDS` leaves them out).
     let run = run_config_from_args(args)?;
     let LayerChoice::Fixed(layers) = run.layers else {
         return Err("mcl does not take --auto: give --layers L".into());
@@ -911,4 +967,28 @@ fn cmd_overlap(args: &Args) -> Result<(), String> {
         outln!("  {} ~ {} ({} shared)", p.i, p.j, p.shared);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(line: &str) -> Result<(), String> {
+        let args = Args::parse(line.split_whitespace().map(String::from))?;
+        let (_, _, keys) = COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == args.command)
+            .expect("a known subcommand");
+        args.only(keys)
+    }
+
+    #[test]
+    fn mcl_rejects_what_mcl_params_cannot_carry() {
+        for flag in ["--check", "--batches 4", "--trace t.json", "--auto", "--batching block"] {
+            let err = check(&format!("mcl --input m.mtx --procs 16 {flag}")).unwrap_err();
+            let key = flag.split(' ').next().unwrap();
+            assert_eq!(err, format!("mcl does not take {key}"));
+        }
+        check("mcl --input m.mtx --procs 16 --layers 4 --overlap --threads 2 --no-session").unwrap();
+    }
 }

@@ -96,15 +96,6 @@ pub fn run_config_from_args(args: &Args) -> Result<RunConfig, String> {
     Ok(cfg)
 }
 
-/// Fail if `args` carries a policy flag the subcommand has nowhere to put
-/// (the parser itself accepts any `--key`, so it would be dropped silently).
-pub fn reject_flags(args: &Args, unsupported: &[&str]) -> Result<(), String> {
-    match unsupported.iter().find(|key| args.has(key)) {
-        Some(key) => Err(format!("{} does not take --{key}", args.command)),
-        None => Ok(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,15 +150,5 @@ mod tests {
         assert!(forced.forced_batches == Some(3) && forced.budget.is_unlimited());
         assert!(run_config_from_args(&parse(&["plan", "--kernels", "newest"])).is_err());
         assert!(run_config_from_args(&parse(&["mcl", "--procs", "many"])).is_err());
-    }
-
-    #[test]
-    fn unsupported_policy_flags_are_rejected_by_name() {
-        let unsupported = ["check", "batches", "trace"];
-        for flags in [&["--check"][..], &["--batches", "4"], &["--trace", "t"]] {
-            let err = reject_flags(&parse(&[&["mcl"], flags].concat()), &unsupported).unwrap_err();
-            assert_eq!(err, format!("mcl does not take {}", flags[0]));
-        }
-        assert!(reject_flags(&parse(&["mcl", "--overlap", "--threads", "2"]), &unsupported).is_ok());
     }
 }

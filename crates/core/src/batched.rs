@@ -3,8 +3,10 @@
 //! The batch count `b` comes from Symbolic3D (or a forced override for
 //! parameter sweeps). Each rank splits its local `B̃` column-wise into `b`
 //! batches by the paper's block-cyclic rule ([`batch_pieces`], Fig. 1(i)):
-//! `b·l` blocks, a batch taking every `b`-th block, so ColSplit piece `k`
-//! of a batch is one block destined for layer `k`. One SUMMA3D runs per
+//! each layer's sub-slice of the local columns is cut into `b` blocks and
+//! a batch takes one block of every layer, so ColSplit piece `k` of a
+//! batch is destined for layer `k` and lands on the rank that owns those
+//! columns of `C` A-style, for every `b`. One SUMMA3D runs per
 //! batch, and the resulting `C` piece is handed to the application, which
 //! may prune, persist, transform, or discard it before the next batch
 //! begins — the HipMCL/BELLA/hypergraph-coarsening usage pattern the paper
@@ -21,7 +23,7 @@ use crate::summa3d::{fiber_exchange, merge_fiber};
 use crate::symbolic::{symbolic3d, SymbolicOutcome};
 use crate::{CoreError, Result};
 use spgemm_simgrid::{Grid3D, Rank, Step};
-use spgemm_sparse::ops::{batch_pieces, block_range, extract_cols};
+use spgemm_sparse::ops::{batch_pieces, extract_cols};
 use spgemm_sparse::par::RangeBalance;
 use spgemm_sparse::{CscMatrix, Semiring, WorkStats};
 use std::collections::VecDeque;
@@ -63,26 +65,6 @@ pub struct BatchedResult<T: Copy> {
     pub load_balance: RangeBalance,
 }
 
-/// Whether the block-cyclic split of an `n`-column `C` into `b` batches
-/// lands every batch piece where the A-style layout keeps it: for each
-/// process column `j`, piece `k` of every batch lies inside layer `k`'s
-/// sub-slice of `block_range(n, pr, j)`. Holds whenever `b·l` divides
-/// every local column count (and always at `l = 1`). Only then can the
-/// kept pieces be reassembled in place into an A-style matrix, which is
-/// what [`crate::IterSession`] does. Rank-independent: every rank of a
-/// `pr × pr × l` grid gets the same answer.
-pub(crate) fn split_is_conformal(n: usize, pr: usize, l: usize, b: usize) -> bool {
-    (0..pr).all(|j| {
-        let ncols = block_range(n, pr, j).len();
-        (0..b).all(|t| {
-            batch_pieces(ncols, b, l, t).enumerate().all(|(k, piece)| {
-                let slice = block_range(ncols, l, k);
-                piece.is_empty() || (slice.start <= piece.start && piece.end <= slice.end)
-            })
-        })
-    })
-}
-
 /// One batch's inputs: its index, the global ids of its columns, the
 /// ColSplit boundaries into them, and the extracted piece of `B̃`.
 struct Staged<T> {
@@ -116,22 +98,19 @@ pub fn batched_summa3d<S: Semiring>(
     // One exchange plan for the whole run: the symbolic sweep and every
     // batch share its fetch workspace and tag counter.
     let mut plan = ExchangePlan::new(cfg.exchange);
-    let a_shared = Arc::new(a.local.clone());
-    batched_summa3d_with::<S>(rank, grid, a, &a_shared, b, cfg, &mut kernels, &mut plan, on_batch)
+    batched_summa3d_with::<S>(rank, grid, a, b, cfg, &mut kernels, &mut plan, on_batch)
 }
 
-/// [`batched_summa3d`] with caller-owned state: the kernel engine, the
-/// exchange plan, and the broadcast-shareable copy of `a.local` live
-/// outside the call, so an iterative session ([`crate::session`]) can
-/// keep all three warm across multiplications — preserving kernel
-/// workspaces, the fetch-tag sequence, and the cross-iteration fetch
-/// cache. `a_shared` must hold the same matrix as `a.local`.
+/// [`batched_summa3d`] with caller-owned state: the kernel engine and the
+/// exchange plan live outside the call, so an iterative session
+/// ([`crate::session`]) can keep both warm across multiplications —
+/// preserving kernel workspaces, the fetch-tag sequence, and the
+/// cross-iteration fetch cache.
 #[allow(clippy::too_many_arguments)] // the seam that lets sessions own the state
 pub fn batched_summa3d_with<S: Semiring>(
     rank: &mut Rank,
     grid: &Grid3D,
     a: &DistMatrix<S::T>,
-    a_shared: &Arc<CscMatrix<S::T>>,
     b: &DistMatrix<S::T>,
     cfg: &RunConfig,
     kernels: &mut LocalKernels<S::T>,
@@ -153,11 +132,6 @@ pub fn batched_summa3d_with<S: Semiring>(
             cfg.exchange.name()
         )));
     }
-    debug_assert_eq!(
-        (a_shared.nrows(), a_shared.ncols(), a_shared.nnz()),
-        (a.local.nrows(), a.local.ncols(), a.local.nnz()),
-        "a_shared must be the caller's copy of a.local"
-    );
     if cfg.forced_batches == Some(0) {
         return Err(CoreError::Config("forced batch count must be ≥ 1".into()));
     }
@@ -230,7 +204,7 @@ pub fn batched_summa3d_with<S: Semiring>(
                         rank,
                         grid,
                         op,
-                        a_shared,
+                        &a.local,
                         &of_t.b_piece,
                         r,
                         steps,
@@ -293,51 +267,4 @@ pub fn batched_summa3d_with<S: Semiring>(
         kernel_stats: kernels.totals(),
         load_balance: kernels.balance(),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dist::sub_block;
-
-    /// The predicate against a column-by-column placement: every column
-    /// the split hands to layer `k` must be one the A-style layout gives to
-    /// layer `k`.
-    #[test]
-    fn conformal_predicate_matches_brute_force_placement() {
-        let placed_conformally = |n: usize, pr: usize, l: usize, b: usize| {
-            (0..pr).all(|j| {
-                let cols = block_range(n, pr, j);
-                (0..b).all(|t| {
-                    batch_pieces(cols.len(), b, l, t).enumerate().all(|(k, piece)| {
-                        piece.map(|c| cols.start + c).all(|gc| {
-                            let owner = (0..l).find(|&q| sub_block(n, pr, j, l, q).contains(&gc));
-                            owner == Some(k)
-                        })
-                    })
-                })
-            })
-        };
-        let mut refused = 0;
-        for ncols in 0..=50usize {
-            for l in 1..=4usize {
-                for b in 1..=13usize {
-                    let want = placed_conformally(ncols, 1, l, b);
-                    assert_eq!(split_is_conformal(ncols, 1, l, b), want, "ncols={ncols} l={l} b={b}");
-                    refused += usize::from(!want);
-                    if l == 1 || (ncols > 0 && ncols % (b * l) == 0) {
-                        assert!(want, "b·l | ncols is conformal: ncols={ncols} l={l} b={b}");
-                    }
-                }
-            }
-        }
-        assert!(refused > 0, "the grid must include non-conformal splits");
-        // Process columns with different local widths: 97 = 49 + 48.
-        for b in 1..=12usize {
-            assert_eq!(split_is_conformal(97, 2, 4, b), placed_conformally(97, 2, 4, b), "b={b}");
-        }
-        // The 96-column iterate at p = 16, l = 4: 48 local columns.
-        let ok: Vec<usize> = (1..=12).filter(|&b| split_is_conformal(96, 2, 4, b)).collect();
-        assert_eq!(ok, [1, 2, 3, 4, 6, 12]);
-    }
 }

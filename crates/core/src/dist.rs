@@ -54,8 +54,9 @@ pub fn sub_block(n: usize, parts: usize, idx: usize, subparts: usize, sub: usize
 /// A matrix distributed on a 3D grid, viewed from one rank.
 #[derive(Debug, Clone)]
 pub struct DistMatrix<T: Copy> {
-    /// This rank's local piece (indices re-based to the local block).
-    pub local: CscMatrix<T>,
+    /// This rank's local piece (indices re-based to the local block),
+    /// shared with the stage exchanges that ship it without a copy.
+    pub local: Arc<CscMatrix<T>>,
     /// Distribution style.
     pub kind: DistKind,
     /// Global row count.
@@ -101,14 +102,14 @@ pub fn scatter<T: Copy + Send + Sync + 'static>(
     let shared = rank.bcast(&grid.world, 0, global, 0, Step::Other);
     let (grows, gcols) = (shared.nrows(), shared.ncols());
     let mut dm = DistMatrix {
-        local: CscMatrix::zero(0, 0),
+        local: Arc::new(CscMatrix::zero(0, 0)),
         kind,
         grows,
         gcols,
     };
     let rr = dm.row_range(grid);
     let cr = dm.col_range(grid);
-    dm.local = row_block(&col_block(&shared, cr), rr);
+    dm.local = Arc::new(row_block(&col_block(&shared, cr), rr));
     dm
 }
 
@@ -209,7 +210,7 @@ pub fn transpose_to_bstyle<T: Copy + Send + 'static>(
         mat
     };
     DistMatrix {
-        local: received,
+        local: Arc::new(received),
         kind: DistKind::BStyle,
         grows: m.gcols,
         gcols: m.grows,
@@ -226,7 +227,7 @@ pub fn gather_dist<T: Copy + Send + 'static>(
     let rr = dm.row_range(grid);
     let cr = dm.col_range(grid);
     let piece = CPiece {
-        local: dm.local.clone(),
+        local: CscMatrix::clone(&dm.local),
         row_offset: rr.start,
         global_cols: cr.map(|c| c as u32).collect(),
     };

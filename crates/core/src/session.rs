@@ -12,12 +12,10 @@
 //!
 //! * The A-style iterate stays scattered. After each multiplication the
 //!   kept (pruned) batch pieces are assembled **in place** into the next
-//!   iterate's local piece — no gather-to-root round trip. This works
-//!   when the block-cyclic batch split keeps every output piece inside its
-//!   owner's A-style column sub-slice (`batched::split_is_conformal`),
-//!   which holds whenever `b·l` divides each rank's local column count.
-//!   For any other `b` every rank returns the same [`CoreError::Config`]
-//!   from [`IterSession::step`] after the multiply, before assembly.
+//!   iterate's local piece — no gather-to-root round trip. This works for
+//!   every batch count because the block-cyclic split cuts batches inside
+//!   each layer's column sub-slice (`sparse::ops::batch_pieces`), so every
+//!   output piece lands on the rank that owns its columns A-style.
 //! * The B-style operand is refreshed from the new iterate by a single
 //!   **fiber all-to-all**: rank `(i, j, k)` cuts its A-style piece
 //!   (rows `R_i`, cols `C_{j,k}`) row-wise into `l` slices and exchanges
@@ -43,7 +41,7 @@
 //! bit-equal to freshly fetched ones (property-tested in
 //! `core/tests/iter_session.rs`).
 
-use crate::batched::{batched_summa3d_with, split_is_conformal, BatchOutput};
+use crate::batched::{batched_summa3d_with, BatchOutput};
 use crate::dist::{gather_pieces, scatter, CPiece, DistKind, DistMatrix};
 use crate::exchange::{ExchangePlan, FetchCacheStats};
 use crate::harness::RunConfig;
@@ -79,7 +77,6 @@ pub struct IterSession<S: Semiring> {
     // (manual Debug below: LocalKernels carries workspaces that are noise)
     cfg: RunConfig,
     a: DistMatrix<S::T>,
-    a_shared: Arc<CscMatrix<S::T>>,
     b: DistMatrix<S::T>,
     kernels: LocalKernels<S::T>,
     plan: ExchangePlan,
@@ -119,7 +116,6 @@ impl<S: Semiring> IterSession<S> {
                 a.grows, a.gcols
             )));
         }
-        let a_shared = Arc::new(a.local.clone());
         let mut plan = ExchangePlan::new(cfg.exchange);
         if cache {
             plan.enable_cache();
@@ -128,7 +124,6 @@ impl<S: Semiring> IterSession<S> {
             kernels: LocalKernels::with_backend(cfg.kernels, cfg.backend),
             cfg: *cfg,
             a,
-            a_shared,
             b,
             plan,
             iterations: 0,
@@ -160,8 +155,6 @@ impl<S: Semiring> IterSession<S> {
     /// those columns empty in the next iterate), assemble the kept pieces
     /// into the next resident iterate, mark the changed columns dirty in
     /// the fetch cache, and refresh the B-style operand over the fiber.
-    /// A batch count whose split the A-style layout cannot reassemble is a
-    /// [`CoreError::Config`] on every rank.
     pub fn step(
         &mut self,
         rank: &mut Rank,
@@ -182,7 +175,6 @@ impl<S: Semiring> IterSession<S> {
             rank,
             grid,
             &self.a,
-            &self.a_shared,
             &self.b,
             &cfg,
             &mut self.kernels,
@@ -190,26 +182,12 @@ impl<S: Semiring> IterSession<S> {
             on_batch,
         )?;
 
-        // Every rank evaluates the same global predicate, so a split the
-        // layout cannot reassemble fails the whole world at this one op
-        // instead of leaving peers blocked in the fiber refresh.
-        let (n, b) = (self.a.gcols, result.nbatches);
-        if !split_is_conformal(n, grid.pr, grid.l, b) {
-            return Err(CoreError::Config(format!(
-                "b={b} batches split the n={n} columns of the {pr}x{pr}x{l} grid off its \
-                 layer sub-slices, so the kept pieces cannot be assembled in place; \
-                 choose b with b·l dividing every local column count",
-                pr = grid.pr,
-                l = grid.l
-            )));
-        }
         let row_range = self.a.row_range(grid);
         let col_range = self.a.col_range(grid);
         let new_local = assemble_pieces(&result.pieces, &row_range, &col_range)?;
         let dirty = dirty_cols(&self.a.local, &new_local);
         self.plan.note_dirty_cols(&dirty);
-        self.a.local = new_local;
-        self.a_shared = Arc::new(self.a.local.clone());
+        self.a.local = Arc::new(new_local);
         self.refresh_b(rank, grid)?;
         self.iterations += 1;
 
@@ -231,7 +209,7 @@ impl<S: Semiring> IterSession<S> {
     fn refresh_b(&mut self, rank: &mut Rank, grid: &Grid3D) -> Result<()> {
         if grid.l == 1 {
             // A-style and B-style coincide on a single layer.
-            self.b.local = self.a.local.clone();
+            self.b.local = Arc::clone(&self.a.local);
             return Ok(());
         }
         let r = self.cfg.budget.r;
@@ -244,7 +222,7 @@ impl<S: Semiring> IterSession<S> {
             parts.push(slice);
         }
         let recv = rank.alltoallv(&grid.fiber, parts, &bytes, Step::Other);
-        self.b.local = col_concat(&recv).map_err(CoreError::Sparse)?;
+        self.b.local = Arc::new(col_concat(&recv).map_err(CoreError::Sparse)?);
         debug_assert_eq!(self.b.local.nrows(), self.b.row_range(grid).len());
         debug_assert_eq!(self.b.local.ncols(), self.b.col_range(grid).len());
         Ok(())
@@ -254,7 +232,7 @@ impl<S: Semiring> IterSession<S> {
     /// intentionally non-resident operation, for final results.
     pub fn gather(&self, rank: &mut Rank, grid: &Grid3D) -> Option<CscMatrix<S::T>> {
         let piece = CPiece {
-            local: self.a.local.clone(),
+            local: CscMatrix::clone(&self.a.local),
             row_offset: self.a.row_range(grid).start,
             global_cols: self.a.col_range(grid).map(|c| c as u32).collect(),
         };
@@ -263,9 +241,9 @@ impl<S: Semiring> IterSession<S> {
 }
 
 /// Assemble kept batch pieces into one A-style local matrix. Pieces carry
-/// disjoint global columns inside `col_range` (guaranteed by a conformal
-/// split, checked before the call); columns no piece covers are empty —
-/// that is what "pruned away" means.
+/// disjoint global columns inside `col_range` (guaranteed by the batch
+/// split); columns no piece covers are empty — that is what "pruned away"
+/// means.
 fn assemble_pieces<T: Copy>(
     pieces: &[CPiece<T>],
     row_range: &Range<usize>,

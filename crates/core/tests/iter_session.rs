@@ -208,44 +208,34 @@ fn cache_hits_on_idempotent_projection_without_changing_the_iterate() {
     }
 }
 
-/// A forced batch count whose block-cyclic split lands pieces off their
-/// layer sub-slices cannot be assembled in place. Every rank must refuse it
-/// at the same op with a `CoreError::Config` naming `b`, `n` and the grid,
-/// rather than some ranks failing assembly while their peers wait in the
-/// fiber refresh. The 96-column iterate at `p = 16, l = 4` gives each rank
-/// 48 local columns, so exactly the `b` with `4·b | 48` are conformal; at
-/// `l = 1` every `b` is.
+/// Every forced batch count squares the iterate in place: the split cuts
+/// batches inside each layer's column sub-slice, so every kept piece lands
+/// on its A-style owner whether or not `b·l` divides the local column
+/// count. The 96-column iterate on a `2 × 2` layer grid gives each rank 48
+/// local columns to split, cut into `l` sub-slices of `48 / l`; `b` runs
+/// past the sub-slice width, so some batches carry empty pieces.
 #[test]
-fn forced_batch_counts_square_the_iterate_or_are_refused() {
+fn every_forced_batch_count_squares_the_iterate() {
     let m = clustered_similarity(4, 24, 6, 1, 2021);
     assert_eq!((m.nrows(), m.ncols()), (96, 96));
     let (m2, _) = spgemm_spa::<PlusTimesF64>(&m, &m).unwrap();
     let g = Arc::new(m);
-    let square = |p: usize, l: usize, b: usize| {
-        let cfg = RunConfig {
-            forced_batches: Some(b),
-            ..RunConfig::new(p, l)
-        };
-        let world = run_on_grid(&cfg, |rank, grid| {
-            let root = (rank.rank() == 0).then(|| Arc::clone(&g));
-            let mut sess = IterSession::<PlusTimesF64>::new(rank, grid, root, &cfg, false)?;
-            sess.step(rank, grid, |_, out| Some(out.piece))?;
-            Ok(sess.gather(rank, grid))
-        })?;
-        Ok::<_, CoreError>(world.ranks.into_iter().next().flatten().expect("root gathers"))
-    };
-    for b in 1..=12usize {
-        let conformal = [1, 2, 3, 4, 6, 12].contains(&b);
-        match square(16, 4, b) {
-            Ok(got) if conformal => assert!(got.approx_eq(&m2, 1e-12), "b={b}: wrong square"),
-            Err(CoreError::Config(msg)) if !conformal => {
-                for part in [format!("b={b}"), "n=96".into(), "2x2x4".into()] {
-                    assert!(msg.contains(&part), "b={b}: error must name {part}: {msg}");
-                }
-            }
-            other => panic!("b={b} at p=16 l=4: {:?}", other.map(|c| c.nnz())),
+    for (p, l) in [(16usize, 4usize), (64, 16), (4, 1)] {
+        for b in 1..=48usize {
+            let cfg = RunConfig {
+                forced_batches: Some(b),
+                ..RunConfig::new(p, l)
+            };
+            let world = run_on_grid(&cfg, |rank, grid| {
+                let root = (rank.rank() == 0).then(|| Arc::clone(&g));
+                let mut sess = IterSession::<PlusTimesF64>::new(rank, grid, root, &cfg, false)?;
+                let stats = sess.step(rank, grid, |_, out| Some(out.piece))?;
+                assert_eq!(stats.nbatches, b);
+                Ok(sess.gather(rank, grid))
+            })
+            .unwrap_or_else(|e| panic!("b={b} at p={p} l={l}: {e}"));
+            let got = world.ranks.into_iter().next().flatten().expect("root gathers");
+            assert!(got.approx_eq(&m2, 1e-12), "b={b} at p={p} l={l}: wrong square");
         }
-        let got = square(4, 1, b).unwrap_or_else(|e| panic!("b={b} at p=4 l=1: {e}"));
-        assert!(got.approx_eq(&m2, 1e-12), "b={b} at p=4 l=1: wrong square");
     }
 }

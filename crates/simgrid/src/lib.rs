@@ -52,5 +52,5 @@ pub use cost::Machine;
 pub use grid::{Grid2D, Grid3D};
 pub use nonblocking::{PendingAlltoallv, PendingBcast, PendingOp};
 pub use runtime::{run_ranks, run_ranks_checked, run_ranks_logged, run_ranks_seeded};
-pub use stats::{max_breakdown, CacheCounters, KernelCounters, StepReport};
+pub use stats::{max_breakdown, KernelCounters, StepReport};
 pub use trace::{chrome_trace_json, TraceEvent};

@@ -61,39 +61,12 @@ pub struct KernelCounters {
     pub load_imbalance: f64,
 }
 
-/// Cross-iteration operand-cache counters attached to a report row (one
-/// row per iteration of a resident-operand session). Like
-/// [`KernelCounters`], the simgrid crate only renders these — callers fill
-/// them from their exchange layer's fetch-cache statistics, summed over
-/// ranks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Modeled communication bytes of the iteration, summed over ranks.
-    pub modeled_bytes: u64,
-    /// Fetch rounds answered from the receiver-side tile cache.
-    pub hits: u64,
-    /// Fetch rounds that shipped a fresh tile.
-    pub misses: u64,
-    /// Operand columns invalidated (marked dirty) by the iteration.
-    pub invalidated_cols: u64,
-}
-
-impl CacheCounters {
-    /// Cache hit rate in `[0, 1]`; `None` when no fetch rounds ran (e.g.
-    /// dense-broadcast iterations), rendering as `-`.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let rounds = self.hits + self.misses;
-        (rounds > 0).then(|| self.hits as f64 / rounds as f64)
-    }
-}
-
 /// A table of labeled configurations × step breakdowns, optionally with
-/// per-row [`KernelCounters`] and/or [`CacheCounters`].
+/// per-row [`KernelCounters`].
 #[derive(Debug, Clone, Default)]
 pub struct StepReport {
     rows: Vec<(String, StepBreakdown)>,
     counters: Vec<Option<KernelCounters>>,
-    cache: Vec<Option<CacheCounters>>,
 }
 
 impl StepReport {
@@ -106,7 +79,6 @@ impl StepReport {
     pub fn push(&mut self, label: impl Into<String>, breakdown: StepBreakdown) {
         self.rows.push((label.into(), breakdown));
         self.counters.push(None);
-        self.cache.push(None);
     }
 
     /// Append a labeled configuration with kernel counters; the rendered
@@ -120,22 +92,6 @@ impl StepReport {
     ) {
         self.rows.push((label.into(), breakdown));
         self.counters.push(Some(counters));
-        self.cache.push(None);
-    }
-
-    /// Append a labeled row (typically one session iteration) with
-    /// operand-cache counters; the rendered table/CSV grow
-    /// `modeled_bytes`/`hit-rate`/`invalidated` columns once any row
-    /// carries cache counters.
-    pub fn push_with_cache(
-        &mut self,
-        label: impl Into<String>,
-        breakdown: StepBreakdown,
-        cache: CacheCounters,
-    ) {
-        self.rows.push((label.into(), breakdown));
-        self.counters.push(None);
-        self.cache.push(Some(cache));
     }
 
     /// Labeled rows in insertion order.
@@ -149,18 +105,8 @@ impl StepReport {
         &self.counters
     }
 
-    /// Cache counters per row (same order as [`Self::rows`]); `None` for
-    /// rows pushed without cache counters.
-    pub fn cache_counters(&self) -> &[Option<CacheCounters>] {
-        &self.cache
-    }
-
     fn has_counters(&self) -> bool {
         self.counters.iter().any(|c| c.is_some())
-    }
-
-    fn has_cache(&self) -> bool {
-        self.cache.iter().any(|c| c.is_some())
     }
 
     fn has_overlap(&self) -> bool {
@@ -220,15 +166,8 @@ impl StepReport {
                 "Allocs", "PeakScratchB", "MemcpyB", "Imbal"
             ));
         }
-        let with_cache = self.has_cache();
-        if with_cache {
-            out.push_str(&format!(
-                " {:>14} {:>8} {:>8}",
-                "ModeledBytes", "CacheHit", "Inval"
-            ));
-        }
         out.push('\n');
-        for (((label, b), cnt), cc) in self.rows.iter().zip(&self.counters).zip(&self.cache) {
+        for ((label, b), cnt) in self.rows.iter().zip(&self.counters) {
             out.push_str(&format!("{label:label_w$}"));
             for &s in &report_steps {
                 let v = if s == Step::SymbolicComm {
@@ -261,19 +200,6 @@ impl StepReport {
                     )),
                 }
             }
-            if with_cache {
-                match cc {
-                    Some(c) => {
-                        out.push_str(&format!(" {:>14}", c.modeled_bytes));
-                        match c.hit_rate() {
-                            Some(hr) => out.push_str(&format!(" {:>7.1}%", hr * 100.0)),
-                            None => out.push_str(&format!(" {:>8}", "-")),
-                        }
-                        out.push_str(&format!(" {:>8}", c.invalidated_cols));
-                    }
-                    None => out.push_str(&format!(" {:>14} {:>8} {:>8}", "-", "-", "-")),
-                }
-            }
             out.push('\n');
         }
         out
@@ -290,12 +216,8 @@ impl StepReport {
         if with_counters {
             out.push_str(",allocs,peak_scratch_bytes,memcpy_bytes,load_imbalance");
         }
-        let with_cache = self.has_cache();
-        if with_cache {
-            out.push_str(",modeled_bytes,cache_hits,cache_misses,invalidated_cols");
-        }
         out.push('\n');
-        for (((label, b), cnt), cc) in self.rows.iter().zip(&self.counters).zip(&self.cache) {
+        for ((label, b), cnt) in self.rows.iter().zip(&self.counters) {
             out.push_str(label);
             for s in ALL_STEPS {
                 out.push_str(&format!(",{:.6e}", b.secs_of(s)));
@@ -312,15 +234,6 @@ impl StepReport {
                     Some(c) => out.push_str(&format!(
                         ",{},{},{},{:.4}",
                         c.allocs, c.peak_scratch_bytes, c.memcpy_bytes, c.load_imbalance
-                    )),
-                    None => out.push_str(",,,,"),
-                }
-            }
-            if with_cache {
-                match cc {
-                    Some(c) => out.push_str(&format!(
-                        ",{},{},{},{}",
-                        c.modeled_bytes, c.hits, c.misses, c.invalidated_cols
                     )),
                     None => out.push_str(",,,,"),
                 }
@@ -401,41 +314,6 @@ mod tests {
         assert!(metered_line.ends_with("42,4096,1234,1.2500"));
         assert_eq!(r.counters().len(), 2);
         assert!(r.counters()[0].is_none());
-    }
-
-    #[test]
-    fn cache_columns_appear_only_when_present() {
-        let mut r = StepReport::new();
-        r.push("single-shot", bd(1.0, 2.0));
-        assert!(!r.to_table().contains("CacheHit"));
-        assert!(!r.to_csv().contains("cache_hits"));
-        r.push_with_cache(
-            "iter 2",
-            bd(0.5, 1.0),
-            CacheCounters {
-                modeled_bytes: 65536,
-                hits: 3,
-                misses: 1,
-                invalidated_cols: 17,
-            },
-        );
-        let t = r.to_table();
-        assert!(t.contains("ModeledBytes") && t.contains("CacheHit") && t.contains("Inval"));
-        assert!(t.contains("65536") && t.contains("75.0%") && t.contains("17"));
-        let csv = r.to_csv();
-        assert!(csv
-            .lines()
-            .next()
-            .unwrap()
-            .ends_with("modeled_bytes,cache_hits,cache_misses,invalidated_cols"));
-        let plain = csv.lines().find(|l| l.starts_with("single-shot")).unwrap();
-        let cached = csv.lines().find(|l| l.starts_with("iter 2")).unwrap();
-        assert_eq!(plain.matches(',').count(), cached.matches(',').count());
-        assert!(cached.ends_with("65536,3,1,17"));
-        // No fetch rounds (dense iteration): hit rate renders as "-".
-        assert_eq!(CacheCounters::default().hit_rate(), None);
-        assert_eq!(r.cache_counters().len(), 2);
-        assert!(r.cache_counters()[0].is_none());
     }
 
     #[test]

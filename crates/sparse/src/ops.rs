@@ -30,11 +30,14 @@ pub fn block_range(n: usize, parts: usize, k: usize) -> Range<usize> {
 }
 
 /// The paper's block-cyclic batch split (Sec. IV-B, Fig. 1(i)), the only
-/// batching rule: the `ncols` local columns are cut into `b·l` blocks and
-/// batch `t` takes blocks `t, t+b, …, t+(l−1)b`. Yields batch `t`'s `l`
-/// column ranges in ascending order; range `k` is the batch's ColSplit
-/// piece for layer `k`. The union over batches is a disjoint cover of
-/// `0..ncols`.
+/// batching rule: each layer's sub-slice `block_range(ncols, l, k)` of the
+/// `ncols` local columns is cut into `b` blocks and batch `t` takes block
+/// `t` of every layer. Yields batch `t`'s `l` column ranges in ascending
+/// order; range `k` is the batch's ColSplit piece for layer `k` and lies
+/// inside layer `k`'s sub-slice, which is where the A-style layout keeps
+/// those columns of `C`. When `b·l` divides `ncols` these are blocks
+/// `t, t+b, …, t+(l−1)b` of `b·l` equal blocks. The union over batches is
+/// a disjoint cover of `0..ncols`.
 pub fn batch_pieces(
     ncols: usize,
     b: usize,
@@ -42,7 +45,11 @@ pub fn batch_pieces(
     t: usize,
 ) -> impl Iterator<Item = Range<usize>> {
     assert!(t < b, "batch index {t} out of {b}");
-    (0..l).map(move |k| block_range(ncols, b * l, t + k * b))
+    (0..l).map(move |k| {
+        let slice = block_range(ncols, l, k);
+        let piece = block_range(slice.len(), b, t);
+        slice.start + piece.start..slice.start + piece.end
+    })
 }
 
 /// Transpose via counting sort. Output columns are sorted regardless of the
@@ -408,13 +415,20 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_batches_disjointly_cover() {
+    fn cyclic_batches_disjointly_cover_inside_layer_slices() {
         for ncols in [13usize, 16, 64, 100] {
             for b in [1usize, 2, 4] {
                 for l in [1usize, 2, 4] {
                     let mut all: Vec<usize> = Vec::new();
                     for t in 0..b {
-                        all.extend(batch_pieces(ncols, b, l, t).flatten());
+                        for (k, piece) in batch_pieces(ncols, b, l, t).enumerate() {
+                            let slice = block_range(ncols, l, k);
+                            assert!(
+                                slice.start <= piece.start && piece.end <= slice.end,
+                                "ncols={ncols} b={b} l={l} t={t}: {piece:?} off layer {k}'s {slice:?}"
+                            );
+                            all.extend(piece);
+                        }
                     }
                     all.sort_unstable();
                     assert_eq!(all, (0..ncols).collect::<Vec<_>>(), "ncols={ncols} b={b} l={l}");

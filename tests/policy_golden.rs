@@ -8,15 +8,17 @@
 //! a function of the schedule, not of the host, so the table also holds under
 //! `SPGEMM_PERTURB_SEED`.
 //!
-//! The table was last regenerated when the fetch legs got their own wire
-//! format (`subset::{ColRequest, ColTile}`, sized by their encoded index
-//! length in `schedule::payload_bytes`), under this rule against the table
-//! printed before: every `dense/*` row and `coarsen` are character-identical
-//! (they never fetch); in every `sparse/*` row only `total bits` and `bytes`
-//! differ, every `bytes` value is lower, and `messages | b | max peak` are
-//! character-identical. (The regeneration before it, when the symbolic sweep
-//! began to move patterns and fetch replies stopped spelling column ids,
-//! moved every row under the same rule.) The `mcl-session sparse/*` rows also
+//! The table was last regenerated when the batch split began to cut inside
+//! each layer's column sub-slice (`sparse::ops::batch_pieces`), under this
+//! rule against the table printed before: every `mcl-*` row is
+//! character-identical (`b·l` divides their 48 local columns); in the
+//! `spgemm`, `aat` and `coarsen` rows (`b = 5`, a remainder) only `total
+//! bits`, `bytes` and `max peak` differ, and `messages | b` are
+//! character-identical. The `tight` row was added then: the session at
+//! `b = 5`, which the split before could not assemble. (The regenerations
+//! before it, when the fetch legs got their own wire format and when the
+//! symbolic sweep began to move patterns, kept `messages | b | max peak`
+//! character-identical.) The `mcl-session sparse/*` rows also
 //! hold one `ExchangePlan` serving `()` in the sweep and `f64` in the batches
 //! with the fetch cache on: sweep rounds bypass the typed tile map, or the
 //! plan panics on its second element type.
@@ -65,8 +67,7 @@ fn mcl_params(
 ) -> MclParams {
     let mut params = MclParams::new(P, L);
     // With `select = 8` this budget gives b = 3, 2, 2 over the three
-    // iterations; the resident session assembles the next iterate in place
-    // only when b·l divides the 48 local columns.
+    // iterations.
     params.budget = budget(&mcl_init(m), 4);
     params.select = 8;
     params.exchange = exchange;
@@ -123,43 +124,51 @@ fn table() -> String {
     let incidence = m.map(|_| 1u64);
     let matching = heavy_connectivity_matching(&incidence, &coarsen_config(&m)).unwrap();
     rows.push(row("coarsen dense/Blocking", &matching.breakdown, matching.nbatches, None));
+    // A tighter budget makes the session assemble b = 5 in place, a split
+    // whose 5·4 blocks leave a remainder of the 48 local columns.
+    let mut params = mcl_params(&m, ExchangeMode::DenseBcast, OverlapMode::Blocking, true);
+    params.budget = budget(&mcl_init(&m), 3);
+    params.max_iters = 1;
+    let it = markov_cluster(&m, &params).unwrap().per_iter[0];
+    rows.push(row("mcl-session dense/Blocking tight iter 1", &it.breakdown, it.nbatches, None));
     rows.join("\n")
 }
 
 const GOLDEN: &str = "\
-spgemm dense/Blocking | 3f57f4723d32002c | 41864 | 39 | 5 | 20880\n\
-aat dense/Blocking | 3f5831f93a9383fc | 41864 | 38 | 5 | 20880\n\
+spgemm dense/Blocking | 3f57ee636d00925f | 38960 | 39 | 5 | 19440\n\
+aat dense/Blocking | 3f582cd003449a27 | 38960 | 38 | 5 | 19440\n\
 mcl-legacy dense/Blocking iter 1 | 3f5342fdf631a40d | 34776 | 38 | 3 | -\n\
 mcl-legacy dense/Blocking iter 2 | 3f50b6b7d17eef64 | 18624 | 30 | 2 | -\n\
 mcl-legacy dense/Blocking iter 3 | 3f50b57f1d4acd6a | 18280 | 30 | 2 | -\n\
 mcl-session dense/Blocking iter 1 | 3f534274ae05f61f | 35800 | 37 | 3 | -\n\
 mcl-session dense/Blocking iter 2 | 3f50b5bae0b7d46a | 19992 | 29 | 2 | -\n\
 mcl-session dense/Blocking iter 3 | 3f50b43ab8c10749 | 19960 | 29 | 2 | -\n\
-spgemm dense/Overlapped | 3f535a898406419c | 41864 | 39 | 5 | 20880\n\
-aat dense/Overlapped | 3f53a62542354d5a | 41864 | 38 | 5 | 20880\n\
+spgemm dense/Overlapped | 3f534bd98b24b169 | 38960 | 39 | 5 | 19440\n\
+aat dense/Overlapped | 3f539a20c6926c5e | 38960 | 38 | 5 | 19440\n\
 mcl-legacy dense/Overlapped iter 1 | 3f508ccbed350e12 | 34776 | 38 | 3 | -\n\
 mcl-legacy dense/Overlapped iter 2 | 3f4e0b5722288d61 | 18624 | 30 | 2 | -\n\
 mcl-legacy dense/Overlapped iter 3 | 3f4e07c6845c0635 | 18280 | 30 | 2 | -\n\
 mcl-session dense/Overlapped iter 1 | 3f508ccbed350e12 | 35800 | 37 | 3 | -\n\
 mcl-session dense/Overlapped iter 2 | 3f4e0b5722288d5a | 19992 | 29 | 2 | -\n\
 mcl-session dense/Overlapped iter 3 | 3f4e07c6845c0632 | 19960 | 29 | 2 | -\n\
-spgemm sparse/Blocking | 3f5ce14fb44f8484 | 21314 | 51 | 5 | 20880\n\
-aat sparse/Blocking | 3f5d1d61c0537912 | 21314 | 50 | 5 | 20880\n\
+spgemm sparse/Blocking | 3f5ed2682958dfdc | 18439 | 51 | 5 | 19440\n\
+aat sparse/Blocking | 3f5f10514775d9b2 | 18439 | 50 | 5 | 19440\n\
 mcl-legacy sparse/Blocking iter 1 | 3f55a56ace0edbad | 22124 | 46 | 3 | -\n\
 mcl-legacy sparse/Blocking iter 2 | 3f53def974309b68 | 12593 | 36 | 2 | -\n\
 mcl-legacy sparse/Blocking iter 3 | 3f552cd1d844aa53 | 12265 | 36 | 2 | -\n\
 mcl-session sparse/Blocking iter 1 | 3f55a56ace0edbad | 23148 | 45 | 3 | -\n\
 mcl-session sparse/Blocking iter 2 | 3f53def974309b5f | 13961 | 35 | 2 | -\n\
 mcl-session sparse/Blocking iter 3 | 3f552cc82c588cee | 13938 | 35 | 2 | -\n\
-spgemm sparse/Overlapped | 3f5b93d7fca8592b | 21314 | 51 | 5 | 20880\n\
-aat sparse/Overlapped | 3f5bd429794b6303 | 21314 | 50 | 5 | 20880\n\
+spgemm sparse/Overlapped | 3f5d836dab41787d | 18439 | 51 | 5 | 19440\n\
+aat sparse/Overlapped | 3f5dc43b084de0da | 18439 | 50 | 5 | 19440\n\
 mcl-legacy sparse/Overlapped iter 1 | 3f55008d406f120b | 22124 | 46 | 3 | -\n\
 mcl-legacy sparse/Overlapped iter 2 | 3f538a21ade386bc | 12593 | 36 | 2 | -\n\
 mcl-legacy sparse/Overlapped iter 3 | 3f54d7e98251a530 | 12265 | 36 | 2 | -\n\
 mcl-session sparse/Overlapped iter 1 | 3f54fcace46eff92 | 23148 | 45 | 3 | -\n\
 mcl-session sparse/Overlapped iter 2 | 3f538778330282ca | 13961 | 35 | 2 | -\n\
 mcl-session sparse/Overlapped iter 3 | 3f54d514cedb40f4 | 13938 | 35 | 2 | -\n\
-coarsen dense/Blocking | 3f57f4723d32002c | 41864 | 39 | 5 | -";
+coarsen dense/Blocking | 3f57ee636d00925f | 38960 | 39 | 5 | -\n\
+mcl-session dense/Blocking tight iter 1 | 3f57fbab76eb4907 | 43672 | 53 | 5 | -";
 
 #[test]
 fn modeled_numbers_are_unchanged() {
