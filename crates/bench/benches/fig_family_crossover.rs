@@ -19,7 +19,8 @@
 //!   schedule moves nothing but A and wins.
 //! * `heavy-a-narrow` — heavy A, narrow B: InnerABC at `c² = p` needs
 //!   **zero** shift rounds (each rank starts on its only block) and pays
-//!   just a small team allgather; shifting heavy A sinks ColA.
+//!   just a small team reduce-scatter of row slices; shifting heavy A
+//!   sinks ColA.
 //! * `budget-bound` — wide but 95%-zero B under a tight budget: the 1.5D
 //!   stationary dense stripes (which store the zeros) blow the
 //!   per-process budget, and batched SUMMA — which sparsifies B and can

@@ -322,13 +322,18 @@ impl AuditConfig {
             }
             let t = self.p / self.family.repl_factor();
             let (rounds, has_team) = self.family.rounds_and_team(self.p);
-            // The scatter moves the globals, the reduce and the gather one
-            // dense `C` stripe (8 B/element, square `n × n` operands as the
-            // workload shapes model them).
+            // The scatter moves the globals, the reduce and the gather the
+            // row slice of one dense `C` stripe a rank keeps: all rows for
+            // ColA, a team member's `⌈n/c⌉` for InnerABC (8 B/element,
+            // square `n × n` operands as the workload shapes model them).
             let n = self.shape.n;
+            let kept_rows = match self.family {
+                AlgorithmFamily::InnerAbc15 { c } => n.div_ceil(c as u64),
+                _ => n,
+            };
             let bytes = Bytes {
                 scatter: [r * self.shape.nnz_a, 8 * n * n],
-                stripe: 8 * n * n.div_ceil(t as u64),
+                slice: 8 * kept_rows * n.div_ceil(t as u64),
                 ..Bytes::default()
             };
             let ops = schedule::family15_session(rounds, has_team, self.iterations);
@@ -374,7 +379,7 @@ impl AuditConfig {
             nnz_b: max_nnz_b,
             nnz_b_piece: max_nnz_b.div_ceil(nb),
             pieces: r * max_unmerged.div_ceil(nb),
-            stripe: 0,
+            slice: 0,
         };
         let ops = schedule::session(pr, self.l, sweep, nbatches, self.overlap, self.iterations);
         Ok((ops, bytes, schedule(nbatches, memory)))
@@ -445,7 +450,7 @@ struct Bytes {
     nnz_b: u64,
     nnz_b_piece: u64,
     pieces: u64,
-    stripe: u64,
+    slice: u64,
 }
 
 impl Bytes {
@@ -462,7 +467,7 @@ impl Bytes {
             (Op::Stage { .. } | Op::RefreshB, _) => operand(self.nnz_b),
             (Op::SymbolicReduce, _) => 8,
             (Op::Fiber { .. }, _) => self.pieces,
-            _ => self.stripe,
+            _ => self.slice,
         }
     }
 }

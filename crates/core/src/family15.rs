@@ -35,11 +35,12 @@
 //! do not advance the modeled clock) and are charged manually at one
 //! α + β·bytes message per round under [`Step::AShift`], following the
 //! `transpose_to_bstyle` precedent. The InnerABC reduction is a team
-//! allgather charged under [`Step::CReduce`] plus a deterministic
-//! member-index-order local fold (charged as merge compute through the
-//! [`BackendKind`]) — `simgrid`'s allreduce requires `Copy` payloads, which
-//! dense stripes are not; they travel as `Arc`s, since an allgather clones
-//! its value once per peer.
+//! reduce-scatter, as Alg. 2's AllToAll-Fiber + Merge-Fiber: team member
+//! `k` keeps rows `block_range(m, c, k)` of its stripe, receives only those
+//! rows from the other `c − 1` members through one alltoallv charged under
+//! [`Step::CReduce`], and folds them in member-index order (charged as merge
+//! compute through the [`BackendKind`]). The gather then assembles `C` from
+//! the kept row slices.
 
 use crate::backend::BackendKind;
 use crate::memory::R_BYTES_PER_NNZ;
@@ -358,6 +359,9 @@ pub fn spmm_15d<S: Semiring>(
         }
     };
     let mut c_stripe = TiledStripe::new_fill(m, stripe.len(), S::zero());
+    // The rows of the stripe this rank keeps: all of them, until an
+    // InnerABC reduction leaves it one team member's slice.
+    let mut rows = 0..m;
     let ring = Comm::for_rank(ring_members, COLOR_RING15, me);
     let ring_len = ring.size();
 
@@ -412,20 +416,25 @@ pub fn spmm_15d<S: Semiring>(
                 // shift is un-acknowledged.
                 peak_bytes = peak_bytes.max(2 * cur.modeled_bytes(R_BYTES_PER_NNZ) + dense_bytes);
             }
-            // C-Reduce: each stripe's replication team combines its
-            // layer-partial stripes. Allgather (the runtime's allreduce
-            // needs `Copy` payloads; `Arc`s because it clones its value
-            // per peer) + a deterministic member-index-order fold into
-            // one new stripe.
+            // C-Reduce: a reduce-scatter over row slices of the stripe.
+            // Team member `k` keeps rows `block_range(m, c, k)` and receives
+            // only those rows from its peers: each alltoallv part is the
+            // whole partial stripe behind an `Arc` (nothing is copied on the
+            // host), modeled at the size of the slice it stands for. The
+            // member folds its rows in member-index order, so every `C(i, j)`
+            // is summed in the same `⊕` order on whichever member keeps it.
             Op::TeamReduce => {
                 let team = Comm::for_rank(iabc_team(p, c, me), COLOR_TEAM15, me);
-                let bytes_each = c_stripe.modeled_bytes();
-                peak_bytes = peak_bytes.max(dense_bytes + c * bytes_each);
-                let parts: Vec<Arc<TiledStripe<S::T>>> =
-                    rank.allgather(&team, Arc::new(c_stripe), bytes_each, Step::CReduce);
+                let elem_bytes = stripe.len() * std::mem::size_of::<S::T>();
+                let bytes: Vec<usize> =
+                    (0..c).map(|k| block_range(m, c, k).len() * elem_bytes).collect();
+                rows = block_range(m, c, team.my_index());
+                peak_bytes = peak_bytes.max(dense_bytes + c * rows.len() * elem_bytes);
+                let whole = Arc::new(c_stripe);
+                let parts = rank.alltoallv(&team, vec![whole; c], &bytes, Step::CReduce);
                 let t0 = Instant::now();
-                c_stripe = TiledStripe::fold::<S>(&parts);
-                let flops = (parts.len() - 1) as u64 * stripe.len() as u64 * m as u64;
+                c_stripe = TiledStripe::fold::<S>(&parts, rows.clone());
+                let flops = (parts.len() - 1) as u64 * stripe.len() as u64 * rows.len() as u64;
                 let fold_stats = WorkStats {
                     flops,
                     work_units: flops as f64 * C_SPMM_FLOP,
@@ -439,22 +448,24 @@ pub fn spmm_15d<S: Semiring>(
                 );
                 kernel_stats.merge(fold_stats);
             }
-            // Gather the stationary stripes back to the root (harness
-            // overhead, Step::Other, like `gather_pieces`). InnerABC stripes
-            // arrive once per layer; replicas are bit-identical after the
-            // reduction, so the root's writes are idempotent.
+            // Gather the kept rows of every stationary stripe to the root
+            // (harness overhead, Step::Other, like `gather_pieces`). After
+            // an InnerABC reduction each team member holds a different row
+            // slice of its stripe, so the root writes each block into its
+            // own rows only.
             Op::Gather => {
                 let payload = if discard {
                     Vec::new()
                 } else {
-                    vec![(stripe.start, c_stripe.to_block())]
+                    vec![(stripe.start, rows.start, c_stripe.to_block())]
                 };
                 let all = rank.gather_to_root(&world, 0, payload, 0, Step::Other);
                 gathered = all.filter(|_| !discard).map(|all| {
                     let mut out = DenseBlock::new_fill(m, d, S::zero());
-                    for (start, block) in all.into_iter().flatten() {
+                    for (col0, row0, block) in all.into_iter().flatten() {
                         for jj in 0..block.ncols() {
-                            out.col_mut(start + jj).copy_from_slice(block.col(jj));
+                            out.col_mut(col0 + jj)[row0..row0 + block.nrows()]
+                                .copy_from_slice(block.col(jj));
                         }
                     }
                     out

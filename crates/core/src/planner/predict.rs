@@ -254,7 +254,7 @@ pub struct PredictedSteps {
     pub merge_fiber: f64,
     /// 1.5D A-block ring shifts (zero for the SUMMA families).
     pub ashift: f64,
-    /// 1.5D InnerABC partial-`C` allgather (zero elsewhere).
+    /// 1.5D InnerABC partial-`C` reduce-scatter (zero elsewhere).
     pub creduce: f64,
 }
 
@@ -712,8 +712,9 @@ pub fn family15_block_nnz<T: Copy>(a: &CscMatrix<T>, t: usize) -> Vec<u64> {
 /// for move. `B` is dense (or densified) at 8 bytes per entry; `A` blocks
 /// travel the ring at [`R_BYTES_PER_NNZ`] bytes per nonzero, one
 /// `α + β·bytes` message per shift round; InnerABC's partial-`C`
-/// reduction is an allgather over the `c`-member team plus a
-/// member-order fold at [`C_SPMM_FLOP`] work units per add. There is no
+/// reduction is a reduce-scatter over the `c`-member team — one alltoallv
+/// of `⌈m/c⌉`-row stripe slices, then a member-order fold of the kept slice
+/// at [`C_SPMM_FLOP`] work units per add. There is no
 /// batching: the replicated stationary operands either fit the
 /// per-process budget or the candidate is infeasible outright — the
 /// Eq. 2-style replication-memory penalty that lets batched SUMMA win
@@ -745,6 +746,9 @@ pub fn predict_family15(
     let b_stripe_bytes = ELEM * n_inner * w;
     let c_stripe_bytes = ELEM * m * w;
     let dense_bytes = b_stripe_bytes + c_stripe_bytes;
+    // The row slice of a `C` stripe one InnerABC team member keeps.
+    let slice_rows = m.div_ceil(c);
+    let c_slice_bytes = ELEM * slice_rows * w;
 
     // ---- Replication memory (driver's peak_bytes, exactly) ------------
     let max_block = block_nnz.iter().copied().max().unwrap_or(0) as usize;
@@ -755,7 +759,7 @@ pub fn predict_family15(
     let a_resident = if rounds > 1 { 2 } else { 1 } * R_BYTES_PER_NNZ * max_block;
     let mut peak = a_resident + dense_bytes;
     if matches!(fam, AlgorithmFamily::InnerAbc15 { .. }) && c > 1 {
-        peak = peak.max(dense_bytes + c * c_stripe_bytes);
+        peak = peak.max(dense_bytes + c * c_slice_bytes);
     }
     let per_proc = budget.per_process(p);
     if per_proc <= peak {
@@ -795,14 +799,14 @@ pub fn predict_family15(
     let ashift_lat = shift_rounds as f64 * machine.alpha;
     let ashift_bw = machine.beta * (shift_nnz as usize * R_BYTES_PER_NNZ) as f64;
 
-    // ---- C-Reduce (InnerABC, c > 1): allgather + member-order fold ----
+    // ---- C-Reduce (InnerABC, c > 1): reduce-scatter + member-order fold
+    // of the kept slice ----
     let (creduce_lat, creduce_bw, fold_work) =
         if matches!(fam, AlgorithmFamily::InnerAbc15 { .. }) && c > 1 {
-            let lg_c = (c as f64).log2().ceil();
             (
-                machine.alpha * lg_c,
-                machine.beta * (c_stripe_bytes * (c - 1)) as f64,
-                ((c - 1) * m * w) as f64 * C_SPMM_FLOP,
+                machine.alpha * (c - 1) as f64,
+                machine.beta * (c_slice_bytes * (c - 1)) as f64,
+                ((c - 1) * slice_rows * w) as f64 * C_SPMM_FLOP,
             )
         } else {
             (0.0, 0.0, 0.0)

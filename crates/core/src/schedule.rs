@@ -62,9 +62,11 @@ pub enum Op {
         /// Shift round (selects the tag).
         round: usize,
     },
-    /// InnerABC partial-`C` reduction across the replication team.
+    /// InnerABC partial-`C` reduce-scatter across the replication team: one
+    /// alltoallv that hands each member the row slice of the stripe it
+    /// keeps.
     TeamReduce,
-    /// Gather of the stationary `C` stripes to the root.
+    /// Gather of the kept rows of the stationary `C` stripes to the root.
     Gather,
     /// Local multiply of the operands the last stage delivered.
     Multiply,
@@ -267,7 +269,7 @@ pub fn wire(op: Op, exchange: ExchangeMode) -> &'static [Wire] {
             Wire::Wait(Link::Fiber),
         ],
         Op::Shift { .. } => &[Wire::Shift],
-        Op::TeamReduce => &[Wire::Enter(OpKind::Allgather, Link::Team)],
+        Op::TeamReduce => &[Wire::Enter(OpKind::Alltoallv, Link::Team)],
         Op::Gather => &[Wire::Enter(OpKind::Gather, Link::World)],
         Op::Multiply | Op::SymbolicCount | Op::MergeLayer | Op::MergeFiber | Op::Deliver { .. } => {
             &[]

@@ -198,6 +198,68 @@ fn shift_traffic_falls_with_innerabc_replication() {
 }
 
 #[test]
+fn team_reduce_moves_only_the_kept_slice() {
+    // InnerABC's C-Reduce is a reduce-scatter: team member `k` receives
+    // only rows `block_range(m, c, k)` of its stripe from each of the other
+    // `c − 1` members. 37 rows split unevenly in two and in four.
+    use spgemm_simgrid::Step;
+    use spgemm_sparse::ops::block_range;
+    let (p, m, d) = (16, 37, 23);
+    let a = er_random::<PlusTimesU64>(m, 29, 4, 912).map(|_| 2u64);
+    let b = DenseBlock::from_fn(29, d, |i, j| ((i * 7 + j * 3) % 5) as u64);
+    for c in [2, 4] {
+        let t = p / c;
+        let out = run_spmm::<PlusTimesU64>(
+            &cfg_for(p, AlgorithmFamily::InnerAbc15 { c }, BackendKind::Simgrid),
+            &a,
+            &b,
+        )
+        .unwrap();
+        for (g, breakdown) in out.per_rank.iter().enumerate() {
+            let stripe = block_range(d, t, g % t);
+            let rows = block_range(m, c, g / t);
+            let slice_bytes = rows.len() * stripe.len() * std::mem::size_of::<u64>();
+            assert_eq!(
+                breakdown.bytes_of(Step::CReduce),
+                ((c - 1) * slice_bytes) as u64,
+                "c={c} rank {g}: rows {rows:?} of stripe {stripe:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn innerabc_assembles_uneven_and_empty_row_slices() {
+    // At c = 4 the team members keep rows `block_range(m, 4, k)`: uneven
+    // when 4 ∤ m, and empty for some members when m < 4. The root must
+    // write each gathered block into its own rows — a gather that writes
+    // whole columns loses the other members' rows.
+    let p = 16;
+    let family = AlgorithmFamily::InnerAbc15 { c: 4 };
+    for (m, n, d, seed) in [(1, 9, 6, 913), (3, 8, 5, 914), (6, 12, 9, 915), (37, 20, 11, 916)] {
+        let a = er_random::<PlusTimesU64>(m, n, 3, seed).map(|_| 7u64);
+        let b = DenseBlock::from_fn(n, d, |i, j| ((i * 5 + j * 11) % 6) as u64 + 1);
+        let reference = run_spmm::<PlusTimesU64>(
+            &cfg_for(p, AlgorithmFamily::Summa2d, BackendKind::Simgrid),
+            &a,
+            &b,
+        )
+        .unwrap()
+        .c
+        .unwrap();
+        for backend in [BackendKind::Simgrid, BackendKind::Native { threads: 2 }] {
+            let out = run_spmm::<PlusTimesU64>(&cfg_for(p, family, backend), &a, &b).unwrap();
+            assert_eq!(
+                out.c.as_ref().unwrap(),
+                &reference,
+                "innerabc(c=4) on {m}x{n} · {n}x{d} ({})",
+                backend.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn budget_admission_counts_replication() {
     // A budget that fits c=1 can be blown by the replicated dense stripes
     // + A blocks at c=4; the driver must refuse admission, naming bytes.
@@ -349,8 +411,17 @@ fn golden_table() -> String {
     rows.join("\n")
 }
 
-/// What the build *before* the drivers borrowed their operands and
-/// accumulated into cache-line tiles printed.
+/// The table as printed since the InnerABC reduction became a reduce-scatter
+/// over row slices of the stripe.
+///
+/// Rule for regenerating it: a change may move a column only where it moves
+/// data or work, and says which in its description. The `C` column is the
+/// product and never moves. The last regeneration left every `cola` row
+/// character for character, and on the `innerabc` rows kept the `C` and
+/// message columns (and, at `c = 2`, the max peak); it moved the
+/// critical-path total, the bytes (one slice per peer instead of one
+/// stripe), the peaks (`c` slices instead of `c` stripes in flight) and the
+/// flops (each member folds only its slice).
 const GOLDEN: &str = "\
 cola(c=1) keep | c0a61032db1ad286 | 3f3aa8667a46ac4c | 161256 | 17 | 141456 | ee3f16c50a742182 | 238672\n\
 cola(c=1) drop | - | 3f3aa8667a46ac4c | 161256 | 17 | 141456 | ee3f16c50a742182 | 238672\n\
@@ -358,10 +429,10 @@ cola(c=2) keep | c85b9d544b2f7252 | 3f30966633e70dc1 | 159216 | 9 | 177024 | 316
 cola(c=2) drop | - | 3f30966633e70dc1 | 159216 | 9 | 177024 | 316669519f012aad | 238672\n\
 cola(c=4) keep | 20dac3f747df2b10 | 3f272d1c06343ae1 | 150840 | 5 | 224880 | 28744d46a0301695 | 238672\n\
 cola(c=4) drop | - | 3f272d1c06343ae1 | 150840 | 5 | 224880 | 28744d46a0301695 | 238672\n\
-innerabc(c=2) keep | b338f731f9e4897d | 3f2bbbaaf417a21a | 152824 | 6 | 209792 | 62947c646fbd9525 | 320592\n\
-innerabc(c=2) drop | - | 3f2bbbaaf417a21a | 152824 | 6 | 209792 | 62947c646fbd9525 | 320592\n\
-innerabc(c=4) keep | 1ceb660478f566dd | 3f27a4cef9444678 | 245760 | 3 | 491520 | a74e20ddd5783225 | 730192\n\
-innerabc(c=4) drop | - | 3f27a4cef9444678 | 245760 | 3 | 491520 | a74e20ddd5783225 | 730192";
+innerabc(c=2) keep | b338f731f9e4897d | 3f2a53a6021a7436 | 132344 | 6 | 209792 | ca5339a9c58b6b21 | 279632\n\
+innerabc(c=2) drop | - | 3f2a53a6021a7436 | 132344 | 6 | 209792 | ca5339a9c58b6b21 | 279632\n\
+innerabc(c=4) keep | 1ceb660478f566dd | 3f1b377250f42d2e | 61440 | 3 | 251704 | e8a83597071fcc9d | 361552\n\
+innerabc(c=4) drop | - | 3f1b377250f42d2e | 61440 | 3 | 251704 | e8a83597071fcc9d | 361552";
 
 #[test]
 fn golden_rows_are_unchanged() {

@@ -378,33 +378,48 @@ impl<T: Copy> TiledStripe<T> {
         Ok(stats)
     }
 
-    /// Element-wise `⊕` of same-shape stripes into a new one, each entry
-    /// summed in slice order: `((p₀ ⊕ p₁) ⊕ p₂) ⊕ …`. Stripes of one shape
-    /// share a layout, so the fold never looks at it.
+    /// Rows `rows` of the element-wise `⊕` of same-shape stripes, as a new
+    /// `rows.len() × ncols` stripe, each entry summed in slice order:
+    /// `((p₀ ⊕ p₁) ⊕ p₂) ⊕ …`. A tile's rows are contiguous, so the fold
+    /// reads `rows.start·w .. rows.end·w` of every tile of every part and
+    /// nothing else.
     ///
     /// # Panics
-    /// If `parts` is empty or the shapes differ.
-    pub fn fold<S: Semiring<T = T>>(parts: &[impl Borrow<Self>]) -> Self {
+    /// If `parts` is empty, the shapes differ, or `rows` is not a range of
+    /// the stripe's rows.
+    pub fn fold<S: Semiring<T = T>>(parts: &[impl Borrow<Self>], rows: Range<usize>) -> Self {
         let (first, rest) = parts.split_first().expect("fold needs at least one stripe");
         let first = first.borrow();
+        let (nrows, ncols) = (first.nrows, first.ncols);
         for part in rest {
             let part = part.borrow();
             assert_eq!(
                 (part.nrows, part.ncols),
-                (first.nrows, first.ncols),
+                (nrows, ncols),
                 "folded stripes must share a shape"
             );
         }
-        let data = (0..first.data.len())
-            .map(|i| {
-                rest.iter().fold(first.data[i], |acc, part| {
-                    S::add(acc, part.borrow().data[i])
-                })
-            })
-            .collect();
+        assert!(
+            rows.start <= rows.end && rows.end <= nrows,
+            "rows {rows:?} of a {nrows}-row stripe"
+        );
+        let mut data = Vec::with_capacity(rows.len() * ncols);
+        for j0 in (0..ncols).step_by(TILE) {
+            let w = TILE.min(ncols - j0);
+            let base = nrows * j0;
+            let span = base + rows.start * w..base + rows.end * w;
+            let out = data.len();
+            data.extend_from_slice(&first.data[span.clone()]);
+            for part in rest {
+                let src = &part.borrow().data[span.clone()];
+                for (acc, &v) in data[out..].iter_mut().zip(src) {
+                    *acc = S::add(*acc, v);
+                }
+            }
+        }
         TiledStripe {
-            nrows: first.nrows,
-            ncols: first.ncols,
+            nrows: rows.len(),
+            ncols,
             data,
         }
     }

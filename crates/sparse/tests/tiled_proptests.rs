@@ -18,11 +18,19 @@
 //! nothing — its `flops` would. Stripe widths sit on both sides of one and
 //! two tiles, the stripe is cut from the middle of a wider `B`, and several
 //! rounds with `b_row_offset > 0` land in one accumulator.
+//!
+//! [`TiledStripe::fold`] of a row range must equal those rows of the sums
+//! taken entry by entry in part order, for empty, full, uneven and last-row
+//! ranges: a tile's rows are a contiguous run at the tile's own base, and a
+//! fold that reads another tile's run or adds the parts in another order
+//! shows in the `±1e16` values.
 
 use proptest::prelude::*;
 use spgemm_sparse::dense::TILE;
+use spgemm_sparse::ops::block_range;
 use spgemm_sparse::semiring::{MinPlusF64, PlusTimesF64, PlusTimesU64};
 use spgemm_sparse::{spmm_acc, CscMatrix, DenseBlock, Semiring, TiledStripe};
+use std::ops::Range;
 
 const WIDTHS: [usize; 8] = [0, 1, 7, 8, 9, 16, 17, 33];
 const NROWS: [usize; 4] = [0, 1, 2, 257];
@@ -85,8 +93,8 @@ fn ragged_a<T: Copy>(nrows: usize, ncols: usize, values: &[T], seed: u64) -> Csc
 
 /// One semiring's check: `ROUNDS` blocks of `A` against a stripe of `width`
 /// columns cut from the middle of `B`, through both kernels, then the fold
-/// of the three single-round stripes against the same sums taken entry by
-/// entry.
+/// of row ranges of the single-round stripes and their sum against the same
+/// sums taken entry by entry.
 fn check<S: Semiring>(
     nrows: usize,
     width: usize,
@@ -138,17 +146,47 @@ fn check<S: Semiring>(
     assert_eq!((block.nrows(), block.ncols()), (nrows, width), "{what}");
     assert_eq!(bits(block.data()), bits(reference.data()), "{what}: C");
 
-    let folded = TiledStripe::fold::<S>(&singles).to_block();
-    let blocks: Vec<DenseBlock<S::T>> = singles.iter().map(TiledStripe::to_block).collect();
+    // The fold's parts: the single-round stripes and their sum. The middle
+    // round's lone column of `A` is empty, so without the sum every entry
+    // would fold at most two nonzero terms, in either order alike.
+    let mut parts: Vec<&TiledStripe<S::T>> = singles.iter().collect();
+    parts.push(&tiled);
+    let blocks: Vec<DenseBlock<S::T>> = parts.iter().map(|part| part.to_block()).collect();
     let entrywise: Vec<S::T> = (0..nrows * width)
         .map(|i| {
-            S::add(
-                S::add(blocks[0].data()[i], blocks[1].data()[i]),
-                blocks[2].data()[i],
-            )
+            blocks[1..]
+                .iter()
+                .fold(blocks[0].data()[i], |acc, block| S::add(acc, block.data()[i]))
         })
         .collect();
-    assert_eq!(bits(folded.data()), bits(&entrywise), "{what}: fold");
+    for rows in row_ranges(nrows) {
+        let folded = TiledStripe::fold::<S>(&parts, rows.clone()).to_block();
+        let want: Vec<S::T> = (0..width)
+            .flat_map(|j| entrywise[j * nrows..][rows.clone()].iter().copied())
+            .collect();
+        assert_eq!(
+            (folded.nrows(), folded.ncols()),
+            (rows.len(), width),
+            "{what}: fold of rows {rows:?}"
+        );
+        assert_eq!(bits(folded.data()), bits(&want), "{what}: fold of rows {rows:?}");
+    }
+}
+
+/// The row ranges a fold is asked for: empty at the top, middle and bottom,
+/// the whole stripe, the last row, and the uneven slices the four members
+/// of a replication team keep.
+fn row_ranges(nrows: usize) -> Vec<Range<usize>> {
+    let mid = nrows / 2;
+    let mut ranges = vec![
+        0..0,
+        mid..mid,
+        nrows..nrows,
+        0..nrows,
+        nrows.saturating_sub(1)..nrows,
+    ];
+    ranges.extend((0..4).map(|k| block_range(nrows, 4, k)));
+    ranges
 }
 
 fn check_all_shapes(seed: u64) {
