@@ -7,7 +7,14 @@
 //! Table II's formulas for the same `(p, l, b)`. Bandwidth-term
 //! agreement is exact for A-Bcast/B-Bcast on divisible grids; the
 //! AllToAll-Fiber formula is the paper's loose `flops/p` bound, so
-//! measured ≤ model there (intra-layer compression, as the paper notes).
+//! measured ≤ model there (intra-layer compression, as the paper notes,
+//! and the pieces travel coded). More layers leave less to compress inside
+//! a layer and more of each product to cross the fiber, so the fiber ratio
+//! does not fall as `l` grows.
+//!
+//! Shape asserted: A-Bcast and B-Bcast bytes equal the model exactly, every
+//! step's round count equals the model's, and AllToAll-Fiber stays at or
+//! under its bound with a ratio non-decreasing in `l`.
 
 use spgemm_bench::{measure_f64, write_csv};
 use spgemm_core::model::ProblemModel;
@@ -33,6 +40,7 @@ fn main() {
     );
     let mut csv =
         String::from("step,p,l,b,measured_bytes,model_bytes,measured_rounds,model_rounds\n");
+    let mut fiber_ratios = Vec::new();
     for (p, l, b) in [(16usize, 1usize, 1usize), (64, 4, 4), (256, 16, 8)] {
         let mut cfg = RunConfig::new(p, l);
         cfg.forced_batches = Some(b);
@@ -67,9 +75,22 @@ fn main() {
                 "{},{p},{l},{b},{measured:.0},{model_bytes:.0},{rounds},{rounds_model}\n",
                 step.label()
             ));
+            let at = format!("{} at (p, l, b) = ({p}, {l}, {b})", step.label());
+            assert_eq!(rounds, rounds_model, "{at}: rounds");
+            if step == Step::AllToAllFiber {
+                assert!(measured <= model_bytes, "{at}: {measured} B over its bound");
+                fiber_ratios.push(measured / model_bytes);
+            } else {
+                assert_eq!(measured, model_bytes, "{at}: bytes");
+            }
         }
     }
     write_csv("table2_comm_model.csv", &csv);
+    assert!(
+        fiber_ratios.windows(2).all(|w| w[0] <= w[1]),
+        "AllToAll-Fiber ratio falls as l grows: {fiber_ratios:?}"
+    );
+    println!("\nShape holds: broadcasts and rounds match the model, fiber {fiber_ratios:.2?}");
 
     // Extreme-scale projection: the paper's regime, straight from the
     // closed forms (simulating 16K ranks is pointless when the formulas

@@ -441,8 +441,9 @@ impl AuditConfig {
 /// Modeled payload sizes of one configuration, used only to annotate
 /// collective events (excluded from agreement checks): bytes of what the
 /// scatter, the fiber exchange and the 1.5D collectives move, nonzeros of
-/// what a stage or the refresh of `B̃` moves — [`payload_bytes`] sizes those,
-/// as it does for the run.
+/// what a stage or the refresh of `B̃` moves — [`payload_bytes`] sizes those
+/// as whole operands. The run sends fiber pieces and refresh slices coded,
+/// so it records fewer bytes for them than these annotate.
 #[derive(Clone, Copy, Default)]
 struct Bytes {
     scatter: [u64; 2],

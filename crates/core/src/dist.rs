@@ -180,11 +180,13 @@ pub fn gather_pieces<T: Copy + Send + 'static>(
 /// column blocks, `(j, k)` column slices ↔ `(i, k)` row slices). So the
 /// whole operation is one pairwise exchange across the grid diagonal plus
 /// a local transpose. `A·Aᵀ` pipelines (BELLA, Jaccard, hypergraph
-/// matching) use this to set up `B = Aᵀ` in place.
+/// matching) use this to set up `B = Aᵀ` in place. The exchange is modeled
+/// as one point-to-point message of `r` bytes per received nonzero.
 pub fn transpose_to_bstyle<T: Copy + Send + 'static>(
     rank: &mut Rank,
     grid: &Grid3D,
     m: &DistMatrix<T>,
+    r: usize,
 ) -> DistMatrix<T> {
     assert_eq!(
         m.kind,
@@ -204,8 +206,7 @@ pub fn transpose_to_bstyle<T: Copy + Send + 'static>(
         rank.send(&world, partner, 0x7A_0001, (local_t, nnz));
         let (mat, recv_nnz) = rank.recv::<(CscMatrix<T>, u64)>(&world, partner, 0x7A_0001);
         // Model the exchange as one point-to-point message round.
-        let machine = *rank.machine();
-        let cost = machine.alpha + machine.beta * (recv_nnz as usize * 24) as f64;
+        let cost = rank.machine().send_secs(recv_nnz as usize * r);
         rank.clock_mut().advance(Step::Other, cost);
         mat
     };
@@ -352,7 +353,7 @@ mod tests {
                 let grid = Grid3D::new(rank, l);
                 let payload = (rank.rank() == 0).then(|| Arc::new(g2.clone()));
                 let a = scatter(rank, &grid, DistKind::AStyle, payload);
-                let at = transpose_to_bstyle(rank, &grid, &a);
+                let at = transpose_to_bstyle(rank, &grid, &a, 24);
                 assert_eq!(at.grows, 47);
                 assert_eq!(at.gcols, 33);
                 gather_dist(rank, &grid, &at)

@@ -30,6 +30,9 @@
 //! Every message is sized by [`schedule::payload_bytes`]; a fetch leg is
 //! sized from its encoded index length, and the codec's CPU is charged to
 //! the leg's own step on both sides ([`C_CODEC`] per coded integer). The
+//! other sparse blocks that move whole — fiber pieces, refresh slices of
+//! `B̃`, 1.5D A-shift blocks — are sized as coded blocks (`block_leg`) and
+//! charged the same way (`charge`, `charge_codec`). The
 //! symbolic sweep's stages (`batch: None`) move [`CscMatrix::pattern`]s —
 //! indices without values — through the same [`ExchangePlan::stage`].
 //!
@@ -52,7 +55,7 @@
 use crate::schedule::{self, payload_bytes, Link, Msg, Op, Payload, Phase, Wire};
 use spgemm_simgrid::{Grid3D, PendingBcast, PendingOp, Rank, Step};
 use spgemm_sparse::spgemm::C_CODEC;
-use spgemm_sparse::subset::{needed_rows, ColRequest, ColTile, SubsetWorkspace};
+use spgemm_sparse::subset::{coded_len, needed_rows, ColRequest, ColTile, SubsetWorkspace};
 use spgemm_sparse::CscMatrix;
 use std::any::Any;
 use std::collections::HashMap;
@@ -647,17 +650,37 @@ fn request_leg(op: Op, request: &ColRequest, k: usize, r: usize) -> (usize, usiz
 /// columns: a count per column and a row per nonzero.
 fn reply_leg<T: Copy>(op: Op, tile: &ColTile<T>, k: usize, r: usize) -> (usize, usize) {
     let (nnz, index_bytes) = (tile.nnz(), tile.index_bytes());
-    (payload_bytes(op, Payload::Reply { nnz, index_bytes }, r), k + nnz)
+    (payload_bytes(op, Payload::Coded { nnz, index_bytes }, r), k + nnz)
 }
 
-/// Charge one side of a fetch message leg of `bytes` whose codec handles
-/// `coded` integers to this rank's clock: the encode or decode CPU plus
-/// `α + β·bytes` seconds, and the byte/message counters of `step`.
-fn charge(rank: &mut Rank, step: Step, (bytes, coded): (usize, usize)) {
+/// Modeled bytes and coded integers of all of `m` sent by `op` as one
+/// coded block: the request of its `k` nonempty columns (a count and a gap
+/// per column), a count per column and a row per nonzero, and a value word
+/// per nonzero. Only the sender sizes a block; the pair travels with it.
+pub(crate) fn block_leg<T: Copy>(op: Op, m: &CscMatrix<T>, r: usize) -> (usize, usize) {
+    let (index_bytes, k) = coded_len(m);
+    let nnz = m.nnz();
+    (payload_bytes(op, Payload::Coded { nnz, index_bytes }, r), 2 * k + 1 + nnz)
+}
+
+/// Charge one side of a point-to-point message leg of `bytes` whose codec
+/// handles `coded` integers to this rank's clock: the encode or decode CPU
+/// plus `α + β·bytes` seconds, and the byte/message counters of `step`.
+pub(crate) fn charge(rank: &mut Rank, step: Step, (bytes, coded): (usize, usize)) {
     let machine = rank.machine();
     let cost = machine.compute_secs(coded as f64 * C_CODEC) + machine.send_secs(bytes);
     rank.clock_mut().advance(step, cost);
     rank.clock_mut().record_comm(step, bytes as u64, 1);
+}
+
+/// Charge the codec CPU of `coded` integers to `step`, where the message's
+/// wire time is charged elsewhere: the encode of a shifted block, and both
+/// sides of an all-to-all, whose collective charges the transfer.
+pub(crate) fn charge_codec(rank: &mut Rank, step: Step, coded: usize) {
+    if coded > 0 {
+        let cost = rank.machine().compute_secs(coded as f64 * C_CODEC);
+        rank.clock_mut().advance(step, cost);
+    }
 }
 
 #[cfg(test)]

@@ -32,9 +32,11 @@
 //! replay — the same seam `Grid3D::for_rank_id` provides for SUMMA.
 //!
 //! Shift rounds are point-to-point ([`Rank::send`]/[`Rank::recv`], which
-//! do not advance the modeled clock) and are charged manually at one
-//! α + β·bytes message per round under [`Step::AShift`], following the
-//! `transpose_to_bstyle` precedent. The InnerABC reduction is a team
+//! do not advance the modeled clock). The `A` block travels as a coded
+//! block, sized by [`crate::schedule::payload_bytes`] like a fetch reply,
+//! and each round is charged under [`Step::AShift`] as one fetch-style
+//! message: the sender's encode, the receiver's decode and `α + β·bytes`.
+//! The InnerABC reduction is a team
 //! reduce-scatter, as Alg. 2's AllToAll-Fiber + Merge-Fiber: team member
 //! `k` keeps rows `block_range(m, c, k)` of its stripe, receives only those
 //! rows from the other `c − 1` members through one alltoallv charged under
@@ -43,6 +45,7 @@
 //! the kept row slices.
 
 use crate::backend::BackendKind;
+use crate::exchange::{block_leg, charge, charge_codec};
 use crate::memory::R_BYTES_PER_NNZ;
 use crate::model::{validate_grid, validate_repl};
 use crate::schedule::{self, Op};
@@ -390,18 +393,18 @@ pub fn spmm_15d<S: Semiring>(
                 );
                 kernel_stats.merge(stats);
             }
-            // A-Shift: rotate the block to the ring successor. `send`/
-            // `recv` are free on the modeled clock, so charge one
-            // α + β·bytes point-to-point message manually (the
-            // `transpose_to_bstyle` precedent).
+            // A-Shift: rotate the block to the ring successor as a coded
+            // block. `send`/`recv` are free on the modeled clock, so the
+            // sender charges its encode and the receiver one fetch-style
+            // leg: the decode plus α + β·bytes, sized by the sender.
             Op::Shift { round } => {
                 let [to, from] = schedule::ring_shift(ring_len, pos0, round);
-                rank.send(&ring, to.peer, to.tag, (cur_block as u64, cur));
-                let (idx, mat) = rank.recv::<(u64, CscMatrix<S::T>)>(&ring, from.peer, from.tag);
-                let bytes = mat.nnz() * R_BYTES_PER_NNZ;
-                let cost = rank.machine().send_secs(bytes);
-                rank.clock_mut().advance(Step::AShift, cost);
-                rank.clock_mut().record_comm(Step::AShift, bytes as u64, 1);
+                let sent = block_leg(op, &cur, R_BYTES_PER_NNZ);
+                charge_codec(rank, Step::AShift, sent.1);
+                rank.send(&ring, to.peer, to.tag, (cur_block as u64, cur, sent));
+                let (idx, mat, received) =
+                    rank.recv::<(u64, CscMatrix<S::T>, (usize, usize))>(&ring, from.peer, from.tag);
+                charge(rank, Step::AShift, received);
                 cur = mat;
                 cur_block = idx as usize;
                 debug_assert_eq!(

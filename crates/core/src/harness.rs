@@ -359,7 +359,7 @@ pub fn run_batched<S: Semiring, St: Default, R: Send>(
             BOperand::Global(b) => {
                 scatter(rank, grid, DistKind::BStyle, root.then(|| Arc::clone(b)))
             }
-            BOperand::TransposeOfA => transpose_to_bstyle(rank, grid, &da),
+            BOperand::TransposeOfA => transpose_to_bstyle(rank, grid, &da, cfg.budget.r),
         };
         let mut state = St::default();
         let mut result = batched_summa3d::<S>(rank, grid, &da, &db, &cfg, |rank, out| {

@@ -7,19 +7,22 @@
 //! directly comparable to `RunOutput::max.total()` and the planner's regret
 //! against an exhaustive sweep stays small.
 //!
-//! One deliberate exception: a fetch reply, a fetch request and both legs
-//! of the symbolic sweep are priced here at `r` bytes per nonzero (4 per
-//! requested column), while the run charges
-//! [`crate::schedule::payload_bytes`] — for a pattern operand `2w·nnz`, and
-//! for the fetch legs what their wire format encodes: `(r − 2w)·nnz` plus
-//! the varint-coded counts and row gaps of a reply (the varints alone in
-//! the sweep), the gap-coded varint list of a request — plus the codec's
-//! CPU (`C_CODEC` per coded integer per side). The planner prices from a
-//! sketch and cannot know those varint lengths, which depend on the gaps
-//! between the rows it never sees. It therefore *over*-predicts those
-//! steps, the safe direction for admission: `planner.residual_frac` on
-//! `kmer-aat-membound` read 0.037 before the sweep moved patterns, ≈0.29
-//! after, and ≈0.65 since the fetch legs are encoded. Feeding it the
+//! One deliberate exception: a fetch reply, a fetch request, both legs of
+//! the symbolic sweep, the AllToAll-Fiber pieces and the 1.5D A-shift
+//! blocks are priced here at `r` bytes per nonzero (4 per requested
+//! column), while the run charges [`crate::schedule::payload_bytes`] — for
+//! a pattern operand `2w·nnz`, and for everything coded what its wire
+//! format encodes: `(r − 2w)·nnz` plus the varint-coded counts and row gaps
+//! of a reply (the varints alone in the sweep), and before them the
+//! gap-coded nonempty column ids of a fiber piece or shifted block; the
+//! gap-coded varint list of a request — plus the codec's CPU (`C_CODEC` per
+//! coded integer per side). The planner prices from a sketch and cannot
+//! know those varint lengths, which depend on the gaps between the rows it
+//! never sees. It therefore *over*-predicts those steps, the safe direction
+//! for admission: `planner.residual_frac` on `kmer-aat-membound` read 0.037
+//! before the sweep moved patterns, ≈0.29 after, ≈0.65 once the fetch legs
+//! were encoded and ≈0.93 since the fiber pieces are (`social-sq-comm`:
+//! 0.008 → 0.372). Feeding it the
 //! cheaper sizes was tried and not kept: on `serve-mixed` (tiny budgeted
 //! jobs, seed 20210517) the plan choices flip to candidates whose
 //! *simulated* run is worse — every leg updated: `modeled_msgs` 69 → 82,
@@ -708,13 +711,15 @@ pub fn family15_block_nnz<T: Copy>(a: &CscMatrix<T>, t: usize) -> Vec<u64> {
 /// machine and budget — the family-layer counterpart of
 /// [`predict_candidate`].
 ///
-/// The model mirrors the `family15::spmm_15d` driver's accounting move
-/// for move. `B` is dense (or densified) at 8 bytes per entry; `A` blocks
-/// travel the ring at [`R_BYTES_PER_NNZ`] bytes per nonzero, one
-/// `α + β·bytes` message per shift round; InnerABC's partial-`C`
-/// reduction is a reduce-scatter over the `c`-member team — one alltoallv
-/// of `⌈m/c⌉`-row stripe slices, then a member-order fold of the kept slice
-/// at [`C_SPMM_FLOP`] work units per add. There is no
+/// The model follows the `family15::spmm_15d` driver's schedule move for
+/// move. `B` is dense (or densified) at 8 bytes per entry; `A` blocks are
+/// priced on the ring at [`R_BYTES_PER_NNZ`] bytes per nonzero, one
+/// `α + β·bytes` message per shift round — an over-prediction, since the
+/// driver ships them coded (the module docs' deliberate exception);
+/// InnerABC's partial-`C` reduction is a reduce-scatter over the
+/// `c`-member team — one alltoallv of `⌈m/c⌉`-row stripe slices, then a
+/// member-order fold of the kept slice at [`C_SPMM_FLOP`] work units per
+/// add. There is no
 /// batching: the replicated stationary operands either fit the
 /// per-process budget or the candidate is infeasible outright — the
 /// Eq. 2-style replication-memory penalty that lets batched SUMMA win

@@ -277,10 +277,10 @@ pub fn wire(op: Op, exchange: ExchangeMode) -> &'static [Wire] {
     }
 }
 
-/// What one message of an [`Op::Stage`] carries.
+/// What one sparse message carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Payload {
-    /// A whole local piece of `nnz` nonzeros, broadcast.
+    /// A whole local piece of `nnz` nonzeros, broadcast or scattered.
     Operand {
         /// Nonzeros of the piece.
         nnz: usize,
@@ -291,36 +291,41 @@ pub enum Payload {
         /// Encoded length.
         index_bytes: usize,
     },
-    /// The tile answering a [`Payload::Request`]: exactly its columns, in
-    /// request order, holding `nnz` nonzeros
-    /// (`spgemm_sparse::subset::ColTile`).
-    Reply {
-        /// Nonzeros of the tile.
+    /// A varint-coded sparse block of `nnz` nonzeros: the tile answering a
+    /// [`Payload::Request`] (exactly its columns, in request order,
+    /// `spgemm_sparse::subset::ColTile`), or a whole block that leads with
+    /// the request of its own nonempty columns
+    /// (`spgemm_sparse::subset::coded_len`).
+    Coded {
+        /// Nonzeros of the block.
         nnz: usize,
-        /// Length of the tile's varint-coded counts and rows.
+        /// Length of the block's varint-coded column ids, counts and rows.
         index_bytes: usize,
     },
 }
 
-/// Modeled bytes of `payload` as `op` moves it — the one place a stage
-/// message is sized; [`crate::exchange`] charges it and [`crate::audit`]
-/// annotates with it. A message carries what its receiver lacks.
+/// Modeled bytes of `payload` as `op` moves it — the one place a sparse
+/// message is sized; [`crate::exchange`], the fiber exchange, the refresh
+/// of `B̃` and the 1.5D A-shift charge it and [`crate::audit`] annotates
+/// with it. A message carries what its receiver lacks.
 ///
 /// The paper's `r` bytes per nonzero are three words, a row index, a
 /// column index and a value (`r = 24`: 8 bytes each); an index word is
 /// `w = r / 3` and the value takes the rest.
 ///
-/// | payload | numeric stage | symbolic sweep (`batch: None`) |
+/// | payload | numeric | symbolic sweep stage (`batch: None`) |
 /// |---|---|---|
 /// | `Operand` | `r·nnz` (Table II) | `2w·nnz`: the sweep reads no value |
-/// | `Reply` | `(r − 2w)·nnz + index_bytes` | `index_bytes` |
+/// | `Coded` | `(r − 2w)·nnz + index_bytes` | `index_bytes` |
 /// | `Request` | `index_bytes` | `index_bytes` |
 ///
-/// The fetch legs travel in their own wire format, so their indices cost
-/// what their encoding takes: a reply spells no column id (the requester
-/// sent them) and codes a count per column and the gaps between a column's
-/// rows as varints beside a value word per nonzero; a request is a
-/// gap-coded varint list. Ops other than [`Op::Stage`] move full operands.
+/// Stage broadcasts and the scatter move `Operand`s. Every other sparse
+/// block travels coded, so its indices cost what their encoding takes: a
+/// count per column and the gaps between a column's rows as varints beside
+/// a value word per nonzero — a fetch reply spells no column id (the
+/// requester sent them), while a fiber piece, a refresh slice of `B̃` and an
+/// A-shift block lead with their nonempty column ids. A request is a
+/// gap-coded varint list.
 pub fn payload_bytes(op: Op, payload: Payload, r: usize) -> usize {
     let w = r / 3;
     let pattern = matches!(op, Op::Stage { batch: None, .. });
@@ -328,8 +333,8 @@ pub fn payload_bytes(op: Op, payload: Payload, r: usize) -> usize {
         Payload::Operand { nnz } if pattern => 2 * w * nnz,
         Payload::Operand { nnz } => r * nnz,
         Payload::Request { index_bytes } => index_bytes,
-        Payload::Reply { index_bytes, .. } if pattern => index_bytes,
-        Payload::Reply { nnz, index_bytes } => (r - 2 * w) * nnz + index_bytes,
+        Payload::Coded { index_bytes, .. } if pattern => index_bytes,
+        Payload::Coded { nnz, index_bytes } => (r - 2 * w) * nnz + index_bytes,
     }
 }
 
@@ -395,28 +400,37 @@ mod tests {
         };
         let (numeric, sweep) = (stage(Some(3)), stage(None));
         let operand = |nnz| Payload::Operand { nnz };
-        let reply = |nnz, index_bytes| Payload::Reply { nnz, index_bytes };
+        let coded = |nnz, index_bytes| Payload::Coded { nnz, index_bytes };
         let request = |index_bytes| Payload::Request { index_bytes };
+        let fiber = |overlap| Op::Fiber { overlap };
         // (op, payload, bytes at r = 24, bytes at r = 20: w = 6, value 8)
         let rows = [
             (numeric, operand(10), 240, 200),
             (sweep, operand(10), 160, 120),
-            (numeric, reply(10, 15), 95, 95),
-            (sweep, reply(10, 15), 15, 15),
+            (numeric, coded(10, 15), 95, 95),
+            (sweep, coded(10, 15), 15, 15),
             (numeric, request(6), 6, 6),
             (sweep, request(6), 6, 6),
             // Nothing stored: the reply still delimits its columns.
             (numeric, operand(0), 0, 0),
             (sweep, operand(0), 0, 0),
-            (numeric, reply(0, 4), 4, 4),
-            (sweep, reply(0, 4), 4, 4),
+            (numeric, coded(0, 4), 4, 4),
+            (sweep, coded(0, 4), 4, 4),
             // Nothing asked for.
-            (numeric, reply(0, 0), 0, 0),
-            (sweep, reply(0, 0), 0, 0),
+            (numeric, coded(0, 0), 0, 0),
+            (sweep, coded(0, 0), 0, 0),
             (numeric, request(0), 0, 0),
-            // Whatever else moves a sparse operand moves all of it.
-            (Op::RefreshB, operand(10), 240, 200),
+            // The scatter moves whole operands.
             (Op::Scatter, operand(10), 240, 200),
+            // Fiber pieces, refresh slices and A-shift blocks travel coded,
+            // values included, also when nothing is stored.
+            (fiber(OverlapMode::Blocking), coded(10, 17), 97, 97),
+            (fiber(OverlapMode::Overlapped), coded(10, 17), 97, 97),
+            (Op::RefreshB, coded(10, 17), 97, 97),
+            (Op::Shift { round: 2 }, coded(10, 17), 97, 97),
+            (fiber(OverlapMode::Blocking), coded(0, 1), 1, 1),
+            (Op::RefreshB, coded(0, 1), 1, 1),
+            (Op::Shift { round: 0 }, coded(0, 1), 1, 1),
         ];
         for (op, payload, at24, at20) in rows {
             assert_eq!(

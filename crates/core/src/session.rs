@@ -43,9 +43,10 @@
 
 use crate::batched::{batched_summa3d_with, BatchOutput};
 use crate::dist::{gather_pieces, scatter, CPiece, DistKind, DistMatrix};
-use crate::exchange::{ExchangePlan, FetchCacheStats};
+use crate::exchange::{block_leg, charge_codec, ExchangePlan, FetchCacheStats};
 use crate::harness::RunConfig;
 use crate::kernels::LocalKernels;
+use crate::schedule::Op;
 use crate::{CoreError, Result};
 use spgemm_simgrid::{Grid3D, Rank, Step, StepBreakdown};
 use spgemm_sparse::ops::{block_range, col_concat, row_block};
@@ -203,9 +204,11 @@ impl<S: Semiring> IterSession<S> {
 
     /// Rebuild the B-style operand from the (new) A-style iterate with one
     /// all-to-all along the fiber: slice the local piece row-wise into `l`
-    /// blocks, exchange, concatenate received pieces in fiber order.
-    /// Charged to [`Step::Other`] like the gather/scatter it replaces —
-    /// application-side data movement, not SpGEMM time.
+    /// blocks, exchange, concatenate received pieces in fiber order. A slice
+    /// that leaves the rank travels as a coded block, sized once by its
+    /// sender like a fiber piece. Charged to [`Step::Other`] like the
+    /// gather/scatter it replaces — application-side data movement, not
+    /// SpGEMM time.
     fn refresh_b(&mut self, rank: &mut Rank, grid: &Grid3D) -> Result<()> {
         if grid.l == 1 {
             // A-style and B-style coincide on a single layer.
@@ -214,15 +217,24 @@ impl<S: Semiring> IterSession<S> {
         }
         let r = self.cfg.budget.r;
         let nrows_local = self.a.local.nrows();
+        let me = grid.fiber.my_index();
         let mut parts = Vec::with_capacity(grid.l);
         let mut bytes = Vec::with_capacity(grid.l);
         for k in 0..grid.l {
             let slice = row_block(&self.a.local, block_range(nrows_local, grid.l, k));
-            bytes.push(slice.modeled_bytes(r));
-            parts.push(slice);
+            let (wire, coded) = if k == me {
+                (0, 0)
+            } else {
+                block_leg(Op::RefreshB, &slice, r)
+            };
+            bytes.push(wire);
+            parts.push((slice, coded));
         }
+        charge_codec(rank, Step::Other, parts.iter().map(|part| part.1).sum());
         let recv = rank.alltoallv(&grid.fiber, parts, &bytes, Step::Other);
-        self.b.local = Arc::new(col_concat(&recv).map_err(CoreError::Sparse)?);
+        charge_codec(rank, Step::Other, recv.iter().map(|part| part.1).sum());
+        let slices: Vec<CscMatrix<S::T>> = recv.into_iter().map(|(slice, _)| slice).collect();
+        self.b.local = Arc::new(col_concat(&slices).map_err(CoreError::Sparse)?);
         debug_assert_eq!(self.b.local.nrows(), self.b.row_range(grid).len());
         debug_assert_eq!(self.b.local.ncols(), self.b.col_range(grid).len());
         Ok(())

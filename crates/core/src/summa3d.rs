@@ -11,8 +11,10 @@
 //! them after each batch's Merge-Layer.
 
 use crate::dist::{CPiece, DistMatrix};
+use crate::exchange::{block_leg, charge_codec};
 use crate::kernels::LocalKernels;
 use crate::memory::MemTracker;
+use crate::schedule::Op;
 use crate::summa2d::OverlapMode;
 use crate::Result;
 use spgemm_simgrid::{Grid3D, PendingOp, Rank, Step};
@@ -35,6 +37,12 @@ pub(crate) struct FiberPieces<T: Copy> {
 /// next-batch stage-0 broadcasts, which the merge phases keep hiding (an
 /// immediate wait is cost-neutral with the blocking call, see
 /// `spgemm_simgrid::nonblocking`).
+///
+/// A piece that leaves the rank travels as a coded block
+/// ([`crate::exchange::block_leg`]), sized once by its sender; its coded
+/// integer count rides along so the receiver charges its decode without
+/// recounting. The rank's own piece stays put and is never sized.
+/// Residency stays at `r` bytes per nonzero.
 #[allow(clippy::too_many_arguments)] // SPMD plumbing: grid + matrices + policies
 pub(crate) fn fiber_exchange<T: Copy + Send + Sync + 'static>(
     rank: &mut Rank,
@@ -51,34 +59,43 @@ pub(crate) fn fiber_exchange<T: Copy + Send + Sync + 'static>(
     debug_assert_eq!(*piece_offsets.last().unwrap(), d.ncols());
 
     // Piece k' also carries its global column ids so fiber peers can
-    // verify conformance.
-    let mut parts: Vec<(CscMatrix<T>, Vec<u32>)> = Vec::with_capacity(grid.l);
+    // verify conformance, and the integers its codec handles.
+    let (op, me) = (Op::Fiber { overlap }, grid.fiber.my_index());
+    let mut parts: Vec<(CscMatrix<T>, Vec<u32>, usize)> = Vec::with_capacity(grid.l);
     let mut part_bytes: Vec<usize> = Vec::with_capacity(grid.l);
-    for cut in piece_offsets.windows(2) {
+    for (k, cut) in piece_offsets.windows(2).enumerate() {
         let piece = col_block(&d, cut[0]..cut[1]);
-        part_bytes.push(piece.modeled_bytes(r));
-        parts.push((piece, batch_global_cols[cut[0]..cut[1]].to_vec()));
+        let (bytes, coded) = if k == me {
+            (0, 0)
+        } else {
+            block_leg(op, &piece, r)
+        };
+        part_bytes.push(bytes);
+        parts.push((piece, batch_global_cols[cut[0]..cut[1]].to_vec(), coded));
     }
     // ColSplit replaces D with same-size pieces (streaming residency model,
     // consistent with Alg. 3's unmerged-high-water-mark accounting).
+    let held = d.modeled_bytes(r);
     drop(d);
 
-    let sent_bytes: usize = part_bytes.iter().sum();
-    let (fiber, step) = (&grid.fiber, Step::AllToAllFiber);
+    let step = Step::AllToAllFiber;
+    charge_codec(rank, step, parts.iter().map(|part| part.2).sum());
+    let fiber = &grid.fiber;
     let received = match overlap {
         OverlapMode::Blocking => rank.alltoallv(fiber, parts, &part_bytes, step),
         OverlapMode::Overlapped => rank.ialltoallv(fiber, parts, &part_bytes, step).wait(rank),
     };
-    let bytes: usize = received.iter().map(|(p, _)| p.modeled_bytes(r)).sum();
-    mem.free(sent_bytes);
+    charge_codec(rank, step, received.iter().map(|part| part.2).sum());
+    let bytes: usize = received.iter().map(|(p, ..)| p.modeled_bytes(r)).sum();
+    mem.free(held);
     mem.alloc(bytes);
 
     // All received pieces cover the same global columns: every fiber member
     // split the same local column set and sent us piece #k.
     let global_cols = received[0].1.clone();
-    debug_assert!(received.iter().all(|(_, g)| g == &global_cols));
+    debug_assert!(received.iter().all(|(_, g, _)| g == &global_cols));
     FiberPieces {
-        pieces: received.into_iter().map(|(p, _)| p).collect(),
+        pieces: received.into_iter().map(|(p, ..)| p).collect(),
         global_cols,
         bytes,
     }

@@ -411,26 +411,28 @@ fn golden_table() -> String {
     rows.join("\n")
 }
 
-/// The table as printed since the InnerABC reduction became a reduce-scatter
-/// over row slices of the stripe.
+/// The table as printed since the A-shift blocks began to travel as coded
+/// blocks (the fetch reply's wire format behind their own nonempty column
+/// ids).
 ///
 /// Rule for regenerating it: a change may move a column only where it moves
 /// data or work, and says which in its description. The `C` column is the
-/// product and never moves. The last regeneration left every `cola` row
-/// character for character, and on the `innerabc` rows kept the `C` and
-/// message columns (and, at `c = 2`, the max peak); it moved the
-/// critical-path total, the bytes (one slice per peer instead of one
-/// stripe), the peaks (`c` slices instead of `c` stripes in flight) and the
-/// flops (each member folds only its slice).
+/// product and never moves. The last regeneration kept the `C`, message,
+/// max peak, peak FNV and flops columns on every row, and both
+/// `innerabc(c=4)` rows character for character (one round, so no shift);
+/// it moved only the critical-path total and the bytes (coded A-shift
+/// blocks). The one before it, when the InnerABC reduction became a
+/// reduce-scatter over row slices of the stripe, left every `cola` row and
+/// moved the `innerabc` totals, bytes, peaks and flops.
 const GOLDEN: &str = "\
-cola(c=1) keep | c0a61032db1ad286 | 3f3aa8667a46ac4c | 161256 | 17 | 141456 | ee3f16c50a742182 | 238672\n\
-cola(c=1) drop | - | 3f3aa8667a46ac4c | 161256 | 17 | 141456 | ee3f16c50a742182 | 238672\n\
-cola(c=2) keep | c85b9d544b2f7252 | 3f30966633e70dc1 | 159216 | 9 | 177024 | 316669519f012aad | 238672\n\
-cola(c=2) drop | - | 3f30966633e70dc1 | 159216 | 9 | 177024 | 316669519f012aad | 238672\n\
-cola(c=4) keep | 20dac3f747df2b10 | 3f272d1c06343ae1 | 150840 | 5 | 224880 | 28744d46a0301695 | 238672\n\
-cola(c=4) drop | - | 3f272d1c06343ae1 | 150840 | 5 | 224880 | 28744d46a0301695 | 238672\n\
-innerabc(c=2) keep | b338f731f9e4897d | 3f2a53a6021a7436 | 132344 | 6 | 209792 | ca5339a9c58b6b21 | 279632\n\
-innerabc(c=2) drop | - | 3f2a53a6021a7436 | 132344 | 6 | 209792 | ca5339a9c58b6b21 | 279632\n\
+cola(c=1) keep | c0a61032db1ad286 | 3f36a9cd218f7ae6 | 62590 | 17 | 141456 | ee3f16c50a742182 | 238672\n\
+cola(c=1) drop | - | 3f36a9cd218f7ae6 | 62590 | 17 | 141456 | ee3f16c50a742182 | 238672\n\
+cola(c=2) keep | c85b9d544b2f7252 | 3f28975cd4eeb0d2 | 61727 | 9 | 177024 | 316669519f012aad | 238672\n\
+cola(c=2) drop | - | 3f28975cd4eeb0d2 | 61727 | 9 | 177024 | 316669519f012aad | 238672\n\
+cola(c=4) keep | 20dac3f747df2b10 | 3f1c704d08e113f1 | 58356 | 5 | 224880 | 28744d46a0301695 | 238672\n\
+cola(c=4) drop | - | 3f1c704d08e113f1 | 58356 | 5 | 224880 | 28744d46a0301695 | 238672\n\
+innerabc(c=2) keep | b338f731f9e4897d | 3f223c1e95c3cda1 | 63465 | 6 | 209792 | ca5339a9c58b6b21 | 279632\n\
+innerabc(c=2) drop | - | 3f223c1e95c3cda1 | 63465 | 6 | 209792 | ca5339a9c58b6b21 | 279632\n\
 innerabc(c=4) keep | 1ceb660478f566dd | 3f1b377250f42d2e | 61440 | 3 | 251704 | e8a83597071fcc9d | 361552\n\
 innerabc(c=4) drop | - | 3f1b377250f42d2e | 61440 | 3 | 251704 | e8a83597071fcc9d | 361552";
 

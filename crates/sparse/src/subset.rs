@@ -10,6 +10,11 @@
 //! same shape a dense broadcast would have produced — with every untouched
 //! column empty.
 //!
+//! A sparse block that moves whole — a fiber piece, a refresh slice of `B̃`,
+//! a 1.5D A-shift block — travels as a *coded block*: the request of its
+//! nonempty columns, then their tile. The run only sizes it ([`coded_len`]);
+//! the matrix itself moves on the host.
+//!
 //! The hot per-stage scratch (a stamp-versioned row-mark table) lives in a
 //! caller-owned [`SubsetWorkspace`] with monotone capacity, so steady-state
 //! stages allocate nothing for the derivation step.
@@ -90,6 +95,12 @@ fn put_varint(out: &mut Vec<u8>, x: u64) {
         x >>= 7;
     }
     out.push(x as u8);
+}
+
+/// Bytes of the LEB128 varint of `x`.
+#[inline]
+fn varint_len(x: u64) -> usize {
+    (64 - (x | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// The varint at `bytes[*pos..]`, advancing `pos` past it; branch-free for
@@ -284,6 +295,41 @@ impl<T: Copy> ColTile<T> {
     pub fn nnz(&self) -> usize {
         self.vals.len()
     }
+}
+
+/// Length of the index section of all of `m` sent as one *coded block*,
+/// and the number of its nonempty columns — computed without encoding.
+///
+/// A coded block is how a sparse block travels when no request named its
+/// columns: the [`ColRequest`] of its nonempty column ids, then the
+/// [`ColTile`] index section of those columns, then one value per nonzero
+/// (not counted here). The length is exactly
+/// `ColRequest::encode(&nonempty).index_bytes() + ColTile::encode(m,
+/// &nonempty).index_bytes()`.
+#[must_use]
+pub fn coded_len<T: Copy>(m: &CscMatrix<T>) -> (usize, usize) {
+    let sorted = m.is_sorted();
+    let (mut bytes, mut cols, mut next) = (0, 0, 0);
+    for (j, span) in m.colptr().windows(2).enumerate() {
+        let rows = &m.rowidx()[span[0]..span[1]];
+        if rows.is_empty() {
+            continue;
+        }
+        // The column's gap in the request, then its count in the tile.
+        bytes += varint_len((j - next) as u64) + varint_len(rows.len() as u64);
+        next = j + 1;
+        cols += 1;
+        if sorted {
+            let mut prev = 0;
+            for &r in rows {
+                bytes += varint_len(u64::from(r - prev));
+                prev = r;
+            }
+        } else {
+            bytes += rows.iter().map(|&r| varint_len(u64::from(r))).sum::<usize>();
+        }
+    }
+    (varint_len(cols as u64) + bytes, cols)
 }
 
 #[cfg(test)]

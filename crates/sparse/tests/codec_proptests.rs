@@ -13,10 +13,16 @@
 //! rather than the encoder's shift loop). The u32 edge is exercised directly:
 //! rows and columns at `u32::MAX − 1` and `u32::MAX`, gaps of `2²⁸` and more
 //! (five-byte varints), and `0` as the first index.
+//!
+//! A whole block sent as a coded block (a fiber piece, a refresh slice, an
+//! A-shift block) is only sized, by [`coded_len`]: it must equal the request
+//! of the block's nonempty columns plus their tile, as encoded, and that
+//! pair must decode back to the block ([`check_coded`]) — on every shape
+//! above and on rows and column gaps at each varint boundary up to `2²¹`.
 
 use proptest::prelude::*;
 use spgemm_sparse::ops::extract_cols;
-use spgemm_sparse::subset::{ColRequest, ColTile};
+use spgemm_sparse::subset::{coded_len, ColRequest, ColTile};
 use spgemm_sparse::CscMatrix;
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -137,6 +143,30 @@ fn check<T: Bits + std::fmt::Debug>(m: &CscMatrix<T>, cols: &[u32], what: &str) 
     assert_eq!(request.decode(), cols, "{what}: request");
 }
 
+/// `m` sized as a coded block: [`coded_len`] is the request of its nonempty
+/// columns plus their tile as encoded (and as independently summed), and
+/// the pair decodes back to `m` bit for bit.
+fn check_coded<T: Bits + std::fmt::Debug>(m: &CscMatrix<T>, what: &str) {
+    let nonempty: Vec<u32> = (0..m.ncols())
+        .filter(|&j| m.col_nnz(j) > 0)
+        .map(|j| j as u32)
+        .collect();
+    let request = ColRequest::encode(&nonempty);
+    let tile = ColTile::encode(m, &nonempty);
+    let encoded = request.index_bytes() + tile.index_bytes();
+    assert_eq!(
+        coded_len(m),
+        (encoded, nonempty.len()),
+        "{what}: coded length"
+    );
+    assert_eq!(
+        encoded,
+        expected_request_bytes(&nonempty) + expected_index_bytes(m, &nonempty),
+        "{what}: coded length by varint sum"
+    );
+    assert_bit_identical(&tile.decode(&request.decode()), m, &format!("{what}: coded"));
+}
+
 /// Rows a column may hold: the varint boundaries and the u32 edge, where
 /// the shape allows them, else uniform below `nrows`.
 fn pick_row(nrows: usize, s: &mut u64) -> u32 {
@@ -231,8 +261,11 @@ fn check_all_shapes(seed: u64) {
                     let m = matrix(nrows, ncols, sorted, &reals, s);
                     check(&m, &cols, &format!("{what} f64"));
                     check(&m.pattern(), &cols, &format!("{what} ()"));
+                    check_coded(&m, &format!("{what} f64"));
+                    check_coded(&m.pattern(), &format!("{what} ()"));
                     let m = matrix(nrows, ncols, sorted, &[0u64, 1, u64::MAX, 1 << 63], s);
                     check(&m, &cols, &format!("{what} u64"));
+                    check_coded(&m, &format!("{what} u64"));
                 }
             }
         }
@@ -335,4 +368,54 @@ fn nothing_asked_and_nothing_stored() {
         &padded_oracle(&zero, &cols),
         "all empty",
     );
+}
+
+/// Coded blocks whose rows, row gaps and column gaps sit on each side of
+/// every varint boundary up to `2²¹`, in hypersparse shapes (a few entries
+/// across `2²¹ + 3` columns), sorted and unsorted, beside empty blocks.
+#[test]
+fn coded_blocks_at_the_varint_boundaries() {
+    const EDGES: [u32; 6] = [127, 128, 16_383, 16_384, (1 << 21) - 1, 1 << 21];
+    let n = (1 << 21) + 3;
+    for sorted in [true, false] {
+        for (e, &edge) in EDGES.iter().enumerate() {
+            // Column 0 holds row `edge` alone; column `edge + 1` sits a gap
+            // of `edge` after it and holds rows 0 and `edge` (a row gap of
+            // `edge`), or unsorted `edge` then 0 (rows in full); the last
+            // column holds row 1 and the next boundary, in either order.
+            let far = n - 1;
+            let (second, vals) = if sorted {
+                (vec![0, edge], vec![2.0, 3.0])
+            } else {
+                (vec![edge, 0], vec![3.0, 2.0])
+            };
+            let mut triples = vec![(edge, 0u32, 1.0)];
+            triples.extend(second.iter().zip(vals).map(|(&r, v)| (r, edge + 1, v)));
+            triples.push((1, far, 4.0));
+            let other = EDGES[(e + 1) % EDGES.len()];
+            triples.push((other, far, 5.0));
+            if !sorted {
+                triples.swap(3, 4);
+            }
+            let mut colptr = vec![0usize; n as usize + 1];
+            for &(_, c, _) in &triples {
+                colptr[c as usize + 1] += 1;
+            }
+            for j in 0..n as usize {
+                colptr[j + 1] += colptr[j];
+            }
+            let rowidx: Vec<u32> = triples.iter().map(|t| t.0).collect();
+            let vals: Vec<f64> = triples.iter().map(|t| t.2).collect();
+            let m = CscMatrix::from_parts(n as usize, n as usize, colptr, rowidx, vals).unwrap();
+            let what = format!("edge {edge}, sorted {sorted}");
+            assert_eq!(m.is_sorted(), sorted, "{what}: generator");
+            check_coded(&m, &what);
+            check_coded(&m.pattern(), &format!("{what} ()"));
+        }
+    }
+    for (nrows, ncols) in [(0, 0), (0, 7), (7, 0), (5, 1 << 21)] {
+        let zero = CscMatrix::<f64>::zero(nrows, ncols);
+        assert_eq!(coded_len(&zero), (1, 0), "an empty block is its count");
+        check_coded(&zero, &format!("empty {nrows}x{ncols}"));
+    }
 }

@@ -8,7 +8,14 @@
 //! a function of the schedule, not of the host, so the table also holds under
 //! `SPGEMM_PERTURB_SEED`.
 //!
-//! The table was last regenerated when the batch split began to cut inside
+//! The table was last regenerated when fiber pieces and the session's
+//! refresh slices of `B̃` began to travel as coded blocks (the fetch
+//! reply's wire format behind their own nonempty column ids, sized by
+//! `schedule::payload_bytes`), under this rule against the table printed
+//! before: `messages | b | max peak` are character-identical on every row,
+//! and only `total bits` and `bytes` move, bytes lower on every row.
+//!
+//! The regeneration before it came when the batch split began to cut inside
 //! each layer's column sub-slice (`sparse::ops::batch_pieces`), under this
 //! rule against the table printed before: every `mcl-*` row is
 //! character-identical (`b·l` divides their 48 local columns); in the
@@ -135,40 +142,40 @@ fn table() -> String {
 }
 
 const GOLDEN: &str = "\
-spgemm dense/Blocking | 3f57ee636d00925f | 38960 | 39 | 5 | 19440\n\
-aat dense/Blocking | 3f582cd003449a27 | 38960 | 38 | 5 | 19440\n\
-mcl-legacy dense/Blocking iter 1 | 3f5342fdf631a40d | 34776 | 38 | 3 | -\n\
-mcl-legacy dense/Blocking iter 2 | 3f50b6b7d17eef64 | 18624 | 30 | 2 | -\n\
-mcl-legacy dense/Blocking iter 3 | 3f50b57f1d4acd6a | 18280 | 30 | 2 | -\n\
-mcl-session dense/Blocking iter 1 | 3f534274ae05f61f | 35800 | 37 | 3 | -\n\
-mcl-session dense/Blocking iter 2 | 3f50b5bae0b7d46a | 19992 | 29 | 2 | -\n\
-mcl-session dense/Blocking iter 3 | 3f50b43ab8c10749 | 19960 | 29 | 2 | -\n\
-spgemm dense/Overlapped | 3f534bd98b24b169 | 38960 | 39 | 5 | 19440\n\
-aat dense/Overlapped | 3f539a20c6926c5e | 38960 | 38 | 5 | 19440\n\
-mcl-legacy dense/Overlapped iter 1 | 3f508ccbed350e12 | 34776 | 38 | 3 | -\n\
-mcl-legacy dense/Overlapped iter 2 | 3f4e0b5722288d61 | 18624 | 30 | 2 | -\n\
-mcl-legacy dense/Overlapped iter 3 | 3f4e07c6845c0635 | 18280 | 30 | 2 | -\n\
-mcl-session dense/Overlapped iter 1 | 3f508ccbed350e12 | 35800 | 37 | 3 | -\n\
-mcl-session dense/Overlapped iter 2 | 3f4e0b5722288d5a | 19992 | 29 | 2 | -\n\
-mcl-session dense/Overlapped iter 3 | 3f4e07c6845c0632 | 19960 | 29 | 2 | -\n\
-spgemm sparse/Blocking | 3f5ed2682958dfdc | 18439 | 51 | 5 | 19440\n\
-aat sparse/Blocking | 3f5f10514775d9b2 | 18439 | 50 | 5 | 19440\n\
-mcl-legacy sparse/Blocking iter 1 | 3f55a56ace0edbad | 22124 | 46 | 3 | -\n\
-mcl-legacy sparse/Blocking iter 2 | 3f53def974309b68 | 12593 | 36 | 2 | -\n\
-mcl-legacy sparse/Blocking iter 3 | 3f552cd1d844aa53 | 12265 | 36 | 2 | -\n\
-mcl-session sparse/Blocking iter 1 | 3f55a56ace0edbad | 23148 | 45 | 3 | -\n\
-mcl-session sparse/Blocking iter 2 | 3f53def974309b5f | 13961 | 35 | 2 | -\n\
-mcl-session sparse/Blocking iter 3 | 3f552cc82c588cee | 13938 | 35 | 2 | -\n\
-spgemm sparse/Overlapped | 3f5d836dab41787d | 18439 | 51 | 5 | 19440\n\
-aat sparse/Overlapped | 3f5dc43b084de0da | 18439 | 50 | 5 | 19440\n\
-mcl-legacy sparse/Overlapped iter 1 | 3f55008d406f120b | 22124 | 46 | 3 | -\n\
-mcl-legacy sparse/Overlapped iter 2 | 3f538a21ade386bc | 12593 | 36 | 2 | -\n\
-mcl-legacy sparse/Overlapped iter 3 | 3f54d7e98251a530 | 12265 | 36 | 2 | -\n\
-mcl-session sparse/Overlapped iter 1 | 3f54fcace46eff92 | 23148 | 45 | 3 | -\n\
-mcl-session sparse/Overlapped iter 2 | 3f538778330282ca | 13961 | 35 | 2 | -\n\
-mcl-session sparse/Overlapped iter 3 | 3f54d514cedb40f4 | 13938 | 35 | 2 | -\n\
-coarsen dense/Blocking | 3f57ee636d00925f | 38960 | 39 | 5 | -\n\
-mcl-session dense/Blocking tight iter 1 | 3f57fbab76eb4907 | 43672 | 53 | 5 | -";
+spgemm dense/Blocking | 3f57d750f94ff74a | 32753 | 39 | 5 | 19440\n\
+aat dense/Blocking | 3f581d7169a73708 | 32753 | 38 | 5 | 19440\n\
+mcl-legacy dense/Blocking iter 1 | 3f532e0952915685 | 28563 | 38 | 3 | -\n\
+mcl-legacy dense/Blocking iter 2 | 3f50a985441920de | 15161 | 30 | 2 | -\n\
+mcl-legacy dense/Blocking iter 3 | 3f50a94440c5403e | 15055 | 30 | 2 | -\n\
+mcl-session dense/Blocking iter 1 | 3f532db2f9eaf5e3 | 28959 | 37 | 3 | -\n\
+mcl-session dense/Blocking iter 2 | 3f50a8886a90523c | 15703 | 29 | 2 | -\n\
+mcl-session dense/Blocking iter 3 | 3f50a7fff379c676 | 15714 | 29 | 2 | -\n\
+spgemm dense/Overlapped | 3f53346730bb049b | 32753 | 39 | 5 | 19440\n\
+aat dense/Overlapped | 3f5387b5d2a15489 | 32753 | 38 | 5 | 19440\n\
+mcl-legacy dense/Overlapped iter 1 | 3f507809c2dd254e | 28563 | 38 | 3 | -\n\
+mcl-legacy dense/Overlapped iter 2 | 3f4df0ef2198d01c | 15161 | 30 | 2 | -\n\
+mcl-legacy dense/Overlapped iter 3 | 3f4def54abb4c8d2 | 15055 | 30 | 2 | -\n\
+mcl-session dense/Overlapped iter 1 | 3f50780a391a0dd7 | 28959 | 37 | 3 | -\n\
+mcl-session dense/Overlapped iter 2 | 3f4df0ef2198d012 | 15703 | 29 | 2 | -\n\
+mcl-session dense/Overlapped iter 3 | 3f4def54abb4c8d0 | 15714 | 29 | 2 | -\n\
+spgemm sparse/Blocking | 3f5ebbc8c8f43989 | 12232 | 51 | 5 | 19440\n\
+aat sparse/Blocking | 3f5f01707be6719b | 12232 | 50 | 5 | 19440\n\
+mcl-legacy sparse/Blocking iter 1 | 3f5590a8a3b6f2e9 | 15911 | 46 | 3 | -\n\
+mcl-legacy sparse/Blocking iter 2 | 3f53d0b781614acc | 9130 | 36 | 2 | -\n\
+mcl-legacy sparse/Blocking iter 3 | 3f551f7867a4427b | 9040 | 36 | 2 | -\n\
+mcl-session sparse/Blocking iter 1 | 3f5590a919f3db72 | 16307 | 45 | 3 | -\n\
+mcl-session sparse/Blocking iter 2 | 3f53d0b781614abf | 9672 | 35 | 2 | -\n\
+mcl-session sparse/Blocking iter 3 | 3f551f6ebbb82513 | 9692 | 35 | 2 | -\n\
+spgemm sparse/Overlapped | 3f5d6cd9059ed871 | 12232 | 51 | 5 | 19440\n\
+aat sparse/Overlapped | 3f5db612e0a0ace9 | 12232 | 50 | 5 | 19440\n\
+mcl-legacy sparse/Overlapped iter 1 | 3f54eb989ccec485 | 15911 | 46 | 3 | -\n\
+mcl-legacy sparse/Overlapped iter 2 | 3f537cef207db834 | 9130 | 36 | 2 | -\n\
+mcl-legacy sparse/Overlapped iter 3 | 3f54cbb05756174d | 9040 | 36 | 2 | -\n\
+mcl-session sparse/Overlapped iter 1 | 3f54e7eb3053ff57 | 16307 | 45 | 3 | -\n\
+mcl-session sparse/Overlapped iter 2 | 3f53798672e7e30f | 9672 | 35 | 2 | -\n\
+mcl-session sparse/Overlapped iter 3 | 3f54c83f3a23f0f0 | 9692 | 35 | 2 | -\n\
+coarsen dense/Blocking | 3f57d750f94ff74a | 32753 | 39 | 5 | -\n\
+mcl-session dense/Blocking tight iter 1 | 3f57e5126671b75b | 36837 | 53 | 5 | -";
 
 #[test]
 fn modeled_numbers_are_unchanged() {
