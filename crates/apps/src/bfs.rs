@@ -73,35 +73,35 @@ pub fn bfs_levels(
     Ok(levels)
 }
 
-/// Serial reference BFS for tests.
-pub fn bfs_serial(adj: &CscMatrix<bool>, source: u32) -> Vec<Option<u32>> {
-    let n = adj.nrows();
-    // Entry (r, c) is edge c -> r, matching the distributed formulation.
-    let mut nbrs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (r, c, _) in adj.iter() {
-        nbrs[c].push(r);
-    }
-    let mut level = vec![None; n];
-    let mut queue = std::collections::VecDeque::new();
-    level[source as usize] = Some(0u32);
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let next = level[u as usize].unwrap() + 1;
-        for &v in &nbrs[u as usize] {
-            if level[v as usize].is_none() {
-                level[v as usize] = Some(next);
-                queue.push_back(v);
-            }
-        }
-    }
-    level
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spgemm_sparse::gen::er_random;
     use spgemm_sparse::semiring::BoolOrAnd as B;
+
+    /// Serial reference BFS: the oracle of the distributed run.
+    fn bfs_serial(adj: &CscMatrix<bool>, source: u32) -> Vec<Option<u32>> {
+        let n = adj.nrows();
+        // Entry (r, c) is edge c -> r, matching the distributed formulation.
+        let mut nbrs: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (r, c, _) in adj.iter() {
+            nbrs[c].push(r);
+        }
+        let mut level = vec![None; n];
+        let mut queue = std::collections::VecDeque::new();
+        level[source as usize] = Some(0u32);
+        queue.push_back(source);
+        while let Some(u) = queue.pop_front() {
+            let next = level[u as usize].unwrap() + 1;
+            for &v in &nbrs[u as usize] {
+                if level[v as usize].is_none() {
+                    level[v as usize] = Some(next);
+                    queue.push_back(v);
+                }
+            }
+        }
+        level
+    }
 
     fn path_graph(n: usize) -> CscMatrix<bool> {
         // Edge i -> i+1 stored as entry (i+1, i).

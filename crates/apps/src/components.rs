@@ -8,14 +8,14 @@ use spgemm_sparse::CscMatrix;
 
 /// Disjoint-set forest with union by rank and path halving.
 #[derive(Debug, Clone)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
 }
 
 impl UnionFind {
     /// `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         UnionFind {
             parent: (0..n as u32).collect(),
             rank: vec![0; n],
@@ -23,7 +23,7 @@ impl UnionFind {
     }
 
     /// Representative of `x`'s set.
-    pub fn find(&mut self, mut x: u32) -> u32 {
+    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let gp = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = gp;
@@ -33,7 +33,7 @@ impl UnionFind {
     }
 
     /// Merge the sets of `a` and `b`; returns true if they were disjoint.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
+    pub(crate) fn union(&mut self, a: u32, b: u32) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;
@@ -52,7 +52,7 @@ impl UnionFind {
 
     /// Dense labeling: `labels[i]` is a cluster id in `0..k`, consistent
     /// across members.
-    pub fn labels(&mut self) -> Vec<usize> {
+    pub(crate) fn labels(&mut self) -> Vec<usize> {
         let n = self.parent.len();
         let mut map = vec![usize::MAX; n];
         let mut next = 0usize;
@@ -72,7 +72,7 @@ impl UnionFind {
 /// Connected components of the (symmetrized) nonzero pattern of `m`,
 /// keeping only entries with `|value| > threshold`. Returns per-node
 /// cluster labels.
-pub fn components_from_pattern(m: &CscMatrix<f64>, threshold: f64) -> Vec<usize> {
+pub(crate) fn components_from_pattern(m: &CscMatrix<f64>, threshold: f64) -> Vec<usize> {
     assert_eq!(m.nrows(), m.ncols(), "components need a square matrix");
     let mut uf = UnionFind::new(m.nrows());
     for (r, c, v) in m.iter() {

@@ -33,9 +33,9 @@ pub mod mcl;
 pub mod overlap;
 pub mod triangles;
 
-pub use bfs::{bfs_levels, bfs_serial, BfsConfig};
-pub use coarsen::{heavy_connectivity_matching, CoarsenConfig, Matching};
+pub use bfs::{bfs_levels, BfsConfig};
+pub use coarsen::{heavy_connectivity_matching, CoarsenConfig};
 pub use jaccard::{jaccard_similarities, JaccardConfig};
 pub use mcl::{markov_cluster, MclParams, MclResult};
-pub use overlap::{find_overlaps, OverlapConfig, OverlapPair};
+pub use overlap::{find_overlaps, OverlapConfig};
 pub use triangles::{count_triangles, count_triangles_serial, TriangleConfig};

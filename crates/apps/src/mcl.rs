@@ -199,7 +199,7 @@ fn normalize_columns(m: &mut CscMatrix<f64>) {
 
 /// MCL chaos metric: `max_j (max_i M_ij − Σ_i M_ij²)` over normalized
 /// columns; 0 when every column is a single unit entry (fully converged).
-pub fn chaos(m: &CscMatrix<f64>) -> f64 {
+pub(crate) fn chaos(m: &CscMatrix<f64>) -> f64 {
     let mut worst: f64 = 0.0;
     for j in 0..m.ncols() {
         let (_, vals) = m.col(j);

@@ -67,33 +67,33 @@ pub fn find_overlaps(
     Ok((pairs, out.max))
 }
 
-/// Brute-force shared-k-mer counting for tests.
-pub fn find_overlaps_serial(kmer_matrix: &CscMatrix<u64>, min_shared: u64) -> Vec<OverlapPair> {
-    let nreads = kmer_matrix.nrows();
-    let mut counts = std::collections::HashMap::<(u32, u32), u64>::new();
-    for k in 0..kmer_matrix.ncols() {
-        let (reads, _) = kmer_matrix.col(k);
-        for (xi, &a) in reads.iter().enumerate() {
-            for &b in &reads[xi + 1..] {
-                let key = (a.min(b), a.max(b));
-                *counts.entry(key).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut pairs: Vec<OverlapPair> = counts
-        .into_iter()
-        .filter(|&((i, j), shared)| i != j && shared >= min_shared && (j as usize) < nreads)
-        .map(|((i, j), shared)| OverlapPair { i, j, shared })
-        .collect();
-    pairs.sort_unstable();
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spgemm_sparse::gen::kmer_matrix;
     use spgemm_sparse::Triples;
+
+    /// Brute-force shared-k-mer counting: the oracle of the distributed run.
+    fn find_overlaps_serial(kmer_matrix: &CscMatrix<u64>, min_shared: u64) -> Vec<OverlapPair> {
+        let nreads = kmer_matrix.nrows();
+        let mut counts = std::collections::HashMap::<(u32, u32), u64>::new();
+        for k in 0..kmer_matrix.ncols() {
+            let (reads, _) = kmer_matrix.col(k);
+            for (xi, &a) in reads.iter().enumerate() {
+                for &b in &reads[xi + 1..] {
+                    let key = (a.min(b), a.max(b));
+                    *counts.entry(key).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut pairs: Vec<OverlapPair> = counts
+            .into_iter()
+            .filter(|&((i, j), shared)| i != j && shared >= min_shared && (j as usize) < nreads)
+            .map(|((i, j), shared)| OverlapPair { i, j, shared })
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
 
     #[test]
     fn two_reads_sharing_kmers() {

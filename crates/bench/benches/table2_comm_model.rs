@@ -1,25 +1,22 @@
 //! Table II: communication complexity of BatchedSUMMA3D — measured
-//! against the paper's closed-form α–β totals, plus an extreme-scale
-//! projection.
+//! against the paper's closed-form totals.
 //!
 //! Validation: the simulator counts actual bytes moved and collective
-//! rounds per step; the analytic model (`spgemm_core::model`) evaluates
-//! Table II's formulas for the same `(p, l, b)`. Bandwidth-term
-//! agreement is exact for A-Bcast/B-Bcast on divisible grids; the
-//! AllToAll-Fiber formula is the paper's loose `flops/p` bound, so
-//! measured ≤ model there (intra-layer compression, as the paper notes,
-//! and the pieces travel coded). More layers leave less to compress inside
-//! a layer and more of each product to cross the fiber, so the fiber ratio
-//! does not fall as `l` grows.
+//! rounds per step; `table2` below evaluates Table II's formulas for the
+//! same `(p, l, b)`. Bandwidth-term agreement is exact for A-Bcast/B-Bcast
+//! on divisible grids; the AllToAll-Fiber formula is the paper's loose
+//! `flops/p` bound, so measured ≤ model there (intra-layer compression, as
+//! the paper notes, and the pieces travel coded). More layers leave less
+//! to compress inside a layer and more of each product to cross the fiber,
+//! so the fiber ratio does not fall as `l` grows.
 //!
 //! Shape asserted: A-Bcast and B-Bcast bytes equal the model exactly, every
 //! step's round count equals the model's, and AllToAll-Fiber stays at or
 //! under its bound with a ratio non-decreasing in `l`.
 
 use spgemm_bench::{measure_f64, write_csv};
-use spgemm_core::model::ProblemModel;
-use spgemm_core::RunConfig;
-use spgemm_simgrid::{stats::total_bytes, Machine, Step};
+use spgemm_core::{RunConfig, R_BYTES_PER_NNZ};
+use spgemm_simgrid::{stats::total_bytes, Step};
 use spgemm_sparse::gen::er_random;
 use spgemm_sparse::semiring::PlusTimesF64;
 use spgemm_sparse::spgemm::symbolic_nnz;
@@ -45,20 +42,8 @@ fn main() {
         let mut cfg = RunConfig::new(p, l);
         cfg.forced_batches = Some(b);
         let out = measure_f64(&cfg, &a, &a);
-        let pm = ProblemModel {
-            nnz_a: a.nnz() as u64,
-            nnz_b: a.nnz() as u64,
-            flops: stats.flops,
-            p,
-            l,
-            b,
-            r: 24,
-        };
-        let (ra, rb, rf) = pm.rounds();
-        // Model totals: bytes received per process × rounds × p.
-        let abcast_model = pm.abcast_bytes_per_proc() * ra as f64 * p as f64;
-        let bbcast_model = pm.bbcast_bytes_per_proc() * rb as f64 * p as f64;
-        let fiber_model = 24.0 * stats.flops as f64; // β-term bound: r·flops total
+        let [(abcast_model, ra), (bbcast_model, rb), (fiber_model, rf)] =
+            table2(a.nnz(), a.nnz(), stats.flops, p, l, b);
         for (step, model_bytes, rounds_model) in [
             (Step::ABcast, abcast_model, ra),
             (Step::BBcast, bbcast_model, rb),
@@ -91,23 +76,23 @@ fn main() {
         "AllToAll-Fiber ratio falls as l grows: {fiber_ratios:?}"
     );
     println!("\nShape holds: broadcasts and rounds match the model, fiber {fiber_ratios:.2?}");
+}
 
-    // Extreme-scale projection: the paper's regime, straight from the
-    // closed forms (simulating 16K ranks is pointless when the formulas
-    // are validated above).
-    println!("\nExtreme-scale projection (Metaclust50-like: nnz=37e9, flops=92e12, r=24):");
-    let machine = Machine::knl();
-    for (p, l, b) in [(16384usize, 1usize, 32usize), (16384, 16, 64), (16384, 16, 8)] {
-        let pm = ProblemModel {
-            nnz_a: 37_000_000_000,
-            nnz_b: 37_000_000_000,
-            flops: 92_000_000_000_000,
-            p,
-            l,
-            b,
-            r: 24,
-        };
-        println!("\n(p={p}, l={l}, b={b}):");
-        print!("{}", pm.table2_rows(&machine));
-    }
+/// Table II's totals at `(p, l, b)` with `r` bytes per nonzero, as
+/// `(bytes over all processes, rounds per process)` for A-Bcast, B-Bcast
+/// and AllToAll-Fiber. One A-Broadcast sends `r·nnz(A)/p` bytes to each
+/// process and one B-Broadcast `r·nnz(B)/(b·p)`, each `b·√(p/l)` times;
+/// the fiber exchange runs `b` rounds under the paper's loose `r·flops`
+/// bound. Exact for divisible grids.
+fn table2(nnz_a: usize, nnz_b: usize, flops: u64, p: usize, l: usize, b: usize) -> [(f64, u64); 3] {
+    let r = R_BYTES_PER_NNZ as f64;
+    let bcast_rounds = b as u64 * ((p / l) as f64).sqrt() as u64;
+    let abcast_per_proc = r * nnz_a as f64 / p as f64;
+    let bbcast_per_proc = r * nnz_b as f64 / (b * p) as f64;
+    let total = |per_proc: f64| per_proc * bcast_rounds as f64 * p as f64;
+    [
+        (total(abcast_per_proc), bcast_rounds),
+        (total(bbcast_per_proc), bcast_rounds),
+        (r * flops as f64, b as u64),
+    ]
 }

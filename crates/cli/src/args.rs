@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 /// Parsed command line: a subcommand plus `--key value` options.
 #[derive(Debug, Clone)]
-pub struct Args {
+pub(crate) struct Args {
     pub command: String,
     options: HashMap<String, String>,
     flags: Vec<String>,
@@ -13,7 +13,7 @@ pub struct Args {
 
 impl Args {
     /// Parse from an iterator of arguments (excluding the program name).
-    pub fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    pub(crate) fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         let command = argv.next().ok_or("missing subcommand")?;
         if command.starts_with('-') {
             return Err(format!("expected a subcommand, found option {command}"));
@@ -51,7 +51,7 @@ impl Args {
     }
 
     /// Required string option.
-    pub fn req(&self, key: &str) -> Result<&str, String> {
+    pub(crate) fn req(&self, key: &str) -> Result<&str, String> {
         self.options
             .get(key)
             .map(String::as_str)
@@ -59,12 +59,12 @@ impl Args {
     }
 
     /// Optional string option.
-    pub fn opt(&self, key: &str) -> Option<&str> {
+    pub(crate) fn opt(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
     }
 
     /// Optional parsed value with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub(crate) fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.options.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -74,14 +74,14 @@ impl Args {
     }
 
     /// Boolean flag presence (`--verify` style).
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
 
     /// Fail on the first given `--key` (in name order) that is not in
     /// `known`, naming it: the parser takes any key, and one the
     /// subcommand never reads would otherwise be dropped silently.
-    pub fn only(&self, known: &[&str]) -> Result<(), String> {
+    pub(crate) fn only(&self, known: &[&str]) -> Result<(), String> {
         let mut given: Vec<&str> = self.options.keys().chain(&self.flags).map(String::as_str).collect();
         given.sort_unstable();
         match given.into_iter().find(|key| !known.contains(key)) {

@@ -24,7 +24,7 @@ fn machine_by_name(name: &str) -> Result<Machine, String> {
 
 /// Resolve the cost-model machine: `--profile FILE` (calibrated
 /// constants) wins over `--machine NAME` (preset).
-pub fn machine_from_args(args: &Args) -> Result<Machine, String> {
+pub(crate) fn machine_from_args(args: &Args) -> Result<Machine, String> {
     if let Some(path) = args.opt("profile") {
         let profile = MachineProfile::load(Path::new(path)).map_err(|e| e.to_string())?;
         // Status line on stderr so `multiply --json` stays parseable.
@@ -39,7 +39,7 @@ pub fn machine_from_args(args: &Args) -> Result<Machine, String> {
 /// `SPGEMM_BACKEND`/`SPGEMM_THREADS` selected, or a server's setting).
 /// `--threads` needs a Native backend, whether a flag or the default chose
 /// it; a bare `--backend native` uses every available core.
-pub fn backend_from_args(args: &Args, default: BackendKind) -> Result<BackendKind, String> {
+pub(crate) fn backend_from_args(args: &Args, default: BackendKind) -> Result<BackendKind, String> {
     let threads: Option<usize> = match args.opt("threads") {
         Some(t) => Some(t.parse().map_err(|_| "bad --threads")?),
         None => None,
@@ -62,7 +62,7 @@ pub fn backend_from_args(args: &Args, default: BackendKind) -> Result<BackendKin
 /// The run policy the flags describe, over [`RunConfig::new`]'s defaults
 /// (which already honour `SPGEMM_CHECK` and `SPGEMM_BACKEND`). `--batches`
 /// forces the batch count and then `--budget-mb` is not read.
-pub fn run_config_from_args(args: &Args) -> Result<RunConfig, String> {
+pub(crate) fn run_config_from_args(args: &Args) -> Result<RunConfig, String> {
     let mut cfg = RunConfig::new(args.get_or("procs", 16usize)?, args.get_or("layers", 1usize)?);
     if args.flag("auto") {
         cfg.layers = LayerChoice::Auto;

@@ -12,13 +12,13 @@
 //! [`crate::schedule`] writes that function down once, as the op programs
 //! the drivers execute. [`AuditConfig::extract`] is their second reader:
 //! it resolves a configuration to its program (same Alg. 3 arithmetic,
-//! [`crate::symbolic::alg3_batch_count`]) and lowers every op through the
+//! `symbolic::alg3_batch_count`) and lowers every op through the
 //! wire table into a typed [`AuditEvent`] trace per rank, taking each
 //! rank's communicators from the seams the drivers build theirs from
 //! ([`spgemm_simgrid::grid::Grid3D::for_rank_id`],
-//! [`crate::family15::cola_ring`] and its InnerABC siblings).
+//! `family15::cola_ring` and its InnerABC siblings).
 //!
-//! On top of the traces, [`verify`] checks four property classes:
+//! On top of the traces, `verify` checks four property classes:
 //!
 //! 1. **Cross-rank schedule agreement** — every member of a communicator
 //!    sees the identical sequence of collectives/posts/waits (operation,
@@ -170,7 +170,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// Total event count across all ranks.
-    pub fn total_events(&self) -> usize {
+    pub(crate) fn total_events(&self) -> usize {
         self.traces.iter().map(Vec::len).sum()
     }
 }
@@ -269,7 +269,7 @@ pub struct AuditConfig {
 
 impl AuditConfig {
     /// Human-readable configuration label used in reports.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         if self.family.is_15d() {
             return format!(
                 "{} p={} {} {} iters={}",
@@ -908,7 +908,7 @@ fn check_memory(sched: &Schedule) -> Option<AuditViolation> {
 /// Verify all four property classes against an extracted schedule.
 /// Returns every violation found (at most one per property class — each
 /// checker stops at its first finding to keep reports minimal).
-pub fn verify(sched: &Schedule) -> Vec<AuditViolation> {
+pub(crate) fn verify(sched: &Schedule) -> Vec<AuditViolation> {
     let mut out = Vec::new();
     if let Some(v) = check_agreement(sched) {
         out.push(v);
@@ -964,7 +964,7 @@ impl AuditFault {
     /// rank-0-biased reporting bugs would be exposed). Returns a
     /// description of the mutation, or `None` when the schedule has no
     /// applicable event (e.g. no fetch sends under dense exchange).
-    pub fn inject(&self, sched: &mut Schedule) -> Option<String> {
+    pub(crate) fn inject(&self, sched: &mut Schedule) -> Option<String> {
         let victim = sched.traces.len() - 1;
         let trace = &mut sched.traces[victim];
         match self {
@@ -1040,7 +1040,7 @@ pub enum ConfigOutcome {
 /// One audited configuration and its outcome.
 #[derive(Debug, Clone)]
 pub struct ConfigResult {
-    /// Configuration label ([`AuditConfig::label`]).
+    /// Configuration label (`AuditConfig::label`).
     pub label: String,
     /// What the audit concluded.
     pub outcome: ConfigOutcome,
@@ -1167,7 +1167,7 @@ fn json_escape(s: &str) -> String {
 /// valid `(p, l)` pairs × batch specifications × both exchange modes ×
 /// both overlap modes × session iteration counts × the fig3/fig4 workload
 /// shapes.
-pub fn sweep_grid(ps: &[usize]) -> Vec<AuditConfig> {
+pub(crate) fn sweep_grid(ps: &[usize]) -> Vec<AuditConfig> {
     let specs = [
         BatchSpec::Forced(1),
         BatchSpec::Forced(2),

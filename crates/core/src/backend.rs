@@ -56,7 +56,7 @@ impl BackendKind {
     }
 
     /// Kernel threads per rank this backend runs (1 for Simgrid).
-    pub fn threads(self) -> usize {
+    pub(crate) fn threads(self) -> usize {
         match self {
             BackendKind::Simgrid => 1,
             BackendKind::Native { threads } => threads.max(1),
@@ -69,7 +69,7 @@ impl BackendKind {
     /// otherwise [`BackendKind::Simgrid`]. Mirrors how `SPGEMM_CHECK`
     /// drives `CheckMode`, and lets CI run the existing integration suites
     /// on the Native backend without touching their code.
-    pub fn default_kind() -> Self {
+    pub(crate) fn default_kind() -> Self {
         match std::env::var("SPGEMM_BACKEND") {
             Ok(v) if v.eq_ignore_ascii_case("native") => BackendKind::Native {
                 threads: std::env::var("SPGEMM_THREADS")
@@ -90,7 +90,7 @@ impl BackendKind {
     /// `step`: the modeled cost of `stats.work_units` under `Simgrid`, the
     /// `measured_secs` of the call under `Native` (whose work units still
     /// accumulate in the kernel totals).
-    pub fn charge(self, rank: &mut Rank, step: Step, stats: &WorkStats, measured_secs: f64) {
+    pub(crate) fn charge(self, rank: &mut Rank, step: Step, stats: &WorkStats, measured_secs: f64) {
         match self {
             BackendKind::Simgrid => rank.compute(step, stats.work_units),
             BackendKind::Native { .. } => rank.compute_measured(step, measured_secs),

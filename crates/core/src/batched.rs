@@ -43,7 +43,7 @@ pub struct BatchOutput<T: Copy> {
 
 /// Result of a batched multiplication on one rank.
 #[derive(Debug)]
-pub struct BatchedResult<T: Copy> {
+pub(crate) struct BatchedResult<T: Copy> {
     /// Pieces the application kept, in batch order.
     pub pieces: Vec<CPiece<T>>,
     /// Number of batches executed.
@@ -82,7 +82,7 @@ struct Staged<T> {
 /// `forced_batches`, `overlap`, `exchange`, `backend` and `algorithm` (the
 /// 1.5D families never batch and are rejected — route them through
 /// `run_spmm`/`run_spgemm`); the grid and the cluster are the caller's.
-pub fn batched_summa3d<S: Semiring>(
+pub(crate) fn batched_summa3d<S: Semiring>(
     rank: &mut Rank,
     grid: &Grid3D,
     a: &DistMatrix<S::T>,
@@ -107,7 +107,7 @@ pub fn batched_summa3d<S: Semiring>(
 /// preserving kernel workspaces, the fetch-tag sequence, and the
 /// cross-iteration fetch cache.
 #[allow(clippy::too_many_arguments)] // the seam that lets sessions own the state
-pub fn batched_summa3d_with<S: Semiring>(
+pub(crate) fn batched_summa3d_with<S: Semiring>(
     rank: &mut Rank,
     grid: &Grid3D,
     a: &DistMatrix<S::T>,

@@ -81,11 +81,6 @@ impl<T: Copy> DistMatrix<T> {
             DistKind::BStyle => block_range(self.gcols, grid.pr, grid.j),
         }
     }
-
-    /// Modeled bytes of the local piece.
-    pub fn local_bytes(&self, r: usize) -> usize {
-        self.local.modeled_bytes(r)
-    }
 }
 
 /// Distribute a global matrix held by world rank 0 onto the grid.
@@ -128,17 +123,8 @@ pub struct CPiece<T: Copy> {
 }
 
 impl<T: Copy> CPiece<T> {
-    /// Convert to global-coordinate triples.
-    pub fn to_global_triples(&self, grows: usize, gcols: usize) -> Triples<T> {
-        let mut t = Triples::with_capacity(grows, gcols, self.local.nnz());
-        for (r, c, v) in self.local.iter() {
-            t.push(r + self.row_offset as u32, self.global_cols[c], v);
-        }
-        t
-    }
-
     /// Modeled bytes.
-    pub fn bytes(&self, r: usize) -> usize {
+    pub(crate) fn bytes(&self, r: usize) -> usize {
         self.local.modeled_bytes(r)
     }
 }
@@ -149,7 +135,7 @@ impl<T: Copy> CPiece<T> {
 /// Duplicate coordinates must not occur (pieces are disjoint by
 /// construction); an assembly with duplicates indicates an algorithm bug
 /// and is surfaced by the round-trip tests.
-pub fn gather_pieces<T: Copy + Send + 'static>(
+pub(crate) fn gather_pieces<T: Copy + Send + 'static>(
     rank: &mut Rank,
     world: &Comm,
     pieces: Vec<CPiece<T>>,

@@ -34,7 +34,7 @@
 //! `B̃`, 1.5D A-shift blocks — are sized as coded blocks (`block_leg`) and
 //! charged the same way (`charge`, `charge_codec`). The
 //! symbolic sweep's stages (`batch: None`) move [`CscMatrix::pattern`]s —
-//! indices without values — through the same [`ExchangePlan::stage`].
+//! indices without values — through the same `ExchangePlan::stage`.
 //!
 //! Both modes produce **bit-identical** numeric output: the padded fetch
 //! operand agrees with the broadcast operand on every column the local
@@ -44,7 +44,7 @@
 //! ### Tag discipline
 //!
 //! Fetch traffic uses plain matched sends, which the
-//! [`spgemm_simgrid::check`] protocol verifier audits for tag collisions:
+//! `spgemm_simgrid::check` protocol verifier audits for tag collisions:
 //! reusing a tag toward the same peer is only legal once the first
 //! delivery is known complete, which unsynchronized SPMD stages cannot
 //! guarantee. Every fetch round therefore draws a fresh sequence number
@@ -64,7 +64,7 @@ use std::sync::Arc;
 /// High bits reserved for fetch tags so they can never collide with the
 /// raw point-to-point tags used elsewhere (e.g. the transpose exchange's
 /// `0x7A_0001`), even on a shared communicator.
-pub const FETCH_TAG_BASE: u64 = 0xFE << 48;
+pub(crate) const FETCH_TAG_BASE: u64 = 0xFE << 48;
 
 /// Request tag of fetch round `seq` (receiver → owner). Exposed so the
 /// schedule auditor ([`crate::audit`]) derives the exact wire tags a real
@@ -82,7 +82,7 @@ pub fn fetch_rep_tag(seq: u64) -> u64 {
 }
 
 /// Both stage operands `(Ã, B̃)` as delivered to this rank.
-pub type OperandPair<T> = (Arc<CscMatrix<T>>, Arc<CscMatrix<T>>);
+pub(crate) type OperandPair<T> = (Arc<CscMatrix<T>>, Arc<CscMatrix<T>>);
 
 /// How stage operands move between the processes of a layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -156,7 +156,7 @@ pub enum FetchRep<T> {
 /// path), per rank. Receiver-side rounds count as `hits`/`misses`;
 /// `served_cached` counts the owner side of hits; `invalidated_cols`
 /// accumulates the dirty columns noted via
-/// [`ExchangePlan::note_dirty_cols`]; `bytes_saved` is the modeled reply
+/// `ExchangePlan::note_dirty_cols`; `bytes_saved` is the modeled reply
 /// volume hits avoided.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FetchCacheStats {
@@ -177,7 +177,7 @@ pub struct FetchCacheStats {
 impl FetchCacheStats {
     /// Counter-wise difference against an earlier snapshot.
     #[must_use]
-    pub fn delta(&self, earlier: &FetchCacheStats) -> FetchCacheStats {
+    pub(crate) fn delta(&self, earlier: &FetchCacheStats) -> FetchCacheStats {
         FetchCacheStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
@@ -256,12 +256,12 @@ impl std::fmt::Debug for ExchangePlan {
 /// pipelined program keeps in flight. Under [`ExchangeMode::SparseFetch`]
 /// only `B̃`'s is ever posted: the `Ã` fetch depends on the received `B̃`'s
 /// structure, so it runs at wait time and is not hidden by the pipeline.
-pub type StagePending<T> = [Option<PendingBcast<CscMatrix<T>>>; 2];
+pub(crate) type StagePending<T> = [Option<PendingBcast<CscMatrix<T>>>; 2];
 
 impl ExchangePlan {
     /// A fresh plan for one rank of one run.
     #[must_use]
-    pub fn new(mode: ExchangeMode) -> Self {
+    pub(crate) fn new(mode: ExchangeMode) -> Self {
         ExchangePlan {
             mode,
             ws: SubsetWorkspace::new(),
@@ -272,7 +272,7 @@ impl ExchangePlan {
 
     /// The mode this plan executes.
     #[must_use]
-    pub fn mode(&self) -> ExchangeMode {
+    pub(crate) fn mode(&self) -> ExchangeMode {
         self.mode
     }
 
@@ -280,7 +280,7 @@ impl ExchangePlan {
     /// of the run must enable it (the wire protocol differs once a
     /// receiver starts sending `Unchanged` requests, and the owner can
     /// only answer them from its memo). Idempotent.
-    pub fn enable_cache(&mut self) {
+    pub(crate) fn enable_cache(&mut self) {
         if self.cache.is_none() {
             self.cache = Some(FetchCache {
                 epoch: 0,
@@ -298,7 +298,7 @@ impl ExchangePlan {
     /// every rank — even with an empty dirty set — after the session
     /// updates its iterate. Owners consult these epochs to decide whether
     /// a previously served tile is still valid.
-    pub fn note_dirty_cols(&mut self, dirty: &[u32]) {
+    pub(crate) fn note_dirty_cols(&mut self, dirty: &[u32]) {
         if let Some(c) = self.cache.as_mut() {
             c.epoch += 1;
             for &col in dirty {
@@ -310,7 +310,7 @@ impl ExchangePlan {
 
     /// Current cache counters (zeros when the cache is disabled).
     #[must_use]
-    pub fn cache_stats(&self) -> FetchCacheStats {
+    pub(crate) fn cache_stats(&self) -> FetchCacheStats {
         self.cache.as_ref().map(|c| c.stats).unwrap_or_default()
     }
 
@@ -348,7 +348,7 @@ impl ExchangePlan {
     /// as the patterns they must be given. A wait phase must be given the
     /// `a` its post was given.
     #[allow(clippy::too_many_arguments)] // SPMD plumbing: grid + operands + model
-    pub fn stage<T: Copy + Send + Sync + 'static>(
+    pub(crate) fn stage<T: Copy + Send + Sync + 'static>(
         &mut self,
         rank: &mut Rank,
         grid: &Grid3D,

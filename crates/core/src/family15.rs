@@ -13,7 +13,7 @@
 //!   replication factor `c`: dense `B` and `C` are column-striped across
 //!   all `p` ranks and stationary; sparse `A` is cut into `t = p/c`
 //!   inner-dimension blocks and **rotated** around `c` independent rings
-//!   of length `t` ([`cola_ring`]). Each rank performs `t` local
+//!   of length `t` (`cola_ring`). Each rank performs `t` local
 //!   SpMM-accumulates; replication buys *latency* (`p/c − 1` shift rounds
 //!   instead of `p − 1`) while the per-rank `A` bandwidth stays ≈
 //!   `nnz(A)·(1 − c/p)`. No dense element ever moves — in the model, and
@@ -22,10 +22,10 @@
 //! * [`AlgorithmFamily::InnerAbc15`] — 1.5D **InnerABC**: `B`/`C` are
 //!   column-striped across `t = p/c` stripes and *replicated* on `c`
 //!   layers; layer `ℓ` owns the `A` blocks `{k : k ≡ ℓ (mod c)}`, so each
-//!   rank shifts over only `t/c = p/c²` blocks ([`iabc_subring`]) —
+//!   rank shifts over only `t/c = p/c²` blocks (`iabc_subring`) —
 //!   replication buys *bandwidth* (≈ `nnz(A)/c²` shifted per rank) at the
 //!   price of a partial-`C` reduction across each stripe's replication
-//!   team ([`iabc_team`]). Requires `c² | p`; `c = 1` degenerates to ColA.
+//!   team (`iabc_team`). Requires `c² | p`; `c = 1` degenerates to ColA.
 //!
 //! The ring/team membership functions are **pure** (no `Rank`), shared
 //! verbatim by the drivers here and the schedule auditor's symbolic
@@ -46,30 +46,60 @@
 
 use crate::backend::BackendKind;
 use crate::exchange::{block_leg, charge, charge_codec};
+use crate::harness::validate_grid;
 use crate::memory::R_BYTES_PER_NNZ;
-use crate::model::{validate_grid, validate_repl};
 use crate::schedule::{self, Op};
 use crate::{CoreError, Result};
 use spgemm_simgrid::{Comm, Rank, Step};
 use spgemm_sparse::ops::{block_range, col_block};
 use spgemm_sparse::spgemm::C_SPMM_FLOP;
 use spgemm_sparse::{CscMatrix, DenseBlock, Semiring, TiledStripe, WorkStats};
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Communicator color of the 1.5D shift rings (disjoint from the grid's
 /// row/col/fiber/layer colors 1–4 and world 0).
-pub const COLOR_RING15: u64 = 5;
+pub(crate) const COLOR_RING15: u64 = 5;
 /// Communicator color of the InnerABC partial-`C` reduction teams.
-pub const COLOR_TEAM15: u64 = 6;
+pub(crate) const COLOR_TEAM15: u64 = 6;
 /// Tag namespace of the shift rounds (disjoint from the fetch exchange's
 /// `0xFE << 48` and the transpose's `0x7A_0001`).
-pub const SHIFT_TAG_BASE: u64 = 0x5D << 48;
+pub(crate) const SHIFT_TAG_BASE: u64 = 0x5D << 48;
 
 /// Tag of shift round `round`.
-pub fn shift_tag(round: usize) -> u64 {
+pub(crate) fn shift_tag(round: usize) -> u64 {
     SHIFT_TAG_BASE + round as u64
+}
+
+/// Validate that replication factor `c` forms a 1.5D layout over `p`
+/// processes; returns the ring length `t = p/c` on success.
+///
+/// Mirrors `validate_grid`: the 1.5D ring math truncates silently when
+/// `c ∤ p` and degenerates when `c > p` or `c = 0`, so every entry point
+/// that accepts `(p, c)` funnels through this check and reports the
+/// offending pair.
+fn validate_repl(p: usize, c: usize) -> Result<usize> {
+    if p == 0 {
+        return Err(CoreError::Config("process count p=0 is not a grid".into()));
+    }
+    if c == 0 {
+        return Err(CoreError::Config(format!(
+            "invalid 1.5D replication (p={p}, c=0): the replication factor must be at least 1"
+        )));
+    }
+    if c > p {
+        return Err(CoreError::Config(format!(
+            "invalid 1.5D replication (p={p}, c={c}): the replication factor cannot exceed the \
+             process count"
+        )));
+    }
+    if !p.is_multiple_of(c) {
+        return Err(CoreError::Config(format!(
+            "invalid 1.5D replication (p={p}, c={c}): the replication factor must divide the \
+             process count"
+        )));
+    }
+    Ok(p / c)
 }
 
 /// Which communication-avoiding algorithm runs the multiply.
@@ -147,7 +177,7 @@ impl AlgorithmFamily {
 
     /// Validate the family against a process count, mirroring
     /// `validate_grid`'s role for `(p, l)`: the 1.5D families funnel
-    /// through [`validate_repl`] and InnerABC additionally requires its
+    /// through `validate_repl` and InnerABC additionally requires its
     /// sub-ring length `t/c = p/c²` to be whole.
     pub fn validate(self, p: usize) -> Result<()> {
         match self {
@@ -172,7 +202,7 @@ impl AlgorithmFamily {
     /// for ColA and `p/c²` for InnerABC — and whether a team reduction
     /// follows them (InnerABC with `c > 1`): the arguments of
     /// [`crate::schedule::family15`].
-    pub fn rounds_and_team(self, p: usize) -> (usize, bool) {
+    pub(crate) fn rounds_and_team(self, p: usize) -> (usize, bool) {
         match self {
             AlgorithmFamily::InnerAbc15 { c } => (p / (c * c), c > 1),
             other => (p / other.repl_factor(), false),
@@ -211,13 +241,13 @@ impl AlgorithmFamily {
 /// ColA ring of `rank` on `p` ranks with replication `c`: the `t = p/c`
 /// ranks `{ℓ, ℓ+c, ℓ+2c, …}` where `ℓ = rank mod c`. Every ring holds all
 /// `t` blocks of `A` (one per member), so `A` is stored `c`× overall.
-pub fn cola_ring(p: usize, c: usize, rank: usize) -> Vec<usize> {
+pub(crate) fn cola_ring(p: usize, c: usize, rank: usize) -> Vec<usize> {
     let l = rank % c;
     (0..p / c).map(|q| l + q * c).collect()
 }
 
 /// Position of `rank` within its ColA ring (also its starting block).
-pub fn cola_ring_pos(c: usize, rank: usize) -> usize {
+pub(crate) fn cola_ring_pos(c: usize, rank: usize) -> usize {
     rank / c
 }
 
@@ -230,13 +260,13 @@ pub fn cola_block_at(p: usize, c: usize, rank: usize, round: usize) -> usize {
 }
 
 /// InnerABC stripe index of `rank` (`t = p/c` stripes of `B`/`C`).
-pub fn iabc_stripe(t: usize, rank: usize) -> usize {
+pub(crate) fn iabc_stripe(t: usize, rank: usize) -> usize {
     rank % t
 }
 
 /// InnerABC layer index of `rank` (`c` layers; layer `ℓ` owns the `A`
 /// blocks `{k : k ≡ ℓ (mod c)}`).
-pub fn iabc_layer(t: usize, rank: usize) -> usize {
+pub(crate) fn iabc_layer(t: usize, rank: usize) -> usize {
     rank / t
 }
 
@@ -244,7 +274,7 @@ pub fn iabc_layer(t: usize, rank: usize) -> usize {
 /// within its layer whose stripe indices share `i − (i mod t/c)` — their
 /// starting blocks enumerate the layer's whole block set, so `t/c − 1`
 /// rotations visit every block the layer owns.
-pub fn iabc_subring(p: usize, c: usize, rank: usize) -> Vec<usize> {
+pub(crate) fn iabc_subring(p: usize, c: usize, rank: usize) -> Vec<usize> {
     let t = p / c;
     let m = t / c;
     let l = iabc_layer(t, rank);
@@ -254,7 +284,7 @@ pub fn iabc_subring(p: usize, c: usize, rank: usize) -> Vec<usize> {
 }
 
 /// Position of `rank` within its InnerABC sub-ring.
-pub fn iabc_subring_pos(p: usize, c: usize, rank: usize) -> usize {
+pub(crate) fn iabc_subring_pos(p: usize, c: usize, rank: usize) -> usize {
     let t = p / c;
     iabc_stripe(t, rank) % (t / c)
 }
@@ -262,7 +292,7 @@ pub fn iabc_subring_pos(p: usize, c: usize, rank: usize) -> usize {
 /// The global `A` block an InnerABC rank holds at shift `round`: always
 /// one of its layer's blocks `ℓ + c·slot`, with `slot` rotating exactly
 /// like the ColA position.
-pub fn iabc_block_at(p: usize, c: usize, rank: usize, round: usize) -> usize {
+pub(crate) fn iabc_block_at(p: usize, c: usize, rank: usize, round: usize) -> usize {
     let t = p / c;
     let m = t / c;
     let l = iabc_layer(t, rank);
@@ -273,7 +303,7 @@ pub fn iabc_block_at(p: usize, c: usize, rank: usize, round: usize) -> usize {
 
 /// InnerABC replication team of `rank`: the `c` ranks (one per layer)
 /// sharing its stripe, which reduce their partial `C` stripes.
-pub fn iabc_team(p: usize, c: usize, rank: usize) -> Vec<usize> {
+pub(crate) fn iabc_team(p: usize, c: usize, rank: usize) -> Vec<usize> {
     let t = p / c;
     let i = iabc_stripe(t, rank);
     (0..c).map(|l| l * t + i).collect()
@@ -289,8 +319,6 @@ pub struct Spmm15PerRank<T: Copy> {
     /// The assembled `m × d` product on the simulated root; `None`
     /// elsewhere (and everywhere when `discard` was requested).
     pub gathered: Option<DenseBlock<T>>,
-    /// Global columns of this rank's stationary `C` stripe.
-    pub stripe: Range<usize>,
     /// Kernel counters accumulated over all local SpMM rounds and folds.
     pub kernel_stats: WorkStats,
     /// Peak modeled bytes resident on this rank (replicated `A` block +
@@ -480,7 +508,6 @@ pub fn spmm_15d<S: Semiring>(
 
     Ok(Spmm15PerRank {
         gathered,
-        stripe,
         kernel_stats,
         peak_bytes,
     })

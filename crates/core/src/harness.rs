@@ -16,11 +16,11 @@ use crate::exchange::ExchangeMode;
 use crate::family15::{spmm_15d, AlgorithmFamily};
 use crate::kernels::KernelStrategy;
 use crate::memory::MemoryBudget;
-use crate::model::validate_grid;
 use crate::planner::{self, Candidate, PlanReport, PlannerConfig};
 use crate::summa2d::OverlapMode;
 use crate::symbolic::SymbolicOutcome;
 use crate::{CoreError, Result};
+use spgemm_simgrid::grid::layer_side;
 use spgemm_simgrid::{
     max_breakdown, run_ranks_seeded, CheckMode, Grid3D, Machine, Rank, StepBreakdown, TraceEvent,
 };
@@ -48,7 +48,7 @@ pub enum LayerChoice {
 /// | `run_world` (the launcher) | `p`, `machine`, `check`, `perturb`, `job`, `trace` |
 /// | [`run_on_grid`] | `layers` (must be `Fixed` by then) |
 /// | [`run_batched`] | `layers` (`Auto` is planned here), `discard_output` |
-/// | [`batched_summa3d`] and [`crate::IterSession`] | `kernels`, `budget`, `forced_batches`, `overlap`, `exchange`, `backend`, `algorithm` (SUMMA members only) |
+/// | `batched_summa3d` and [`crate::IterSession`] | `kernels`, `budget`, `forced_batches`, `overlap`, `exchange`, `backend`, `algorithm` (SUMMA members only) |
 /// | [`run_spmm`] (1.5D) | `algorithm`, `backend`, `budget`, `discard_output` |
 /// | [`PlannerConfig::for_run`] | `machine`, `budget`, `kernels`, `overlap`, `exchange`, `algorithm`, `forced_batches` |
 ///
@@ -88,7 +88,7 @@ pub struct RunConfig {
     pub check: CheckMode,
     /// Kernel execution backend: modeled clock (`Simgrid`) or real
     /// multithreaded kernels with measured times (`Native`). Defaults to
-    /// [`BackendKind::default_kind`]: `Simgrid` unless `SPGEMM_BACKEND`
+    /// `BackendKind::default_kind`: `Simgrid` unless `SPGEMM_BACKEND`
     /// selects otherwise.
     pub backend: BackendKind,
     /// Schedule-perturbation seed: when set, every rank injects
@@ -271,6 +271,35 @@ fn run_world<R: Send>(
         }
     }
     Ok(world)
+}
+
+/// Validate that `(p, l)` forms a 3D grid with square layers; returns the
+/// layer side `√(p/l)` on success.
+///
+/// The grid math silently truncates otherwise — `√(p/l)` is irrational when
+/// `p/l` is not a perfect square, and `p/l` itself rounds down when `l ∤ p`
+/// — so every entry point that accepts `(p, l)` funnels through this check
+/// and reports the offending pair instead.
+pub(crate) fn validate_grid(p: usize, l: usize) -> Result<usize> {
+    if p == 0 {
+        return Err(CoreError::Config("process count p=0 is not a grid".into()));
+    }
+    if l == 0 {
+        return Err(CoreError::Config(format!(
+            "invalid 3D grid (p={p}, l=0): the layer count must be at least 1"
+        )));
+    }
+    if !p.is_multiple_of(l) {
+        return Err(CoreError::Config(format!(
+            "invalid 3D grid (p={p}, l={l}): the layer count must divide the process count"
+        )));
+    }
+    layer_side(p, l).ok_or_else(|| {
+        CoreError::Config(format!(
+            "invalid 3D grid (p={p}, l={l}): p/l = {} is not a perfect square",
+            p / l
+        ))
+    })
 }
 
 /// Run `body` on every rank of a validated 3D grid: `cfg.layers` must be
@@ -587,6 +616,44 @@ mod tests {
     use spgemm_sparse::gen::er_random;
     use spgemm_sparse::semiring::{PlusTimesF64, PlusTimesU64};
     use spgemm_sparse::spgemm::spgemm_spa;
+
+    fn config_msg(err: CoreError) -> String {
+        match err {
+            CoreError::Config(msg) => msg,
+            other => panic!("expected Config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_layers_rejected_naming_pair() {
+        let msg = config_msg(validate_grid(16, 0).unwrap_err());
+        assert!(msg.contains("p=16") && msg.contains("l=0"), "{msg}");
+    }
+
+    #[test]
+    fn non_dividing_layers_rejected_naming_pair() {
+        // l = 3 does not divide p = 16; p/l would truncate to 5.
+        let msg = config_msg(validate_grid(16, 3).unwrap_err());
+        assert!(msg.contains("p=16") && msg.contains("l=3"), "{msg}");
+        assert!(msg.contains("divide"), "{msg}");
+    }
+
+    #[test]
+    fn non_square_layers_rejected_naming_pair() {
+        // l = 2 divides p = 16 but 16/2 = 8 is not a perfect square; the
+        // layer side would silently truncate to 2.828... downstream.
+        let msg = config_msg(validate_grid(16, 2).unwrap_err());
+        assert!(msg.contains("p=16") && msg.contains("l=2"), "{msg}");
+        assert!(msg.contains("perfect square"), "{msg}");
+    }
+
+    #[test]
+    fn valid_grids_accepted_with_side() {
+        assert_eq!(validate_grid(16, 1).unwrap(), 4);
+        assert_eq!(validate_grid(16, 4).unwrap(), 2);
+        assert_eq!(validate_grid(16, 16).unwrap(), 1);
+        assert_eq!(validate_grid(12, 3).unwrap(), 2);
+    }
 
     #[test]
     fn tracing_produces_per_rank_timelines() {

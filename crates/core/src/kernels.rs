@@ -40,7 +40,7 @@ impl KernelStrategy {
     /// The column-order contract of this generation's *intermediates*
     /// (Local-Multiply and Merge-Layer outputs). `Previous` keeps
     /// everything sorted; `New` defers sorting to Merge-Fiber (Sec. IV-D).
-    pub fn intermediate_sortedness(self) -> Sortedness {
+    pub(crate) fn intermediate_sortedness(self) -> Sortedness {
         match self {
             KernelStrategy::Previous => Sortedness::Sorted,
             KernelStrategy::New => Sortedness::Unsorted,
@@ -90,7 +90,7 @@ impl<T: Copy> LocalKernels<T> {
     }
 
     /// Fresh engine bound to an explicit backend.
-    pub fn with_backend(strategy: KernelStrategy, backend: BackendKind) -> Self {
+    pub(crate) fn with_backend(strategy: KernelStrategy, backend: BackendKind) -> Self {
         LocalKernels {
             strategy,
             backend,
@@ -101,29 +101,19 @@ impl<T: Copy> LocalKernels<T> {
     }
 
     /// The kernel generation this engine runs.
-    pub fn strategy(&self) -> KernelStrategy {
+    pub(crate) fn strategy(&self) -> KernelStrategy {
         self.strategy
     }
 
-    /// The backend configuration this engine runs under.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend
-    }
-
     /// Accumulated stats over every kernel invocation so far.
-    pub fn totals(&self) -> WorkStats {
+    pub(crate) fn totals(&self) -> WorkStats {
         self.totals
     }
 
     /// Accumulated per-thread load balance of the multi-range kernel calls
     /// (default/empty when every call ran on one arena).
-    pub fn balance(&self) -> RangeBalance {
+    pub(crate) fn balance(&self) -> RangeBalance {
         self.balance
-    }
-
-    /// The per-thread arenas (for capacity/footprint diagnostics).
-    pub fn scratch(&self) -> &[SpGemmWorkspace<T>] {
-        &self.scratch
     }
 
     /// Fold one kernel invocation into the totals and the balance.
@@ -194,7 +184,7 @@ impl<T: Copy> LocalKernels<T> {
 
     /// `LocalSymbolic` (Alg. 3) on the arenas' structure-only accumulators;
     /// the operands' values are never read, so patterns serve.
-    pub fn symbolic_col_counts<U: Copy + Sync>(
+    pub(crate) fn symbolic_col_counts<U: Copy + Sync>(
         &mut self,
         a: &CscMatrix<U>,
         b: &CscMatrix<U>,
@@ -209,7 +199,7 @@ impl<T: Copy> LocalKernels<T> {
     /// Run one kernel call (`run`, one of the methods above) and charge it
     /// to `rank`'s clock under `step` — modeled work units or measured
     /// seconds, per the backend.
-    pub fn charged<R>(
+    pub(crate) fn charged<R>(
         &mut self,
         rank: &mut Rank,
         step: Step,
@@ -269,7 +259,7 @@ mod tests {
         let b = er_random::<S>(60, 60, 6, 12).map(|_| 1u64);
         engine.local_multiply::<S>(&a, &b).unwrap();
         let warm_allocs = engine.totals().allocs;
-        let warm_scratch = engine.scratch()[0].scratch_bytes();
+        let warm_scratch = engine.scratch[0].scratch_bytes();
         assert!(warm_allocs > 0);
         // Same-shape repeats only pay the exact-size output copies (3
         // allocations per call), never scratch growth.
@@ -277,7 +267,7 @@ mod tests {
             engine.local_multiply::<S>(&a, &b).unwrap();
         }
         assert_eq!(engine.totals().allocs, warm_allocs + 5 * 3);
-        assert_eq!(engine.scratch()[0].scratch_bytes(), warm_scratch);
+        assert_eq!(engine.scratch[0].scratch_bytes(), warm_scratch);
         assert!(engine.totals().flops > 0);
         assert!(engine.totals().memcpy_bytes > 0);
     }

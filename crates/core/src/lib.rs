@@ -7,25 +7,24 @@
 //!
 //! The algorithm stack, bottom to top:
 //!
-//! * [`summa2d`] — 2D sparse SUMMA (Alg. 1): per-stage row/column
+//! * `summa2d` — 2D sparse SUMMA (Alg. 1): per-stage row/column
 //!   broadcasts, local multiply, merge.
-//! * [`summa3d`] — 3D sparse SUMMA (Alg. 2): SUMMA2D per layer, then
+//! * `summa3d` — 3D sparse SUMMA (Alg. 2): SUMMA2D per layer, then
 //!   ColSplit → AllToAll-Fiber → Merge-Fiber.
-//! * [`symbolic`] — Symbolic3D (Alg. 3): distributed structure-only pass
+//! * `symbolic` — Symbolic3D (Alg. 3): distributed structure-only pass
 //!   that determines the exact number of batches `b` a memory budget
 //!   allows, plus the Eq. 2 analytic lower bound.
-//! * [`batched`] — BatchedSUMMA3D (Alg. 4): block-cyclic column batching
+//! * `batched` — BatchedSUMMA3D (Alg. 4): block-cyclic column batching
 //!   of `B`/`C`, one SUMMA3D per batch, per-batch delivery to the
 //!   application (prune / persist / discard — the HipMCL pattern).
 //!
-//! Supporting modules: [`backend`] (modeled-clock vs real-multithreaded
+//! Supporting modules: `backend` (modeled-clock vs real-multithreaded
 //! kernel execution), [`dist`] (the paper's Fig. 1 3D data distribution,
 //! with scatter/gather for testing), [`exchange`] (the pluggable
 //! stage-operand movement layer: dense broadcasts vs sparsity-aware
-//! point-to-point fetch), [`kernels`] (the *previous* vs *new*
-//! local-kernel strategies of Sec. IV-D), [`memory`] (the `r`-bytes-per-
-//! nonzero budget model and runtime peak tracking), [`model`] (the
-//! analytic Table II/III cost evaluator), [`harness`] (one-call
+//! point-to-point fetch), `kernels` (the *previous* vs *new*
+//! local-kernel strategies of Sec. IV-D), `memory` (the `r`-bytes-per-
+//! nonzero budget model and runtime peak tracking), [`harness`] (one-call
 //! scatter→multiply→gather drivers used by tests, examples and benches),
 //! [`schedule`] (the communication schedule of all of the above, written
 //! once as op programs the drivers execute), [`audit`] (the programs'
@@ -38,45 +37,41 @@
 #![forbid(unsafe_code)]
 
 pub mod audit;
-pub mod backend;
-pub mod batched;
+pub(crate) mod backend;
+pub(crate) mod batched;
 pub mod dist;
 pub mod exchange;
 pub mod family15;
 pub mod harness;
-pub mod kernels;
-pub mod memory;
-pub mod model;
+pub(crate) mod kernels;
+pub(crate) mod memory;
 pub mod planner;
 pub mod schedule;
 pub mod serve;
-pub mod session;
-pub mod summa2d;
-pub mod summa3d;
-pub mod symbolic;
+pub(crate) mod session;
+pub(crate) mod summa2d;
+pub(crate) mod summa3d;
+pub(crate) mod symbolic;
 
 pub use audit::{
-    AuditConfig, AuditEvent, AuditFault, AuditReport, AuditViolation, AuditViolationKind,
-    BatchSpec, Schedule, WorkloadShape,
+    AuditConfig, AuditEvent, AuditFault, AuditReport, BatchSpec, Schedule, WorkloadShape,
 };
 pub use backend::BackendKind;
-pub use batched::{batched_summa3d, BatchOutput, BatchedResult};
-pub use dist::{transpose_to_bstyle, CPiece, DistKind, DistMatrix};
-pub use exchange::{ExchangeMode, ExchangePlan, FetchCacheStats};
+pub use dist::{transpose_to_bstyle, CPiece, DistKind};
+pub use exchange::{ExchangeMode, ExchangePlan};
 pub use family15::AlgorithmFamily;
 pub use harness::{
     run_batched, run_on_grid, run_spgemm, run_spgemm_aat, run_spmm, BOperand, LayerChoice,
-    RunConfig, RunOutput, SpmmOutput, WorldRun,
+    RunConfig, RunOutput,
 };
 pub use kernels::{KernelStrategy, LocalKernels};
-pub use memory::{MemTracker, MemoryBudget, R_BYTES_PER_NNZ};
-pub use planner::{MachineProfile, PlanReport, PlannerConfig, ProbeConfig, StructuralSketch};
+pub use memory::{MemoryBudget, R_BYTES_PER_NNZ};
+pub use planner::{MachineProfile, PlanReport, PlannerConfig, ProbeConfig};
 pub use serve::{
     JobReport, JobServer, JobSpec, LoadgenConfig, LoadgenReport, ServerConfig, ServerStats,
 };
 pub use session::{IterSession, SessionIterStats};
 pub use summa2d::OverlapMode;
-pub use symbolic::SymbolicOutcome;
 
 /// Errors from the distributed layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,4 +132,4 @@ impl std::fmt::Display for CoreError {
 impl std::error::Error for CoreError {}
 
 /// Result alias for the distributed layer.
-pub type Result<T> = std::result::Result<T, CoreError>;
+pub(crate) type Result<T> = std::result::Result<T, CoreError>;

@@ -51,7 +51,12 @@ impl MemoryBudget {
     /// Eq. 2: the analytic lower bound on the number of batches, given the
     /// total memory needed for the (unmerged) output and the input sizes.
     /// Returns `None` when the inputs alone exhaust the budget.
-    pub fn eq2_lower_bound(&self, mem_c_bytes: usize, nnz_a: usize, nnz_b: usize) -> Option<usize> {
+    pub(crate) fn eq2_lower_bound(
+        &self,
+        mem_c_bytes: usize,
+        nnz_a: usize,
+        nnz_b: usize,
+    ) -> Option<usize> {
         let inputs = self.r * (nnz_a + nnz_b);
         if self.total_bytes <= inputs {
             return None;
@@ -63,36 +68,31 @@ impl MemoryBudget {
 
 /// Modeled memory footprint of one rank over time.
 #[derive(Debug, Clone, Default)]
-pub struct MemTracker {
+pub(crate) struct MemTracker {
     current: usize,
     peak: usize,
 }
 
 impl MemTracker {
     /// Fresh tracker at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record an allocation of `bytes`.
-    pub fn alloc(&mut self, bytes: usize) {
+    pub(crate) fn alloc(&mut self, bytes: usize) {
         self.current += bytes;
         self.peak = self.peak.max(self.current);
     }
 
     /// Record a release of `bytes` (saturating: double-frees in the model
     /// clamp to zero rather than panicking mid-simulation).
-    pub fn free(&mut self, bytes: usize) {
+    pub(crate) fn free(&mut self, bytes: usize) {
         self.current = self.current.saturating_sub(bytes);
     }
 
-    /// Current modeled bytes.
-    pub fn current(&self) -> usize {
-        self.current
-    }
-
     /// Peak modeled bytes seen so far.
-    pub fn peak(&self) -> usize {
+    pub(crate) fn peak(&self) -> usize {
         self.peak
     }
 }
@@ -130,7 +130,7 @@ mod tests {
         t.alloc(50);
         t.free(120);
         t.alloc(10);
-        assert_eq!(t.current(), 40);
+        assert_eq!(t.current, 40);
         assert_eq!(t.peak(), 150);
     }
 
@@ -139,6 +139,6 @@ mod tests {
         let mut t = MemTracker::new();
         t.alloc(10);
         t.free(100);
-        assert_eq!(t.current(), 0);
+        assert_eq!(t.current, 0);
     }
 }

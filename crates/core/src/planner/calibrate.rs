@@ -38,7 +38,7 @@ pub struct MachineProfile {
 
 impl MachineProfile {
     /// A profile that reproduces `m` unchanged.
-    pub fn from_machine(m: &Machine) -> Self {
+    pub(crate) fn from_machine(m: &Machine) -> Self {
         MachineProfile {
             source: m.name.to_string(),
             alpha: m.alpha,
@@ -62,7 +62,7 @@ impl MachineProfile {
     }
 
     /// Serialize as flat JSON.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             "{{\n  \"source\": \"{}\",\n  \"alpha\": {:e},\n  \"beta\": {:e},\n  \
              \"secs_per_work_unit\": {:e},\n  \"threads_per_proc\": {},\n  \
@@ -77,7 +77,7 @@ impl MachineProfile {
     }
 
     /// Parse the flat JSON written by [`Self::to_json`].
-    pub fn from_json(text: &str) -> Result<Self> {
+    pub(crate) fn from_json(text: &str) -> Result<Self> {
         fn field<'a>(text: &'a str, key: &str) -> Result<&'a str> {
             let pat = format!("\"{key}\"");
             let at = text

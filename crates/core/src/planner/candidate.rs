@@ -15,8 +15,8 @@
 
 use crate::exchange::ExchangeMode;
 use crate::family15::AlgorithmFamily;
+use crate::harness::validate_grid;
 use crate::kernels::KernelStrategy;
-use crate::model::validate_grid;
 use crate::summa2d::OverlapMode;
 use crate::Result;
 use spgemm_simgrid::grid::valid_layer_counts;
@@ -85,7 +85,7 @@ impl Candidate {
 /// the same kernel/overlap/exchange cross at pinned `l = 1`. For the 1.5D
 /// families: one candidate each (everything but `c` is pinned), validated
 /// against `p` with an error naming the offending `(p, c)`.
-pub fn enumerate_candidates(
+pub(crate) fn enumerate_candidates(
     p: usize,
     layers: Option<&[usize]>,
     kernels: &[KernelStrategy],

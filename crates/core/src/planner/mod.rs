@@ -5,17 +5,17 @@
 //! layers `l` and batches `b`?" only by exhaustive sweeps (Figs. 4–5).
 //! This module answers it analytically, in four moves:
 //!
-//! 1. **Enumerate** ([`candidate`]) every feasible grid — all `l` with
+//! 1. **Enumerate** (`candidate`) every feasible grid — all `l` with
 //!    `l | p` and `p/l` a perfect square — crossed with kernel generation
 //!    and overlap mode.
 //! 2. **Probe** ([`probe()`]) the operands once with a cheap sampled
 //!    structure-only symbolic pass (no full Symbolic3D): per-column flop
 //!    and output-row counts, scaled estimates of `flops` and `nnz(C)`.
-//! 3. **Predict** ([`predict`]) each candidate's makespan with the same
+//! 3. **Predict** (`predict`) each candidate's makespan with the same
 //!    α–β and work-unit formulas the simulator charges, deriving the
 //!    Alg. 3 / Eq. 2 batch count from the budget and subtracting the
 //!    broadcast time hideable under multiply in overlapped mode.
-//! 4. **Report** ([`report`]) the ranked candidates: the argmin, each
+//! 4. **Report** (`report`) the ranked candidates: the argmin, each
 //!    candidate's latency/bandwidth/compute split, the constraint that
 //!    bound it, and why losers lost.
 //!
@@ -24,29 +24,28 @@
 //! breakdowns and persists them as a machine-profile JSON later plans
 //! can load.
 
-pub mod calibrate;
-pub mod candidate;
-pub mod predict;
-pub mod probe;
-pub mod report;
-pub mod sketch;
+pub(crate) mod calibrate;
+pub(crate) mod candidate;
+pub(crate) mod predict;
+pub(crate) mod probe;
+pub(crate) mod report;
+pub(crate) mod sketch;
 
 pub use calibrate::{calibrate, CalibrationInput, MachineProfile};
-pub use candidate::{enumerate_candidates, Candidate};
-pub use predict::{
-    family15_block_nnz, grid_shape, occ, BindingConstraint, CandidatePrediction, GridShape,
-    PredictedSteps,
-};
-pub use probe::{probe, ProbeConfig, ProbeEstimate};
+pub use candidate::Candidate;
+pub use predict::BindingConstraint;
+pub use probe::{probe, ProbeConfig};
 pub use report::PlanReport;
-pub use sketch::StructuralSketch;
+
+use candidate::enumerate_candidates;
+use predict::{family15_block_nnz, grid_shape, CandidatePrediction, GridShape};
+use probe::ProbeEstimate;
 
 use crate::exchange::ExchangeMode;
 use crate::family15::AlgorithmFamily;
-use crate::harness::RunConfig;
+use crate::harness::{validate_grid, RunConfig};
 use crate::kernels::KernelStrategy;
 use crate::memory::MemoryBudget;
-use crate::model::validate_grid;
 use crate::summa2d::OverlapMode;
 use crate::{CoreError, Result};
 use spgemm_simgrid::Machine;
@@ -149,8 +148,8 @@ pub fn plan<T: Copy + Send + Sync, U: Copy + Sync>(
 ///
 /// This is the entry point for callers that memoize probes — the serve
 /// subsystem's operand store probes each registered pair once and replans
-/// repeat jobs from the cached [`ProbeEstimate`]. The operands are still
-/// required for the exact per-layer placement scan ([`grid_shape`]), which
+/// repeat jobs from the cached `ProbeEstimate`. The operands are still
+/// required for the exact per-layer placement scan (`grid_shape`), which
 /// depends on `p` and the candidate layer counts, not just structure
 /// statistics.
 pub fn plan_with_probe<T: Copy, U: Copy>(

@@ -70,7 +70,7 @@ fn lg(x: f64) -> f64 {
 
 /// Index of the `block_range(n, parts, ·)` block containing `x` — the
 /// inverse of `spgemm_sparse::ops::block_range`.
-pub fn block_index(n: usize, parts: usize, x: usize) -> usize {
+pub(crate) fn block_index(n: usize, parts: usize, x: usize) -> usize {
     debug_assert!(x < n);
     let base = n / parts;
     let rem = n % parts;
@@ -89,7 +89,7 @@ pub fn block_index(n: usize, parts: usize, x: usize) -> usize {
 /// `bins·(1 − e^(−balls/bins))`. Estimates how many *distinct* output rows
 /// a set of products compresses to when a column's `dⱼ` candidate rows are
 /// split across grid cells.
-pub fn occ(balls: f64, bins: f64) -> f64 {
+pub(crate) fn occ(balls: f64, bins: f64) -> f64 {
     if balls <= 0.0 || bins <= 0.0 {
         return 0.0;
     }
@@ -98,7 +98,7 @@ pub fn occ(balls: f64, bins: f64) -> f64 {
 
 /// Exact per-process placement statistics of the inputs for one `(p, l)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GridShape {
+pub(crate) struct GridShape {
     /// Layer count.
     pub l: usize,
     /// Layer side `√(p/l)`.
@@ -141,7 +141,7 @@ fn two_level_blocks(n: usize, pr: usize, l: usize) -> Vec<(u32, u32)> {
 
 /// Bucket every nonzero of `a` (A-style) and `b` (B-style) onto the
 /// `(√(p/l))² × l` grid and take the maxima the predictor needs.
-pub fn grid_shape<T: Copy, U: Copy>(
+pub(crate) fn grid_shape<T: Copy, U: Copy>(
     a: &CscMatrix<T>,
     b: &CscMatrix<U>,
     pr: usize,
@@ -222,7 +222,7 @@ pub enum BindingConstraint {
 
 impl BindingConstraint {
     /// Short label for report tables.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             BindingConstraint::SingleBatch => "single-batch",
             BindingConstraint::MemoryBudget => "memory-budget",
@@ -263,7 +263,7 @@ pub struct PredictedSteps {
 
 impl PredictedSteps {
     /// Blocking-mode sum of every step.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.symbolic_comm
             + self.symbolic_comp
             + self.abcast
@@ -374,7 +374,7 @@ fn infeasible(
 /// *per iteration* over the whole run". `iterations = 1` reproduces the
 /// single-shot prediction exactly.
 #[allow(clippy::too_many_arguments)] // SPMD-style bundle of model inputs
-pub fn predict_candidate(
+pub(crate) fn predict_candidate(
     p: usize,
     shape: &GridShape,
     est: &ProbeEstimate,
@@ -699,7 +699,7 @@ pub fn predict_candidate(
 /// column blocks over the inner dimension — the exact placement scan
 /// [`predict_family15`] charges shift traffic from (the 1.5D analogue of
 /// [`grid_shape`]).
-pub fn family15_block_nnz<T: Copy>(a: &CscMatrix<T>, t: usize) -> Vec<u64> {
+pub(crate) fn family15_block_nnz<T: Copy>(a: &CscMatrix<T>, t: usize) -> Vec<u64> {
     let mut nnz = vec![0u64; t.max(1)];
     for j in 0..a.ncols() {
         nnz[block_index(a.ncols(), t.max(1), j)] += a.col(j).0.len() as u64;
@@ -726,7 +726,7 @@ pub fn family15_block_nnz<T: Copy>(a: &CscMatrix<T>, t: usize) -> Vec<u64> {
 /// back memory-constrained sparse-sparse workloads.
 ///
 /// `block_nnz` is [`family15_block_nnz`] at this family's `t = p/c`.
-pub fn predict_family15(
+pub(crate) fn predict_family15(
     p: usize,
     block_nnz: &[u64],
     est: &ProbeEstimate,

@@ -87,7 +87,7 @@ pub struct ProbeEstimate {
 
 impl ProbeEstimate {
     /// Was every column probed (estimates are exact)?
-    pub fn is_exact(&self) -> bool {
+    pub(crate) fn is_exact(&self) -> bool {
         self.cols.len() == self.total_cols
     }
 }

@@ -57,7 +57,7 @@ impl Fnv {
 /// [`StructuralSketch::hash`] (the summary fields ride along for reports
 /// and cache introspection, and are themselves inputs to the hash).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StructuralSketch {
+pub(crate) struct StructuralSketch {
     /// Canonical 64-bit FNV-1a hash of the probe's structural content.
     pub hash: u64,
     /// `nrows(A)`.
@@ -85,7 +85,7 @@ impl StructuralSketch {
     /// The sampling parameters are hashed alongside the observations:
     /// probes of the same operands under different seeds or fractions see
     /// different column subsets and must not alias in a cache.
-    pub fn from_probe(est: &ProbeEstimate, cfg: &ProbeConfig) -> Self {
+    pub(crate) fn from_probe(est: &ProbeEstimate, cfg: &ProbeConfig) -> Self {
         let mut h = Fnv::new();
         // Sampling scheme.
         h.write_u64(cfg.seed);
@@ -125,14 +125,6 @@ impl StructuralSketch {
             nnz_c: est.nnz_c,
             sampled_cols: est.cols.len(),
         }
-    }
-
-    /// Short display form for reports: `a1b2c3d4 (MxKxN, nnzA/nnzB)`.
-    pub fn label(&self) -> String {
-        format!(
-            "{:016x} ({}x{}x{}, {}/{})",
-            self.hash, self.nrows_a, self.inner, self.ncols_b, self.nnz_a, self.nnz_b
-        )
     }
 }
 
@@ -228,6 +220,5 @@ mod tests {
         assert_eq!(s.flops, est.flops);
         assert_eq!(s.nnz_c, est.nnz_c);
         assert_eq!(s.sampled_cols, 70);
-        assert!(s.label().contains("80x90x70"));
     }
 }

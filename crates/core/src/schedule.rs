@@ -5,16 +5,16 @@
 //! is content-independent — a pure function of `(p, l, b, exchange,
 //! overlap, family, c, iters)`. This module holds that function as data: a
 //! small SPMD-identical [`Op`] vocabulary, generators that emit the op
-//! program of each driver, and [`wire`], the one table from a
+//! program of each driver, and `wire`, the one table from a
 //! communication op and an [`ExchangeMode`] to its ordered wire actions.
 //!
-//! Two readers walk the same programs. The drivers ([`crate::batched`],
-//! [`crate::symbolic`], [`crate::family15`]) run one `for op in …` loop and
+//! Two readers walk the same programs. The drivers (`batched`,
+//! `symbolic`, [`crate::family15`]) run one `for op in …` loop and
 //! execute each op against payloads; a session step is the batched program
 //! followed by its refresh of `B̃`. The auditor
-//! ([`crate::audit`]) lowers each op through [`wire`] into per-rank
+//! ([`crate::audit`]) lowers each op through `wire` into per-rank
 //! [`crate::audit::AuditEvent`]s. A new movement scheme is one more row of
-//! [`wire`]; a new pipelining order is one more branch of [`batches`].
+//! `wire`; a new pipelining order is one more branch of `batches`.
 
 use crate::exchange::{fetch_rep_tag, fetch_req_tag, ExchangeMode};
 use crate::family15::shift_tag;
@@ -85,7 +85,7 @@ pub enum Op {
 
 /// Alg. 3: a blocking structure-only SUMMA2D sweep over the un-batched
 /// operands, then the world reductions.
-pub fn symbolic(stages: usize) -> Vec<Op> {
+pub(crate) fn symbolic(stages: usize) -> Vec<Op> {
     let mut ops = Vec::with_capacity(2 * stages + 1);
     for s in 0..stages {
         ops.push(Op::Stage {
@@ -106,7 +106,7 @@ pub fn symbolic(stages: usize) -> Vec<Op> {
 /// — is posted before the current stage's multiply, so the multiply (and
 /// across batches the merge and fiber phases) hides it. One stage is in
 /// flight at any time.
-pub fn batches(nb: usize, stages: usize, overlap: OverlapMode) -> Vec<Op> {
+pub(crate) fn batches(nb: usize, stages: usize, overlap: OverlapMode) -> Vec<Op> {
     let stage = |s, t, phase| Op::Stage {
         s,
         batch: Some(t),
@@ -145,7 +145,7 @@ pub fn batches(nb: usize, stages: usize, overlap: OverlapMode) -> Vec<Op> {
 /// multiplications of `nb` batches each, preceded by the symbolic sweep
 /// when `sweep` is set and followed by the refresh of `B̃` — which moves
 /// nothing on one layer, where A-style and B-style coincide.
-pub fn session(
+pub(crate) fn session(
     stages: usize,
     l: usize,
     sweep: bool,
@@ -169,7 +169,7 @@ pub fn session(
 /// One 1.5D SpMM after its scatter: `rounds` local multiplies with a ring
 /// shift between consecutive ones, the team reduction (InnerABC with
 /// `c > 1`), and the gather.
-pub fn family15(rounds: usize, has_team: bool) -> Vec<Op> {
+pub(crate) fn family15(rounds: usize, has_team: bool) -> Vec<Op> {
     let mut ops = Vec::with_capacity(2 * rounds + 2);
     for round in 0..rounds {
         ops.push(Op::Multiply);
@@ -186,7 +186,7 @@ pub fn family15(rounds: usize, has_team: bool) -> Vec<Op> {
 
 /// `iters` full 1.5D SpMM calls; there is no resident 1.5D session, so the
 /// scatter repeats with every call.
-pub fn family15_session(rounds: usize, has_team: bool, iters: usize) -> Vec<Op> {
+pub(crate) fn family15_session(rounds: usize, has_team: bool, iters: usize) -> Vec<Op> {
     let mut ops = Vec::new();
     for _ in 0..iters {
         ops.push(Op::Scatter);
@@ -197,7 +197,7 @@ pub fn family15_session(rounds: usize, has_team: bool, iters: usize) -> Vec<Op> 
 
 /// The communicator a wire action runs on, from the acting rank's view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Link {
+pub(crate) enum Link {
     /// All ranks.
     World,
     /// Process row of the rank's layer (`Ã` moves along it).
@@ -214,7 +214,7 @@ pub enum Link {
 
 /// One wire action of a communication op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wire {
+pub(crate) enum Wire {
     /// Enter a blocking collective, or register a nonblocking post
     /// (`IbcastPost`, `IalltoallvPost`), on a link. `Ã` moves on
     /// [`Link::Row`], `B̃` on [`Link::Col`].
@@ -241,7 +241,7 @@ const ALLTOALL: Wire = Wire::Enter(OpKind::Alltoallv, Link::Fiber);
 /// ops). Under [`ExchangeMode::SparseFetch`] `B̃` must land before the fetch
 /// round, whose request set is derived from it — so only `B̃`'s broadcast
 /// can be posted ahead and the fetch runs at wait time.
-pub fn wire(op: Op, exchange: ExchangeMode) -> &'static [Wire] {
+pub(crate) fn wire(op: Op, exchange: ExchangeMode) -> &'static [Wire] {
     use ExchangeMode::{DenseBcast, SparseFetch};
     use Phase::{Blocking, Post, Wait};
     match op {
@@ -341,7 +341,7 @@ pub fn payload_bytes(op: Op, payload: Payload, r: usize) -> usize {
 /// Root member index of collective `kind` as issued by `op`: the stage
 /// index for stage broadcasts, member 0 for scatter and gather, `None` for
 /// unrooted collectives.
-pub fn root(op: Op, kind: OpKind) -> Option<usize> {
+pub(crate) fn root(op: Op, kind: OpKind) -> Option<usize> {
     let rooted = matches!(kind, OpKind::Bcast | OpKind::IbcastPost | OpKind::Gather);
     rooted.then_some(match op {
         Op::Stage { s, .. } => s,
@@ -351,7 +351,7 @@ pub fn root(op: Op, kind: OpKind) -> Option<usize> {
 
 /// One leg of a point-to-point conversation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Msg {
+pub(crate) struct Msg {
     /// Whether this member sends (else it blocks in a receive).
     pub send: bool,
     /// Peer member index within the communicator.
@@ -366,7 +366,12 @@ pub struct Msg {
 /// request, send the reply); everyone else asks the owner and blocks on
 /// its reply. Every round draws a fresh `seq`, so no tag is reused while a
 /// message that carries it can be in flight.
-pub fn fetch_round(q: usize, me: usize, owner: usize, seq: u64) -> impl Iterator<Item = [Msg; 2]> {
+pub(crate) fn fetch_round(
+    q: usize,
+    me: usize,
+    owner: usize,
+    seq: u64,
+) -> impl Iterator<Item = [Msg; 2]> {
     let serve = me == owner;
     let peers = if serve { 0..q } else { owner..owner + 1 };
     peers.filter(move |&peer| peer != me).map(move |peer| {
@@ -382,7 +387,7 @@ pub fn fetch_round(q: usize, me: usize, owner: usize, seq: u64) -> impl Iterator
 /// successor, then block on the predecessor. `shift_tag(round)` recurs
 /// with every SpMM call; each send is matched within its round, so no two
 /// messages with one tag are in flight together.
-pub fn ring_shift(q: usize, pos: usize, round: usize) -> [Msg; 2] {
+pub(crate) fn ring_shift(q: usize, pos: usize, round: usize) -> [Msg; 2] {
     let tag = shift_tag(round);
     [(true, (pos + 1) % q), (false, (pos + q - 1) % q)].map(|(send, peer)| Msg { send, peer, tag })
 }

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 /// The memory shape of one job, as the planner modeled it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobDemand {
+pub(crate) struct JobDemand {
     /// Ranks the job runs on (reservations are aggregate: per-process
     /// bytes × `p`).
     pub p: usize,
@@ -45,27 +45,27 @@ pub struct JobDemand {
 
 impl JobDemand {
     /// Aggregate modeled peak at batch count `b` (Eq. 2 shape).
-    pub fn bytes_at(&self, b: usize) -> usize {
+    pub(crate) fn bytes_at(&self, b: usize) -> usize {
         let b = b.max(1);
         self.p
             .saturating_mul(self.input_bytes_per_proc + self.unmerged_bytes_per_proc.div_ceil(b))
     }
 
     /// Aggregate peak at the planned batch count.
-    pub fn planned_bytes(&self) -> usize {
+    pub(crate) fn planned_bytes(&self) -> usize {
         self.bytes_at(self.planned_batches)
     }
 
     /// Aggregate peak at the finest feasible batching — the least memory
     /// this job can ever run in.
-    pub fn min_bytes(&self) -> usize {
+    pub(crate) fn min_bytes(&self) -> usize {
         self.bytes_at(self.max_batches)
     }
 }
 
 /// One admission verdict ([`AdmissionController::decide`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
+pub(crate) enum Decision {
     /// Fits right now at the planned batch count: reserve `bytes`.
     Admit {
         /// Batch count to run with (the planned one).
@@ -94,7 +94,7 @@ pub enum Decision {
 
 /// The reservation ledger.
 #[derive(Debug)]
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     budget_bytes: usize,
     reserved: usize,
     peak_reserved: usize,
@@ -105,7 +105,7 @@ pub struct AdmissionController {
 impl AdmissionController {
     /// A controller over `budget_bytes` aggregate modeled bytes.
     /// `shrink` enables shrink-and-batch admission.
-    pub fn new(budget_bytes: usize, shrink: bool) -> Self {
+    pub(crate) fn new(budget_bytes: usize, shrink: bool) -> Self {
         AdmissionController {
             budget_bytes,
             reserved: 0,
@@ -116,34 +116,29 @@ impl AdmissionController {
     }
 
     /// The global budget.
-    pub fn budget_bytes(&self) -> usize {
+    pub(crate) fn budget_bytes(&self) -> usize {
         self.budget_bytes
     }
 
     /// Bytes currently reserved by admitted jobs.
-    pub fn reserved(&self) -> usize {
+    pub(crate) fn reserved(&self) -> usize {
         self.reserved
     }
 
     /// High-water mark of [`AdmissionController::reserved`] — what the
     /// proptest compares against the budget.
-    pub fn peak_reserved(&self) -> usize {
+    pub(crate) fn peak_reserved(&self) -> usize {
         self.peak_reserved
     }
 
     /// Bytes available for new admissions.
-    pub fn available(&self) -> usize {
+    pub(crate) fn available(&self) -> usize {
         self.budget_bytes - self.reserved
-    }
-
-    /// Jobs currently holding reservations.
-    pub fn admitted_count(&self) -> usize {
-        self.ledger.len()
     }
 
     /// Judge `demand` against the current reservation state. Pure: no
     /// reservation is taken until [`AdmissionController::admit`].
-    pub fn decide(&self, demand: &JobDemand) -> Decision {
+    pub(crate) fn decide(&self, demand: &JobDemand) -> Decision {
         let min_bytes = demand.min_bytes();
         if min_bytes > self.budget_bytes {
             return Decision::Reject { min_bytes };
@@ -182,7 +177,7 @@ impl AdmissionController {
     /// Reserve `bytes` for `id`. Panics if the reservation would breach
     /// the budget or the id already holds one — both are scheduler bugs,
     /// not runtime conditions.
-    pub fn admit(&mut self, id: JobId, bytes: usize) {
+    pub(crate) fn admit(&mut self, id: JobId, bytes: usize) {
         assert!(
             self.reserved + bytes <= self.budget_bytes,
             "admission would breach the global budget: reserved {} + job {} > {}",
@@ -197,7 +192,7 @@ impl AdmissionController {
     }
 
     /// Release job `id`'s reservation, returning the freed bytes.
-    pub fn release(&mut self, id: JobId) -> usize {
+    pub(crate) fn release(&mut self, id: JobId) -> usize {
         let bytes = self
             .ledger
             .remove(&id)

@@ -26,13 +26,15 @@
 
 use super::admission::JobDemand;
 use super::job::OperandId;
-use crate::planner::{Candidate, ProbeEstimate, StructuralSketch};
+use crate::planner::probe::ProbeEstimate;
+use crate::planner::sketch::StructuralSketch;
+use crate::planner::Candidate;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Everything besides structure that changes what the planner would say.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
+pub(crate) struct PlanKey {
     /// [`StructuralSketch::hash`] of the operand pair.
     pub sketch: u64,
     /// Process count the plan was made for.
@@ -44,16 +46,13 @@ pub struct PlanKey {
 
 /// A memoized planning decision, ready to run without probe or predict.
 #[derive(Debug, Clone)]
-pub struct CachedPlan {
+pub(crate) struct CachedPlan {
     /// The winning configuration (layers, kernels, overlap, exchange).
     pub candidate: Candidate,
-    /// The batch count the planner derived under the job's budget.
-    pub batches: usize,
-    /// The memory shape admission control replays (planned and shrunk).
+    /// The memory shape admission control replays (planned and shrunk);
+    /// its `planned_batches` is the batch count the planner derived under
+    /// the job's budget.
     pub demand: JobDemand,
-    /// The full sketch the key's hash came from, kept for introspection
-    /// and for verifying a lookup against hash collision in tests.
-    pub sketch: StructuralSketch,
 }
 
 /// Hit/miss/eviction counters for both cache levels.
@@ -85,7 +84,7 @@ impl CacheStats {
 
 /// The serve subsystem's plan cache (both levels plus stats).
 #[derive(Debug)]
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     capacity: usize,
     tick: u64,
     plans: HashMap<PlanKey, (CachedPlan, u64)>,
@@ -97,7 +96,7 @@ impl PlanCache {
     /// A cache holding at most `capacity` plans (0 disables the plan
     /// level; the probe memo is unbounded — one entry per registered pair
     /// actually multiplied, which the operand store already bounds).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         PlanCache {
             capacity,
             tick: 0,
@@ -108,7 +107,7 @@ impl PlanCache {
     }
 
     /// Look up the memoized probe of a handle pair.
-    pub fn probe_lookup(
+    pub(crate) fn probe_lookup(
         &mut self,
         pair: (OperandId, OperandId),
     ) -> Option<(StructuralSketch, Arc<ProbeEstimate>)> {
@@ -125,7 +124,7 @@ impl PlanCache {
     }
 
     /// Memoize a freshly taken probe for a handle pair.
-    pub fn probe_insert(
+    pub(crate) fn probe_insert(
         &mut self,
         pair: (OperandId, OperandId),
         sketch: StructuralSketch,
@@ -135,7 +134,7 @@ impl PlanCache {
     }
 
     /// Look up a plan, bumping its recency on hit.
-    pub fn get(&mut self, key: &PlanKey) -> Option<CachedPlan> {
+    pub(crate) fn get(&mut self, key: &PlanKey) -> Option<CachedPlan> {
         self.tick += 1;
         match self.plans.get_mut(key) {
             Some((plan, used)) => {
@@ -151,7 +150,7 @@ impl PlanCache {
     }
 
     /// Insert a plan, evicting the least-recently-used entry when full.
-    pub fn insert(&mut self, key: PlanKey, plan: CachedPlan) {
+    pub(crate) fn insert(&mut self, key: PlanKey, plan: CachedPlan) {
         if self.capacity == 0 {
             return;
         }
@@ -170,18 +169,8 @@ impl PlanCache {
         self.plans.insert(key, (plan, self.tick));
     }
 
-    /// Plans currently resident.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// No plans resident?
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-
     /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 }
@@ -194,7 +183,7 @@ mod tests {
     use crate::kernels::KernelStrategy;
     use crate::summa2d::OverlapMode;
 
-    fn plan_for(sketch_hash: u64) -> CachedPlan {
+    fn plan() -> CachedPlan {
         CachedPlan {
             candidate: Candidate {
                 family: AlgorithmFamily::Summa3dBatched,
@@ -203,7 +192,6 @@ mod tests {
                 overlap: OverlapMode::Blocking,
                 exchange: ExchangeMode::DenseBcast,
             },
-            batches: 2,
             demand: JobDemand {
                 p: 4,
                 input_bytes_per_proc: 100,
@@ -211,17 +199,20 @@ mod tests {
                 planned_batches: 2,
                 max_batches: 32,
             },
-            sketch: StructuralSketch {
-                hash: sketch_hash,
-                nrows_a: 8,
-                inner: 8,
-                ncols_b: 8,
-                nnz_a: 16,
-                nnz_b: 16,
-                flops: 32,
-                nnz_c: 20,
-                sampled_cols: 8,
-            },
+        }
+    }
+
+    fn sketch(hash: u64) -> StructuralSketch {
+        StructuralSketch {
+            hash,
+            nrows_a: 8,
+            inner: 8,
+            ncols_b: 8,
+            nnz_a: 16,
+            nnz_b: 16,
+            flops: 32,
+            nnz_c: 20,
+            sampled_cols: 8,
         }
     }
 
@@ -236,11 +227,11 @@ mod tests {
     #[test]
     fn lru_evicts_the_stalest_plan() {
         let mut cache = PlanCache::new(2);
-        cache.insert(key(1), plan_for(1));
-        cache.insert(key(2), plan_for(2));
+        cache.insert(key(1), plan());
+        cache.insert(key(2), plan());
         assert!(cache.get(&key(1)).is_some()); // 1 is now fresher than 2
-        cache.insert(key(3), plan_for(3)); // evicts 2
-        assert_eq!(cache.len(), 2);
+        cache.insert(key(3), plan()); // evicts 2
+        assert_eq!(cache.plans.len(), 2);
         assert!(cache.get(&key(2)).is_none());
         assert!(cache.get(&key(1)).is_some());
         assert!(cache.get(&key(3)).is_some());
@@ -253,7 +244,7 @@ mod tests {
     #[test]
     fn key_distinguishes_p_and_budget_not_just_sketch() {
         let mut cache = PlanCache::new(8);
-        cache.insert(key(7), plan_for(7));
+        cache.insert(key(7), plan());
         assert!(cache.get(&key(7)).is_some());
         assert!(cache.get(&PlanKey { p: 16, ..key(7) }).is_none());
         assert!(cache
@@ -267,8 +258,8 @@ mod tests {
     #[test]
     fn zero_capacity_disables_plan_level() {
         let mut cache = PlanCache::new(0);
-        cache.insert(key(1), plan_for(1));
-        assert!(cache.is_empty());
+        cache.insert(key(1), plan());
+        assert!(cache.plans.is_empty());
         assert!(cache.get(&key(1)).is_none());
         assert_eq!(cache.stats().plan_evictions, 0);
     }
@@ -277,13 +268,13 @@ mod tests {
     fn hit_rate_counts_both_levels_separately() {
         let mut cache = PlanCache::new(4);
         assert_eq!(cache.stats().plan_hit_rate(), 0.0);
-        cache.insert(key(1), plan_for(1));
+        cache.insert(key(1), plan());
         cache.get(&key(1));
         cache.get(&key(1));
         cache.get(&key(9));
         assert!((cache.stats().plan_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         // Probe memo counts independently of the plan level.
-        let (s, e) = (plan_for(1).sketch, Arc::new(dummy_probe()));
+        let (s, e) = (sketch(1), Arc::new(dummy_probe()));
         let pair = (OperandId(0), OperandId(1));
         assert!(cache.probe_lookup(pair).is_none());
         cache.probe_insert(pair, s, e);

@@ -7,7 +7,7 @@ use spgemm_sparse::CscMatrix;
 use std::time::Duration;
 
 /// Monotone id the server assigns to each submitted job.
-pub type JobId = u64;
+pub(crate) type JobId = u64;
 
 /// Handle to a matrix registered with the server's operand store.
 ///
@@ -19,7 +19,7 @@ pub struct OperandId(pub(crate) u32);
 
 impl OperandId {
     /// The store slot this handle names (stable for the server's life).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }

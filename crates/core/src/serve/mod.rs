@@ -7,14 +7,14 @@
 //! optional queue deadline — and packs them onto the simulated cluster
 //! concurrently, under three coordinated policies:
 //!
-//! * **Planning** ([`crate::planner`], memoized by [`cache`]) — every job
+//! * **Planning** ([`crate::planner`], memoized by `cache`) — every job
 //!   is planned with the PR-4 planner: probe the operands' structure,
 //!   predict every candidate grid, run the winner. A two-level cache
 //!   makes repeat shapes cheap: a probe memo keyed by operand handles, and
-//!   a plan cache keyed by the pair's [`crate::planner::StructuralSketch`]
+//!   a plan cache keyed by the pair's `StructuralSketch`
 //!   (plus `p` and budget), so structurally identical work skips probe
 //!   *and* predict.
-//! * **Admission control** ([`admission`]) — each job's Eq. 2 modeled
+//! * **Admission control** (`admission`) — each job's Eq. 2 modeled
 //!   peak, `p · (input + ⌈unmerged/b⌉)`, is reserved against a **global**
 //!   budget for the job's lifetime. Oversubscription queues jobs
 //!   (priority, then FIFO), *shrinks* them (raise `b` until the peak fits
@@ -22,24 +22,22 @@
 //!   batching could never fit. The invariant — admitted peaks never sum
 //!   past the budget — is enforced by assertion and pinned by a property
 //!   test.
-//! * **Load generation** ([`loadgen`]) — open- and closed-loop arrival
+//! * **Load generation** (`loadgen`) — open- and closed-loop arrival
 //!   against the server, reporting throughput, p50/p99 latency, queue
 //!   depth, admission decisions and cache hit rates.
 //!
 //! See `DESIGN.md` §15 for the full architecture (job lifecycle, the
 //! admission state machine, cache keying and eviction).
 
-pub mod admission;
-pub mod cache;
-pub mod job;
-pub mod loadgen;
-pub mod server;
+pub(crate) mod admission;
+pub(crate) mod cache;
+pub(crate) mod job;
+pub(crate) mod loadgen;
+pub(crate) mod server;
 
-pub use admission::{AdmissionController, Decision, JobDemand};
-pub use cache::{CacheStats, CachedPlan, PlanCache, PlanKey};
 pub use job::{
-    AdmitKind, CompletedJob, JobId, JobOutcome, JobReport, JobSemiring, JobSpec, OperandId,
-    PlanSource, Priority, RejectReason,
+    AdmitKind, JobOutcome, JobReport, JobSemiring, JobSpec, OperandId, PlanSource, Priority,
+    RejectReason,
 };
 pub use loadgen::{run_loadgen, ArrivalProcess, LoadgenConfig, LoadgenReport};
-pub use server::{FamilyPolicy, JobServer, JobTicket, ServerConfig, ServerStats};
+pub use server::{FamilyPolicy, JobServer, ServerConfig, ServerStats};

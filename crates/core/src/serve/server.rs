@@ -47,7 +47,8 @@ use super::job::{
 use crate::backend::BackendKind;
 use crate::family15::AlgorithmFamily;
 use crate::harness::{run_spgemm, RunConfig, RunOutput};
-use crate::planner::{self, Candidate, PlannerConfig, ProbeConfig, StructuralSketch};
+use crate::planner::sketch::StructuralSketch;
+use crate::planner::{self, Candidate, PlannerConfig, ProbeConfig};
 use spgemm_simgrid::{CheckMode, Machine};
 use spgemm_sparse::semiring::{MinPlusF64, PlusTimesF64};
 use spgemm_sparse::CscMatrix;
@@ -78,7 +79,7 @@ impl Default for FamilyPolicy {
 
 impl FamilyPolicy {
     /// The family list handed to the planner for a job on `p` processes.
-    pub fn families_for(self, p: usize) -> Vec<AlgorithmFamily> {
+    pub(crate) fn families_for(self, p: usize) -> Vec<AlgorithmFamily> {
         match self {
             FamilyPolicy::Fixed(f) => vec![f],
             FamilyPolicy::Sweep => AlgorithmFamily::sweep(p),
@@ -293,7 +294,7 @@ impl JobServer {
         OperandId(id)
     }
 
-    /// Submit a job; the returned ticket's [`JobTicket::wait`] blocks for
+    /// Submit a job; the returned ticket's `JobTicket::wait` blocks for
     /// its report.
     pub fn submit(&self, spec: JobSpec) -> JobTicket {
         let (reply, rx) = channel();
@@ -610,7 +611,6 @@ impl Scheduler {
         })?;
         let plan = CachedPlan {
             candidate: winner.candidate,
-            batches: winner.batches,
             demand: JobDemand {
                 p: spec.p,
                 input_bytes_per_proc: winner.input_bytes_per_proc,
@@ -618,7 +618,6 @@ impl Scheduler {
                 planned_batches: winner.batches,
                 max_batches: b.ncols().max(1),
             },
-            sketch,
         };
         self.cache.insert(key, plan.clone());
         let source = if probe_reused {

@@ -99,7 +99,7 @@ impl<S: Semiring> IterSession<S> {
     /// set up the per-rank resident state. `cache` turns on the
     /// cross-iteration fetch cache — meaningful under
     /// [`crate::ExchangeMode::SparseFetch`], harmless otherwise. `cfg` is
-    /// read like [`crate::batched_summa3d`] reads it (the grid and the
+    /// read like `batched_summa3d` reads it (the grid and the
     /// cluster are the caller's, see [`crate::harness::run_on_grid`]).
     /// SPMD: every rank must construct the session with the same arguments.
     pub fn new(
@@ -129,26 +129,6 @@ impl<S: Semiring> IterSession<S> {
             plan,
             iterations: 0,
         })
-    }
-
-    /// This rank's current A-style local piece of the iterate.
-    pub fn local(&self) -> &CscMatrix<S::T> {
-        &self.a.local
-    }
-
-    /// The iterate as a distributed matrix (A-style).
-    pub fn iterate(&self) -> &DistMatrix<S::T> {
-        &self.a
-    }
-
-    /// Iterations executed so far.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Cumulative fetch-cache counters on this rank.
-    pub fn cache_stats(&self) -> FetchCacheStats {
-        self.plan.cache_stats()
     }
 
     /// One iteration: multiply the iterate by itself (batched), hand every

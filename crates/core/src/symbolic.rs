@@ -70,7 +70,7 @@ pub struct SymbolicOutcome {
 /// up here is already sized when the numeric sweep begins. `plan` decides
 /// how the structure-only stage operands move: the sweep walks the same
 /// wire-table rows as the numeric stages it predicts, carrying patterns.
-pub fn symbolic3d<S: Semiring>(
+pub(crate) fn symbolic3d<S: Semiring>(
     rank: &mut Rank,
     grid: &Grid3D,
     a: &DistMatrix<S::T>,
@@ -188,7 +188,7 @@ pub fn symbolic3d<S: Semiring>(
 /// Extracted from [`symbolic3d`] so the schedule auditor can
 /// reproduce the exact batch count a run would choose — including both
 /// failure modes — from modeled nonzero counts alone.
-pub fn alg3_batch_count(
+pub(crate) fn alg3_batch_count(
     per_proc_budget: usize,
     r: usize,
     max_nnz_a: u64,

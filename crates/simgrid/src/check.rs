@@ -99,7 +99,7 @@ impl CheckMode {
     }
 
     /// True if verification is active.
-    pub fn is_on(self) -> bool {
+    pub(crate) fn is_on(self) -> bool {
         matches!(self, CheckMode::Check)
     }
 }
@@ -151,7 +151,7 @@ impl fmt::Display for OpKind {
 
 /// The class of a detected protocol violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViolationKind {
+pub(crate) enum ViolationKind {
     /// Ranks entered different collectives as one operation.
     OrderMismatch,
     /// Members of a rooted collective named different roots.
@@ -178,7 +178,7 @@ pub enum ViolationKind {
 /// A detected violation: its class, where it happened, and a detail line
 /// naming the ranks, roots, counts or sequence numbers involved.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProtocolViolation {
+pub(crate) struct ProtocolViolation {
     /// What class of defect this is.
     pub kind: ViolationKind,
     /// Communicator id the offending operation ran on.

@@ -54,7 +54,7 @@ pub enum Step {
 }
 
 /// Number of [`Step`] variants.
-pub const N_STEPS: usize = 14;
+pub(crate) const N_STEPS: usize = 14;
 
 /// All steps in display order.
 pub const ALL_STEPS: [Step; N_STEPS] = [
@@ -203,7 +203,7 @@ impl StepBreakdown {
     }
 
     /// Elementwise max — used when reducing across ranks.
-    pub fn max_with(&mut self, other: &StepBreakdown) {
+    pub(crate) fn max_with(&mut self, other: &StepBreakdown) {
         for i in 0..N_STEPS {
             self.secs[i] = self.secs[i].max(other.secs[i]);
             self.bytes[i] = self.bytes[i].max(other.bytes[i]);
@@ -224,7 +224,7 @@ pub struct RankClock {
 
 impl RankClock {
     /// A clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -274,7 +274,7 @@ impl RankClock {
     /// `step`. Used by collectives: the span covers both waiting for the
     /// slowest participant and the op cost itself, matching how per-step
     /// wall-clock timers behave in a real MPI code.
-    pub fn advance_to(&mut self, step: Step, t: f64) {
+    pub(crate) fn advance_to(&mut self, step: Step, t: f64) {
         if t > self.now {
             self.breakdown.secs[step as usize] += t - self.now;
             let start = self.now;
@@ -294,7 +294,7 @@ impl RankClock {
     /// advance the clock — the covered span already elapsed under whatever
     /// steps the rank worked on. When tracing, a zero-length marker event
     /// carrying the hidden duration is emitted at the current time.
-    pub fn record_overlap(&mut self, step: Step, secs: f64) {
+    pub(crate) fn record_overlap(&mut self, step: Step, secs: f64) {
         debug_assert!(secs >= 0.0, "negative overlap: {secs}");
         if secs <= 0.0 {
             return;

@@ -262,7 +262,7 @@ impl Rank {
     /// charged to [`Step::Other`] semantics via the `step` argument.
     ///
     /// Cost is asymmetric, as in `MPI_Gather`: the root pays the full tree
-    /// ingest ([`crate::cost::Machine::gather_secs`]); a non-root returns
+    /// ingest (`Machine::gather_secs`); a non-root returns
     /// after its own send ([`crate::cost::Machine::send_secs`]). There is no
     /// broadcast back, so charging `allgather_secs` on every rank — as this
     /// function once did — overcounts both sides.

@@ -100,7 +100,7 @@ impl Comm {
 ///
 /// The derivation every member uses to agree on an id without
 /// coordination, exposed so symbolic executors can mirror it.
-pub fn comm_id(members: &[usize], color: u64) -> u64 {
+pub(crate) fn comm_id(members: &[usize], color: u64) -> u64 {
     fnv1a(
         members
             .iter()

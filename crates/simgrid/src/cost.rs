@@ -102,7 +102,7 @@ impl Machine {
     }
 
     /// Seconds for a size-`q` broadcast of `bytes` payload.
-    pub fn bcast_secs(&self, q: usize, bytes: usize) -> f64 {
+    pub(crate) fn bcast_secs(&self, q: usize, bytes: usize) -> f64 {
         if q <= 1 {
             return 0.0;
         }
@@ -110,7 +110,7 @@ impl Machine {
     }
 
     /// Seconds for a size-`q` allreduce of `bytes` payload.
-    pub fn allreduce_secs(&self, q: usize, bytes: usize) -> f64 {
+    pub(crate) fn allreduce_secs(&self, q: usize, bytes: usize) -> f64 {
         if q <= 1 {
             return 0.0;
         }
@@ -119,7 +119,7 @@ impl Machine {
 
     /// Seconds for a size-`q` allgather where each rank contributes
     /// `bytes_each`.
-    pub fn allgather_secs(&self, q: usize, bytes_each: usize) -> f64 {
+    pub(crate) fn allgather_secs(&self, q: usize, bytes_each: usize) -> f64 {
         if q <= 1 {
             return 0.0;
         }
@@ -138,7 +138,7 @@ impl Machine {
     /// is no broadcast back and non-roots do not receive `(q−1)·bytes_each`
     /// — they finish after their own send ([`Machine::send_secs`]), exactly
     /// as an `MPI_Gather` returns early on non-root ranks.
-    pub fn gather_secs(&self, q: usize, bytes_each: usize) -> f64 {
+    pub(crate) fn gather_secs(&self, q: usize, bytes_each: usize) -> f64 {
         if q <= 1 {
             return 0.0;
         }
@@ -147,7 +147,7 @@ impl Machine {
 
     /// Seconds for a size-`q` barrier: one tree round of latency, no
     /// payload.
-    pub fn barrier_secs(&self, q: usize) -> f64 {
+    pub(crate) fn barrier_secs(&self, q: usize) -> f64 {
         if q <= 1 {
             return 0.0;
         }
@@ -157,7 +157,7 @@ impl Machine {
     /// Seconds for a size-`q` all-to-all where the heaviest rank sends
     /// `max_bytes` in total (the paper's `αl + β·flops/(bp)` form for
     /// AllToAll-Fiber).
-    pub fn alltoall_secs(&self, q: usize, max_bytes: usize) -> f64 {
+    pub(crate) fn alltoall_secs(&self, q: usize, max_bytes: usize) -> f64 {
         if q <= 1 {
             return 0.0;
         }

@@ -105,52 +105,6 @@ impl Grid3D {
     pub fn rank_of(&self, i: usize, j: usize, k: usize) -> usize {
         k * self.pr * self.pr + i * self.pr + j
     }
-
-    /// `A`'s global column-slice index of this rank: the 3D distribution
-    /// splits `A`'s columns into `pr · l` slices; slice `(j, k)` lives on
-    /// layer `k`, process column `j` (Fig. 1(c-e)).
-    pub fn a_col_slice(&self) -> usize {
-        self.j * self.l + self.k
-    }
-
-    /// `B`'s global row-slice index of this rank (Fig. 1(f-h)), symmetric
-    /// to [`Grid3D::a_col_slice`].
-    pub fn b_row_slice(&self) -> usize {
-        self.i * self.l + self.k
-    }
-}
-
-/// A 2D process grid: the `l = 1` special case, for the plain SUMMA2D
-/// baseline (Alg. 1).
-#[derive(Clone, Debug)]
-pub struct Grid2D {
-    /// Grid side `√p`.
-    pub pr: usize,
-    /// This rank's row.
-    pub i: usize,
-    /// This rank's column.
-    pub j: usize,
-    /// Process row.
-    pub row: Comm,
-    /// Process column.
-    pub col: Comm,
-    /// All ranks.
-    pub world: Comm,
-}
-
-impl Grid2D {
-    /// Build the 2D grid view for `rank`. Panics unless `p` is square.
-    pub fn new(rank: &Rank) -> Grid2D {
-        let g3 = Grid3D::new(rank, 1);
-        Grid2D {
-            pr: g3.pr,
-            i: g3.i,
-            j: g3.j,
-            row: g3.row,
-            col: g3.col,
-            world: g3.world,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -227,25 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn slice_indices_are_bijective() {
-        let slices = run_ranks(16, Machine::knl(), |rank| {
-            let g = Grid3D::new(rank, 4);
-            (g.a_col_slice(), g.b_row_slice(), g.j, g.k, g.i)
-        });
-        // For fixed i, the a_col_slice over (j,k) must cover 0..pr*l once.
-        let mut for_i0: Vec<usize> = slices
-            .iter()
-            .filter(|&&(_, _, _, _, i)| i == 0)
-            .map(|&(a, _, _, _, _)| a)
-            .collect();
-        for_i0.sort_unstable();
-        assert_eq!(for_i0, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn grid2d_is_l1_grid() {
+    fn one_layer_grid_is_the_2d_grid() {
         run_ranks(9, Machine::knl(), |rank| {
-            let g = Grid2D::new(rank);
+            let g = Grid3D::new(rank, 1);
             assert_eq!(g.pr, 3);
             assert_eq!(g.row.size(), 3);
             assert_eq!(g.col.size(), 3);

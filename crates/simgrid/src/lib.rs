@@ -8,7 +8,7 @@
 //!   algorithms execute for real — outputs are bit-for-bit what an MPI run
 //!   would produce;
 //! * communication happens over in-memory channels; collective operations
-//!   ([`collectives`]) have MPI semantics (bcast / allreduce / allgather /
+//!   (`collectives`) have MPI semantics (bcast / allreduce / allgather /
 //!   alltoallv / gather / barrier);
 //! * *time* is modeled, not measured: each rank carries a [`clock::RankClock`]
 //!   advanced by an **α–β machine model** ([`cost::Machine`]) — latency `α`
@@ -23,34 +23,34 @@
 //! comparable in *shape* to the paper's measurements.
 //!
 //! Because the simulation is deterministic, MPI usage errors that are
-//! heisenbugs on a real machine are *repeatable* here: the [`check`] module
+//! heisenbugs on a real machine are *repeatable* here: the `check` module
 //! verifies the collective protocol as it runs (mismatched collective
 //! order, root disagreement, malformed alltoallv descriptors, leaked
 //! nonblocking handles, non-monotone clocks, stalls) and reports a
-//! [`ProtocolViolation`] naming the ranks and operations involved.
+//! `ProtocolViolation` naming the ranks and operations involved.
 //! Checking defaults on in debug builds — every test exercises it — and is
 //! controlled by [`check::CheckMode`] / the `SPGEMM_CHECK` environment
 //! variable.
 
 #![forbid(unsafe_code)]
 
-pub mod check;
+pub(crate) mod check;
 pub mod clock;
-pub mod collectives;
-pub mod comm;
-pub mod cost;
+pub(crate) mod collectives;
+pub(crate) mod comm;
+pub(crate) mod cost;
 pub mod grid;
-pub mod nonblocking;
-pub mod runtime;
+pub(crate) mod nonblocking;
+pub(crate) mod runtime;
 pub mod stats;
-pub mod trace;
+pub(crate) mod trace;
 
-pub use check::{CheckMode, LoggedAction, LoggedOp, OpKind, ProtocolViolation, ViolationKind};
-pub use clock::{RankClock, Step, StepBreakdown};
-pub use comm::{comm_id, Comm, Rank};
+pub use check::{CheckMode, LoggedAction, LoggedOp, OpKind};
+pub use clock::{Step, StepBreakdown};
+pub use comm::{Comm, Rank};
 pub use cost::Machine;
-pub use grid::{Grid2D, Grid3D};
-pub use nonblocking::{PendingAlltoallv, PendingBcast, PendingOp};
+pub use grid::Grid3D;
+pub use nonblocking::{PendingBcast, PendingOp};
 pub use runtime::{run_ranks, run_ranks_checked, run_ranks_logged, run_ranks_seeded};
 pub use stats::{max_breakdown, KernelCounters, StepReport};
 pub use trace::{chrome_trace_json, TraceEvent};

@@ -99,12 +99,6 @@ impl StepReport {
         &self.rows
     }
 
-    /// Kernel counters per row (same order as [`Self::rows`]); `None` for
-    /// rows pushed without counters.
-    pub fn counters(&self) -> &[Option<KernelCounters>] {
-        &self.counters
-    }
-
     fn has_counters(&self) -> bool {
         self.counters.iter().any(|c| c.is_some())
     }
@@ -312,8 +306,6 @@ mod tests {
             metered_line.matches(',').count()
         );
         assert!(metered_line.ends_with("42,4096,1234,1.2500"));
-        assert_eq!(r.counters().len(), 2);
-        assert!(r.counters()[0].is_none());
     }
 
     #[test]

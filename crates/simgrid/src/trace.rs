@@ -19,7 +19,7 @@ pub struct TraceEvent {
     pub end: f64,
     /// Seconds of communication hidden behind computation, for zero-length
     /// overlap markers emitted when a nonblocking collective completes
-    /// under cover of other work (see [`crate::RankClock::record_overlap`]).
+    /// under cover of other work (see `RankClock::record_overlap`).
     /// `0.0` for ordinary spans.
     pub hidden: f64,
 }

@@ -9,7 +9,6 @@
 //! `CscMatrix` therefore carries a `sorted` flag so kernels can assert the
 //! preconditions they need and tests can normalize before comparing.
 
-use crate::triples::Triples;
 use crate::{Result, SparseError};
 
 /// A sparse matrix in compressed sparse column format.
@@ -222,17 +221,8 @@ impl<T: Copy> CscMatrix<T> {
         })
     }
 
-    /// Convert to a COO triple list (column-major order preserved).
-    pub fn to_triples(&self) -> Triples<T> {
-        let mut t = Triples::new(self.nrows, self.ncols);
-        for (r, c, v) in self.iter() {
-            t.push(r, c as u32, v);
-        }
-        t
-    }
-
     /// Verify column sortedness by scanning (strictly ascending rows).
-    pub fn check_sorted(&self) -> bool {
+    pub(crate) fn check_sorted(&self) -> bool {
         (0..self.ncols).all(|j| {
             let (rows, _) = self.col(j);
             rows.windows(2).all(|w| w[0] < w[1])
@@ -405,6 +395,7 @@ impl<T: Copy + std::fmt::Debug> std::fmt::Debug for CscMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::triples::Triples;
 
     fn sample() -> CscMatrix<f64> {
         // 3x3: [[1,0,2],[0,3,0],[4,0,5]]
@@ -483,7 +474,10 @@ mod tests {
     #[test]
     fn iter_and_to_triples_roundtrip() {
         let m = sample();
-        let t = m.to_triples();
+        let mut t = Triples::new(m.nrows(), m.ncols());
+        for (r, c, v) in m.iter() {
+            t.push(r, c as u32, v);
+        }
         let back = t.to_csc();
         assert!(m.eq_modulo_order(&back));
     }

@@ -6,8 +6,7 @@
 //! embedding workload class. [`DenseBlock`] is their operand type:
 //! column-major, so one column is contiguous like a CSC column and a
 //! column *stripe* is a contiguous range of the buffer that can be read in
-//! place. [`Operand`] wraps either representation so the distributed
-//! layers can accept both without duplicating entry points.
+//! place.
 //!
 //! Two kernels compute `C += A · B`. [`spmm_acc`] is the definition: one
 //! dense column at a time, the order of every `⊕` written down in twenty
@@ -53,18 +52,6 @@ impl<T: Copy> DenseBlock<T> {
         DenseBlock { nrows, ncols, data }
     }
 
-    /// Build from raw column-major data (`data.len() == nrows * ncols`).
-    pub fn from_raw(nrows: usize, ncols: usize, data: Vec<T>) -> Result<Self> {
-        if data.len() != nrows * ncols {
-            return Err(SparseError::InvalidStructure(format!(
-                "dense data length {} != nrows*ncols = {}",
-                data.len(),
-                nrows * ncols
-            )));
-        }
-        Ok(DenseBlock { nrows, ncols, data })
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -75,12 +62,6 @@ impl<T: Copy> DenseBlock<T> {
     #[inline]
     pub fn ncols(&self) -> usize {
         self.ncols
-    }
-
-    /// Entry `(i, j)`.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> T {
-        self.data[j * self.nrows + i]
     }
 
     /// Set entry `(i, j)`.
@@ -106,11 +87,6 @@ impl<T: Copy> DenseBlock<T> {
         &self.data
     }
 
-    /// Consume into the raw column-major buffer.
-    pub fn into_data(self) -> Vec<T> {
-        self.data
-    }
-
     /// Copy out the column range `cols` as a new block (all rows).
     pub fn col_slice(&self, cols: Range<usize>) -> DenseBlock<T> {
         debug_assert!(cols.end <= self.ncols);
@@ -119,27 +95,6 @@ impl<T: Copy> DenseBlock<T> {
             ncols: cols.len(),
             data: self.data[cols.start * self.nrows..cols.end * self.nrows].to_vec(),
         }
-    }
-
-    /// Copy out the row range `rows` as a new block (all columns).
-    pub fn row_slice(&self, rows: Range<usize>) -> DenseBlock<T> {
-        debug_assert!(rows.end <= self.nrows);
-        let mut data = Vec::with_capacity(rows.len() * self.ncols);
-        for j in 0..self.ncols {
-            data.extend_from_slice(&self.data[j * self.nrows + rows.start..j * self.nrows + rows.end]);
-        }
-        DenseBlock {
-            nrows: rows.len(),
-            ncols: self.ncols,
-            data,
-        }
-    }
-
-    /// Modeled bytes of the block (one scalar slot per entry — dense
-    /// storage has no index overhead, unlike the sparse `r`-bytes-per-nnz
-    /// model).
-    pub fn modeled_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
     }
 
     /// Densify a sparse matrix: zero-fill (`S::zero()`) plus stored
@@ -169,66 +124,6 @@ impl<T: Copy> DenseBlock<T> {
             colptr[j + 1] = rowidx.len();
         }
         CscMatrix::from_parts_unchecked(self.nrows, self.ncols, colptr, rowidx, vals, true)
-    }
-}
-
-/// Either operand representation, for entry points that accept both.
-#[derive(Debug, Clone)]
-pub enum Operand<T: Copy> {
-    /// Compressed sparse column.
-    Sparse(CscMatrix<T>),
-    /// Column-major dense.
-    Dense(DenseBlock<T>),
-}
-
-impl<T: Copy> Operand<T> {
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        match self {
-            Operand::Sparse(m) => m.nrows(),
-            Operand::Dense(d) => d.nrows(),
-        }
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        match self {
-            Operand::Sparse(m) => m.ncols(),
-            Operand::Dense(d) => d.ncols(),
-        }
-    }
-
-    /// Stored entries: `nnz` for sparse, every slot for dense.
-    pub fn stored_entries(&self) -> usize {
-        match self {
-            Operand::Sparse(m) => m.nnz(),
-            Operand::Dense(d) => d.nrows() * d.ncols(),
-        }
-    }
-
-    /// Modeled bytes under the sparse `r`-bytes-per-nnz model for sparse
-    /// operands, scalar bytes for dense ones.
-    pub fn modeled_bytes(&self, r: usize) -> usize {
-        match self {
-            Operand::Sparse(m) => m.modeled_bytes(r),
-            Operand::Dense(d) => d.modeled_bytes(),
-        }
-    }
-
-    /// Force a dense representation (densifying sparse via `S::zero`).
-    pub fn to_dense<S: Semiring<T = T>>(&self) -> DenseBlock<T> {
-        match self {
-            Operand::Sparse(m) => DenseBlock::from_csc::<S>(m),
-            Operand::Dense(d) => d.clone(),
-        }
-    }
-
-    /// Force a sparse representation (dropping `S::is_zero` entries).
-    pub fn to_sparse<S: Semiring<T = T>>(&self) -> CscMatrix<T> {
-        match self {
-            Operand::Sparse(m) => m.clone(),
-            Operand::Dense(d) => d.to_csc::<S>(),
-        }
     }
 }
 
@@ -322,8 +217,9 @@ impl<T: Copy> TiledStripe<T> {
         }
     }
 
-    /// Modeled bytes of the stripe: one scalar slot per entry, as
-    /// [`DenseBlock::modeled_bytes`] counts.
+    /// Modeled bytes of the stripe: one scalar slot per entry (dense
+    /// storage has no index overhead, unlike the sparse `r`-bytes-per-nnz
+    /// model).
     pub fn modeled_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<T>()
     }
@@ -512,7 +408,7 @@ mod tests {
         let d = DenseBlock::from_csc::<MinPlusF64>(&m);
         let back = d.to_csc::<MinPlusF64>();
         assert!(back.eq_modulo_order(&m));
-        assert!(d.get(0, 0).is_infinite() || m.col(0).0.contains(&0));
+        assert!(d.col(0)[0].is_infinite() || m.col(0).0.contains(&0));
     }
 
     #[test]
@@ -547,26 +443,9 @@ mod tests {
     #[test]
     fn slices_are_consistent() {
         let d = DenseBlock::from_fn(6, 4, |i, j| (i * 10 + j) as u64);
-        let rows = d.row_slice(2..5);
-        assert_eq!((rows.nrows(), rows.ncols()), (3, 4));
-        assert_eq!(rows.get(0, 1), 21);
         let cols = d.col_slice(1..3);
         assert_eq!((cols.nrows(), cols.ncols()), (6, 2));
-        assert_eq!(cols.get(4, 0), 41);
-    }
-
-    #[test]
-    fn operand_unifies_shapes() {
-        let m = er_random::<PlusTimesF64>(10, 7, 2, 31);
-        let nnz = m.nnz();
-        let s = Operand::Sparse(m.clone());
-        let d = Operand::Dense(DenseBlock::from_csc::<PlusTimesF64>(&m));
-        assert_eq!((s.nrows(), s.ncols()), (10, 7));
-        assert_eq!((d.nrows(), d.ncols()), (10, 7));
-        assert_eq!(s.stored_entries(), nnz);
-        assert_eq!(d.stored_entries(), 70);
-        assert!(d.to_sparse::<PlusTimesF64>().eq_modulo_order(&m));
-        assert!(s.to_dense::<PlusTimesF64>().to_csc::<PlusTimesF64>().eq_modulo_order(&m));
+        assert_eq!(cols.col(0)[4], 41);
     }
 
     #[test]
@@ -575,6 +454,5 @@ mod tests {
         let b = DenseBlock::new_fill(2, 2, 0u64);
         let mut c = DenseBlock::new_fill(4, 2, 0u64);
         assert!(spmm_acc::<PlusTimesU64>(&a, &b, 0, &mut c).is_err());
-        assert!(DenseBlock::from_raw(2, 2, vec![0u64; 3]).is_err());
     }
 }

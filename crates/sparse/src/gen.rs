@@ -188,58 +188,6 @@ pub fn clustered_similarity(
     t.to_csc()
 }
 
-/// Banded matrix: each column has up to `2·half_bandwidth + 1` entries on
-/// and around the diagonal. The classic scientific-computing stencil
-/// pattern — squaring widens the band (`nnz(A²) ≈ 2× nnz(A)`), a milder
-/// blow-up regime than the data-analytics matrices.
-pub fn banded<S: Semiring>(n: usize, half_bandwidth: usize, seed: u64) -> CscMatrix<S::T>
-where
-    S::T: RandValue,
-{
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xBA4D_ED00);
-    let mut t = Triples::with_capacity(n, n, n * (2 * half_bandwidth + 1));
-    for j in 0..n {
-        let lo = j.saturating_sub(half_bandwidth);
-        let hi = (j + half_bandwidth + 1).min(n);
-        for r in lo..hi {
-            t.push(r as u32, j as u32, S::T::rand_value(&mut rng));
-        }
-    }
-    t.to_csc()
-}
-
-/// Bipartite community matrix (rows = left vertices, columns = right
-/// vertices): `ncommunities` blocks in which left/right vertices connect
-/// densely, plus uniform background noise. The structure behind
-/// recommender-style `A·Aᵀ` workloads.
-pub fn bipartite_communities(
-    nrows: usize,
-    ncols: usize,
-    ncommunities: usize,
-    intra_per_col: usize,
-    noise_per_col: usize,
-    seed: u64,
-) -> CscMatrix<f64> {
-    assert!(ncommunities > 0);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xB1AA_0001);
-    let mut t = Triples::with_capacity(nrows, ncols, ncols * (intra_per_col + noise_per_col));
-    let mut rows = Vec::new();
-    for j in 0..ncols {
-        let comm = j * ncommunities / ncols;
-        let row_lo = comm * nrows / ncommunities;
-        let row_hi = ((comm + 1) * nrows / ncommunities).max(row_lo + 1);
-        let span = row_hi - row_lo;
-        sample_distinct(&mut rng, span, intra_per_col.min(span), &mut rows);
-        for &r in &rows {
-            t.push((row_lo + r as usize) as u32, j as u32, 0.5 + rng.gen::<f64>());
-        }
-        for _ in 0..noise_per_col {
-            t.push(rng.gen_range(0..nrows) as u32, j as u32, 0.1);
-        }
-    }
-    t.to_csc_dedup::<crate::semiring::PlusTimesF64>()
-}
-
 /// Reads × k-mers incidence matrix (BELLA / PASTIS-style). Column `k` lists
 /// the reads containing k-mer `k`; the paper's Rice-kmers matrix has ~2
 /// nonzeros per column. `A·Aᵀ` counts shared k-mers between read pairs.
@@ -344,38 +292,6 @@ mod tests {
         let (nnz_c, stats) = crate::spgemm::symbolic_nnz(&m, &m).unwrap();
         assert!(nnz_c as usize > m.nnz());
         assert!(stats.flops > nnz_c); // compression factor > 1
-    }
-
-    #[test]
-    fn banded_has_band_structure_and_mild_blowup() {
-        let a = banded::<PlusTimesF64>(200, 2, 11);
-        for (r, c, _) in a.iter() {
-            assert!((r as i64 - c as i64).abs() <= 2);
-        }
-        let (nnz_c, _) = crate::spgemm::symbolic_nnz(&a, &a).unwrap();
-        // Band of 5 squares to a band of 9: under 2x blow-up.
-        assert!(nnz_c as usize <= 2 * a.nnz());
-        assert!(nnz_c as usize > a.nnz());
-    }
-
-    #[test]
-    fn bipartite_communities_block_structure() {
-        let a = bipartite_communities(100, 200, 4, 6, 1, 12);
-        assert_eq!(a.nrows(), 100);
-        assert_eq!(a.ncols(), 200);
-        // Most of each column's mass lies in its community's row block.
-        let mut in_block = 0usize;
-        let mut total = 0usize;
-        for (r, c, _) in a.iter() {
-            let comm = c * 4 / 200;
-            let lo = comm * 100 / 4;
-            let hi = (comm + 1) * 100 / 4;
-            total += 1;
-            if (r as usize) >= lo && (r as usize) < hi {
-                in_block += 1;
-            }
-        }
-        assert!(in_block * 10 > total * 7, "{in_block}/{total}");
     }
 
     #[test]

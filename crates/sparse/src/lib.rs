@@ -31,7 +31,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod csc;
+pub(crate) mod csc;
 pub mod dense;
 pub mod gen;
 pub mod io;
@@ -41,15 +41,15 @@ pub mod par;
 pub mod semiring;
 pub mod spgemm;
 pub mod subset;
-pub mod triples;
+pub(crate) mod triples;
 pub mod validate;
 
 pub use csc::CscMatrix;
-pub use dense::{spmm_acc, DenseBlock, Operand, TiledStripe};
-pub use semiring::{BoolOrAnd, MaxMinF64, MinPlusF64, PlusTimesF64, PlusTimesI64, PlusTimesU64, Semiring};
+pub use dense::{spmm_acc, DenseBlock, TiledStripe};
+pub use semiring::{BoolOrAnd, MaxMinF64, MinPlusF64, PlusTimesF64, PlusTimesU64, Semiring};
 pub use spgemm::{SpGemmWorkspace, WorkStats};
 pub use triples::Triples;
-pub use validate::{Defect, Sortedness, Validate, ValidationError};
+pub use validate::{Defect, Sortedness, Validate};
 
 /// Errors produced by this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

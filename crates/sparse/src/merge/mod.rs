@@ -14,8 +14,8 @@
 //!   used for the very last Merge-Fiber so the final output is sorted
 //!   (Sec. IV-D keeps only this output sorted).
 
-pub mod hash_merge;
-pub mod heap_merge;
+pub(crate) mod hash_merge;
+pub(crate) mod heap_merge;
 
 pub use hash_merge::{merge_hash_sorted, merge_hash_unsorted};
 pub use heap_merge::merge_heap;

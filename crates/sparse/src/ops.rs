@@ -240,11 +240,6 @@ pub fn col_sums<S: Semiring>(m: &CscMatrix<S::T>) -> Vec<S::T> {
         .collect()
 }
 
-/// Drop entries with `|value| < eps` (numeric pruning, HipMCL-style).
-pub fn prune_threshold(m: &mut CscMatrix<f64>, eps: f64) {
-    m.retain(|_, _, v| v.abs() >= eps);
-}
-
 /// Keep at most the `k` largest-magnitude entries of each column
 /// (HipMCL's column-wise top-k selection). Preserves sortedness.
 pub fn prune_topk_cols(m: &CscMatrix<f64>, k: usize) -> CscMatrix<f64> {
@@ -352,13 +347,6 @@ pub fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
 pub fn tril_strict<T: Copy>(m: &CscMatrix<T>) -> CscMatrix<T> {
     let mut out = m.clone();
     out.retain(|r, c, _| (r as usize) > c);
-    out
-}
-
-/// Strictly upper-triangular part (row < col).
-pub fn triu_strict<T: Copy>(m: &CscMatrix<T>) -> CscMatrix<T> {
-    let mut out = m.clone();
-    out.retain(|r, c, _| (r as usize) < c);
     out
 }
 
@@ -539,16 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_threshold_drops_small() {
-        let mut t = Triples::new(2, 1);
-        t.push(0, 0, 1e-9);
-        t.push(1, 0, 0.5);
-        let mut m = t.to_csc();
-        prune_threshold(&mut m, 1e-6);
-        assert_eq!(m.nnz(), 1);
-    }
-
-    #[test]
     fn scale_cols_multiplies() {
         let mut t = Triples::new(2, 2);
         t.push(0, 0, 2.0);
@@ -594,13 +572,11 @@ mod tests {
     }
 
     #[test]
-    fn tril_triu_partition_offdiagonal() {
+    fn tril_keeps_exactly_the_strictly_lower_entries() {
         let m = er_random::<PlusTimesF64>(20, 20, 4, 13);
         let l = tril_strict(&m);
-        let u = triu_strict(&m);
-        let diag = m.iter().filter(|&(r, c, _)| r as usize == c).count();
-        assert_eq!(l.nnz() + u.nnz() + diag, m.nnz());
+        let below = m.iter().filter(|&(r, c, _)| r as usize > c).count();
+        assert_eq!(l.nnz(), below);
         assert!(l.iter().all(|(r, c, _)| (r as usize) > c));
-        assert!(u.iter().all(|(r, c, _)| (r as usize) < c));
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! * column `j` of the result depends only on `B(:,j)` (and all of `A`),
 //!   which [`col_block`] extraction preserves exactly;
-//! * [`HashAccum`](crate::spgemm::accum::HashAccum)'s insertion order and
+//! * `HashAccum`'s insertion order and
 //!   per-key accumulation order depend only on the order the column's data
 //!   is fed in — never on table capacity, on how the column is addressed,
 //!   or on what previous columns did;
@@ -83,7 +83,7 @@ pub fn split_cols_by_weight(weights: &[u64], nparts: usize) -> Vec<Range<usize>>
 
 /// Flop estimate per output column of `a · b` — what the symbolic pass
 /// counts: `est[j] = Σ_{i ∈ B(:,j)} nnz(A(:,i))`.
-pub fn multiply_col_flops<T: Copy, U: Copy>(a: &CscMatrix<T>, b: &CscMatrix<U>) -> Vec<u64> {
+pub(crate) fn multiply_col_flops<T: Copy, U: Copy>(a: &CscMatrix<T>, b: &CscMatrix<U>) -> Vec<u64> {
     (0..b.ncols())
         .map(|j| col_flops(a, b.col(j).0) as u64)
         .collect()
@@ -104,7 +104,7 @@ pub(crate) fn output_bound<T: Copy, U: Copy>(a: &CscMatrix<T>, b: &CscMatrix<U>)
 
 /// Work estimate per output column of a merge: total input entries landing
 /// in the column across all parts.
-pub fn merge_col_weights<T: Copy>(parts: &[CscMatrix<T>]) -> Vec<u64> {
+pub(crate) fn merge_col_weights<T: Copy>(parts: &[CscMatrix<T>]) -> Vec<u64> {
     let ncols = parts.first().map_or(0, |p| p.ncols());
     (0..ncols)
         .map(|j| parts.iter().map(|p| p.col_nnz(j) as u64).sum())
@@ -133,7 +133,7 @@ pub struct RangeBalance {
 
 impl RangeBalance {
     /// Balance of a single invocation from its per-range work units.
-    pub fn from_work(per_range: &[f64]) -> Self {
+    pub(crate) fn from_work(per_range: &[f64]) -> Self {
         if per_range.is_empty() {
             return RangeBalance::default();
         }

@@ -55,7 +55,7 @@ thread_local! {
 /// Capacity is always a power of two: at least 2× the column's bound on
 /// distinct keys when hashed (load factor ≤ 0.5), at least `nrows` when
 /// addressed directly.
-pub struct HashAccum<T> {
+pub(crate) struct HashAccum<T> {
     keys: Vec<u32>,
     vals: Vec<T>,
     /// Slots currently occupied, in insertion order (drain + reset list).
@@ -88,7 +88,7 @@ impl<T> std::fmt::Debug for HashAccum<T> {
 impl<T: Copy> HashAccum<T> {
     /// New accumulator. `fill` initializes value slots (any value works; the
     /// `keys` sentinel is authoritative). Typically `S::zero()`.
-    pub fn new(fill: T) -> Self {
+    pub(crate) fn new(fill: T) -> Self {
         HashAccum {
             keys: Vec::new(),
             vals: Vec::new(),
@@ -107,7 +107,7 @@ impl<T: Copy> HashAccum<T> {
     /// exceed `nrows`; distinct keys are bounded by both). Picks the
     /// column's addressing, grows the table if needed and clears previous
     /// occupancy. Every key fed until the next reset must be `< nrows`.
-    pub fn reset(&mut self, expected: usize, nrows: usize) {
+    pub(crate) fn reset(&mut self, expected: usize, nrows: usize) {
         let direct = expected.saturating_mul(DIRECT_DEN) >= nrows;
         #[cfg(test)]
         let direct = FORCE_DIRECT.get().unwrap_or(direct);
@@ -138,32 +138,20 @@ impl<T: Copy> HashAccum<T> {
 
     /// Number of distinct keys currently stored.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.occupied.len()
-    }
-
-    /// True if no keys stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.occupied.is_empty()
-    }
-
-    /// Linear-probe steps past a key's home slot so far (0 for a
-    /// collision-free history; direct addressing never probes).
-    pub fn probes(&self) -> u64 {
-        self.probes
     }
 
     /// Heap allocations performed by growth so far (two buffers per growth
     /// of the table, one per growth of the sorted drain's scratch; never
     /// decreases — capacity only grows).
-    pub fn grows(&self) -> u64 {
+    pub(crate) fn grows(&self) -> u64 {
         self.grows
     }
 
     /// Bytes currently held by the table, its occupancy list and the sorted
     /// drain's scratch.
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<u32>()
             + self.vals.capacity() * std::mem::size_of::<T>()
             + self.occupied.capacity() * std::mem::size_of::<u32>()
@@ -174,7 +162,7 @@ impl<T: Copy> HashAccum<T> {
     /// column in order (`map` scales it in a multiply and is the identity in
     /// a merge). The regime is branched on once per call, not per entry.
     #[inline]
-    pub fn accumulate_col<S: Semiring<T = T>>(
+    pub(crate) fn accumulate_col<S: Semiring<T = T>>(
         &mut self,
         rows: &[u32],
         vals: &[T],
@@ -185,7 +173,7 @@ impl<T: Copy> HashAccum<T> {
 
     /// Insert keys for symbolic (structure-only) counting.
     #[inline]
-    pub fn insert_keys(&mut self, keys: &[u32]) {
+    pub(crate) fn insert_keys(&mut self, keys: &[u32]) {
         let fill = self.fill;
         self.feed(keys.iter().map(|&key| (key, fill)), |seen, _| seen);
     }
@@ -239,7 +227,7 @@ impl<T: Copy> HashAccum<T> {
     /// Append stored `(key, value)` pairs to the output vectors in
     /// *insertion* order (unsorted — the whole point of the sort-free
     /// kernels), then leave the table ready for reuse via [`Self::reset`].
-    pub fn drain_into(&mut self, rows: &mut Vec<u32>, vals: &mut Vec<T>) {
+    pub(crate) fn drain_into(&mut self, rows: &mut Vec<u32>, vals: &mut Vec<T>) {
         for &slot in &self.occupied {
             rows.push(self.keys[slot as usize]);
             vals.push(self.vals[slot as usize]);
@@ -253,7 +241,7 @@ impl<T: Copy> HashAccum<T> {
     /// A hashed column packs each occupied slot with its key into one word
     /// of a reused scratch and sorts the words — keys are distinct, so the
     /// order is the key order, found without a table lookup per comparison.
-    pub fn drain_into_sorted(&mut self, rows: &mut Vec<u32>, vals: &mut Vec<T>) {
+    pub(crate) fn drain_into_sorted(&mut self, rows: &mut Vec<u32>, vals: &mut Vec<T>) {
         if let Some(nrows) = self.direct {
             for (&key, &val) in self.keys[..nrows].iter().zip(&self.vals[..nrows]) {
                 if key != EMPTY {
@@ -321,7 +309,7 @@ mod tests {
             add::<PlusTimesU64>(&mut acc, k, 1);
         }
         acc.reset(8, NROWS);
-        assert!(acc.is_empty());
+        assert_eq!(acc.len(), 0);
         add::<PlusTimesU64>(&mut acc, 3, 9);
         let (mut r, mut v) = (Vec::new(), Vec::new());
         acc.drain_into(&mut r, &mut v);
@@ -346,16 +334,12 @@ mod tests {
         acc.reset(64, NROWS);
         add::<PlusTimesU64>(&mut acc, 5, 1);
         add::<PlusTimesU64>(&mut acc, 5, 1);
-        assert_eq!(
-            acc.probes(),
-            0,
-            "a key at its home slot costs no probe step"
-        );
+        assert_eq!(acc.probes, 0, "a key at its home slot costs no probe step");
         for i in 0..64u32 {
             add::<PlusTimesU64>(&mut acc, i * 128, 1);
         }
         assert_eq!(acc.len(), 65);
-        assert!(acc.probes() > 0, "128 slots, keys 128 apart: these collide");
+        assert!(acc.probes > 0, "128 slots, keys 128 apart: these collide");
     }
 
     #[test]

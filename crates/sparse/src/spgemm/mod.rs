@@ -10,14 +10,14 @@
 //!   compression characteristics, then sorts the column.
 //! * [`hash::spgemm_hash_unsorted`] — **this paper's** sort-free kernel:
 //!   hash accumulation, no sorting of inputs required, unsorted output. Its
-//!   accumulator ([`accum::HashAccum`]) indexes the table by row — SPA-style
+//!   accumulator (`accum::HashAccum`) indexes the table by row — SPA-style
 //!   — for columns whose flop bound is at least half the block's rows, where
 //!   the table has that many slots anyway; the hybrid kernel's hash path,
 //!   the hash merges and the symbolic sweep share it.
 //! * [`dense_acc::spgemm_spa`] — a dense sparse-accumulator (Gustavson/SPA)
 //!   reference with an unconditional `nrows`-sized array: independent of
 //!   `accum`, used as the oracle in tests.
-//! * [`symbolic`] — hash-based nnz counting (`LocalSymbolic` in Alg. 3).
+//! * `symbolic` — hash-based nnz counting (`LocalSymbolic` in Alg. 3).
 //!
 //! Every kernel returns [`WorkStats`]: real flop counts plus abstract
 //! *work units* that `spgemm-simgrid`'s machine model converts to modeled
@@ -26,13 +26,13 @@
 //! than hash probes), calibrated so that the previous-vs-new kernel ratios
 //! land in the ranges the paper reports (Table VII, Fig. 15).
 
-pub mod accum;
-pub mod dense_acc;
-pub mod hash;
-pub mod heap;
-pub mod hybrid;
-pub mod symbolic;
-pub mod workspace;
+pub(crate) mod accum;
+pub(crate) mod dense_acc;
+pub(crate) mod hash;
+pub(crate) mod heap;
+pub(crate) mod hybrid;
+pub(crate) mod symbolic;
+pub(crate) mod workspace;
 
 pub use dense_acc::spgemm_spa;
 pub use hash::spgemm_hash_unsorted;

@@ -43,14 +43,13 @@ impl<T: Copy> Triples<T> {
         }
     }
 
-    /// Assemble from parallel coordinate arrays without bounds checks —
-    /// the caller vouches for them (or runs
-    /// [`crate::validate::Validate::validate`] afterwards, as the
-    /// corruption tests do).
+    /// Assemble from parallel coordinate arrays without bounds checks, for
+    /// the corruption tests of [`crate::validate::Validate::validate`].
     ///
     /// # Panics
     /// If the three arrays differ in length.
-    pub fn from_parts_unchecked(
+    #[cfg(test)]
+    pub(crate) fn from_parts_unchecked(
         nrows: usize,
         ncols: usize,
         rows: Vec<u32>,
@@ -79,27 +78,22 @@ impl<T: Copy> Triples<T> {
     }
 
     /// Number of rows.
-    pub fn nrows(&self) -> usize {
+    pub(crate) fn nrows(&self) -> usize {
         self.nrows
     }
 
     /// Number of columns.
-    pub fn ncols(&self) -> usize {
+    pub(crate) fn ncols(&self) -> usize {
         self.ncols
     }
 
     /// Number of entries (duplicates counted).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
-    /// True if no entries.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Iterate `(row, col, value)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, T)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u32, T)> + '_ {
         self.rows
             .iter()
             .zip(self.cols.iter())
@@ -189,7 +183,7 @@ mod tests {
     #[test]
     fn empty_triples() {
         let t = Triples::<f64>::new(3, 3);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         let m = t.to_csc();
         assert_eq!(m.nnz(), 0);
     }
