@@ -79,11 +79,11 @@ pub enum AuditEvent {
         /// allowed to differ, so this is excluded from agreement checks).
         bytes: u64,
     },
-    /// A nonblocking collective post (`ibcast` / `ialltoallv`).
+    /// A nonblocking collective post (`ibcast`).
     Post {
         /// Communicator id.
         comm: u64,
-        /// Which post ([`OpKind::IbcastPost`] or [`OpKind::IalltoallvPost`]).
+        /// Which post ([`OpKind::IbcastPost`]).
         op: OpKind,
         /// Root member index, for `ibcast`.
         root: Option<usize>,
@@ -467,7 +467,7 @@ impl Bytes {
             (Op::Stage { batch: Some(_), .. }, _) => operand(self.nnz_b_piece),
             (Op::Stage { .. } | Op::RefreshB, _) => operand(self.nnz_b),
             (Op::SymbolicReduce, _) => 8,
-            (Op::Fiber { .. }, _) => self.pieces,
+            (Op::Fiber, _) => self.pieces,
             _ => self.slice,
         }
     }

@@ -219,13 +219,13 @@ pub(crate) fn batched_summa3d_with<S: Semiring>(
                 partials.multiply::<S>(rank, grid, kernels, &landed, r, &mut mem)?;
             }
             Op::MergeLayer => layer = Some(partials.merge::<S>(rank, kernels, r, &mut mem)?),
-            Op::Fiber { overlap } => {
+            Op::Fiber => {
                 let d = layer
                     .take()
                     .expect("Merge-Layer precedes the fiber exchange");
                 let of_t = staged.front().expect("the running batch is staged");
                 let (cols, cuts) = (&of_t.global_cols, &of_t.piece_offsets);
-                fiber = Some(fiber_exchange(rank, grid, overlap, d, cols, cuts, r, &mut mem));
+                fiber = Some(fiber_exchange(rank, grid, d, cols, cuts, r, &mut mem));
             }
             Op::MergeFiber => {
                 let got = fiber

@@ -17,29 +17,33 @@
 //!   then each receiver derives from `B̃`'s row structure exactly which
 //!   columns of the stage's `Ã` its local multiply will read, posts that
 //!   index set to the owner ([`Step::FetchRequest`]), and gets back a
-//!   column-subset tile ([`Step::FetchReply`]) that decodes to full
-//!   operand width. Both travel in their own wire format: the request as a
-//!   gap-coded varint list ([`ColRequest`]), the reply as varint-coded
-//!   counts and row gaps beside a plain value vector ([`ColTile`]). The
-//!   tile holds exactly the requested columns in request order, so it
-//!   spells no column id. When the operands are hypersparse — the regime a
+//!   compact column-subset tile ([`Step::FetchReply`]) that is padded to
+//!   full operand width. Both are charged in their own wire format: the
+//!   request as a gap-coded varint list ([`request_len`]), the reply as
+//!   varint counts and row gaps beside a plain value vector
+//!   ([`tile_len`]). The tile holds exactly the requested columns in
+//!   request order, so it spells no column id. When the operands are
+//!   hypersparse — the regime a
 //!   3D grid with `l ≥ 4` layers produces — most of `Ã`'s columns meet no
 //!   nonzero of `B̃`, and the fetched volume is a small fraction of the
 //!   dense broadcast.
 //!
-//! Every message is sized by [`schedule::payload_bytes`]; a fetch leg is
-//! sized from its encoded index length, and the codec's CPU is charged to
-//! the leg's own step on both sides ([`C_CODEC`] per coded integer). The
-//! other sparse blocks that move whole — fiber pieces, refresh slices of
-//! `B̃`, 1.5D A-shift blocks — are sized as coded blocks (`block_leg`) and
-//! charged the same way (`charge`, `charge_codec`). The
+//! Every message is sized by [`schedule::payload_bytes`]. Nothing is
+//! encoded on the host: the matrices move as they are, and a fetch leg is
+//! sized once, by its sender, from the length its encoding would take. Its
+//! `(bytes, coded integers)` pair travels with it, and both sides charge it
+//! to the leg's own step: the wire time, and a real codec's CPU
+//! ([`C_CODEC`] per coded integer). The other sparse blocks that move
+//! whole — fiber pieces, refresh slices of `B̃`, 1.5D A-shift blocks — are
+//! sized as coded blocks (`block_leg`) and charged the same way (`charge`,
+//! `charge_codec`). The
 //! symbolic sweep's stages (`batch: None`) move [`CscMatrix::pattern`]s —
 //! indices without values — through the same `ExchangePlan::stage`.
 //!
 //! Both modes produce **bit-identical** numeric output: the padded fetch
 //! operand agrees with the broadcast operand on every column the local
-//! kernel reads (property-tested in `spgemm_sparse::subset` and in the
-//! `exchange_equivalence` integration tests).
+//! kernel reads (property-tested in `spgemm_sparse::subset`, in its
+//! `codec_proptests` and in the `exchange_modes` integration tests).
 //!
 //! ### Tag discipline
 //!
@@ -54,8 +58,11 @@
 
 use crate::schedule::{self, payload_bytes, Link, Msg, Op, Payload, Phase, Wire};
 use spgemm_simgrid::{Grid3D, PendingBcast, PendingOp, Rank, Step};
+use spgemm_sparse::ops::extract_cols;
 use spgemm_sparse::spgemm::C_CODEC;
-use spgemm_sparse::subset::{coded_len, needed_rows, ColRequest, ColTile, SubsetWorkspace};
+use spgemm_sparse::subset::{
+    coded_len, needed_rows, pad_cols, request_len, tile_len, SubsetWorkspace,
+};
 use spgemm_sparse::CscMatrix;
 use std::any::Any;
 use std::collections::HashMap;
@@ -126,10 +133,16 @@ impl ExchangeMode {
 /// real fetch payloads on the wire.
 #[derive(Debug)]
 pub enum FetchReq {
-    /// Full needed-column index set, encoded: the cold path, and the path
-    /// taken whenever the receiver's structure changed or caching is off.
-    /// An empty set triggers the zero-row fast path on the owner.
-    Cols(ColRequest),
+    /// Full needed-column index set: the cold path, and the path taken
+    /// whenever the receiver's structure changed or caching is off. An
+    /// empty set triggers the zero-row fast path on the owner.
+    Cols {
+        /// The needed columns, ascending.
+        cols: Vec<u32>,
+        /// Modeled bytes and coded integers of the request, as its sender
+        /// sized them.
+        leg: (usize, usize),
+    },
     /// The receiver's needed set for this `(stage, batch)` key is
     /// identical to the one the owner last served; the owner decides from
     /// its column epochs whether the receiver's cached tile is still
@@ -140,10 +153,15 @@ pub enum FetchReq {
 /// Wire reply of one fetch round (stage owner → receiver). Public for the
 /// same protocol-negative tests as [`FetchReq`].
 #[derive(Debug)]
-pub enum FetchRep<T> {
-    /// The requested columns of the owner's operand, encoded; the tile
-    /// knows the operand's shape.
-    Tile(ColTile<T>),
+pub enum FetchRep<T: Copy> {
+    /// The requested columns of the owner's operand, in request order.
+    Tile {
+        /// Column `i` holds requested column `i`.
+        tile: CscMatrix<T>,
+        /// Modeled bytes and coded integers of the reply, as its sender
+        /// sized them.
+        leg: (usize, usize),
+    },
     /// Zero-row fast path: the receiver needed nothing, so only the
     /// operand dimensions travel (the receiver pads an empty matrix).
     Empty { nrows: u64, ncols: u64 },
@@ -480,7 +498,11 @@ impl ExchangePlan {
         // comm-graph knowledge (SpComm3D-style setup, amortized by the
         // session) would not exchange anything at all.
         if needed.is_empty() {
-            rank.send(row, req.peer, req.tag, FetchReq::Cols(ColRequest::encode(&[])));
+            let request = FetchReq::Cols {
+                cols: Vec::new(),
+                leg: (0, 0),
+            };
+            rank.send(row, req.peer, req.tag, request);
             rank.clock_mut().record_comm(Step::FetchRequest, 0, 1);
             let reply: FetchRep<T> = rank.recv(row, rep.peer, rep.tag);
             rank.clock_mut().record_comm(Step::FetchReply, 0, 1);
@@ -504,9 +526,14 @@ impl ExchangePlan {
             rank.send(row, req.peer, req.tag, FetchReq::Unchanged);
             charge(rank, Step::FetchRequest, (0, 0));
         } else {
-            let request = ColRequest::encode(&needed);
-            charge(rank, Step::FetchRequest, request_leg(op, &request, needed.len(), r));
-            rank.send(row, req.peer, req.tag, FetchReq::Cols(request));
+            let index_bytes = request_len(&needed);
+            let leg = (
+                payload_bytes(op, Payload::Request { index_bytes }, r),
+                needed.len() + 1,
+            );
+            charge(rank, Step::FetchRequest, leg);
+            let cols = needed.clone();
+            rank.send(row, req.peer, req.tag, FetchReq::Cols { cols, leg });
         }
 
         let reply: FetchRep<T> = rank.recv(row, rep.peer, rep.tag);
@@ -530,10 +557,9 @@ impl ExchangePlan {
                 );
                 tile
             }
-            FetchRep::Tile(tile) => {
-                let leg = reply_leg(op, &tile, needed.len(), r);
+            FetchRep::Tile { tile, leg } => {
                 charge(rank, Step::FetchReply, leg);
-                let a = Arc::new(tile.decode(&needed));
+                let a = Arc::new(pad_cols(tile, &needed, b_recv.nrows()));
                 debug_assert_eq!(
                     a.ncols(),
                     b_recv.nrows(),
@@ -572,8 +598,7 @@ impl ExchangePlan {
         r: usize,
     ) -> FetchRep<T> {
         match req {
-            FetchReq::Cols(request) => {
-                let needed = request.decode();
+            FetchReq::Cols { cols: needed, leg } => {
                 if needed.is_empty() {
                     // Zero-row fast path: no extraction, no modeled time.
                     rank.clock_mut().record_comm(Step::FetchRequest, 0, 1);
@@ -586,9 +611,8 @@ impl ExchangePlan {
                         ncols: a_shared.ncols() as u64,
                     };
                 }
-                charge(rank, Step::FetchRequest, request_leg(op, &request, needed.len(), r));
-                let tile = ColTile::encode(a_shared, &needed);
-                charge(rank, Step::FetchReply, reply_leg(op, &tile, needed.len(), r));
+                charge(rank, Step::FetchRequest, leg);
+                let reply = reply_tile(rank, op, a_shared, &needed, r);
                 if let Some(c) = self.cache.as_mut() {
                     if let Some(batch) = c.cur_batch {
                         let epoch = c.epoch;
@@ -601,7 +625,7 @@ impl ExchangePlan {
                         );
                     }
                 }
-                FetchRep::Tile(tile)
+                reply
             }
             FetchReq::Unchanged => {
                 charge(rank, Step::FetchRequest, (0, 0));
@@ -628,29 +652,35 @@ impl ExchangePlan {
                     charge(rank, Step::FetchReply, (0, 0));
                     FetchRep::CacheValid
                 } else {
-                    let tile = ColTile::encode(a_shared, &entry.needed);
-                    charge(rank, Step::FetchReply, reply_leg(op, &tile, entry.needed.len(), r));
+                    let reply = reply_tile(rank, op, a_shared, &entry.needed, r);
                     let epoch = cache.epoch;
                     cache.owner_memo.get_mut(&key).expect("entry").served_epoch = epoch;
-                    FetchRep::Tile(tile)
+                    reply
                 }
             }
         }
     }
 }
 
-/// Modeled bytes and coded integers of `request`, which names `k` columns:
-/// the count and one gap per column.
-fn request_leg(op: Op, request: &ColRequest, k: usize, r: usize) -> (usize, usize) {
-    let index_bytes = request.index_bytes();
-    (payload_bytes(op, Payload::Request { index_bytes }, r), k + 1)
-}
-
-/// Modeled bytes and coded integers of the reply `tile` to a request of `k`
-/// columns: a count per column and a row per nonzero.
-fn reply_leg<T: Copy>(op: Op, tile: &ColTile<T>, k: usize, r: usize) -> (usize, usize) {
-    let (nnz, index_bytes) = (tile.nnz(), tile.index_bytes());
-    (payload_bytes(op, Payload::Coded { nnz, index_bytes }, r), k + nnz)
+/// The owner's reply carrying `cols` of `a`, sized once here and charged to
+/// this side: its coded integers are a count per column and a row per
+/// nonzero.
+fn reply_tile<T: Copy>(
+    rank: &mut Rank,
+    op: Op,
+    a: &CscMatrix<T>,
+    cols: &[u32],
+    r: usize,
+) -> FetchRep<T> {
+    let idx: Vec<usize> = cols.iter().map(|&j| j as usize).collect();
+    let tile = extract_cols(a, &idx);
+    let (nnz, index_bytes) = (tile.nnz(), tile_len(a, cols));
+    let leg = (
+        payload_bytes(op, Payload::Coded { nnz, index_bytes }, r),
+        cols.len() + nnz,
+    );
+    charge(rank, Step::FetchReply, leg);
+    FetchRep::Tile { tile, leg }
 }
 
 /// Modeled bytes and coded integers of all of `m` sent by `op` as one
@@ -664,8 +694,9 @@ pub(crate) fn block_leg<T: Copy>(op: Op, m: &CscMatrix<T>, r: usize) -> (usize, 
 }
 
 /// Charge one side of a point-to-point message leg of `bytes` whose codec
-/// handles `coded` integers to this rank's clock: the encode or decode CPU
-/// plus `α + β·bytes` seconds, and the byte/message counters of `step`.
+/// handles `coded` integers to this rank's clock: the CPU a real encode or
+/// decode would take (the host runs none) plus `α + β·bytes` seconds, and
+/// the byte/message counters of `step`.
 pub(crate) fn charge(rank: &mut Rank, step: Step, (bytes, coded): (usize, usize)) {
     let machine = rank.machine();
     let cost = machine.compute_secs(coded as f64 * C_CODEC) + machine.send_secs(bytes);
@@ -746,7 +777,8 @@ mod tests {
                     // B's occupied rows.
                     let mut ws = spgemm_sparse::subset::SubsetWorkspace::new();
                     let need = spgemm_sparse::subset::needed_rows(&b_recv, &mut ws);
-                    let read = ColTile::encode(&a_recv, &need).decode(&need);
+                    let idx: Vec<usize> = need.iter().map(|&j| j as usize).collect();
+                    let read = pad_cols(extract_cols(&a_recv, &idx), &need, a_recv.ncols());
                     got.push((read, b_recv.as_ref().clone()));
                 }
                 let fetch_bytes = rank.clock().breakdown().bytes_of(Step::FetchReply);
@@ -806,7 +838,7 @@ mod tests {
         u64::from(64 - x.leading_zeros()).max(1).div_ceil(7)
     }
 
-    /// Both fetch legs are charged for what their encodings carry,
+    /// Both fetch legs are charged for what their encodings would carry,
     /// recomputed on the requester from what it received, stage by stage: the
     /// request from `needed` (its count, the first column, then
     /// `c − prev − 1`), the reply as a value word per nonzero plus the

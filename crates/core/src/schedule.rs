@@ -50,11 +50,9 @@ pub enum Op {
     },
     /// Alg. 3's world reductions of the symbolic counts.
     SymbolicReduce,
-    /// AllToAll-Fiber of the ColSplit pieces (Alg. 2 line 5).
-    Fiber {
-        /// Blocking call, or nonblocking post waited at once.
-        overlap: OverlapMode,
-    },
+    /// AllToAll-Fiber of the ColSplit pieces (Alg. 2 line 5), a blocking
+    /// collective under either overlap mode.
+    Fiber,
     /// A session's refresh of `B̃` from the new iterate along the fiber.
     RefreshB,
     /// 1.5D ring rotation of the `A` block after round `round`.
@@ -133,7 +131,7 @@ pub(crate) fn batches(nb: usize, stages: usize, overlap: OverlapMode) -> Vec<Op>
         }
         ops.extend([
             Op::MergeLayer,
-            Op::Fiber { overlap },
+            Op::Fiber,
             Op::MergeFiber,
             Op::Deliver { batch: t },
         ]);
@@ -216,7 +214,7 @@ pub(crate) enum Link {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Wire {
     /// Enter a blocking collective, or register a nonblocking post
-    /// (`IbcastPost`, `IalltoallvPost`), on a link. `Ã` moves on
+    /// (`IbcastPost`), on a link. `Ã` moves on
     /// [`Link::Row`], `B̃` on [`Link::Col`].
     Enter(OpKind, Link),
     /// Complete the post outstanding on a link.
@@ -258,16 +256,7 @@ pub(crate) fn wire(op: Op, exchange: ExchangeMode) -> &'static [Wire] {
         // max and sum of the unmerged count, of nnz(Ã) and of nnz(B̃); the
         // flop sum; the per-column maximum.
         Op::SymbolicReduce => &[REDUCE; 8],
-        Op::Fiber {
-            overlap: OverlapMode::Blocking,
-        }
-        | Op::RefreshB => &[ALLTOALL],
-        Op::Fiber {
-            overlap: OverlapMode::Overlapped,
-        } => &[
-            Wire::Enter(OpKind::IalltoallvPost, Link::Fiber),
-            Wire::Wait(Link::Fiber),
-        ],
+        Op::Fiber | Op::RefreshB => &[ALLTOALL],
         Op::Shift { .. } => &[Wire::Shift],
         Op::TeamReduce => &[Wire::Enter(OpKind::Alltoallv, Link::Team)],
         Op::Gather => &[Wire::Enter(OpKind::Gather, Link::World)],
@@ -286,16 +275,17 @@ pub enum Payload {
         nnz: usize,
     },
     /// The needed-column index set of a fetch round, gap-coded
-    /// (`spgemm_sparse::subset::ColRequest`).
+    /// (`spgemm_sparse::subset::request_len`).
     Request {
-        /// Encoded length.
+        /// Length of the gap-coded list.
         index_bytes: usize,
     },
     /// A varint-coded sparse block of `nnz` nonzeros: the tile answering a
     /// [`Payload::Request`] (exactly its columns, in request order,
-    /// `spgemm_sparse::subset::ColTile`), or a whole block that leads with
+    /// `spgemm_sparse::subset::tile_len`), or a whole block that leads with
     /// the request of its own nonempty columns
-    /// (`spgemm_sparse::subset::coded_len`).
+    /// (`spgemm_sparse::subset::coded_len`). The run moves the matrix and
+    /// only sizes its encoding.
     Coded {
         /// Nonzeros of the block.
         nnz: usize,
@@ -407,7 +397,6 @@ mod tests {
         let operand = |nnz| Payload::Operand { nnz };
         let coded = |nnz, index_bytes| Payload::Coded { nnz, index_bytes };
         let request = |index_bytes| Payload::Request { index_bytes };
-        let fiber = |overlap| Op::Fiber { overlap };
         // (op, payload, bytes at r = 24, bytes at r = 20: w = 6, value 8)
         let rows = [
             (numeric, operand(10), 240, 200),
@@ -429,11 +418,10 @@ mod tests {
             (Op::Scatter, operand(10), 240, 200),
             // Fiber pieces, refresh slices and A-shift blocks travel coded,
             // values included, also when nothing is stored.
-            (fiber(OverlapMode::Blocking), coded(10, 17), 97, 97),
-            (fiber(OverlapMode::Overlapped), coded(10, 17), 97, 97),
+            (Op::Fiber, coded(10, 17), 97, 97),
             (Op::RefreshB, coded(10, 17), 97, 97),
             (Op::Shift { round: 2 }, coded(10, 17), 97, 97),
-            (fiber(OverlapMode::Blocking), coded(0, 1), 1, 1),
+            (Op::Fiber, coded(0, 1), 1, 1),
             (Op::RefreshB, coded(0, 1), 1, 1),
             (Op::Shift { round: 0 }, coded(0, 1), 1, 1),
         ];
@@ -499,9 +487,10 @@ mod tests {
                 }
             }
             assert_eq!(in_flight, None, "the program ends with a stage posted");
-            // Apart from how operands move, both orders run the same steps.
+            // Apart from how stage operands move, both orders run the same
+            // steps, the fiber exchange included.
             let rest = |ops: &[Op]| -> Vec<Op> {
-                let moves = |op: &Op| matches!(op, Op::Stage { .. } | Op::Fiber { .. });
+                let moves = |op: &Op| matches!(op, Op::Stage { .. });
                 ops.iter().copied().filter(|op| !moves(op)).collect()
             };
             assert_eq!(rest(&blocking), rest(&piped));

@@ -15,9 +15,8 @@ use crate::exchange::{block_leg, charge_codec};
 use crate::kernels::LocalKernels;
 use crate::memory::MemTracker;
 use crate::schedule::Op;
-use crate::summa2d::OverlapMode;
 use crate::Result;
-use spgemm_simgrid::{Grid3D, PendingOp, Rank, Step};
+use spgemm_simgrid::{Grid3D, Rank, Step};
 use spgemm_sparse::ops::col_block;
 use spgemm_sparse::{CscMatrix, Semiring};
 
@@ -30,13 +29,13 @@ pub(crate) struct FiberPieces<T: Copy> {
 }
 
 /// ColSplit + AllToAll-Fiber (Alg. 2 lines 4–5) of the layer product `d`,
-/// whose columns are `batch_global_cols`, cut at `piece_offsets`. `overlap`,
-/// from the [`crate::schedule::Op::Fiber`] being run, decides how the
-/// exchange is issued: a blocking call, or a nonblocking post waited at
-/// once — its completion then shares the timeline with the already-posted
-/// next-batch stage-0 broadcasts, which the merge phases keep hiding (an
-/// immediate wait is cost-neutral with the blocking call, see
-/// `spgemm_simgrid::nonblocking`).
+/// whose columns are `batch_global_cols`, cut at `piece_offsets`. The
+/// exchange is one blocking collective under either overlap mode: the
+/// merge that needs its pieces runs right after it, so a nonblocking post
+/// would be waited at once, which costs exactly the blocking call (see
+/// `spgemm_simgrid::nonblocking`). Under
+/// [`crate::OverlapMode::Overlapped`] the next batch's stage-0 broadcasts,
+/// already posted, stay in flight across it.
 ///
 /// A piece that leaves the rank travels as a coded block
 /// ([`crate::exchange::block_leg`]), sized once by its sender; its coded
@@ -47,7 +46,6 @@ pub(crate) struct FiberPieces<T: Copy> {
 pub(crate) fn fiber_exchange<T: Copy + Send + Sync + 'static>(
     rank: &mut Rank,
     grid: &Grid3D,
-    overlap: OverlapMode,
     d: CscMatrix<T>,
     batch_global_cols: &[u32],
     piece_offsets: &[usize],
@@ -60,7 +58,7 @@ pub(crate) fn fiber_exchange<T: Copy + Send + Sync + 'static>(
 
     // Piece k' also carries its global column ids so fiber peers can
     // verify conformance, and the integers its codec handles.
-    let (op, me) = (Op::Fiber { overlap }, grid.fiber.my_index());
+    let (op, me) = (Op::Fiber, grid.fiber.my_index());
     let mut parts: Vec<(CscMatrix<T>, Vec<u32>, usize)> = Vec::with_capacity(grid.l);
     let mut part_bytes: Vec<usize> = Vec::with_capacity(grid.l);
     for (k, cut) in piece_offsets.windows(2).enumerate() {
@@ -80,11 +78,7 @@ pub(crate) fn fiber_exchange<T: Copy + Send + Sync + 'static>(
 
     let step = Step::AllToAllFiber;
     charge_codec(rank, step, parts.iter().map(|part| part.2).sum());
-    let fiber = &grid.fiber;
-    let received = match overlap {
-        OverlapMode::Blocking => rank.alltoallv(fiber, parts, &part_bytes, step),
-        OverlapMode::Overlapped => rank.ialltoallv(fiber, parts, &part_bytes, step).wait(rank),
-    };
+    let received = rank.alltoallv(&grid.fiber, parts, &part_bytes, step);
     charge_codec(rank, step, received.iter().map(|part| part.2).sum());
     let bytes: usize = received.iter().map(|(p, ..)| p.modeled_bytes(r)).sum();
     mem.free(held);

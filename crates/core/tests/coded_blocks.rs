@@ -106,7 +106,7 @@ fn fiber_bytes_are_the_wire_size_of_the_pieces_received() {
             cfg.overlap = overlap;
             cfg.forced_batches = Some(1);
             let out = run_spgemm::<PlusTimesU64>(&cfg, &a, &b).unwrap();
-            let op = Op::Fiber { overlap };
+            let op = Op::Fiber;
             let mut moved = 0;
             for (g, breakdown) in out.per_rank.iter().enumerate() {
                 let grid = Grid3D::for_rank_id(g, p, l);

@@ -90,18 +90,20 @@ fn sparse_fetch_aat_matches_serial_reference() {
 /// A buggy peer that reposts a fetch request on an already-in-flight
 /// envelope — e.g. a requester whose fetch-round counter failed to
 /// advance, resending `Unchanged` on the same `(comm, tag, src, dst)` —
-/// is reported as a tag collision, with real payloads on the wire: an
-/// encoded request, then the cache-state control message.
+/// is reported as a tag collision, with real payloads on the wire: a
+/// needed-column request sized as its sender would, then the cache-state
+/// control message.
 #[test]
 #[should_panic(expected = "TagCollision")]
 fn duplicate_fetch_request_tag_is_a_tag_collision() {
     use spgemm_core::exchange::{fetch_req_tag, FetchReq};
-    use spgemm_sparse::subset::ColRequest;
+    use spgemm_sparse::subset::request_len;
     spgemm_simgrid::run_ranks_checked(2, spgemm_simgrid::Machine::knl(), CheckMode::Check, |rank| {
         let comm = rank.world_comm();
         if rank.rank() == 0 {
-            let request = ColRequest::encode(&[1, 2, 3]);
-            rank.send(&comm, 1, fetch_req_tag(0), FetchReq::Cols(request));
+            let cols = vec![1, 2, 3];
+            let leg = (request_len(&cols), cols.len() + 1);
+            rank.send(&comm, 1, fetch_req_tag(0), FetchReq::Cols { cols, leg });
             // Same round tag again — a desynced counter. The checker
             // rejects the second post at send time.
             rank.send(&comm, 1, fetch_req_tag(0), FetchReq::Unchanged);

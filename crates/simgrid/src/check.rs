@@ -121,15 +121,13 @@ pub enum OpKind {
     Gather,
     /// Nonblocking broadcast post.
     IbcastPost,
-    /// Nonblocking all-to-all post.
-    IalltoallvPost,
 }
 
 impl OpKind {
     /// Whether this is a nonblocking post, completed by a later wait,
     /// rather than a blocking collective.
     pub fn is_post(self) -> bool {
-        matches!(self, OpKind::IbcastPost | OpKind::IalltoallvPost)
+        self == OpKind::IbcastPost
     }
 }
 
@@ -143,7 +141,6 @@ impl fmt::Display for OpKind {
             OpKind::Barrier => "barrier",
             OpKind::Gather => "gather",
             OpKind::IbcastPost => "ibcast",
-            OpKind::IalltoallvPost => "ialltoallv",
         };
         f.write_str(name)
     }

@@ -1,12 +1,12 @@
-//! Nonblocking collectives: post now, complete later, overlap in between.
+//! Nonblocking broadcast: post now, complete later, overlap in between.
 //!
-//! `ibcast`/`ialltoallv` return typed [`PendingOp`] handles instead of
-//! blocking. The payload moves eagerly over the real channels at post time
-//! (channel sends never block), but **no modeled time is charged** until
+//! `ibcast` returns a typed [`PendingOp`] handle instead of blocking. The
+//! payload moves eagerly over the real channels at post time (channel
+//! sends never block), but **no modeled time is charged** until
 //! [`PendingOp::wait`]. Completion semantics mirror MPI's progress rule
 //! for collectives:
 //!
-//! * the operation cannot start before its **slowest poster**: completion
+//! * the broadcast cannot start before its **slowest poster**: completion
 //!   time is `max(post times) + α–β cost` (the same cost its blocking
 //!   twin charges);
 //! * at `wait()`, only the **uncovered remainder** of that span is
@@ -19,8 +19,10 @@
 //!   saving is directly readable from the breakdown.
 //!
 //! A rank that posts and immediately waits therefore charges exactly what
-//! the blocking collective would — nonblocking with no intervening work is
-//! cost-neutral, which keeps blocking-mode figures comparable.
+//! the blocking broadcast would — nonblocking with no intervening work is
+//! cost-neutral, which keeps blocking-mode figures comparable — and why no
+//! collective whose result is needed at once (the fiber all-to-all) has a
+//! nonblocking twin.
 //!
 //! Handles are `#[must_use]`: dropping one without waiting would leave
 //! payloads undelivered on peers and sequence counters skewed. SPMD
@@ -53,22 +55,6 @@ pub trait PendingOp {
     fn wait(self, rank: &mut Rank) -> Self::Output;
 }
 
-/// Shared completion accounting for all nonblocking ops.
-///
-/// The modeled span of the collective is `[posted_at, max_post + cost]`.
-/// Work this rank did between post and wait covers a prefix of that span;
-/// the remainder is charged (entry skew to [`Step::Wait`], the α–β cost
-/// tail to `step`), and the covered portion is recorded as overlap.
-fn complete(rank: &mut Rank, step: Step, posted_at: f64, max_post: f64, cost: f64, bytes: u64) {
-    let complete_at = max_post + cost;
-    let now = rank.clock().now();
-    let hidden = (now.min(complete_at) - posted_at).max(0.0);
-    rank.clock_mut().advance_to(Step::Wait, max_post);
-    rank.clock_mut().advance_to(step, complete_at);
-    rank.clock_mut().record_overlap(step, hidden);
-    rank.clock_mut().record_comm(step, bytes, 1);
-}
-
 /// Handle of a posted [`Rank::ibcast`].
 #[must_use = "a pending broadcast must be wait()ed: dropping it loses the payload and skews modeled time"]
 pub struct PendingBcast<T> {
@@ -94,33 +80,6 @@ impl<T> std::fmt::Debug for PendingBcast<T> {
             .field("step", &self.step)
             .field("posted_at", &self.posted_at)
             .field("bytes", &self.bytes)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Handle of a posted [`Rank::ialltoallv`].
-#[must_use = "a pending all-to-all must be wait()ed: dropping it loses the payloads and skews modeled time"]
-pub struct PendingAlltoallv<T> {
-    comm: Comm,
-    seq: u64,
-    step: Step,
-    posted_at: f64,
-    /// Our own slot, which never travels.
-    own: Option<T>,
-    /// Total bytes this rank sent (for the heaviest-sender cost reduce).
-    sent_bytes: u64,
-    /// Flags the handle if dropped without [`PendingOp::wait`] (checker /
-    /// debug builds).
-    guard: HandleGuard,
-}
-
-impl<T> std::fmt::Debug for PendingAlltoallv<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingAlltoallv")
-            .field("seq", &self.seq)
-            .field("step", &self.step)
-            .field("posted_at", &self.posted_at)
-            .field("sent_bytes", &self.sent_bytes)
             .finish_non_exhaustive()
     }
 }
@@ -166,72 +125,27 @@ impl Rank {
         }
     }
 
-    /// Post an all-to-all with per-destination payloads without charging
-    /// modeled time. Same conventions as the blocking [`Rank::alltoallv`]
-    /// (heaviest-sender cost, receive-side byte recording); completion and
-    /// charging happen at [`PendingOp::wait`] on the returned handle.
-    pub fn ialltoallv<T: Send + 'static>(
-        &mut self,
-        comm: &Comm,
-        parts: Vec<T>,
-        bytes: &[usize],
-        step: Step,
-    ) -> PendingAlltoallv<T> {
-        let q = comm.size();
-        let seq = self.next_seq(comm);
-        self.check_enter(
-            comm,
-            seq,
-            OpKind::IalltoallvPost,
-            None,
-            Some((parts.len(), bytes.len())),
-            false,
-        );
-        assert_eq!(parts.len(), q, "ialltoallv needs one part per member");
-        assert_eq!(bytes.len(), q, "ialltoallv needs one size per member");
-        let me = comm.my_index();
-        let sent_bytes = (bytes.iter().sum::<usize>() - bytes[me]) as u64;
-        let mut own: Option<T> = None;
-        for (i, part) in parts.into_iter().enumerate() {
-            if i == me {
-                own = Some(part);
-            } else {
-                self.send_raw(comm, i, tag(seq, PH_DATA), (part, bytes[i] as u64));
-            }
-        }
-        PendingAlltoallv {
-            guard: self.handle_guard(OpKind::IalltoallvPost, comm, seq),
-            comm: comm.clone(),
-            seq,
-            step,
-            posted_at: self.clock().now(),
-            own,
-            sent_bytes,
-        }
-    }
-
-    /// Cost-free max-reduce of `(post_time, sent_bytes)` through member 0.
-    /// Real messages, zero modeled time — it computes the completion time
-    /// rather than being part of the modeled operation.
-    fn reduce_post_max(&mut self, comm: &Comm, seq: u64, value: (f64, u64)) -> (f64, u64) {
+    /// Cost-free max-reduce of the post times through member 0. Real
+    /// messages, zero modeled time — it computes the completion time rather
+    /// than being part of the modeled operation.
+    fn reduce_post_max(&mut self, comm: &Comm, seq: u64, posted_at: f64) -> f64 {
         let q = comm.size();
         if q == 1 {
-            return value;
+            return posted_at;
         }
         let me = comm.my_index();
         if me == 0 {
-            let mut acc = value;
+            let mut acc = posted_at;
             for i in 1..q {
-                let (t, b) = self.recv_raw::<(f64, u64)>(comm, i, tag(seq, PH_REDUCE_UP));
-                acc = (acc.0.max(t), acc.1.max(b));
+                acc = acc.max(self.recv_raw::<f64>(comm, i, tag(seq, PH_REDUCE_UP)));
             }
             for i in 1..q {
                 self.send_raw(comm, i, tag(seq, PH_REDUCE_DOWN), acc);
             }
             acc
         } else {
-            self.send_raw(comm, 0, tag(seq, PH_REDUCE_UP), value);
-            self.recv_raw::<(f64, u64)>(comm, 0, tag(seq, PH_REDUCE_DOWN))
+            self.send_raw(comm, 0, tag(seq, PH_REDUCE_UP), posted_at);
+            self.recv_raw::<f64>(comm, 0, tag(seq, PH_REDUCE_DOWN))
         }
     }
 }
@@ -251,36 +165,18 @@ impl<T: Send + Sync + 'static> PendingOp for PendingBcast<T> {
                 rank.recv_raw::<(Arc<T>, u64)>(&self.comm, self.root, tag(self.seq, PH_DATA));
             (v, b as usize)
         };
-        let (max_post, _) = rank.reduce_post_max(&self.comm, self.seq, (self.posted_at, 0));
-        let cost = rank.machine().bcast_secs(q, bytes);
-        complete(rank, self.step, self.posted_at, max_post, cost, bytes as u64);
+        // The modeled span is `[posted_at, max_post + cost]`. Work this rank
+        // did between post and wait covers a prefix of it; the remainder is
+        // charged (entry skew to `Wait`, the α–β cost tail to the op's
+        // step), and the covered portion is recorded as overlap.
+        let max_post = rank.reduce_post_max(&self.comm, self.seq, self.posted_at);
+        let complete_at = max_post + rank.machine().bcast_secs(q, bytes);
+        let hidden = (rank.clock().now().min(complete_at) - self.posted_at).max(0.0);
+        rank.clock_mut().advance_to(Step::Wait, max_post);
+        rank.clock_mut().advance_to(self.step, complete_at);
+        rank.clock_mut().record_overlap(self.step, hidden);
+        rank.clock_mut().record_comm(self.step, bytes as u64, 1);
         out
-    }
-}
-
-impl<T: Send + 'static> PendingOp for PendingAlltoallv<T> {
-    type Output = Vec<T>;
-
-    fn wait(mut self, rank: &mut Rank) -> Vec<T> {
-        self.guard.disarm();
-        rank.check_wait(&self.comm, self.seq);
-        let q = self.comm.size();
-        let me = self.comm.my_index();
-        let mut out: Vec<Option<T>> = (0..q).map(|_| None).collect();
-        out[me] = self.own;
-        let mut recv_bytes = 0u64;
-        for (i, slot) in out.iter_mut().enumerate() {
-            if i != me {
-                let (part, b) = rank.recv_raw::<(T, u64)>(&self.comm, i, tag(self.seq, PH_DATA));
-                recv_bytes += b;
-                *slot = Some(part);
-            }
-        }
-        let (max_post, max_sent) =
-            rank.reduce_post_max(&self.comm, self.seq, (self.posted_at, self.sent_bytes));
-        let cost = rank.machine().alltoall_secs(q, max_sent as usize);
-        complete(rank, self.step, self.posted_at, max_post, cost, recv_bytes);
-        out.into_iter().map(Option::unwrap).collect()
     }
 }
 
@@ -398,38 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn ialltoallv_transposes_and_accounts_like_blocking() {
-        let results = run_ranks(2, Machine::knl(), |rank| {
-            let comm = rank.world_comm();
-            let bytes = if rank.rank() == 0 { [0, 1_000_000] } else { [1, 0] };
-            let parts: Vec<String> = (0..2).map(|i| format!("{}->{}", rank.rank(), i)).collect();
-            let pending = rank.ialltoallv(&comm, parts, &bytes, Step::AllToAllFiber);
-            let out = pending.wait(rank);
-            let b = rank.clock().breakdown();
-            (out, b.secs_of(Step::AllToAllFiber), b.bytes_of(Step::AllToAllFiber))
-        });
-        let expect = Machine::knl().alltoall_secs(2, 1_000_000);
-        for (r, (out, secs, bytes)) in results.iter().enumerate() {
-            for (i, s) in out.iter().enumerate() {
-                assert_eq!(s, &format!("{i}->{r}"));
-            }
-            assert!((secs - expect).abs() < 1e-12, "heaviest sender sets the cost");
-            // Receive-side recording, as in the blocking variant.
-            assert_eq!(*bytes, if r == 0 { 1 } else { 1_000_000 });
-        }
-    }
-
-    #[test]
     fn single_member_comm_is_free() {
         let results = run_ranks(1, Machine::knl(), |rank| {
             let comm = rank.world_comm();
             let pending = rank.ibcast(&comm, 0, Some(Arc::new(5u64)), 64, Step::ABcast);
             let v = *pending.wait(rank);
-            let pending = rank.ialltoallv(&comm, vec![v], &[64], Step::AllToAllFiber);
-            let out = pending.wait(rank);
-            (out, rank.clock().now())
+            (v, rank.clock().now())
         });
-        assert_eq!(results[0].0, vec![5]);
+        assert_eq!(results[0].0, 5);
         assert_eq!(results[0].1, 0.0);
     }
 

@@ -96,12 +96,16 @@ pub const C_DRAIN: f64 = 0.5;
 pub const C_HEAP_FLOP: f64 = 1.6;
 /// Per-element, per-log₂(length) cost of sorting a finished column.
 pub const C_SORT: f64 = 0.6;
-/// Per-integer cost of the fetch wire format's codec
-/// ([`crate::subset::ColRequest`], [`crate::subset::ColTile`]), charged once
-/// by the side that encodes and once by the side that decodes.
+/// Per-integer cost of the varint codec of the fetch wire format, charged
+/// once by the side that would encode a message and once by the side that
+/// would decode it. The model charges what a real implementation's codec
+/// costs; the host runs none — it moves the matrices and only sizes each
+/// message ([`crate::subset::request_len`], [`crate::subset::tile_len`],
+/// [`crate::subset::coded_len`]).
 ///
-/// Measured, not fitted: `subset::tests::codec_cost` (an ignored host
-/// timing over one rank's nine reply tiles of the reads × k-mers `A·Aᵀ`,
+/// Measured, not fitted: the ignored `codec_cost` test of the sparse
+/// crate's `codec_proptests` (a host timing of the reference codec over one
+/// rank's nine reply tiles of the reads × k-mers `A·Aᵀ`,
 /// ≈12 700 coded integers each) reads 4.4–4.6 ns per coded integer per
 /// side (encode ≈ 5.0, decode ≈ 4.0, the decode including the full-width
 /// column pointer) on a 2-core Xeon. Against `sparse.multiply_ns_per_flop`

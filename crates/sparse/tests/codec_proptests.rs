@@ -1,29 +1,224 @@
-//! The fetch wire format loses nothing and costs what it says.
+//! The fetch wire format is sized exactly and the fetch moves the operand
+//! bit for bit.
 //!
-//! [`ColTile`] replaced a copy path that cut the requested columns of `A`
-//! into a compact matrix on the owner and scattered it back to full width on
-//! the requester. Its contract is that path's result, **bit for bit**: the
-//! same shape, column pointers, row order inside every column, value bits
-//! (`NaN` payloads and `-0.0` included) and sortedness flag, for sorted and
-//! unsorted sources, empty columns, an empty request and `()` patterns.
-//! [`padded_oracle`] is that path, inlined.
+//! The run encodes no message. The owner cuts the requested columns of `A`
+//! into a compact matrix and the requester places them at their global
+//! columns ([`pad_cols`]): [`moved`] is that path. Each message is only
+//! sized, by [`request_len`], [`tile_len`] and [`coded_len`]. This file
+//! holds the reference varint codec those lengths stand for
+//! ([`ColRequest`], [`ColTile`]): what a real implementation would put on
+//! the wire, and what the host measurement behind `C_CODEC` times
+//! ([`codec_cost`]).
 //!
-//! The encoded lengths are what the run charges, so they are checked against
-//! an independent sum of varint lengths ([`varint_len`], a threshold table
-//! rather than the encoder's shift loop). The u32 edge is exercised directly:
-//! rows and columns at `u32::MAX − 1` and `u32::MAX`, gaps of `2²⁸` and more
-//! (five-byte varints), and `0` as the first index.
+//! The host operand's contract is the copy path's result, **bit for bit**:
+//! the same shape, column pointers, row order inside every column, value
+//! bits (`NaN` payloads and `-0.0` included) and sortedness flag, for
+//! sorted and unsorted sources, empty columns, an empty request and `()`
+//! patterns. [`padded_oracle`] is that path, inlined; the reference codec's
+//! round trip must deliver it too.
+//!
+//! Every length is checked three ways: the sizer, the reference encoder's
+//! output, and an independent sum of varint lengths ([`varint_len`], a
+//! threshold table rather than a shift loop). The u32 edge is exercised
+//! directly: rows and columns at `u32::MAX − 1` and `u32::MAX`, gaps of
+//! `2²⁸` and more (five-byte varints), and `0` as the first index.
 //!
 //! A whole block sent as a coded block (a fiber piece, a refresh slice, an
-//! A-shift block) is only sized, by [`coded_len`]: it must equal the request
-//! of the block's nonempty columns plus their tile, as encoded, and that
-//! pair must decode back to the block ([`check_coded`]) — on every shape
-//! above and on rows and column gaps at each varint boundary up to `2²¹`.
+//! A-shift block) is sized by [`coded_len`]: it must equal the request of
+//! the block's nonempty columns plus their tile, and that pair must decode
+//! back to the block ([`check_coded`]) — on every shape above and on rows
+//! and column gaps at each varint boundary up to `2²¹`.
 
 use proptest::prelude::*;
 use spgemm_sparse::ops::extract_cols;
-use spgemm_sparse::subset::{coded_len, ColRequest, ColTile};
+use spgemm_sparse::subset::{coded_len, pad_cols, request_len, tile_len};
 use spgemm_sparse::CscMatrix;
+
+/// Append `x` as an LEB128 varint: seven bits per byte, low group first,
+/// the high bit set on every byte but the last. The one- and two-byte forms
+/// (every gap of a hypersparse column) take no data-dependent branch: both
+/// bytes are written and the second is dropped again when it is not needed.
+#[inline]
+fn put_varint(out: &mut Vec<u8>, x: u64) {
+    if x < 1 << 14 {
+        let two = u8::from(x >= 0x80);
+        out.extend_from_slice(&[(x as u8 & 0x7F) | (two << 7), (x >> 7) as u8]);
+        out.truncate(out.len() - 1 + usize::from(two));
+        return;
+    }
+    let mut x = x;
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+/// The varint at `bytes[*pos..]`, advancing `pos` past it; branch-free for
+/// the one- and two-byte forms like [`put_varint`].
+#[inline]
+fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let b0 = u64::from(bytes[*pos]);
+    let b1 = u64::from(bytes.get(*pos + 1).copied().unwrap_or(0));
+    if b0 & b1 & 0x80 == 0 {
+        let two = b0 >> 7;
+        *pos += 1 + two as usize;
+        return (b0 & 0x7F) | ((b1 << 7) & 0u64.wrapping_sub(two));
+    }
+    let mut x = 0u64;
+    let mut shift = 0;
+    loop {
+        let byte = bytes[*pos];
+        *pos += 1;
+        x |= u64::from(byte & 0x7F) << shift;
+        if byte < 0x80 {
+            return x;
+        }
+        shift += 7;
+    }
+}
+
+/// The needed-column set of a fetch request, encoded: the column count,
+/// then the first column, then `c − prev − 1` for each later column, every
+/// number a varint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ColRequest(Vec<u8>);
+
+impl ColRequest {
+    /// Encode `cols` (ascending, distinct).
+    fn encode(cols: &[u32]) -> Self {
+        let mut out = Vec::with_capacity(cols.len() + 1);
+        put_varint(&mut out, cols.len() as u64);
+        // `next` is one past the previous column, so the first gap is the
+        // column itself.
+        let mut next = 0u64;
+        for &c in cols {
+            put_varint(&mut out, u64::from(c) - next);
+            next = u64::from(c) + 1;
+        }
+        ColRequest(out)
+    }
+
+    /// The columns, ascending.
+    fn decode(&self) -> Vec<u32> {
+        let mut pos = 0;
+        let k = get_varint(&self.0, &mut pos) as usize;
+        let mut next = 0u64;
+        let cols = (0..k)
+            .map(|_| {
+                let c = next + get_varint(&self.0, &mut pos);
+                next = c + 1;
+                c as u32
+            })
+            .collect();
+        assert_eq!(pos, self.0.len(), "trailing bytes in a column request");
+        cols
+    }
+
+    /// Encoded length in bytes.
+    fn index_bytes(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// A column subset of a matrix, encoded as a fetch reply: per requested
+/// column in request order, a varint count and then the column's rows (the
+/// first row in full and then `row − prev` when the source is sorted, every
+/// row in full when it is not), beside the columns' values in the same
+/// order. The source's shape and sortedness ride along as metadata.
+#[derive(Debug, Clone, PartialEq)]
+struct ColTile<T> {
+    nrows: usize,
+    ncols: usize,
+    sorted: bool,
+    index: Vec<u8>,
+    vals: Vec<T>,
+}
+
+impl<T: Copy> ColTile<T> {
+    /// Encode the listed columns of `m` (ascending, distinct), keeping each
+    /// column's entry order.
+    fn encode(m: &CscMatrix<T>, cols: &[u32]) -> Self {
+        let nnz: usize = cols.iter().map(|&j| m.col_nnz(j as usize)).sum();
+        let mut index = Vec::with_capacity(2 * (nnz + cols.len()));
+        let mut vals = Vec::with_capacity(nnz);
+        let sorted = m.is_sorted();
+        for &j in cols {
+            let (rows, vs) = m.col(j as usize);
+            put_varint(&mut index, rows.len() as u64);
+            if sorted {
+                let mut prev = 0;
+                for &r in rows {
+                    put_varint(&mut index, u64::from(r - prev));
+                    prev = r;
+                }
+            } else {
+                for &r in rows {
+                    put_varint(&mut index, u64::from(r));
+                }
+            }
+            vals.extend_from_slice(vs);
+        }
+        ColTile {
+            nrows: m.nrows(),
+            ncols: m.ncols(),
+            sorted,
+            index,
+            vals,
+        }
+    }
+
+    /// The full-width operand: column `i` of the tile at global column
+    /// `cols[i]`, where `cols` is the list the tile was encoded from. The
+    /// value section moves into the result.
+    fn decode(self, cols: &[u32]) -> CscMatrix<T> {
+        let mut colptr = vec![0; self.ncols + 1];
+        let mut rowidx = vec![0u32; self.vals.len()];
+        let (mut pos, mut nnz) = (0, 0);
+        for &j in cols {
+            let count = get_varint(&self.index, &mut pos) as usize;
+            colptr[j as usize + 1] = count;
+            let rows = &mut rowidx[nnz..nnz + count];
+            if self.sorted {
+                let mut prev = 0;
+                for row in rows {
+                    prev += get_varint(&self.index, &mut pos) as u32;
+                    *row = prev;
+                }
+            } else {
+                for row in rows {
+                    *row = get_varint(&self.index, &mut pos) as u32;
+                }
+            }
+            nnz += count;
+        }
+        // Counts to offsets; the unlisted columns stay empty.
+        let mut offset = 0;
+        for ptr in &mut colptr {
+            offset += *ptr;
+            *ptr = offset;
+        }
+        assert_eq!(pos, self.index.len(), "trailing bytes in a reply tile");
+        CscMatrix::from_parts_unchecked(
+            self.nrows,
+            self.ncols,
+            colptr,
+            rowidx,
+            self.vals,
+            self.sorted,
+        )
+    }
+
+    /// Length of the index section in bytes.
+    fn index_bytes(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Entries the tile carries.
+    fn nnz(&self) -> usize {
+        self.vals.len()
+    }
+}
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -76,8 +271,15 @@ fn padded_oracle<T: Copy>(m: &CscMatrix<T>, cols: &[u32]) -> CscMatrix<T> {
     for j in 0..m.ncols() {
         colptr[j + 1] += colptr[j];
     }
-    let (_, _, _, rowidx, vals, sorted) = compact.into_parts();
-    CscMatrix::from_parts_raw(m.nrows(), m.ncols(), colptr, rowidx, vals, sorted)
+    let (_, _, _, rowidx, vals, _) = compact.into_parts();
+    CscMatrix::from_parts_raw(m.nrows(), m.ncols(), colptr, rowidx, vals, m.is_sorted())
+}
+
+/// What the run delivers for `cols` of `m`: the owner's compact cut of
+/// those columns, padded to full width on the requester.
+fn moved<T: Copy>(m: &CscMatrix<T>, cols: &[u32]) -> CscMatrix<T> {
+    let idx: Vec<usize> = cols.iter().map(|&j| j as usize).collect();
+    pad_cols(extract_cols(m, &idx), cols, m.ncols())
 }
 
 /// Index bytes of `cols` of `m`: per column a count, then rows — gaps from
@@ -122,30 +324,39 @@ fn assert_bit_identical<T: Bits>(got: &CscMatrix<T>, want: &CscMatrix<T>, what: 
     assert_eq!(got.is_sorted(), want.is_sorted(), "{what}: sortedness flag");
 }
 
-/// One round trip of `cols` of `m` against the oracle and the length sum.
+/// The fetch of `cols` of `m`: the host path delivers the copy path's
+/// operand, and so does the reference codec's round trip; the reply and
+/// request sizers equal the reference encoder's lengths and the varint sums.
 fn check<T: Bits + std::fmt::Debug>(m: &CscMatrix<T>, cols: &[u32], what: &str) {
-    let tile = ColTile::encode(m, cols);
+    let oracle = padded_oracle(m, cols);
+    assert_bit_identical(&moved(m, cols), &oracle, what);
+
+    let encoded = ColTile::encode(m, cols);
     let nnz: usize = cols.iter().map(|&j| m.col_nnz(j as usize)).sum();
-    assert_eq!(tile.nnz(), nnz, "{what}: nnz");
+    assert_eq!(encoded.nnz(), nnz, "{what}: encoded nnz");
+    let index_bytes = tile_len(m, cols);
+    assert_eq!(index_bytes, encoded.index_bytes(), "{what}: tile length");
     assert_eq!(
-        tile.index_bytes(),
+        index_bytes,
         expected_index_bytes(m, cols),
-        "{what}: index bytes"
+        "{what}: tile length by varint sum"
     );
-    assert_bit_identical(&tile.decode(cols), &padded_oracle(m, cols), what);
+    let reference = format!("{what}: reference codec");
+    assert_bit_identical(&encoded.decode(cols), &oracle, &reference);
 
     let request = ColRequest::encode(cols);
+    assert_eq!(request_len(cols), request.index_bytes(), "{what}: request length");
     assert_eq!(
-        request.index_bytes(),
+        request_len(cols),
         expected_request_bytes(cols),
-        "{what}: request bytes"
+        "{what}: request length by varint sum"
     );
     assert_eq!(request.decode(), cols, "{what}: request");
 }
 
 /// `m` sized as a coded block: [`coded_len`] is the request of its nonempty
-/// columns plus their tile as encoded (and as independently summed), and
-/// the pair decodes back to `m` bit for bit.
+/// columns plus their tile — as sized, as encoded and as independently
+/// summed — and the encoded pair decodes back to `m` bit for bit.
 fn check_coded<T: Bits + std::fmt::Debug>(m: &CscMatrix<T>, what: &str) {
     let nonempty: Vec<u32> = (0..m.ncols())
         .filter(|&j| m.col_nnz(j) > 0)
@@ -154,11 +365,9 @@ fn check_coded<T: Bits + std::fmt::Debug>(m: &CscMatrix<T>, what: &str) {
     let request = ColRequest::encode(&nonempty);
     let tile = ColTile::encode(m, &nonempty);
     let encoded = request.index_bytes() + tile.index_bytes();
-    assert_eq!(
-        coded_len(m),
-        (encoded, nonempty.len()),
-        "{what}: coded length"
-    );
+    let sized = [request_len(&nonempty), tile_len(m, &nonempty)];
+    assert_eq!(sized, [request.index_bytes(), tile.index_bytes()], "{what}: as encoded");
+    assert_eq!(coded_len(m), (encoded, nonempty.len()), "{what}: coded length");
     assert_eq!(
         encoded,
         expected_request_bytes(&nonempty) + expected_index_bytes(m, &nonempty),
@@ -276,7 +485,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn decode_of_encode_is_the_padded_copy(seed in 0u64..u64::MAX) {
+    fn fetch_delivers_the_padded_copy_at_the_sized_length(seed in 0u64..u64::MAX) {
         check_all_shapes(seed);
     }
 
@@ -301,6 +510,7 @@ proptest! {
             cols.extend([u32::MAX - 1, u32::MAX]);
         }
         let request = ColRequest::encode(&cols);
+        prop_assert_eq!(request_len(&cols), request.index_bytes());
         prop_assert_eq!(request.index_bytes(), expected_request_bytes(&cols));
         prop_assert_eq!(request.decode(), cols);
     }
@@ -312,18 +522,16 @@ fn every_shape_at_a_fixed_seed() {
     check_all_shapes(20_210_517);
 }
 
-/// The two formats spelled out byte by byte.
+/// The two formats spelled out byte by byte, sized and encoded.
 #[test]
 fn wire_bytes_by_hand() {
     // Count 5, first column 0, then c − prev − 1: 0 (adjacent), 126 and 127
     // (one byte), 128 (two bytes).
-    let request = ColRequest::encode(&[0, 1, 128, 256, 385]);
-    assert_eq!(request.index_bytes(), 1 + 1 + 1 + 1 + 1 + 2);
-    assert_eq!(
-        ColRequest::encode(&[]).index_bytes(),
-        1,
-        "an empty request is its count"
-    );
+    let cols = [0, 1, 128, 256, 385];
+    assert_eq!(request_len(&cols), 1 + 1 + 1 + 1 + 1 + 2);
+    assert_eq!(ColRequest::encode(&cols).index_bytes(), request_len(&cols));
+    assert_eq!(request_len(&[]), 1, "an empty request is its count");
+    assert_eq!(ColRequest::encode(&[]).index_bytes(), 1);
 
     // Sorted: column 0 = rows {0, 2²⁸} → count 2, row 0, gap 2²⁸ (five
     // bytes); column 1 empty → count 0; column 2 = {u32::MAX − 1} → count
@@ -335,39 +543,46 @@ fn wire_bytes_by_hand() {
         CscMatrix::from_parts(nrows, 3, colptr, vec![0, 1 << 28, top], vec![1.0, 2.0, 3.0])
             .unwrap();
     assert!(sorted.is_sorted());
+    assert_eq!(tile_len(&sorted, &[0, 1, 2]), (1 + 1 + 5) + 1 + (1 + 5));
     let tile = ColTile::encode(&sorted, &[0, 1, 2]);
     assert_eq!(tile.index_bytes(), (1 + 1 + 5) + 1 + (1 + 5));
     let back = tile.decode(&[0, 1, 2]);
     assert_eq!(back.rowidx(), &[0, 1 << 28, top]);
+    let got = moved(&sorted, &[0, 2]);
+    assert_eq!((got.colptr(), got.rowidx()), (&[0, 2, 2, 3][..], &[0, 1 << 28, top][..]));
 
     // Unsorted: rows in full, so a descending pair {u32::MAX − 1, 0} costs
     // 5 + 1 instead of a wrapped gap.
     let unsorted = CscMatrix::from_parts(nrows, 1, vec![0, 2], vec![top, 0], vec![(), ()]).unwrap();
     assert!(!unsorted.is_sorted());
+    assert_eq!(tile_len(&unsorted, &[0]), 1 + 5 + 1);
     let tile = ColTile::encode(&unsorted, &[0]);
     assert_eq!(tile.index_bytes(), 1 + 5 + 1);
     assert_eq!(tile.decode(&[0]).rowidx(), &[top, 0]);
+    let got = moved(&unsorted, &[0]);
+    assert_eq!((got.rowidx(), got.is_sorted()), (&[top, 0][..], false));
 }
 
-/// A request naming no column decodes to the owner's shape with nothing in
+/// A request naming no column pads to the owner's shape with nothing in
 /// it; a tile of empty columns still delimits each with a zero count.
 #[test]
 fn nothing_asked_and_nothing_stored() {
     let m = matrix(300, 40, true, &[1.5f64], 7);
+    assert_eq!(tile_len(&m, &[]), 0);
     let empty = ColTile::encode(&m, &[]);
     assert_eq!((empty.index_bytes(), empty.nnz()), (0, 0));
-    let padded = empty.decode(&[]);
-    assert_eq!((padded.nrows(), padded.ncols(), padded.nnz()), (300, 40, 0));
+    for padded in [empty.decode(&[]), moved(&m, &[])] {
+        assert_eq!((padded.nrows(), padded.ncols(), padded.nnz()), (300, 40, 0));
+    }
 
     let zero = CscMatrix::<f64>::zero(300, 40);
     let cols = [0, 17, 39];
+    assert_eq!(tile_len(&zero, &cols), cols.len());
     let tile = ColTile::encode(&zero, &cols);
     assert_eq!(tile.index_bytes(), cols.len());
-    assert_bit_identical(
-        &tile.decode(&cols),
-        &padded_oracle(&zero, &cols),
-        "all empty",
-    );
+    let oracle = padded_oracle(&zero, &cols);
+    assert_bit_identical(&tile.decode(&cols), &oracle, "all empty, encoded");
+    assert_bit_identical(&moved(&zero, &cols), &oracle, "all empty");
 }
 
 /// Coded blocks whose rows, row gaps and column gaps sit on each side of
@@ -418,4 +633,82 @@ fn coded_blocks_at_the_varint_boundaries() {
         assert_eq!(coded_len(&zero), (1, 0), "an empty block is its count");
         check_coded(&zero, &format!("empty {nrows}x{ncols}"));
     }
+}
+
+/// The host measurement behind `spgemm::C_CODEC`: nanoseconds per coded
+/// integer per side of the reference codec, beside the hash kernel's
+/// nanoseconds per flop on the products the tiles feed, for one rank of
+/// the reads × k-mers `A·Aᵀ` of 8000 reads at `p = 16, l = 4` in nine
+/// batches. Best of 15 sweeps each. Run with `cargo test -p spgemm-sparse
+/// --release --test codec_proptests codec_cost -- --ignored --nocapture`.
+#[test]
+#[ignore = "host timing: prints the measurement behind C_CODEC"]
+fn codec_cost() {
+    use spgemm_sparse::gen::{er_random, kmer_matrix};
+    use spgemm_sparse::ops::{
+        block_range, col_block, col_concat, permute_rows, random_permutation, row_block,
+        transpose,
+    };
+    use spgemm_sparse::semiring::{PlusTimesF64, PlusTimesU64};
+    use spgemm_sparse::spgemm::{spgemm_hash_unsorted, SpGemmWorkspace};
+    use spgemm_sparse::subset::{needed_rows, SubsetWorkspace};
+    use std::time::Instant;
+
+    let nreads = 8000;
+    let windows = kmer_matrix(nreads, nreads * 6, 6, 1);
+    let repeats = er_random::<PlusTimesU64>(nreads, nreads * 4, 6, 2).map(|_| 1u64);
+    let both = col_concat(&[windows, repeats]).unwrap();
+    let a = permute_rows(&both, &random_permutation(nreads, 3)).map(|v| v as f64);
+    // Rank (0, 0, 0): A-style piece of `A`, B-style piece of `Aᵀ`.
+    let a_piece = row_block(&col_block(&a, 0..a.ncols() / 8), 0..nreads / 2);
+    let b_piece = row_block(&col_block(&transpose(&a), 0..nreads / 2), 0..a.ncols() / 8);
+    let batches: Vec<CscMatrix<f64>> = (0..9)
+        .map(|t| col_block(&b_piece, block_range(b_piece.ncols(), 9, t)))
+        .collect();
+    let needed: Vec<Vec<u32>> = batches
+        .iter()
+        .map(|b| needed_rows(b, &mut SubsetWorkspace::new()))
+        .collect();
+
+    let mut ws = [SpGemmWorkspace::<f64>::new()];
+    let (mut encode, mut decode, mut multiply) = (f64::MAX, f64::MAX, f64::MAX);
+    let (mut coded, mut flops) = (0, 0);
+    for _ in 0..15 {
+        let t = Instant::now();
+        let tiles: Vec<ColTile<f64>> = needed
+            .iter()
+            .map(|cols| ColTile::encode(&a_piece, cols))
+            .collect();
+        encode = encode.min(t.elapsed().as_secs_f64());
+        coded = needed
+            .iter()
+            .zip(&tiles)
+            .map(|(c, t)| c.len() + t.nnz())
+            .sum::<usize>();
+        let t = Instant::now();
+        let fetched: Vec<CscMatrix<f64>> = tiles
+            .into_iter()
+            .zip(&needed)
+            .map(|(t, c)| t.decode(c))
+            .collect();
+        decode = decode.min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        flops = 0;
+        for (a_fetched, b) in fetched.iter().zip(&batches) {
+            let (_, stats, _) = spgemm_hash_unsorted::<PlusTimesF64>(a_fetched, b, &mut ws).unwrap();
+            flops += stats.flops;
+        }
+        multiply = multiply.min(t.elapsed().as_secs_f64());
+    }
+    let per_int = |secs: f64| secs * 1e9 / coded as f64;
+    let codec = per_int((encode + decode) / 2.0);
+    let kernel = multiply * 1e9 / flops as f64;
+    println!(
+        "{coded} coded integers, {flops} flops: encode {:.2} ns, decode {:.2} ns, \
+         mean {codec:.2} ns per integer per side; hash kernel {kernel:.2} ns/flop; \
+         ratio {:.3}",
+        per_int(encode),
+        per_int(decode),
+        codec / kernel
+    );
 }
