@@ -352,11 +352,17 @@ impl AuditConfig {
         let max_col_unmerged = max_unmerged.div_ceil(ncols_local);
         let input_bytes = r * (max_nnz_a + max_nnz_b);
 
-        // A forced count skips the symbolic sweep; a budget-derived one
-        // runs it before every multiplication.
-        let (nbatches, sweep, memory) = match self.batch {
-            BatchSpec::Forced(n) => (n.max(1), false, None),
-            BatchSpec::Budget { target } => {
+        // A resident session: `Forced` runs under an unlimited budget,
+        // `Budget` under a budget; `schedule::fixed_batches` rules the sweep.
+        let (forced, target) = match self.batch {
+            BatchSpec::Forced(n) => (Some(n.max(1)), None),
+            BatchSpec::Budget { target } => (None, Some(target)),
+        };
+        let fixed = schedule::fixed_batches(forced, true, target.is_none());
+        let (nbatches, sweep, memory) = match (fixed, target) {
+            (Some(b), _) => (b, false, None),
+            (None, target) => {
+                let target = target.expect("only a budget leaves b to the sweep");
                 let leftover = (r * max_unmerged).div_ceil(target.max(1) as u64).max(r);
                 let per_proc = input_bytes + leftover;
                 let b = alg3_batch_count(

@@ -1,29 +1,31 @@
 //! BatchedSUMMA3D (Alg. 4): memory-constrained 3D SpGEMM.
 //!
-//! The batch count `b` comes from Symbolic3D (or a forced override for
-//! parameter sweeps). Each rank splits its local `B̃` column-wise into `b`
-//! batches by the paper's block-cyclic rule ([`batch_pieces`], Fig. 1(i)):
-//! each layer's sub-slice of the local columns is cut into `b` blocks and
-//! a batch takes one block of every layer, so ColSplit piece `k` of a
-//! batch is destined for layer `k` and lands on the rank that owns those
-//! columns of `C` A-style, for every `b`. One SUMMA3D runs per
-//! batch, and the resulting `C` piece is handed to the application, which
-//! may prune, persist, transform, or discard it before the next batch
-//! begins — the HipMCL/BELLA/hypergraph-coarsening usage pattern the paper
-//! targets.
+//! The batch count `b` comes from Symbolic3D unless
+//! [`schedule::fixed_batches`] fixes it. Each rank splits its local `B̃`
+//! column-wise into `b` batches by the paper's block-cyclic rule
+//! ([`batch_pieces`], Fig. 1(i)): each layer's sub-slice of the local
+//! columns is cut into `b` blocks and a batch takes one block of every
+//! layer, so ColSplit piece `k` of a batch is destined for layer `k` and
+//! lands on the rank that owns those columns of `C` A-style, for every `b`.
+//! One SUMMA3D runs per batch, and the resulting `C` piece is handed to the
+//! application, which may prune, persist, transform, or discard it before
+//! the next batch begins — the HipMCL/BELLA/hypergraph-coarsening usage
+//! pattern the paper targets. One driver walks `schedule::iteration` for a
+//! one-shot multiply and for a session step alike.
 
-use crate::dist::{CPiece, DistMatrix};
+use crate::dist::{scatter, transpose_to_bstyle, CPiece, DistKind, DistMatrix};
 use crate::exchange::{ExchangePlan, StagePending};
-use crate::harness::RunConfig;
+use crate::harness::{BOperand, RunConfig};
 use crate::kernels::LocalKernels;
 use crate::memory::MemTracker;
 use crate::schedule::{self, Op};
+use crate::session::{assemble_pieces, dirty_cols};
 use crate::summa2d::StageAccumulator;
-use crate::summa3d::{fiber_exchange, merge_fiber};
+use crate::summa3d::{coded_fiber_alltoall, fiber_exchange, merge_fiber};
 use crate::symbolic::{symbolic3d, SymbolicOutcome};
 use crate::{CoreError, Result};
 use spgemm_simgrid::{Grid3D, Rank, Step};
-use spgemm_sparse::ops::{batch_pieces, extract_cols};
+use spgemm_sparse::ops::{batch_pieces, block_range, col_concat, extract_cols, row_block};
 use spgemm_sparse::par::RangeBalance;
 use spgemm_sparse::{CscMatrix, Semiring, WorkStats};
 use std::collections::VecDeque;
@@ -48,6 +50,8 @@ pub(crate) struct BatchedResult<T: Copy> {
     pub pieces: Vec<CPiece<T>>,
     /// Number of batches executed.
     pub nbatches: usize,
+    /// Iterate columns a session iteration changed.
+    pub dirty_cols: usize,
     /// Symbolic outcome (absent when the batch count was forced).
     pub symbolic: Option<SymbolicOutcome>,
     /// Peak modeled bytes on this rank (inputs + intermediates).
@@ -74,101 +78,115 @@ struct Staged<T> {
     b_piece: Arc<CscMatrix<T>>,
 }
 
-/// Run BatchedSUMMA3D. `on_batch` receives every batch's piece and
-/// returns `Some(piece)` to keep (possibly transformed — e.g. pruned) or
-/// `None` to discard. The returned [`BatchedResult`] collects kept pieces.
-///
-/// Of the run policy this reads `kernels`, `budget`,
-/// `forced_batches`, `overlap`, `exchange`, `backend` and `algorithm` (the
-/// 1.5D families never batch and are rejected — route them through
-/// `run_spmm`/`run_spgemm`); the grid and the cluster are the caller's.
-pub(crate) fn batched_summa3d<S: Semiring>(
-    rank: &mut Rank,
-    grid: &Grid3D,
-    a: &DistMatrix<S::T>,
-    b: &DistMatrix<S::T>,
-    cfg: &RunConfig,
-    on_batch: impl FnMut(&mut Rank, BatchOutput<S::T>) -> Option<CPiece<S::T>>,
-) -> Result<BatchedResult<S::T>> {
-    // One kernel engine for the whole run: the symbolic sweep warms its
-    // accumulator and every batch's multiplies and merges reuse the same
-    // scratch, so steady-state batches run allocation-free. The backend
-    // decides serial-modeled vs multithreaded-measured execution.
-    let mut kernels = LocalKernels::with_backend(cfg.kernels, cfg.backend);
-    // One exchange plan for the whole run: the symbolic sweep and every
-    // batch share its fetch workspace and tag counter.
-    let mut plan = ExchangePlan::new(cfg.exchange);
-    batched_summa3d_with::<S>(rank, grid, a, b, cfg, &mut kernels, &mut plan, on_batch)
+/// One rank's operands, kernel engine and exchange plan. A one-shot run
+/// multiplies once; an [`crate::IterSession`] keeps them across iterations,
+/// so workspaces, the fetch-tag sequence and the fetch cache stay warm.
+pub(crate) struct RankState<S: Semiring> {
+    pub(crate) cfg: RunConfig,
+    pub(crate) a: DistMatrix<S::T>,
+    pub(crate) b: DistMatrix<S::T>,
+    pub(crate) kernels: LocalKernels<S::T>,
+    pub(crate) plan: ExchangePlan,
 }
 
-/// [`batched_summa3d`] with caller-owned state: the kernel engine and the
-/// exchange plan live outside the call, so an iterative session
-/// ([`crate::session`]) can keep both warm across multiplications —
-/// preserving kernel workspaces, the fetch-tag sequence, and the
-/// cross-iteration fetch cache.
-#[allow(clippy::too_many_arguments)] // the seam that lets sessions own the state
-pub(crate) fn batched_summa3d_with<S: Semiring>(
+impl<S: Semiring> RankState<S> {
+    /// Scatter `a` (held by world rank 0) A-style, then obtain `B̃` from
+    /// `b` (`None`: `a` itself, scattered B-style). The 1.5D families never
+    /// batch and are rejected.
+    pub(crate) fn new(
+        rank: &mut Rank,
+        grid: &Grid3D,
+        a: Option<Arc<CscMatrix<S::T>>>,
+        b: Option<&BOperand<S::T>>,
+        cfg: &RunConfig,
+        cache: bool,
+    ) -> Result<Self> {
+        if cfg.algorithm.is_15d() {
+            return Err(CoreError::Config(format!(
+                "the batched SUMMA pipeline cannot run the 1.5D family {}; \
+                 use run_spmm/run_spgemm, which route 1.5D to the family driver",
+                cfg.algorithm.label()
+            )));
+        }
+        if cfg.forced_batches == Some(0) {
+            return Err(CoreError::Config("forced batch count must be ≥ 1".into()));
+        }
+        let root = rank.rank() == 0;
+        let da = scatter(rank, grid, DistKind::AStyle, a.clone());
+        let db = match b {
+            None => scatter(rank, grid, DistKind::BStyle, a),
+            Some(BOperand::Global(b)) => {
+                scatter(rank, grid, DistKind::BStyle, root.then(|| Arc::clone(b)))
+            }
+            Some(BOperand::TransposeOfA) => transpose_to_bstyle(rank, grid, &da, cfg.budget.r),
+        };
+        let mut plan = ExchangePlan::new(cfg.exchange);
+        if cache {
+            plan.enable_cache();
+        }
+        Ok(RankState {
+            cfg: *cfg,
+            a: da,
+            b: db,
+            kernels: LocalKernels::with_backend(cfg.kernels, cfg.backend),
+            plan,
+        })
+    }
+}
+
+/// BatchedSUMMA3D: `on_batch` receives every batch's piece and returns
+/// `Some(piece)` to keep (possibly pruned) or `None` to discard. A
+/// `resident` session makes the kept pieces its next iterate and
+/// refreshes `B̃` from it.
+pub(crate) fn multiply<S: Semiring>(
+    state: &mut RankState<S>,
     rank: &mut Rank,
     grid: &Grid3D,
-    a: &DistMatrix<S::T>,
-    b: &DistMatrix<S::T>,
-    cfg: &RunConfig,
-    kernels: &mut LocalKernels<S::T>,
-    plan: &mut ExchangePlan,
+    resident: bool,
     mut on_batch: impl FnMut(&mut Rank, BatchOutput<S::T>) -> Option<CPiece<S::T>>,
 ) -> Result<BatchedResult<S::T>> {
+    let RankState {
+        cfg,
+        a,
+        b,
+        kernels,
+        plan,
+    } = state;
     let r = cfg.budget.r;
-    if cfg.algorithm.is_15d() {
-        return Err(CoreError::Config(format!(
-            "the batched SUMMA pipeline cannot run the 1.5D family {}; \
-             use run_spmm/run_spgemm, which route 1.5D to the family driver",
-            cfg.algorithm.label()
-        )));
-    }
-    if plan.mode() != cfg.exchange {
-        return Err(CoreError::Config(format!(
-            "exchange plan mode '{}' disagrees with cfg.exchange '{}'",
-            plan.mode().name(),
-            cfg.exchange.name()
-        )));
-    }
-    if cfg.forced_batches == Some(0) {
-        return Err(CoreError::Config("forced batch count must be ≥ 1".into()));
-    }
-    // Alg. 4 line 2: the symbolic step determines b (unless forced).
-    let (nbatches, symbolic) = match cfg.forced_batches {
-        Some(forced) => (forced, None),
+    // Alg. 4 line 2: the symbolic step determines b unless the rule fixes it.
+    let fixed = schedule::fixed_batches(cfg.forced_batches, resident, cfg.budget.is_unlimited());
+    let (nbatches, symbolic) = match fixed {
+        Some(fixed) => (fixed, None),
         None => {
             let outcome = symbolic3d::<S>(rank, grid, a, b, &cfg.budget, kernels, plan)?;
             (outcome.batches, Some(outcome))
         }
     };
-
     let mut mem = MemTracker::new();
     mem.alloc(a.local.modeled_bytes(r) + b.local.modeled_bytes(r));
 
     let b_col_start = b.col_range(grid).start;
-    let mut pieces = Vec::new();
+    let (mut pieces, mut changed) = (Vec::new(), 0);
 
     // Inputs are staged when the program first names their batch — under
     // OverlapMode::Overlapped that is one batch ahead, when batch t's last
     // SUMMA stage posts batch t+1's stage-0 broadcasts (extraction is local
     // bookkeeping and costs no modeled time).
-    let stage = |t: usize| {
+    let stage = |b: &CscMatrix<S::T>, t: usize| {
         let mut cols = Vec::new();
         let mut piece_offsets = vec![0];
-        for piece in batch_pieces(b.local.ncols(), nbatches, grid.l, t) {
+        for piece in batch_pieces(b.ncols(), nbatches, grid.l, t) {
             cols.extend(piece);
             piece_offsets.push(cols.len());
         }
         let global_cols: Vec<u32> = cols.iter().map(|&c| (b_col_start + c) as u32).collect();
-        let b_piece = Arc::new(extract_cols(&b.local, &cols));
+        let b_piece = Arc::new(extract_cols(b, &cols));
         spgemm_sparse::debug_validate!(
             *b_piece,
             spgemm_sparse::Sortedness::Sorted,
             "batch {t} B-piece ({} of {} local columns)",
             cols.len(),
-            b.local.ncols()
+            b.ncols()
         );
         Staged {
             batch: t,
@@ -187,12 +205,14 @@ pub(crate) fn batched_summa3d_with<S: Semiring>(
     let mut partials = StageAccumulator::new(grid.pr);
     let (mut layer, mut fiber, mut piece) = (None, None, None);
 
-    // Alg. 4 lines 4–6: split B̃ and multiply batch by batch.
-    for op in schedule::batches(nbatches, grid.pr, cfg.overlap) {
+    // Alg. 4 lines 4–6: split B̃ and multiply batch by batch; a session
+    // iteration then refreshes B̃.
+    let refresh = resident && grid.l > 1;
+    for op in schedule::iteration(nbatches, grid.pr, cfg.overlap, refresh) {
         match op {
             Op::Stage { batch: Some(t), .. } => {
                 if staged.back().is_none_or(|last| last.batch < t) {
-                    staged.push_back(stage(t));
+                    staged.push_back(stage(&b.local, t));
                 }
                 let of_t = staged
                     .iter()
@@ -250,8 +270,34 @@ pub(crate) fn batched_summa3d_with<S: Semiring>(
                     }
                     None => mem.free(piece_bytes),
                 }
+                if resident && batch + 1 == nbatches {
+                    // Local steps: the kept pieces become the next
+                    // iterate, which on one layer is B̃ as well, and the
+                    // columns that changed are dirty in the fetch cache.
+                    let next = assemble_pieces(&pieces, &a.row_range(grid), &a.col_range(grid))?;
+                    let dirty = dirty_cols::<S>(&a.local, &next);
+                    plan.note_dirty_cols(&dirty);
+                    (a.local, changed) = (Arc::new(next), dirty.len());
+                    if grid.l == 1 {
+                        b.local = Arc::clone(&a.local);
+                    }
+                }
             }
-            other => unreachable!("{other:?} is not a batch op"),
+            Op::RefreshB => {
+                // Slice `k` of the new iterate's rows goes to fiber
+                // member `k`; the received slices side by side are the
+                // B-style piece. Step::Other: application-side movement.
+                let rows = a.local.nrows();
+                let parts = (0..grid.l)
+                    .map(|k| (row_block(&a.local, block_range(rows, grid.l, k)), ()))
+                    .collect();
+                let got = coded_fiber_alltoall(rank, grid, op, Step::Other, parts, r);
+                let slices: Vec<_> = got.into_iter().map(|(slice, ())| slice).collect();
+                b.local = Arc::new(col_concat(&slices).map_err(CoreError::Sparse)?);
+                debug_assert_eq!(b.local.nrows(), b.row_range(grid).len());
+                debug_assert_eq!(b.local.ncols(), b.col_range(grid).len());
+            }
+            other => unreachable!("{other:?} is not an op of a multiplication"),
         }
     }
     debug_assert!(
@@ -262,6 +308,7 @@ pub(crate) fn batched_summa3d_with<S: Semiring>(
     Ok(BatchedResult {
         pieces,
         nbatches,
+        dirty_cols: changed,
         symbolic,
         peak_bytes: mem.peak(),
         kernel_stats: kernels.totals(),

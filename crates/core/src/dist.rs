@@ -205,7 +205,7 @@ pub fn transpose_to_bstyle<T: Copy + Send + 'static>(
 }
 
 /// Reassemble a distributed A-style or B-style matrix on rank 0 (inverse
-/// of [`scatter`]); used by round-trip tests.
+/// of [`scatter`]); a session gathers its iterate with it.
 pub fn gather_dist<T: Copy + Send + 'static>(
     rank: &mut Rank,
     grid: &Grid3D,

@@ -57,7 +57,7 @@
 //! without coordination.
 
 use crate::schedule::{self, payload_bytes, Link, Msg, Op, Payload, Phase, Wire};
-use spgemm_simgrid::{Grid3D, PendingBcast, PendingOp, Rank, Step};
+use spgemm_simgrid::{Grid3D, PendingBcast, Rank, Step};
 use spgemm_sparse::ops::extract_cols;
 use spgemm_sparse::spgemm::C_CODEC;
 use spgemm_sparse::subset::{
@@ -1057,7 +1057,7 @@ mod tests {
                 let mut pipelined = ExchangePlan::new(mode);
                 let mut pending = StagePending::default();
                 let overlapped = crate::summa2d::OverlapMode::Overlapped;
-                let piped: Vec<_> = schedule::batches(1, grid.pr, overlapped)
+                let piped: Vec<_> = schedule::iteration(1, grid.pr, overlapped, false)
                     .into_iter()
                     .filter(|op| matches!(op, Op::Stage { .. }))
                     .filter_map(|op| {

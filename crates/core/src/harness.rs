@@ -10,8 +10,8 @@
 //! [`run_spgemm_aat`] are `run_batched` with the keep-or-discard callback.
 
 use crate::backend::BackendKind;
-use crate::batched::{batched_summa3d, BatchOutput};
-use crate::dist::{gather_pieces, scatter, transpose_to_bstyle, CPiece, DistKind};
+use crate::batched::{multiply, BatchOutput, RankState};
+use crate::dist::{gather_pieces, CPiece};
 use crate::exchange::ExchangeMode;
 use crate::family15::{spmm_15d, AlgorithmFamily};
 use crate::kernels::KernelStrategy;
@@ -48,7 +48,7 @@ pub enum LayerChoice {
 /// | `run_world` (the launcher) | `p`, `machine`, `check`, `perturb`, `job`, `trace` |
 /// | [`run_on_grid`] | `layers` (must be `Fixed` by then) |
 /// | [`run_batched`] | `layers` (`Auto` is planned here), `discard_output` |
-/// | `batched_summa3d` and [`crate::IterSession`] | `kernels`, `budget`, `forced_batches`, `overlap`, `exchange`, `backend`, `algorithm` (SUMMA members only) |
+/// | the SUMMA driver, for [`run_batched`] and [`crate::IterSession`] alike | `kernels`, `budget`, `forced_batches` (through `schedule::fixed_batches`), `overlap`, `exchange`, `backend`, `algorithm` (SUMMA members only) |
 /// | [`run_spmm`] (1.5D) | `algorithm`, `backend`, `budget`, `discard_output` |
 /// | [`PlannerConfig::for_run`] | `machine`, `budget`, `kernels`, `overlap`, `exchange`, `algorithm`, `forced_batches` |
 ///
@@ -332,7 +332,7 @@ pub enum BOperand<T: Copy> {
     /// A global matrix on the simulated root, scattered B-style.
     Global(Arc<CscMatrix<T>>),
     /// `Aᵀ`, formed **in place on the grid** from the scattered `Ã`
-    /// ([`transpose_to_bstyle`]) — the global transpose never exists.
+    /// ([`crate::transpose_to_bstyle`]) — the global transpose never exists.
     TransposeOfA,
 }
 
@@ -382,16 +382,10 @@ pub fn run_batched<S: Semiring, St: Default, R: Send>(
     let m = a.nrows();
 
     let world = run_on_grid(&cfg, |rank, grid| {
-        let root = rank.rank() == 0;
-        let da = scatter(rank, grid, DistKind::AStyle, root.then(|| Arc::clone(a)));
-        let db = match b {
-            BOperand::Global(b) => {
-                scatter(rank, grid, DistKind::BStyle, root.then(|| Arc::clone(b)))
-            }
-            BOperand::TransposeOfA => transpose_to_bstyle(rank, grid, &da, cfg.budget.r),
-        };
+        let global = (rank.rank() == 0).then(|| Arc::clone(a));
+        let mut run = RankState::<S>::new(rank, grid, global, Some(b), &cfg, false)?;
         let mut state = St::default();
-        let mut result = batched_summa3d::<S>(rank, grid, &da, &db, &cfg, |rank, out| {
+        let mut result = multiply(&mut run, rank, grid, false, |rank, out| {
             on_batch(&mut state, rank, grid, out)
         })?;
         let c = if cfg.discard_output {

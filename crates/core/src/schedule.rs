@@ -10,11 +10,11 @@
 //!
 //! Two readers walk the same programs. The drivers (`batched`,
 //! `symbolic`, [`crate::family15`]) run one `for op in …` loop and
-//! execute each op against payloads; a session step is the batched program
-//! followed by its refresh of `B̃`. The auditor
-//! ([`crate::audit`]) lowers each op through `wire` into per-rank
-//! [`crate::audit::AuditEvent`]s. A new movement scheme is one more row of
-//! `wire`; a new pipelining order is one more branch of `batches`.
+//! execute each op against payloads; a session step runs the `iteration`
+//! a one-shot multiply runs. The auditor ([`crate::audit`]) lowers each op
+//! through `wire` into per-rank [`crate::audit::AuditEvent`]s. A new
+//! movement scheme is one more row of `wire`; a new pipelining order is
+//! one more branch of `iteration`.
 
 use crate::exchange::{fetch_rep_tag, fetch_req_tag, ExchangeMode};
 use crate::family15::shift_tag;
@@ -97,14 +97,16 @@ pub(crate) fn symbolic(stages: usize) -> Vec<Op> {
     ops
 }
 
-/// Alg. 4 lines 4–6: one SUMMA3D per batch, `nb ≥ 1` batches.
+/// Alg. 4 lines 4–6: one SUMMA3D per batch, `nb ≥ 1` batches, then the
+/// refresh of `B̃` from the new iterate if `refresh` (a session on more
+/// than one layer). The sweep, if [`fixed_batches`] asks for it, precedes.
 ///
 /// Under [`OverlapMode::Overlapped`] stages are double-buffered: the
 /// following stage — after a batch's last stage, the *next batch's* stage 0
 /// — is posted before the current stage's multiply, so the multiply (and
 /// across batches the merge and fiber phases) hides it. One stage is in
 /// flight at any time.
-pub(crate) fn batches(nb: usize, stages: usize, overlap: OverlapMode) -> Vec<Op> {
+pub(crate) fn iteration(nb: usize, stages: usize, overlap: OverlapMode, refresh: bool) -> Vec<Op> {
     let stage = |s, t, phase| Op::Stage {
         s,
         batch: Some(t),
@@ -136,13 +138,23 @@ pub(crate) fn batches(nb: usize, stages: usize, overlap: OverlapMode) -> Vec<Op>
             Op::Deliver { batch: t },
         ]);
     }
+    if refresh {
+        ops.push(Op::RefreshB);
+    }
     ops
 }
 
+/// Alg. 4 line 2: the batch count an iteration runs without Alg. 3, or
+/// `None` when the sweep must pick it. A forced count skips the sweep, and
+/// so does a resident session under an unlimited budget, where Alg. 3
+/// always picks `b = 1`.
+pub fn fixed_batches(forced: Option<usize>, resident: bool, unlimited: bool) -> Option<usize> {
+    forced.or((resident && unlimited).then_some(1))
+}
+
 /// A whole session on a `stages × stages × l` grid: scatter, then `iters`
-/// multiplications of `nb` batches each, preceded by the symbolic sweep
-/// when `sweep` is set and followed by the refresh of `B̃` — which moves
-/// nothing on one layer, where A-style and B-style coincide.
+/// iterations of `nb` batches each, every one preceded by the symbolic
+/// sweep when `sweep` is set.
 pub(crate) fn session(
     stages: usize,
     l: usize,
@@ -156,10 +168,7 @@ pub(crate) fn session(
         if sweep {
             ops.extend(symbolic(stages));
         }
-        ops.extend(batches(nb, stages, overlap));
-        if l > 1 {
-            ops.push(Op::RefreshB);
-        }
+        ops.extend(iteration(nb, stages, overlap, l > 1));
     }
     ops
 }
@@ -452,10 +461,10 @@ mod tests {
     /// stage it posts (same `s`, same batch) before that stage's multiply,
     /// and carries the last post of a batch into the next batch.
     #[test]
-    fn batches_post_every_stage_once_and_wait_it_before_its_multiply() {
+    fn iteration_posts_every_stage_once_and_waits_it_before_its_multiply() {
         for (nb, stages) in [(1, 1), (1, 3), (3, 2), (2, 4)] {
-            let blocking = batches(nb, stages, OverlapMode::Blocking);
-            let piped = batches(nb, stages, OverlapMode::Overlapped);
+            let blocking = iteration(nb, stages, OverlapMode::Blocking, false);
+            let piped = iteration(nb, stages, OverlapMode::Overlapped, false);
             let stage_of = |op: &Op| match *op {
                 Op::Stage { s, batch, phase } => Some((s, batch.unwrap(), phase)),
                 _ => None,

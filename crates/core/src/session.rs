@@ -17,12 +17,12 @@
 //!   each layer's column sub-slice (`sparse::ops::batch_pieces`), so every
 //!   output piece lands on the rank that owns its columns A-style.
 //! * The B-style operand is refreshed from the new iterate by a single
-//!   **fiber all-to-all**: rank `(i, j, k)` cuts its A-style piece
-//!   (rows `R_i`, cols `C_{j,k}`) row-wise into `l` slices and exchanges
-//!   them along the fiber; concatenating the received pieces in fiber
-//!   order yields exactly the B-style piece (rows `R_{i,k}`, cols `C_j`).
-//!   With `l = 1` the two styles coincide and the refresh is a local copy.
-//! * One [`LocalKernels`] engine and one [`ExchangePlan`] live for the
+//!   **fiber all-to-all** (`Op::RefreshB`): rank `(i, j, k)` cuts its
+//!   A-style piece (rows `R_i`, cols `C_{j,k}`) row-wise into `l` slices
+//!   and exchanges them along the fiber; concatenating the received pieces
+//!   in fiber order yields exactly the B-style piece (rows `R_{i,k}`, cols
+//!   `C_j`). With `l = 1` the two styles coincide and nothing moves.
+//! * One kernel engine and one [`ExchangePlan`] live for the
 //!   whole session, so kernel workspaces stay warm and — with the fetch
 //!   cache enabled — `SparseFetch` rounds memoize their `needed_rows`
 //!   request sets and received tiles across iterations, invalidated only
@@ -30,10 +30,12 @@
 //!   old and new local iterate column by column and feeds
 //!   [`ExchangePlan::note_dirty_cols`]).
 //! * Under an unlimited memory budget the symbolic sweep provably always
-//!   chooses `b = 1`, so the session skips it from the first iteration on
-//!   (the planner amortizes the same cost; see `planner::predict`). With a
-//!   real budget the sweep re-runs each iteration because the iterate's
-//!   fill changes.
+//!   chooses `b = 1`, so the session skips it from the first iteration on.
+//!   With a real budget the sweep re-runs each iteration because the
+//!   iterate's fill changes ([`crate::schedule::fixed_batches`]).
+//!
+//! A step runs the SUMMA driver of a one-shot multiply over the program
+//! the auditor checks; only the state between steps is the session's.
 //!
 //! Correctness contract: a session iteration is **bit-identical** to the
 //! gather/re-scatter baseline — assembly plus fiber refresh reproduce the
@@ -41,15 +43,12 @@
 //! bit-equal to freshly fetched ones (property-tested in
 //! `core/tests/iter_session.rs`).
 
-use crate::batched::{batched_summa3d_with, BatchOutput};
-use crate::dist::{gather_pieces, scatter, CPiece, DistKind, DistMatrix};
-use crate::exchange::{block_leg, charge_codec, ExchangePlan, FetchCacheStats};
+use crate::batched::{multiply, BatchOutput, RankState};
+use crate::dist::{gather_dist, CPiece};
+use crate::exchange::FetchCacheStats;
 use crate::harness::RunConfig;
-use crate::kernels::LocalKernels;
-use crate::schedule::Op;
 use crate::{CoreError, Result};
-use spgemm_simgrid::{Grid3D, Rank, Step, StepBreakdown};
-use spgemm_sparse::ops::{block_range, col_concat, row_block};
+use spgemm_simgrid::{Grid3D, Rank, StepBreakdown};
 use spgemm_sparse::{CscMatrix, Semiring};
 use std::ops::Range;
 use std::sync::Arc;
@@ -75,21 +74,14 @@ pub struct SessionIterStats {
 /// A resident distributed iterate multiplied against itself every
 /// iteration — see the module docs for the full contract.
 pub struct IterSession<S: Semiring> {
-    // (manual Debug below: LocalKernels carries workspaces that are noise)
-    cfg: RunConfig,
-    a: DistMatrix<S::T>,
-    b: DistMatrix<S::T>,
-    kernels: LocalKernels<S::T>,
-    plan: ExchangePlan,
-    iterations: usize,
+    state: RankState<S>,
 }
 
 impl<S: Semiring> std::fmt::Debug for IterSession<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IterSession")
-            .field("iterations", &self.iterations)
-            .field("local_nnz", &self.a.local.nnz())
-            .field("plan", &self.plan)
+            .field("local_nnz", &self.state.a.local.nnz())
+            .field("plan", &self.state.plan)
             .finish_non_exhaustive()
     }
 }
@@ -99,7 +91,7 @@ impl<S: Semiring> IterSession<S> {
     /// set up the per-rank resident state. `cache` turns on the
     /// cross-iteration fetch cache — meaningful under
     /// [`crate::ExchangeMode::SparseFetch`], harmless otherwise. `cfg` is
-    /// read like `batched_summa3d` reads it (the grid and the
+    /// read like [`crate::run_batched`] reads it (the grid and the
     /// cluster are the caller's, see [`crate::harness::run_on_grid`]).
     /// SPMD: every rank must construct the session with the same arguments.
     pub fn new(
@@ -109,26 +101,14 @@ impl<S: Semiring> IterSession<S> {
         cfg: &RunConfig,
         cache: bool,
     ) -> Result<Self> {
-        let a = scatter(rank, grid, DistKind::AStyle, global.clone());
-        let b = scatter(rank, grid, DistKind::BStyle, global);
-        if a.grows != a.gcols {
+        let state = RankState::new(rank, grid, global, None, cfg, cache)?;
+        if state.a.grows != state.a.gcols {
             return Err(CoreError::Config(format!(
                 "IterSession squares its iterate; got a {}x{} matrix",
-                a.grows, a.gcols
+                state.a.grows, state.a.gcols
             )));
         }
-        let mut plan = ExchangePlan::new(cfg.exchange);
-        if cache {
-            plan.enable_cache();
-        }
-        Ok(IterSession {
-            kernels: LocalKernels::with_backend(cfg.kernels, cfg.backend),
-            cfg: *cfg,
-            a,
-            b,
-            plan,
-            iterations: 0,
-        })
+        Ok(IterSession { state })
     }
 
     /// One iteration: multiply the iterate by itself (batched), hand every
@@ -143,92 +123,22 @@ impl<S: Semiring> IterSession<S> {
         on_batch: impl FnMut(&mut Rank, BatchOutput<S::T>) -> Option<CPiece<S::T>>,
     ) -> Result<SessionIterStats> {
         let bd0 = *rank.clock().breakdown();
-        let cache0 = self.plan.cache_stats();
-
-        let mut cfg = self.cfg;
-        if cfg.forced_batches.is_none() && cfg.budget.is_unlimited() {
-            // Alg. 3 under an unlimited budget always yields b = 1: skip
-            // the symbolic sweep entirely — its cost is one-time session
-            // setup, not a per-iteration tax.
-            cfg.forced_batches = Some(1);
-        }
-        let result = batched_summa3d_with::<S>(
-            rank,
-            grid,
-            &self.a,
-            &self.b,
-            &cfg,
-            &mut self.kernels,
-            &mut self.plan,
-            on_batch,
-        )?;
-
-        let row_range = self.a.row_range(grid);
-        let col_range = self.a.col_range(grid);
-        let new_local = assemble_pieces(&result.pieces, &row_range, &col_range)?;
-        let dirty = dirty_cols(&self.a.local, &new_local);
-        self.plan.note_dirty_cols(&dirty);
-        self.a.local = Arc::new(new_local);
-        self.refresh_b(rank, grid)?;
-        self.iterations += 1;
-
+        let cache0 = self.state.plan.cache_stats();
+        let result = multiply(&mut self.state, rank, grid, true, on_batch)?;
         Ok(SessionIterStats {
             nbatches: result.nbatches,
             breakdown: rank.clock().breakdown().delta(&bd0),
-            cache: self.plan.cache_stats().delta(&cache0),
-            dirty_cols: dirty.len() as u64,
+            cache: self.state.plan.cache_stats().delta(&cache0),
+            dirty_cols: result.dirty_cols as u64,
             peak_bytes: result.peak_bytes,
-            local_nnz: self.a.local.nnz() as u64,
+            local_nnz: self.state.a.local.nnz() as u64,
         })
-    }
-
-    /// Rebuild the B-style operand from the (new) A-style iterate with one
-    /// all-to-all along the fiber: slice the local piece row-wise into `l`
-    /// blocks, exchange, concatenate received pieces in fiber order. A slice
-    /// that leaves the rank travels as a coded block, sized once by its
-    /// sender like a fiber piece. Charged to [`Step::Other`] like the
-    /// gather/scatter it replaces — application-side data movement, not
-    /// SpGEMM time.
-    fn refresh_b(&mut self, rank: &mut Rank, grid: &Grid3D) -> Result<()> {
-        if grid.l == 1 {
-            // A-style and B-style coincide on a single layer.
-            self.b.local = Arc::clone(&self.a.local);
-            return Ok(());
-        }
-        let r = self.cfg.budget.r;
-        let nrows_local = self.a.local.nrows();
-        let me = grid.fiber.my_index();
-        let mut parts = Vec::with_capacity(grid.l);
-        let mut bytes = Vec::with_capacity(grid.l);
-        for k in 0..grid.l {
-            let slice = row_block(&self.a.local, block_range(nrows_local, grid.l, k));
-            let (wire, coded) = if k == me {
-                (0, 0)
-            } else {
-                block_leg(Op::RefreshB, &slice, r)
-            };
-            bytes.push(wire);
-            parts.push((slice, coded));
-        }
-        charge_codec(rank, Step::Other, parts.iter().map(|part| part.1).sum());
-        let recv = rank.alltoallv(&grid.fiber, parts, &bytes, Step::Other);
-        charge_codec(rank, Step::Other, recv.iter().map(|part| part.1).sum());
-        let slices: Vec<CscMatrix<S::T>> = recv.into_iter().map(|(slice, _)| slice).collect();
-        self.b.local = Arc::new(col_concat(&slices).map_err(CoreError::Sparse)?);
-        debug_assert_eq!(self.b.local.nrows(), self.b.row_range(grid).len());
-        debug_assert_eq!(self.b.local.ncols(), self.b.col_range(grid).len());
-        Ok(())
     }
 
     /// Gather the iterate to world rank 0 (`None` elsewhere) — the one
     /// intentionally non-resident operation, for final results.
     pub fn gather(&self, rank: &mut Rank, grid: &Grid3D) -> Option<CscMatrix<S::T>> {
-        let piece = CPiece {
-            local: CscMatrix::clone(&self.a.local),
-            row_offset: self.a.row_range(grid).start,
-            global_cols: self.a.col_range(grid).map(|c| c as u32).collect(),
-        };
-        gather_pieces(rank, &grid.world, vec![piece], self.a.grows, self.a.gcols)
+        gather_dist(rank, grid, &self.state.a)
     }
 }
 
@@ -236,7 +146,7 @@ impl<S: Semiring> IterSession<S> {
 /// disjoint global columns inside `col_range` (guaranteed by the batch
 /// split); columns no piece covers are empty — that is what "pruned away"
 /// means.
-fn assemble_pieces<T: Copy>(
+pub(crate) fn assemble_pieces<T: Copy>(
     pieces: &[CPiece<T>],
     row_range: &Range<usize>,
     col_range: &Range<usize>,
@@ -304,11 +214,15 @@ fn assemble_pieces<T: Copy>(
 
 /// Local columns on which `old` and `new` differ — the cache-invalidation
 /// set. Bit-exact comparison: an unchanged column must be *identical*
-/// (indices and values), which is the only safe direction for a cache.
-fn dirty_cols<T: Copy + PartialEq>(old: &CscMatrix<T>, new: &CscMatrix<T>) -> Vec<u32> {
+/// (indices and value bits, so a flipped sign of zero is a change and a
+/// kept NaN is not), which is the only safe direction for a cache.
+pub(crate) fn dirty_cols<S: Semiring>(old: &CscMatrix<S::T>, new: &CscMatrix<S::T>) -> Vec<u32> {
     debug_assert_eq!(old.ncols(), new.ncols());
+    let identical = |(rows0, vals0): (&[u32], &[S::T]), (rows1, vals1): (&[u32], &[S::T])| {
+        rows0 == rows1 && vals0.iter().zip(vals1).all(|(&x, &y)| S::identical(x, y))
+    };
     (0..new.ncols())
-        .filter(|&j| old.col(j) != new.col(j))
+        .filter(|&j| !identical(old.col(j), new.col(j)))
         .map(|j| j as u32)
         .collect()
 }
@@ -426,10 +340,19 @@ mod tests {
 
     #[test]
     fn dirty_cols_is_bit_exact() {
+        let dirty = dirty_cols::<PlusTimesF64>;
         let m = er_random::<PlusTimesF64>(8, 5, 3, 9);
-        assert!(dirty_cols(&m, &m.clone()).is_empty());
+        assert!(dirty(&m, &m.clone()).is_empty());
         let mut changed = m.clone();
         changed.retain(|_, j, _| j != 2);
-        assert_eq!(dirty_cols(&m, &changed), vec![2]);
+        assert_eq!(dirty(&m, &changed), vec![2]);
+        // Column 1 stores `x` at row 0; column 0 stores a 1 beside it.
+        let with =
+            |x| CscMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 0], vec![1.0, x]).unwrap();
+        // A stored zero that only flips its sign is a change: `+0.0 == -0.0`
+        // would call the column clean and let a receiver replay a stale tile.
+        assert_eq!(dirty(&with(0.0), &with(-0.0)), vec![1]);
+        // A NaN kept as it was is no change, though `NaN != NaN`.
+        assert!(dirty(&with(f64::NAN), &with(f64::NAN)).is_empty());
     }
 }

@@ -9,7 +9,7 @@
 //! `l > 1` it produces the layer's intermediate `D̃⁽ᵏ⁾` for
 //! [`crate::summa3d`] to reduce across fibers.
 //!
-//! The stage order — blocking or pipelined — is [`crate::schedule::batches`]
+//! The stage order — blocking or pipelined — is [`crate::schedule::iteration`]
 //! and the operand movement is [`crate::exchange`]; this module holds the
 //! layer's two compute ops.
 

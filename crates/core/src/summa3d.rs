@@ -7,7 +7,7 @@
 //! (*AllToAll-Fiber*), and merges the `l` received pieces
 //! (*Merge-Fiber*) into its final piece of `C` for this batch.
 //!
-//! This module holds the two fiber ops; [`crate::schedule::batches`] places
+//! This module holds the two fiber ops; [`crate::schedule::iteration`] places
 //! them after each batch's Merge-Layer.
 
 use crate::dist::{CPiece, DistMatrix};
@@ -35,13 +35,8 @@ pub(crate) struct FiberPieces<T: Copy> {
 /// would be waited at once, which costs exactly the blocking call (see
 /// `spgemm_simgrid::nonblocking`). Under
 /// [`crate::OverlapMode::Overlapped`] the next batch's stage-0 broadcasts,
-/// already posted, stay in flight across it.
-///
-/// A piece that leaves the rank travels as a coded block
-/// ([`crate::exchange::block_leg`]), sized once by its sender; its coded
-/// integer count rides along so the receiver charges its decode without
-/// recounting. The rank's own piece stays put and is never sized.
-/// Residency stays at `r` bytes per nonzero.
+/// already posted, stay in flight across it. Residency stays at `r` bytes
+/// per nonzero.
 #[allow(clippy::too_many_arguments)] // SPMD plumbing: grid + matrices + policies
 pub(crate) fn fiber_exchange<T: Copy + Send + Sync + 'static>(
     rank: &mut Rank,
@@ -57,42 +52,68 @@ pub(crate) fn fiber_exchange<T: Copy + Send + Sync + 'static>(
     debug_assert_eq!(*piece_offsets.last().unwrap(), d.ncols());
 
     // Piece k' also carries its global column ids so fiber peers can
-    // verify conformance, and the integers its codec handles.
-    let (op, me) = (Op::Fiber, grid.fiber.my_index());
-    let mut parts: Vec<(CscMatrix<T>, Vec<u32>, usize)> = Vec::with_capacity(grid.l);
-    let mut part_bytes: Vec<usize> = Vec::with_capacity(grid.l);
-    for (k, cut) in piece_offsets.windows(2).enumerate() {
-        let piece = col_block(&d, cut[0]..cut[1]);
-        let (bytes, coded) = if k == me {
-            (0, 0)
-        } else {
-            block_leg(op, &piece, r)
-        };
-        part_bytes.push(bytes);
-        parts.push((piece, batch_global_cols[cut[0]..cut[1]].to_vec(), coded));
-    }
+    // verify conformance.
+    let parts: Vec<(CscMatrix<T>, Vec<u32>)> = piece_offsets
+        .windows(2)
+        .map(|cut| {
+            let cols = batch_global_cols[cut[0]..cut[1]].to_vec();
+            (col_block(&d, cut[0]..cut[1]), cols)
+        })
+        .collect();
     // ColSplit replaces D with same-size pieces (streaming residency model,
     // consistent with Alg. 3's unmerged-high-water-mark accounting).
     let held = d.modeled_bytes(r);
     drop(d);
 
-    let step = Step::AllToAllFiber;
-    charge_codec(rank, step, parts.iter().map(|part| part.2).sum());
-    let received = rank.alltoallv(&grid.fiber, parts, &part_bytes, step);
-    charge_codec(rank, step, received.iter().map(|part| part.2).sum());
-    let bytes: usize = received.iter().map(|(p, ..)| p.modeled_bytes(r)).sum();
+    let received = coded_fiber_alltoall(rank, grid, Op::Fiber, Step::AllToAllFiber, parts, r);
+    let bytes: usize = received.iter().map(|(p, _)| p.modeled_bytes(r)).sum();
     mem.free(held);
     mem.alloc(bytes);
 
     // All received pieces cover the same global columns: every fiber member
     // split the same local column set and sent us piece #k.
     let global_cols = received[0].1.clone();
-    debug_assert!(received.iter().all(|(_, g, _)| g == &global_cols));
+    debug_assert!(received.iter().all(|(_, g)| g == &global_cols));
     FiberPieces {
-        pieces: received.into_iter().map(|(p, ..)| p).collect(),
+        pieces: received.into_iter().map(|(p, _)| p).collect(),
         global_cols,
         bytes,
     }
+}
+
+/// One all-to-all of sparse blocks along the fiber, charged to `step`:
+/// `parts[k]` goes to fiber member `k` with its metadata. A block that
+/// leaves the rank travels as a coded block ([`crate::exchange::block_leg`]
+/// under `op`), sized once by its sender; its coded integer count rides
+/// along so the receiver charges its decode without recounting. The rank's
+/// own block stays put and is never sized.
+pub(crate) fn coded_fiber_alltoall<T: Copy + Send + Sync + 'static, X: Send + 'static>(
+    rank: &mut Rank,
+    grid: &Grid3D,
+    op: Op,
+    step: Step,
+    parts: Vec<(CscMatrix<T>, X)>,
+    r: usize,
+) -> Vec<(CscMatrix<T>, X)> {
+    let me = grid.fiber.my_index();
+    let mut bytes = Vec::with_capacity(parts.len());
+    let mut sent = Vec::with_capacity(parts.len());
+    for (k, (block, meta)) in parts.into_iter().enumerate() {
+        let (wire, coded) = if k == me {
+            (0, 0)
+        } else {
+            block_leg(op, &block, r)
+        };
+        bytes.push(wire);
+        sent.push((block, meta, coded));
+    }
+    charge_codec(rank, step, sent.iter().map(|part| part.2).sum());
+    let received = rank.alltoallv(&grid.fiber, sent, &bytes, step);
+    charge_codec(rank, step, received.iter().map(|part| part.2).sum());
+    received
+        .into_iter()
+        .map(|(block, meta, _)| (block, meta))
+        .collect()
 }
 
 /// Merge-Fiber (Alg. 2 line 6) — the one place output is sorted. Returns

@@ -10,6 +10,7 @@
 
 use spgemm_core::audit::{AuditConfig, AuditEvent, BatchSpec, WorkloadShape};
 use spgemm_core::family15::spmm_15d;
+use spgemm_core::schedule::fixed_batches;
 use spgemm_core::{
     AlgorithmFamily, BackendKind, CoreError, ExchangeMode, IterSession, MemoryBudget, OverlapMode,
     RunConfig,
@@ -29,6 +30,17 @@ enum Batching {
     Default,
     /// Aggregate budget in bytes: the sweep runs and picks `b` from the data.
     Budget(usize),
+}
+
+impl Batching {
+    /// The row's `forced_batches` and `budget`.
+    fn policy(self) -> (Option<usize>, MemoryBudget) {
+        match self {
+            Batching::Forced(n) => (Some(n), MemoryBudget::unlimited()),
+            Batching::Default => (None, MemoryBudget::unlimited()),
+            Batching::Budget(bytes) => (None, MemoryBudget::new(bytes)),
+        }
+    }
 }
 
 /// One extracted event as the action the op log records for it.
@@ -76,17 +88,12 @@ fn run_real(
             return Ok(vec![1; iters]);
         }
         let grid = Grid3D::new(rank, l);
+        let (forced_batches, budget) = batching.policy();
         let cfg = RunConfig {
             exchange,
             overlap,
-            forced_batches: match batching {
-                Batching::Forced(n) => Some(n),
-                _ => None,
-            },
-            budget: match batching {
-                Batching::Budget(bytes) => MemoryBudget::new(bytes),
-                _ => MemoryBudget::unlimited(),
-            },
+            forced_batches,
+            budget,
             ..RunConfig::new(p, l)
         };
         let global = root.then(|| Arc::clone(&a));
@@ -118,14 +125,17 @@ fn extracted_schedule_matches_the_real_run() {
     let mut rows = Vec::new();
     for exchange in ExchangeMode::ALL {
         for overlap in [Blocking, Overlapped] {
-            // Forced counts on single- and multi-layer grids over two
-            // iterations; a budget tight enough to force batching (inputs
-            // need ~2.7 KB per process here) but feasible.
-            rows.push(((4, 1), exchange, overlap, Forced(2), 2, summa));
-            rows.push(((16, 4), exchange, overlap, Forced(2), 2, summa));
+            // Forced counts and a session's default on single- and
+            // multi-layer grids over two iterations (on one layer no
+            // RefreshB moves: B̃ is the assembled iterate); a budget tight
+            // enough to force batching (inputs need ~2.7 KB per process
+            // here) but feasible.
+            for batching in [Forced(2), Default] {
+                rows.push(((4, 1), exchange, overlap, batching, 2, summa));
+                rows.push(((16, 4), exchange, overlap, batching, 2, summa));
+            }
             rows.push(((4, 1), exchange, overlap, Budget(13_000), 1, summa));
         }
-        rows.push(((16, 4), exchange, Blocking, Default, 2, summa));
     }
     let spmm = |p, family| ((p, 1), DenseBcast, Blocking, Forced(1), 2, family);
     rows.push(spmm(12, AlgorithmFamily::ColA15 { c: 1 }));
@@ -141,10 +151,10 @@ fn extracted_schedule_matches_the_real_run() {
         // back and size the modeled workload so Alg. 3 resolves to it —
         // `nb·1000` unmerged nonzeros per process against a leftover of
         // 1000, over columns enough that none is too heavy.
-        let batch = match batching {
-            Forced(n) => BatchSpec::Forced(n),
-            Default => BatchSpec::Forced(1),
-            Budget(_) => {
+        let (forced, budget) = batching.policy();
+        let batch = match fixed_batches(forced, true, budget.is_unlimited()) {
+            Some(b) => BatchSpec::Forced(b),
+            None => {
                 assert!(nb > 1, "{label}: the budget must force batching");
                 BatchSpec::Budget { target: nb }
             }

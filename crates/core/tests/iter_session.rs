@@ -105,13 +105,16 @@ fn run_session_iters<S: Semiring>(
     (iterates, all_stats)
 }
 
-/// Structural + value equality, column by column — no reordering slack,
-/// no tolerance.
-fn bit_identical<T: Copy + PartialEq + Debug>(a: &CscMatrix<T>, b: &CscMatrix<T>) -> bool {
+/// Structural + value-bit equality, column by column — no reordering
+/// slack, no tolerance, and a zero's sign counts.
+fn bit_identical<S: Semiring>(a: &CscMatrix<S::T>, b: &CscMatrix<S::T>) -> bool {
     if a.nrows() != b.nrows() || a.ncols() != b.ncols() {
         return false;
     }
-    (0..a.ncols()).all(|j| a.col(j) == b.col(j))
+    (0..a.ncols()).all(|j| {
+        let ((rows_a, vals_a), (rows_b, vals_b)) = (a.col(j), b.col(j));
+        rows_a == rows_b && vals_a.iter().zip(vals_b).all(|(&x, &y)| S::identical(x, y))
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -133,7 +136,7 @@ fn check_semiring<S: Semiring>(
     assert_eq!(cached.len(), uncached.len());
     for (t, (c, u)) in cached.iter().zip(&uncached).enumerate() {
         assert!(
-            bit_identical(c, u),
+            bit_identical::<S>(c, u),
             "iteration {} diverged: p={} l={} {:?} {:?} n={} deg={} seed={}",
             t + 1,
             p,
@@ -191,7 +194,7 @@ fn cache_hits_on_idempotent_projection_without_changing_the_iterate() {
     let (iterates, stats) =
         run_session_iters::<PlusTimesF64>(&m, 4, 1, ExchangeMode::SparseFetch, true, 3, Prune::Nothing);
     for (t, it) in iterates.iter().enumerate() {
-        assert!(bit_identical(it, &m), "iteration {} left the fixed point", t + 1);
+        assert!(bit_identical::<PlusTimesF64>(it, &m), "iteration {} left the fixed point", t + 1);
     }
     let per_iter =
         |t: usize| stats.iter().map(|s| s[t].cache).fold((0u64, 0u64), |(h, mi), c| (h + c.hits, mi + c.misses));

@@ -23,7 +23,7 @@
 //!   `alltoallv` descriptor whose part/size vectors do not match the
 //!   communicator size.
 //! * **Leaked handles** ([`ViolationKind::LeakedHandle`]) — a nonblocking
-//!   handle dropped without [`crate::PendingOp::wait`], caught by a `Drop`
+//!   handle dropped without [`crate::PendingBcast::wait`], caught by a `Drop`
 //!   guard (armed under CheckMode and in all debug builds).
 //! * **Non-monotone clocks** ([`ViolationKind::NonMonotoneClock`]) — a
 //!   rank arrives at a sync point with a modeled clock earlier than its
@@ -791,7 +791,7 @@ impl Rank {
 
 /// Drop guard embedded in nonblocking handles: panics (and trips the
 /// checker) if the handle is dropped while still armed, i.e. without
-/// [`crate::PendingOp::wait`] having run.
+/// [`crate::PendingBcast::wait`] having run.
 pub(crate) struct HandleGuard {
     armed: bool,
     kind: OpKind,

@@ -50,7 +50,7 @@ pub use clock::{Step, StepBreakdown};
 pub use comm::{Comm, Rank};
 pub use cost::Machine;
 pub use grid::Grid3D;
-pub use nonblocking::{PendingBcast, PendingOp};
+pub use nonblocking::PendingBcast;
 pub use runtime::{run_ranks, run_ranks_checked, run_ranks_logged, run_ranks_seeded};
 pub use stats::{max_breakdown, KernelCounters, StepReport};
 pub use trace::{chrome_trace_json, TraceEvent};

@@ -1,9 +1,9 @@
 //! Nonblocking broadcast: post now, complete later, overlap in between.
 //!
-//! `ibcast` returns a typed [`PendingOp`] handle instead of blocking. The
+//! `ibcast` returns a typed [`PendingBcast`] handle instead of blocking. The
 //! payload moves eagerly over the real channels at post time (channel
 //! sends never block), but **no modeled time is charged** until
-//! [`PendingOp::wait`]. Completion semantics mirror MPI's progress rule
+//! [`PendingBcast::wait`]. Completion semantics mirror MPI's progress rule
 //! for collectives:
 //!
 //! * the broadcast cannot start before its **slowest poster**: completion
@@ -45,17 +45,8 @@ fn tag(seq: u64, phase: u64) -> u64 {
     seq * 8 + phase
 }
 
-/// A posted-but-not-completed collective. Consume with [`PendingOp::wait`].
-pub trait PendingOp {
-    /// What the collective yields once complete.
-    type Output;
-
-    /// Block until the data is here, then charge the uncovered remainder of
-    /// the modeled span and return the result.
-    fn wait(self, rank: &mut Rank) -> Self::Output;
-}
-
-/// Handle of a posted [`Rank::ibcast`].
+/// Handle of a posted [`Rank::ibcast`]: a posted-but-not-completed
+/// broadcast. Consume with [`PendingBcast::wait`].
 #[must_use = "a pending broadcast must be wait()ed: dropping it loses the payload and skews modeled time"]
 pub struct PendingBcast<T> {
     comm: Comm,
@@ -67,7 +58,7 @@ pub struct PendingBcast<T> {
     value: Option<Arc<T>>,
     /// Modeled size; authoritative on the root, travels with the data.
     bytes: usize,
-    /// Flags the handle if dropped without [`PendingOp::wait`] (checker /
+    /// Flags the handle if dropped without [`PendingBcast::wait`] (checker /
     /// debug builds).
     guard: HandleGuard,
 }
@@ -88,7 +79,7 @@ impl Rank {
     /// Post a broadcast of `value` (present on `root` only) without
     /// charging modeled time. See [`Rank::bcast`] for the blocking twin's
     /// argument conventions; completion and charging happen at
-    /// [`PendingOp::wait`] on the returned handle.
+    /// [`PendingBcast::wait`] on the returned handle.
     pub fn ibcast<T: Send + Sync + 'static>(
         &mut self,
         comm: &Comm,
@@ -150,10 +141,10 @@ impl Rank {
     }
 }
 
-impl<T: Send + Sync + 'static> PendingOp for PendingBcast<T> {
-    type Output = Arc<T>;
-
-    fn wait(mut self, rank: &mut Rank) -> Arc<T> {
+impl<T: Send + Sync + 'static> PendingBcast<T> {
+    /// Block until the data is here, then charge the uncovered remainder of
+    /// the modeled span and return the result.
+    pub fn wait(mut self, rank: &mut Rank) -> Arc<T> {
         self.guard.disarm();
         rank.check_wait(&self.comm, self.seq);
         let q = self.comm.size();

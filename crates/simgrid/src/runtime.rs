@@ -300,7 +300,6 @@ mod tests {
     #[test]
     fn op_log_records_per_rank_program_order() {
         use crate::check::{LoggedAction, OpKind};
-        use crate::nonblocking::PendingOp;
         let (_, log) = run_ranks_logged(4, Machine::knl(), |rank| {
             let comm = rank.world_comm();
             let (me, p) = (rank.rank(), rank.world_size());

@@ -3,7 +3,7 @@
 //! naming the ranks, operations and sequence numbers involved — and a
 //! correctly programmed run must pass untouched.
 
-use spgemm_simgrid::{run_ranks_checked, CheckMode, Machine, PendingOp, Step};
+use spgemm_simgrid::{run_ranks_checked, CheckMode, Machine, Step};
 use std::sync::Arc;
 
 /// Run `f`, which must panic, and return its panic message.

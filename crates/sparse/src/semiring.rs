@@ -37,10 +37,17 @@ pub trait Semiring: Copy + Send + Sync + 'static {
     fn is_zero(t: Self::T) -> bool {
         t == Self::zero()
     }
+
+    /// True if `a` and `b` are the same value bit for bit: `==`, except
+    /// that the float semirings compare bits, so `-0.0` differs from `0.0`
+    /// and a NaN equals itself.
+    fn identical(a: Self::T, b: Self::T) -> bool {
+        a == b
+    }
 }
 
 macro_rules! plus_times {
-    ($name:ident, $t:ty, $zero:expr, $doc:expr) => {
+    ($name:ident, $t:ty, $zero:expr, $doc:expr $(, $bits:ident)?) => {
         #[doc = $doc]
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct $name;
@@ -59,11 +66,12 @@ macro_rules! plus_times {
             fn mul(a: $t, b: $t) -> $t {
                 a * b
             }
+            $(fn identical(a: $t, b: $t) -> bool { a.$bits() == b.$bits() })?
         }
     };
 }
 
-plus_times!(PlusTimesF64, f64, 0.0, "Standard arithmetic `(+, ×)` over `f64`.");
+plus_times!(PlusTimesF64, f64, 0.0, "Standard arithmetic `(+, ×)` over `f64`.", to_bits);
 plus_times!(PlusTimesU64, u64, 0, "Arithmetic `(+, ×)` over `u64` — used for exact counting (triangles, shared k-mers).");
 plus_times!(PlusTimesI64, i64, 0, "Arithmetic `(+, ×)` over `i64`.");
 
@@ -85,6 +93,9 @@ impl Semiring for MinPlusF64 {
     fn mul(a: f64, b: f64) -> f64 {
         a + b
     }
+    fn identical(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits()
+    }
 }
 
 /// `(max, min)` semiring over `f64`; zero is `-∞`. Used for bottleneck-path
@@ -105,6 +116,9 @@ impl Semiring for MaxMinF64 {
     #[inline]
     fn mul(a: f64, b: f64) -> f64 {
         a.min(b)
+    }
+    fn identical(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits()
     }
 }
 
@@ -194,6 +208,15 @@ mod tests {
         assert_eq!(PlusTimesF64::mul(PlusTimesF64::zero(), 7.0), 0.0);
         assert!(PlusTimesF64::is_zero(0.0));
         assert!(!PlusTimesF64::is_zero(1.0));
+    }
+
+    #[test]
+    fn float_identity_is_bitwise() {
+        assert!(!PlusTimesF64::identical(0.0, -0.0));
+        assert!(PlusTimesF64::identical(f64::NAN, f64::NAN));
+        assert!(!MinPlusF64::identical(0.0, -0.0));
+        assert!(MaxMinF64::identical(f64::NAN, f64::NAN));
+        assert!(PlusTimesU64::identical(3, 3) && !BoolOrAnd::identical(true, false));
     }
 
     #[test]
