@@ -46,7 +46,7 @@ use crate::exchange::ExchangeMode;
 use crate::family15::{
     cola_ring, iabc_subring, iabc_team, AlgorithmFamily, COLOR_RING15, COLOR_TEAM15,
 };
-use crate::memory::R_BYTES_PER_NNZ;
+use crate::memory::{Footprint, R_BYTES_PER_NNZ};
 use crate::schedule::{self, payload_bytes, Link, Op, Payload, Wire};
 use crate::summa2d::OverlapMode;
 use crate::symbolic::alg3_batch_count;
@@ -350,7 +350,10 @@ impl AuditConfig {
         let max_unmerged = self.shape.unmerged.div_ceil(p64);
         let ncols_local = self.shape.n.div_ceil(pr as u64).max(1);
         let max_col_unmerged = max_unmerged.div_ceil(ncols_local);
-        let input_bytes = r * (max_nnz_a + max_nnz_b);
+        let footprint = Footprint {
+            inputs: (r * (max_nnz_a + max_nnz_b)) as usize,
+            unmerged: (r * max_unmerged) as usize,
+        };
 
         // A resident session: `Forced` runs under an unlimited budget,
         // `Budget` under a budget; `schedule::fixed_batches` rules the sweep.
@@ -363,19 +366,18 @@ impl AuditConfig {
             (Some(b), _) => (b, false, None),
             (None, target) => {
                 let target = target.expect("only a budget leaves b to the sweep");
-                let leftover = (r * max_unmerged).div_ceil(target.max(1) as u64).max(r);
-                let per_proc = input_bytes + leftover;
+                // A per-process budget that holds `target` batches, and
+                // never less than the inputs plus one nonzero.
+                let per_proc = footprint.at(target).max(footprint.inputs + R_BYTES_PER_NNZ);
                 let b = alg3_batch_count(
-                    per_proc as usize,
-                    R_BYTES_PER_NNZ,
+                    per_proc,
                     max_nnz_a,
                     max_nnz_b,
                     max_unmerged,
                     max_col_unmerged,
                     self.shape.n.max(1) as usize,
                 )?;
-                let modeled_peak = input_bytes + (r * max_unmerged).div_ceil(b as u64);
-                (b, true, Some((modeled_peak, per_proc)))
+                (b, true, Some((footprint.at(b) as u64, per_proc as u64)))
             }
         };
         let nb = nbatches as u64;
@@ -465,7 +467,7 @@ impl Bytes {
     fn of(&self, op: Op, link: Link, k: usize) -> u64 {
         let operand = |nnz: u64| {
             let payload = Payload::Operand { nnz: nnz as usize };
-            payload_bytes(op, payload, R_BYTES_PER_NNZ) as u64
+            payload_bytes(op, payload) as u64
         };
         match (op, link) {
             (Op::Scatter, _) => self.scatter[k],

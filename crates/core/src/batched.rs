@@ -17,7 +17,7 @@ use crate::dist::{scatter, transpose_to_bstyle, CPiece, DistKind, DistMatrix};
 use crate::exchange::{ExchangePlan, StagePending};
 use crate::harness::{BOperand, RunConfig};
 use crate::kernels::LocalKernels;
-use crate::memory::MemTracker;
+use crate::memory::{MemTracker, R_BYTES_PER_NNZ};
 use crate::schedule::{self, Op};
 use crate::session::{assemble_pieces, dirty_cols};
 use crate::summa2d::StageAccumulator;
@@ -118,7 +118,7 @@ impl<S: Semiring> RankState<S> {
             Some(BOperand::Global(b)) => {
                 scatter(rank, grid, DistKind::BStyle, root.then(|| Arc::clone(b)))
             }
-            Some(BOperand::TransposeOfA) => transpose_to_bstyle(rank, grid, &da, cfg.budget.r),
+            Some(BOperand::TransposeOfA) => transpose_to_bstyle(rank, grid, &da),
         };
         let mut plan = ExchangePlan::new(cfg.exchange);
         if cache {
@@ -152,7 +152,6 @@ pub(crate) fn multiply<S: Semiring>(
         kernels,
         plan,
     } = state;
-    let r = cfg.budget.r;
     // Alg. 4 line 2: the symbolic step determines b unless the rule fixes it.
     let fixed = schedule::fixed_batches(cfg.forced_batches, resident, cfg.budget.is_unlimited());
     let (nbatches, symbolic) = match fixed {
@@ -162,8 +161,16 @@ pub(crate) fn multiply<S: Semiring>(
             (outcome.batches, Some(outcome))
         }
     };
+    // The one memory ledger of the run: the inputs, then what each compute
+    // op holds. The running batch's intermediate (stage partials, then the
+    // layer product, the fiber pieces, the C piece) passes from op to op,
+    // and each op releases what it consumed before holding what it made:
+    // merging and ColSplit are modeled as streaming, so the unmerged
+    // partials are the high-water mark, as in Alg. 3's accounting.
+    let bytes = |m: &CscMatrix<S::T>| m.modeled_bytes(R_BYTES_PER_NNZ);
     let mut mem = MemTracker::new();
-    mem.alloc(a.local.modeled_bytes(r) + b.local.modeled_bytes(r));
+    mem.alloc(bytes(&a.local) + bytes(&b.local));
+    let mut held = 0;
 
     let b_col_start = b.col_range(grid).start;
     let (mut pieces, mut changed) = (Vec::new(), 0);
@@ -220,55 +227,54 @@ pub(crate) fn multiply<S: Semiring>(
                     .expect("staged above");
                 let steps = (Step::ABcast, Step::BBcast);
                 operands = plan
-                    .stage(
-                        rank,
-                        grid,
-                        op,
-                        &a.local,
-                        &of_t.b_piece,
-                        r,
-                        steps,
-                        &mut pending,
-                    )
+                    .stage(rank, grid, op, &a.local, &of_t.b_piece, steps, &mut pending)
                     .or(operands);
             }
             Op::Multiply => {
                 let landed = operands
                     .take()
                     .expect("a stage delivers before every multiply");
-                partials.multiply::<S>(rank, grid, kernels, &landed, r, &mut mem)?;
+                let partial = bytes(partials.multiply::<S>(rank, grid, kernels, &landed)?);
+                held += partial;
+                mem.alloc(partial);
             }
-            Op::MergeLayer => layer = Some(partials.merge::<S>(rank, kernels, r, &mut mem)?),
+            Op::MergeLayer => {
+                let merged = partials.merge::<S>(rank, kernels)?;
+                pass_on(&mut mem, &mut held, bytes(&merged));
+                layer = Some(merged);
+            }
             Op::Fiber => {
                 let d = layer
                     .take()
                     .expect("Merge-Layer precedes the fiber exchange");
                 let of_t = staged.front().expect("the running batch is staged");
                 let (cols, cuts) = (&of_t.global_cols, &of_t.piece_offsets);
-                fiber = Some(fiber_exchange(rank, grid, d, cols, cuts, r, &mut mem));
+                let got = fiber_exchange(rank, grid, d, cols, cuts);
+                pass_on(&mut mem, &mut held, got.pieces.iter().map(bytes).sum());
+                fiber = Some(got);
             }
             Op::MergeFiber => {
                 let got = fiber
                     .take()
                     .expect("the fiber exchange precedes Merge-Fiber");
-                piece = Some(merge_fiber::<S>(rank, grid, a, kernels, got, r, &mut mem)?);
+                let merged = merge_fiber::<S>(rank, grid, a, kernels, got)?;
+                pass_on(&mut mem, &mut held, bytes(&merged.local));
+                piece = Some(merged);
             }
             Op::Deliver { batch } => {
                 staged.pop_front();
                 let piece = piece.take().expect("Merge-Fiber precedes delivery");
-                let piece_bytes = piece.bytes(r);
                 let out = BatchOutput {
                     batch,
                     nbatches,
                     piece,
                 };
-                match on_batch(rank, out) {
-                    Some(kept) => {
-                        mem.free(piece_bytes);
-                        mem.alloc(kept.bytes(r));
-                        pieces.push(kept);
-                    }
-                    None => mem.free(piece_bytes),
+                let kept = on_batch(rank, out);
+                // What the application keeps stays resident.
+                pass_on(&mut mem, &mut held, 0);
+                if let Some(kept) = kept {
+                    mem.alloc(bytes(&kept.local));
+                    pieces.push(kept);
                 }
                 if resident && batch + 1 == nbatches {
                     // Local steps: the kept pieces become the next
@@ -291,7 +297,7 @@ pub(crate) fn multiply<S: Semiring>(
                 let parts = (0..grid.l)
                     .map(|k| (row_block(&a.local, block_range(rows, grid.l, k)), ()))
                     .collect();
-                let got = coded_fiber_alltoall(rank, grid, op, Step::Other, parts, r);
+                let got = coded_fiber_alltoall(rank, grid, op, Step::Other, parts);
                 let slices: Vec<_> = got.into_iter().map(|(slice, ())| slice).collect();
                 b.local = Arc::new(col_concat(&slices).map_err(CoreError::Sparse)?);
                 debug_assert_eq!(b.local.nrows(), b.row_range(grid).len());
@@ -314,4 +320,11 @@ pub(crate) fn multiply<S: Semiring>(
         kernel_stats: kernels.totals(),
         load_balance: kernels.balance(),
     })
+}
+
+/// Release the running batch's intermediate, `held`, and hold `produced`,
+/// what the op made of it, in its place.
+fn pass_on(mem: &mut MemTracker, held: &mut usize, produced: usize) {
+    mem.free(std::mem::replace(held, produced));
+    mem.alloc(produced);
 }

@@ -18,6 +18,7 @@
 //! Scatter and gather exist for testing and harness convenience; their
 //! traffic is charged to [`Step::Other`], which paper-style reports skip.
 
+use crate::memory::R_BYTES_PER_NNZ;
 use spgemm_simgrid::{Comm, Grid3D, Rank, Step};
 use spgemm_sparse::ops::{block_range, col_block, row_block};
 use spgemm_sparse::{CscMatrix, Triples};
@@ -122,13 +123,6 @@ pub struct CPiece<T: Copy> {
     pub global_cols: Vec<u32>,
 }
 
-impl<T: Copy> CPiece<T> {
-    /// Modeled bytes.
-    pub(crate) fn bytes(&self, r: usize) -> usize {
-        self.local.modeled_bytes(r)
-    }
-}
-
 /// Gather `C` pieces from every rank to world rank 0 and assemble the
 /// global matrix (sorted columns). Non-roots get `None`.
 ///
@@ -167,12 +161,12 @@ pub(crate) fn gather_pieces<T: Copy + Send + 'static>(
 /// whole operation is one pairwise exchange across the grid diagonal plus
 /// a local transpose. `A·Aᵀ` pipelines (BELLA, Jaccard, hypergraph
 /// matching) use this to set up `B = Aᵀ` in place. The exchange is modeled
-/// as one point-to-point message of `r` bytes per received nonzero.
+/// as one point-to-point message of [`crate::R_BYTES_PER_NNZ`] bytes per received
+/// nonzero.
 pub fn transpose_to_bstyle<T: Copy + Send + 'static>(
     rank: &mut Rank,
     grid: &Grid3D,
     m: &DistMatrix<T>,
-    r: usize,
 ) -> DistMatrix<T> {
     assert_eq!(
         m.kind,
@@ -192,7 +186,9 @@ pub fn transpose_to_bstyle<T: Copy + Send + 'static>(
         rank.send(&world, partner, 0x7A_0001, (local_t, nnz));
         let (mat, recv_nnz) = rank.recv::<(CscMatrix<T>, u64)>(&world, partner, 0x7A_0001);
         // Model the exchange as one point-to-point message round.
-        let cost = rank.machine().send_secs(recv_nnz as usize * r);
+        let cost = rank
+            .machine()
+            .send_secs(recv_nnz as usize * R_BYTES_PER_NNZ);
         rank.clock_mut().advance(Step::Other, cost);
         mat
     };
@@ -339,7 +335,7 @@ mod tests {
                 let grid = Grid3D::new(rank, l);
                 let payload = (rank.rank() == 0).then(|| Arc::new(g2.clone()));
                 let a = scatter(rank, &grid, DistKind::AStyle, payload);
-                let at = transpose_to_bstyle(rank, &grid, &a, 24);
+                let at = transpose_to_bstyle(rank, &grid, &a);
                 assert_eq!(at.grows, 47);
                 assert_eq!(at.gcols, 33);
                 gather_dist(rank, &grid, &at)

@@ -373,7 +373,6 @@ impl ExchangePlan {
         op: Op,
         a: &Arc<CscMatrix<T>>,
         b: &Arc<CscMatrix<T>>,
-        r: usize,
         steps: (Step, Step),
         pending: &mut StagePending<T>,
     ) -> Option<OperandPair<T>> {
@@ -399,7 +398,7 @@ impl ExchangePlan {
                 Wire::Enter(kind, link) => {
                     let (i, comm, local, step) = side(link);
                     let payload = (comm.my_index() == s).then(|| Arc::clone(local));
-                    let bytes = payload_bytes(op, Payload::Operand { nnz: local.nnz() }, r);
+                    let bytes = payload_bytes(op, Payload::Operand { nnz: local.nnz() });
                     if kind.is_post() {
                         pending[i] = Some(rank.ibcast(comm, s, payload, bytes, step));
                     } else {
@@ -417,7 +416,7 @@ impl ExchangePlan {
                 }
                 Wire::Fetch => {
                     let b_recv = landed[1].as_ref().expect("B̃ lands before the fetch round");
-                    landed[0] = Some(self.fetch_stage_a(rank, grid, op, a, b_recv, r));
+                    landed[0] = Some(self.fetch_stage_a(rank, grid, op, a, b_recv));
                 }
                 Wire::Shift => unreachable!("stages do not shift"),
             }
@@ -444,7 +443,6 @@ impl ExchangePlan {
         op: Op,
         a_shared: &Arc<CscMatrix<T>>,
         b_recv: &CscMatrix<T>,
-        r: usize,
     ) -> Arc<CscMatrix<T>> {
         let Op::Stage { s, .. } = op else {
             unreachable!("{op:?} is not a stage op")
@@ -465,10 +463,10 @@ impl ExchangePlan {
         for [req, rep] in schedule::fetch_round(row.size(), me, s, seq) {
             if me == s {
                 let request: FetchReq = rank.recv(row, req.peer, req.tag);
-                let reply = self.serve_request(rank, op, a_shared, req.peer, request, r);
+                let reply = self.serve_request(rank, op, a_shared, req.peer, request);
                 rank.send(row, rep.peer, rep.tag, reply);
             } else {
-                fetched = Some(self.request_a(rank, grid, op, [req, rep], b_recv, r));
+                fetched = Some(self.request_a(rank, grid, op, [req, rep], b_recv));
             }
         }
         // The owner (and the lone member of a one-process row) uses its
@@ -485,7 +483,6 @@ impl ExchangePlan {
         op: Op,
         [req, rep]: [Msg; 2],
         b_recv: &CscMatrix<T>,
-        r: usize,
     ) -> Arc<CscMatrix<T>> {
         let s = req.peer; // the stage's owner
         let row = &grid.row;
@@ -528,7 +525,7 @@ impl ExchangePlan {
         } else {
             let index_bytes = request_len(&needed);
             let leg = (
-                payload_bytes(op, Payload::Request { index_bytes }, r),
+                payload_bytes(op, Payload::Request { index_bytes }),
                 needed.len() + 1,
             );
             charge(rank, Step::FetchRequest, leg);
@@ -595,7 +592,6 @@ impl ExchangePlan {
         a_shared: &Arc<CscMatrix<T>>,
         requester: usize,
         req: FetchReq,
-        r: usize,
     ) -> FetchRep<T> {
         match req {
             FetchReq::Cols { cols: needed, leg } => {
@@ -612,7 +608,7 @@ impl ExchangePlan {
                     };
                 }
                 charge(rank, Step::FetchRequest, leg);
-                let reply = reply_tile(rank, op, a_shared, &needed, r);
+                let reply = reply_tile(rank, op, a_shared, &needed);
                 if let Some(c) = self.cache.as_mut() {
                     if let Some(batch) = c.cur_batch {
                         let epoch = c.epoch;
@@ -652,7 +648,7 @@ impl ExchangePlan {
                     charge(rank, Step::FetchReply, (0, 0));
                     FetchRep::CacheValid
                 } else {
-                    let reply = reply_tile(rank, op, a_shared, &entry.needed, r);
+                    let reply = reply_tile(rank, op, a_shared, &entry.needed);
                     let epoch = cache.epoch;
                     cache.owner_memo.get_mut(&key).expect("entry").served_epoch = epoch;
                     reply
@@ -665,18 +661,12 @@ impl ExchangePlan {
 /// The owner's reply carrying `cols` of `a`, sized once here and charged to
 /// this side: its coded integers are a count per column and a row per
 /// nonzero.
-fn reply_tile<T: Copy>(
-    rank: &mut Rank,
-    op: Op,
-    a: &CscMatrix<T>,
-    cols: &[u32],
-    r: usize,
-) -> FetchRep<T> {
+fn reply_tile<T: Copy>(rank: &mut Rank, op: Op, a: &CscMatrix<T>, cols: &[u32]) -> FetchRep<T> {
     let idx: Vec<usize> = cols.iter().map(|&j| j as usize).collect();
     let tile = extract_cols(a, &idx);
     let (nnz, index_bytes) = (tile.nnz(), tile_len(a, cols));
     let leg = (
-        payload_bytes(op, Payload::Coded { nnz, index_bytes }, r),
+        payload_bytes(op, Payload::Coded { nnz, index_bytes }),
         cols.len() + nnz,
     );
     charge(rank, Step::FetchReply, leg);
@@ -687,10 +677,13 @@ fn reply_tile<T: Copy>(
 /// coded block: the request of its `k` nonempty columns (a count and a gap
 /// per column), a count per column and a row per nonzero, and a value word
 /// per nonzero. Only the sender sizes a block; the pair travels with it.
-pub(crate) fn block_leg<T: Copy>(op: Op, m: &CscMatrix<T>, r: usize) -> (usize, usize) {
+pub(crate) fn block_leg<T: Copy>(op: Op, m: &CscMatrix<T>) -> (usize, usize) {
     let (index_bytes, k) = coded_len(m);
     let nnz = m.nnz();
-    (payload_bytes(op, Payload::Coded { nnz, index_bytes }, r), 2 * k + 1 + nnz)
+    (
+        payload_bytes(op, Payload::Coded { nnz, index_bytes }),
+        2 * k + 1 + nnz,
+    )
 }
 
 /// Charge one side of a point-to-point message leg of `bytes` whose codec
@@ -736,7 +729,7 @@ mod tests {
         let phase = Phase::Blocking;
         (0..grid.pr)
             .map(|s| Op::Stage { s, batch, phase })
-            .map(|op| plan.stage(rank, grid, op, a, b, 24, steps, &mut Default::default()))
+            .map(|op| plan.stage(rank, grid, op, a, b, steps, &mut Default::default()))
             .map(|landed| landed.expect("a blocking stage delivers both operands"))
             .collect()
     }
@@ -885,7 +878,7 @@ mod tests {
                     let steps = (Step::ABcast, Step::BBcast);
                     let before = legs(rank);
                     let (tile, b_recv) = plan
-                        .stage(rank, &grid, op, &a, &b, 24, steps, &mut Default::default())
+                        .stage(rank, &grid, op, &a, &b, steps, &mut Default::default())
                         .expect("a blocking stage delivers both operands");
                     let after = legs(rank);
                     let recorded =
@@ -1062,7 +1055,7 @@ mod tests {
                     .filter(|op| matches!(op, Op::Stage { .. }))
                     .filter_map(|op| {
                         let steps = (Step::ABcast, Step::BBcast);
-                        pipelined.stage(rank, &grid, op, &a_local, &b_local, 24, steps, &mut pending)
+                        pipelined.stage(rank, &grid, op, &a_local, &b_local, steps, &mut pending)
                     })
                     .collect();
                 assert!(pending.iter().all(Option::is_none), "a posted stage leaked");

@@ -427,7 +427,7 @@ pub fn spmm_15d<S: Semiring>(
             // leg: the decode plus α + β·bytes, sized by the sender.
             Op::Shift { round } => {
                 let [to, from] = schedule::ring_shift(ring_len, pos0, round);
-                let sent = block_leg(op, &cur, R_BYTES_PER_NNZ);
+                let sent = block_leg(op, &cur);
                 charge_codec(rank, Step::AShift, sent.1);
                 rank.send(&ring, to.peer, to.tag, (cur_block as u64, cur, sent));
                 let (idx, mat, received) =

@@ -1,16 +1,20 @@
 //! The paper's memory model and runtime footprint tracking.
 //!
-//! Storage model (Sec. IV-A): a nonzero costs `r` bytes — the paper uses
-//! `r = 24` (two 8-byte indices plus an 8-byte value). The aggregate
-//! budget `M` covers the inputs plus one batch's unmerged intermediate
-//! output; Alg. 3 turns a budget into a batch count, and Eq. 2 gives the
-//! analytic lower bound on that count.
+//! Storage model (Sec. IV-A): a stored nonzero costs [`R_BYTES_PER_NNZ`]
+//! bytes, the paper's `r = 24` (two 8-byte indices plus an 8-byte value).
+//! The aggregate budget `M` covers the inputs plus one batch's unmerged
+//! intermediate output. That shape, `inputs + ⌈unmerged/b⌉`, and its
+//! inverse are [`Footprint`]: Alg. 3 turns a per-process budget into a
+//! batch count with it, Eq. 2 gives the analytic lower bound on that count
+//! with it aggregated over the processes, and the auditor, the planner
+//! and serve admission read the same two methods.
 //!
 //! [`MemTracker`] follows the modeled footprint of one rank through a run
 //! so tests can assert the central invariant: *with the symbolic batch
-//! count, no rank ever exceeds its per-process budget.*
+//! count, no rank ever exceeds its per-process budget.* The SUMMA driver's
+//! op loop is the only code that charges it.
 
-/// The paper's default bytes-per-nonzero (16 bytes of indices + 8 of value).
+/// The paper's bytes per stored nonzero (16 bytes of indices + 8 of value).
 pub const R_BYTES_PER_NNZ: usize = 24;
 
 /// An aggregate memory budget for the whole simulated cluster.
@@ -18,17 +22,12 @@ pub const R_BYTES_PER_NNZ: usize = 24;
 pub struct MemoryBudget {
     /// Total bytes across all processes (the paper's `M`).
     pub total_bytes: usize,
-    /// Bytes per stored nonzero (the paper's `r`).
-    pub r: usize,
 }
 
 impl MemoryBudget {
-    /// Budget of `total_bytes` with the paper's default `r`.
+    /// Budget of `total_bytes`.
     pub fn new(total_bytes: usize) -> Self {
-        MemoryBudget {
-            total_bytes,
-            r: R_BYTES_PER_NNZ,
-        }
+        MemoryBudget { total_bytes }
     }
 
     /// Effectively unlimited budget (forces `b = 1` unless overridden).
@@ -57,12 +56,38 @@ impl MemoryBudget {
         nnz_a: usize,
         nnz_b: usize,
     ) -> Option<usize> {
-        let inputs = self.r * (nnz_a + nnz_b);
-        if self.total_bytes <= inputs {
-            return None;
+        Footprint {
+            inputs: R_BYTES_PER_NNZ * (nnz_a + nnz_b),
+            unmerged: mem_c_bytes,
         }
-        let denom = self.total_bytes - inputs;
-        Some(mem_c_bytes.div_ceil(denom).max(1))
+        .fewest_batches(self.total_bytes)
+    }
+}
+
+/// The memory shape Eq. 2 and Alg. 3 share, in bytes: `inputs` stay
+/// resident for the whole multiply, while column batching divides the
+/// `unmerged` intermediate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Footprint {
+    /// Irreducible bytes: the resident inputs.
+    pub inputs: usize,
+    /// Batch-divisible bytes: the unmerged intermediate at `b = 1`.
+    pub unmerged: usize,
+}
+
+impl Footprint {
+    /// Bytes held at batch count `b` (read as 1 when 0):
+    /// `inputs + ⌈unmerged/b⌉`, saturating.
+    pub(crate) fn at(&self, b: usize) -> usize {
+        self.inputs.saturating_add(self.unmerged.div_ceil(b.max(1)))
+    }
+
+    /// The least `b ≥ 1` with `inputs + ⌈unmerged/b⌉ ≤ budget` — Alg. 3
+    /// line 12, `⌈unmerged / (budget − inputs)⌉` — or `None` when the
+    /// inputs alone exhaust `budget`.
+    pub(crate) fn fewest_batches(&self, budget: usize) -> Option<usize> {
+        let room = budget.checked_sub(self.inputs).filter(|&room| room > 0)?;
+        Some(self.unmerged.div_ceil(room).max(1))
     }
 }
 
@@ -85,10 +110,15 @@ impl MemTracker {
         self.peak = self.peak.max(self.current);
     }
 
-    /// Record a release of `bytes` (saturating: double-frees in the model
-    /// clamp to zero rather than panicking mid-simulation).
+    /// Record a release of `bytes`. Releasing more than is held is a
+    /// ledger bug and panics.
     pub(crate) fn free(&mut self, bytes: usize) {
-        self.current = self.current.saturating_sub(bytes);
+        assert!(
+            bytes <= self.current,
+            "ledger releases {bytes} bytes but holds {}",
+            self.current
+        );
+        self.current -= bytes;
     }
 
     /// Peak modeled bytes seen so far.
@@ -100,6 +130,42 @@ impl MemTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Byte counts that hit the edges — 0, 1, `usize::MAX` and one below
+    /// it — besides small and arbitrary ones.
+    fn bytes() -> impl Strategy<Value = usize> {
+        (0..6usize, 0..10_000usize, 0..=usize::MAX)
+            .prop_map(|(pick, small, any)| [0, 1, usize::MAX, usize::MAX - 1, small, any][pick])
+    }
+
+    proptest! {
+        /// `at` never overflows, and `fewest_batches` is the least `b`
+        /// whose exact footprint fits `budget`, `None` exactly when
+        /// `budget ≤ inputs`.
+        #[test]
+        fn footprint_inverse_is_the_least_fitting_b(
+            inputs in bytes(),
+            unmerged in bytes(),
+            b in bytes(),
+            pick in 0..6usize,
+            any_budget in bytes(),
+        ) {
+            let fp = Footprint { inputs, unmerged };
+            let exact = |b: usize| inputs as u128 + unmerged.div_ceil(b.max(1)) as u128;
+            prop_assert_eq!(fp.at(b) as u128, exact(b).min(usize::MAX as u128));
+            let budget = [0, 1, inputs, inputs.saturating_add(1), usize::MAX, any_budget][pick];
+            match fp.fewest_batches(budget) {
+                None => prop_assert!(budget <= inputs),
+                Some(least) => {
+                    prop_assert!(budget > inputs);
+                    prop_assert!(least >= 1);
+                    prop_assert!(exact(least) <= budget as u128);
+                    prop_assert!(least == 1 || exact(least - 1) > budget as u128);
+                }
+            }
+        }
+    }
 
     #[test]
     fn eq2_matches_paper_arithmetic() {
@@ -135,10 +201,10 @@ mod tests {
     }
 
     #[test]
-    fn tracker_free_saturates() {
+    #[should_panic(expected = "ledger releases 11 bytes but holds 10")]
+    fn tracker_over_release_panics() {
         let mut t = MemTracker::new();
         t.alloc(10);
-        t.free(100);
-        assert_eq!(t.current, 0);
+        t.free(11);
     }
 }

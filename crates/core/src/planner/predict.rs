@@ -51,7 +51,7 @@ use super::probe::ProbeEstimate;
 use crate::exchange::ExchangeMode;
 use crate::family15::AlgorithmFamily;
 use crate::kernels::KernelStrategy;
-use crate::memory::{MemoryBudget, R_BYTES_PER_NNZ};
+use crate::memory::{Footprint, MemoryBudget, R_BYTES_PER_NNZ};
 use crate::summa2d::OverlapMode;
 use spgemm_simgrid::Machine;
 use spgemm_sparse::ops::block_range;
@@ -386,23 +386,18 @@ pub(crate) fn predict_candidate(
 ) -> CandidatePrediction {
     debug_assert_eq!(shape.l, candidate.layers);
     let (pr, l) = (shape.pr, candidate.layers);
-    let r = budget.r;
+    let r = R_BYTES_PER_NNZ;
     let scale = est.scale;
     let n = est.total_cols;
 
     // ---- Memory model (Alg. 3 on probe estimates) --------------------
     let per_proc = budget.per_process(p);
     let input_bytes = r * (shape.max_nnz_a_proc + shape.max_nnz_b_proc) as usize;
-    let eq2 = budget.eq2_lower_bound(
-        (r as f64 * est.nnz_c as f64) as usize, // refined below; placeholder scale
-        est.nnz_a as usize,
-        est.nnz_b as usize,
-    );
     if per_proc <= input_bytes {
         return infeasible(
             candidate,
             BindingConstraint::InputsTooLarge,
-            eq2.unwrap_or(0),
+            0,
             format!(
                 "inputs need {input_bytes} bytes/process but the budget allows {per_proc}"
             ),
@@ -492,6 +487,8 @@ pub(crate) fn predict_candidate(
             .copied()
             .fold(0.0, f64::max);
     let total_unmerged = scale * unmerged_total;
+    let mem_c_bytes = (r as f64 * total_unmerged).ceil() as usize;
+    let eq2 = budget.eq2_lower_bound(mem_c_bytes, est.nnz_a as usize, est.nnz_b as usize);
 
     // Single-column feasibility (the paper's upper bound on b).
     let max_col_bytes = (r as f64 * max_col_rank).ceil() as usize;
@@ -507,20 +504,21 @@ pub(crate) fn predict_candidate(
         );
     }
 
-    let mem_c_bytes = (r as f64 * total_unmerged).ceil() as usize;
-    let eq2_bound = match budget.eq2_lower_bound(mem_c_bytes, est.nnz_a as usize, est.nnz_b as usize)
-    {
-        Some(bnd) => bnd,
-        None => {
-            return infeasible(
-                candidate,
-                BindingConstraint::InputsTooLarge,
-                0,
-                "global inputs alone exhaust the aggregate budget".into(),
-            )
-        }
+    let Some(eq2_bound) = eq2 else {
+        return infeasible(
+            candidate,
+            BindingConstraint::InputsTooLarge,
+            0,
+            "global inputs alone exhaust the aggregate budget".into(),
+        );
     };
-    let b_alg3 = ((r as f64 * max_unmerged_proc / denom as f64).ceil() as usize).max(1);
+    let footprint = Footprint {
+        inputs: input_bytes,
+        unmerged: (r as f64 * max_unmerged_proc).ceil() as usize,
+    };
+    let b_alg3 = footprint
+        .fewest_batches(per_proc)
+        .expect("the inputs fit the per-process budget");
     let b_raw = b_alg3.max(eq2_bound);
     let batches = b_raw.clamp(1, n.max(1));
     let constraint = if batches == 1 {
@@ -530,9 +528,7 @@ pub(crate) fn predict_candidate(
     } else {
         BindingConstraint::MemoryBudget
     };
-    let unmerged_bytes_per_proc = (r as f64 * max_unmerged_proc).ceil() as usize;
-    let peak_bytes_per_proc =
-        input_bytes + ((r as f64 * max_unmerged_proc / batches as f64).ceil() as usize);
+    let peak_bytes_per_proc = footprint.at(batches);
 
     // ---- Time model (same Machine formulas the simulator charges) ----
     let b = batches as f64;
@@ -689,8 +685,8 @@ pub(crate) fn predict_candidate(
         one_time_s: one_time,
         total_s: (single_shot - one_time) + one_time / n_iter,
         peak_bytes_per_proc,
-        input_bytes_per_proc: input_bytes,
-        unmerged_bytes_per_proc,
+        input_bytes_per_proc: footprint.inputs,
+        unmerged_bytes_per_proc: footprint.unmerged,
         note: String::new(),
     }
 }
@@ -945,6 +941,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A candidate that one output column sinks reports Eq. 2 over the
+    /// unmerged intermediate the occupancy model predicts, as a feasible
+    /// candidate does, not over the merged `C`.
+    #[test]
+    fn column_too_large_reports_eq2_over_the_unmerged_total() {
+        use crate::planner::probe::{probe, ProbeConfig};
+        use spgemm_sparse::gen::clustered_similarity;
+        let m = clustered_similarity(4, 24, 6, 1, 2021);
+        let est = probe(&m, &m, &ProbeConfig::exact()).unwrap();
+        let (p, pr, l) = (16, 2, 4);
+        let shape = grid_shape(&m, &m, pr, l);
+        // One byte per process beyond the inputs: no column fits.
+        let inputs = R_BYTES_PER_NNZ * (shape.max_nnz_a_proc + shape.max_nnz_b_proc) as usize;
+        let budget = MemoryBudget::new(p * (inputs + 1));
+        let candidate = Candidate {
+            family: AlgorithmFamily::Summa3dBatched,
+            layers: l,
+            kernels: KernelStrategy::New,
+            overlap: OverlapMode::Blocking,
+            exchange: ExchangeMode::DenseBcast,
+        };
+        let machine = Machine::knl();
+        let got = predict_candidate(p, &shape, &est, &machine, &budget, true, 1, candidate);
+        assert_eq!(got.constraint, BindingConstraint::ColumnTooLarge);
+
+        // The unmerged total: every (i, k) rank's stage partials of every
+        // column, `pr` stages of `occ(f/(pr²·l), d/pr)` distinct rows each.
+        let cells = (pr * pr * l) as f64;
+        let mut unmerged = 0.0;
+        for (&f, &d) in est.col_flops.iter().zip(&est.col_nnz) {
+            if f > 0 {
+                let bins = (d as f64 / pr as f64).max(1.0);
+                unmerged += (pr * l) as f64 * (pr as f64 * occ(f as f64 / cells, bins));
+            }
+        }
+        let mem_c = (R_BYTES_PER_NNZ as f64 * (est.scale * unmerged)).ceil() as usize;
+        let (nnz_a, nnz_b) = (est.nnz_a as usize, est.nnz_b as usize);
+        let eq2 = budget.eq2_lower_bound(mem_c, nnz_a, nnz_b).unwrap();
+        assert_eq!(got.eq2_bound, eq2);
+        // The merged `C` would bound b elsewhere.
+        let merged = budget.eq2_lower_bound(R_BYTES_PER_NNZ * est.nnz_c as usize, nnz_a, nnz_b);
+        assert_ne!(merged, Some(eq2));
     }
 
     #[test]

@@ -55,8 +55,8 @@ impl ProbeConfig {
 pub struct ProbeEstimate {
     /// `nrows(A)` — with [`ProbeEstimate::nrows_b`] (= `ncols(A)`) and
     /// [`ProbeEstimate::total_cols`] (= `ncols(B)`) this pins all four
-    /// operand dimensions, so a [`super::sketch::StructuralSketch`] derived
-    /// from the probe distinguishes shape, not just sparsity.
+    /// operand dimensions, so the [`super::sketch::sketch`] of the probe
+    /// distinguishes shape, not just sparsity.
     pub nrows_a: usize,
     /// `nrows(B)` = `ncols(A)` — the inner dimension.
     pub nrows_b: usize,

@@ -4,10 +4,9 @@
 //! The probe ([`mod@super::probe`]) is deliberately structure-only: it never
 //! reads a single stored value, so two operand pairs with the same
 //! dimensions and the same nonzero pattern probe identically no matter
-//! what numbers they hold. A [`StructuralSketch`] canonically hashes that
-//! probe — dimensions, exact input nonzero counts, the sampled column ids,
-//! and the per-column occupancy profile `(fⱼ, dⱼ, nnz(B(:,j)))` — into one
-//! `u64` plus human-readable summary fields.
+//! what numbers they hold. [`sketch`] canonically hashes that probe —
+//! dimensions, exact input nonzero counts, the sampled column ids, and the
+//! per-column occupancy profile `(fⱼ, dⱼ, nnz(B(:,j)))` — into one `u64`.
 //!
 //! Equality of sketches is the plan cache's notion of "same shape": the
 //! serve subsystem keys cached planner decisions on it, so a repeat job
@@ -51,81 +50,41 @@ impl Fnv {
     }
 }
 
-/// A stable structural fingerprint of one probed operand pair.
+/// The structural fingerprint of a probe taken under `cfg`.
 ///
-/// Built by [`StructuralSketch::from_probe`]; compared by
-/// [`StructuralSketch::hash`] (the summary fields ride along for reports
-/// and cache introspection, and are themselves inputs to the hash).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct StructuralSketch {
-    /// Canonical 64-bit FNV-1a hash of the probe's structural content.
-    pub hash: u64,
-    /// `nrows(A)`.
-    pub nrows_a: usize,
-    /// Inner dimension `ncols(A)` = `nrows(B)`.
-    pub inner: usize,
-    /// `ncols(B)`.
-    pub ncols_b: usize,
-    /// Exact `nnz(A)`.
-    pub nnz_a: u64,
-    /// Exact `nnz(B)`.
-    pub nnz_b: u64,
-    /// Scaled flop estimate from the probe (summary only; already hashed
-    /// via the per-column profile it is derived from).
-    pub flops: u64,
-    /// Scaled `nnz(C)` estimate from the probe.
-    pub nnz_c: u64,
-    /// How many columns the probe sampled (the profile's resolution).
-    pub sampled_cols: usize,
-}
-
-impl StructuralSketch {
-    /// Sketch a probe taken under `cfg`.
-    ///
-    /// The sampling parameters are hashed alongside the observations:
-    /// probes of the same operands under different seeds or fractions see
-    /// different column subsets and must not alias in a cache.
-    pub(crate) fn from_probe(est: &ProbeEstimate, cfg: &ProbeConfig) -> Self {
-        let mut h = Fnv::new();
-        // Sampling scheme.
-        h.write_u64(cfg.seed);
-        h.write_u64(cfg.sample_fraction.to_bits());
-        h.write_usize(cfg.min_cols);
-        h.write_usize(cfg.max_cols);
-        // Dimensions and exact input sizes.
-        h.write_usize(est.nrows_a);
-        h.write_usize(est.nrows_b);
-        h.write_usize(est.total_cols);
-        h.write_u64(est.nnz_a);
-        h.write_u64(est.nnz_b);
-        // Which columns were observed, and their occupancy profile. This
-        // is the per-block structural signature: flops, distinct output
-        // rows and B-column weight per sampled column.
-        h.write_usize(est.cols.len());
-        for &c in &est.cols {
-            h.write_usize(c);
-        }
-        for (&f, (&d, &k)) in est
-            .col_flops
-            .iter()
-            .zip(est.col_nnz.iter().zip(est.col_bnnz.iter()))
-        {
-            h.write_u64(f);
-            h.write_u64(d);
-            h.write_u64(k);
-        }
-        StructuralSketch {
-            hash: h.0,
-            nrows_a: est.nrows_a,
-            inner: est.nrows_b,
-            ncols_b: est.total_cols,
-            nnz_a: est.nnz_a,
-            nnz_b: est.nnz_b,
-            flops: est.flops,
-            nnz_c: est.nnz_c,
-            sampled_cols: est.cols.len(),
-        }
+/// The sampling parameters are hashed alongside the observations: probes
+/// of the same operands under different seeds or fractions see different
+/// column subsets and must not alias in a cache.
+pub(crate) fn sketch(est: &ProbeEstimate, cfg: &ProbeConfig) -> u64 {
+    let mut h = Fnv::new();
+    // Sampling scheme.
+    h.write_u64(cfg.seed);
+    h.write_u64(cfg.sample_fraction.to_bits());
+    h.write_usize(cfg.min_cols);
+    h.write_usize(cfg.max_cols);
+    // Dimensions and exact input sizes.
+    h.write_usize(est.nrows_a);
+    h.write_usize(est.nrows_b);
+    h.write_usize(est.total_cols);
+    h.write_u64(est.nnz_a);
+    h.write_u64(est.nnz_b);
+    // Which columns were observed, and their occupancy profile. This is
+    // the per-block structural signature: flops, distinct output rows and
+    // B-column weight per sampled column.
+    h.write_usize(est.cols.len());
+    for &c in &est.cols {
+        h.write_usize(c);
     }
+    for (&f, (&d, &k)) in est
+        .col_flops
+        .iter()
+        .zip(est.col_nnz.iter().zip(est.col_bnnz.iter()))
+    {
+        h.write_u64(f);
+        h.write_u64(d);
+        h.write_u64(k);
+    }
+    h.0
 }
 
 #[cfg(test)]
@@ -134,9 +93,10 @@ mod tests {
     use crate::planner::probe::probe;
     use spgemm_sparse::gen::er_random;
     use spgemm_sparse::semiring::PlusTimesF64;
+    use spgemm_sparse::CscMatrix;
 
-    fn sketch_of(a: &spgemm_sparse::CscMatrix<f64>, b: &spgemm_sparse::CscMatrix<f64>, cfg: &ProbeConfig) -> StructuralSketch {
-        StructuralSketch::from_probe(&probe(a, b, cfg).unwrap(), cfg)
+    fn sketch_of(a: &CscMatrix<f64>, b: &CscMatrix<f64>, cfg: &ProbeConfig) -> u64 {
+        sketch(&probe(a, b, cfg).unwrap(), cfg)
     }
 
     #[test]
@@ -147,7 +107,6 @@ mod tests {
         let s1 = sketch_of(&a, &b, &cfg);
         let s2 = sketch_of(&a, &b, &cfg);
         assert_eq!(s1, s2);
-        assert_eq!(s1.hash, s2.hash);
         // A deep-copied pair (new allocations, same structure) sketches
         // identically: the hash covers content, never identity.
         #[allow(clippy::redundant_clone)]
@@ -175,13 +134,13 @@ mod tests {
         let s = sketch_of(&a, &b, &cfg);
         // Different sparsity pattern (new seed).
         let b_other = er_random::<PlusTimesF64>(100, 100, 5, 47);
-        assert_ne!(sketch_of(&a, &b_other, &cfg).hash, s.hash);
+        assert_ne!(sketch_of(&a, &b_other, &cfg), s);
         // Same nnz-per-column knobs, different dimensions.
         let a_wide = er_random::<PlusTimesF64>(100, 200, 5, 45);
         let b_tall = er_random::<PlusTimesF64>(200, 100, 5, 46);
-        assert_ne!(sketch_of(&a_wide, &b_tall, &cfg).hash, s.hash);
+        assert_ne!(sketch_of(&a_wide, &b_tall, &cfg), s);
         // Swapping the operand roles is a different problem.
-        assert_ne!(sketch_of(&b, &a, &cfg).hash, s.hash);
+        assert_ne!(sketch_of(&b, &a, &cfg), s);
     }
 
     #[test]
@@ -193,32 +152,11 @@ mod tests {
             seed: cfg.seed ^ 1,
             ..cfg
         };
-        assert_ne!(
-            sketch_of(&a, &b, &cfg).hash,
-            sketch_of(&a, &b, &other_seed).hash
-        );
+        assert_ne!(sketch_of(&a, &b, &cfg), sketch_of(&a, &b, &other_seed));
         // The exact probe sees every column: a different *kind* of key.
         assert_ne!(
-            sketch_of(&a, &b, &cfg).hash,
-            sketch_of(&a, &b, &ProbeConfig::exact()).hash
+            sketch_of(&a, &b, &cfg),
+            sketch_of(&a, &b, &ProbeConfig::exact())
         );
-    }
-
-    #[test]
-    fn summary_fields_mirror_the_probe() {
-        let a = er_random::<PlusTimesF64>(80, 90, 4, 50);
-        let b = er_random::<PlusTimesF64>(90, 70, 4, 51);
-        let cfg = ProbeConfig::exact();
-        let est = probe(&a, &b, &cfg).unwrap();
-        let s = StructuralSketch::from_probe(&est, &cfg);
-        assert_eq!(
-            (s.nrows_a, s.inner, s.ncols_b),
-            (80, 90, 70),
-        );
-        assert_eq!(s.nnz_a, a.nnz() as u64);
-        assert_eq!(s.nnz_b, b.nnz() as u64);
-        assert_eq!(s.flops, est.flops);
-        assert_eq!(s.nnz_c, est.nnz_c);
-        assert_eq!(s.sampled_cols, 70);
     }
 }

@@ -18,6 +18,7 @@
 
 use crate::exchange::{fetch_rep_tag, fetch_req_tag, ExchangeMode};
 use crate::family15::shift_tag;
+use crate::memory::R_BYTES_PER_NNZ;
 use crate::summa2d::OverlapMode;
 use spgemm_simgrid::OpKind;
 
@@ -308,14 +309,13 @@ pub enum Payload {
 /// of `B̃` and the 1.5D A-shift charge it and [`crate::audit`] annotates
 /// with it. A message carries what its receiver lacks.
 ///
-/// The paper's `r` bytes per nonzero are three words, a row index, a
-/// column index and a value (`r = 24`: 8 bytes each); an index word is
-/// `w = r / 3` and the value takes the rest.
+/// A stored nonzero is three 8-byte words, a row index, a column index and
+/// a value: [`crate::R_BYTES_PER_NNZ`] = 24 bytes, the paper's `r`.
 ///
 /// | payload | numeric | symbolic sweep stage (`batch: None`) |
 /// |---|---|---|
-/// | `Operand` | `r·nnz` (Table II) | `2w·nnz`: the sweep reads no value |
-/// | `Coded` | `(r − 2w)·nnz + index_bytes` | `index_bytes` |
+/// | `Operand` | `24·nnz` (Table II) | `16·nnz`: the sweep reads no value |
+/// | `Coded` | `8·nnz + index_bytes` | `index_bytes` |
 /// | `Request` | `index_bytes` | `index_bytes` |
 ///
 /// Stage broadcasts and the scatter move `Operand`s. Every other sparse
@@ -325,15 +325,15 @@ pub enum Payload {
 /// requester sent them), while a fiber piece, a refresh slice of `B̃` and an
 /// A-shift block lead with their nonempty column ids. A request is a
 /// gap-coded varint list.
-pub fn payload_bytes(op: Op, payload: Payload, r: usize) -> usize {
-    let w = r / 3;
+pub fn payload_bytes(op: Op, payload: Payload) -> usize {
+    const W: usize = R_BYTES_PER_NNZ / 3; // one index word
     let pattern = matches!(op, Op::Stage { batch: None, .. });
     match payload {
-        Payload::Operand { nnz } if pattern => 2 * w * nnz,
-        Payload::Operand { nnz } => r * nnz,
+        Payload::Operand { nnz } if pattern => 2 * W * nnz,
+        Payload::Operand { nnz } => R_BYTES_PER_NNZ * nnz,
         Payload::Request { index_bytes } => index_bytes,
         Payload::Coded { index_bytes, .. } if pattern => index_bytes,
-        Payload::Coded { nnz, index_bytes } => (r - 2 * w) * nnz + index_bytes,
+        Payload::Coded { nnz, index_bytes } => (R_BYTES_PER_NNZ - 2 * W) * nnz + index_bytes,
     }
 }
 
@@ -406,45 +406,36 @@ mod tests {
         let operand = |nnz| Payload::Operand { nnz };
         let coded = |nnz, index_bytes| Payload::Coded { nnz, index_bytes };
         let request = |index_bytes| Payload::Request { index_bytes };
-        // (op, payload, bytes at r = 24, bytes at r = 20: w = 6, value 8)
+        // (op, payload, bytes)
         let rows = [
-            (numeric, operand(10), 240, 200),
-            (sweep, operand(10), 160, 120),
-            (numeric, coded(10, 15), 95, 95),
-            (sweep, coded(10, 15), 15, 15),
-            (numeric, request(6), 6, 6),
-            (sweep, request(6), 6, 6),
+            (numeric, operand(10), 240),
+            (sweep, operand(10), 160),
+            (numeric, coded(10, 15), 95),
+            (sweep, coded(10, 15), 15),
+            (numeric, request(6), 6),
+            (sweep, request(6), 6),
             // Nothing stored: the reply still delimits its columns.
-            (numeric, operand(0), 0, 0),
-            (sweep, operand(0), 0, 0),
-            (numeric, coded(0, 4), 4, 4),
-            (sweep, coded(0, 4), 4, 4),
+            (numeric, operand(0), 0),
+            (sweep, operand(0), 0),
+            (numeric, coded(0, 4), 4),
+            (sweep, coded(0, 4), 4),
             // Nothing asked for.
-            (numeric, coded(0, 0), 0, 0),
-            (sweep, coded(0, 0), 0, 0),
-            (numeric, request(0), 0, 0),
+            (numeric, coded(0, 0), 0),
+            (sweep, coded(0, 0), 0),
+            (numeric, request(0), 0),
             // The scatter moves whole operands.
-            (Op::Scatter, operand(10), 240, 200),
+            (Op::Scatter, operand(10), 240),
             // Fiber pieces, refresh slices and A-shift blocks travel coded,
             // values included, also when nothing is stored.
-            (Op::Fiber, coded(10, 17), 97, 97),
-            (Op::RefreshB, coded(10, 17), 97, 97),
-            (Op::Shift { round: 2 }, coded(10, 17), 97, 97),
-            (Op::Fiber, coded(0, 1), 1, 1),
-            (Op::RefreshB, coded(0, 1), 1, 1),
-            (Op::Shift { round: 0 }, coded(0, 1), 1, 1),
+            (Op::Fiber, coded(10, 17), 97),
+            (Op::RefreshB, coded(10, 17), 97),
+            (Op::Shift { round: 2 }, coded(10, 17), 97),
+            (Op::Fiber, coded(0, 1), 1),
+            (Op::RefreshB, coded(0, 1), 1),
+            (Op::Shift { round: 0 }, coded(0, 1), 1),
         ];
-        for (op, payload, at24, at20) in rows {
-            assert_eq!(
-                payload_bytes(op, payload, 24),
-                at24,
-                "{op:?} {payload:?} r=24"
-            );
-            assert_eq!(
-                payload_bytes(op, payload, 20),
-                at20,
-                "{op:?} {payload:?} r=20"
-            );
+        for (op, payload, bytes) in rows {
+            assert_eq!(payload_bytes(op, payload), bytes, "{op:?} {payload:?}");
         }
         // Post and wait halves size like the blocking stage they split.
         for phase in [Phase::Post, Phase::Wait] {
@@ -453,7 +444,7 @@ mod tests {
                 batch: None,
                 phase,
             };
-            assert_eq!(payload_bytes(op, operand(10), 24), 160);
+            assert_eq!(payload_bytes(op, operand(10)), 160);
         }
     }
 

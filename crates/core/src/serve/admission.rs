@@ -9,20 +9,22 @@
 //! > **the sum of admitted jobs' modeled peaks never exceeds the global
 //! > budget.**
 //!
-//! A job's modeled peak at batch count `b` is
-//! `p · (input_bytes + ⌈unmerged_bytes / b⌉)`: the inputs are resident for
-//! the whole multiply (irreducible), while column batching divides the
-//! unmerged intermediate. That split is exactly what makes
-//! *shrink-and-batch* possible — when a job's planned peak doesn't fit the
-//! budget **currently** available, the controller can raise `b` until the
-//! divisible term fits, admitting the job now at the price of extra
-//! A-rebroadcasts instead of parking it behind the running set.
+//! A job's modeled peak at batch count `b` is `p` times its per-process
+//! [`Footprint`] at `b`, `input_bytes + ⌈unmerged_bytes / b⌉`: the inputs
+//! are resident for the whole multiply (irreducible), while column
+//! batching divides the unmerged intermediate. That split is exactly what
+//! makes *shrink-and-batch* possible — when a job's planned peak doesn't
+//! fit the budget **currently** available, the controller runs Alg. 3 on
+//! what each process can still get, raising `b` until the divisible term
+//! fits, admitting the job now at the price of extra A-rebroadcasts
+//! instead of parking it behind the running set.
 //!
 //! [`AdmissionController::decide`] is pure (no reservation mutation), so
 //! schedulers can probe alternatives; [`AdmissionController::admit`] is
 //! the single mutation point and asserts the invariant on every call.
 
 use super::job::JobId;
+use crate::memory::Footprint;
 use std::collections::HashMap;
 
 /// The memory shape of one job, as the planner modeled it.
@@ -31,12 +33,9 @@ pub(crate) struct JobDemand {
     /// Ranks the job runs on (reservations are aggregate: per-process
     /// bytes × `p`).
     pub p: usize,
-    /// Irreducible per-process bytes: the heaviest rank's resident inputs
-    /// under the chosen placement.
-    pub input_bytes_per_proc: usize,
-    /// Batch-divisible per-process bytes: the heaviest rank's unmerged
-    /// intermediate at `b = 1`.
-    pub unmerged_bytes_per_proc: usize,
+    /// The heaviest rank's resident inputs and unmerged intermediate under
+    /// the chosen placement.
+    pub footprint: Footprint,
     /// The batch count the planner chose under the job's own budget.
     pub planned_batches: usize,
     /// Finest batching column granularity allows (`ncols(B)`).
@@ -46,9 +45,7 @@ pub(crate) struct JobDemand {
 impl JobDemand {
     /// Aggregate modeled peak at batch count `b` (Eq. 2 shape).
     pub(crate) fn bytes_at(&self, b: usize) -> usize {
-        let b = b.max(1);
-        self.p
-            .saturating_mul(self.input_bytes_per_proc + self.unmerged_bytes_per_proc.div_ceil(b))
+        self.p.saturating_mul(self.footprint.at(b))
     }
 
     /// Aggregate peak at the planned batch count.
@@ -151,27 +148,20 @@ impl AdmissionController {
                 bytes: planned,
             };
         }
-        if self.shrink {
-            // Smallest b with p·(input + ⌈unmerged/b⌉) ≤ available:
-            // closed form on the divisible term, then verify (ceil).
-            let fixed = demand.p.saturating_mul(demand.input_bytes_per_proc);
-            if available > fixed && demand.p > 0 {
-                let room_per_proc = (available - fixed) / demand.p;
-                if room_per_proc > 0 {
-                    let b = demand
-                        .unmerged_bytes_per_proc
-                        .div_ceil(room_per_proc)
-                        .max(demand.planned_batches);
-                    if b <= demand.max_batches {
-                        let bytes = demand.bytes_at(b);
-                        if bytes <= available {
-                            return Decision::AdmitShrunk { batches: b, bytes };
-                        }
-                    }
-                }
-            }
+        if !self.shrink {
+            return Decision::Queue;
         }
-        Decision::Queue
+        // Shrink-and-batch: Alg. 3 on what each process can still get.
+        let fewest = available
+            .checked_div(demand.p)
+            .and_then(|per_proc| demand.footprint.fewest_batches(per_proc));
+        match fewest.map(|b| b.max(demand.planned_batches)) {
+            Some(batches) if batches <= demand.max_batches => Decision::AdmitShrunk {
+                batches,
+                bytes: demand.bytes_at(batches),
+            },
+            _ => Decision::Queue,
+        }
     }
 
     /// Reserve `bytes` for `id`. Panics if the reservation would breach
@@ -205,12 +195,15 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbolic::alg3_batch_count;
 
     fn demand(p: usize, input: usize, unmerged: usize, planned: usize, maxb: usize) -> JobDemand {
         JobDemand {
             p,
-            input_bytes_per_proc: input,
-            unmerged_bytes_per_proc: unmerged,
+            footprint: Footprint {
+                inputs: input,
+                unmerged,
+            },
             planned_batches: planned,
             max_batches: maxb,
         }
@@ -266,6 +259,25 @@ mod tests {
         assert_eq!(ac.available(), 0);
         // Nothing left at all: even one-column batches can't fit now.
         assert_eq!(ac.decide(&d), Decision::Queue);
+        // A shrunk b is Alg. 3 on what each process can still get:
+        // (p, input nnz, unmerged nnz, reserved of 10 000).
+        for (p, input, unmerged, reserved) in [
+            (2, 10, 80, 7000),
+            (4, 5, 300, 9000),
+            (3, 7, 41, 9000),
+            (8, 1, 50, 9000),
+        ] {
+            let mut ac = AdmissionController::new(10_000, true);
+            ac.admit(1, reserved);
+            let d = demand(p, 24 * input, 24 * unmerged, 1, 64);
+            let per_proc = ac.available() / p;
+            let b = alg3_batch_count(per_proc, input as u64, 0, unmerged as u64, 0, 64).unwrap();
+            let shrunk = Decision::AdmitShrunk {
+                batches: b,
+                bytes: d.bytes_at(b),
+            };
+            assert_eq!(ac.decide(&d), shrunk, "p={p} reserved={reserved}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   once registered, so a hit is exact by construction: no hashing of
 //!   matrix content on the submit path at all.
 //! * **Plan cache** — keyed by [`PlanKey`]: the pair's
-//!   [`StructuralSketch`] hash plus the run parameters that change the
+//!   structural [`sketch`](crate::planner::sketch::sketch) plus the run parameters that change the
 //!   planner's answer (`p` and the job's budget). This level also dedups
 //!   *structurally identical* pairs registered under different handles —
 //!   the sketch is value-insensitive, so re-registered copies of the same
@@ -27,7 +27,6 @@
 use super::admission::JobDemand;
 use super::job::OperandId;
 use crate::planner::probe::ProbeEstimate;
-use crate::planner::sketch::StructuralSketch;
 use crate::planner::Candidate;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,7 +34,7 @@ use std::sync::Arc;
 /// Everything besides structure that changes what the planner would say.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
-    /// [`StructuralSketch::hash`] of the operand pair.
+    /// The structural [`sketch`](crate::planner::sketch::sketch) of the operand pair.
     pub sketch: u64,
     /// Process count the plan was made for.
     pub p: usize,
@@ -88,7 +87,7 @@ pub(crate) struct PlanCache {
     capacity: usize,
     tick: u64,
     plans: HashMap<PlanKey, (CachedPlan, u64)>,
-    probes: HashMap<(OperandId, OperandId), (StructuralSketch, Arc<ProbeEstimate>)>,
+    probes: HashMap<(OperandId, OperandId), (u64, Arc<ProbeEstimate>)>,
     stats: CacheStats,
 }
 
@@ -110,7 +109,7 @@ impl PlanCache {
     pub(crate) fn probe_lookup(
         &mut self,
         pair: (OperandId, OperandId),
-    ) -> Option<(StructuralSketch, Arc<ProbeEstimate>)> {
+    ) -> Option<(u64, Arc<ProbeEstimate>)> {
         match self.probes.get(&pair) {
             Some((sketch, est)) => {
                 self.stats.probe_hits += 1;
@@ -127,7 +126,7 @@ impl PlanCache {
     pub(crate) fn probe_insert(
         &mut self,
         pair: (OperandId, OperandId),
-        sketch: StructuralSketch,
+        sketch: u64,
         est: Arc<ProbeEstimate>,
     ) {
         self.probes.insert(pair, (sketch, est));
@@ -181,6 +180,7 @@ mod tests {
     use crate::exchange::ExchangeMode;
     use crate::family15::AlgorithmFamily;
     use crate::kernels::KernelStrategy;
+    use crate::memory::Footprint;
     use crate::summa2d::OverlapMode;
 
     fn plan() -> CachedPlan {
@@ -194,25 +194,13 @@ mod tests {
             },
             demand: JobDemand {
                 p: 4,
-                input_bytes_per_proc: 100,
-                unmerged_bytes_per_proc: 400,
+                footprint: Footprint {
+                    inputs: 100,
+                    unmerged: 400,
+                },
                 planned_batches: 2,
                 max_batches: 32,
             },
-        }
-    }
-
-    fn sketch(hash: u64) -> StructuralSketch {
-        StructuralSketch {
-            hash,
-            nrows_a: 8,
-            inner: 8,
-            ncols_b: 8,
-            nnz_a: 16,
-            nnz_b: 16,
-            flops: 32,
-            nnz_c: 20,
-            sampled_cols: 8,
         }
     }
 
@@ -274,7 +262,7 @@ mod tests {
         cache.get(&key(9));
         assert!((cache.stats().plan_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         // Probe memo counts independently of the plan level.
-        let (s, e) = (sketch(1), Arc::new(dummy_probe()));
+        let (s, e) = (1, Arc::new(dummy_probe()));
         let pair = (OperandId(0), OperandId(1));
         assert!(cache.probe_lookup(pair).is_none());
         cache.probe_insert(pair, s, e);

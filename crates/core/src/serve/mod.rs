@@ -11,7 +11,7 @@
 //!   is planned with the PR-4 planner: probe the operands' structure,
 //!   predict every candidate grid, run the winner. A two-level cache
 //!   makes repeat shapes cheap: a probe memo keyed by operand handles, and
-//!   a plan cache keyed by the pair's `StructuralSketch`
+//!   a plan cache keyed by the pair's structural sketch
 //!   (plus `p` and budget), so structurally identical work skips probe
 //!   *and* predict.
 //! * **Admission control** (`admission`) — each job's Eq. 2 modeled

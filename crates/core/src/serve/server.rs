@@ -47,7 +47,8 @@ use super::job::{
 use crate::backend::BackendKind;
 use crate::family15::AlgorithmFamily;
 use crate::harness::{run_spgemm, RunConfig, RunOutput};
-use crate::planner::sketch::StructuralSketch;
+use crate::memory::Footprint;
+use crate::planner::sketch::sketch;
 use crate::planner::{self, Candidate, PlannerConfig, ProbeConfig};
 use spgemm_simgrid::{CheckMode, Machine};
 use spgemm_sparse::semiring::{MinPlusF64, PlusTimesF64};
@@ -576,20 +577,20 @@ impl Scheduler {
         }
 
         let pair = (spec.a, spec.b);
-        let (sketch, est, probe_reused) = match self.cache.probe_lookup(pair) {
-            Some((sketch, est)) => (sketch, est, true),
+        let (hash, est, probe_reused) = match self.cache.probe_lookup(pair) {
+            Some((hash, est)) => (hash, est, true),
             None => {
                 let est = planner::probe(&a, &b, &self.cfg.probe)
                     .map_err(|e| RejectReason::PlanInfeasible(e.to_string()))?;
-                let sketch = StructuralSketch::from_probe(&est, &self.cfg.probe);
+                let hash = sketch(&est, &self.cfg.probe);
                 let est = Arc::new(est);
-                self.cache.probe_insert(pair, sketch, Arc::clone(&est));
-                (sketch, est, false)
+                self.cache.probe_insert(pair, hash, Arc::clone(&est));
+                (hash, est, false)
             }
         };
 
         let key = PlanKey {
-            sketch: sketch.hash,
+            sketch: hash,
             p: spec.p,
             budget_bytes: spec.budget.total_bytes,
         };
@@ -613,8 +614,10 @@ impl Scheduler {
             candidate: winner.candidate,
             demand: JobDemand {
                 p: spec.p,
-                input_bytes_per_proc: winner.input_bytes_per_proc,
-                unmerged_bytes_per_proc: winner.unmerged_bytes_per_proc,
+                footprint: Footprint {
+                    inputs: winner.input_bytes_per_proc,
+                    unmerged: winner.unmerged_bytes_per_proc,
+                },
                 planned_batches: winner.batches,
                 max_batches: b.ncols().max(1),
             },

@@ -15,7 +15,6 @@
 
 use crate::exchange::OperandPair;
 use crate::kernels::LocalKernels;
-use crate::memory::MemTracker;
 use crate::Result;
 use spgemm_simgrid::{Grid3D, Rank, Step};
 use spgemm_sparse::{CscMatrix, Semiring};
@@ -42,19 +41,18 @@ pub enum OverlapMode {
 /// costlier in the worst case.
 pub(crate) struct StageAccumulator<T: Copy> {
     partials: Vec<CscMatrix<T>>,
-    bytes: usize,
 }
 
 impl<T: Copy> StageAccumulator<T> {
     pub(crate) fn new(stages: usize) -> Self {
         StageAccumulator {
             partials: Vec::with_capacity(stages),
-            bytes: 0,
         }
     }
 
     /// Local-Multiply of the operands a stage delivered, executed and
-    /// clock-charged by the backend; the partial is kept for the merge.
+    /// clock-charged by the backend; the partial is kept for the merge and
+    /// returned.
     /// `kernels` is the rank's long-lived engine: its scratch is reused
     /// across every stage, batch and layer, so steady-state stages run
     /// allocation-free.
@@ -64,9 +62,7 @@ impl<T: Copy> StageAccumulator<T> {
         grid: &Grid3D,
         kernels: &mut LocalKernels<T>,
         (a_recv, b_recv): &OperandPair<T>,
-        r: usize,
-        mem: &mut MemTracker,
-    ) -> Result<()> {
+    ) -> Result<&CscMatrix<T>> {
         let s = self.partials.len();
         debug_assert_eq!(
             a_recv.ncols(),
@@ -90,32 +86,22 @@ impl<T: Copy> StageAccumulator<T> {
         let (partial, _stats) = kernels.charged(rank, Step::LocalMultiply, |k| {
             k.local_multiply::<S>(a_recv, b_recv)
         })?;
-        self.bytes += partial.modeled_bytes(r);
-        mem.alloc(partial.modeled_bytes(r));
         self.partials.push(partial);
-        Ok(())
+        Ok(self.partials.last().expect("pushed above"))
     }
 
     /// Merge-Layer: combine the per-stage partials into `D̃⁽ᵏ⁾` (rows:
     /// `A`'s row block `i`; columns: the batch's local columns) and start
-    /// over for the next batch. Footprint model follows Alg. 3's
-    /// accounting: the budgeted high-water mark is the *unmerged*
-    /// residency (inputs + stage partials); merging is modeled as
-    /// streaming (inputs released column-by-column as they are consumed),
-    /// so the merged output replaces rather than stacks on the partials.
+    /// over for the next batch.
     pub(crate) fn merge<S: Semiring<T = T>>(
         &mut self,
         rank: &mut Rank,
         kernels: &mut LocalKernels<T>,
-        r: usize,
-        mem: &mut MemTracker,
     ) -> Result<CscMatrix<T>> {
         let (merged, _stats) = kernels.charged(rank, Step::MergeLayer, |k| {
             k.merge_layer::<S>(&self.partials)
         })?;
         self.partials.clear();
-        mem.free(std::mem::take(&mut self.bytes));
-        mem.alloc(merged.modeled_bytes(r));
         Ok(merged)
     }
 }

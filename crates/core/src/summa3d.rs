@@ -13,7 +13,6 @@
 use crate::dist::{CPiece, DistMatrix};
 use crate::exchange::{block_leg, charge_codec};
 use crate::kernels::LocalKernels;
-use crate::memory::MemTracker;
 use crate::schedule::Op;
 use crate::Result;
 use spgemm_simgrid::{Grid3D, Rank, Step};
@@ -23,9 +22,8 @@ use spgemm_sparse::{CscMatrix, Semiring};
 /// What the fiber all-to-all delivered to this rank: one piece per layer,
 /// all covering the same global columns of `C`.
 pub(crate) struct FiberPieces<T: Copy> {
-    pieces: Vec<CscMatrix<T>>,
+    pub(crate) pieces: Vec<CscMatrix<T>>,
     global_cols: Vec<u32>,
-    bytes: usize,
 }
 
 /// ColSplit + AllToAll-Fiber (Alg. 2 lines 4–5) of the layer product `d`,
@@ -35,17 +33,13 @@ pub(crate) struct FiberPieces<T: Copy> {
 /// would be waited at once, which costs exactly the blocking call (see
 /// `spgemm_simgrid::nonblocking`). Under
 /// [`crate::OverlapMode::Overlapped`] the next batch's stage-0 broadcasts,
-/// already posted, stay in flight across it. Residency stays at `r` bytes
-/// per nonzero.
-#[allow(clippy::too_many_arguments)] // SPMD plumbing: grid + matrices + policies
+/// already posted, stay in flight across it.
 pub(crate) fn fiber_exchange<T: Copy + Send + Sync + 'static>(
     rank: &mut Rank,
     grid: &Grid3D,
     d: CscMatrix<T>,
     batch_global_cols: &[u32],
     piece_offsets: &[usize],
-    r: usize,
-    mem: &mut MemTracker,
 ) -> FiberPieces<T> {
     debug_assert_eq!(d.ncols(), batch_global_cols.len());
     debug_assert_eq!(piece_offsets.len(), grid.l + 1);
@@ -60,15 +54,9 @@ pub(crate) fn fiber_exchange<T: Copy + Send + Sync + 'static>(
             (col_block(&d, cut[0]..cut[1]), cols)
         })
         .collect();
-    // ColSplit replaces D with same-size pieces (streaming residency model,
-    // consistent with Alg. 3's unmerged-high-water-mark accounting).
-    let held = d.modeled_bytes(r);
-    drop(d);
+    drop(d); // ColSplit replaces D with its pieces
 
-    let received = coded_fiber_alltoall(rank, grid, Op::Fiber, Step::AllToAllFiber, parts, r);
-    let bytes: usize = received.iter().map(|(p, _)| p.modeled_bytes(r)).sum();
-    mem.free(held);
-    mem.alloc(bytes);
+    let received = coded_fiber_alltoall(rank, grid, Op::Fiber, Step::AllToAllFiber, parts);
 
     // All received pieces cover the same global columns: every fiber member
     // split the same local column set and sent us piece #k.
@@ -77,7 +65,6 @@ pub(crate) fn fiber_exchange<T: Copy + Send + Sync + 'static>(
     FiberPieces {
         pieces: received.into_iter().map(|(p, _)| p).collect(),
         global_cols,
-        bytes,
     }
 }
 
@@ -93,7 +80,6 @@ pub(crate) fn coded_fiber_alltoall<T: Copy + Send + Sync + 'static, X: Send + 's
     op: Op,
     step: Step,
     parts: Vec<(CscMatrix<T>, X)>,
-    r: usize,
 ) -> Vec<(CscMatrix<T>, X)> {
     let me = grid.fiber.my_index();
     let mut bytes = Vec::with_capacity(parts.len());
@@ -102,7 +88,7 @@ pub(crate) fn coded_fiber_alltoall<T: Copy + Send + Sync + 'static, X: Send + 's
         let (wire, coded) = if k == me {
             (0, 0)
         } else {
-            block_leg(op, &block, r)
+            block_leg(op, &block)
         };
         bytes.push(wire);
         sent.push((block, meta, coded));
@@ -124,8 +110,6 @@ pub(crate) fn merge_fiber<S: Semiring>(
     a: &DistMatrix<S::T>,
     kernels: &mut LocalKernels<S::T>,
     received: FiberPieces<S::T>,
-    r: usize,
-    mem: &mut MemTracker,
 ) -> Result<CPiece<S::T>> {
     // The pieces crossed the fiber all-to-all, so re-check them against the
     // strategy's intermediate contract before merging.
@@ -142,8 +126,6 @@ pub(crate) fn merge_fiber<S: Semiring>(
     let (merged, _stats) = kernels.charged(rank, Step::MergeFiber, |k| {
         k.merge_fiber::<S>(&received.pieces)
     })?;
-    mem.free(received.bytes);
-    mem.alloc(merged.modeled_bytes(r));
     spgemm_sparse::debug_validate!(
         merged,
         spgemm_sparse::Sortedness::Sorted,

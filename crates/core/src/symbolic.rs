@@ -16,7 +16,7 @@
 use crate::dist::DistMatrix;
 use crate::exchange::{ExchangePlan, StagePending};
 use crate::kernels::LocalKernels;
-use crate::memory::MemoryBudget;
+use crate::memory::{Footprint, MemoryBudget, R_BYTES_PER_NNZ};
 use crate::schedule::{self, Op};
 use crate::{CoreError, Result};
 use spgemm_simgrid::{Grid3D, Rank, Step};
@@ -81,7 +81,6 @@ pub(crate) fn symbolic3d<S: Semiring>(
 ) -> Result<SymbolicOutcome> {
     let a_shared = Arc::new(a.local.pattern());
     let b_shared = Arc::new(b.local.pattern());
-    let r = budget.r;
     let world = &grid.world;
     let max_u64: fn(u64, u64) -> u64 = |x, y| x.max(y);
     let sum_u64: fn(u64, u64) -> u64 = |x, y| x + y;
@@ -105,7 +104,6 @@ pub(crate) fn symbolic3d<S: Semiring>(
                     op,
                     &a_shared,
                     &b_shared,
-                    r,
                     steps,
                     &mut none_posted,
                 );
@@ -152,7 +150,6 @@ pub(crate) fn symbolic3d<S: Semiring>(
     // Alg. 3 line 12: b = r·maxnnzC / (M/p − r·(maxnnzA + maxnnzB)).
     let batches = alg3_batch_count(
         budget.per_process(grid.p()),
-        r,
         max_nnz_a,
         max_nnz_b,
         max_unmerged,
@@ -161,7 +158,7 @@ pub(crate) fn symbolic3d<S: Semiring>(
     )?;
 
     let eq2_lower_bound = budget.eq2_lower_bound(
-        r * total_unmerged as usize,
+        R_BYTES_PER_NNZ * total_unmerged as usize,
         total_nnz_a as usize,
         total_nnz_b as usize,
     );
@@ -182,38 +179,44 @@ pub(crate) fn symbolic3d<S: Semiring>(
 }
 
 /// Alg. 3 line 12 as a pure function of the reduced symbolic quantities:
-/// `b = ⌈r·maxnnzC / (M/p − r·(maxnnzA + maxnnzB))⌉`, clamped to
-/// `[1, upper_bound]` (one column per batch is the finest split).
+/// the fewest batches that fit the per-process [`Footprint`] of the
+/// heaviest inputs and unmerged intermediate, clamped to `upper_bound`
+/// (one column per batch is the finest split).
 ///
 /// Extracted from [`symbolic3d`] so the schedule auditor can
 /// reproduce the exact batch count a run would choose — including both
 /// failure modes — from modeled nonzero counts alone.
 pub(crate) fn alg3_batch_count(
     per_proc_budget: usize,
-    r: usize,
     max_nnz_a: u64,
     max_nnz_b: u64,
     max_unmerged: u64,
     max_col_unmerged: u64,
     upper_bound: usize,
 ) -> Result<usize> {
-    let input_bytes = r * (max_nnz_a + max_nnz_b) as usize;
-    if per_proc_budget <= input_bytes {
+    let footprint = Footprint {
+        inputs: R_BYTES_PER_NNZ * (max_nnz_a + max_nnz_b) as usize,
+        unmerged: R_BYTES_PER_NNZ * max_unmerged as usize,
+    };
+    let Some(batches) = footprint.fewest_batches(per_proc_budget) else {
         return Err(CoreError::InputsExceedMemory {
-            needed_bytes: input_bytes,
+            needed_bytes: footprint.inputs,
             budget_bytes: per_proc_budget,
         });
-    }
-    let denom = per_proc_budget - input_bytes;
+    };
     // Upper-bound feasibility: column-wise batching cannot split a single
     // output column, so its intermediate must fit in the leftover memory.
-    if r as u64 * max_col_unmerged > denom as u64 {
+    let (column_bytes, available_bytes) = (
+        R_BYTES_PER_NNZ * max_col_unmerged as usize,
+        per_proc_budget - footprint.inputs,
+    );
+    if column_bytes > available_bytes {
         return Err(CoreError::BatchingInfeasible {
-            column_bytes: r * max_col_unmerged as usize,
-            available_bytes: denom,
+            column_bytes,
+            available_bytes,
         });
     }
-    Ok(((r as u64 * max_unmerged).div_ceil(denom as u64) as usize).clamp(1, upper_bound))
+    Ok(batches.min(upper_bound))
 }
 
 #[cfg(test)]

@@ -55,7 +55,7 @@ fn wire_bytes(op: Op, m: &CscMatrix<u64>, sorted: bool) -> usize {
         nnz: m.nnz(),
         index_bytes: index,
     };
-    payload_bytes(op, payload, 24)
+    payload_bytes(op, payload)
 }
 
 /// Layer `k`'s product `A·B` on a `pr × pr × l` grid: only the inner

@@ -81,7 +81,7 @@ proptest! {
             let grid = Grid3D::new(rank, l);
             let payload = (rank.rank() == 0).then(|| Arc::new(g2.clone()));
             let a = scatter(rank, &grid, DistKind::AStyle, payload);
-            let at = transpose_to_bstyle(rank, &grid, &a, 24);
+            let at = transpose_to_bstyle(rank, &grid, &a);
             assert_eq!(at.kind, DistKind::BStyle);
             assert_eq!((at.grows, at.gcols), (a.gcols, a.grows));
             // B-style row slice (i, k) of Aᵀ is the hierarchical
