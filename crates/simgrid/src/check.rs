@@ -48,18 +48,18 @@
 //!   message was never received by the time the run ended, reported by
 //!   [`crate::runtime::run_ranks_checked`] after the threads join.
 //!
-//! Collectives move their internal traffic through unregistered
-//! `pub(crate)` send/recv twins, so checker bookkeeping tracks user-level
-//! point-to-point messages only — collective-internal phases can never
-//! false-positive here.
+//! Collectives move no messages — they meet at slots ([`crate::slot`]) —
+//! so the mailboxes, and this bookkeeping, carry user-level point-to-point
+//! messages only.
 //!
 //! Blocking collectives park at the rendezvous (condvar) until all members
-//! arrive, so a mismatch is reported *before* any cross-matched payload can
-//! be exchanged; nonblocking posts register without parking, preserving
-//! their overlap semantics. On the first violation the checker trips: the
-//! detecting rank panics with the report, all parked ranks are woken, and
-//! poison messages unblock ranks waiting inside data exchanges. Every
-//! report starts with `protocol violation`, and
+//! arrive, and only then deposit at their slot, so a mismatch is reported
+//! *before* any cross-matched payload can be read; nonblocking posts
+//! register without parking, preserving their overlap semantics. On the
+//! first violation the checker trips: the detecting rank panics with the
+//! report, ranks parked at a rendezvous or a slot are woken with it, and
+//! poison messages unblock ranks blocked in a point-to-point receive.
+//! Every report starts with `protocol violation`, and
 //! [`crate::runtime::run_ranks_checked`] consolidates them after the run.
 
 use crate::comm::{Comm, Envelope, Rank, WorldShared};
@@ -424,8 +424,8 @@ fn stall_violation(st: &CheckState, p: usize) -> Option<ProtocolViolation> {
     })
 }
 
-/// Poison message sent to wake ranks blocked inside a data exchange after
-/// the checker trips; `src` is out of range for any real rank.
+/// Poison message sent to wake ranks blocked in a point-to-point receive
+/// after the checker trips; `src` is out of range for any real rank.
 pub(crate) const POISON_SRC: usize = usize::MAX;
 
 fn poison_world(world: &WorldShared, me: usize, report: &str) {
@@ -453,6 +453,7 @@ fn trip(check: &CheckShared, world: &WorldShared, me: usize, v: ProtocolViolatio
     let report = render(&st.violations);
     drop(st);
     check.cv.notify_all();
+    world.slots.trip(&report);
     poison_world(world, me, &report);
     report
 }

@@ -1,14 +1,18 @@
 //! MPI-style collectives with modeled-time accounting.
 //!
-//! Every collective does three things:
+//! Every collective does three things, all through one meeting slot
+//! ([`crate::slot`]) per operation:
 //!
 //! 1. **Synchronizes modeled clocks**: all participants jump to the maximum
-//!    entry time (a collective cannot complete before its slowest member
-//!    arrives). The wait is attributed to the collective's [`Step`], the
-//!    same way per-step wall-clock timers behave in an MPI code.
-//! 2. **Moves the data for real** over the in-memory channels (broadcast
-//!    payloads travel as `Arc`s — the zero-copy analogue of shared-memory
-//!    transport; receivers treat them as read-only, as MPI receivers do).
+//!    entry time, folded in member order (a collective cannot complete
+//!    before its slowest member arrives). The waiting span is attributed
+//!    to [`Step::Wait`] — see that variant's docs — so load-imbalance skew
+//!    never pollutes the α–β cost of the collective's own step.
+//! 2. **Moves the data for real**: each member deposits its contribution
+//!    and reads the others' from the slot. Broadcast payloads travel as
+//!    `Arc`s — the zero-copy analogue of shared-memory transport; receivers
+//!    treat them as read-only, as MPI receivers do — and `alltoallv` parts
+//!    and gathered values are moved, never cloned.
 //! 3. **Advances the clock** by the α–β cost of the operation
 //!    (see [`crate::cost::Machine`]) and records modeled bytes/messages.
 //!
@@ -19,47 +23,25 @@
 use crate::check::OpKind;
 use crate::clock::Step;
 use crate::comm::{Comm, Rank};
+use crate::slot::{Meeting, Part};
 use std::sync::Arc;
 
-/// Phases within one collective op (sub-tags under one sequence number).
-const PH_SYNC_UP: u64 = 0;
-const PH_SYNC_DOWN: u64 = 1;
-const PH_DATA: u64 = 2;
-
-fn tag(seq: u64, phase: u64) -> u64 {
-    seq * 8 + phase
-}
-
-#[allow(clippy::needless_range_loop)] // recv loops skip `me`; index form is clearer
 impl Rank {
-    /// Clock synchronization: everyone jumps to the max entry time.
-    /// Implemented with real messages but zero modeled cost (the cost of
-    /// the enclosing collective covers it). The waiting span is always
-    /// attributed to [`Step::Wait`] — see that variant's docs — so that
-    /// load-imbalance skew never pollutes the α–β cost of the enclosing
-    /// collective's step. Returns the synchronized time.
-    fn sync_clocks(&mut self, comm: &Comm, seq: u64) -> f64 {
-        let q = comm.size();
-        if q == 1 {
-            return self.clock().now();
-        }
-        let me = comm.my_index();
-        let t = if me == 0 {
-            let mut t = self.clock().now();
-            for i in 1..q {
-                let ti: f64 = self.recv_raw(comm, i, tag(seq, PH_SYNC_UP));
-                t = t.max(ti);
-            }
-            for i in 1..q {
-                self.send_raw(comm, i, tag(seq, PH_SYNC_DOWN), t);
-            }
-            t
-        } else {
-            self.send_raw(comm, 0, tag(seq, PH_SYNC_UP), self.clock().now());
-            self.recv_raw::<f64>(comm, 0, tag(seq, PH_SYNC_DOWN))
-        };
+    /// Deposit `word` and `part` at slot `seq`, wait for every member, and
+    /// read the slot with `read`. Returns the synchronized clock, which
+    /// this rank has advanced to under [`Step::Wait`].
+    fn meet<R>(
+        &mut self,
+        comm: &Comm,
+        seq: u64,
+        word: u64,
+        part: Option<Part>,
+        read: impl FnOnce(&mut Meeting<'_>) -> R,
+    ) -> (f64, R) {
+        self.deposit(comm, seq, word, part);
+        let (t, out) = self.collect(comm, seq, |m| (m.clock(), read(m)));
         self.clock_mut().advance_to(Step::Wait, t);
-        t
+        (t, out)
     }
 
     /// Broadcast `value` (present on `root` only) to every member.
@@ -79,28 +61,18 @@ impl Rank {
         let q = comm.size();
         let seq = self.next_seq(comm);
         self.check_enter(comm, seq, OpKind::Bcast, Some(root), None, true);
-        let t0 = self.sync_clocks(comm, seq);
-        let me = comm.my_index();
-        let (out, bytes) = if me == root {
-            let v = value.expect("bcast root must supply the payload");
-            for i in 0..q {
-                if i != root {
-                    self.send_raw(comm, i, tag(seq, PH_DATA), (Arc::clone(&v), bytes as u64));
-                }
-            }
-            (v, bytes)
-        } else {
-            assert!(value.is_none(), "non-root rank supplied a bcast payload");
-            let (v, b) = self.recv_raw::<(Arc<T>, u64)>(comm, root, tag(seq, PH_DATA));
-            (v, b as usize)
-        };
+        let (word, part) = root_deposit(comm, root, value, bytes);
+        let (t0, (out, bytes)) = self.meet(comm, seq, word, part, |m| {
+            (Arc::clone(m.part::<Arc<T>>(root)), m.word() as usize)
+        });
         let cost = self.machine().bcast_secs(q, bytes);
         self.clock_mut().advance_to(step, t0 + cost);
         self.clock_mut().record_comm(step, bytes as u64, 1);
         out
     }
 
-    /// Allreduce with a commutative-associative combiner.
+    /// Allreduce with a commutative-associative combiner, folded in member
+    /// order so the result's bits do not depend on arrival order.
     pub fn allreduce<T: Send + Copy + 'static>(
         &mut self,
         comm: &Comm,
@@ -112,22 +84,9 @@ impl Rank {
         let q = comm.size();
         let seq = self.next_seq(comm);
         self.check_enter(comm, seq, OpKind::Allreduce, None, None, true);
-        let t0 = self.sync_clocks(comm, seq);
-        let me = comm.my_index();
-        let result = if me == 0 {
-            let mut acc = value;
-            for i in 1..q {
-                let vi: T = self.recv_raw(comm, i, tag(seq, PH_DATA));
-                acc = op(acc, vi);
-            }
-            for i in 1..q {
-                self.send_raw(comm, i, tag(seq, PH_DATA + 1), acc);
-            }
-            acc
-        } else {
-            self.send_raw(comm, 0, tag(seq, PH_DATA), value);
-            self.recv_raw::<T>(comm, 0, tag(seq, PH_DATA + 1))
-        };
+        let (t0, result) = self.meet(comm, seq, 0, Some(Box::new(value)), |m| {
+            (1..q).fold(*m.part::<T>(0), |acc, i| op(acc, *m.part::<T>(i)))
+        });
         let cost = self.machine().allreduce_secs(q, bytes);
         self.clock_mut().advance_to(step, t0 + cost);
         self.clock_mut().record_comm(step, bytes as u64, 1);
@@ -136,7 +95,8 @@ impl Rank {
 
     /// Allgather: every member contributes one value; all receive the full
     /// vector in member-index order. `bytes_each` models each contribution.
-    /// Clones `value` once per peer — wrap large payloads in `Arc`.
+    /// Each contribution is cloned once per reader but the last, which
+    /// moves it — wrap large payloads in `Arc`.
     pub fn allgather<T: Send + Clone + 'static>(
         &mut self,
         comm: &Comm,
@@ -147,25 +107,16 @@ impl Rank {
         let q = comm.size();
         let seq = self.next_seq(comm);
         self.check_enter(comm, seq, OpKind::Allgather, None, None, true);
-        let t0 = self.sync_clocks(comm, seq);
-        let me = comm.my_index();
-        for i in 0..q {
-            if i != me {
-                self.send_raw(comm, i, tag(seq, PH_DATA), value.clone());
-            }
-        }
-        let mut out: Vec<Option<T>> = (0..q).map(|_| None).collect();
-        out[me] = Some(value);
-        for i in 0..q {
-            if i != me {
-                out[i] = Some(self.recv_raw::<T>(comm, i, tag(seq, PH_DATA)));
-            }
-        }
+        let (t0, out) = self.meet(comm, seq, 0, Some(Box::new(value)), |m| {
+            (0..q)
+                .map(|i| if m.last() { m.take::<T>(i) } else { m.part::<T>(i).clone() })
+                .collect()
+        });
         let cost = self.machine().allgather_secs(q, bytes_each);
         self.clock_mut().advance_to(step, t0 + cost);
         self.clock_mut()
             .record_comm(step, (bytes_each * (q - 1)) as u64, 1);
-        out.into_iter().map(Option::unwrap).collect()
+        out
     }
 
     /// All-to-all with per-destination payloads: `parts[i]` goes to member
@@ -195,56 +146,35 @@ impl Rank {
         );
         assert_eq!(parts.len(), q, "alltoallv needs one part per member");
         assert_eq!(bytes.len(), q, "alltoallv needs one size per member");
-        let t0 = self.sync_clocks(comm, seq);
         let me = comm.my_index();
-        let my_sent: usize = bytes.iter().sum::<usize>() - bytes[me];
-        let mut own: Option<T> = None;
-        for (i, part) in parts.into_iter().enumerate() {
-            if i == me {
-                own = Some(part);
-            } else {
-                self.send_raw(comm, i, tag(seq, PH_DATA), (part, bytes[i] as u64));
-            }
-        }
-        let mut out: Vec<Option<T>> = (0..q).map(|_| None).collect();
-        out[me] = own;
-        let mut recv_bytes = 0u64;
-        for i in 0..q {
-            if i != me {
-                let (part, b) = self.recv_raw::<(T, u64)>(comm, i, tag(seq, PH_DATA));
-                recv_bytes += b;
-                out[i] = Some(part);
-            }
-        }
+        let sent = bytes.iter().sum::<usize>() - bytes[me];
+        // Each part travels with its size, which the receiver records.
+        let outgoing: Vec<Option<(T, u64)>> = parts
+            .into_iter()
+            .zip(bytes)
+            .map(|(part, &b)| Some((part, b as u64)))
+            .collect();
+        let (t0, (out, recv_bytes, max_bytes)) =
+            self.meet(comm, seq, sent as u64, Some(Box::new(outgoing)), |m| {
+                let mut recv_bytes = 0u64;
+                let out: Vec<T> = (0..q)
+                    .map(|i| {
+                        let (part, b) = m.part::<Vec<Option<(T, u64)>>>(i)[me]
+                            .take()
+                            .expect("alltoallv part already taken");
+                        if i != me {
+                            recv_bytes += b;
+                        }
+                        part
+                    })
+                    .collect();
+                (out, recv_bytes, m.word())
+            });
         // Heaviest sender determines the modeled completion time.
-        let max_bytes = if q > 1 {
-            self.allreduce_plain_max(comm, my_sent as u64, seq)
-        } else {
-            0
-        };
         let cost = self.machine().alltoall_secs(q, max_bytes as usize);
         self.clock_mut().advance_to(step, t0 + cost);
         self.clock_mut().record_comm(step, recv_bytes, 1);
-        out.into_iter().map(Option::unwrap).collect()
-    }
-
-    /// Cost-free internal max-reduce (used for cost computation itself).
-    fn allreduce_plain_max(&mut self, comm: &Comm, value: u64, seq: u64) -> u64 {
-        let q = comm.size();
-        let me = comm.my_index();
-        if me == 0 {
-            let mut acc = value;
-            for i in 1..q {
-                acc = acc.max(self.recv_raw::<u64>(comm, i, tag(seq, PH_DATA + 2)));
-            }
-            for i in 1..q {
-                self.send_raw(comm, i, tag(seq, PH_DATA + 3), acc);
-            }
-            acc
-        } else {
-            self.send_raw(comm, 0, tag(seq, PH_DATA + 2), value);
-            self.recv_raw::<u64>(comm, 0, tag(seq, PH_DATA + 3))
-        }
+        out
     }
 
     /// Barrier: synchronize clocks and charge one latency round.
@@ -252,7 +182,7 @@ impl Rank {
         let q = comm.size();
         let seq = self.next_seq(comm);
         self.check_enter(comm, seq, OpKind::Barrier, None, None, true);
-        let t0 = self.sync_clocks(comm, seq);
+        let (t0, ()) = self.meet(comm, seq, 0, None, |_| ());
         let cost = self.machine().barrier_secs(q);
         self.clock_mut().advance_to(step, t0 + cost);
     }
@@ -277,22 +207,11 @@ impl Rank {
         let q = comm.size();
         let seq = self.next_seq(comm);
         self.check_enter(comm, seq, OpKind::Gather, Some(root), None, true);
-        let t0 = self.sync_clocks(comm, seq);
-        let me = comm.my_index();
-        let result = if me == root {
-            let mut out: Vec<Option<T>> = (0..q).map(|_| None).collect();
-            out[root] = Some(value);
-            for i in 0..q {
-                if i != root {
-                    out[i] = Some(self.recv_raw::<T>(comm, i, tag(seq, PH_DATA)));
-                }
-            }
-            Some(out.into_iter().map(Option::unwrap).collect())
-        } else {
-            self.send_raw(comm, root, tag(seq, PH_DATA), value);
-            None
-        };
-        let cost = if me == root {
+        let is_root = comm.my_index() == root;
+        let (t0, result) = self.meet(comm, seq, 0, Some(Box::new(value)), |m| {
+            is_root.then(|| (0..q).map(|i| m.take::<T>(i)).collect())
+        });
+        let cost = if is_root {
             self.machine().gather_secs(q, bytes)
         } else if q > 1 {
             self.machine().send_secs(bytes)
@@ -301,6 +220,23 @@ impl Rank {
         };
         self.clock_mut().advance_to(step, t0 + cost);
         result
+    }
+}
+
+/// A broadcast member's deposit: the root's payload and modeled size; `0`
+/// and nothing elsewhere, so the slot's max word is the root's size.
+pub(crate) fn root_deposit<T: Send + Sync + 'static>(
+    comm: &Comm,
+    root: usize,
+    value: Option<Arc<T>>,
+    bytes: usize,
+) -> (u64, Option<Part>) {
+    if comm.my_index() == root {
+        let v = value.expect("the broadcast root must supply the payload");
+        (bytes as u64, Some(Box::new(v)))
+    } else {
+        assert!(value.is_none(), "a non-root rank supplied a broadcast payload");
+        (0, None)
     }
 }
 

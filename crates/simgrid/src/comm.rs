@@ -3,13 +3,17 @@
 //! A [`Rank`] is the per-thread context of one simulated MPI process. A
 //! [`Comm`] is a subgroup of ranks (like an `MPI_Comm`): the process-row,
 //! process-column, fiber, and layer communicators of the 3D grid are all
-//! `Comm`s. Messages are matched on `(source, communicator, tag)` with
-//! out-of-order arrivals stashed, so independent collectives on different
-//! communicators cannot cross-talk.
+//! `Comm`s. Each rank's mailbox carries only user-level point-to-point
+//! messages ([`Rank::send`] / [`Rank::recv`]); collectives meet at slots
+//! ([`crate::slot`]). Messages are matched on `(source, communicator,
+//! tag)`, with out-of-order arrivals stashed in arrival order, so two
+//! messages with one envelope are received in the order they were sent
+//! (MPI's non-overtaking rule).
 
 use crate::check::CheckShared;
 use crate::clock::{RankClock, Step};
 use crate::cost::Machine;
+use crate::slot::Slots;
 use crossbeam::channel::{Receiver, Sender};
 use std::any::Any;
 use std::cell::Cell;
@@ -24,11 +28,13 @@ pub(crate) struct Envelope {
     pub payload: Box<dyn Any + Send>,
 }
 
-/// Shared world state: one channel endpoint per rank, plus the protocol
-/// checker when [`crate::check::CheckMode::Check`] is active.
+/// Shared world state: one mailbox per rank, the collectives' meeting
+/// slots, plus the protocol checker when
+/// [`crate::check::CheckMode::Check`] is active.
 pub(crate) struct WorldShared {
     pub p: usize,
     pub senders: Vec<Sender<Envelope>>,
+    pub slots: Slots,
     pub check: Option<Arc<CheckShared>>,
     /// Schedule-perturbation seed: when set, every rank injects a
     /// deterministic, seed-derived amount of scheduler jitter at
@@ -254,22 +260,9 @@ impl Rank {
     /// Typed point-to-point send to `dst_index` within `comm`.
     ///
     /// Registers the envelope with the protocol checker (tag collisions,
-    /// orphaned sends). Collectives use `Rank::send_raw` instead — their
-    /// traffic is already verified at the rendezvous level.
+    /// orphaned sends).
     pub fn send<T: Send + 'static>(&self, comm: &Comm, dst_index: usize, tag: u64, value: T) {
         self.check_p2p_send(comm, dst_index, tag);
-        self.send_raw(comm, dst_index, tag, value);
-    }
-
-    /// Send without checker registration: the transport used by collective
-    /// and nonblocking internals, whose protocol is verified separately.
-    pub(crate) fn send_raw<T: Send + 'static>(
-        &self,
-        comm: &Comm,
-        dst_index: usize,
-        tag: u64,
-        value: T,
-    ) {
         self.perturb_point();
         let dst = comm.member(dst_index);
         self.world.senders[dst]
@@ -284,55 +277,41 @@ impl Rank {
 
     /// Typed blocking receive matching `(src_index, comm, tag)`.
     ///
-    /// Non-matching arrivals are stashed and re-examined on later receives,
-    /// so interleaved traffic on other communicators is safe. Registers
-    /// with the protocol checker so a receive with no matching send is
-    /// reported as a stall instead of hanging forever.
+    /// Non-matching arrivals are stashed in arrival order and re-examined
+    /// on later receives, so interleaved traffic on other communicators is
+    /// safe and messages with one envelope never overtake each other.
+    /// Registers with the protocol checker so a receive with no matching
+    /// send is reported as a stall instead of hanging forever.
     pub fn recv<T: Send + 'static>(&mut self, comm: &Comm, src_index: usize, tag: u64) -> T {
         self.check_p2p_recv_pre(comm, src_index, tag);
-        let value = self.recv_raw(comm, src_index, tag);
-        self.check_p2p_recv_post(comm, src_index, tag);
-        value
-    }
-
-    /// Receive without checker registration (collective internals).
-    pub(crate) fn recv_raw<T: Send + 'static>(
-        &mut self,
-        comm: &Comm,
-        src_index: usize,
-        tag: u64,
-    ) -> T {
         self.perturb_point();
         let src = comm.member(src_index);
         let comm_id = comm.id();
-        // Check the stash first.
-        if let Some(pos) = self
-            .stash
-            .iter()
-            .position(|e| e.src == src && e.comm_id == comm_id && e.tag == tag)
-        {
-            let env = self.stash.swap_remove(pos);
-            return Self::downcast(env, src, comm_id, tag);
-        }
-        loop {
-            let env = self
-                .rx
-                .recv()
-                .expect("rank mailbox closed while waiting for a message");
-            if env.src == crate::check::POISON_SRC {
-                // The protocol checker tripped on another rank while we were
-                // blocked in a data exchange; surface its report here.
-                let report = env
-                    .payload
-                    .downcast::<String>()
-                    .map_or_else(|_| "protocol violation".into(), |b| *b);
-                panic!("{report}");
-            }
-            if env.src == src && env.comm_id == comm_id && env.tag == tag {
-                return Self::downcast(env, src, comm_id, tag);
-            }
-            self.stash.push(env);
-        }
+        let matches = |e: &Envelope| e.src == src && e.comm_id == comm_id && e.tag == tag;
+        let env = match self.stash.iter().position(matches) {
+            Some(pos) => self.stash.remove(pos),
+            None => loop {
+                let env = self
+                    .rx
+                    .recv()
+                    .expect("rank mailbox closed while waiting for a message");
+                if env.src == crate::check::POISON_SRC {
+                    // The protocol checker tripped on another rank while we
+                    // were blocked here; surface its report.
+                    let report = env
+                        .payload
+                        .downcast::<String>()
+                        .map_or_else(|_| "protocol violation".into(), |b| *b);
+                    panic!("{report}");
+                }
+                if matches(&env) {
+                    break env;
+                }
+                self.stash.push(env);
+            },
+        };
+        self.check_p2p_recv_post(comm, src_index, tag);
+        Self::downcast(env, src, comm_id, tag)
     }
 
     fn downcast<T: 'static>(env: Envelope, src: usize, comm_id: u64, tag: u64) -> T {
@@ -357,9 +336,11 @@ impl std::fmt::Debug for Rank {
 }
 
 impl Drop for Rank {
-    /// A departing rank can never complete an open rendezvous; tell the
-    /// checker so peers parked on one learn they are stalled.
+    /// A departing rank can never complete an open rendezvous: it leaves
+    /// every meeting slot (waking peers waiting for its deposit) and tells
+    /// the checker, so peers parked at a rendezvous learn they are stalled.
     fn drop(&mut self) {
+        self.world.slots.exit(self.rank);
         self.check_exit();
     }
 }
@@ -367,7 +348,8 @@ impl Drop for Rank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_ranks;
+    use crate::check::CheckMode;
+    use crate::runtime::{run_ranks, run_ranks_checked};
 
     #[test]
     fn comm_ids_agree_across_members_and_differ_by_color() {
@@ -415,6 +397,33 @@ mod tests {
             }
         });
         assert_eq!(results, vec![0, 1]);
+    }
+
+    #[test]
+    fn one_envelope_is_received_in_send_order() {
+        // MPI's non-overtaking rule: two messages with one envelope arrive
+        // in send order, even when other traffic is taken out of the stash
+        // between them. (Two in-flight sends with one envelope are a tag
+        // collision to the checker, so it is off here.)
+        let results = run_ranks_checked(2, Machine::knl(), CheckMode::Off, |rank| {
+            let comm = rank.world_comm();
+            if rank.rank() == 0 {
+                rank.send(&comm, 1, 3, 0u32);
+                rank.send(&comm, 1, 5, 1u32);
+                rank.send(&comm, 1, 7, 0u32);
+                rank.send(&comm, 1, 5, 2u32);
+                rank.send(&comm, 1, 9, 0u32);
+                vec![]
+            } else {
+                // Stashes tags 3, 5, 7, 5 in that order, then takes tag 3
+                // from the front and tag 7 from between the two 5s.
+                let _: u32 = rank.recv(&comm, 0, 9);
+                let _: u32 = rank.recv(&comm, 0, 3);
+                let _: u32 = rank.recv(&comm, 0, 7);
+                vec![rank.recv::<u32>(&comm, 0, 5), rank.recv::<u32>(&comm, 0, 5)]
+            }
+        });
+        assert_eq!(results[1], vec![1, 2]);
     }
 
     #[test]

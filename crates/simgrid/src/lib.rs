@@ -7,9 +7,12 @@
 //! * every simulated MPI process ("rank") runs as a real OS thread and the
 //!   algorithms execute for real — outputs are bit-for-bit what an MPI run
 //!   would produce;
-//! * communication happens over in-memory channels; collective operations
-//!   (`collectives`) have MPI semantics (bcast / allreduce / allgather /
-//!   alltoallv / gather / barrier);
+//! * collective operations (`collectives`) have MPI semantics (bcast /
+//!   allreduce / allgather / alltoallv / gather / barrier) and run through
+//!   one shared meeting slot per operation (`slot`): each member deposits
+//!   its clock and contribution, the last arrival wakes the rest, and each
+//!   reads what it needs; user-level point-to-point messages travel over
+//!   in-memory mailboxes;
 //! * *time* is modeled, not measured: each rank carries a [`clock::RankClock`]
 //!   advanced by an **α–β machine model** ([`cost::Machine`]) — latency `α`
 //!   per message round, inverse bandwidth `β` per byte, and a calibrated
@@ -30,7 +33,9 @@
 //! `ProtocolViolation` naming the ranks and operations involved.
 //! Checking defaults on in debug builds — every test exercises it — and is
 //! controlled by [`check::CheckMode`] / the `SPGEMM_CHECK` environment
-//! variable.
+//! variable. In either mode, a collective that a member's thread exited
+//! without joining ends in a panic naming that member and the operation,
+//! never in a hang.
 
 #![forbid(unsafe_code)]
 
@@ -42,6 +47,7 @@ pub(crate) mod cost;
 pub mod grid;
 pub(crate) mod nonblocking;
 pub(crate) mod runtime;
+pub(crate) mod slot;
 pub mod stats;
 pub(crate) mod trace;
 

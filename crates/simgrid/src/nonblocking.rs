@@ -1,10 +1,11 @@
 //! Nonblocking broadcast: post now, complete later, overlap in between.
 //!
-//! `ibcast` returns a typed [`PendingBcast`] handle instead of blocking. The
-//! payload moves eagerly over the real channels at post time (channel
-//! sends never block), but **no modeled time is charged** until
-//! [`PendingBcast::wait`]. Completion semantics mirror MPI's progress rule
-//! for collectives:
+//! `ibcast` returns a typed [`PendingBcast`] handle instead of blocking. At
+//! post time each member deposits its post clock (and the root its payload
+//! and modeled size) at the operation's meeting slot ([`crate::slot`]) and
+//! returns at once; **no modeled time is charged** until
+//! [`PendingBcast::wait`], which collects from the slot. Completion
+//! semantics mirror MPI's progress rule for collectives:
 //!
 //! * the broadcast cannot start before its **slowest poster**: completion
 //!   time is `max(post times) + α–β cost` (the same cost its blocking
@@ -25,25 +26,16 @@
 //! nonblocking twin.
 //!
 //! Handles are `#[must_use]`: dropping one without waiting would leave
-//! payloads undelivered on peers and sequence counters skewed. SPMD
+//! peers' payloads uncollected and sequence counters skewed. SPMD
 //! programs must post and wait in the same order on every member of a
 //! communicator, exactly like the blocking collectives.
 
 use crate::check::{HandleGuard, OpKind};
 use crate::clock::Step;
+use crate::collectives::root_deposit;
 use crate::comm::{Comm, Rank};
+use std::marker::PhantomData;
 use std::sync::Arc;
-
-/// Phases under one sequence number (each op draws a fresh seq from the
-/// same counter the blocking collectives use, so phase values may repeat
-/// theirs without collision).
-const PH_REDUCE_UP: u64 = 0;
-const PH_REDUCE_DOWN: u64 = 1;
-const PH_DATA: u64 = 2;
-
-fn tag(seq: u64, phase: u64) -> u64 {
-    seq * 8 + phase
-}
 
 /// Handle of a posted [`Rank::ibcast`]: a posted-but-not-completed
 /// broadcast. Consume with [`PendingBcast::wait`].
@@ -54,13 +46,10 @@ pub struct PendingBcast<T> {
     root: usize,
     step: Step,
     posted_at: f64,
-    /// Present on the root (it already owns the payload).
-    value: Option<Arc<T>>,
-    /// Modeled size; authoritative on the root, travels with the data.
-    bytes: usize,
     /// Flags the handle if dropped without [`PendingBcast::wait`] (checker /
     /// debug builds).
     guard: HandleGuard,
+    payload: PhantomData<fn() -> Arc<T>>,
 }
 
 impl<T> std::fmt::Debug for PendingBcast<T> {
@@ -70,7 +59,6 @@ impl<T> std::fmt::Debug for PendingBcast<T> {
             .field("root", &self.root)
             .field("step", &self.step)
             .field("posted_at", &self.posted_at)
-            .field("bytes", &self.bytes)
             .finish_non_exhaustive()
     }
 }
@@ -88,22 +76,10 @@ impl Rank {
         bytes: usize,
         step: Step,
     ) -> PendingBcast<T> {
-        let q = comm.size();
         let seq = self.next_seq(comm);
         self.check_enter(comm, seq, OpKind::IbcastPost, Some(root), None, false);
-        let me = comm.my_index();
-        let value = if me == root {
-            let v = value.expect("ibcast root must supply the payload");
-            for i in 0..q {
-                if i != root {
-                    self.send_raw(comm, i, tag(seq, PH_DATA), (Arc::clone(&v), bytes as u64));
-                }
-            }
-            Some(v)
-        } else {
-            assert!(value.is_none(), "non-root rank supplied an ibcast payload");
-            None
-        };
+        let (word, part) = root_deposit(comm, root, value, bytes);
+        self.deposit(comm, seq, word, part);
         PendingBcast {
             guard: self.handle_guard(OpKind::IbcastPost, comm, seq),
             comm: comm.clone(),
@@ -111,56 +87,26 @@ impl Rank {
             root,
             step,
             posted_at: self.clock().now(),
-            value,
-            bytes,
-        }
-    }
-
-    /// Cost-free max-reduce of the post times through member 0. Real
-    /// messages, zero modeled time — it computes the completion time rather
-    /// than being part of the modeled operation.
-    fn reduce_post_max(&mut self, comm: &Comm, seq: u64, posted_at: f64) -> f64 {
-        let q = comm.size();
-        if q == 1 {
-            return posted_at;
-        }
-        let me = comm.my_index();
-        if me == 0 {
-            let mut acc = posted_at;
-            for i in 1..q {
-                acc = acc.max(self.recv_raw::<f64>(comm, i, tag(seq, PH_REDUCE_UP)));
-            }
-            for i in 1..q {
-                self.send_raw(comm, i, tag(seq, PH_REDUCE_DOWN), acc);
-            }
-            acc
-        } else {
-            self.send_raw(comm, 0, tag(seq, PH_REDUCE_UP), posted_at);
-            self.recv_raw::<f64>(comm, 0, tag(seq, PH_REDUCE_DOWN))
+            payload: PhantomData,
         }
     }
 }
 
 impl<T: Send + Sync + 'static> PendingBcast<T> {
-    /// Block until the data is here, then charge the uncovered remainder of
-    /// the modeled span and return the result.
+    /// Block until every member has posted, then charge the uncovered
+    /// remainder of the modeled span and return the payload.
     pub fn wait(mut self, rank: &mut Rank) -> Arc<T> {
         self.guard.disarm();
         rank.check_wait(&self.comm, self.seq);
         let q = self.comm.size();
-        let me = self.comm.my_index();
-        let (out, bytes) = if me == self.root {
-            (self.value.expect("root payload present"), self.bytes)
-        } else {
-            let (v, b) =
-                rank.recv_raw::<(Arc<T>, u64)>(&self.comm, self.root, tag(self.seq, PH_DATA));
-            (v, b as usize)
-        };
+        let (max_post, bytes, out) = rank.collect(&self.comm, self.seq, |m| {
+            let out = Arc::clone(m.part::<Arc<T>>(self.root));
+            (m.clock(), m.word() as usize, out)
+        });
         // The modeled span is `[posted_at, max_post + cost]`. Work this rank
         // did between post and wait covers a prefix of it; the remainder is
         // charged (entry skew to `Wait`, the α–β cost tail to the op's
         // step), and the covered portion is recorded as overlap.
-        let max_post = rank.reduce_post_max(&self.comm, self.seq, self.posted_at);
         let complete_at = max_post + rank.machine().bcast_secs(q, bytes);
         let hidden = (rank.clock().now().min(complete_at) - self.posted_at).max(0.0);
         rank.clock_mut().advance_to(Step::Wait, max_post);

@@ -3,6 +3,7 @@
 use crate::check::{CheckMode, CheckShared, LoggedOp};
 use crate::comm::{Envelope, Rank, WorldShared};
 use crate::cost::Machine;
+use crate::slot::{Slots, PEER_EXITED};
 use crossbeam::channel::unbounded;
 use std::sync::Arc;
 
@@ -132,6 +133,7 @@ where
     let world = Arc::new(WorldShared {
         p,
         senders,
+        slots: Slots::new(p),
         check: check.clone(),
         perturb,
     });
@@ -170,6 +172,9 @@ where
         }
     })
     .expect("rank scope failed");
+    // Every rank has left or exited every slot it was in.
+    let open = world.slots.open();
+    assert!(open.is_empty(), "meeting slots left open after the run: {open:x?}");
 
     let who = |i: usize| match job {
         Some(j) => format!("job {j} rank {i}"),
@@ -178,11 +183,15 @@ where
     if !failures.is_empty() {
         // An algorithmic failure outranks the secondary panics it causes on
         // peer ranks: protocol reports (stall, poison wake-ups) *and*
-        // infrastructure panics from mailboxes closing when the failed rank's
-        // thread died ("rank mailbox closed ..."). A low rank dying of the
-        // latter must not mask the real failure on a higher rank.
-        let secondary =
-            |msg: &str| msg.contains("protocol violation") || msg.contains("rank mailbox closed");
+        // infrastructure panics when the failed rank's thread died — its
+        // mailbox closing ("rank mailbox closed ...") or a collective it
+        // never joined. A low rank dying of those must not mask the real
+        // failure on a higher rank.
+        let secondary = |msg: &str| {
+            ["protocol violation", "rank mailbox closed", PEER_EXITED]
+                .iter()
+                .any(|s| msg.contains(s))
+        };
         if let Some((i, msg)) = failures.iter().find(|(_, msg)| !secondary(msg)) {
             panic!("{} panicked: {msg}", who(*i));
         }
@@ -344,6 +353,61 @@ mod tests {
                 ]
             );
         }
+    }
+
+    /// Ranks 0–2 broadcast from `root` with `ibcast` (or blocking `bcast`)
+    /// while rank `dead` panics before joining: the survivors must not wait
+    /// forever, and the caller must see the dead rank's panic.
+    fn dead_member_of_a_broadcast(mode: CheckMode, root: usize, dead: usize, nonblocking: bool) {
+        run_ranks_checked(3, Machine::knl(), mode, |rank| {
+            let comm = rank.world_comm();
+            if rank.rank() == dead {
+                panic!("boom");
+            }
+            let payload = (rank.rank() == root).then(|| Arc::new(7u64));
+            let step = crate::clock::Step::Other;
+            if nonblocking {
+                let pending = rank.ibcast(&comm, root, payload, 8, step);
+                let _ = pending.wait(rank);
+            } else {
+                rank.bcast(&comm, root, payload, 8, step);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 0 panicked: boom")]
+    fn ibcast_whose_root_died_before_posting_reports_the_root() {
+        dead_member_of_a_broadcast(CheckMode::Check, 0, 0, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2 panicked: boom")]
+    fn ibcast_missing_a_dead_member_reports_that_member() {
+        dead_member_of_a_broadcast(CheckMode::Check, 0, 2, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 panicked: boom")]
+    fn unchecked_bcast_missing_a_dead_member_reports_that_member() {
+        dead_member_of_a_broadcast(CheckMode::Off, 0, 1, false);
+    }
+
+    #[test]
+    fn a_waiter_names_the_exited_member_and_the_slot() {
+        let err = std::panic::catch_unwind(|| {
+            run_ranks_checked(2, Machine::knl(), CheckMode::Off, |rank| {
+                let comm = rank.world_comm();
+                if rank.rank() == 1 {
+                    return;
+                }
+                rank.barrier(&comm, crate::clock::Step::Other);
+            })
+        })
+        .expect_err("rank 0 cannot complete its barrier");
+        let msg = err.downcast::<String>().map(|s| *s).unwrap_or_default();
+        assert!(msg.starts_with("rank 0 panicked: rank 1 exited before joining"), "{msg}");
+        assert!(msg.contains("op 1"), "{msg}");
     }
 
     #[test]

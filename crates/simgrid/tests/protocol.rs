@@ -152,13 +152,18 @@ fn duplicate_inflight_send_is_a_tag_collision() {
     let msg = panic_message(|| {
         run_ranks_checked(2, Machine::knl(), CheckMode::Check, |rank| {
             let comm = rank.world_comm();
+            // Rank 1 receives only after the barrier, which rank 0 enters
+            // after both sends, so the first send is still undelivered when
+            // the second is posted, whatever the thread timing.
             if rank.rank() == 0 {
                 // Two undelivered sends with the same (comm, tag, dst):
                 // receives match on (source, comm, tag), so delivery order
                 // would be ambiguous.
                 rank.send(&comm, 1, 5, 1u32);
                 rank.send(&comm, 1, 5, 2u32);
+                rank.barrier(&comm, Step::Other);
             } else {
+                rank.barrier(&comm, Step::Other);
                 let _: u32 = rank.recv(&comm, 0, 5);
                 let _: u32 = rank.recv(&comm, 0, 5);
             }
