@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use spgemm_core::{
     run_on_grid, CoreError, ExchangeMode, IterSession, RunConfig, SessionIterStats,
 };
-use spgemm_simgrid::{run_ranks, Grid3D, Machine};
+use spgemm_simgrid::{run_ranks, CheckMode, Grid3D, Machine};
 use spgemm_sparse::gen::{clustered_similarity, er_random, RandValue};
 use spgemm_sparse::semiring::{MinPlusF64, PlusTimesF64, PlusTimesU64, Semiring};
 use spgemm_sparse::spgemm::spgemm_spa;
@@ -239,6 +239,67 @@ fn every_forced_batch_count_squares_the_iterate() {
             .unwrap_or_else(|e| panic!("b={b} at p={p} l={l}: {e}"));
             let got = world.ranks.into_iter().next().flatten().expect("root gathers");
             assert!(got.approx_eq(&m2, 1e-12), "b={b} at p={p} l={l}: wrong square");
+        }
+    }
+}
+
+/// A rank-local error ends the run with a report naming that rank, under
+/// both check modes, instead of stalling its peers: one rank's pruning
+/// callback hands back a piece with a column outside its sub-slice, so
+/// `assemble_pieces` errs on that rank alone and it leaves the run while
+/// the others wait for it at the next collective. Without checking, a
+/// waiter names the rank that exited before joining; with checking, the
+/// stall report lists it among the missing members. Each run is watched
+/// from another thread, so a hang fails the test instead of blocking it.
+#[test]
+fn a_rank_local_session_error_names_the_rank() {
+    const BAD: usize = 5;
+    let m = Arc::new(clustered_similarity(4, 24, 6, 1, 2021));
+    for check in [CheckMode::Off, CheckMode::Check] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let m = Arc::clone(&m);
+        std::thread::spawn(move || {
+            let cfg = RunConfig {
+                check,
+                ..RunConfig::new(16, 4)
+            };
+            let run = std::panic::catch_unwind(|| {
+                run_on_grid(&cfg, |rank, grid| {
+                    let root = (rank.rank() == 0).then(|| Arc::clone(&m));
+                    let mut sess = IterSession::<PlusTimesF64>::new(rank, grid, root, &cfg, false)?;
+                    sess.step(rank, grid, |rank, mut out| {
+                        if rank.rank() == BAD {
+                            out.piece.global_cols[0] = u32::MAX;
+                        }
+                        Some(out.piece)
+                    })?;
+                    Ok(sess.gather(rank, grid))
+                })
+            });
+            let msg = match run {
+                Ok(Ok(_)) => "the run succeeded".to_string(),
+                Ok(Err(e)) => e.to_string(),
+                Err(p) => p
+                    .downcast::<String>()
+                    .map_or_else(|_| "<non-string panic>".to_string(), |s| *s),
+            };
+            let _ = tx.send(msg);
+        });
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{check:?}: the run did not end within 10 s"));
+        match check {
+            CheckMode::Off => {
+                assert!(msg.contains(&format!("rank {BAD} exited before joining")), "{msg}");
+            }
+            CheckMode::Check => {
+                assert!(msg.contains("protocol violation [Stall]"), "{msg}");
+                let named = msg.split("missing members [").skip(1).any(|list| {
+                    let list = list.split(']').next().unwrap_or("");
+                    list.split(", ").any(|r| r == BAD.to_string())
+                });
+                assert!(named, "{check:?}: no missing-member list names rank {BAD}: {msg}");
+            }
         }
     }
 }

@@ -10,8 +10,10 @@
 //!
 //! When [`CheckMode::Check`] is active (the default in debug builds, and
 //! whenever `SPGEMM_CHECK` is set to anything but `0`/`off`), every
-//! collective registers with a shared, per-`(communicator, sequence)`
-//! rendezvous *before* exchanging any data. Registration detects:
+//! collective is verified where it meets: at its deposit in the
+//! `(communicator, sequence)` slot ([`crate::slot`]), against the members
+//! that deposited there before it, *before* its own seat is filled. The
+//! deposit, and a descriptor check just before an `alltoallv`'s, detect:
 //!
 //! * **Order mismatch** ([`ViolationKind::OrderMismatch`]) — two ranks
 //!   enter different collectives as the same operation on one
@@ -29,10 +31,12 @@
 //!   rank arrives at a sync point with a modeled clock earlier than its
 //!   previous sync point (a corrupted or wrongly reset clock would silently
 //!   skew every downstream cost figure).
-//! * **Stalls** ([`ViolationKind::Stall`]) — every live rank is blocked at
-//!   a rendezvous that can never complete (collective order diverged across
-//!   communicators, or a rank exited without posting its collective). The
-//!   report lists who is stuck where and which members are missing.
+//! * **Stalls** ([`ViolationKind::Stall`]) — every live rank is parked at
+//!   a slot that can never complete — in a blocking collective or in an
+//!   `ibcast`'s `wait` — or blocked in a receive (collective order diverged
+//!   across communicators, or a rank exited without posting its
+//!   collective). The report lists who entered what where and which
+//!   members are missing.
 //!
 //! Point-to-point traffic ([`crate::Rank::send`]/[`crate::Rank::recv`]) is
 //! covered too — every user-level send registers its `(comm, tag, src→dst)`
@@ -52,20 +56,23 @@
 //! so the mailboxes, and this bookkeeping, carry user-level point-to-point
 //! messages only.
 //!
-//! Blocking collectives park at the rendezvous (condvar) until all members
-//! arrive, and only then deposit at their slot, so a mismatch is reported
-//! *before* any cross-matched payload can be read; nonblocking posts
-//! register without parking, preserving their overlap semantics. On the
-//! first violation the checker trips: the detecting rank panics with the
-//! report, ranks parked at a rendezvous or a slot are woken with it, and
-//! poison messages unblock ranks blocked in a point-to-point receive.
+//! There is one meeting per collective. The checker's state lives in the
+//! slot table, under its one lock, so a blocking collective deposits,
+//! collects, and parks once; a mismatch trips at the deposit, before the
+//! slot can complete, so no cross-matched payload is ever read; and the
+//! stall detector counts ranks parked at incomplete slots from the same
+//! table the completing deposit writes. On the first violation the checker
+//! trips: the detecting rank panics with the report, ranks parked at a
+//! slot are woken with it, and poison messages unblock ranks blocked in a
+//! point-to-point receive.
 //! Every report starts with `protocol violation`, and
 //! [`crate::runtime::run_ranks_checked`] consolidates them after the run.
 
 use crate::comm::{Comm, Envelope, Rank, WorldShared};
+use crate::slot::{Entry, Slot, Slots, Table};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, MutexGuard};
 
 /// Modeled clocks may regress by at most this much between sync points
 /// (absorbs floating-point noise in max-reductions).
@@ -159,7 +166,8 @@ pub(crate) enum ViolationKind {
     LeakedHandle,
     /// A rank's modeled clock went backwards between sync points.
     NonMonotoneClock,
-    /// Every live rank is blocked at a rendezvous that cannot complete.
+    /// Every live rank is parked at a slot that cannot complete or blocked
+    /// in a receive.
     Stall,
     /// A second point-to-point send was posted with a `(comm, tag,
     /// src → dst)` envelope identical to one still in flight.
@@ -249,103 +257,77 @@ pub enum LoggedAction {
     },
 }
 
-/// One rank's registration at a rendezvous.
-struct OpEntry {
-    rank: usize,
-    kind: OpKind,
-    /// Root member index, for rooted collectives.
-    root: Option<usize>,
-}
-
-/// The meeting point for one `(communicator, sequence)` operation.
-struct Rendezvous {
-    /// Communicator size = registrations required to complete.
-    expected: usize,
-    /// Global ranks of the communicator's members.
-    members: Vec<usize>,
-    entries: Vec<OpEntry>,
-    /// Ranks parked on the condvar waiting for completion.
-    waiters: usize,
-    done: bool,
-}
-
-impl Rendezvous {
-    fn missing_members(&self) -> Vec<usize> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|m| !self.entries.iter().any(|e| e.rank == *m))
-            .collect()
-    }
-}
-
-struct CheckState {
-    /// Open rendezvous keyed by `(comm_id, seq)`; removed once complete and
-    /// drained of waiters.
-    rendezvous: HashMap<(u64, u64), Rendezvous>,
+/// The checker's state beside the open slots, under the slot table's lock
+/// ([`crate::slot::Table`]): who is parked at which slot, who has exited
+/// and what each member entered live in the slots themselves.
+pub(crate) struct CheckState {
+    /// The first violation that tripped the checker, or the orphaned sends
+    /// the last rank out found; non-empty halts all further progress.
     violations: Vec<ProtocolViolation>,
-    /// Set on the first violation; halts all further progress.
-    tripped: bool,
     /// Modeled time of each rank's last sync point (monotonicity check).
     last_time: Vec<f64>,
-    /// Ranks currently parked on the condvar.
-    waiting: usize,
-    /// Ranks whose threads have exited (normally or by panic).
-    finished: usize,
     /// In-flight user-level point-to-point sends (posted, not yet matched
     /// by a receive), keyed by `(comm_id, tag, src, dst)` global ranks.
     p2p_inflight: HashSet<(u64, u64, usize, usize)>,
     /// Ranks blocked in a point-to-point receive with no matching send
     /// posted yet: receiver rank → `(comm_id, tag, src)`.
     p2p_blocked: HashMap<usize, (u64, u64, usize)>,
-    /// When `Some`, every collective/post registration, nonblocking wait and
+    /// When `Some`, every collective/post entry, nonblocking wait and
     /// point-to-point send/receive is appended here (the op log read back
     /// by [`crate::runtime::run_ranks_logged`]).
     op_log: Option<Vec<LoggedOp>>,
 }
 
-/// World-shared checker state. Created by
-/// [`crate::runtime::run_ranks_checked`] when checking is on.
-pub(crate) struct CheckShared {
-    state: Mutex<CheckState>,
-    cv: Condvar,
-}
-
-impl CheckShared {
-    pub(crate) fn new(p: usize) -> Self {
-        CheckShared {
-            state: Mutex::new(CheckState {
-                rendezvous: HashMap::new(),
-                violations: Vec::new(),
-                tripped: false,
-                last_time: vec![0.0; p],
-                waiting: 0,
-                finished: 0,
-                p2p_inflight: HashSet::new(),
-                p2p_blocked: HashMap::new(),
-                op_log: None,
-            }),
-            cv: Condvar::new(),
+impl CheckState {
+    pub(crate) fn new(p: usize, log: bool) -> Self {
+        CheckState {
+            violations: Vec::new(),
+            last_time: vec![0.0; p],
+            p2p_inflight: HashSet::new(),
+            p2p_blocked: HashMap::new(),
+            op_log: log.then(Vec::new),
         }
     }
 
-    /// Start recording the op log.
-    pub(crate) fn enable_logging(&self) {
-        self.lock().op_log = Some(Vec::new());
+    /// The report every rank panics with once the checker has tripped.
+    pub(crate) fn tripped(&self) -> Option<String> {
+        (!self.violations.is_empty()).then(|| render(&self.violations))
+    }
+
+    fn log(&mut self, rank: usize, comm: u64, action: LoggedAction) {
+        if let Some(log) = self.op_log.as_mut() {
+            log.push(LoggedOp { rank, comm, action });
+        }
+    }
+
+    /// Every rank has exited: sends still in flight can never be received,
+    /// so they are recorded as [`ViolationKind::OrphanedSend`] for the
+    /// runtime to surface.
+    pub(crate) fn sweep_orphans(&mut self) {
+        let mut orphans: Vec<(u64, u64, usize, usize)> =
+            self.p2p_inflight.iter().copied().collect();
+        orphans.sort_unstable();
+        self.violations.extend(orphans.into_iter().map(|(c, t, src, dst)| ProtocolViolation {
+            kind: ViolationKind::OrphanedSend,
+            comm: c,
+            seq: t,
+            detail: format!(
+                "rank {src} sent to rank {dst} with (comm {c:#x}, tag {t}) but the message was \
+                 never received before the run ended"
+            ),
+        }));
+    }
+}
+
+impl Slots {
+    /// Violations recorded so far (read by the runtime after the run).
+    pub(crate) fn violations(&self) -> Vec<ProtocolViolation> {
+        self.lock().check.violations.clone()
     }
 
     /// Take the recorded op log (empty if logging was never enabled).
     pub(crate) fn take_op_log(&self) -> Vec<LoggedOp> {
-        self.lock().op_log.take().unwrap_or_default()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, CheckState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Violations recorded so far (read by the runtime after the run).
-    pub(crate) fn violations(&self) -> Vec<ProtocolViolation> {
-        self.lock().violations.clone()
+        self.lock().check.op_log.take().unwrap_or_default()
     }
 }
 
@@ -357,55 +339,51 @@ fn render(violations: &[ProtocolViolation]) -> String {
         .join("\n")
 }
 
-/// A stall exists iff every rank is either parked at a rendezvous, blocked
-/// in a point-to-point receive with no matching send, or has exited — and
-/// no completed rendezvous still has waiters to wake (those will make
-/// progress once scheduled). A stall consisting purely of receive-blocked
-/// ranks is classed as [`ViolationKind::UnmatchedRecv`].
-fn stall_violation(st: &CheckState, p: usize) -> Option<ProtocolViolation> {
-    let blocked = st.waiting + st.p2p_blocked.len();
-    if blocked == 0 || blocked + st.finished < p {
+/// A stall exists iff every rank is either parked at a slot that is not
+/// complete, blocked in a point-to-point receive with no matching send, or
+/// has exited. A rank parked at a complete slot is not blocked: the
+/// deposit that completed it woke it, under the lock this reads under. A
+/// stall consisting purely of receive-blocked ranks is classed as
+/// [`ViolationKind::UnmatchedRecv`].
+pub(crate) fn stall_violation(t: &Table) -> Option<ProtocolViolation> {
+    let p = t.exited.len();
+    let exited = t.exited.iter().filter(|&&e| e).count();
+    let mut open: Vec<(&(u64, u64), &Slot)> =
+        t.open.iter().filter(|(_, s)| !s.complete()).collect();
+    let waiting: usize = open.iter().map(|(_, s)| s.parked).sum();
+    let in_recv = t.check.p2p_blocked.len();
+    if waiting + in_recv == 0 || waiting + in_recv + exited < p {
         return None;
     }
-    if st.rendezvous.values().any(|r| r.done && r.waiters > 0) {
-        return None;
-    }
+    open.sort_unstable_by_key(|(k, _)| **k);
     let mut stuck: Vec<String> = Vec::new();
-    let mut comm = 0u64;
-    let mut seq = 0u64;
-    for ((c, s), r) in &st.rendezvous {
-        if r.done || r.entries.is_empty() {
-            continue;
-        }
-        comm = *c;
-        seq = *s;
-        let who: Vec<String> = r
-            .entries
-            .iter()
-            .map(|e| format!("rank {} in {}", e.rank, e.kind))
+    for (&(c, s), slot) in &open {
+        let seats = || slot.seats.iter().zip(slot.comm.members());
+        let who: Vec<String> = seats()
+            .filter_map(|(seat, g)| seat.op.map(|(kind, _)| format!("rank {g} in {kind}")))
+            .collect();
+        let missing: Vec<usize> = seats()
+            .filter(|(seat, _)| seat.op.is_none())
+            .map(|(_, &g)| g)
             .collect();
         stuck.push(format!(
-            "{} (comm {c:#x}, op {s}) missing members {:?}",
-            who.join(", "),
-            r.missing_members()
+            "{} (comm {c:#x}, op {s}) missing members {missing:?}",
+            who.join(", ")
         ));
     }
     stuck.sort();
     let mut recv_stuck: Vec<(usize, (u64, u64, usize))> =
-        st.p2p_blocked.iter().map(|(&r, &k)| (r, k)).collect();
+        t.check.p2p_blocked.iter().map(|(&r, &k)| (r, k)).collect();
     recv_stuck.sort_unstable();
-    let pure_p2p = st.waiting == 0;
-    if let Some(&(_, (c, t, _))) = recv_stuck.first() {
-        if pure_p2p {
-            comm = c;
-            seq = t;
-        }
-        stuck.extend(recv_stuck.iter().map(|&(r, (c, t, src))| {
-            format!(
-                "rank {r} in recv from rank {src} (comm {c:#x}, tag {t}) with no matching send"
-            )
-        }));
-    }
+    let pure_p2p = waiting == 0;
+    let (comm, seq) = match (open.first(), recv_stuck.first()) {
+        (Some(&(&key, _)), _) if !pure_p2p => key,
+        (_, Some(&(_, (c, t, _)))) => (c, t),
+        _ => (0, 0),
+    };
+    stuck.extend(recv_stuck.iter().map(|&(r, (c, t, src))| {
+        format!("rank {r} in recv from rank {src} (comm {c:#x}, tag {t}) with no matching send")
+    }));
     Some(ProtocolViolation {
         kind: if pure_p2p {
             ViolationKind::UnmatchedRecv
@@ -415,10 +393,8 @@ fn stall_violation(st: &CheckState, p: usize) -> Option<ProtocolViolation> {
         comm,
         seq,
         detail: format!(
-            "all live ranks are blocked ({} waiting, {} in recv, {} exited of {p}): {}",
-            st.waiting,
-            st.p2p_blocked.len(),
-            st.finished,
+            "all live ranks are blocked ({waiting} waiting, {in_recv} in recv, {exited} exited \
+             of {p}): {}",
             stuck.join("; ")
         ),
     })
@@ -442,180 +418,131 @@ fn poison_world(world: &WorldShared, me: usize, report: &str) {
     }
 }
 
-/// Record `v`, trip the checker, wake everyone, and return the report the
-/// caller must panic with.
-fn trip(check: &CheckShared, world: &WorldShared, me: usize, v: ProtocolViolation) -> String {
-    let mut st = check.lock();
-    if !st.tripped {
-        st.violations.push(v);
-        st.tripped = true;
+/// Record `v` unless the checker has already tripped, wake every rank
+/// parked at a slot, release the table, poison every mailbox, and return
+/// the report the caller must panic with.
+pub(crate) fn trip(
+    world: &WorldShared,
+    mut t: MutexGuard<'_, Table>,
+    me: usize,
+    v: ProtocolViolation,
+) -> String {
+    if t.check.violations.is_empty() {
+        t.check.violations.push(v);
+        t.open.values().for_each(Slot::wake);
     }
-    let report = render(&st.violations);
-    drop(st);
-    check.cv.notify_all();
-    world.slots.trip(&report);
+    let report = render(&t.check.violations);
+    drop(t);
     poison_world(world, me, &report);
     report
 }
 
+/// Panic with the report if the checker has tripped: no rank makes
+/// progress after the first violation.
+fn halt_if_tripped(t: MutexGuard<'_, Table>) -> MutexGuard<'_, Table> {
+    if let Some(report) = t.check.tripped() {
+        drop(t);
+        panic!("{report}");
+    }
+    t
+}
+
 impl Rank {
-    /// Register this rank's entry into collective `seq` on `comm` and
-    /// verify it against the other members' registrations. Blocking
-    /// collectives park here until every member has registered, so
-    /// mismatches surface before any payload crosses. No-op when checking
-    /// is off.
-    pub(crate) fn check_enter(
+    /// Trip the checker with `v` and panic with its report.
+    fn fail(&self, t: MutexGuard<'_, Table>, v: ProtocolViolation) -> ! {
+        let report = trip(self.world(), t, self.rank(), v);
+        panic!("{report}");
+    }
+
+    /// Verify this rank's entry `(kind, root)` into collective `seq` on
+    /// `comm` at modeled time `now`, before [`Rank::deposit`] fills its
+    /// seat: against its own previous sync point, and against the slot's
+    /// earlier depositors, which all entered one operation (each deposit
+    /// passed this check). Logs the entry. A mismatch trips here, so the
+    /// slot never completes and no cross-matched payload is read.
+    pub(crate) fn verify_entry<'a>(
         &self,
+        t: MutexGuard<'a, Table>,
         comm: &Comm,
         seq: u64,
-        kind: OpKind,
-        root: Option<usize>,
-        counts: Option<(usize, usize)>,
-        blocking: bool,
-    ) {
-        self.perturb_point();
-        let Some(check) = self.world().check.clone() else {
-            return;
-        };
+        (kind, root): Entry,
+        now: f64,
+    ) -> MutexGuard<'a, Table> {
+        let mut t = halt_if_tripped(t);
         let me = self.rank();
-        let now = self.clock().now();
-        let q = comm.size();
-        let key = (comm.id(), seq);
-        let mut st = check.lock();
-        if st.tripped {
-            let report = render(&st.violations);
-            drop(st);
-            panic!("{report}");
-        }
+        let prev = t.check.last_time[me];
         // Clock monotonicity across this rank's sync points.
-        if now < st.last_time[me] - CLOCK_SLACK {
-            let prev = st.last_time[me];
-            drop(st);
-            let report = trip(
-                &check,
-                self.world(),
-                me,
-                ProtocolViolation {
-                    kind: ViolationKind::NonMonotoneClock,
-                    comm: comm.id(),
-                    seq,
-                    detail: format!(
-                        "rank {me} entered {kind} at modeled time {now:.9}s, earlier than \
-                         its previous sync point at {prev:.9}s"
-                    ),
-                },
+        if now < prev - CLOCK_SLACK {
+            let detail = format!(
+                "rank {me} entered {kind} at modeled time {now:.9}s, earlier than its previous \
+                 sync point at {prev:.9}s"
             );
-            panic!("{report}");
+            self.fail(
+                t,
+                violation(ViolationKind::NonMonotoneClock, comm, seq, detail),
+            );
         }
-        st.last_time[me] = now;
-        // Alltoallv descriptor shape (checked here, not just asserted
-        // locally, so the report names the rank and operation).
-        if let Some((parts_len, bytes_len)) = counts {
-            if parts_len != q || bytes_len != q {
-                drop(st);
-                let report = trip(
-                    &check,
-                    self.world(),
-                    me,
-                    ProtocolViolation {
-                        kind: ViolationKind::CountMismatch,
-                        comm: comm.id(),
-                        seq,
-                        detail: format!(
-                            "rank {me} posted {kind} with {parts_len} parts and {bytes_len} \
-                             sizes on a {q}-member communicator"
-                        ),
-                    },
-                );
-                panic!("{report}");
-            }
-        }
-        if let Some(log) = st.op_log.as_mut() {
-            log.push(LoggedOp {
-                rank: me,
-                comm: comm.id(),
-                action: LoggedAction::Enter { kind, root, seq },
-            });
-        }
-        // Rendezvous registration and cross-rank agreement.
-        let r = st.rendezvous.entry(key).or_insert_with(|| Rendezvous {
-            expected: q,
-            members: comm.members().to_vec(),
-            entries: Vec::new(),
-            waiters: 0,
-            done: false,
+        t.check.last_time[me] = now;
+        t.check
+            .log(me, comm.id(), LoggedAction::Enter { kind, root, seq });
+        let first = t.open.get(&(comm.id(), seq)).and_then(|slot| {
+            slot.seats
+                .iter()
+                .zip(comm.members())
+                .find_map(|(s, &g)| Some((g, s.op?)))
         });
-        let mismatch = r.entries.first().and_then(|first| {
-            if first.kind != kind {
-                Some(ProtocolViolation {
-                    kind: ViolationKind::OrderMismatch,
-                    comm: comm.id(),
-                    seq,
-                    detail: format!(
-                        "rank {me} entered {kind} but rank {} had entered {} as the same \
-                         operation on this communicator",
-                        first.rank, first.kind
-                    ),
-                })
-            } else if first.root != root {
-                Some(ProtocolViolation {
-                    kind: ViolationKind::RootMismatch,
-                    comm: comm.id(),
-                    seq,
-                    detail: format!(
-                        "rank {me} named member {:?} as {kind} root but rank {} named \
-                         member {:?}",
-                        root, first.rank, first.root
-                    ),
-                })
-            } else {
-                None
-            }
-        });
-        if let Some(v) = mismatch {
-            drop(st);
-            let report = trip(&check, self.world(), me, v);
-            panic!("{report}");
+        let Some((other, (other_kind, other_root))) = first else {
+            return t;
+        };
+        if other_kind != kind {
+            let detail = format!(
+                "rank {me} entered {kind} but rank {other} had entered {other_kind} as the same \
+                 operation on this communicator"
+            );
+            self.fail(
+                t,
+                violation(ViolationKind::OrderMismatch, comm, seq, detail),
+            );
         }
-        r.entries.push(OpEntry { rank: me, kind, root });
-        if r.entries.len() == r.expected {
-            r.done = true;
-            if r.waiters == 0 {
-                st.rendezvous.remove(&key);
-            }
-            drop(st);
-            check.cv.notify_all();
+        if other_root != root {
+            let detail = format!(
+                "rank {me} named member {root:?} as {kind} root but rank {other} named member \
+                 {other_root:?}"
+            );
+            self.fail(t, violation(ViolationKind::RootMismatch, comm, seq, detail));
+        }
+        t
+    }
+
+    /// Check an `alltoallv` descriptor's shape against the communicator
+    /// size before it is deposited, so the report names the rank and
+    /// operation instead of failing a local assertion. No-op when checking
+    /// is off.
+    pub(crate) fn check_counts(&self, comm: &Comm, seq: u64, parts: usize, sizes: usize) {
+        let q = comm.size();
+        if !self.world().check.is_on() || (parts == q && sizes == q) {
             return;
         }
-        if !blocking {
-            return;
-        }
-        // Park until the rendezvous completes (or the checker trips).
-        r.waiters += 1;
-        st.waiting += 1;
-        if let Some(v) = stall_violation(&st, self.world().p) {
-            drop(st);
-            let report = trip(&check, self.world(), me, v);
-            panic!("{report}");
-        }
-        loop {
-            st = check.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-            if st.tripped {
-                let report = render(&st.violations);
-                drop(st);
-                panic!("{report}");
-            }
-            if st.rendezvous.get(&key).is_none_or(|r| r.done) {
-                st.waiting -= 1;
-                let drained = st.rendezvous.get_mut(&key).map(|r| {
-                    r.waiters -= 1;
-                    r.waiters == 0
-                });
-                if drained == Some(true) {
-                    st.rendezvous.remove(&key);
-                }
-                return;
-            }
+        let detail = format!(
+            "rank {} posted {} with {parts} parts and {sizes} sizes on a {q}-member communicator",
+            self.rank(),
+            OpKind::Alltoallv
+        );
+        let t = self.world().slots.lock();
+        self.fail(
+            t,
+            violation(ViolationKind::CountMismatch, comm, seq, detail),
+        );
+    }
+
+    /// Before this rank parks (at an incomplete slot, or in a receive no
+    /// send has matched yet): panic if the checker has tripped, and trip it
+    /// if every rank is now blocked or gone.
+    pub(crate) fn check_stall<'a>(&self, t: MutexGuard<'a, Table>) -> MutexGuard<'a, Table> {
+        let t = halt_if_tripped(t);
+        match stall_violation(&t) {
+            Some(v) => self.fail(t, v),
+            None => t,
         }
     }
 
@@ -624,47 +551,25 @@ impl Rank {
     /// match key would make receive pairing ambiguous) and unblocks any
     /// receiver parked on this exact envelope.
     pub(crate) fn check_p2p_send(&self, comm: &Comm, dst_index: usize, tag: u64) {
-        let Some(check) = self.world().check.clone() else {
+        if !self.world().check.is_on() {
             return;
-        };
+        }
         let me = self.rank();
         let dst = comm.member(dst_index);
-        let key = (comm.id(), tag, me, dst);
-        let mut st = check.lock();
-        if st.tripped {
-            let report = render(&st.violations);
-            drop(st);
-            panic!("{report}");
-        }
-        if !st.p2p_inflight.insert(key) {
-            drop(st);
-            let report = trip(
-                &check,
-                self.world(),
-                me,
-                ProtocolViolation {
-                    kind: ViolationKind::TagCollision,
-                    comm: comm.id(),
-                    seq: tag,
-                    detail: format!(
-                        "rank {me} posted a second send to rank {dst} with (comm {:#x}, \
-                         tag {tag}) while the first is still undelivered: receives match \
-                         on (source, comm, tag), so the payloads are ambiguous",
-                        comm.id()
-                    ),
-                },
+        let mut t = halt_if_tripped(self.world().slots.lock());
+        if !t.check.p2p_inflight.insert((comm.id(), tag, me, dst)) {
+            let detail = format!(
+                "rank {me} posted a second send to rank {dst} with (comm {:#x}, tag {tag}) while \
+                 the first is still undelivered: receives match on (source, comm, tag), so the \
+                 payloads are ambiguous",
+                comm.id()
             );
-            panic!("{report}");
+            self.fail(t, violation(ViolationKind::TagCollision, comm, tag, detail));
         }
-        if let Some(log) = st.op_log.as_mut() {
-            log.push(LoggedOp {
-                rank: me,
-                comm: comm.id(),
-                action: LoggedAction::Send { to: dst, tag },
-            });
-        }
-        if st.p2p_blocked.get(&dst) == Some(&(comm.id(), tag, me)) {
-            st.p2p_blocked.remove(&dst);
+        t.check
+            .log(me, comm.id(), LoggedAction::Send { to: dst, tag });
+        if t.check.p2p_blocked.get(&dst) == Some(&(comm.id(), tag, me)) {
+            t.check.p2p_blocked.remove(&dst);
         }
     }
 
@@ -672,15 +577,10 @@ impl Rank {
     /// log. Completions register nothing else with the checker (a dropped
     /// handle is caught by its `HandleGuard`).
     pub(crate) fn check_wait(&self, comm: &Comm, seq: u64) {
-        let Some(check) = self.world().check.as_ref() else {
-            return;
-        };
-        if let Some(log) = check.lock().op_log.as_mut() {
-            log.push(LoggedOp {
-                rank: self.rank(),
-                comm: comm.id(),
-                action: LoggedAction::Wait { seq },
-            });
+        if self.world().check.is_on() {
+            let mut t = self.world().slots.lock();
+            t.check
+                .log(self.rank(), comm.id(), LoggedAction::Wait { seq });
         }
     }
 
@@ -689,104 +589,54 @@ impl Rank {
     /// guaranteed to complete; otherwise the rank is recorded as
     /// recv-blocked and the stall detector runs.
     pub(crate) fn check_p2p_recv_pre(&self, comm: &Comm, src_index: usize, tag: u64) {
-        let Some(check) = self.world().check.clone() else {
+        if !self.world().check.is_on() {
             return;
-        };
+        }
         let me = self.rank();
         let src = comm.member(src_index);
-        let mut st = check.lock();
-        if st.tripped {
-            let report = render(&st.violations);
-            drop(st);
-            panic!("{report}");
-        }
-        if let Some(log) = st.op_log.as_mut() {
-            log.push(LoggedOp {
-                rank: me,
-                comm: comm.id(),
-                action: LoggedAction::Recv { from: src, tag },
-            });
-        }
-        if st.p2p_inflight.contains(&(comm.id(), tag, src, me)) {
+        let mut t = halt_if_tripped(self.world().slots.lock());
+        t.check
+            .log(me, comm.id(), LoggedAction::Recv { from: src, tag });
+        if t.check.p2p_inflight.contains(&(comm.id(), tag, src, me)) {
             return;
         }
-        st.p2p_blocked.insert(me, (comm.id(), tag, src));
-        if let Some(v) = stall_violation(&st, self.world().p) {
-            drop(st);
-            let report = trip(&check, self.world(), me, v);
-            panic!("{report}");
-        }
+        t.check.p2p_blocked.insert(me, (comm.id(), tag, src));
+        drop(self.check_stall(t));
     }
 
     /// Mark a point-to-point receive as completed: the envelope is no
     /// longer in flight and this rank is no longer recv-blocked.
     pub(crate) fn check_p2p_recv_post(&self, comm: &Comm, src_index: usize, tag: u64) {
-        let Some(check) = self.world().check.clone() else {
+        if !self.world().check.is_on() {
             return;
-        };
+        }
         let me = self.rank();
         let src = comm.member(src_index);
-        let mut st = check.lock();
-        st.p2p_inflight.remove(&(comm.id(), tag, src, me));
-        st.p2p_blocked.remove(&me);
-    }
-
-    /// Called when this rank's thread exits (normally or by panic): a
-    /// departed rank can never complete an open rendezvous, so peers parked
-    /// on one may now be provably stalled. The last rank out also sweeps
-    /// the point-to-point registry: sends still in flight after every rank
-    /// has exited can never be received, so they are recorded as
-    /// [`ViolationKind::OrphanedSend`] for the runtime to surface.
-    pub(crate) fn check_exit(&self) {
-        let Some(check) = self.world().check.clone() else {
-            return;
-        };
-        let mut st = check.lock();
-        st.finished += 1;
-        if st.finished == self.world().p && !st.tripped && !st.p2p_inflight.is_empty() {
-            let mut orphans: Vec<(u64, u64, usize, usize)> =
-                st.p2p_inflight.iter().copied().collect();
-            orphans.sort_unstable();
-            for (c, t, src, dst) in orphans {
-                st.violations.push(ProtocolViolation {
-                    kind: ViolationKind::OrphanedSend,
-                    comm: c,
-                    seq: t,
-                    detail: format!(
-                        "rank {src} sent to rank {dst} with (comm {c:#x}, tag {t}) but \
-                         the message was never received before the run ended"
-                    ),
-                });
-            }
-        }
-        if st.tripped {
-            return;
-        }
-        let Some(v) = stall_violation(&st, self.world().p) else {
-            return;
-        };
-        drop(st);
-        let report = trip(&check, self.world(), self.rank(), v);
-        // If this rank is exiting because it panicked, that panic is the
-        // primary failure; tripping above has already woken the stalled
-        // peers. Otherwise this rank exited without posting a collective
-        // its peers are waiting on — that is the defect, so report it here.
-        if !std::thread::panicking() {
-            panic!("{report}");
-        }
+        let mut t = self.world().slots.lock();
+        t.check.p2p_inflight.remove(&(comm.id(), tag, src, me));
+        t.check.p2p_blocked.remove(&me);
     }
 
     /// Build the `Drop` guard for a nonblocking handle. Armed whenever
     /// checking is on, and in every debug build.
     pub(crate) fn handle_guard(&self, kind: OpKind, comm: &Comm, seq: u64) -> HandleGuard {
         HandleGuard {
-            armed: self.world().check.is_some() || cfg!(debug_assertions),
+            armed: self.world().check.is_on() || cfg!(debug_assertions),
             kind,
             comm: comm.id(),
             seq,
             rank: self.rank(),
             world: Arc::clone(self.world()),
         }
+    }
+}
+
+fn violation(kind: ViolationKind, comm: &Comm, seq: u64, detail: String) -> ProtocolViolation {
+    ProtocolViolation {
+        kind,
+        comm: comm.id(),
+        seq,
+        detail,
     }
 }
 
@@ -836,9 +686,10 @@ impl Drop for HandleGuard {
                 self.rank, self.kind, self.seq, self.comm
             ),
         };
-        let report = match &self.world.check {
-            Some(check) => trip(check, &self.world, self.rank, v),
-            None => v.to_string(),
+        let report = if self.world.check.is_on() {
+            trip(&self.world, self.world.slots.lock(), self.rank, v)
+        } else {
+            v.to_string()
         };
         panic!("{report}");
     }
@@ -875,38 +726,39 @@ mod tests {
 
     #[test]
     fn stall_requires_everyone_blocked_or_gone() {
-        let mut st = CheckState {
-            rendezvous: HashMap::new(),
-            violations: Vec::new(),
-            tripped: false,
-            last_time: vec![0.0; 4],
-            waiting: 2,
-            finished: 1,
-            p2p_inflight: HashSet::new(),
-            p2p_blocked: HashMap::new(),
-            op_log: None,
+        let mut t = Table {
+            open: HashMap::new(),
+            exited: vec![false, false, false, true],
+            check: CheckState::new(4, false),
         };
-        st.rendezvous.insert(
-            (1, 1),
-            Rendezvous {
-                expected: 4,
-                members: vec![0, 1, 2, 3],
-                entries: vec![OpEntry {
-                    rank: 0,
-                    kind: OpKind::Barrier,
-                    root: None,
-                }],
-                waiters: 2,
-                done: false,
-            },
-        );
+        let world = Comm::for_rank(vec![0, 1, 2, 3], 0, 0);
+        // Rank 0 entered a barrier and parked; rank 1 is parked at another
+        // barrier; rank 2 still computes; rank 3 has exited.
+        let mut barrier = Slot::new(&world, &t.exited);
+        barrier.seats[0].op = Some((OpKind::Barrier, None));
+        barrier.parked = 1;
+        t.open.insert((1, 1), barrier);
+        let mut other = Slot::new(&world, &t.exited);
+        other.seats[1].op = Some((OpKind::Barrier, None));
+        other.parked = 1;
+        t.open.insert((2, 1), other);
         // One rank still computing: not a stall.
-        assert!(stall_violation(&st, 4).is_none());
+        assert!(stall_violation(&t).is_none());
         // It exits without entering the barrier: now a stall.
-        st.finished = 2;
-        let v = stall_violation(&st, 4).expect("stall");
+        t.exited[2] = true;
+        let v = stall_violation(&t).expect("stall");
         assert_eq!(v.kind, ViolationKind::Stall);
         assert!(v.detail.contains("rank 0 in barrier"), "{}", v.detail);
         assert!(v.detail.contains("missing members"), "{}", v.detail);
+        // Rank 1's barrier was in fact complete — its last deposit woke
+        // rank 1, which has not run yet: a rank parked at a complete slot
+        // is not blocked, so nothing is stalled.
+        let other = t.open.get_mut(&(2, 1)).expect("inserted above");
+        for seat in &mut other.seats {
+            seat.op = Some((OpKind::Barrier, None));
+        }
+        other.filled = 4;
+        assert!(other.complete());
+        assert!(stall_violation(&t).is_none());
     }
 }

@@ -23,22 +23,23 @@
 use crate::check::OpKind;
 use crate::clock::Step;
 use crate::comm::{Comm, Rank};
-use crate::slot::{Meeting, Part};
+use crate::slot::{Entry, Meeting, Part};
 use std::sync::Arc;
 
 impl Rank {
-    /// Deposit `word` and `part` at slot `seq`, wait for every member, and
-    /// read the slot with `read`. Returns the synchronized clock, which
-    /// this rank has advanced to under [`Step::Wait`].
+    /// Deposit this member's `entry`, `word` and `part` at slot `seq`, wait
+    /// for every member, and read the slot with `read`. Returns the
+    /// synchronized clock, which this rank has advanced to under
+    /// [`Step::Wait`].
     fn meet<R>(
         &mut self,
         comm: &Comm,
         seq: u64,
-        word: u64,
-        part: Option<Part>,
+        entry: Entry,
+        (word, part): (u64, Option<Part>),
         read: impl FnOnce(&mut Meeting<'_>) -> R,
     ) -> (f64, R) {
-        self.deposit(comm, seq, word, part);
+        self.deposit(comm, seq, entry, word, part);
         let (t, out) = self.collect(comm, seq, |m| (m.clock(), read(m)));
         self.clock_mut().advance_to(Step::Wait, t);
         (t, out)
@@ -60,9 +61,8 @@ impl Rank {
     ) -> Arc<T> {
         let q = comm.size();
         let seq = self.next_seq(comm);
-        self.check_enter(comm, seq, OpKind::Bcast, Some(root), None, true);
-        let (word, part) = root_deposit(comm, root, value, bytes);
-        let (t0, (out, bytes)) = self.meet(comm, seq, word, part, |m| {
+        let deposit = root_deposit(comm, root, value, bytes);
+        let (t0, (out, bytes)) = self.meet(comm, seq, (OpKind::Bcast, Some(root)), deposit, |m| {
             (Arc::clone(m.part::<Arc<T>>(root)), m.word() as usize)
         });
         let cost = self.machine().bcast_secs(q, bytes);
@@ -83,8 +83,8 @@ impl Rank {
     ) -> T {
         let q = comm.size();
         let seq = self.next_seq(comm);
-        self.check_enter(comm, seq, OpKind::Allreduce, None, None, true);
-        let (t0, result) = self.meet(comm, seq, 0, Some(Box::new(value)), |m| {
+        let entry = (OpKind::Allreduce, None);
+        let (t0, result) = self.meet(comm, seq, entry, (0, Some(Box::new(value))), |m| {
             (1..q).fold(*m.part::<T>(0), |acc, i| op(acc, *m.part::<T>(i)))
         });
         let cost = self.machine().allreduce_secs(q, bytes);
@@ -106,8 +106,8 @@ impl Rank {
     ) -> Vec<T> {
         let q = comm.size();
         let seq = self.next_seq(comm);
-        self.check_enter(comm, seq, OpKind::Allgather, None, None, true);
-        let (t0, out) = self.meet(comm, seq, 0, Some(Box::new(value)), |m| {
+        let entry = (OpKind::Allgather, None);
+        let (t0, out) = self.meet(comm, seq, entry, (0, Some(Box::new(value))), |m| {
             (0..q)
                 .map(|i| if m.last() { m.take::<T>(i) } else { m.part::<T>(i).clone() })
                 .collect()
@@ -136,14 +136,7 @@ impl Rank {
     ) -> Vec<T> {
         let q = comm.size();
         let seq = self.next_seq(comm);
-        self.check_enter(
-            comm,
-            seq,
-            OpKind::Alltoallv,
-            None,
-            Some((parts.len(), bytes.len())),
-            true,
-        );
+        self.check_counts(comm, seq, parts.len(), bytes.len());
         assert_eq!(parts.len(), q, "alltoallv needs one part per member");
         assert_eq!(bytes.len(), q, "alltoallv needs one size per member");
         let me = comm.my_index();
@@ -154,8 +147,9 @@ impl Rank {
             .zip(bytes)
             .map(|(part, &b)| Some((part, b as u64)))
             .collect();
+        let deposit = (sent as u64, Some(Box::new(outgoing) as Part));
         let (t0, (out, recv_bytes, max_bytes)) =
-            self.meet(comm, seq, sent as u64, Some(Box::new(outgoing)), |m| {
+            self.meet(comm, seq, (OpKind::Alltoallv, None), deposit, |m| {
                 let mut recv_bytes = 0u64;
                 let out: Vec<T> = (0..q)
                     .map(|i| {
@@ -181,8 +175,7 @@ impl Rank {
     pub fn barrier(&mut self, comm: &Comm, step: Step) {
         let q = comm.size();
         let seq = self.next_seq(comm);
-        self.check_enter(comm, seq, OpKind::Barrier, None, None, true);
-        let (t0, ()) = self.meet(comm, seq, 0, None, |_| ());
+        let (t0, ()) = self.meet(comm, seq, (OpKind::Barrier, None), (0, None), |_| ());
         let cost = self.machine().barrier_secs(q);
         self.clock_mut().advance_to(step, t0 + cost);
     }
@@ -206,9 +199,9 @@ impl Rank {
     ) -> Option<Vec<T>> {
         let q = comm.size();
         let seq = self.next_seq(comm);
-        self.check_enter(comm, seq, OpKind::Gather, Some(root), None, true);
         let is_root = comm.my_index() == root;
-        let (t0, result) = self.meet(comm, seq, 0, Some(Box::new(value)), |m| {
+        let entry = (OpKind::Gather, Some(root));
+        let (t0, result) = self.meet(comm, seq, entry, (0, Some(Box::new(value))), |m| {
             is_root.then(|| (0..q).map(|i| m.take::<T>(i)).collect())
         });
         let cost = if is_root {

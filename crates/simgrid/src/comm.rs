@@ -10,7 +10,7 @@
 //! messages with one envelope are received in the order they were sent
 //! (MPI's non-overtaking rule).
 
-use crate::check::CheckShared;
+use crate::check::CheckMode;
 use crate::clock::{RankClock, Step};
 use crate::cost::Machine;
 use crate::slot::Slots;
@@ -28,14 +28,14 @@ pub(crate) struct Envelope {
     pub payload: Box<dyn Any + Send>,
 }
 
-/// Shared world state: one mailbox per rank, the collectives' meeting
-/// slots, plus the protocol checker when
-/// [`crate::check::CheckMode::Check`] is active.
+/// Shared world state: one mailbox per rank, and the collectives' meeting
+/// slots, whose table also holds the protocol checker's state — read only
+/// when `check` is [`CheckMode::Check`].
 pub(crate) struct WorldShared {
     pub p: usize,
     pub senders: Vec<Sender<Envelope>>,
     pub slots: Slots,
-    pub check: Option<Arc<CheckShared>>,
+    pub check: CheckMode,
     /// Schedule-perturbation seed: when set, every rank injects a
     /// deterministic, seed-derived amount of scheduler jitter at
     /// communication points ([`Rank::perturb_point`]), permuting thread
@@ -336,19 +336,18 @@ impl std::fmt::Debug for Rank {
 }
 
 impl Drop for Rank {
-    /// A departing rank can never complete an open rendezvous: it leaves
-    /// every meeting slot (waking peers waiting for its deposit) and tells
-    /// the checker, so peers parked at a rendezvous learn they are stalled.
+    /// A departing rank can never deposit at a slot again: it leaves every
+    /// slot it is in, waking peers waiting for its deposit, and — under
+    /// checking — is counted as gone by the stall detector in the same
+    /// step (`Rank::exit`).
     fn drop(&mut self) {
-        self.world.slots.exit(self.rank);
-        self.check_exit();
+        self.exit();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::CheckMode;
     use crate::runtime::{run_ranks, run_ranks_checked};
 
     #[test]

@@ -35,7 +35,9 @@
 //! controlled by [`check::CheckMode`] / the `SPGEMM_CHECK` environment
 //! variable. In either mode, a collective that a member's thread exited
 //! without joining ends in a panic naming that member and the operation,
-//! never in a hang.
+//! never in a hang: with checking off as soon as a waiter sees the exit,
+//! with checking on in the stall report, once every rank is blocked or
+//! gone.
 
 #![forbid(unsafe_code)]
 

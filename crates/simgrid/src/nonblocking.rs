@@ -77,9 +77,8 @@ impl Rank {
         step: Step,
     ) -> PendingBcast<T> {
         let seq = self.next_seq(comm);
-        self.check_enter(comm, seq, OpKind::IbcastPost, Some(root), None, false);
         let (word, part) = root_deposit(comm, root, value, bytes);
-        self.deposit(comm, seq, word, part);
+        self.deposit(comm, seq, (OpKind::IbcastPost, Some(root)), word, part);
         PendingBcast {
             guard: self.handle_guard(OpKind::IbcastPost, comm, seq),
             comm: comm.clone(),

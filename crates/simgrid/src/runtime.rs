@@ -1,6 +1,6 @@
 //! Spawning and joining simulated ranks.
 
-use crate::check::{CheckMode, CheckShared, LoggedOp};
+use crate::check::{CheckMode, LoggedOp};
 use crate::comm::{Envelope, Rank, WorldShared};
 use crate::cost::Machine;
 use crate::slot::{Slots, PEER_EXITED};
@@ -123,18 +123,11 @@ where
         senders.push(tx);
         receivers.push(Some(rx));
     }
-    let check = mode.is_on().then(|| Arc::new(CheckShared::new(p)));
-    if log {
-        check
-            .as_ref()
-            .expect("op logging requires CheckMode::Check")
-            .enable_logging();
-    }
     let world = Arc::new(WorldShared {
         p,
         senders,
-        slots: Slots::new(p),
-        check: check.clone(),
+        slots: Slots::new(p, log),
+        check: mode,
         perturb,
     });
     let f = &f;
@@ -195,12 +188,10 @@ where
         if let Some((i, msg)) = failures.iter().find(|(_, msg)| !secondary(msg)) {
             panic!("{} panicked: {msg}", who(*i));
         }
-        if let Some(check) = &check {
-            let violations = check.violations();
-            if !violations.is_empty() {
-                let report: Vec<String> = violations.iter().map(ToString::to_string).collect();
-                panic!("{}", report.join("\n"));
-            }
+        let violations = world.slots.violations();
+        if !violations.is_empty() {
+            let report: Vec<String> = violations.iter().map(ToString::to_string).collect();
+            panic!("{}", report.join("\n"));
         }
         // Only secondary infrastructure panics and no checker report (e.g.
         // checking off): surface the first one rather than nothing.
@@ -211,15 +202,13 @@ where
     // Violations recorded at exit (orphaned point-to-point sends) don't
     // panic any rank — the threads have already finished — so a clean join
     // must still surface them.
-    if let Some(check) = &check {
-        let violations = check.violations();
-        if !violations.is_empty() {
-            let report: Vec<String> = violations.iter().map(ToString::to_string).collect();
-            panic!("{}", report.join("\n"));
-        }
+    let violations = world.slots.violations();
+    if !violations.is_empty() {
+        let report: Vec<String> = violations.iter().map(ToString::to_string).collect();
+        panic!("{}", report.join("\n"));
     }
 
-    let op_log = check.as_ref().map(|c| c.take_op_log()).unwrap_or_default();
+    let op_log = world.slots.take_op_log();
     let results = results
         .into_iter()
         .enumerate()

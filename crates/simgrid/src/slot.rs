@@ -1,24 +1,35 @@
-//! Meeting slots: the transport every collective runs over.
+//! Meeting slots: the one place every collective meets.
 //!
 //! A collective drawn as sequence number `seq` on communicator `comm` meets
 //! at one slot, keyed `(comm id, seq)`, in the world's [`Slots`]. Each
-//! member **deposits** its entry clock, one word (an `alltoallv` member's
-//! send volume, a broadcast root's modeled size, `0` otherwise) and its
-//! contribution, then **collects**: it parks until every member has
-//! deposited — the last arrival wakes the rest — and reads what it needs
-//! through a [`Meeting`]: the max clock, the max word, and any member's
-//! contribution, borrowed or moved. The slot is removed when its last
-//! member leaves. A blocking collective deposits and collects back to
-//! back; [`crate::Rank::ibcast`] deposits at post and collects at
+//! member **deposits** the operation it entered (kind and root), its entry
+//! clock, one word (an `alltoallv` member's send volume, a broadcast root's
+//! modeled size, `0` otherwise) and its contribution, then **collects**: it
+//! parks until every member has deposited — the last arrival wakes the
+//! rest — and reads what it needs through a [`Meeting`]: the max clock,
+//! the max word, and any member's contribution, borrowed or moved. The
+//! slot is removed when its last member leaves. A blocking collective
+//! deposits and collects back to back, so it parks once;
+//! [`crate::Rank::ibcast`] deposits at post and collects at
 //! [`crate::PendingBcast::wait`].
 //!
-//! Two events end a wait early, each with a panic: the protocol checker
-//! tripping (every parked rank panics with its report), and a member that
-//! has not deposited exiting its thread — it never will, so every rank
-//! parked at a slot it has not filled panics naming that rank and the
-//! slot. An exited member counts as having left every slot it was in, so
-//! a run that ends, cleanly or not, leaves no slot open.
+//! The table's one lock also guards the protocol checker's state
+//! ([`crate::check`]). Under [`crate::CheckMode::Check`] a deposit is
+//! verified against the slot's earlier depositors before its seat is
+//! filled, so a mismatch trips before the slot can complete; and the stall
+//! detector reads who is parked at which incomplete slot from this table,
+//! under the same lock as the deposit that completes it.
+//!
+//! Two events end a wait early, each with a panic: the checker tripping
+//! (every parked rank panics with its report), and — with checking off — a
+//! member that has not deposited exiting its thread: it never will, so
+//! every rank parked at a slot it has not filled panics naming that rank
+//! and the slot. With checking on, that exit is left to the stall
+//! detector, whose report names the missing member once every rank is
+//! blocked or gone. An exited member counts as having left every slot it
+//! was in, so a run that ends, cleanly or not, leaves no slot open.
 
+use crate::check::{stall_violation, trip, CheckState, OpKind};
 use crate::comm::{Comm, Rank};
 use std::any::Any;
 use std::collections::HashMap;
@@ -28,14 +39,18 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 /// one collective deposits and reads the same concrete type.
 pub(crate) type Part = Box<dyn Any + Send>;
 
+/// The operation a member enters, and its root for rooted collectives.
+pub(crate) type Entry = (OpKind, Option<usize>);
+
 /// The panic a waiter raises when a member it waits for has exited; the
 /// runtime ranks it below the failure that made that member exit.
 pub(crate) const PEER_EXITED: &str = "exited before joining";
 
 /// One member's place at a slot.
 #[derive(Default)]
-struct Seat {
-    filled: bool,
+pub(crate) struct Seat {
+    /// What the member entered; `None` until it deposits.
+    pub(crate) op: Option<Entry>,
     /// Left the slot, or exited its thread.
     gone: bool,
     clock: f64,
@@ -44,18 +59,20 @@ struct Seat {
 }
 
 /// The meeting point of one `(comm id, seq)` collective.
-struct Slot {
-    comm: Comm,
+pub(crate) struct Slot {
+    pub(crate) comm: Comm,
     /// By member index.
-    seats: Vec<Seat>,
-    filled: usize,
+    pub(crate) seats: Vec<Seat>,
+    pub(crate) filled: usize,
     /// Members not yet gone.
     present: usize,
+    /// Members parked in `collect`; counted only when checking is on.
+    pub(crate) parked: usize,
     cv: Arc<Condvar>,
 }
 
 impl Slot {
-    fn new(comm: &Comm, exited: &[bool]) -> Self {
+    pub(crate) fn new(comm: &Comm, exited: &[bool]) -> Self {
         let mut seats: Vec<Seat> = (0..comm.size()).map(|_| Seat::default()).collect();
         for (seat, &g) in seats.iter_mut().zip(comm.members()) {
             seat.gone = exited[g];
@@ -65,32 +82,39 @@ impl Slot {
             comm: comm.clone(),
             seats,
             filled: 0,
+            parked: 0,
             cv: Arc::new(Condvar::new()),
         }
     }
 
-    fn complete(&self) -> bool {
+    pub(crate) fn complete(&self) -> bool {
         self.filled == self.seats.len()
+    }
+
+    /// Wake every member parked here.
+    pub(crate) fn wake(&self) {
+        self.cv.notify_all();
     }
 }
 
-struct Table {
-    open: HashMap<(u64, u64), Slot>,
+/// The open slots and the checker's state, under one lock.
+pub(crate) struct Table {
+    pub(crate) open: HashMap<(u64, u64), Slot>,
     /// By global rank: the rank's thread has exited.
-    exited: Vec<bool>,
-    /// The checker's report, once it has tripped.
-    tripped: Option<String>,
+    pub(crate) exited: Vec<bool>,
+    pub(crate) check: CheckState,
 }
 
 /// Every open slot of one world.
 pub(crate) struct Slots(Mutex<Table>);
 
 impl Slots {
-    pub(crate) fn new(p: usize) -> Self {
+    /// An empty table for `p` ranks; `log` starts the checker's op log.
+    pub(crate) fn new(p: usize, log: bool) -> Self {
         Slots(Mutex::new(Table {
             open: HashMap::new(),
             exited: vec![false; p],
-            tripped: None,
+            check: CheckState::new(p, log),
         }))
     }
 
@@ -98,44 +122,8 @@ impl Slots {
     /// counts valid — it has not left, and its exit marks it gone — so the
     /// guard is recovered: the ranks still running, and every `exit`, must
     /// get through.
-    fn lock(&self) -> MutexGuard<'_, Table> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Table> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Global rank `rank`'s thread has exited: it leaves every slot it is
-    /// in, and ranks waiting for its deposit are woken to report it.
-    pub(crate) fn exit(&self, rank: usize) {
-        let mut t = self.lock();
-        t.exited[rank] = true;
-        let mut closed = Vec::new();
-        t.open.retain(|_, slot| {
-            let Some(i) = slot.comm.members().iter().position(|&g| g == rank) else {
-                return true;
-            };
-            let seat = &mut slot.seats[i];
-            if !seat.gone {
-                seat.gone = true;
-                slot.present -= 1;
-            }
-            if !seat.filled {
-                slot.cv.notify_all();
-            }
-            if slot.present > 0 {
-                return true;
-            }
-            closed.push(std::mem::take(&mut slot.seats));
-            false
-        });
-        drop(t);
-        drop(closed);
-    }
-
-    /// The checker has tripped: every rank parked at a slot, or arriving
-    /// at one later, panics with `report`.
-    pub(crate) fn trip(&self, report: &str) {
-        let mut t = self.lock();
-        t.tripped.get_or_insert_with(|| report.to_string());
-        t.open.values().for_each(|slot| slot.cv.notify_all());
     }
 
     /// `(comm id, seq)` of every slot still open.
@@ -198,19 +186,25 @@ fn mismatch<T>(i: usize) -> String {
 }
 
 impl Rank {
-    /// Deposit this member's entry clock, `word` and `part` at slot `seq`
-    /// on `comm`; the last member to deposit wakes the others.
-    pub(crate) fn deposit(&self, comm: &Comm, seq: u64, word: u64, part: Option<Part>) {
+    /// Deposit this member's entry `op`, its entry clock, `word` and `part`
+    /// at slot `seq` on `comm`; the last member to deposit wakes the
+    /// others. Under checking, the entry is verified first (see
+    /// [`Rank::verify_entry`]).
+    pub(crate) fn deposit(&self, comm: &Comm, seq: u64, op: Entry, word: u64, part: Option<Part>) {
         self.perturb_point();
+        let now = self.clock().now();
         let mut t = self.world().slots.lock();
+        if self.world().check.is_on() {
+            t = self.verify_entry(t, comm, seq, op, now);
+        }
         let Table { open, exited, .. } = &mut *t;
         let slot = open
             .entry((comm.id(), seq))
             .or_insert_with(|| Slot::new(comm, exited));
         slot.seats[comm.my_index()] = Seat {
-            filled: true,
+            op: Some(op),
             gone: false,
-            clock: self.clock().now(),
+            clock: now,
             word,
             part,
         };
@@ -233,35 +227,42 @@ impl Rank {
     ) -> R {
         self.perturb_point();
         let key = (comm.id(), seq);
+        let checking = self.world().check.is_on();
         let mut t = self.world().slots.lock();
+        let mut parked = false;
         loop {
-            let slot = t
-                .open
-                .get(&key)
+            let Table { open, exited, .. } = &mut *t;
+            let slot = open
+                .get_mut(&key)
                 .expect("a member collects only from a slot it deposited at");
             if slot.complete() {
                 break;
             }
-            let failure = t.tripped.clone().or_else(|| {
-                let (_, g) = slot
-                    .seats
-                    .iter()
-                    .zip(comm.members())
-                    .find(|(s, &g)| !s.filled && t.exited[g])?;
-                Some(format!(
+            let cv = Arc::clone(&slot.cv);
+            if checking {
+                if !parked {
+                    slot.parked += 1;
+                    parked = true;
+                }
+                t = self.check_stall(t);
+            } else if let Some((_, g)) = slot
+                .seats
+                .iter()
+                .zip(comm.members())
+                .find(|(s, &g)| s.op.is_none() && exited[g])
+            {
+                let msg = format!(
                     "rank {g} {PEER_EXITED} the collective rank {} waits on (comm {:#x}, op {seq})",
                     self.rank(),
                     comm.id()
-                ))
-            });
-            if let Some(msg) = failure {
+                );
                 drop(t);
                 panic!("{msg}");
             }
-            let cv = Arc::clone(&slot.cv);
             t = cv.wait(t).unwrap_or_else(PoisonError::into_inner);
         }
         let slot = t.open.get_mut(&key).expect("slot checked above");
+        slot.parked -= usize::from(parked);
         let out = read(&mut Meeting {
             last: slot.present == 1,
             seats: &mut slot.seats,
@@ -272,5 +273,49 @@ impl Rank {
         drop(t);
         drop(closed);
         out
+    }
+
+    /// This rank's thread is exiting: it leaves every slot it is in, and
+    /// ranks waiting for its deposit are woken. Under checking, a departed
+    /// rank may complete a stall, which trips the checker here — the
+    /// stalled ranks are woken with the report and raise it — and the last
+    /// rank out sweeps the point-to-point registry for sends no one
+    /// received.
+    pub(crate) fn exit(&self) {
+        let me = self.rank();
+        let mut t = self.world().slots.lock();
+        t.exited[me] = true;
+        let mut closed = Vec::new();
+        t.open.retain(|_, slot| {
+            let Some(i) = slot.comm.members().iter().position(|&g| g == me) else {
+                return true;
+            };
+            let seat = &mut slot.seats[i];
+            if !seat.gone {
+                seat.gone = true;
+                slot.present -= 1;
+            }
+            if seat.op.is_none() {
+                slot.cv.notify_all();
+            }
+            if slot.present > 0 {
+                return true;
+            }
+            closed.push(std::mem::take(&mut slot.seats));
+            false
+        });
+        let stall = if self.world().check.is_on() && t.check.tripped().is_none() {
+            if t.exited.iter().all(|&e| e) {
+                t.check.sweep_orphans();
+            }
+            stall_violation(&t)
+        } else {
+            None
+        };
+        match stall {
+            Some(v) => drop(trip(self.world(), t, me, v)),
+            None => drop(t),
+        }
+        drop(closed);
     }
 }

@@ -247,3 +247,34 @@ fn well_formed_program_passes_under_check_mode() {
     });
     assert_eq!(results, vec![6, 6, 6, 6]);
 }
+
+#[test]
+fn ibcast_waiter_in_a_cross_comm_deadlock_is_a_stall() {
+    // Rank 0 waits on an `ibcast` rank 1 never posts, because rank 1 sits
+    // in a barrier on another communicator that rank 0 enters only after
+    // its wait: a rank parked at a slot counts as blocked. The body runs
+    // on its own thread so that a checker that misses the stall fails this
+    // test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let msg = panic_message(|| {
+            run_ranks_checked(2, Machine::knl(), CheckMode::Check, |rank| {
+                let a = rank.comm(vec![0, 1], 1);
+                let b = rank.comm(vec![0, 1], 2);
+                if rank.rank() == 0 {
+                    let pending = rank.ibcast(&a, 0, Some(Arc::new(7u64)), 8, Step::Other);
+                    let _ = pending.wait(rank);
+                }
+                rank.barrier(&b, Step::Other);
+            });
+        });
+        let _ = tx.send(msg);
+    });
+    let msg = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the checker did not report the deadlock within 10 s");
+    assert!(msg.contains("protocol violation [Stall]"), "{msg}");
+    assert!(msg.contains("rank 0 in ibcast"), "{msg}");
+    assert!(msg.contains("missing members [1]"), "{msg}");
+    assert!(msg.contains("rank 1 in barrier"), "{msg}");
+}
