@@ -55,6 +55,7 @@ use spgemm_simgrid::grid::{valid_layer_counts, Grid3D};
 use spgemm_simgrid::{Comm, OpKind};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One recorded communication action of one rank.
 ///
@@ -737,11 +738,38 @@ fn check_agreement(sched: &Schedule) -> Option<AuditViolation> {
     None
 }
 
+/// The replay's hasher: its keys are communicator ids, tags, ranks and
+/// sequence numbers, none chosen by an adversary, so one multiply per word
+/// (the Fx scheme) replaces SipHash's rounds. A map's iteration order is
+/// now a function of its keys (`RandomState` varied it run to run); it
+/// reaches a report only where a schedule leaks posts on two communicators
+/// ([`check_handles`]) or orphans two sends ([`check_replay`]).
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed through [`MulHasher`].
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
 /// Property 3: per rank and per communicator, every post is waited and
 /// waits come in post order.
 fn check_handles(sched: &Schedule) -> Option<AuditViolation> {
     for (rank, trace) in sched.traces.iter().enumerate() {
-        let mut posted: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut posted: IntMap<u64, Vec<u64>> = IntMap::default();
         for (i, e) in trace.iter().enumerate() {
             match *e {
                 AuditEvent::Post { comm, seq, .. } => {
@@ -788,13 +816,18 @@ fn check_handles(sched: &Schedule) -> Option<AuditViolation> {
 fn check_replay(sched: &Schedule) -> Option<AuditViolation> {
     let p = sched.traces.len();
     let mut cursor = vec![0usize; p];
+    let comm_size: IntMap<u64, usize> = sched
+        .comms
+        .iter()
+        .map(|(&comm, members)| (comm, members.len()))
+        .collect();
     // (comm, tag, src, dst) → in flight. A duplicate insert is a collision.
-    let mut inflight: HashMap<(u64, u64, usize, usize), ()> = HashMap::new();
+    let mut inflight: IntMap<(u64, u64, usize, usize), ()> = IntMap::default();
     // (comm, tag, src, dst) → receiver rank parked on it.
-    let mut recv_waiters: HashMap<(u64, u64, usize, usize), usize> = HashMap::new();
+    let mut recv_waiters: IntMap<(u64, u64, usize, usize), usize> = IntMap::default();
     // (comm, seq, class) → (arrived, parked ranks). class 0 = blocking
     // collective rendezvous, 1 = wait rendezvous.
-    let mut rendezvous: HashMap<(u64, u64, u8), (usize, Vec<usize>)> = HashMap::new();
+    let mut rendezvous: IntMap<(u64, u64, u8), (usize, Vec<usize>)> = IntMap::default();
     let mut runnable: Vec<usize> = (0..p).rev().collect();
 
     while let Some(rank) = runnable.pop() {
@@ -832,10 +865,7 @@ fn check_replay(sched: &Schedule) -> Option<AuditViolation> {
                         AuditEvent::Collective { .. } => 0u8,
                         _ => 1u8,
                     };
-                    let size = sched
-                        .comms
-                        .get(&comm)
-                        .map_or(1, Vec::len);
+                    let size = comm_size.get(&comm).copied().unwrap_or(1);
                     let entry = rendezvous.entry((comm, seq, class)).or_insert((0, Vec::new()));
                     entry.0 += 1;
                     if entry.0 == size {

@@ -26,7 +26,8 @@ use spgemm_simgrid::{
 };
 use spgemm_sparse::par::RangeBalance;
 use spgemm_sparse::{CscMatrix, DenseBlock, Semiring, WorkStats};
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// How the grid layer count `l` is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,20 +244,59 @@ pub struct WorldRun<R> {
 /// explicit [`RunConfig::perturb`], else `SPGEMM_PERTURB_SEED`). Callers
 /// validate `p` first. Tracing is enabled before `body` runs, the breakdown
 /// is snapshotted after it returns; the first rank error fails the run.
+///
+/// A rank whose body fails exits, and peers still waiting for it at a
+/// collective then panic (the launcher raises their report once every rank
+/// has joined). The lowest failing rank's error is kept outside the world,
+/// so that such a run returns it as [`CoreError::Rank`], with the peers'
+/// report as context, instead of a panic that has lost the cause.
 fn run_world<R: Send>(
     cfg: &RunConfig,
     body: impl Fn(&mut Rank) -> Result<R> + Send + Sync,
 ) -> Result<WorldRun<R>> {
+    let failed: Mutex<Option<(usize, CoreError)>> = Mutex::new(None);
     let on_rank = |rank: &mut Rank| {
         if cfg.trace {
             rank.clock_mut().enable_tracing();
         }
-        let value = body(rank)?;
+        let value = body(rank).inspect_err(|e| {
+            let mut first = failed.lock().unwrap_or_else(PoisonError::into_inner);
+            if first.as_ref().is_none_or(|&(r, _)| rank.rank() < r) {
+                *first = Some((rank.rank(), e.clone()));
+            }
+        })?;
         let events = rank.clock().events().map(<[TraceEvent]>::to_vec);
         Ok((value, *rank.clock().breakdown(), events))
     };
-    let results: Vec<Result<_>> =
-        run_ranks_seeded(cfg.p, cfg.machine, cfg.check, cfg.perturb, cfg.job, on_rank);
+    let launched = panic::catch_unwind(AssertUnwindSafe(|| {
+        run_ranks_seeded(
+            cfg.p,
+            cfg.machine,
+            cfg.check,
+            cfg.perturb,
+            cfg.job,
+            on_rank,
+        )
+    }));
+    let results: Vec<Result<_>> = match launched {
+        Ok(results) => results,
+        Err(report) => {
+            let first = failed.lock().unwrap_or_else(PoisonError::into_inner).take();
+            let Some((rank, error)) = first else {
+                panic::resume_unwind(report);
+            };
+            let peers = report
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| report.downcast_ref::<&str>().copied())
+                .unwrap_or("<non-string panic>");
+            return Err(CoreError::Rank {
+                rank,
+                error: Box::new(error),
+                peers: peers.to_string(),
+            });
+        }
+    };
     let mut world = WorldRun {
         ranks: Vec::with_capacity(cfg.p),
         per_rank: Vec::with_capacity(cfg.p),

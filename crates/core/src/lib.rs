@@ -96,6 +96,16 @@ pub enum CoreError {
     },
     /// Invalid configuration (grid/batch parameters).
     Config(String),
+    /// A rank's own error, from a run in which its peers, left waiting
+    /// for the failed rank, then failed too.
+    Rank {
+        /// The lowest rank whose body returned an error.
+        rank: usize,
+        /// That rank's error.
+        error: Box<CoreError>,
+        /// What the run reported about the peers.
+        peers: String,
+    },
 }
 
 impl From<spgemm_sparse::SparseError> for CoreError {
@@ -125,6 +135,9 @@ impl std::fmt::Display for CoreError {
                  {available_bytes} remain after the inputs; column-wise batching cannot go finer"
             ),
             CoreError::Config(msg) => write!(f, "configuration error: {msg}"),
+            CoreError::Rank { rank, error, peers } => {
+                write!(f, "rank {rank}: {error} (its peers then failed: {peers})")
+            }
         }
     }
 }

@@ -1,14 +1,23 @@
 //! Sampled symbolic probe: cheap structure-only estimates of `flops`,
 //! `nnz(C)` and the per-column product profile.
 //!
-//! The planner cannot afford a full Symbolic3D per candidate grid — that
-//! is a whole distributed structure pass with the communication pattern of
-//! an unbatched SUMMA sweep. Instead it runs serial `LocalSymbolic`
-//! ([`symbolic_col_counts_fresh`]) once, on a deterministic seeded sample of
-//! `B`'s columns, and scales the per-column results up. Column-wise
-//! sampling is unbiased for the totals (`flops`, `nnz(C)` are sums of
-//! independent per-column quantities) and preserves exactly the per-column
-//! profile `(fⱼ, dⱼ, nnz(B(:,j)))` the occupancy-based predictor needs.
+//! The planner does not run a Symbolic3D per candidate grid — that is a
+//! whole distributed structure pass, on every rank thread, with the
+//! communication pattern of an unbatched SUMMA sweep. Instead it runs
+//! serial `LocalSymbolic` ([`symbolic_col_counts_fresh`]) once, on a
+//! deterministic seeded sample of `B`'s columns, and scales the per-column
+//! results up. Column-wise sampling is unbiased for the totals (`flops`,
+//! `nnz(C)` are sums of independent per-column quantities) and preserves
+//! exactly the per-column profile `(fⱼ, dⱼ, nnz(B(:,j)))` the
+//! occupancy-based predictor needs.
+//!
+//! What a probe costs, on the benchmark's matrices (best of 7, one thread
+//! of a 2-core box): the default sample takes 1.7 ms on the 848-row
+//! protein-similarity matrix (51 ms while `LocalSymbolic` inserted every
+//! flop into a table; its dense columns are now counted by bitset union),
+//! 1.7 ms on the scale-11 social graph and 4–6 ms on the 8 000 × 80 000
+//! k-mer matrix (`A·Aᵀ`). [`ProbeConfig::exact`] takes 5.7, 6.8 and
+//! 15–23 ms.
 
 use crate::{CoreError, Result};
 use spgemm_sparse::ops::extract_cols;

@@ -243,14 +243,15 @@ fn every_forced_batch_count_squares_the_iterate() {
     }
 }
 
-/// A rank-local error ends the run with a report naming that rank, under
-/// both check modes, instead of stalling its peers: one rank's pruning
-/// callback hands back a piece with a column outside its sub-slice, so
-/// `assemble_pieces` errs on that rank alone and it leaves the run while
-/// the others wait for it at the next collective. Without checking, a
-/// waiter names the rank that exited before joining; with checking, the
-/// stall report lists it among the missing members. Each run is watched
-/// from another thread, so a hang fails the test instead of blocking it.
+/// A rank-local error ends the run with that rank's own error, naming the
+/// rank, under both check modes, instead of stalling its peers: one rank's
+/// pruning callback hands back a piece with a column outside its
+/// sub-slice, so `assemble_pieces` errs on that rank alone and it leaves
+/// the run while the others wait for it at the next collective. The
+/// peers' report follows as context. Without checking, a waiter names the
+/// rank that exited before joining; with checking, the stall report lists
+/// it among the missing members. Each run is watched from another thread,
+/// so a hang fails the test instead of blocking it.
 #[test]
 fn a_rank_local_session_error_names_the_rank() {
     const BAD: usize = 5;
@@ -288,6 +289,15 @@ fn a_rank_local_session_error_names_the_rank() {
         let msg = rx
             .recv_timeout(std::time::Duration::from_secs(10))
             .unwrap_or_else(|_| panic!("{check:?}: the run did not end within 10 s"));
+        // The rank's own error leads, its peers' report follows as context.
+        assert!(
+            msg.starts_with(&format!("rank {BAD}: ")),
+            "{check:?}: {msg}"
+        );
+        assert!(
+            msg.contains("falls outside this rank's column sub-slice"),
+            "{check:?}: the rank's own error is lost: {msg}"
+        );
         match check {
             CheckMode::Off => {
                 assert!(msg.contains(&format!("rank {BAD} exited before joining")), "{msg}");

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use spgemm_core::planner::{plan, BindingConstraint, PlannerConfig, ProbeConfig};
-use spgemm_core::{AlgorithmFamily, MemoryBudget, RunConfig};
+use spgemm_core::{AlgorithmFamily, BackendKind, MemoryBudget, RunConfig};
 use spgemm_core::harness::run_spgemm;
 use spgemm_simgrid::Machine;
 use spgemm_sparse::gen::{er_random, rmat};
@@ -249,5 +249,82 @@ proptest! {
                 prop_assert_eq!(c.constraint, BindingConstraint::SingleBatch);
             }
         }
+    }
+}
+
+/// FNV-1a over `u64` words: a dependency-free digest of a count vector.
+fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// On a dense protein-similarity shape, whose stage blocks and whole
+/// operand are dense enough for `LocalSymbolic` to count columns by bitset
+/// union, a budgeted Symbolic3D and the planner's probes report exactly
+/// what the per-flop hash count reported: the outcome, the modeled
+/// symbolic seconds (the clock charges the hash count either way) and
+/// every per-column count.
+#[test]
+fn dense_similarity_symbolic_and_probe_are_pinned() {
+    use spgemm_simgrid::Step;
+    use spgemm_sparse::gen::clustered_similarity;
+
+    let m = clustered_similarity(4, 96, 48, 1, 2021);
+    let mut cfg = RunConfig::new(P, 4);
+    cfg.discard_output = true;
+    cfg.budget = MemoryBudget::new(7 * 24 * m.nnz());
+    let out = run_spgemm::<PlusTimesF64>(&cfg, &m, &m).unwrap();
+    let sym = out.symbolic.expect("a budgeted run performs Symbolic3D");
+    assert_eq!(
+        format!("{sym:?}"),
+        "SymbolicOutcome { batches: 3, max_unmerged_nnz: 13150, total_unmerged_nnz: 154861, \
+         max_nnz_a: 3560, max_nnz_b: 3560, total_nnz_a: 28386, total_nnz_b: 28386, \
+         flops: 2103472, eq2_lower_bound: Some(2), max_col_unmerged_nnz: 138, upper_bound: 384 }"
+    );
+    // The Native backend measures kernel time instead of modeling it.
+    if cfg.backend == BackendKind::Simgrid {
+        let symbolic_s = out.max.secs_of(Step::SymbolicComp);
+        assert_eq!(symbolic_s.to_bits(), 0x3f10_c131_19e0_079f, "{symbolic_s}");
+    }
+    // (config, sampled columns, flops, nnz_c, digests of the per-column
+    // counts and flops, work-unit bits)
+    let pinned = [
+        (
+            ProbeConfig::default(),
+            96,
+            2_097_484,
+            99_772,
+            0x333b_98ed_cca7_d374,
+            0x8538_40a3_5f1d_493f,
+            0x4110_315d_8000_0000,
+        ),
+        (
+            ProbeConfig::exact(),
+            384,
+            2_103_472,
+            98_922,
+            0x877d_48be_593a_e25f,
+            0x22dd_f94a_b91c_401f,
+            0x4130_3ca5_4000_0000,
+        ),
+    ];
+    for (pcfg, cols, flops, nnz_c, col_nnz, col_flops, work_units) in pinned {
+        let est = spgemm_core::planner::probe(&m, &m, &pcfg).unwrap();
+        let got = (
+            est.cols.len(),
+            est.flops,
+            est.nnz_c,
+            fnv1a_words(est.col_nnz.iter().copied()),
+            fnv1a_words(est.col_flops.iter().copied()),
+            est.work_units.to_bits(),
+        );
+        assert_eq!(
+            got,
+            (cols, flops, nnz_c, col_nnz, col_flops, work_units),
+            "{pcfg:?}"
+        );
     }
 }

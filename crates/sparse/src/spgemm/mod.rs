@@ -17,7 +17,8 @@
 //! * [`dense_acc::spgemm_spa`] — a dense sparse-accumulator (Gustavson/SPA)
 //!   reference with an unconditional `nrows`-sized array: independent of
 //!   `accum`, used as the oracle in tests.
-//! * `symbolic` — hash-based nnz counting (`LocalSymbolic` in Alg. 3).
+//! * `symbolic` — nnz counting (`LocalSymbolic` in Alg. 3): through the
+//!   hash accumulator, or by bitset union for columns of a dense `A`.
 //!
 //! Every kernel returns [`WorkStats`]: real flop counts plus abstract
 //! *work units* that `spgemm-simgrid`'s machine model converts to modeled
@@ -38,6 +39,8 @@ pub use dense_acc::spgemm_spa;
 pub use hash::spgemm_hash_unsorted;
 pub use heap::spgemm_heap;
 pub use hybrid::spgemm_hybrid;
+#[cfg(feature = "test-hooks")]
+pub use symbolic::force_union;
 pub use symbolic::{symbolic_col_counts, symbolic_col_counts_fresh, symbolic_nnz};
 pub use workspace::SpGemmWorkspace;
 

@@ -9,9 +9,10 @@
 //! workhorse collection" design (Sec. IV-D) is explicitly about avoiding.
 //!
 //! [`SpGemmWorkspace`] owns every piece of reusable state — the numeric
-//! and symbolic [`HashAccum`]s, the k-way-merge heap and cursors, and
-//! output arenas for `colptr`/`rowidx`/`vals` — with monotonically growing
-//! capacity. The kernels build their result in the arenas (preallocated
+//! and symbolic [`HashAccum`]s, the symbolic sweep's column-bitset table,
+//! the k-way-merge heap and cursors, and output arenas for
+//! `colptr`/`rowidx`/`vals` — with monotonically growing capacity. The
+//! kernels build their result in the arenas (preallocated
 //! to the kernel's own upper bound: the per-column `ub`/`total_in`, each
 //! capped at `nrows`, summed) and finish with one exact-size copy
 //! per buffer, so a warmed-up workspace performs a small constant number
@@ -48,6 +49,9 @@ pub struct SpGemmWorkspace<T: Copy> {
     pub(crate) accum: Option<HashAccum<T>>,
     /// Structure-only accumulator for symbolic counting.
     pub(crate) sym: HashAccum<()>,
+    /// The symbolic sweep's bitset table of `A`'s columns followed by one
+    /// column's union (see [`Self::fill_col_bitsets`]).
+    pub(crate) bits: Vec<u64>,
     /// Output arena: column pointers of the matrix under construction.
     pub(crate) colptr: Vec<usize>,
     /// Output arena: row indices.
@@ -86,6 +90,7 @@ impl<T: Copy> SpGemmWorkspace<T> {
         SpGemmWorkspace {
             accum: None,
             sym: HashAccum::new(()),
+            bits: Vec::new(),
             colptr: Vec::new(),
             rowidx: Vec::new(),
             vals: Vec::new(),
@@ -110,6 +115,7 @@ impl<T: Copy> SpGemmWorkspace<T> {
         let accum_bytes = self.accum.as_ref().map_or(0, |a| a.footprint_bytes());
         (accum_bytes
             + self.sym.footprint_bytes()
+            + self.bits.capacity() * size_of::<u64>()
             + self.colptr.capacity() * size_of::<usize>()
             + self.rowidx.capacity() * size_of::<u32>()
             + self.vals.capacity() * size_of::<T>()
@@ -140,6 +146,27 @@ impl<T: Copy> SpGemmWorkspace<T> {
         Self::reserve_counting(&mut self.colptr, ncols + 1, &mut self.allocs);
         Self::reserve_counting(&mut self.rowidx, nnz_ub, &mut self.allocs);
         Self::reserve_counting(&mut self.vals, nnz_ub, &mut self.allocs);
+    }
+
+    /// Fill [`Self::bits`] with one bitset of `words` words per column of
+    /// `a` (bit `r % 64` of word `r / 64` set for each row `r` of the
+    /// column), then `words` more for a column's union. Growth is counted;
+    /// reuse is free.
+    pub(crate) fn fill_col_bitsets<U: Copy>(&mut self, a: &CscMatrix<U>, words: usize) {
+        let len = (a.ncols() + 1) * words;
+        self.bits.clear();
+        Self::reserve_counting(&mut self.bits, len, &mut self.allocs);
+        self.bits.resize(len, 0);
+        for (i, col) in self
+            .bits
+            .chunks_exact_mut(words)
+            .take(a.ncols())
+            .enumerate()
+        {
+            for &r in a.col(i).0 {
+                col[r as usize / 64] |= 1 << (r % 64);
+            }
+        }
     }
 
     /// Ensure heap and cursor capacity for a `k`-stream merge path.
