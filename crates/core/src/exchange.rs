@@ -92,7 +92,7 @@ pub fn fetch_rep_tag(seq: u64) -> u64 {
 pub(crate) type OperandPair<T> = (Arc<CscMatrix<T>>, Arc<CscMatrix<T>>);
 
 /// How stage operands move between the processes of a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExchangeMode {
     /// Broadcast full local pieces along process rows/columns (Alg. 1 as
     /// published; the default and the baseline every figure is built on).

@@ -23,7 +23,7 @@ use crate::summa2d::OverlapMode;
 use spgemm_simgrid::OpKind;
 
 /// How a stage's operand movement is issued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Issued and completed in place (Alg. 1 as published).
     Blocking,
@@ -34,7 +34,7 @@ pub enum Phase {
 }
 
 /// One step of a driver program. Every rank runs the same sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Root scatters both global operands.
     Scatter,

@@ -4,9 +4,11 @@
 //! that drops or adds one event fails here, not only in the release-mode
 //! CLI sweep. The verifier's reports on each injected fault are pinned
 //! too, so a change to the replay's bookkeeping cannot silently change
-//! what a violation says.
+//! what a violation says. The sweep verifies each distinct program once;
+//! its per-configuration results must equal auditing every configuration
+//! alone.
 
-use spgemm_core::audit::{sweep, AuditFault, ConfigOutcome};
+use spgemm_core::audit::{audit_config, sweep, sweep_grid, AuditFault, ConfigOutcome};
 
 #[test]
 fn sweep_at_sixteen_is_clean_with_pinned_counts() {
@@ -23,6 +25,29 @@ fn sweep_at_sixteen_is_clean_with_pinned_counts() {
         report.total_events(),
     );
     assert_eq!(counts, (396, 396, 532_320), "(configurations, clean, events)");
+}
+
+/// The sweep over `ps` against [`audit_config`] on each configuration of
+/// its grid: label, outcome, batch count and events, one by one.
+fn assert_sweep_equals_per_config(ps: &[usize]) {
+    let report = sweep(ps, None);
+    let grid = sweep_grid(ps);
+    assert_eq!(report.results.len(), grid.len());
+    for (cfg, got) in grid.iter().zip(&report.results) {
+        assert_eq!(*got, audit_config(cfg, None));
+    }
+}
+
+#[test]
+fn sweep_at_sixteen_equals_auditing_each_config_alone() {
+    assert_sweep_equals_per_config(&[16]);
+}
+
+/// The CLI's default grid (`spgemm audit --sweep`), 1824 configurations.
+#[test]
+#[ignore = "full grid: run with `--release -- --ignored`"]
+fn full_sweep_equals_auditing_each_config_alone() {
+    assert_sweep_equals_per_config(&[4, 16, 64, 256]);
 }
 
 /// FNV-1a over bytes: a dependency-free digest of a report's text.
