@@ -1,60 +1,11 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! The build environment has no registry access, so this crate provides
-//! the two crossbeam facilities `spgemm-simgrid` relies on, as facades
-//! over `std`:
-//!
-//! * [`channel`] — unbounded MPSC channels (`unbounded`, `Sender`,
-//!   `Receiver`) over `std::sync::mpsc`. `std`'s `Sender` has been `Sync`
-//!   since Rust 1.72, which is the property the simulated-MPI world state
-//!   (`Arc<WorldShared>` holding every rank's sender) needs.
-//! * [`thread`] — scoped threads with the crossbeam builder API
-//!   (`scope`, `Scope::builder`, `name`, `stack_size`, spawn closures
-//!   receiving a `&Scope` argument) over `std::thread::scope`, which has
-//!   identical lifetime semantics since Rust 1.63.
-
-pub mod channel {
-    //! Unbounded channels with crossbeam's signatures over `std::sync::mpsc`.
-
-    pub use std::sync::mpsc::{RecvError, SendError, TryRecvError};
-
-    /// Sending half of an unbounded channel. Clonable and `Sync`.
-    pub struct Sender<T>(std::sync::mpsc::Sender<T>);
-
-    /// Receiving half of an unbounded channel.
-    pub struct Receiver<T>(std::sync::mpsc::Receiver<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Send `value`; fails only if the receiver was dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0.send(value)
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Block until a message arrives; fails if all senders dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv()
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.0.try_recv()
-        }
-    }
-
-    /// Create an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        (Sender(tx), Receiver(rx))
-    }
-}
+//! the one crossbeam facility `spgemm-simgrid` relies on, as a facade over
+//! `std`: [`thread`] — scoped threads with the crossbeam builder API
+//! (`scope`, `Scope::builder`, `name`, `stack_size`, spawn closures
+//! receiving a `&Scope` argument) over `std::thread::scope`, which has
+//! identical lifetime semantics since Rust 1.63.
 
 pub mod thread {
     //! Scoped threads with crossbeam's builder API over `std::thread`.
@@ -142,36 +93,6 @@ pub mod thread {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn channel_roundtrip() {
-        let (tx, rx) = super::channel::unbounded::<u32>();
-        let tx2 = tx.clone();
-        tx.send(1).unwrap();
-        tx2.send(2).unwrap();
-        assert_eq!(rx.recv().unwrap(), 1);
-        assert_eq!(rx.recv().unwrap(), 2);
-    }
-
-    #[test]
-    fn sender_is_sync_and_shareable() {
-        fn assert_sync<T: Sync>(_: &T) {}
-        let (tx, rx) = super::channel::unbounded::<usize>();
-        assert_sync(&tx);
-        let shared = Arc::new(tx);
-        super::thread::scope(|s| {
-            for i in 0..4 {
-                let shared = Arc::clone(&shared);
-                s.spawn(move |_| shared.send(i).unwrap());
-            }
-        })
-        .unwrap();
-        drop(shared);
-        let mut got: Vec<usize> = std::iter::from_fn(|| rx.recv().ok()).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-    }
 
     #[test]
     fn scope_joins_and_borrows() {

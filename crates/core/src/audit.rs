@@ -1645,6 +1645,31 @@ mod tests {
     }
 
     #[test]
+    fn a_second_send_on_an_undelivered_envelope_is_a_tag_collision() {
+        // Rank 0 sends twice on one envelope before rank 1 receives either:
+        // the tag discipline the runtime no longer checks is caught here.
+        let send = AuditEvent::Send {
+            comm: 0x1,
+            to: 1,
+            tag: 5,
+        };
+        let recv = AuditEvent::Recv {
+            comm: 0x1,
+            from: 0,
+            tag: 5,
+        };
+        let sched = Schedule {
+            traces: vec![vec![send.clone(), send], vec![recv.clone(), recv]],
+            comms: [(0x1, vec![0, 1])].into_iter().collect(),
+            nbatches: 1,
+            memory: None,
+        };
+        let v = check_replay(&sched).expect("the second send collides");
+        assert_eq!(v.kind, AuditViolationKind::TagCollision);
+        assert!(v.detail.contains("rank 0 posted a second send to rank 1"), "{}", v.detail);
+    }
+
+    #[test]
     fn fetch_seq_is_monotone_across_iterations() {
         // The fetch tag counter must not reset between session iterations
         // (the cross-iteration cache relies on unique tags).

@@ -47,14 +47,15 @@
 //!
 //! ### Tag discipline
 //!
-//! Fetch traffic uses plain matched sends, which the
-//! `spgemm_simgrid::check` protocol verifier audits for tag collisions:
-//! reusing a tag toward the same peer is only legal once the first
-//! delivery is known complete, which unsynchronized SPMD stages cannot
-//! guarantee. Every fetch round therefore draws a fresh sequence number
-//! from the plan's monotone counter; all members of a communicator execute
-//! the same exchanges in the same order (SPMD), so the counters agree
-//! without coordination.
+//! Fetch traffic uses plain matched sends, and one envelope's messages are
+//! received in send order. Every fetch round still draws a fresh sequence
+//! number from the plan's monotone counter; all members of a communicator
+//! execute the same exchanges in the same order (SPMD), so the counters
+//! agree without coordination. A round taken out of step then waits on a
+//! tag no peer sends and deadlocks visibly (the runtime's checker reports
+//! an unmatched receive) instead of taking another round's payload. The
+//! schedule auditor ([`crate::audit`]) checks the discipline statically: a
+//! second send on an undelivered envelope is its `TagCollision`.
 
 use crate::schedule::{self, payload_bytes, Link, Msg, Op, Payload, Phase, Wire};
 use spgemm_simgrid::{Grid3D, PendingBcast, Rank, Step};
@@ -129,7 +130,7 @@ impl ExchangeMode {
 }
 
 /// Wire request of one fetch round (receiver → stage owner). Public so
-/// protocol-negative tests (tag collisions, unmatched receives) can put
+/// protocol-negative tests (desynced rounds, unmatched receives) can put
 /// real fetch payloads on the wire.
 #[derive(Debug)]
 pub enum FetchReq {

@@ -87,34 +87,48 @@ fn sparse_fetch_aat_matches_serial_reference() {
     }
 }
 
-/// A buggy peer that reposts a fetch request on an already-in-flight
-/// envelope — e.g. a requester whose fetch-round counter failed to
-/// advance, resending `Unchanged` on the same `(comm, tag, src, dst)` —
-/// is reported as a tag collision, with real payloads on the wire: a
+/// A requester whose fetch-round counter failed to advance reposts round
+/// 0's request tag for round 1, with real payloads on the wire: a
 /// needed-column request sized as its sender would, then the cache-state
-/// control message.
+/// control message. The repost queues behind the first request; the owner
+/// takes round 0's request and then waits on round 1's, which is never
+/// sent. Whatever the thread timing, the desynced round is reported as an
+/// unmatched receive naming the awaited round's tag.
 #[test]
-#[should_panic(expected = "TagCollision")]
-fn duplicate_fetch_request_tag_is_a_tag_collision() {
+fn desynced_fetch_request_round_is_an_unmatched_recv() {
     use spgemm_core::exchange::{fetch_req_tag, FetchReq};
     use spgemm_sparse::subset::request_len;
-    spgemm_simgrid::run_ranks_checked(2, spgemm_simgrid::Machine::knl(), CheckMode::Check, |rank| {
-        let comm = rank.world_comm();
-        if rank.rank() == 0 {
-            let cols = vec![1, 2, 3];
-            let leg = (request_len(&cols), cols.len() + 1);
-            rank.send(&comm, 1, fetch_req_tag(0), FetchReq::Cols { cols, leg });
-            // Same round tag again — a desynced counter. The checker
-            // rejects the second post at send time.
-            rank.send(&comm, 1, fetch_req_tag(0), FetchReq::Unchanged);
-        } else {
-            // Park on a round that never arrives: keeps this mailbox open
-            // (no racy early exit under schedule perturbation) while
-            // leaving round 0's envelope undelivered, so the second send
-            // is deterministically a collision.
-            let _: FetchReq = rank.recv(&comm, 0, fetch_req_tag(9));
-        }
-    });
+    let err = std::panic::catch_unwind(|| {
+        spgemm_simgrid::run_ranks_checked(
+            2,
+            spgemm_simgrid::Machine::knl(),
+            CheckMode::Check,
+            |rank| {
+                let comm = rank.world_comm();
+                if rank.rank() == 0 {
+                    let cols = vec![1, 2, 3];
+                    let leg = (request_len(&cols), cols.len() + 1);
+                    rank.send(&comm, 1, fetch_req_tag(0), FetchReq::Cols { cols, leg });
+                    // Round 1's request under round 0's tag: a desynced
+                    // counter.
+                    rank.send(&comm, 1, fetch_req_tag(0), FetchReq::Unchanged);
+                } else {
+                    let first: FetchReq = rank.recv(&comm, 0, fetch_req_tag(0));
+                    assert!(matches!(first, FetchReq::Cols { .. }), "{first:?}");
+                    let _: FetchReq = rank.recv(&comm, 0, fetch_req_tag(1));
+                }
+            },
+        )
+    })
+    .expect_err("round 1's request is never sent");
+    let msg = err.downcast::<String>().map(|s| *s).unwrap_or_default();
+    assert!(msg.contains("protocol violation [UnmatchedRecv]"), "{msg}");
+    let awaited = format!(
+        "rank 1 in recv from rank 0 (comm {:#x}, tag {})",
+        spgemm_simgrid::Comm::for_rank(vec![0, 1], 0, 0).id(),
+        fetch_req_tag(1)
+    );
+    assert!(msg.contains(&awaited), "{msg}");
 }
 
 /// A requester blocking on the wrong fetch-reply tag (its round counter

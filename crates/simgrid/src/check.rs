@@ -33,44 +33,41 @@
 //!   skew every downstream cost figure).
 //! * **Stalls** ([`ViolationKind::Stall`]) — every live rank is parked at
 //!   a slot that can never complete — in a blocking collective or in an
-//!   `ibcast`'s `wait` — or blocked in a receive (collective order diverged
-//!   across communicators, or a rank exited without posting its
-//!   collective). The report lists who entered what where and which
+//!   `ibcast`'s `wait` — or blocked in a receive, and at least one at a
+//!   slot (collective order diverged across communicators, or a rank
+//!   exited without posting its collective). The report lists who entered what where and which
 //!   members are missing.
 //!
 //! Point-to-point traffic ([`crate::Rank::send`]/[`crate::Rank::recv`]) is
-//! covered too — every user-level send registers its `(comm, tag, src→dst)`
-//! envelope:
+//! covered by rules decided by each rank's program order alone, read from
+//! the message queues of the same table:
 //!
-//! * **Tag collisions** ([`ViolationKind::TagCollision`]) — a second send
-//!   posted with an envelope identical to one still in flight; receives
-//!   match on `(source, comm, tag)`, so the payloads would be ambiguous.
 //! * **Unmatched receives** ([`ViolationKind::UnmatchedRecv`]) — every live
-//!   rank is blocked in a receive no peer has posted (or will ever post) a
-//!   matching send for.
-//! * **Orphaned sends** ([`ViolationKind::OrphanedSend`]) — a send whose
-//!   message was never received by the time the run ended, reported by
+//!   rank is blocked in a receive whose envelope's queue is empty, with no
+//!   peer left to send to it.
+//! * **Orphaned sends** ([`ViolationKind::OrphanedSend`]) — a message still
+//!   queued when the last rank exits, reported by
 //!   [`crate::runtime::run_ranks_checked`] after the threads join.
 //!
-//! Collectives move no messages — they meet at slots ([`crate::slot`]) —
-//! so the mailboxes, and this bookkeeping, carry user-level point-to-point
-//! messages only.
+//! Two in-flight messages with one envelope are not a defect: they queue in
+//! send order (MPI's non-overtaking rule). Whether a program reuses a tag
+//! where it should draw a fresh one is a property of its schedule, which
+//! the schedule auditor (`spgemm_core::audit`) checks statically.
 //!
 //! There is one meeting per collective. The checker's state lives in the
 //! slot table, under its one lock, so a blocking collective deposits,
 //! collects, and parks once; a mismatch trips at the deposit, before the
 //! slot can complete, so no cross-matched payload is ever read; and the
-//! stall detector counts ranks parked at incomplete slots from the same
-//! table the completing deposit writes. On the first violation the checker
-//! trips: the detecting rank panics with the report, ranks parked at a
-//! slot are woken with it, and poison messages unblock ranks blocked in a
-//! point-to-point receive.
+//! stall detector counts ranks parked at incomplete slots and ranks parked
+//! on empty queues from the same table the completing deposit or send
+//! writes. On the first violation the checker trips: the detecting rank
+//! panics with the report, and every rank parked at a slot or in a receive
+//! is woken with it.
 //! Every report starts with `protocol violation`, and
 //! [`crate::runtime::run_ranks_checked`] consolidates them after the run.
 
-use crate::comm::{Comm, Envelope, Rank, WorldShared};
-use crate::slot::{Entry, Slot, Slots, Table};
-use std::collections::{HashMap, HashSet};
+use crate::comm::{Comm, Rank, WorldShared};
+use crate::slot::{Entry, MsgKey, Slot, Slots, Table};
 use std::fmt;
 use std::sync::{Arc, MutexGuard};
 
@@ -169,14 +166,10 @@ pub(crate) enum ViolationKind {
     /// Every live rank is parked at a slot that cannot complete or blocked
     /// in a receive.
     Stall,
-    /// A second point-to-point send was posted with a `(comm, tag,
-    /// src → dst)` envelope identical to one still in flight.
-    TagCollision,
-    /// Every live rank is blocked in a point-to-point receive that no
-    /// matching send has been (or can ever be) posted for.
+    /// Every live rank is blocked in a point-to-point receive whose
+    /// envelope's queue is empty.
     UnmatchedRecv,
-    /// A point-to-point send whose message was never received by the time
-    /// the run ended.
+    /// A point-to-point message still queued when the run ended.
     OrphanedSend,
 }
 
@@ -257,21 +250,16 @@ pub enum LoggedAction {
     },
 }
 
-/// The checker's state beside the open slots, under the slot table's lock
-/// ([`crate::slot::Table`]): who is parked at which slot, who has exited
-/// and what each member entered live in the slots themselves.
+/// The checker's state beside the open slots and the message queues,
+/// under the slot table's lock ([`crate::slot::Table`]): who is parked at
+/// which slot or on which queue, who has exited, what each member entered
+/// and what is in flight live in the table itself.
 pub(crate) struct CheckState {
     /// The first violation that tripped the checker, or the orphaned sends
     /// the last rank out found; non-empty halts all further progress.
     violations: Vec<ProtocolViolation>,
     /// Modeled time of each rank's last sync point (monotonicity check).
     last_time: Vec<f64>,
-    /// In-flight user-level point-to-point sends (posted, not yet matched
-    /// by a receive), keyed by `(comm_id, tag, src, dst)` global ranks.
-    p2p_inflight: HashSet<(u64, u64, usize, usize)>,
-    /// Ranks blocked in a point-to-point receive with no matching send
-    /// posted yet: receiver rank → `(comm_id, tag, src)`.
-    p2p_blocked: HashMap<usize, (u64, u64, usize)>,
     /// When `Some`, every collective/post entry, nonblocking wait and
     /// point-to-point send/receive is appended here (the op log read back
     /// by [`crate::runtime::run_ranks_logged`]).
@@ -283,8 +271,6 @@ impl CheckState {
         CheckState {
             violations: Vec::new(),
             last_time: vec![0.0; p],
-            p2p_inflight: HashSet::new(),
-            p2p_blocked: HashMap::new(),
             op_log: log.then(Vec::new),
         }
     }
@@ -294,29 +280,30 @@ impl CheckState {
         (!self.violations.is_empty()).then(|| render(&self.violations))
     }
 
-    fn log(&mut self, rank: usize, comm: u64, action: LoggedAction) {
+    pub(crate) fn log(&mut self, rank: usize, comm: u64, action: LoggedAction) {
         if let Some(log) = self.op_log.as_mut() {
             log.push(LoggedOp { rank, comm, action });
         }
     }
+}
 
-    /// Every rank has exited: sends still in flight can never be received,
-    /// so they are recorded as [`ViolationKind::OrphanedSend`] for the
-    /// runtime to surface.
-    pub(crate) fn sweep_orphans(&mut self) {
-        let mut orphans: Vec<(u64, u64, usize, usize)> =
-            self.p2p_inflight.iter().copied().collect();
-        orphans.sort_unstable();
-        self.violations.extend(orphans.into_iter().map(|(c, t, src, dst)| ProtocolViolation {
+/// Every rank has exited: messages still queued can never be received, so
+/// each non-empty queue is recorded as an [`ViolationKind::OrphanedSend`],
+/// in envelope order, for the runtime to surface.
+pub(crate) fn record_orphans(t: &mut Table) {
+    let mut orphans: Vec<_> = t.queues.iter().map(|(&k, q)| (k, q.len())).collect();
+    orphans.sort_unstable();
+    t.check
+        .violations
+        .extend(orphans.into_iter().map(|((c, tag, src, dst), n)| ProtocolViolation {
             kind: ViolationKind::OrphanedSend,
             comm: c,
-            seq: t,
+            seq: tag,
             detail: format!(
-                "rank {src} sent to rank {dst} with (comm {c:#x}, tag {t}) but the message was \
-                 never received before the run ended"
+                "rank {src} sent to rank {dst} with (comm {c:#x}, tag {tag}) but {n} message(s) \
+                 were never received before the run ended"
             ),
         }));
-    }
 }
 
 impl Slots {
@@ -340,10 +327,10 @@ fn render(violations: &[ProtocolViolation]) -> String {
 }
 
 /// A stall exists iff every rank is either parked at a slot that is not
-/// complete, blocked in a point-to-point receive with no matching send, or
-/// has exited. A rank parked at a complete slot is not blocked: the
-/// deposit that completed it woke it, under the lock this reads under. A
-/// stall consisting purely of receive-blocked ranks is classed as
+/// complete, parked in a receive whose queue is empty, or has exited. A
+/// rank parked at a complete slot, or on a queue a send has just filled, is
+/// not blocked: the deposit or send woke it, under the lock this reads
+/// under. A stall consisting purely of receive-blocked ranks is classed as
 /// [`ViolationKind::UnmatchedRecv`].
 pub(crate) fn stall_violation(t: &Table) -> Option<ProtocolViolation> {
     let p = t.exited.len();
@@ -351,7 +338,14 @@ pub(crate) fn stall_violation(t: &Table) -> Option<ProtocolViolation> {
     let mut open: Vec<(&(u64, u64), &Slot)> =
         t.open.iter().filter(|(_, s)| !s.complete()).collect();
     let waiting: usize = open.iter().map(|(_, s)| s.parked).sum();
-    let in_recv = t.check.p2p_blocked.len();
+    let recv_stuck: Vec<MsgKey> = t
+        .awaiting
+        .iter()
+        .flatten()
+        .filter(|k| !t.queues.contains_key(k))
+        .copied()
+        .collect();
+    let in_recv = recv_stuck.len();
     if waiting + in_recv == 0 || waiting + in_recv + exited < p {
         return None;
     }
@@ -372,17 +366,14 @@ pub(crate) fn stall_violation(t: &Table) -> Option<ProtocolViolation> {
         ));
     }
     stuck.sort();
-    let mut recv_stuck: Vec<(usize, (u64, u64, usize))> =
-        t.check.p2p_blocked.iter().map(|(&r, &k)| (r, k)).collect();
-    recv_stuck.sort_unstable();
     let pure_p2p = waiting == 0;
     let (comm, seq) = match (open.first(), recv_stuck.first()) {
         (Some(&(&key, _)), _) if !pure_p2p => key,
-        (_, Some(&(_, (c, t, _)))) => (c, t),
+        (_, Some(&(c, tag, _, _))) => (c, tag),
         _ => (0, 0),
     };
-    stuck.extend(recv_stuck.iter().map(|&(r, (c, t, src))| {
-        format!("rank {r} in recv from rank {src} (comm {c:#x}, tag {t}) with no matching send")
+    stuck.extend(recv_stuck.iter().map(|&(c, tag, src, r)| {
+        format!("rank {r} in recv from rank {src} (comm {c:#x}, tag {tag}) with no matching send")
     }));
     Some(ProtocolViolation {
         kind: if pure_p2p {
@@ -400,46 +391,23 @@ pub(crate) fn stall_violation(t: &Table) -> Option<ProtocolViolation> {
     })
 }
 
-/// Poison message sent to wake ranks blocked in a point-to-point receive
-/// after the checker trips; `src` is out of range for any real rank.
-pub(crate) const POISON_SRC: usize = usize::MAX;
-
-fn poison_world(world: &WorldShared, me: usize, report: &str) {
-    for (i, tx) in world.senders.iter().enumerate() {
-        if i != me {
-            // A peer that already exited is fine — its mailbox is gone.
-            let _ = tx.send(Envelope {
-                src: POISON_SRC,
-                comm_id: 0,
-                tag: 0,
-                payload: Box::new(report.to_string()),
-            });
-        }
-    }
-}
-
-/// Record `v` unless the checker has already tripped, wake every rank
-/// parked at a slot, release the table, poison every mailbox, and return
-/// the report the caller must panic with.
-pub(crate) fn trip(
-    world: &WorldShared,
-    mut t: MutexGuard<'_, Table>,
-    me: usize,
-    v: ProtocolViolation,
-) -> String {
+/// Record `v` unless the checker has already tripped, release the table,
+/// wake every rank parked at a slot or in a receive, and return the report
+/// the caller must panic with.
+pub(crate) fn trip(slots: &Slots, mut t: MutexGuard<'_, Table>, v: ProtocolViolation) -> String {
     if t.check.violations.is_empty() {
         t.check.violations.push(v);
         t.open.values().for_each(Slot::wake);
+        slots.wake_receivers(&t);
     }
     let report = render(&t.check.violations);
     drop(t);
-    poison_world(world, me, &report);
     report
 }
 
 /// Panic with the report if the checker has tripped: no rank makes
 /// progress after the first violation.
-fn halt_if_tripped(t: MutexGuard<'_, Table>) -> MutexGuard<'_, Table> {
+pub(crate) fn halt_if_tripped(t: MutexGuard<'_, Table>) -> MutexGuard<'_, Table> {
     if let Some(report) = t.check.tripped() {
         drop(t);
         panic!("{report}");
@@ -450,7 +418,7 @@ fn halt_if_tripped(t: MutexGuard<'_, Table>) -> MutexGuard<'_, Table> {
 impl Rank {
     /// Trip the checker with `v` and panic with its report.
     fn fail(&self, t: MutexGuard<'_, Table>, v: ProtocolViolation) -> ! {
-        let report = trip(self.world(), t, self.rank(), v);
+        let report = trip(&self.world().slots, t, v);
         panic!("{report}");
     }
 
@@ -535,41 +503,14 @@ impl Rank {
         );
     }
 
-    /// Before this rank parks (at an incomplete slot, or in a receive no
-    /// send has matched yet): panic if the checker has tripped, and trip it
-    /// if every rank is now blocked or gone.
+    /// Before this rank parks (at an incomplete slot, or on an empty queue
+    /// in a receive): panic if the checker has tripped, and trip it if every
+    /// rank is now blocked or gone.
     pub(crate) fn check_stall<'a>(&self, t: MutexGuard<'a, Table>) -> MutexGuard<'a, Table> {
         let t = halt_if_tripped(t);
         match stall_violation(&t) {
             Some(v) => self.fail(t, v),
             None => t,
-        }
-    }
-
-    /// Register a point-to-point send of `(comm, tag)` to `dst_index`.
-    /// Detects tag collisions (a second undelivered send with the same
-    /// match key would make receive pairing ambiguous) and unblocks any
-    /// receiver parked on this exact envelope.
-    pub(crate) fn check_p2p_send(&self, comm: &Comm, dst_index: usize, tag: u64) {
-        if !self.world().check.is_on() {
-            return;
-        }
-        let me = self.rank();
-        let dst = comm.member(dst_index);
-        let mut t = halt_if_tripped(self.world().slots.lock());
-        if !t.check.p2p_inflight.insert((comm.id(), tag, me, dst)) {
-            let detail = format!(
-                "rank {me} posted a second send to rank {dst} with (comm {:#x}, tag {tag}) while \
-                 the first is still undelivered: receives match on (source, comm, tag), so the \
-                 payloads are ambiguous",
-                comm.id()
-            );
-            self.fail(t, violation(ViolationKind::TagCollision, comm, tag, detail));
-        }
-        t.check
-            .log(me, comm.id(), LoggedAction::Send { to: dst, tag });
-        if t.check.p2p_blocked.get(&dst) == Some(&(comm.id(), tag, me)) {
-            t.check.p2p_blocked.remove(&dst);
         }
     }
 
@@ -582,39 +523,6 @@ impl Rank {
             t.check
                 .log(self.rank(), comm.id(), LoggedAction::Wait { seq });
         }
-    }
-
-    /// Register that this rank is about to block in a point-to-point
-    /// receive. If the matching send is already in flight the receive is
-    /// guaranteed to complete; otherwise the rank is recorded as
-    /// recv-blocked and the stall detector runs.
-    pub(crate) fn check_p2p_recv_pre(&self, comm: &Comm, src_index: usize, tag: u64) {
-        if !self.world().check.is_on() {
-            return;
-        }
-        let me = self.rank();
-        let src = comm.member(src_index);
-        let mut t = halt_if_tripped(self.world().slots.lock());
-        t.check
-            .log(me, comm.id(), LoggedAction::Recv { from: src, tag });
-        if t.check.p2p_inflight.contains(&(comm.id(), tag, src, me)) {
-            return;
-        }
-        t.check.p2p_blocked.insert(me, (comm.id(), tag, src));
-        drop(self.check_stall(t));
-    }
-
-    /// Mark a point-to-point receive as completed: the envelope is no
-    /// longer in flight and this rank is no longer recv-blocked.
-    pub(crate) fn check_p2p_recv_post(&self, comm: &Comm, src_index: usize, tag: u64) {
-        if !self.world().check.is_on() {
-            return;
-        }
-        let me = self.rank();
-        let src = comm.member(src_index);
-        let mut t = self.world().slots.lock();
-        t.check.p2p_inflight.remove(&(comm.id(), tag, src, me));
-        t.check.p2p_blocked.remove(&me);
     }
 
     /// Build the `Drop` guard for a nonblocking handle. Armed whenever
@@ -687,7 +595,7 @@ impl Drop for HandleGuard {
             ),
         };
         let report = if self.world.check.is_on() {
-            trip(&self.world, self.world.slots.lock(), self.rank, v)
+            trip(&self.world.slots, self.world.slots.lock(), v)
         } else {
             v.to_string()
         };
@@ -726,11 +634,8 @@ mod tests {
 
     #[test]
     fn stall_requires_everyone_blocked_or_gone() {
-        let mut t = Table {
-            open: HashMap::new(),
-            exited: vec![false, false, false, true],
-            check: CheckState::new(4, false),
-        };
+        let mut t = Table::new(4, false);
+        t.exited[3] = true;
         let world = Comm::for_rank(vec![0, 1, 2, 3], 0, 0);
         // Rank 0 entered a barrier and parked; rank 1 is parked at another
         // barrier; rank 2 still computes; rank 3 has exited.
@@ -759,6 +664,24 @@ mod tests {
         }
         other.filled = 4;
         assert!(other.complete());
+        assert!(stall_violation(&t).is_none());
+    }
+
+    #[test]
+    fn a_receiver_is_blocked_only_while_its_queue_is_empty() {
+        let mut t = Table::new(3, false);
+        t.exited[2] = true;
+        // Ranks 0 and 1 each wait on a message from the other.
+        let (to_0, to_1) = ((9, 5, 1, 0), (9, 6, 0, 1));
+        t.awaiting[0] = Some(to_0);
+        t.awaiting[1] = Some(to_1);
+        let v = stall_violation(&t).expect("both queues are empty");
+        assert_eq!(v.kind, ViolationKind::UnmatchedRecv);
+        assert_eq!((v.comm, v.seq), (9, 5));
+        assert!(v.detail.contains("rank 1 in recv from rank 0"), "{}", v.detail);
+        // A send has filled rank 0's queue, and rank 0 has not run yet: it
+        // is not blocked, so nothing is stalled.
+        t.queues.entry(to_0).or_default().push_back(Box::new(1u8));
         assert!(stall_violation(&t).is_none());
     }
 }

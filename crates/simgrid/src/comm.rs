@@ -1,12 +1,12 @@
-//! Ranks, communicators, and typed point-to-point messaging.
+//! Ranks and communicators.
 //!
 //! A [`Rank`] is the per-thread context of one simulated MPI process. A
 //! [`Comm`] is a subgroup of ranks (like an `MPI_Comm`): the process-row,
 //! process-column, fiber, and layer communicators of the 3D grid are all
-//! `Comm`s. Each rank's mailbox carries only user-level point-to-point
-//! messages ([`Rank::send`] / [`Rank::recv`]); collectives meet at slots
-//! ([`crate::slot`]). Messages are matched on `(source, communicator,
-//! tag)`, with out-of-order arrivals stashed in arrival order, so two
+//! `Comm`s. Collectives and point-to-point messages ([`Rank::send`] /
+//! [`Rank::recv`]) both travel through the world's one table
+//! ([`crate::slot`]): collectives meet at slots, and messages wait in one
+//! FIFO per `(communicator, tag, source, destination)` envelope, so two
 //! messages with one envelope are received in the order they were sent
 //! (MPI's non-overtaking rule).
 
@@ -14,26 +14,15 @@ use crate::check::CheckMode;
 use crate::clock::{RankClock, Step};
 use crate::cost::Machine;
 use crate::slot::Slots;
-use crossbeam::channel::{Receiver, Sender};
-use std::any::Any;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A message in flight.
-pub(crate) struct Envelope {
-    pub src: usize,
-    pub comm_id: u64,
-    pub tag: u64,
-    pub payload: Box<dyn Any + Send>,
-}
-
-/// Shared world state: one mailbox per rank, and the collectives' meeting
-/// slots, whose table also holds the protocol checker's state — read only
-/// when `check` is [`CheckMode::Check`].
+/// Shared world state: the table in which collectives meet and messages
+/// queue, which also holds the protocol checker's state — read only when
+/// `check` is [`CheckMode::Check`].
 pub(crate) struct WorldShared {
     pub p: usize,
-    pub senders: Vec<Sender<Envelope>>,
     pub slots: Slots,
     pub check: CheckMode,
     /// Schedule-perturbation seed: when set, every rank injects a
@@ -128,8 +117,6 @@ fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
 pub struct Rank {
     rank: usize,
     world: Arc<WorldShared>,
-    rx: Receiver<Envelope>,
-    stash: Vec<Envelope>,
     clock: RankClock,
     machine: Machine,
     /// Per-communicator collective sequence numbers (SPMD programs call
@@ -143,17 +130,10 @@ pub struct Rank {
 }
 
 impl Rank {
-    pub(crate) fn new(
-        rank: usize,
-        world: Arc<WorldShared>,
-        rx: Receiver<Envelope>,
-        machine: Machine,
-    ) -> Self {
+    pub(crate) fn new(rank: usize, world: Arc<WorldShared>, machine: Machine) -> Self {
         Rank {
             rank,
             world,
-            rx,
-            stash: Vec::new(),
             clock: RankClock::new(),
             machine,
             op_seq: HashMap::new(),
@@ -164,7 +144,7 @@ impl Rank {
     /// Inject deterministic scheduler jitter if a perturbation seed is
     /// set: a seed-derived number of `yield_now`s (and an occasional
     /// microsecond-scale sleep) permutes which thread wins each race at
-    /// rendezvous and mailbox operations. Results must be bit-identical
+    /// slots and message queues. Results must be bit-identical
     /// under any seed — a run that isn't has an order-dependence bug the
     /// default schedule was hiding.
     pub(crate) fn perturb_point(&self) {
@@ -215,7 +195,7 @@ impl Rank {
         &mut self.clock
     }
 
-    /// Shared world state (checker and mailboxes).
+    /// Shared world state (the table and the checker's mode).
     pub(crate) fn world(&self) -> &Arc<WorldShared> {
         &self.world
     }
@@ -256,73 +236,6 @@ impl Rank {
         *seq += 1;
         *seq
     }
-
-    /// Typed point-to-point send to `dst_index` within `comm`.
-    ///
-    /// Registers the envelope with the protocol checker (tag collisions,
-    /// orphaned sends).
-    pub fn send<T: Send + 'static>(&self, comm: &Comm, dst_index: usize, tag: u64, value: T) {
-        self.check_p2p_send(comm, dst_index, tag);
-        self.perturb_point();
-        let dst = comm.member(dst_index);
-        self.world.senders[dst]
-            .send(Envelope {
-                src: self.rank,
-                comm_id: comm.id(),
-                tag,
-                payload: Box::new(value),
-            })
-            .expect("rank mailbox closed: peer thread exited early");
-    }
-
-    /// Typed blocking receive matching `(src_index, comm, tag)`.
-    ///
-    /// Non-matching arrivals are stashed in arrival order and re-examined
-    /// on later receives, so interleaved traffic on other communicators is
-    /// safe and messages with one envelope never overtake each other.
-    /// Registers with the protocol checker so a receive with no matching
-    /// send is reported as a stall instead of hanging forever.
-    pub fn recv<T: Send + 'static>(&mut self, comm: &Comm, src_index: usize, tag: u64) -> T {
-        self.check_p2p_recv_pre(comm, src_index, tag);
-        self.perturb_point();
-        let src = comm.member(src_index);
-        let comm_id = comm.id();
-        let matches = |e: &Envelope| e.src == src && e.comm_id == comm_id && e.tag == tag;
-        let env = match self.stash.iter().position(matches) {
-            Some(pos) => self.stash.remove(pos),
-            None => loop {
-                let env = self
-                    .rx
-                    .recv()
-                    .expect("rank mailbox closed while waiting for a message");
-                if env.src == crate::check::POISON_SRC {
-                    // The protocol checker tripped on another rank while we
-                    // were blocked here; surface its report.
-                    let report = env
-                        .payload
-                        .downcast::<String>()
-                        .map_or_else(|_| "protocol violation".into(), |b| *b);
-                    panic!("{report}");
-                }
-                if matches(&env) {
-                    break env;
-                }
-                self.stash.push(env);
-            },
-        };
-        self.check_p2p_recv_post(comm, src_index, tag);
-        Self::downcast(env, src, comm_id, tag)
-    }
-
-    fn downcast<T: 'static>(env: Envelope, src: usize, comm_id: u64, tag: u64) -> T {
-        *env.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "type mismatch receiving from rank {src} (comm {comm_id:#x}, tag {tag}): \
-                 expected {}",
-                std::any::type_name::<T>()
-            )
-        })
-    }
 }
 
 impl std::fmt::Debug for Rank {
@@ -336,10 +249,10 @@ impl std::fmt::Debug for Rank {
 }
 
 impl Drop for Rank {
-    /// A departing rank can never deposit at a slot again: it leaves every
-    /// slot it is in, waking peers waiting for its deposit, and — under
-    /// checking — is counted as gone by the stall detector in the same
-    /// step (`Rank::exit`).
+    /// A departing rank can never deposit at a slot or send again: it leaves
+    /// every slot it is in, waking peers waiting for its deposit or its
+    /// message, and — under checking — is counted as gone by the stall
+    /// detector in the same step (`Rank::exit`).
     fn drop(&mut self) {
         self.exit();
     }
@@ -348,7 +261,7 @@ impl Drop for Rank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{run_ranks, run_ranks_checked};
+    use crate::runtime::run_ranks;
 
     #[test]
     fn comm_ids_agree_across_members_and_differ_by_color() {
@@ -380,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_tags_are_stashed() {
+    fn out_of_order_tags_wait_in_their_queues() {
         let results = run_ranks(2, Machine::knl(), |rank| {
             let comm = rank.world_comm();
             if rank.rank() == 0 {
@@ -396,33 +309,6 @@ mod tests {
             }
         });
         assert_eq!(results, vec![0, 1]);
-    }
-
-    #[test]
-    fn one_envelope_is_received_in_send_order() {
-        // MPI's non-overtaking rule: two messages with one envelope arrive
-        // in send order, even when other traffic is taken out of the stash
-        // between them. (Two in-flight sends with one envelope are a tag
-        // collision to the checker, so it is off here.)
-        let results = run_ranks_checked(2, Machine::knl(), CheckMode::Off, |rank| {
-            let comm = rank.world_comm();
-            if rank.rank() == 0 {
-                rank.send(&comm, 1, 3, 0u32);
-                rank.send(&comm, 1, 5, 1u32);
-                rank.send(&comm, 1, 7, 0u32);
-                rank.send(&comm, 1, 5, 2u32);
-                rank.send(&comm, 1, 9, 0u32);
-                vec![]
-            } else {
-                // Stashes tags 3, 5, 7, 5 in that order, then takes tag 3
-                // from the front and tag 7 from between the two 5s.
-                let _: u32 = rank.recv(&comm, 0, 9);
-                let _: u32 = rank.recv(&comm, 0, 3);
-                let _: u32 = rank.recv(&comm, 0, 7);
-                vec![rank.recv::<u32>(&comm, 0, 5), rank.recv::<u32>(&comm, 0, 5)]
-            }
-        });
-        assert_eq!(results[1], vec![1, 2]);
     }
 
     #[test]

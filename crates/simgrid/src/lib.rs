@@ -11,8 +11,8 @@
 //!   allreduce / allgather / alltoallv / gather / barrier) and run through
 //!   one shared meeting slot per operation (`slot`): each member deposits
 //!   its clock and contribution, the last arrival wakes the rest, and each
-//!   reads what it needs; user-level point-to-point messages travel over
-//!   in-memory mailboxes;
+//!   reads what it needs; user-level point-to-point messages wait in one
+//!   FIFO per envelope in the same table, under the same lock;
 //! * *time* is modeled, not measured: each rank carries a [`clock::RankClock`]
 //!   advanced by an **α–β machine model** ([`cost::Machine`]) — latency `α`
 //!   per message round, inverse bandwidth `β` per byte, and a calibrated
@@ -34,10 +34,10 @@
 //! Checking defaults on in debug builds — every test exercises it — and is
 //! controlled by [`check::CheckMode`] / the `SPGEMM_CHECK` environment
 //! variable. In either mode, a collective that a member's thread exited
-//! without joining ends in a panic naming that member and the operation,
-//! never in a hang: with checking off as soon as a waiter sees the exit,
-//! with checking on in the stall report, once every rank is blocked or
-//! gone.
+//! without joining, or a receive from a rank that exited without sending,
+//! ends in a panic naming that rank and the operation, never in a hang:
+//! with checking off as soon as a waiter sees the exit, with checking on
+//! in the stall report, once every rank is blocked or gone.
 
 #![forbid(unsafe_code)]
 

@@ -244,8 +244,8 @@ mod tests {
     #[test]
     fn pipelined_posts_interleave_with_blocking_collectives() {
         // Post two broadcasts back-to-back, run a blocking allreduce on the
-        // same communicator in between, then wait both — tag sequencing and
-        // the stash keep everything straight.
+        // same communicator in between, then wait both — each operation
+        // meets at the slot of its own sequence number.
         let results = run_ranks(3, Machine::knl(), |rank| {
             let comm = rank.world_comm();
             let p0 = (comm.my_index() == 0).then(|| Arc::new(10u32));

@@ -1,10 +1,9 @@
 //! Spawning and joining simulated ranks.
 
 use crate::check::{CheckMode, LoggedOp};
-use crate::comm::{Envelope, Rank, WorldShared};
+use crate::comm::{Rank, WorldShared};
 use crate::cost::Machine;
 use crate::slot::{Slots, PEER_EXITED};
-use crossbeam::channel::unbounded;
 use std::sync::Arc;
 
 /// Default perturbation seed: the `SPGEMM_PERTURB_SEED` environment
@@ -42,7 +41,7 @@ where
 ///
 /// Failure reporting gives algorithmic panics precedence: if a rank failed
 /// for a reason other than a protocol violation or a secondary
-/// infrastructure panic it caused (a peer's mailbox closing early), that
+/// infrastructure panic it caused (a peer finding it exited), that
 /// panic (with its rank id) is re-raised first; otherwise the checker's
 /// consolidated `protocol violation` report is raised.
 ///
@@ -116,16 +115,8 @@ where
     F: Fn(&mut Rank) -> R + Send + Sync,
 {
     assert!(p > 0, "need at least one rank");
-    let mut senders = Vec::with_capacity(p);
-    let mut receivers = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = unbounded::<Envelope>();
-        senders.push(tx);
-        receivers.push(Some(rx));
-    }
     let world = Arc::new(WorldShared {
         p,
-        senders,
         slots: Slots::new(p, log),
         check: mode,
         perturb,
@@ -136,8 +127,7 @@ where
 
     crossbeam::thread::scope(|s| {
         let mut handles = Vec::with_capacity(p);
-        for (i, (rx, slot)) in receivers.iter_mut().zip(results.iter_mut()).enumerate() {
-            let rx = rx.take().expect("receiver already taken");
+        for (i, slot) in results.iter_mut().enumerate() {
             let world = Arc::clone(&world);
             let handle = s
                 .builder()
@@ -147,7 +137,7 @@ where
                 })
                 .stack_size(RANK_STACK_BYTES)
                 .spawn(move |_| {
-                    let mut rank = Rank::new(i, world, rx, machine);
+                    let mut rank = Rank::new(i, world, machine);
                     *slot = Some(f(&mut rank));
                 })
                 .expect("failed to spawn rank thread");
@@ -175,16 +165,13 @@ where
     };
     if !failures.is_empty() {
         // An algorithmic failure outranks the secondary panics it causes on
-        // peer ranks: protocol reports (stall, poison wake-ups) *and*
-        // infrastructure panics when the failed rank's thread died — its
-        // mailbox closing ("rank mailbox closed ...") or a collective it
-        // never joined. A low rank dying of those must not mask the real
-        // failure on a higher rank.
-        let secondary = |msg: &str| {
-            ["protocol violation", "rank mailbox closed", PEER_EXITED]
-                .iter()
-                .any(|s| msg.contains(s))
-        };
+        // peer ranks: protocol reports (a stall, or the report a trip wakes
+        // parked ranks with) *and* the panics of peers that found the failed
+        // rank's thread gone — a collective it never joined, a message it
+        // never sent, or one sent to it after it exited. A low rank dying of
+        // those must not mask the real failure on a higher rank.
+        let secondary =
+            |msg: &str| ["protocol violation", PEER_EXITED].iter().any(|s| msg.contains(s));
         if let Some((i, msg)) = failures.iter().find(|(_, msg)| !secondary(msg)) {
             panic!("{} panicked: {msg}", who(*i));
         }
@@ -199,7 +186,7 @@ where
         panic!("{} panicked: {msg}", who(*i));
     }
 
-    // Violations recorded at exit (orphaned point-to-point sends) don't
+    // Violations recorded at exit (orphaned point-to-point messages) don't
     // panic any rank — the threads have already finished — so a clean join
     // must still surface them.
     let violations = world.slots.violations();
@@ -254,11 +241,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "rank 2 panicked: boom")]
     fn algorithmic_panic_outranks_secondary_infrastructure_panics() {
-        // Rank 2 dies mid-run; rank 0 keeps sending to it until the dead
-        // rank's mailbox closes and the send panics with the
-        // "rank mailbox closed" infrastructure message. That secondary
-        // panic (on a *lower* rank id, hence joined first) must not mask
-        // the real algorithmic failure on rank 2.
+        // Rank 2 dies mid-run; rank 0 keeps sending to it until it has
+        // exited, and the send panics with the "exited before joining"
+        // message. That secondary panic (on a *lower* rank id, hence joined
+        // first) must not mask the real algorithmic failure on rank 2.
         run_ranks_checked(3, Machine::knl(), CheckMode::Off, |rank| {
             let comm = rank.world_comm();
             match rank.rank() {
@@ -397,6 +383,41 @@ mod tests {
         let msg = err.downcast::<String>().map(|s| *s).unwrap_or_default();
         assert!(msg.starts_with("rank 0 panicked: rank 1 exited before joining"), "{msg}");
         assert!(msg.contains("op 1"), "{msg}");
+    }
+
+    /// Rank 0 waits, with checking off, on a message rank 1 never sends:
+    /// rank 1 returns, or panics with "boom" if `fail`. Returns the run's
+    /// panic message. The run has its own thread so that a receive that
+    /// hangs fails the caller instead of hanging it.
+    fn unchecked_recv_from_a_peer_that_exits(fail: bool) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let err = std::panic::catch_unwind(|| {
+                run_ranks_checked(2, Machine::knl(), CheckMode::Off, |rank| {
+                    let comm = rank.world_comm();
+                    match rank.rank() {
+                        0 => {
+                            let _: u64 = rank.recv(&comm, 1, 5);
+                        }
+                        _ => assert!(!fail, "boom"),
+                    }
+                })
+            })
+            .expect_err("rank 0 cannot complete its receive");
+            let _ = tx.send(err.downcast::<String>().map(|s| *s).unwrap_or_default());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the receive from an exited peer did not end within 10 s")
+    }
+
+    #[test]
+    fn unchecked_recv_from_an_exited_peer_names_it_and_the_envelope() {
+        let msg = unchecked_recv_from_a_peer_that_exits(false);
+        assert!(msg.starts_with("rank 0 panicked: rank 1 exited before joining"), "{msg}");
+        assert!(msg.contains("tag 5"), "{msg}");
+        // That panic is secondary: the failure that made rank 1 exit wins.
+        let msg = unchecked_recv_from_a_peer_that_exits(true);
+        assert!(msg.starts_with("rank 1 panicked: boom"), "{msg}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Meeting slots: the one place every collective meets.
+//! Meeting slots and message queues: the one transport of a world.
 //!
 //! A collective drawn as sequence number `seq` on communicator `comm` meets
 //! at one slot, keyed `(comm id, seq)`, in the world's [`Slots`]. Each
@@ -13,26 +13,38 @@
 //! [`crate::Rank::ibcast`] deposits at post and collects at
 //! [`crate::PendingBcast::wait`].
 //!
+//! A point-to-point message ([`crate::Rank::send`]) is pushed onto the
+//! FIFO of its envelope `(comm id, tag, src, dst)` in the same table;
+//! [`crate::Rank::recv`] pops the front of its envelope's queue, parking
+//! on its rank's own condvar while the queue is empty, and a send to the
+//! envelope a receiver is parked on wakes it. One FIFO per envelope is MPI's non-overtaking rule: two messages
+//! with one envelope are received in the order they were sent.
+//!
 //! The table's one lock also guards the protocol checker's state
 //! ([`crate::check`]). Under [`crate::CheckMode::Check`] a deposit is
 //! verified against the slot's earlier depositors before its seat is
 //! filled, so a mismatch trips before the slot can complete; and the stall
-//! detector reads who is parked at which incomplete slot from this table,
-//! under the same lock as the deposit that completes it.
+//! detector reads who is parked at which incomplete slot, and who waits on
+//! which empty queue, from this table, under the same lock as the deposit
+//! or send that releases them.
 //!
 //! Two events end a wait early, each with a panic: the checker tripping
 //! (every parked rank panics with its report), and — with checking off — a
-//! member that has not deposited exiting its thread: it never will, so
-//! every rank parked at a slot it has not filled panics naming that rank
-//! and the slot. With checking on, that exit is left to the stall
-//! detector, whose report names the missing member once every rank is
-//! blocked or gone. An exited member counts as having left every slot it
-//! was in, so a run that ends, cleanly or not, leaves no slot open.
+//! peer that has not deposited, or has not sent, exiting its thread: it
+//! never will, so every rank waiting on it panics naming that rank and the
+//! slot or envelope. A send to an exited rank panics the same way. With
+//! checking on, those exits are left to the stall detector, whose report
+//! names the missing member once every rank is blocked or gone, and to the
+//! last rank out, which reports every message still queued as orphaned.
+//! An exited member counts as having left every slot it was in, so a run
+//! that ends, cleanly or not, leaves no slot open.
 
-use crate::check::{stall_violation, trip, CheckState, OpKind};
+use crate::check::{
+    halt_if_tripped, record_orphans, stall_violation, trip, CheckState, LoggedAction, OpKind,
+};
 use crate::comm::{Comm, Rank};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// What a member contributes to a meeting, type-erased; every member of
@@ -97,25 +109,62 @@ impl Slot {
     }
 }
 
-/// The open slots and the checker's state, under one lock.
+/// The envelope a point-to-point message travels under: `(comm id, tag,
+/// src, dst)`, source and destination as global ranks.
+pub(crate) type MsgKey = (u64, u64, usize, usize);
+
+/// The open slots, the queued messages and the checker's state, under one
+/// lock.
 pub(crate) struct Table {
     pub(crate) open: HashMap<(u64, u64), Slot>,
+    /// One FIFO per envelope with a message in it; a queue is removed when
+    /// its last message is received.
+    pub(crate) queues: HashMap<MsgKey, VecDeque<Part>>,
+    /// By global rank: the envelope the rank is parked in `recv` on.
+    pub(crate) awaiting: Vec<Option<MsgKey>>,
     /// By global rank: the rank's thread has exited.
     pub(crate) exited: Vec<bool>,
     pub(crate) check: CheckState,
 }
 
-/// Every open slot of one world.
-pub(crate) struct Slots(Mutex<Table>);
+impl Table {
+    /// An empty table for `p` ranks; `log` starts the checker's op log.
+    pub(crate) fn new(p: usize, log: bool) -> Self {
+        Table {
+            open: HashMap::new(),
+            queues: HashMap::new(),
+            awaiting: vec![None; p],
+            exited: vec![false; p],
+            check: CheckState::new(p, log),
+        }
+    }
+}
+
+/// The one table of a world, and one condvar per rank, on which it parks
+/// in `recv`.
+pub(crate) struct Slots {
+    table: Mutex<Table>,
+    inbox: Vec<Condvar>,
+}
 
 impl Slots {
     /// An empty table for `p` ranks; `log` starts the checker's op log.
     pub(crate) fn new(p: usize, log: bool) -> Self {
-        Slots(Mutex::new(Table {
-            open: HashMap::new(),
-            exited: vec![false; p],
-            check: CheckState::new(p, log),
-        }))
+        Slots {
+            table: Mutex::new(Table::new(p, log)),
+            inbox: (0..p).map(|_| Condvar::new()).collect(),
+        }
+    }
+
+    /// Wake every rank parked in a receive; `t` is this table, locked.
+    /// Ranks not parked are left alone: an exit that wakes nobody costs no
+    /// system call.
+    pub(crate) fn wake_receivers(&self, t: &Table) {
+        for (cv, key) in self.inbox.iter().zip(&t.awaiting) {
+            if key.is_some() {
+                cv.notify_one();
+            }
+        }
     }
 
     /// A rank that panics under the lock (a reader's downcast) leaves the
@@ -123,7 +172,7 @@ impl Slots {
     /// guard is recovered: the ranks still running, and every `exit`, must
     /// get through.
     pub(crate) fn lock(&self) -> MutexGuard<'_, Table> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// `(comm id, seq)` of every slot still open.
@@ -275,16 +324,105 @@ impl Rank {
         out
     }
 
+    /// Typed point-to-point send to `dst_index` within `comm`: the message
+    /// joins the FIFO of its envelope, and a receiver parked on that
+    /// envelope is woken.
+    ///
+    /// A send to a rank that has exited can never be received: with
+    /// checking off it panics naming that rank; with checking on the
+    /// message stays queued and is reported as orphaned when the run ends.
+    pub fn send<T: Send + 'static>(&self, comm: &Comm, dst_index: usize, tag: u64, value: T) {
+        self.perturb_point();
+        let (me, dst) = (self.rank(), comm.member(dst_index));
+        let slots = &self.world().slots;
+        let mut t = slots.lock();
+        if self.world().check.is_on() {
+            t = halt_if_tripped(t);
+            t.check
+                .log(me, comm.id(), LoggedAction::Send { to: dst, tag });
+        } else if t.exited[dst] {
+            let msg = format!(
+                "rank {dst} {PEER_EXITED} the message rank {me} sends it (comm {:#x}, tag {tag})",
+                comm.id()
+            );
+            drop(t);
+            panic!("{msg}");
+        }
+        let key = (comm.id(), tag, me, dst);
+        t.queues.entry(key).or_default().push_back(Box::new(value));
+        // Only a receiver parked on this envelope has anything to wake for.
+        let parked = t.awaiting[dst] == Some(key);
+        drop(t);
+        if parked {
+            slots.inbox[dst].notify_one();
+        }
+    }
+
+    /// Typed blocking receive of the oldest message sent to this rank from
+    /// `src_index` within `comm` with `tag`.
+    ///
+    /// Messages with one envelope are received in the order they were sent
+    /// (MPI's non-overtaking rule); traffic under other envelopes is left
+    /// queued. With checking on, a receive no send can ever match is
+    /// reported as an unmatched receive instead of hanging forever; with
+    /// checking off, it panics once its source has exited.
+    pub fn recv<T: Send + 'static>(&mut self, comm: &Comm, src_index: usize, tag: u64) -> T {
+        self.perturb_point();
+        let (me, src) = (self.rank(), comm.member(src_index));
+        let key = (comm.id(), tag, src, me);
+        let checking = self.world().check.is_on();
+        let slots = &self.world().slots;
+        let mut t = slots.lock();
+        if checking {
+            t.check
+                .log(me, comm.id(), LoggedAction::Recv { from: src, tag });
+        }
+        let part = loop {
+            if let Some(part) = pop(&mut t.queues, &key) {
+                break part;
+            }
+            if let Some(report) = t.check.tripped() {
+                drop(t);
+                panic!("{report}");
+            }
+            t.awaiting[me] = Some(key);
+            if checking {
+                t = self.check_stall(t);
+            } else if t.exited[src] {
+                let msg = format!(
+                    "rank {src} {PEER_EXITED} the message rank {me} waits on (comm {:#x}, tag {tag})",
+                    comm.id()
+                );
+                drop(t);
+                panic!("{msg}");
+            }
+            t = slots.inbox[me]
+                .wait(t)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
+        t.awaiting[me] = None;
+        drop(t);
+        *part.downcast::<T>().unwrap_or_else(|_| {
+            panic!(
+                "type mismatch receiving from rank {src} (comm {:#x}, tag {tag}): expected {}",
+                comm.id(),
+                std::any::type_name::<T>()
+            )
+        })
+    }
+
     /// This rank's thread is exiting: it leaves every slot it is in, and
-    /// ranks waiting for its deposit are woken. Under checking, a departed
-    /// rank may complete a stall, which trips the checker here — the
-    /// stalled ranks are woken with the report and raise it — and the last
-    /// rank out sweeps the point-to-point registry for sends no one
-    /// received.
+    /// every rank waiting for its deposit or its message is woken. Under
+    /// checking, a departed rank may complete a stall, which trips the
+    /// checker here — the stalled ranks are woken with the report and raise
+    /// it — and the last rank out reports every message still queued as
+    /// orphaned.
     pub(crate) fn exit(&self) {
         let me = self.rank();
-        let mut t = self.world().slots.lock();
+        let slots = &self.world().slots;
+        let mut t = slots.lock();
         t.exited[me] = true;
+        t.awaiting[me] = None;
         let mut closed = Vec::new();
         t.open.retain(|_, slot| {
             let Some(i) = slot.comm.members().iter().position(|&g| g == me) else {
@@ -306,16 +444,29 @@ impl Rank {
         });
         let stall = if self.world().check.is_on() && t.check.tripped().is_none() {
             if t.exited.iter().all(|&e| e) {
-                t.check.sweep_orphans();
+                record_orphans(&mut t);
             }
             stall_violation(&t)
         } else {
             None
         };
         match stall {
-            Some(v) => drop(trip(self.world(), t, me, v)),
-            None => drop(t),
+            Some(v) => drop(trip(slots, t, v)),
+            None => {
+                slots.wake_receivers(&t);
+                drop(t);
+            }
         }
         drop(closed);
     }
+}
+
+/// Pop the oldest message queued under `key`, removing its queue once empty.
+fn pop(queues: &mut HashMap<MsgKey, VecDeque<Part>>, key: &MsgKey) -> Option<Part> {
+    let queue = queues.get_mut(key)?;
+    let part = queue.pop_front();
+    if queue.is_empty() {
+        queues.remove(key);
+    }
+    part
 }
